@@ -1,7 +1,7 @@
 """tatelab: exact verification workbench for Tate cohomology of finite
 groups and the connecting homomorphisms of class-field Tate sequences."""
 
-from .abelian import (AbMap, FgAb, NonComplex, ab_kernel, ab_quotient,
+from .abelian import (AbMap, FgAb, NonComplex, ab_quotient,
                       fgab_from_relations, homology_at, subgroup_span)
 from .cft import (AuxPlace, Instance, PlaceData, PlaceIsP0,
                   UnsatisfiableParams, c_p, i2_plain, i2_twist, norm_model,
@@ -10,8 +10,8 @@ from .cft import (AuxPlace, Instance, PlaceData, PlaceIsP0,
 from .cohomology import (CohClass, Cocycle1, DegreeMismatch,
                          DegreeOutOfWindow, ExtensionData, TateCohomology,
                          TateComplex, WindowTooLarge, build_ext1_data,
-                         cohomology, connecting_hom, cocycle_to_extension,
-                         cup_with_h1, ext1_aug_to_h2, ext1_class_to_h2,
+                         connecting_hom, cocycle_to_extension, cup_with_h1,
+                         ext1_aug_to_h2, ext1_class_to_h2,
                          extension_to_cocycle, shapiro_hminus2)
 from .gmodules import (GMap, GModule, HomModule, NotEquivariant, NotFree,
                        TensorModule, direct_sum, fixed_and_norm,

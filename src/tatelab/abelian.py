@@ -98,6 +98,38 @@ class FgAb:
             self._uinv = uinv
         self._canon_idx = tuple(i for i, m in enumerate(self._mods) if m != 1)
 
+    @classmethod
+    def direct_sum(cls, parts):
+        """Direct sum on the block-diagonal relations of the parts.
+
+        The parts' Smith data is assembled, not recomputed: diag(U_k) is
+        unimodular and diag(U_k) R diag(V_k) = diag(D_k), so canon reduces
+        each block modulo its own part's moduli (a part without U takes
+        the identity block).  The moduli form no divisibility chain.
+        """
+        parts = list(parts)
+        n = sum(p.n for p in parts)
+        rel = IntMatrix.block_diagonal([p.rel for p in parts])
+        if rel.cols > max(n, 32):
+            return cls(n, rel)  # lattice-reduced as the constructor does
+        grp = object.__new__(cls)
+        grp.n = n
+        grp.rel = rel
+        grp._rel_lat = None
+        grp._inv_factors = None
+        grp._mods = tuple(m for p in parts for m in p._mods)
+        if all(p._u is None for p in parts):
+            grp._u = grp._uinv = None
+        else:
+            grp._u = IntMatrix.block_diagonal(
+                [IntMatrix.identity(p.n) if p._u is None else p._u
+                 for p in parts])
+            grp._uinv = IntMatrix.block_diagonal(
+                [IntMatrix.identity(p.n) if p._uinv is None else p._uinv
+                 for p in parts])
+        grp._canon_idx = tuple(i for i, m in enumerate(grp._mods) if m != 1)
+        return grp
+
     # -- elements ---------------------------------------------------------
 
     def zero(self):
@@ -165,11 +197,12 @@ class FgAb:
         """Torsion invariant factors d1 | d2 | ... (entries > 1 only)."""
         if self._inv_factors is None:
             ds = [self._mods[i] for i in self._canon_idx if self._mods[i] > 1]
-            if self._u is None:
-                self._inv_factors = _chain_from_multiset(ds)
+            if all(b % a == 0 for a, b in zip(ds, ds[1:])):
+                # a Smith form already is a divisibility chain
+                self._inv_factors = tuple(ds)
             else:
-                # SNF already produced a divisibility chain
-                self._inv_factors = tuple(d for d in ds)
+                # diagonal presentations and direct sums need not be
+                self._inv_factors = _chain_from_multiset(ds)
         return self._inv_factors
 
     def free_rank(self):
@@ -423,11 +456,6 @@ def ab_quotient(grp, gens):
     return q, AbMap(grp, q, IntMatrix.identity(grp.n), check=False)
 
 
-def ab_kernel(f):
-    """(K, incl) for a map f; mirrors AbMap.kernel."""
-    return f.kernel()
-
-
 def subgroup_span(grp, elems):
     """(S, incl) with S presented on the given elements of grp."""
     free = FgAb(len(elems))
@@ -475,9 +503,6 @@ class Homology:
         """A deterministic representative cycle of a class."""
         c = self.group.from_canon(cls_canon)
         return self.middle.reduce_rep(self._incl.apply(c))
-
-    def is_cycle(self, z):
-        return self._incl.solve(z) is not None
 
 
 def homology_at(d_in, d_out):

@@ -336,7 +336,7 @@ def _cocycle_space(group, sub, cl):
     pos = {e: i for i, e in enumerate(elems)}
     ab = cl.underlying
     n = ab.n
-    tables = _sum_fgab_local(ab, len(elems))
+    tables = FgAb.direct_sum([ab] * len(elems))
     conds = []
     for a in elems:
         for b in elems:
@@ -351,15 +351,10 @@ def _cocycle_space(group, sub, cl):
                     if act[r][q]:
                         row_block[r][pos[b] * n + q] += act[r][q]
             conds.extend(row_block)
-    big = _sum_fgab_local(ab, len(elems) * len(elems))
+    big = FgAb.direct_sum([ab] * (len(elems) * len(elems)))
     cond_map = AbMap(tables, big, IntMatrix(conds, cols=tables.n), check=False)
     zgrp, incl = cond_map.kernel()
     return zgrp, incl, elems, pos
-
-
-def _sum_fgab_local(ab, count):
-    from .cohomology import _sum_fgab
-    return _sum_fgab(ab, count)
 
 
 _CL_SHAPES = ("trivial", "perm", "mixed")

@@ -1,7 +1,8 @@
 """Command-line front end: validate, analyze, selftest.
 
 Exit codes: 0 all selected checks pass, 1 a mathematical check failed,
-2 operational failure (unreadable file, schema error, bad arguments).
+2 operational failure (unreadable file, schema error, bad arguments,
+bad TATELAB_WORKERS).
 """
 
 from __future__ import annotations
@@ -123,6 +124,19 @@ def _selftest_one(group, seed, checks):
 
 
 def cmd_selftest(args):
+    if args.seeds < 1:
+        print(f"error: --seeds must be at least 1, got {args.seeds}",
+              file=sys.stderr)
+        return EXIT_ERROR
+    workers_text = os.environ.get("TATELAB_WORKERS", "1")
+    try:
+        workers = int(workers_text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"error: TATELAB_WORKERS must be an integer >= 1, got "
+              f"{workers_text!r}", file=sys.stderr)
+        return EXIT_ERROR
     groups = [g for g in args.groups.split(",") if g]
     for g in groups:
         if g not in GROUP_CATALOG:
@@ -136,7 +150,6 @@ def cmd_selftest(args):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
     jobs = [(g, seed) for g in groups for seed in range(args.seeds)]
-    workers = int(os.environ.get("TATELAB_WORKERS", "1"))
     records = []
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -173,7 +173,7 @@ class TateComplex:
 
     def cochain_group(self, module, i):
         self._check_degree(i)
-        return _sum_fgab(module.underlying, self.rank(i))
+        return FgAb.direct_sum([module.underlying] * self.rank(i))
 
     def blockified(self, module, i, dom=None, cod=None):
         """The degree i -> i+1 differential specialized at `module`."""
@@ -181,8 +181,7 @@ class TateComplex:
         self._check_degree(i + 1)
         na = module.underlying.n
         dom = dom if dom is not None else self.cochain_group(module, i)
-        cod = cod if cod is not None else _sum_fgab(module.underlying,
-                                                    self.rank(i + 1))
+        cod = cod if cod is not None else self.cochain_group(module, i + 1)
         rows = [[0] * dom.n for _ in range(cod.n)]
         for s_idx, col in self.ring_differential(i).items():
             for t_idx, zg in col.items():
@@ -241,19 +240,6 @@ class TateComplex:
         d_in = self.blockified(module, i - 1, cod=mid)
         d_out = self.blockified(module, i, dom=mid)
         return Homology(d_in, d_out)
-
-
-def _sum_fgab(ab, count):
-    """Direct sum of `count` copies of a presented group."""
-    n, m = ab.n, ab.rel.cols
-    cols = []
-    for k in range(count):
-        for j in range(m):
-            col = [0] * (n * count)
-            for ii in range(n):
-                col[k * n + ii] = ab.rel.entries[ii][j]
-            cols.append(col)
-    return FgAb(n * count, IntMatrix.from_columns(cols, n * count))
 
 
 class CohClass:
@@ -336,16 +322,6 @@ class TateCohomology:
         h = self.homology(i)
         return [CohClass(self, i, h.rep_of(h.group.canon(e)))
                 for e in h.group.elements()]
-
-    def zero_class(self, i):
-        return CohClass(self, i, (0,) * self.cochain_group(i).n)
-
-
-def cohomology(complex_, module, i):
-    """(group, class_of, rep_of) at degree i, per the operation contract."""
-    calc = TateCohomology(complex_, module)
-    h = calc.homology(i)
-    return h.group, h.class_of, h.rep_of
 
 
 def induced_map(calc_dom, calc_cod, f, i):
@@ -496,7 +472,7 @@ class Cocycle1:
                 rows.append([delta[r][q] - (1 if r == q else 0)
                              for q in range(n)])
             target.extend(self.values[g])
-        big = _sum_fgab(ab, grp.order)
+        big = FgAb.direct_sum([ab] * grp.order)
         stack = AbMap(ab, big, IntMatrix(rows, cols=n), check=False)
         m = stack.solve(tuple(target))
         return (m is not None), m
@@ -511,14 +487,7 @@ def cocycle_to_extension(hom, f):
     cmod, amod = hom.c, hom.a
     grp = amod.group
     na, nc = amod.underlying.n, cmod.underlying.n
-    rel_cols = []
-    for j in range(amod.underlying.rel.cols):
-        col = list(amod.underlying.rel.column(j)) + [0] * nc
-        rel_cols.append(col)
-    for j in range(cmod.underlying.rel.cols):
-        col = [0] * na + list(cmod.underlying.rel.column(j))
-        rel_cols.append(col)
-    ab = FgAb(na + nc, IntMatrix.from_columns(rel_cols, na + nc))
+    ab = FgAb.direct_sum([amod.underlying, cmod.underlying])
     acts = []
     for g in range(grp.order):
         fmat = hom.to_matrix(f.values[g])

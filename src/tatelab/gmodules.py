@@ -342,44 +342,17 @@ def direct_sum(mods):
     """(sum module, injections, projections) of a list of GModules over
     the same group."""
     group = mods[0].group
-    ns = [m.underlying.n for m in mods]
-    total = sum(ns)
-    offs = []
-    o = 0
-    for n in ns:
-        offs.append(o)
-        o += n
-    rel_cols = []
-    for mi, m in enumerate(mods):
-        for j in range(m.underlying.rel.cols):
-            col = [0] * total
-            for i in range(ns[mi]):
-                col[offs[mi] + i] = m.underlying.rel.entries[i][j]
-            rel_cols.append(col)
-    ab = FgAb(total, IntMatrix.from_columns(rel_cols, total))
-    acts = []
-    for g in range(group.order):
-        rows = [[0] * total for _ in range(total)]
-        for mi, m in enumerate(mods):
-            blk = m.action[g].entries
-            for i in range(ns[mi]):
-                for j in range(ns[mi]):
-                    rows[offs[mi] + i][offs[mi] + j] = blk[i][j]
-        acts.append(IntMatrix(rows, cols=total))
+    ab = FgAb.direct_sum([m.underlying for m in mods])
+    acts = [IntMatrix.block_diagonal([m.action[g] for m in mods])
+            for g in range(group.order)]
     smod = GModule(group, ab, acts, check=False)
-    injs, projs = [], []
-    for mi, m in enumerate(mods):
-        icols = []
-        for j in range(ns[mi]):
-            col = [0] * total
-            col[offs[mi] + j] = 1
-            icols.append(col)
-        injs.append(GMap(m, smod, IntMatrix.from_columns(icols, total),
-                         check=False))
-        prows = [[0] * total for _ in range(ns[mi])]
-        for i in range(ns[mi]):
-            prows[i][offs[mi] + i] = 1
-        projs.append(GMap(smod, m, IntMatrix(prows, cols=total), check=False))
+    ident = IntMatrix.identity(ab.n).entries
+    injs, projs, off = [], [], 0
+    for m in mods:
+        proj = IntMatrix(ident[off:off + m.underlying.n], cols=ab.n)
+        injs.append(GMap(m, smod, proj.transpose(), check=False))
+        projs.append(GMap(smod, m, proj, check=False))
+        off += m.underlying.n
     return smod, injs, projs
 
 
@@ -416,14 +389,7 @@ class HomModule:
         c, a = cmod.underlying, amod.underlying
         k, tb, fb = _free_basis_maps(c)
         na = a.n
-        rel_cols = []
-        for i in range(k):
-            for j in range(a.rel.cols):
-                col = [0] * (k * na)
-                for l in range(na):
-                    col[i * na + l] = a.rel.entries[l][j]
-                rel_cols.append(col)
-        ab = FgAb(k * na, IntMatrix.from_columns(rel_cols, k * na))
+        ab = FgAb.direct_sum([a] * k)
         acts = []
         for g in range(group.order):
             ginv = group.inv[g]

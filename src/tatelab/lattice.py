@@ -35,6 +35,17 @@ class IntMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_colcache", None)
 
+    @classmethod
+    def _trusted(cls, entries, cols):
+        """Internal constructor: `entries` is already a tuple of int tuples,
+        each of length `cols`, so no coercion or shape check is done."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "_colcache", None)
+        return m
+
     def __setattr__(self, *a):
         raise AttributeError("IntMatrix is immutable")
 
@@ -62,16 +73,39 @@ class IntMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
+    @classmethod
+    def block_diagonal(cls, blocks):
+        """Block-diagonal matrix of the given (possibly rectangular) blocks."""
+        cols = sum(b.cols for b in blocks)
+        rows, left = [], 0
+        for b in blocks:
+            pad_l, pad_r = (0,) * left, (0,) * (cols - left - b.cols)
+            rows.extend(pad_l + r + pad_r for r in b.entries)
+            left += b.cols
+        return cls._trusted(tuple(rows), cols)
+
     def transpose(self):
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], cols=self.rows)
+        if not self.rows:
+            return IntMatrix._trusted(((),) * self.cols, 0)
+        return IntMatrix._trusted(tuple(zip(*self.entries)), self.rows)
 
     def mul(self, other):
+        """Matrix product; only the nonzero entries of both factors are
+        visited, which is what the sparse differentials need."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().entries
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                          for row in self.entries], cols=other.cols)
+        m = other.cols
+        nonzero = [[(j, b) for j, b in enumerate(row) if b]
+                   for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [0] * m
+            for a, pairs in zip(row, nonzero):
+                if a:
+                    for j, b in pairs:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return IntMatrix._trusted(tuple(out), m)
 
     def apply(self, vec):
         """Matrix times column vector; sparse vectors use cached columns."""
@@ -96,8 +130,9 @@ class IntMatrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix([ra + rb for ra, rb in zip(self.entries, other.entries)],
-                         cols=self.cols + other.cols)
+        return IntMatrix._trusted(tuple(ra + rb for ra, rb in
+                                        zip(self.entries, other.entries)),
+                                  self.cols + other.cols)
 
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.entries)
@@ -252,9 +287,11 @@ def _snf_data(m: IntMatrix):
     for i in range(limit):
         if d[i][i] < 0:
             row_neg(i)
-    return (IntMatrix(u, cols=rows), IntMatrix(d, cols=cols),
-            IntMatrix(v, cols=cols), IntMatrix(uinv, cols=rows),
-            IntMatrix(vinv, cols=cols))
+    return (IntMatrix._trusted(tuple(map(tuple, u)), rows),
+            IntMatrix._trusted(tuple(map(tuple, d)), cols),
+            IntMatrix._trusted(tuple(map(tuple, v)), cols),
+            IntMatrix._trusted(tuple(map(tuple, uinv)), rows),
+            IntMatrix._trusted(tuple(map(tuple, vinv)), cols))
 
 
 def kernel_basis(row_iter, ncols):

@@ -660,14 +660,7 @@ def homology_generators_iso(complex_, inst, xy, conn=None):
     for p in parts:
         offs.append(total)
         total += p.n
-    rel_cols = []
-    for k, p in enumerate(parts):
-        for j in range(p.rel.cols):
-            col = [0] * total
-            for i in range(p.n):
-                col[offs[k] + i] = p.rel.entries[i][j]
-            rel_cols.append(col)
-    sumab = FgAb(total, IntMatrix.from_columns(rel_cols, total))
+    sumab = FgAb.direct_sum(parts)
     # map to G^ab
     cols = []
     for k, (p, elems) in enumerate(zip(parts, elems_per)):

@@ -130,3 +130,74 @@ def test_canonical_form_is_additive(mods, x, y):
     lhs = g.canon(g.add(x, y))
     rhs = g.canon(g.add(g.from_canon(g.canon(x)), g.from_canon(g.canon(y))))
     assert lhs == rhs
+
+
+def _reference_sum(parts):
+    """FgAb on the block-diagonal relations, assembled column by column."""
+    n = sum(p.n for p in parts)
+    cols, off = [], 0
+    for p in parts:
+        for j in range(p.rel.cols):
+            col = [0] * n
+            col[off:off + p.n] = p.rel.column(j)
+            cols.append(tuple(col))
+        off += p.n
+    return FgAb(n, IntMatrix.from_columns(cols, n))
+
+
+def _part(kind, n, cols, entries):
+    if kind == "diagonal":
+        return diag_group(*[abs(x) for x in entries[:n]])
+    if kind == "free":
+        return FgAb(n)
+    rows = [[entries[(i * cols + j) % len(entries)] for j in range(cols)]
+            for i in range(n)]
+    return FgAb(n, IntMatrix(rows, cols=cols))
+
+
+parts_strategy = st.lists(
+    st.tuples(st.sampled_from(["diagonal", "free", "dense", "wide"]),
+              st.integers(0, 3), st.integers(0, 4),
+              st.lists(st.integers(-6, 6), min_size=3, max_size=12))
+    .map(lambda t: _part(t[0], t[1] if t[0] != "wide" else max(t[1], 1),
+                         t[2] if t[0] != "wide" else 20 + 3 * t[2], t[3])),
+    min_size=0, max_size=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(parts_strategy, st.data())
+def test_direct_sum_matches_block_diagonal_presentation(parts, data):
+    got = FgAb.direct_sum(parts)
+    ref = _reference_sum(parts)
+    assert got.n == ref.n
+    assert got.rel == ref.rel
+    assert got.invariant_factors() == ref.invariant_factors()
+    assert got.free_rank() == ref.free_rank()
+    vec = st.lists(st.integers(-12, 12), min_size=ref.n, max_size=ref.n)
+    for _ in range(4):
+        x, y = tuple(data.draw(vec)), tuple(data.draw(vec))
+        assert got.eq(x, y) == ref.eq(x, y)
+        # y shifted by relations must compare equal to y
+        c = data.draw(st.lists(st.integers(-3, 3), min_size=ref.rel.cols,
+                               max_size=ref.rel.cols))
+        y2 = ref.add(y, ref.rel.apply(tuple(c)))
+        assert got.eq(y, y2) and ref.eq(y, y2)
+        assert got.eq(x, y2) == ref.eq(x, y2)
+        assert got.eq(got.from_canon(got.canon(x)), x)
+
+
+def test_direct_sum_cases():
+    dense = FgAb(2, IntMatrix([[2, 1], [0, 4]]))
+    s = FgAb.direct_sum([diag_group(2), dense, FgAb(0), FgAb(1)])
+    assert s.invariant_factors() == _reference_sum(
+        [diag_group(2), dense, FgAb(0), FgAb(1)]).invariant_factors()
+    assert s.invariant_factors() == (2, 8) and s.free_rank() == 1
+    # concatenated moduli (6 then 2) are no divisibility chain
+    s = FgAb.direct_sum([diag_group(6), FgAb(2, IntMatrix([[2, 2], [0, 4]]))])
+    assert s.invariant_factors() == (2, 2, 12)
+    assert FgAb.direct_sum([]).n == 0
+    # relation columns beyond max(n, 32): reduced as the constructor does
+    wide = FgAb(1, IntMatrix([[2 * k + 4 for k in range(20)]]))
+    s = FgAb.direct_sum([wide, wide])
+    assert s.rel == _reference_sum([wide, wide]).rel
+    assert s.rel.cols <= 2 and s.invariant_factors() == (2, 2)

@@ -72,9 +72,21 @@ def test_analyze_errors(capsys):
 
 
 def test_selftest_empty_and_unknown(capsys):
-    assert main(["selftest", "--groups", "C2", "--seeds", "0"]) == 0
+    # a campaign that would check nothing is an operational error, not a pass
+    for seeds in ("0", "-3"):
+        assert main(["selftest", "--groups", "C2", "--seeds", seeds]) == 2
+        assert "--seeds" in capsys.readouterr().err
     assert main(["selftest", "--groups", "NoSuch", "--seeds", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
+def test_selftest_rejects_bad_workers(value, monkeypatch, capsys):
+    monkeypatch.setenv("TATELAB_WORKERS", value)
+    assert main(["selftest", "--groups", "C2", "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "TATELAB_WORKERS" in captured.err
+    assert captured.out == ""
 
 
 def test_selftest_deterministic_bytes(tmp_path):

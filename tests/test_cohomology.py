@@ -6,7 +6,7 @@ from tatelab.abelian import FgAb
 from tatelab.cohomology import (CohClass, Cocycle1, DegreeMismatch,
                                 DegreeOutOfWindow, ExtensionData,
                                 TateCohomology, TateComplex, WindowTooLarge,
-                                build_ext1_data, cohomology, connecting_hom,
+                                build_ext1_data, connecting_hom,
                                 cocycle_to_extension, cup_with_h1,
                                 ext1_class_to_h2, extension_to_cocycle,
                                 induced_map, shapiro_hminus2)
@@ -65,8 +65,8 @@ def test_standard_values_c2():
     assert calc.group(2).invariant_factors() == (2,)
     calc2 = TateCohomology(cx, z_mod(c2, 2))
     assert calc2.group(1).invariant_factors() == (2,)
-    grp, class_of, rep_of = cohomology(cx, trivial_module(c2), -2)
-    assert grp.invariant_factors() == (2,)
+    h = TateCohomology(cx, trivial_module(c2)).homology(-2)
+    assert h.group.invariant_factors() == (2,)
 
 
 def test_trivial_group_vanishing():

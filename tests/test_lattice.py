@@ -150,3 +150,50 @@ def test_intmatrix_validation():
     m = IntMatrix([[1, 2], [3, 4]])
     with pytest.raises(AttributeError):
         m.rows = 3
+
+
+def _naive_mul(a, b, rows, inner, cols):
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+       .flatmap(lambda s: st.tuples(
+           st.lists(st.lists(small_entries, min_size=s[1], max_size=s[1]),
+                    min_size=s[0], max_size=s[0]),
+           st.lists(st.lists(small_entries, min_size=s[2], max_size=s[2]),
+                    min_size=s[1], max_size=s[1]),
+           st.just(s))))
+def test_mul_matches_naive_triple_loop(case):
+    a, b, (rows, inner, cols) = case
+    prod_ = IntMatrix(a, cols=inner).mul(IntMatrix(b, cols=cols))
+    assert prod_.shape == (rows, cols)
+    assert prod_ == IntMatrix(_naive_mul(a, b, rows, inner, cols), cols=cols)
+    assert all(type(x) is int for row in prod_.entries for x in row)
+
+
+def test_mul_and_transpose_empty_shapes():
+    k_by_0 = IntMatrix([[], [], []], cols=0)
+    zero_by_4 = IntMatrix([], cols=4)
+    assert k_by_0.mul(zero_by_4) == IntMatrix.zeros(3, 4)
+    assert zero_by_4.mul(IntMatrix.zeros(4, 2)).shape == (0, 2)
+    assert IntMatrix.zeros(2, 3).mul(IntMatrix([[], [], []], cols=0)).shape \
+        == (2, 0)
+    neg = IntMatrix([[-1, 2], [0, -3]])
+    assert neg.mul(neg) == IntMatrix([[1, -8], [0, 9]])
+    t = zero_by_4.transpose()
+    assert t.shape == (4, 0) and t.entries == ((), (), (), ())
+    assert k_by_0.transpose().shape == (0, 3)
+    assert IntMatrix([[1, 2, 3]]).transpose() == IntMatrix([[1], [2], [3]])
+
+
+def test_block_diagonal():
+    a = IntMatrix([[1, 2]])
+    b = IntMatrix([[3], [4]])
+    empty = IntMatrix([], cols=0)
+    m = IntMatrix.block_diagonal([a, empty, b])
+    assert m == IntMatrix([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    assert IntMatrix.block_diagonal([]).shape == (0, 0)
+    assert IntMatrix.block_diagonal([IntMatrix([[], []], cols=0), a]) == \
+        IntMatrix([[0, 0], [0, 0], [1, 2]])
