@@ -1,8 +1,7 @@
 """tatelab: exact verification workbench for Tate cohomology of finite
 groups and the connecting homomorphisms of class-field Tate sequences."""
 
-from .abelian import (AbMap, FgAb, NonComplex, ab_quotient,
-                      fgab_from_relations, homology_at, subgroup_span)
+from .abelian import AbMap, FgAb, NonComplex, ab_quotient, subgroup_span
 from .cft import (AuxPlace, Instance, PlaceData, PlaceIsP0,
                   UnsatisfiableParams, c_p, i2_plain, i2_twist, norm_model,
                   quadratic_sqrt34, synth_instance, validate_instance,
@@ -11,8 +10,8 @@ from .cohomology import (CohClass, Cocycle1, DegreeMismatch,
                          DegreeOutOfWindow, ExtensionData, TateCohomology,
                          TateComplex, WindowTooLarge, build_ext1_data,
                          connecting_hom, cocycle_to_extension, cup_with_h1,
-                         ext1_aug_to_h2, ext1_class_to_h2,
-                         extension_to_cocycle, shapiro_hminus2)
+                         ext1_class_to_h2, extension_to_cocycle,
+                         shapiro_hminus2)
 from .gmodules import (GMap, GModule, HomModule, NotEquivariant, NotFree,
                        TensorModule, direct_sum, fixed_and_norm,
                        gmap_kernel_image, hom_and_tensor, perm_module,
@@ -30,8 +29,3 @@ from .tate_sequence import (ImageEscapesCl, NotNormKilled, build_delta1,
 from .unit_fixture import InconsistentFixture, fixture_unit_check
 
 __version__ = "0.1.0"
-
-
-def build_complete_resolution(group, window=(-4, 3)):
-    """Complete-resolution data for a finite group over a degree window."""
-    return TateComplex(group, window)

@@ -267,11 +267,6 @@ class FgAb:
         return "FgAb(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def fgab_from_relations(n, rel):
-    """Public constructor mirroring the relation-matrix presentation."""
-    return FgAb(n, rel)
-
-
 class AbMap:
     """Homomorphism between presented groups, given by a matrix on
     generators.  Construction verifies every domain relation is carried
@@ -504,8 +499,3 @@ class Homology:
         c = self.group.from_canon(cls_canon)
         return self.middle.reduce_rep(self._incl.apply(c))
 
-
-def homology_at(d_in, d_out):
-    """(group, class_of, rep_of) of the homology at the shared module."""
-    h = Homology(d_in, d_out)
-    return h.group, h.class_of, h.rep_of

@@ -1,23 +1,30 @@
-"""Per-instance analysis pipeline: named checks over shared artifacts.
+"""Per-instance analysis pipeline: named checks over a declared graph of
+shared artifacts.
 
-Each check has a stable id and a short anchor phrase naming the
-mathematical statement it verifies.  The runner builds the expensive
-artifacts (resolution, place modules, W/R/B, snake map, nabla, norm
-model) once per instance and evaluates the selected checks against them.
+ARTIFACTS maps each artifact to its builder and the artifacts the builder
+reads; CHECK_READS lists, next to each registered check, the artifacts the
+check function receives.  The inputs (the instance, the degree window, the
+unit fixture and the sampling seed) are artifacts that exist from the
+start.  An artifact is built on first request, once: a builder that raised
+is not run again, and everything that reads it fails with the same
+exception.  The runner drops an artifact after the last selected check
+whose reads reach it.
 """
 
 from __future__ import annotations
 
 import random
+import time
+from operator import attrgetter
 
 from .cft import norm_model, validate_instance, xy_modules
-from .cohomology import TateComplex
+from .cohomology import TateCohomology, TateComplex
 from .tate_sequence import (build_delta1, build_nabla, build_script_h,
                             build_snake, build_wrb, cdc_checks,
                             connecting_functorial, delta1,
                             delta1_generic_agrees, delta_minus2_agrees,
                             h_minus1_x_vanishes, homology_generators_iso,
-                            nabla_class_checks, norm_suite, NotNormKilled,
+                            nabla_class_checks, norm_suite,
                             script_h_action_lift_independent,
                             snake_closed_form_agrees, snake_of_aux_units,
                             subgroups_cdc, wrb_exact)
@@ -25,131 +32,102 @@ from .unit_fixture import fixture_unit_check
 
 DEFAULT_WINDOW = (-2, 1)
 
+INPUTS = ("inst", "window", "fixture", "seed")
+
+
+def _tate_complex(inst, window):
+    return TateComplex(inst.group, window)
+
+
+def _calculator(module_of):
+    """Builder of the Tate-cohomology calculator of one module."""
+    return lambda complex_, source: TateCohomology(complex_,
+                                                   module_of(source))
+
+
+# artifact -> (builder, artifacts passed to the builder in order)
+ARTIFACTS = {
+    "complex": (_tate_complex, ("inst", "window")),
+    "xy": (xy_modules, ("inst",)),
+    "wrb": (build_wrb, ("inst", "xy")),
+    "script_h": (build_script_h, ("inst",)),
+    "snake": (build_snake, ("inst", "wrb", "script_h")),
+    "nabla": (build_nabla, ("inst", "wrb", "snake")),
+    "norm_model": (norm_model, ("inst",)),
+    "cdc": (subgroups_cdc, ("inst",)),
+    "delta1": (build_delta1, ("snake",)),
+    "calc_x": (_calculator(attrgetter("x")), ("complex", "xy")),
+    "calc_cl": (_calculator(attrgetter("cl")), ("complex", "inst")),
+    "calc_r": (_calculator(attrgetter("r")), ("complex", "wrb")),
+    "calc_nabla": (_calculator(attrgetter("module")), ("complex", "nabla")),
+    "calc_ker_s": (_calculator(attrgetter("ker_s")), ("complex", "delta1")),
+}
+
+
+def closure(names):
+    """The given artifacts and everything their builders read."""
+    out, todo = set(), list(names)
+    while todo:
+        name = todo.pop()
+        if name not in out:
+            out.add(name)
+            if name in ARTIFACTS:
+                todo.extend(ARTIFACTS[name][1])
+    return out
+
 
 class AnalysisContext:
-    """Lazily built pipeline artifacts shared by the checks."""
+    """The artifacts of one instance, built on first request."""
 
     def __init__(self, inst, window=DEFAULT_WINDOW, fixture=None, seed=0):
-        self.inst = inst
-        self.window = window
-        self.fixture = fixture
-        self.seed = seed
-        self._cache = {}
+        self._cache = dict(zip(INPUTS, (inst, window, fixture, seed)))
+        self._failed = {}
 
     def get(self, name):
         if name in self._cache:
             return self._cache[name]
-        builder = getattr(self, "_build_" + name)
-        value = builder()
+        if name in self._failed:
+            raise self._failed[name]
+        builder, reads = ARTIFACTS[name]
+        try:
+            value = builder(*[self.get(r) for r in reads])
+        except Exception as exc:
+            self._failed[name] = exc
+            raise
         self._cache[name] = value
         return value
 
-    def _build_complex(self):
-        return TateComplex(self.inst.group, self.window)
-
-    def _build_xy(self):
-        return xy_modules(self.inst)
-
-    def _build_wrb(self):
-        return build_wrb(self.inst, self.get("xy"))
-
-    def _build_script_h(self):
-        return build_script_h(self.inst)
-
-    def _build_snake(self):
-        return build_snake(self.inst, self.get("wrb"), self.get("script_h"))
-
-    def _build_nabla(self):
-        return build_nabla(self.inst, self.get("wrb"), self.get("snake"))
-
-    def _build_norm_model(self):
-        return norm_model(self.inst)
-
-    def _build_cdc(self):
-        return subgroups_cdc(self.inst)
-
-    def _build_delta1(self):
-        return build_delta1(self.inst, self.get("wrb"), self.get("snake"))
+    def keep_only(self, names):
+        """Drop every built or failed artifact not in `names`."""
+        for store in (self._cache, self._failed):
+            for name in [n for n in store if n not in names]:
+                del store[name]
 
 
-def _check_instance_valid(ctx):
-    rep = validate_instance(ctx.inst)
+def _check_instance_valid(inst):
+    rep = validate_instance(inst)
     return rep.clean, rep.violations or None
 
 
-def _check_wrb_exact(ctx):
-    return wrb_exact(ctx.get("wrb"))
-
-
-def _check_scripth_embedding(ctx):
-    sh = ctx.get("script_h")
+def _check_scripth_embedding(sh):
     ok = sh.e.ab.is_injective()
     return ok, None if ok else "embedding has a kernel"
 
 
-def _check_scripth_lifts(ctx):
-    return script_h_action_lift_independent(ctx.inst, ctx.get("script_h"))
-
-
-def _check_snake_aux(ctx):
-    return snake_of_aux_units(ctx.inst, ctx.get("wrb"), ctx.get("snake"))
-
-
-def _check_snake_closed(ctx):
-    return snake_closed_form_agrees(ctx.inst, ctx.get("wrb"),
-                                    ctx.get("snake"))
-
-
-def _check_nabla_class(ctx):
-    return nabla_class_checks(ctx.get("complex"), ctx.inst, ctx.get("wrb"),
-                              ctx.get("snake"), ctx.get("nabla"))
-
-
-def _check_delta2(ctx):
-    return delta_minus2_agrees(ctx.get("complex"), ctx.inst, ctx.get("wrb"),
-                               ctx.get("nabla"), ctx.get("xy"))
-
-
-def _check_hm1x(ctx):
-    return h_minus1_x_vanishes(ctx.get("complex"), ctx.inst, ctx.get("xy"))
-
-
-def _check_gens_iso(ctx):
-    return homology_generators_iso(ctx.get("complex"), ctx.inst,
-                                   ctx.get("xy"))
-
-
-def _check_functorial(ctx):
-    return connecting_functorial(ctx.get("complex"), ctx.inst,
-                                 ctx.get("wrb"), ctx.get("snake"),
-                                 ctx.get("nabla"), ctx.get("xy"))
-
-
-def _check_cdc(ctx):
-    return cdc_checks(ctx.inst, ctx.get("cdc"), ctx.get("norm_model"))
-
-
-def _check_delta1(ctx):
+def _check_delta1(inst, seed, wrb, d1, calc_cl, calc_r, calc_k):
     """Representative-independence and the generic/formula agreement on a
     deterministic sample of norm-killed coefficient vectors."""
-    inst = ctx.inst
     ab = inst.cl.underlying
-    rng = random.Random(ctx.seed * 7919 + 13)
-    d1 = ctx.get("delta1")
-    wrb, snake = ctx.get("wrb"), ctx.get("snake")
+    rng = random.Random(seed * 7919 + 13)
     nu = inst.cl.norm_map()
     aux_ids = [q.id for q in inst.aux_places]
-    frob = {q.id: q.frobenius for q in inst.aux_places}
     tried = 0
     for attempt in range(40):
         coeffs = {qid: rng.randrange(-3, 4) for qid in aux_ids}
-        total = ab.zero()
-        for qid in aux_ids:
-            total = ab.add(total, ab.smul(coeffs[qid], frob[qid]))
-        if not ab.is_zero(nu.apply(total)):
+        if not ab.is_zero(nu.apply(inst.frobenius_sum(coeffs))):
             continue
-        ok, wit = delta1_generic_agrees(ctx.get("complex"), inst, wrb,
-                                        snake, d1, coeffs)
+        ok, wit = delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_r,
+                                        calc_k, coeffs)
         if not ok:
             return False, {"coeffs": coeffs, "witness": wit}
         # second representative of the same class: shift by a kernel
@@ -161,12 +139,12 @@ def _check_delta1(ctx):
                 rng.randrange(m) if m else 0
                 for m in (ab._mods[i] for i in ab._canon_idx)))
             bdry = ab.sub(inst.cl.act(g, c), c)
-            pre = _preimage_in_aux(inst, bdry)
+            pre = inst.frobenius_map.solve(bdry)
             if pre is not None:
-                for qid, v in pre.items():
+                for qid, v in zip(aux_ids, pre):
                     coeffs2[qid] = coeffs2.get(qid, 0) + v
-                out1 = delta1(inst, wrb, snake, d1, coeffs)
-                out2 = delta1(inst, wrb, snake, d1, coeffs2)
+                out1 = delta1(inst, wrb, d1, coeffs)
+                out2 = delta1(inst, wrb, d1, coeffs2)
                 if out1 != out2:
                     return False, {"coeffs": coeffs, "coeffs2": coeffs2,
                                    "outputs": (out1, out2)}
@@ -178,63 +156,67 @@ def _check_delta1(ctx):
     return True, {"samples": tried}
 
 
-def _preimage_in_aux(inst, target):
-    """Integer coefficients over the auxiliary places hitting target."""
-    from .abelian import AbMap, FgAb
-    from .lattice import IntMatrix
-    ab = inst.cl.underlying
-    free = FgAb(len(inst.aux_places))
-    cols = [q.frobenius for q in inst.aux_places]
-    m = AbMap(free, ab, IntMatrix.from_columns(cols, ab.n), check=False)
-    sol = m.solve(target)
-    if sol is None:
-        return None
-    return {q.id: sol[i] for i, q in enumerate(inst.aux_places)}
+def _all_ok(records):
+    bad = [r for r in records if not r["ok"]]
+    return not bad, bad or {"records": len(records)}
 
 
-def _check_norm_suite(ctx):
-    recs = norm_suite(ctx.inst, ctx.get("norm_model"), ctx.get("cdc"))
-    bad = [r for r in recs if not r["ok"]]
-    return not bad, bad or {"records": len(recs)}
+def _check_norm_suite(inst, nm, cdc):
+    return _all_ok(norm_suite(inst, nm, cdc))
 
 
-def _check_fixture(ctx):
-    if ctx.fixture is None:
+def _check_fixture(inst, fixture, complex_, cdc):
+    if fixture is None:
         return False, "no fixture supplied"
-    recs = fixture_unit_check(ctx.get("complex"), ctx.inst, ctx.fixture,
-                              cdc=ctx.get("cdc"))
-    bad = [r for r in recs if not r["ok"]]
-    return not bad, bad or {"records": len(recs)}
+    return _all_ok(fixture_unit_check(complex_, inst, fixture, cdc=cdc))
 
 
-CHECKS = {
-    "instance.valid": ("instance axioms", _check_instance_valid),
+# check id -> (anchor, function, artifacts passed to it in order)
+_REGISTRY = {
+    "instance.valid": ("instance axioms", _check_instance_valid, ("inst",)),
     "wrb.exact": ("support sequence 0 -> R -> B -> X -> 0 exact",
-                  _check_wrb_exact),
+                  wrb_exact, ("wrb",)),
     "scripth.embedding": ("class module embeds into the augmentation "
-                          "quotient", _check_scripth_embedding),
+                          "quotient", _check_scripth_embedding,
+                          ("script_h",)),
     "scripth.lifts": ("quotient action independent of lift choice",
-                      _check_scripth_lifts),
+                      script_h_action_lift_independent,
+                      ("inst", "script_h")),
     "snake.aux_units": ("snake of an auxiliary unit is its Frobenius class",
-                        _check_snake_aux),
+                        snake_of_aux_units, ("inst", "wrb", "snake")),
     "snake.closed_form": ("snake closed form on distinguished elements",
-                          _check_snake_closed),
+                          snake_closed_form_agrees,
+                          ("inst", "wrb", "snake")),
     "nabla.class": ("pushout extension class equals the snake cocycle "
-                    "class", _check_nabla_class),
+                    "class", nabla_class_checks,
+                    ("complex", "inst", "wrb", "snake", "nabla")),
     "delta2.agree": ("connecting map H^-2(X) -> H^-1(Cl) matches the "
-                     "section discrepancies", _check_delta2),
-    "x.h_minus1_zero": ("H^-1(G, X) vanishes", _check_hm1x),
+                     "section discrepancies", delta_minus2_agrees,
+                     ("inst", "nabla", "xy", "calc_x", "calc_cl",
+                      "calc_nabla")),
+    "x.h_minus1_zero": ("H^-1(G, X) vanishes", h_minus1_x_vanishes,
+                        ("xy", "calc_x")),
     "x.generator_iso": ("decomposition abelianizations present H^-2(X)",
-                        _check_gens_iso),
+                        homology_generators_iso, ("inst", "xy", "calc_x")),
     "conn.functorial": ("connecting maps commute with the sequence "
-                        "morphism", _check_functorial),
+                        "morphism", connecting_functorial,
+                        ("wrb", "snake", "nabla", "calc_x", "calc_r",
+                         "calc_cl", "calc_nabla")),
     "cdc.inclusions": ("difference subgroup is stable and the kernel "
-                       "inclusions hold", _check_cdc),
+                       "inclusions hold", cdc_checks,
+                       ("inst", "cdc", "norm_model")),
     "delta1.factors": ("first unit connecting map factors through "
-                       "H^-1(Cl)", _check_delta1),
-    "norm.suite": ("norm kernel decompositions", _check_norm_suite),
-    "fixture.units": ("unit-cocycle fixture assertions", _check_fixture),
+                       "H^-1(Cl)", _check_delta1,
+                       ("inst", "seed", "wrb", "delta1", "calc_cl",
+                        "calc_r", "calc_ker_s")),
+    "norm.suite": ("norm kernel decompositions", _check_norm_suite,
+                   ("inst", "norm_model", "cdc")),
+    "fixture.units": ("unit-cocycle fixture assertions", _check_fixture,
+                      ("inst", "fixture", "complex", "cdc")),
 }
+
+CHECKS = {cid: (anchor, fn) for cid, (anchor, fn, _) in _REGISTRY.items()}
+CHECK_READS = {cid: reads for cid, (_, _, reads) in _REGISTRY.items()}
 
 DEFAULT_CHECKS = [k for k in CHECKS if k != "fixture.units"]
 
@@ -264,22 +246,34 @@ def resolve_check_ids(names):
     return uniq
 
 
-def run_analysis(inst, checks=None, window=DEFAULT_WINDOW, fixture=None,
-                 seed=0):
-    """Run the selected checks; returns records sorted by check id."""
-    import time
+def select_checks(checks=None, fixture=None):
+    """The check ids run_analysis runs, in order."""
     selected = resolve_check_ids(checks) if checks else list(DEFAULT_CHECKS)
     if fixture is not None and "fixture.units" not in selected:
         selected.append("fixture.units")
+    return selected
+
+
+def run_analysis(inst, checks=None, window=DEFAULT_WINDOW, fixture=None,
+                 seed=0):
+    """Run the selected checks; returns records sorted by check id."""
+    selected = select_checks(checks, fixture)
+    # still_read[k]: the artifacts that the checks after the k-th reach
+    still_read, later = [], set()
+    for cid in reversed(selected):
+        still_read.append(later)
+        later = later | closure(CHECK_READS[cid])
+    still_read.reverse()
     ctx = AnalysisContext(inst, window=window, fixture=fixture, seed=seed)
     records = []
-    for cid in selected:
+    for cid, keep in zip(selected, still_read):
         anchor, fn = CHECKS[cid]
         t0 = time.monotonic()
         try:
-            ok, witness = fn(ctx)
+            ok, witness = fn(*[ctx.get(a) for a in CHECK_READS[cid]])
         except Exception as exc:  # surfaced as a failed check with witness
             ok, witness = False, f"{type(exc).__name__}: {exc}"
+        ctx.keep_only(keep)
         records.append({
             "id": cid,
             "anchor": anchor,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from functools import cached_property
 
 from .abelian import AbMap, FgAb, subgroup_span
 from .gmodules import GMap, GModule, direct_sum, perm_module, trivial_module
@@ -83,11 +84,19 @@ class Instance:
     def other_places(self):
         return [pl for pl in self.places if not pl.is_p0]
 
-    def iota_apply(self, place_id, tau):
-        return self.iota[place_id][tau]
+    @cached_property
+    def frobenius_map(self):
+        """Z^aux -> Cl sending the k-th basis vector to the Frobenius
+        class of the k-th auxiliary place."""
+        ab = self.cl.underlying
+        cols = [q.frobenius for q in self.aux_places]
+        return AbMap(FgAb(len(cols)), ab, IntMatrix.from_columns(cols, ab.n),
+                     check=False)
 
-    def cl_canon(self, x):
-        return self.cl.underlying.canon(x)
+    def frobenius_sum(self, coeffs):
+        """sum a_q Frob_q in Cl, for coeffs {auxiliary place id: a_q}."""
+        return self.frobenius_map.apply(
+            [coeffs.get(q.id, 0) for q in self.aux_places])
 
 
 class ValidationReport:
@@ -212,18 +221,14 @@ def c_p(inst, place_id, tau):
 # -- the norm model ----------------------------------------------------------
 
 class NormModel:
-    __slots__ = ("q", "nm", "nm_gmap", "q_module", "class_in_q", "_gs_to_q")
+    __slots__ = ("q", "nm", "nm_gmap", "q_module", "class_in_q")
 
-    def __init__(self, q, nm, nm_gmap, q_module, class_in_q, gs_to_q):
+    def __init__(self, q, nm, nm_gmap, q_module, class_in_q):
         self.q = q
         self.nm = nm
         self.nm_gmap = nm_gmap
         self.q_module = q_module
         self.class_in_q = class_in_q
-        self._gs_to_q = gs_to_q
-
-    def gs_class(self, x):
-        return self._gs_to_q(x)
 
 
 def norm_model(inst):
@@ -250,7 +255,7 @@ def norm_model(inst):
     q_module = trivial_module(inst.group, q)
     nm_gmap = GMap(inst.cl, q_module, nm)
     class_in_q = {aux.id: nm.apply(aux.frobenius) for aux in inst.aux_places}
-    return NormModel(q, nm, nm_gmap, q_module, class_in_q, gs_to_q)
+    return NormModel(q, nm, nm_gmap, q_module, class_in_q)
 
 
 def _quot(grp, gens):

@@ -2,18 +2,19 @@
 
 Exit codes: 0 all selected checks pass, 1 a mathematical check failed,
 2 operational failure (unreadable file, schema error, bad arguments,
-bad TATELAB_WORKERS).
+a window the selected checks cannot use, bad TATELAB_WORKERS).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .analysis import CHECKS, resolve_check_ids, run_analysis
+from .analysis import (CHECK_READS, CHECKS, DEFAULT_WINDOW, closure,
+                       resolve_check_ids, run_analysis, select_checks)
 from .cft import UnsatisfiableParams, synth_instance, validate_instance
+from .cohomology import TateComplex, WindowTooLarge
 from .groups import GROUP_CATALOG
 from .instance_io import (FixtureSchemaError, InstanceSchemaError,
                           instance_digest, load_fixture, load_instance)
@@ -96,10 +97,13 @@ def cmd_analyze(args):
         if args.fixture:
             fixture = load_fixture(args.fixture, inst.group)
         checks = args.checks.split(",") if args.checks else None
-        if checks:
-            resolve_check_ids(checks)  # fail fast on unknown names
+        selected = select_checks(checks, fixture)  # unknown names raise
     except (InstanceSchemaError, FixtureSchemaError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    problem = _window_problem(inst, args.window, selected)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_ERROR
     records = run_analysis(inst, checks=checks, window=args.window,
                            fixture=fixture)
@@ -108,6 +112,22 @@ def cmd_analyze(args):
                           "window": list(args.window)})
     _emit(report, args, timings=args.timings)
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
+
+
+def _window_problem(inst, window, selected):
+    """Why the selected checks cannot run over `window`, or None.  The
+    checks that read the resolution use exactly the default degrees."""
+    try:
+        TateComplex(inst.group, window)
+    except WindowTooLarge as exc:
+        return str(exc)
+    lo, hi = DEFAULT_WINDOW
+    needs = [cid for cid in selected
+             if "complex" in closure(CHECK_READS[cid])]
+    if needs and not (window[0] <= lo and hi <= window[1]):
+        return (f"window {window[0]}..{window[1]} does not contain "
+                f"{lo}..{hi}, which {', '.join(needs)} need")
+    return None
 
 
 def _selftest_one(group, seed, checks):

@@ -24,8 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .abelian import AbMap, FgAb, Homology
-from .gmodules import (GMap, GModule, HomModule, TensorModule,
-                       regular_module, standard_modules, trivial_module)
+from .gmodules import GMap, GModule, HomModule, TensorModule, standard_modules
 from .groups import abelianization, subgroup_as_group
 from .lattice import IntMatrix, Lattice, kernel_basis
 
@@ -231,15 +230,7 @@ class TateComplex:
             for col in in_cols:
                 lat.add(col)
             return all(lat.contains(k) for k in kern)
-        h = self.homology(module, i)
-        return h.group.is_trivial()
-
-    def homology(self, module, i):
-        self._check_degree(i, public=True)
-        mid = self.cochain_group(module, i)
-        d_in = self.blockified(module, i - 1, cod=mid)
-        d_out = self.blockified(module, i, dom=mid)
-        return Homology(d_in, d_out)
+        return TateCohomology(self, module).group(i).is_trivial()
 
 
 class CohClass:
@@ -370,16 +361,17 @@ class ExtensionData:
 
 
 def connecting_hom(complex_, ext, i, calc_c=None, calc_a=None,
-                   section=None):
+                   section=None, calc_b=None):
     """The connecting homomorphism H^i(C) -> H^{i+1}(A) by the zig-zag:
     lift a representative through B, apply the differential, pull back.
+    The calculators of C, A and B over `complex_` are built unless given.
 
     A custom (Z-linear) `section` matrix may be supplied to re-randomize
     the lift; the class of the result does not depend on it.
     """
     calc_c = calc_c or TateCohomology(complex_, ext.c)
     calc_a = calc_a or TateCohomology(complex_, ext.a)
-    calc_b = TateCohomology(complex_, ext.b)
+    calc_b = calc_b or TateCohomology(complex_, ext.b)
     sec = section if section is not None else ext.section_matrix()
     na_c = ext.c.underlying.n
     na_b = ext.b.underlying.n
@@ -700,6 +692,3 @@ def ext1_class_to_h2(complex_, group, amod, f, data=None):
     delta = connecting_hom(complex_, ext, 1, calc_c=calc_c, calc_a=calc_a)
     cls = CohClass(calc_c, 1, f.as_cochain())
     return delta(cls), calc_a
-
-
-ext1_aug_to_h2 = ext1_class_to_h2

@@ -102,10 +102,6 @@ class GModule:
     def act(self, g, x):
         return self.action[g].apply(x)
 
-    def act_map(self, g):
-        return AbMap(self.underlying, self.underlying, self.action[g],
-                     check=False)
-
     def norm_map(self):
         """Multiplication by the sum of all group elements."""
         n = self.underlying.n
@@ -245,37 +241,6 @@ def perm_module(group, sub):
         acts.append(IntMatrix.from_columns(cols, k))
     mod = GModule(group, FgAb(k), acts, check=False)
     return mod, reps, rho, pos
-
-
-def group_ring_element(group, coeffs):
-    """Vector in the regular module from {element: coefficient}."""
-    v = [0] * group.order
-    for g, c in coeffs.items():
-        v[g] += c
-    return tuple(v)
-
-
-def norm_element(group):
-    return tuple(1 for _ in range(group.order))
-
-
-def left_mul_matrix(group, lam):
-    """Matrix of x -> lam * x on the regular module, lam a coefficient
-    vector."""
-    n = group.order
-    rows = [[0] * n for _ in range(n)]
-    for g in range(n):
-        c = lam[g]
-        if c:
-            for h in range(n):
-                rows[group.mul(g, h)][h] += c
-    return IntMatrix(rows, cols=n)
-
-
-def augmentation_map(group, regular=None):
-    reg = regular if regular is not None else regular_module(group)
-    triv = trivial_module(group)
-    return GMap(reg, triv, IntMatrix([[1] * group.order]), check=False), reg, triv
 
 
 class LocalIdeal:

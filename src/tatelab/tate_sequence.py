@@ -35,6 +35,10 @@ class NotNormKilled(Exception):
 # -- W, R, B -----------------------------------------------------------------
 
 class WRBData:
+    """W, R, B, X and their maps.  `w_blocks` lists the summands of W in
+    order as (kind, id, data, offset): kind "place" with the local ideal
+    as data, or kind "aux" with the auxiliary place."""
+
     __slots__ = ("w", "r", "b", "x", "w_blocks", "b_blocks", "w_to_aug",
                  "r_incl", "r_to_b", "b_to_x", "w_to_big", "big", "b_incl",
                  "regular", "aug_mod", "aug_incl", "xy")
@@ -42,6 +46,26 @@ class WRBData:
     def __init__(self, **kw):
         for k, v in kw.items():
             setattr(self, k, v)
+
+    def w_block(self, kind, pid):
+        """The data of the W summand of the given place."""
+        for k, p, data, _ in self.w_blocks:
+            if k == kind and p == pid:
+                return data
+        raise KeyError((kind, pid))
+
+    def r_coords(self, parts, what):
+        """R-coordinates of the element of W with coordinates
+        parts[(kind, id)] on that summand and zero elsewhere."""
+        vec = [0] * self.w.underlying.n
+        for kind, pid, _, off in self.w_blocks:
+            coords = parts.get((kind, pid))
+            if coords is not None:
+                vec[off:off + len(coords)] = coords
+        pre = self.r_incl.ab.solve(vec)
+        if pre is None:
+            raise ValueError(f"{what} escaped R")
+        return pre
 
 
 def build_wrb(inst, xy):
@@ -51,19 +75,21 @@ def build_wrb(inst, xy):
     std_full = standard_modules(grp, Subgroup(grp, range(grp.order)))
     aug_mod, aug_incl = std_full["aug_ideal"], std_full["aug_ideal_incl"]
 
-    w_parts, w_blocks = [], []
+    w_parts, w_blocks, off = [], [], 0
     for pl in inst.places:
         ideal = _local_ideal(inst, pl, reg)
         w_parts.append(ideal.module)
-        w_blocks.append(("place", pl.id, ideal))
+        w_blocks.append(("place", pl.id, ideal, off))
+        off += ideal.module.underlying.n
     for q in inst.aux_places:
         w_parts.append(reg)
-        w_blocks.append(("aux", q.id, None))
+        w_blocks.append(("aux", q.id, q, off))
+        off += reg.underlying.n
     w, w_injs, w_projs = direct_sum(w_parts)
 
     # W -> aug ideal: inclusion on ideal parts, zero on split aux parts
     cols = []
-    for part, (kind, pid, ideal) in zip(w_parts, w_blocks):
+    for part, (kind, pid, ideal, _) in zip(w_parts, w_blocks):
         for j in range(part.underlying.n):
             if kind == "place":
                 vec = ideal.incl.ab.mat.column(j)
@@ -95,7 +121,7 @@ def build_wrb(inst, xy):
 
     # W -> big (blockwise inclusion of ideals into their ring copy)
     cols = []
-    for k, (part, (kind, pid, ideal)) in enumerate(zip(w_parts, w_blocks)):
+    for k, (part, (kind, pid, ideal, _)) in enumerate(zip(w_parts, w_blocks)):
         for j in range(part.underlying.n):
             col = [0] * big.underlying.n
             if kind == "place":
@@ -291,8 +317,9 @@ def build_snake(inst, wrb, sh):
     p0_sec = inst.iota[inst.p0.id]
 
     cols = []
-    for (kind, pid, ideal) in wrb.w_blocks:
+    for (kind, pid, data, _) in wrb.w_blocks:
         if kind == "place":
+            ideal = data
             sec = inst.iota[pid]
             images = {}
             for si, (g, h) in enumerate(ideal.spanning):
@@ -321,8 +348,7 @@ def build_snake(inst, wrb, sh):
                     acc = ab_h.add(acc, ab_h.smul(ccf, images[si]))
                 cols.append(acc)
         else:
-            frob = inst.kappa[inst.cl.underlying.canon(
-                _aux_frobenius(inst, pid))]
+            frob = inst.kappa[inst.cl.underlying.canon(data.frobenius)]
             for g in range(grp.order):
                 cols.append(sh.left_mul_class(p0_sec[g], frob))
     w_to_h = GMap(wrb.w, sh.module,
@@ -341,32 +367,14 @@ def build_snake(inst, wrb, sh):
     return SnakeData(s, w_to_h, wrb, sh)
 
 
-def _aux_frobenius(inst, pid):
-    for q in inst.aux_places:
-        if q.id == pid:
-            return q.frobenius
-    raise KeyError(pid)
-
-
 def aux_unit_in_r(inst, wrb, q_id, coeff=None):
     """R-coordinates of the element with coefficient vector `coeff`
     (default the ring identity) in the given auxiliary copy."""
     grp = inst.group
-    n = grp.order
-    vec = [0] * wrb.w.underlying.n
-    off = 0
-    for (kind, pid, ideal) in wrb.w_blocks:
-        size = n if kind == "aux" else ideal.module.underlying.n
-        if kind == "aux" and pid == q_id:
-            cv = coeff if coeff is not None else \
-                tuple(1 if i == grp.identity else 0 for i in range(n))
-            for i, v in enumerate(cv):
-                vec[off + i] = v
-        off += size
-    pre = wrb.r_incl.ab.solve(vec)
-    if pre is None:
-        raise ValueError("auxiliary element escaped R")
-    return pre
+    if coeff is None:
+        coeff = tuple(1 if i == grp.identity else 0
+                      for i in range(grp.order))
+    return wrb.r_coords({("aux", q_id): coeff}, "auxiliary element")
 
 
 def snake_of_aux_units(inst, wrb, snake):
@@ -392,31 +400,18 @@ def r_element(inst, wrb, place_id, sigma, tau):
     if tau not in reps:
         raise ValueError(f"{tau} is not a chosen coset representative")
     moved = grp.mul(sigma, rho[grp.mul(grp.inv[sigma], tau)])
-    n = grp.order
-    vec_p = [0] * n
+    vec_p = [0] * grp.order
     vec_p[moved] += 1
     vec_p[tau] -= 1
-    w_vec = [0] * wrb.w.underlying.n
-    off = 0
-    for (kind, pid, ideal) in wrb.w_blocks:
-        size = n if kind == "aux" else ideal.module.underlying.n
-        if kind == "place" and pid == place_id:
-            pre = ideal.incl.ab.solve(tuple(vec_p))
-            if pre is None:
-                raise ValueError("element escapes the local ideal")
-            for i, v in enumerate(pre):
-                w_vec[off + i] = v
-        elif kind == "place" and pid == inst.p0.id:
-            pre = ideal.incl.ab.solve(tuple(-x for x in vec_p))
-            if pre is None:
-                raise ValueError("element escapes the distinguished ideal")
-            for i, v in enumerate(pre):
-                w_vec[off + i] = v
-        off += size
-    pre = wrb.r_incl.ab.solve(w_vec)
-    if pre is None:
-        raise ValueError("distinguished element escaped R")
-    return pre
+    parts = {}
+    for pid, vec, ideal_name in (
+            (place_id, vec_p, "the local ideal"),
+            (inst.p0.id, [-x for x in vec_p], "the distinguished ideal")):
+        pre = wrb.w_block("place", pid).incl.ab.solve(tuple(vec))
+        if pre is None:
+            raise ValueError(f"element escapes {ideal_name}")
+        parts[("place", pid)] = pre
+    return wrb.r_coords(parts, "distinguished element")
 
 
 def snake_closed_form(inst, place_id, sigma, tau):
@@ -524,14 +519,13 @@ def build_nabla(inst, wrb, snake):
                      g_cocycle=g_cocycle, hom_x_cl=hom)
 
 
-def nabla_class_checks(complex_, inst, wrb, snake, nabla, hom_route=None):
+def nabla_class_checks(complex_, inst, wrb, snake, nabla):
     """The pushout's extension class is the class of the cocycle from the
     snake values, and the image of minus the snake class under the
     Hom-sequence connecting map is the same class.
 
     The Hom-sequence cross-check costs rank(B) * |Cl generators| Hom
-    modules; `hom_route` (default: only when those stay small) controls
-    whether it runs.
+    modules, so it runs only while that product is at most 96.
     """
     hom = nabla.hom_x_cl
     calc = TateCohomology(complex_, hom.module)
@@ -549,9 +543,7 @@ def nabla_class_checks(complex_, inst, wrb, snake, nabla, hom_route=None):
     rhs = nabla.cl_to_nabla.compose(snake.s)
     if lhs != rhs:
         return False, "ladder does not commute"
-    if hom_route is None:
-        hom_route = wrb.b.underlying.n * inst.cl.underlying.n <= 96
-    if not hom_route:
+    if wrb.b.underlying.n * inst.cl.underlying.n > 96:
         return True, None
     # Hom-sequence route: image of -[s] is the class of g
     hom_b = HomModule(wrb.b, inst.cl)
@@ -602,12 +594,12 @@ def generator_chain(complex_, inst, xy, calc_x, place_id, tau):
     return CohClass(calc_x, -2, rep)
 
 
-def delta_minus2(complex_, inst, wrb, nabla, xy):
-    """Generic and closed-form connecting maps H^-2(X) -> H^-1(Cl)."""
-    calc_x = TateCohomology(complex_, xy.x)
-    calc_cl = TateCohomology(complex_, inst.cl)
+def delta_minus2(inst, nabla, xy, calc_x, calc_cl, calc_nabla):
+    """Generic and closed-form connecting maps H^-2(X) -> H^-1(Cl); the
+    calculators are those of X, Cl and nabla over one complex."""
+    complex_ = calc_x.complex
     generic = connecting_hom(complex_, nabla.ext, -2, calc_c=calc_x,
-                             calc_a=calc_cl)
+                             calc_b=calc_nabla, calc_a=calc_cl)
     gen_classes = {}
     for pl in inst.other_places():
         for tau in pl.subgroup.elems:
@@ -616,11 +608,11 @@ def delta_minus2(complex_, inst, wrb, nabla, xy):
     return ConnectingData(calc_x, calc_cl, generic, gen_classes)
 
 
-def delta_minus2_agrees(complex_, inst, wrb, nabla, xy, conn=None):
+def delta_minus2_agrees(inst, nabla, xy, calc_x, calc_cl, calc_nabla):
     """Headline check: the connecting map of the nabla sequence sends
     [tau (x) (p - p0)] to the class of the section discrepancy c_p(tau),
     on every generator."""
-    conn = conn or delta_minus2(complex_, inst, wrb, nabla, xy)
+    conn = delta_minus2(inst, nabla, xy, calc_x, calc_cl, calc_nabla)
     for (pid, tau), z in conn.gen_classes.items():
         lhs = conn.generic(z)
         rhs = CohClass(conn.calc_cl, -1, c_p(inst, pid, tau))
@@ -631,9 +623,8 @@ def delta_minus2_agrees(complex_, inst, wrb, nabla, xy, conn=None):
     return True, None
 
 
-def h_minus1_x_vanishes(complex_, inst, xy):
+def h_minus1_x_vanishes(xy, calc_x):
     """H^-1(G, X) = 0, by the resolution and by the direct formula."""
-    calc_x = TateCohomology(complex_, xy.x)
     if not calc_x.group(-1).is_trivial():
         return False, "resolution H^-1(X) nonzero"
     fn = fixed_and_norm(xy.x)
@@ -642,11 +633,11 @@ def h_minus1_x_vanishes(complex_, inst, xy):
     return True, None
 
 
-def homology_generators_iso(complex_, inst, xy, conn=None):
+def homology_generators_iso(inst, xy, calc_x):
     """The map ker(sum of decomposition abelianizations -> G^ab) ->
     H^-2(G, X), x_p(tau) -> [tau (x) (p - p0)], is an isomorphism."""
     grp = inst.group
-    calc_x = TateCohomology(complex_, xy.x) if conn is None else conn.calc_x
+    complex_ = calc_x.complex
     h = calc_x.homology(-2)
     gab, gproj, _ = abelianization(grp)
     parts, proj_maps, elems_per = [], [], []
@@ -706,18 +697,17 @@ def homology_generators_iso(complex_, inst, xy, conn=None):
     return True, None
 
 
-def connecting_functorial(complex_, inst, wrb, snake, nabla, xy):
+def connecting_functorial(wrb, snake, nabla, calc_x, calc_r, calc_cl,
+                          calc_nabla):
     """For the morphism of short exact sequences (s, t, id) from the
     R-B-X sequence to the nabla sequence, the connecting squares commute:
     s_* after delta_RBX equals delta_nabla at degree -2."""
+    complex_ = calc_x.complex
     ext_rbx = ExtensionData(wrb.r_to_b, wrb.b_to_x)
-    calc_x = TateCohomology(complex_, xy.x)
-    calc_r = TateCohomology(complex_, wrb.r)
-    calc_cl = TateCohomology(complex_, inst.cl)
     d_rbx = connecting_hom(complex_, ext_rbx, -2, calc_c=calc_x,
                            calc_a=calc_r)
     d_nab = connecting_hom(complex_, nabla.ext, -2, calc_c=calc_x,
-                           calc_a=calc_cl)
+                           calc_b=calc_nabla, calc_a=calc_cl)
     push = induced_map(calc_r, calc_cl, snake.s, -1)
     h = calc_x.homology(-2)
     for e in h.group.elements():
@@ -788,69 +778,49 @@ def cdc_checks(inst, cdc, nm):
 # -- the first connecting map of the unit sequence -----------------------------
 
 class Delta1Data:
-    __slots__ = ("ker_s", "ker_incl", "fn", "snake")
+    """ker(s), the sequence 0 -> ker s -> R -> Cl -> 0 and the fixed
+    points and norm of ker(s)."""
 
-    def __init__(self, ker_s, ker_incl, fn, snake):
+    __slots__ = ("ker_s", "ker_incl", "ext", "fn")
+
+    def __init__(self, ker_s, ker_incl, ext, fn):
         self.ker_s = ker_s
         self.ker_incl = ker_incl
+        self.ext = ext
         self.fn = fn
-        self.snake = snake
 
 
-def build_delta1(inst, wrb, snake):
+def build_delta1(snake):
     ker_s, ker_incl = snake.s.kernel()
-    fn = fixed_and_norm(ker_s)
-    return Delta1Data(ker_s, ker_incl, fn, snake)
+    ext = ExtensionData(ker_incl, snake.s)
+    return Delta1Data(ker_s, ker_incl, ext, fixed_and_norm(ker_s))
 
 
-def delta1(inst, wrb, snake, d1, coeffs):
+def delta1(inst, wrb, d1, coeffs):
     """Class in H^0(ker s) of the norm-multiplied auxiliary vector; the
     input represents sum a_q Frob_q, which must be killed by the norm."""
     ab = inst.cl.underlying
-    total = ab.zero()
-    for q in inst.aux_places:
-        a = coeffs.get(q.id, 0)
-        if a:
-            total = ab.add(total, ab.smul(a, q.frobenius))
     nu = inst.cl.norm_map()
-    if not ab.is_zero(nu.apply(total)):
+    if not ab.is_zero(nu.apply(inst.frobenius_sum(coeffs))):
         raise NotNormKilled(coeffs)
-    grp = inst.group
-    n = grp.order
-    w_vec = [0] * wrb.w.underlying.n
-    off = 0
-    for (kind, pid, ideal) in wrb.w_blocks:
-        size = n if kind == "aux" else ideal.module.underlying.n
-        if kind == "aux":
-            a = coeffs.get(pid, 0)
-            if a:
-                for i in range(n):
-                    w_vec[off + i] = a
-        off += size
-    r_vec = wrb.r_incl.ab.solve(w_vec)
-    if r_vec is None:
-        raise ValueError("norm vector escaped R")
+    n = inst.group.order
+    parts = {("aux", q.id): (coeffs[q.id],) * n for q in inst.aux_places
+             if coeffs.get(q.id, 0)}
+    r_vec = wrb.r_coords(parts, "norm vector")
     k_vec = d1.ker_incl.ab.solve(r_vec)
     if k_vec is None:
         raise ValueError("norm vector escaped ker(s)")
     return d1.fn.h0_class(k_vec)
 
 
-def delta1_generic_agrees(complex_, inst, wrb, snake, d1, coeffs):
+def delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_r, calc_k, coeffs):
     """The formula output equals the generic connecting map of
-    0 -> ker s -> R -> Cl -> 0 at degree -1 on the class of the sum."""
-    ab = inst.cl.underlying
-    total = ab.zero()
-    for q in inst.aux_places:
-        a = coeffs.get(q.id, 0)
-        if a:
-            total = ab.add(total, ab.smul(a, q.frobenius))
-    ext = ExtensionData(d1.ker_incl, snake.s)
-    calc_cl = TateCohomology(complex_, inst.cl)
-    calc_k = TateCohomology(complex_, d1.ker_s)
-    delta = connecting_hom(complex_, ext, -1, calc_c=calc_cl, calc_a=calc_k)
-    cls = delta(CohClass(calc_cl, -1, total))
-    formula = delta1(inst, wrb, snake, d1, coeffs)
+    0 -> ker s -> R -> Cl -> 0 at degree -1 on the class of the sum; the
+    calculators are those of Cl, R and ker(s) over one complex."""
+    delta = connecting_hom(calc_cl.complex, d1.ext, -1, calc_c=calc_cl,
+                           calc_b=calc_r, calc_a=calc_k)
+    cls = delta(CohClass(calc_cl, -1, inst.frobenius_sum(coeffs)))
+    formula = delta1(inst, wrb, d1, coeffs)
     # the degree-0 cochain group of ker(s) is ker(s) itself
     generic = d1.fn.h0_class(cls.rep)
     return generic == formula, (generic, formula)
@@ -867,12 +837,9 @@ def norm_suite(inst, nm, cdc):
         records.append({"id": name, "ok": bool(ok), "witness": witness})
 
     # F = ker(Z^aux -> Cl -> N Cl)
-    k = len(inst.aux_places)
-    free = FgAb(k)
-    fcols = [q.frobenius for q in inst.aux_places]
-    to_cl = AbMap(free, ab, IntMatrix.from_columns(fcols, ab.n))
+    to_cl = inst.frobenius_map
     nu = inst.cl.norm_map()
-    comp = AbMap(free, ab, nu.mat.mul(to_cl.mat), check=False)
+    comp = AbMap(to_cl.dom, ab, nu.mat.mul(to_cl.mat), check=False)
     fgrp, fincl = comp.kernel()
 
     # (a) F surjects onto H^-1(Cl)

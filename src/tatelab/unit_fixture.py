@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .abelian import ab_quotient
 from .cohomology import CohClass, Cocycle1, TateCohomology
-from .instance_io import FixtureSchemaError, fixture_from_dict
+from .instance_io import fixture_from_dict
 from .tate_sequence import subgroups_cdc
 
 
@@ -48,11 +48,7 @@ def fixture_unit_check(complex_, inst, fixture_data, cdc=None):
             w = Cocycle1(unit_module, cls["cocycle"])
         except ValueError as exc:
             raise InconsistentFixture(k, f"cocycle identity: {exc}") from exc
-        total = ab.zero()
-        for q in inst.aux_places:
-            a = cls["aux_coeffs"].get(q.id, 0)
-            if a:
-                total = ab.add(total, ab.smul(a, q.frobenius))
+        total = inst.frobenius_sum(cls["aux_coeffs"])
         nu = inst.cl.norm_map()
         if not ab.is_zero(nu.apply(total)):
             raise InconsistentFixture(k, "coefficients do not define a "

@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tatelab.abelian import (AbMap, FgAb, NonComplex, ab_quotient,
-                             fgab_from_relations, homology_at,
-                             subgroup_span)
+from tatelab.abelian import (AbMap, FgAb, Homology, NonComplex,
+                             ab_quotient, subgroup_span)
 from tatelab.lattice import IntMatrix
 
 
@@ -16,15 +15,15 @@ def diag_group(*mods):
 
 
 def test_presentations():
-    z = fgab_from_relations(1, IntMatrix([[]], cols=0))
+    z = FgAb(1, IntMatrix([[]], cols=0))
     assert z.free_rank() == 1 and z.invariant_factors() == ()
-    z2 = fgab_from_relations(1, IntMatrix([[2]]))
+    z2 = FgAb(1, IntMatrix([[2]]))
     assert z2.invariant_factors() == (2,)
-    g = fgab_from_relations(2, IntMatrix([[2, 0], [0, 4]]))
+    g = FgAb(2, IntMatrix([[2, 0], [0, 4]]))
     assert g.invariant_factors() == (2, 4)
     assert g.order() == 8
     # messy presentation of Z/2 x Z/4
-    m = fgab_from_relations(3, IntMatrix([[2, 1, 0], [0, 4, 0], [0, 0, 1]]))
+    m = FgAb(3, IntMatrix([[2, 1, 0], [0, 4, 0], [0, 0, 1]]))
     assert m.torsion_order() == 8
 
 
@@ -61,29 +60,30 @@ def test_kernel_quotient_examples():
 
 def test_homology_examples():
     z = FgAb(1)
-    h, _, _ = homology_at(AbMap.zero(z, z), AbMap.zero(z, z))
+    h = Homology(AbMap.zero(z, z), AbMap.zero(z, z)).group
     assert h.free_rank() == 1
-    h, _, _ = homology_at(AbMap(z, z, IntMatrix([[2]])), AbMap.zero(z, z))
+    h = Homology(AbMap(z, z, IntMatrix([[2]])), AbMap.zero(z, z)).group
     assert h.invariant_factors() == (2,)
     # hand-enumerated bar complex of the 2-element group at degree 1
     t2, t1, t0 = FgAb(4), FgAb(2), FgAb(1)
     d2 = AbMap(t2, t1, IntMatrix([[1, 1, 1, -1], [0, 0, 0, 2]]))
     d1 = AbMap(t1, t0, IntMatrix([[0, 0]]))
-    h1, class_of, rep_of = homology_at(d2, d1)
+    hom = Homology(d2, d1)
+    h1 = hom.group
     assert h1.invariant_factors() == (2,)
-    c = class_of((0, 1))
+    c = hom.class_of((0, 1))
     assert any(c)
     assert h1.canon(h1.add(h1.from_canon(c), h1.from_canon(c))) == \
         h1.canon(h1.zero())
     with pytest.raises(NonComplex):
-        homology_at(AbMap(z, z, IntMatrix([[1]])),
-                    AbMap(z, z, IntMatrix([[1]])))
+        Homology(AbMap(z, z, IntMatrix([[1]])),
+                 AbMap(z, z, IntMatrix([[1]])))
 
 
 def test_homology_exact_pair_trivial():
     z, zz = FgAb(1), FgAb(2)
-    h, _, _ = homology_at(AbMap(z, zz, IntMatrix([[1], [0]])),
-                          AbMap(zz, z, IntMatrix([[0, 1]])))
+    h = Homology(AbMap(z, zz, IntMatrix([[1], [0]])),
+                 AbMap(zz, z, IntMatrix([[0, 1]]))).group
     assert h.is_trivial()
 
 

@@ -223,7 +223,9 @@ def test_criterion_4_headline_connecting_map(campaign):
     wrb = build_wrb(it, xy)
     snake = build_snake(it, wrb, build_script_h(it))
     nabla = build_nabla(it, wrb, snake)
-    conn = delta_minus2(cx, it, wrb, nabla, xy)
+    conn = delta_minus2(it, nabla, xy, TateCohomology(cx, xy.x),
+                        TateCohomology(cx, it.cl),
+                        TateCohomology(cx, nabla.module))
     assert conn.calc_x.group(-2).invariant_factors() == (2,)
     assert conn.calc_cl.group(-1).invariant_factors() == (2,)
     z = conn.gen_classes[("p1", 1)]

@@ -1,0 +1,114 @@
+from importlib.resources import files
+
+import pytest
+
+from tatelab import analysis
+from tatelab.analysis import (ARTIFACTS, CHECK_READS, CHECKS, DEFAULT_CHECKS,
+                              AnalysisContext, closure, run_analysis)
+from tatelab.cft import i2_twist
+from tatelab.cohomology import TateCohomology
+from tatelab.instance_io import load_fixture, load_instance
+from tatelab.tate_sequence import ImageEscapesCl
+
+
+def record_requests(monkeypatch):
+    """Wrap AnalysisContext.get; returns the list of (ctx, name, value)
+    of every request that succeeded."""
+    seen = []
+    orig = AnalysisContext.get
+
+    def get(ctx, name):
+        value = orig(ctx, name)
+        seen.append((ctx, name, value))
+        return value
+
+    monkeypatch.setattr(AnalysisContext, "get", get)
+    return seen
+
+
+@pytest.mark.parametrize("cid", sorted(CHECKS))
+def test_checks_request_only_what_they_declare(cid, monkeypatch):
+    seen = record_requests(monkeypatch)
+    records = run_analysis(i2_twist(), checks=[cid])
+    assert [r["id"] for r in records] == [cid]
+    requested = {name for _, name, _ in seen}
+    assert set(CHECK_READS[cid]) <= requested
+    assert requested <= closure(CHECK_READS[cid])
+
+
+def test_every_read_is_an_input_or_an_artifact():
+    known = set(analysis.INPUTS) | set(ARTIFACTS)
+    for _, reads in ARTIFACTS.values():
+        assert set(reads) <= known
+    assert set(CHECK_READS) == set(CHECKS)
+    for reads in CHECK_READS.values():
+        assert set(reads) <= known
+
+
+def test_failing_builder_runs_once(monkeypatch):
+    calls = []
+
+    def broken_snake(inst, wrb, sh):
+        calls.append(1)
+        raise ImageEscapesCl("boom")
+
+    monkeypatch.setitem(ARTIFACTS, "snake",
+                        (broken_snake, ARTIFACTS["snake"][1]))
+    records = run_analysis(i2_twist())
+    assert len(calls) == 1
+    # the checks that read the snake map, directly or through nabla and
+    # ker(s), each fail with the builder's exception as witness
+    dependents = {"snake.aux_units", "snake.closed_form", "nabla.class",
+                  "delta2.agree", "conn.functorial", "delta1.factors"}
+    for r in records:
+        if r["id"] in dependents:
+            assert (r["ok"], r["witness"]) == (False, "ImageEscapesCl: boom")
+        else:
+            assert r["ok"], r
+    assert {r["id"] for r in records} == set(DEFAULT_CHECKS)
+
+
+def test_one_calculator_per_shared_module(monkeypatch):
+    seen = record_requests(monkeypatch)
+    built = []
+    orig_init = TateCohomology.__init__
+
+    def init(calc, complex_, module):
+        built.append((complex_, module))
+        orig_init(calc, complex_, module)
+
+    monkeypatch.setattr(TateCohomology, "__init__", init)
+    inst = load_instance(str(files("tatelab") / "data" / "sqrt34.json"))
+    fixture = load_fixture(str(files("tatelab") / "data" /
+                               "sqrt34_units.json"), inst.group)
+    records = run_analysis(inst, fixture=fixture)
+    assert all(r["ok"] for r in records), records
+    art = {name: value for _, name, value in seen}
+    shared = {"X": art["xy"].x, "Cl": inst.cl, "R": art["wrb"].r,
+              "nabla": art["nabla"].module, "ker(s)": art["delta1"].ker_s}
+    for label, module in shared.items():
+        pairs = [c for c, m in built if m is module]
+        assert pairs == [art["complex"]], label
+
+
+def test_calculators_dropped_after_last_reader(monkeypatch):
+    seen = record_requests(monkeypatch)
+    snapshots = {}
+    for cid, (anchor, fn) in list(CHECKS.items()):
+        def snap(*args, _cid=cid, _fn=fn):
+            snapshots[_cid] = set(seen[0][0]._cache)
+            return _fn(*args)
+        monkeypatch.setitem(CHECKS, cid, (anchor, snap))
+    records = run_analysis(i2_twist())
+    assert all(r["ok"] for r in records), records
+    ctx = seen[0][0]
+    order = list(DEFAULT_CHECKS)
+    calcs = [name for name in ARTIFACTS if name.startswith("calc_")]
+    for name in calcs:
+        readers = [k for k, cid in enumerate(order)
+                   if name in closure(CHECK_READS[cid])]
+        assert readers, name
+        assert name in snapshots[order[readers[-1]]]
+        for cid in order[readers[-1] + 1:]:
+            assert name not in snapshots[cid], (name, cid)
+    assert not ctx._cache and not ctx._failed

@@ -71,6 +71,24 @@ def test_analyze_errors(capsys):
     capsys.readouterr()
 
 
+def test_analyze_rejects_unusable_window(capsys):
+    # a window the resolution rejects, whatever the checks
+    for window in ("--window=-9..9", "--window=2..1"):
+        assert main(["analyze", data("i2_twist.json"), window,
+                     "--checks", "norm"]) == 2
+        captured = capsys.readouterr()
+        assert "window" in captured.err and captured.out == ""
+    # a window without -2..1 while a selected check reads the resolution
+    assert main(["analyze", data("i2_twist.json"), "--window=0..0"]) == 2
+    captured = capsys.readouterr()
+    assert "-2..1" in captured.err and "delta2.agree" in captured.err
+    assert captured.out == ""
+    # checks that never read the resolution accept any valid window
+    assert main(["analyze", data("i2_twist.json"), "--window=0..0",
+                 "--checks", "norm,snake"]) == 0
+    capsys.readouterr()
+
+
 def test_selftest_empty_and_unknown(capsys):
     # a campaign that would check nothing is an operational error, not a pass
     for seeds in ("0", "-3"):

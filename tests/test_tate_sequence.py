@@ -143,13 +143,18 @@ def test_nabla_and_cocycle():
     assert ok, wit
 
 
+def calcs(cx, *modules):
+    return [TateCohomology(cx, m) for m in modules]
+
+
 def test_connecting_map_headline():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
     nabla = build_nabla(it, wrb, snake)
-    ok, wit = delta_minus2_agrees(cx, it, wrb, nabla, xy)
+    cs = calcs(cx, xy.x, it.cl, nabla.module)
+    ok, wit = delta_minus2_agrees(it, nabla, xy, *cs)
     assert ok, wit
-    conn = delta_minus2(cx, it, wrb, nabla, xy)
+    conn = delta_minus2(it, nabla, xy, *cs)
     assert conn.calc_x.group(-2).invariant_factors() == (2,)
     assert conn.calc_cl.group(-1).invariant_factors() == (2,)
     z = conn.gen_classes[("p1", 1)]
@@ -161,10 +166,11 @@ def test_connecting_map_headline():
     ip = i2_plain()
     cxp, xyp, wrbp, shp, snakep = lab(ip)
     nablap = build_nabla(ip, wrbp, snakep)
-    connp = delta_minus2(cxp, ip, wrbp, nablap, xyp)
+    csp = calcs(cxp, xyp.x, ip.cl, nablap.module)
+    connp = delta_minus2(ip, nablap, xyp, *csp)
     for z in connp.gen_classes.values():
         assert connp.generic(z).is_zero()
-    ok, wit = delta_minus2_agrees(cxp, ip, wrbp, nablap, xyp)
+    ok, wit = delta_minus2_agrees(ip, nablap, xyp, *csp)
     assert ok, wit
 
 
@@ -173,9 +179,10 @@ def test_x_cohomology_structure():
         inst = mk()
         cx = TateComplex(inst.group, (-2, 1))
         xy = xy_modules(inst)
-        ok, wit = h_minus1_x_vanishes(cx, inst, xy)
+        calc_x = TateCohomology(cx, xy.x)
+        ok, wit = h_minus1_x_vanishes(xy, calc_x)
         assert ok, wit
-        ok, wit = homology_generators_iso(cx, inst, xy)
+        ok, wit = homology_generators_iso(inst, xy, calc_x)
         assert ok, wit
 
 
@@ -183,7 +190,8 @@ def test_functoriality_square():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
     nabla = build_nabla(it, wrb, snake)
-    ok, wit = connecting_functorial(cx, it, wrb, snake, nabla, xy)
+    ok, wit = connecting_functorial(
+        wrb, snake, nabla, *calcs(cx, xy.x, wrb.r, it.cl, nabla.module))
     assert ok, wit
 
 
@@ -214,14 +222,15 @@ def test_subgroups_and_norm_suite_values():
 def test_delta1():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
-    d1 = build_delta1(it, wrb, snake)
+    d1 = build_delta1(snake)
     # zero coefficients give the zero class
-    assert not any(delta1(it, wrb, snake, d1, {"q0": 0}))
-    out = delta1(it, wrb, snake, d1, {"q0": 1})
-    ok, wit = delta1_generic_agrees(cx, it, wrb, snake, d1, {"q0": 1})
+    assert not any(delta1(it, wrb, d1, {"q0": 0}))
+    out = delta1(it, wrb, d1, {"q0": 1})
+    cs = calcs(cx, it.cl, wrb.r, d1.ker_s)
+    ok, wit = delta1_generic_agrees(it, wrb, d1, *cs, {"q0": 1})
     assert ok, wit
     # equal classes give equal outputs: q0 coefficient 1 vs 3
-    out3 = delta1(it, wrb, snake, d1, {"q0": 3})
+    out3 = delta1(it, wrb, d1, {"q0": 3})
     assert out == out3
     # the nontrivial class of a Z/3 module is not norm-killed for C2
     # twisted shape: NotNormKilled surfaces on a bad vector
@@ -231,7 +240,7 @@ def test_delta1():
     wrb2 = build_wrb(inst, xy2)
     sh2 = build_script_h(inst)
     snake2 = build_snake(inst, wrb2, sh2)
-    d12 = build_delta1(inst, wrb2, snake2)
+    d12 = build_delta1(snake2)
     nu = inst.cl.norm_map()
     ab = inst.cl.underlying
     bad = None
@@ -241,7 +250,7 @@ def test_delta1():
             break
     if bad is not None:
         with pytest.raises(NotNormKilled):
-            delta1(inst, wrb2, snake2, d12, {bad: 1})
+            delta1(inst, wrb2, d12, {bad: 1})
 
 
 def test_aux_unit_in_r():
@@ -262,7 +271,8 @@ def test_small_random_campaign():
             ok, wit = snake_closed_form_agrees(inst, wrb, snake)
             assert ok, wit
             nabla = build_nabla(inst, wrb, snake)
-            ok, wit = delta_minus2_agrees(cx, inst, wrb, nabla, xy)
+            ok, wit = delta_minus2_agrees(
+                inst, nabla, xy, *calcs(cx, xy.x, inst.cl, nabla.module))
             assert ok, wit
             nm = norm_model(inst)
             cdc = subgroups_cdc(inst)
