@@ -258,9 +258,6 @@ class FgAb:
         """Small deterministic coset representative of x."""
         return self.rel_lattice().reduce(x)
 
-    def contains_in_relations(self, x):
-        return self.rel_lattice().contains(x)
-
     def __repr__(self):
         parts = ["Z"] * self.free_rank()
         parts += [f"Z/{d}" for d in self.invariant_factors()]

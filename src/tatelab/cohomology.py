@@ -191,7 +191,8 @@ class TateComplex:
                         for q in range(na):
                             if ar[q]:
                                 rows[t_idx * na + r][s_idx * na + q] += c * ar[q]
-        return AbMap(dom, cod, IntMatrix(rows, cols=dom.n), check=False)
+        return AbMap(dom, cod, IntMatrix._trusted(tuple(map(tuple, rows)),
+                                                  dom.n), check=False)
 
     def sparse_blockified_columns(self, module, i):
         """Columns of the specialized differential as sparse dicts (for

@@ -74,12 +74,9 @@ class GModule:
             AbMap(ab, ab, m)  # relation check
         lat = ab.rel_lattice()
         cols = [_sparse_cols(m) for m in self.action]
-        ident = self.action[grp.identity]
         for j in range(ab.n):
-            col = [0] * ab.n
-            for r, v in _sparse_cols(ident)[j].items():
-                col[r] = v
-            col[j] -= 1
+            col = dict(cols[grp.identity][j])
+            col[j] = col.get(j, 0) - 1
             if not lat.contains(col):
                 raise ValueError("identity must act as the identity")
         firsts = range(grp.order) if full else grp.generating_set()

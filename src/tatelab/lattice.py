@@ -55,11 +55,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+                                  for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
     def from_columns(cls, columns, rows):
@@ -69,9 +70,6 @@ class IntMatrix:
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     @classmethod
     def block_diagonal(cls, blocks):
@@ -300,6 +298,14 @@ def kernel_basis(row_iter, ncols):
     Rows may be given as sparse dicts {index: value} or dense sequences.
     Returns a list of dense tuple columns.  Works column-by-column so the
     very sparse boundary matrices of bar resolutions stay cheap.
+
+    Each row is eliminated by Euclidean steps among the basis columns it
+    hits.  The pivot of a step is the column whose value has the least
+    absolute value and, among those, the fewest nonzeros (then the lowest
+    id).  The pivot is the column added into all the others and finally
+    deleted, so taking the sparsest one spreads the least fill-in; on the
+    large specialized differentials a pivot chosen by value alone can
+    multiply the entries touched many times over.
     """
     basis = {j: {j: 1} for j in range(ncols)}
     touch = {j: {j} for j in range(ncols)}  # coordinate -> basis col ids
@@ -339,7 +345,8 @@ def kernel_basis(row_iter, ncols):
             if s:
                 vals[cid] = s
         while len(vals) > 1:
-            order = sorted(vals, key=lambda c: (abs(vals[c]), c))
+            order = sorted(vals, key=lambda c: (abs(vals[c]),
+                                                len(basis[c]), c))
             k0 = order[0]
             p = vals[k0]
             for cid in order[1:]:
@@ -567,7 +574,21 @@ class Lattice:
         return tuple(out.get(i, 0) for i in range(self.dim))
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        """Membership, deciding `not any(self.reduce(vec))`: the vector is
+        cleared pivot by pivot, and the walk stops at the first coordinate
+        without a pivot row or whose value the pivot does not divide."""
+        v = self._to_sparse(vec)
+        while v:
+            piv = min(v)
+            idx = bisect_left(self.pivots, piv)
+            if idx == len(self.pivots) or self.pivots[idx] != piv:
+                return False
+            row = self.rows[idx]
+            q, r = divmod(v[piv], row[piv])
+            if r:
+                return False
+            self._sub_from(v, q, row, None, idx)
+        return True
 
     def basis(self):
         return [tuple(r.get(i, 0) for i in range(self.dim)) for r in self.rows]

@@ -18,8 +18,8 @@ from .abelian import AbMap, FgAb, Homology, ab_quotient, subgroup_span
 from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData, TateCohomology,
                          connecting_hom, extension_to_cocycle, induced_map)
-from .gmodules import (GMap, GModule, HomModule, direct_sum, fixed_and_norm,
-                       regular_module, standard_modules)
+from .gmodules import (GMap, GModule, HomModule, _sparse_cols, direct_sum,
+                       fixed_and_norm, regular_module, standard_modules)
 from .groups import Subgroup, abelianization, subgroup_as_group
 from .lattice import IntMatrix, Lattice, kernel_basis
 
@@ -281,18 +281,28 @@ def build_script_h(inst):
 
 
 def script_h_action_lift_independent(inst, sh):
-    """The action must not depend on which lift of g multiplies."""
+    """The action must not depend on which lift of g multiplies: for every
+    lift alt of g and x in GS other than 1, the action column of x minus
+    the class of alt*(x - 1) = (alt*x - 1) - (alt - 1) is a relation."""
     gs = inst.gs
-    ab = sh.module.underlying
+    cl_ab = inst.cl.underlying
+    lat = sh.module.underlying.rel_lattice()
+    index = sh.gs_index
+    p0_sec = inst.iota[inst.p0.id]
     for g in range(inst.group.order):
-        base_cols = sh.module.action[g].columns()
-        for c in inst.cl.underlying.elements():
-            alt = gs.mul(inst.kappa[inst.cl.underlying.canon(c)],
-                         inst.iota[inst.p0.id][g])
+        base_cols = _sparse_cols(sh.module.action[g])
+        for c in cl_ab.elements():
+            cc = cl_ab.canon(c)
+            alt = gs.mul(inst.kappa[cc], p0_sec[g])
             for i, x in enumerate(sh.gs_basis):
-                diff = ab.sub(base_cols[i], sh.left_mul_class(alt, x))
-                if any(diff) and not ab.contains_in_relations(diff):
-                    return False, (g, inst.cl.underlying.canon(c), x)
+                diff = dict(base_cols[i])
+                ax = gs.mul(alt, x)
+                if ax != gs.identity:
+                    diff[index[ax]] = diff.get(index[ax], 0) - 1
+                if alt != gs.identity:
+                    diff[index[alt]] = diff.get(index[alt], 0) + 1
+                if not lat.contains(diff):
+                    return False, (g, cc, x)
     return True, None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -119,6 +120,21 @@ def test_selftest_deterministic_bytes(tmp_path):
     assert rep.meta["totals"]
     for counts in rep.meta["totals"].values():
         assert counts["fail"] == 0
+
+
+# sha256 of the `selftest --seeds 1` report; a change that keeps the
+# analysis the same keeps these bytes
+SELFTEST_SEEDS1_SHA256 = ("411e4550523aa8e385428c9631d65c6a"
+                          "a741f31f49bcb49639ed166158ad2869")
+
+
+def test_selftest_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TATELAB_WORKERS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest", "--seeds", "1", "--out", "report.json"]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes())
+    assert digest.hexdigest() == SELFTEST_SEEDS1_SHA256
 
 
 def test_report_round_trip_and_text(tmp_path):

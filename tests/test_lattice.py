@@ -197,3 +197,90 @@ def test_block_diagonal():
     assert IntMatrix.block_diagonal([]).shape == (0, 0)
     assert IntMatrix.block_diagonal([IntMatrix([[], []], cols=0), a]) == \
         IntMatrix([[0, 0], [0, 0], [1, 2]])
+
+
+def test_identity_and_zeros_shapes():
+    assert IntMatrix.identity(3) == IntMatrix([[1, 0, 0], [0, 1, 0],
+                                               [0, 0, 1]])
+    assert IntMatrix.identity(0).shape == (0, 0)
+    assert IntMatrix.zeros(2, 3) == IntMatrix([[0, 0, 0], [0, 0, 0]])
+    assert IntMatrix.zeros(0, 3).shape == (0, 3)
+    assert IntMatrix.zeros(2, 0).entries == ((), ())
+
+
+sparse_entries = st.one_of(st.just(0), st.just(0), small_entries)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(dense rows, the rows as given to kernel_basis, ncols): a mix of
+    dict and dense rows, with zero rows and repeated rows."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols,
+                                  max_size=ncols), max_size=6))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    as_dict = draw(st.lists(st.booleans(), min_size=len(rows),
+                            max_size=len(rows)))
+    given_rows = [{j: x for j, x in enumerate(r) if x} if d else r
+                  for r, d in zip(rows, as_dict)]
+    return rows, given_rows, ncols
+
+
+def _lattice_of(vectors, dim):
+    lat = Lattice(dim)
+    for v in vectors:
+        lat.add(v)
+    return lat
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_kernel_basis_spans_the_smith_kernel(case):
+    rows, given_rows, ncols = case
+    ker = kernel_basis(iter(given_rows), ncols)
+    for col in ker:
+        assert len(col) == ncols
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, col)) == 0
+    # reference: the columns of V past the rank, from U m V = D
+    m = IntMatrix(rows, cols=ncols)
+    _, d, v, _, _ = _snf_data(m)
+    rank = sum(1 for i in range(min(m.rows, m.cols)) if d.entries[i][i])
+    ref = [v.column(j) for j in range(rank, ncols)]
+    assert len(ker) == ncols - rank
+    ker_lat, ref_lat = _lattice_of(ker, ncols), _lattice_of(ref, ncols)
+    assert all(ker_lat.contains(c) for c in ref)
+    assert all(ref_lat.contains(c) for c in ker)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(small_entries, min_size=n, max_size=n), max_size=4),
+    st.integers(1, 4),
+    st.lists(small_entries, min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4))))
+def test_contains_agrees_with_reduce(case):
+    gens, scale, noise, coeffs = case
+    n = len(noise)
+    # scaled generators make pivot values other than 1 common
+    gens = [[scale * x for x in g] for g in gens]
+    lat = _lattice_of(gens, n)
+    member = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)]
+    vectors = [noise, member, [a + b for a, b in zip(member, noise)]]
+    for row in lat.basis():
+        # pivot value shifted by one: not a multiple once the pivot is > 1
+        piv = next(i for i, x in enumerate(row) if x)
+        off = list(row)
+        off[piv] += 1
+        vectors += [off, [a + b for a, b in zip(off, member)]]
+        if row[piv] > 1:
+            assert not lat.contains(off)
+    for vec in vectors:
+        expected = not any(lat.reduce(vec))
+        assert lat.contains(tuple(vec)) == expected
+        assert lat.contains({j: x for j, x in enumerate(vec)
+                             if x}) == expected
+    assert lat.contains({}) and lat.contains((0,) * n)

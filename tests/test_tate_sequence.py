@@ -3,7 +3,8 @@ import pytest
 from tatelab.cft import (c_p, i2_plain, i2_twist, norm_model,
                          quadratic_sqrt34, synth_instance, xy_modules)
 from tatelab.cohomology import CohClass, TateCohomology, TateComplex
-from tatelab.gmodules import fixed_and_norm
+from tatelab.gmodules import GModule, fixed_and_norm
+from tatelab.lattice import IntMatrix
 from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
                                    build_delta1, build_nabla,
                                    build_script_h, build_snake, build_wrb,
@@ -79,6 +80,26 @@ def test_script_h():
     sh1 = build_script_h(inst)
     assert sh1.module.underlying.same_invariants(cl.underlying)
     assert sh1.e.ab.is_bijective()
+
+
+def test_script_h_lift_dependence_is_caught():
+    it = i2_twist()
+    sh = build_script_h(it)
+    mod = sh.module
+    ab = mod.underlying
+    g = next(h for h in range(it.group.order) if h != it.group.identity)
+    # shift the action column of the first basis element by a generator
+    # that is not a relation, so every lift of g disagrees there
+    k = next(k for k in range(ab.n) if not ab.is_zero(ab.gen(k)))
+    rows = [list(r) for r in mod.action[g].entries]
+    rows[k][0] += 1
+    action = list(mod.action)
+    action[g] = IntMatrix(rows, cols=ab.n)
+    sh.module = GModule(mod.group, ab, action, check=False)
+    ok, wit = script_h_action_lift_independent(it, sh)
+    assert not ok
+    cl_ab = it.cl.underlying
+    assert wit == (g, cl_ab.canon(next(cl_ab.elements())), sh.gs_basis[0])
 
 
 def test_snake_values_on_worked_instances():
