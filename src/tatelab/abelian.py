@@ -10,11 +10,9 @@ validated at construction.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from math import gcd, prod
 
-from .lattice import (IntMatrix, Lattice, _snf_data, kernel_basis,
-                      solve_matrix)
+from .lattice import IntMatrix, Lattice, _snf_data, kernel_basis
 
 
 class NonComplex(Exception):
@@ -69,27 +67,26 @@ class FgAb:
         if rel.cols > max(n, 32):
             # large redundant relation sets: keep a lattice basis instead
             lat = Lattice(n)
-            for j in range(rel.cols):
-                lat.add(rel.column(j))
+            for col in rel.transpose().entries:
+                lat.add(col)
             rel = IntMatrix.from_columns(lat.basis(), n)
         self.n = n
         self.rel = rel
         self._rel_lat = None
         self._inv_factors = None
-        if all(sum(1 for i in range(n) if rel.entries[i][j]) <= 1
-               for j in range(rel.cols)):
+        cols = rel.transpose().entries
+        if all(sum(1 for x in col if x) <= 1 for col in cols):
             # every relation touches a single generator: no basis change needed
             mods = [0] * n
-            for j in range(rel.cols):
-                for i in range(n):
-                    x = rel.entries[i][j]
+            for col in cols:
+                for i, x in enumerate(col):
                     if x:
                         mods[i] = gcd(mods[i], abs(x))
             self._mods = tuple(mods)
             self._u = None
             self._uinv = None
         else:
-            u, d, _, uinv, _ = _snf_data(rel)
+            u, d, _, uinv = _snf_data(rel)
             mods = [0] * n
             for i in range(min(n, rel.cols)):
                 mods[i] = d.entries[i][i]
@@ -249,8 +246,8 @@ class FgAb:
     def rel_lattice(self):
         if self._rel_lat is None:
             lat = Lattice(self.n)
-            for j in range(self.rel.cols):
-                lat.add(self.rel.column(j))
+            for col in self.rel.transpose().entries:
+                lat.add(col)
             self._rel_lat = lat
         return self._rel_lat
 
@@ -269,7 +266,7 @@ class AbMap:
     generators.  Construction verifies every domain relation is carried
     into the codomain's relation lattice."""
 
-    __slots__ = ("dom", "cod", "mat", "_solve_snf", "_img_lat")
+    __slots__ = ("dom", "cod", "mat", "_img_lat")
 
     def __init__(self, dom, cod, mat, check=True):
         if not isinstance(mat, IntMatrix):
@@ -280,13 +277,11 @@ class AbMap:
         self.dom = dom
         self.cod = cod
         self.mat = mat
-        self._solve_snf = None
         self._img_lat = None
         if check:
             lat = cod.rel_lattice()
-            for j in range(dom.rel.cols):
-                img = mat.apply(dom.rel.column(j))
-                if not lat.contains(img):
+            for col in dom.rel.transpose().entries:
+                if not lat.contains(mat.apply(col)):
                     raise ValueError("matrix does not respect domain relations")
 
     @classmethod
@@ -320,48 +315,42 @@ class AbMap:
             return NotImplemented
         if self.mat.cols != other.mat.cols or self.cod.n != other.cod.n:
             return False
-        for j in range(self.mat.cols):
-            if not self.cod.eq(self.mat.column(j), other.mat.column(j)):
-                return False
-        return True
+        return all(self.cod.eq(a, b) for a, b in
+                   zip(self.mat.transpose().entries,
+                       other.mat.transpose().entries))
 
     def __hash__(self):
         raise TypeError("AbMap is unhashable")
 
     def is_zero_map(self):
-        return all(self.cod.is_zero(self.mat.column(j))
-                   for j in range(self.mat.cols))
+        return all(self.cod.is_zero(col)
+                   for col in self.mat.transpose().entries)
 
-    # -- solving ----------------------------------------------------------
-
-    def _solver(self):
-        if self._solve_snf is None:
-            aug = self.mat.hstack(self.cod.rel)
-            self._solve_snf = (aug, _snf_data(aug))
-        return self._solve_snf
-
-    def solve(self, y):
-        """Some x with f(x) = y in the codomain, or None."""
-        aug, snf = self._solver()
-        sol = solve_matrix(aug, y, snf_cache=snf)
-        if sol is None:
-            return None
-        return tuple(sol[:self.dom.n])
+    # -- image membership and solving --------------------------------------
 
     def image_lattice(self):
-        """Lattice in Z^{cod.n} spanned by generator images and codomain
-        relations; membership = lying in the image subgroup."""
+        """Lattice in Z^{cod.n} spanned by the generator images, inserted
+        first, and then the codomain relations, with witnesses: membership
+        is lying in the image subgroup, and witness indices below dom.n
+        are coordinates of a preimage."""
         if self._img_lat is None:
-            lat = Lattice(self.cod.n)
-            for j in range(self.mat.cols):
-                lat.add(self.mat.column(j))
-            for j in range(self.cod.rel.cols):
-                lat.add(self.cod.rel.column(j))
+            lat = Lattice(self.cod.n, witnesses=True)
+            for col in self.mat.transpose().entries:
+                lat.add(col)
+            for col in self.cod.rel.transpose().entries:
+                lat.add(col)
             self._img_lat = lat
         return self._img_lat
 
     def in_image(self, y):
         return self.image_lattice().contains(y)
+
+    def solve(self, y):
+        """Some x with f(x) = y in the codomain, or None."""
+        w = self.image_lattice().generator_coords(y)
+        if w is None:
+            return None
+        return tuple(w.get(j, 0) for j in range(self.dom.n))
 
     # -- kernel / image / cokernel ----------------------------------------
 
@@ -381,10 +370,8 @@ class AbMap:
         basis = lat.basis()
         k = len(basis)
         incl_mat = IntMatrix.from_columns(basis, self.dom.n)
-        rel_cols = []
-        for j in range(self.dom.rel.cols):
-            coeffs = _express_in_echelon(lat, self.dom.rel.column(j))
-            rel_cols.append(tuple(coeffs))
+        rel_cols = [lat.coords(col)
+                    for col in self.dom.rel.transpose().entries]
         kgrp = FgAb(k, IntMatrix.from_columns(rel_cols, k))
         return kgrp, AbMap(kgrp, self.dom, incl_mat, check=False)
 
@@ -413,31 +400,6 @@ class AbMap:
 
     def is_bijective(self):
         return self.is_injective() and self.is_surjective()
-
-
-def _express_in_echelon(lat, vec):
-    """Coefficients of vec over lat's basis rows; vec must lie in lat."""
-    v = Lattice._to_sparse(vec)
-    coeffs = [0] * len(lat.rows)
-    while v:
-        piv = min(v)
-        i = bisect_left(lat.pivots, piv)
-        if i < len(lat.pivots) and lat.pivots[i] == piv:
-            idx = i
-        else:
-            raise ValueError("vector not in lattice")
-        row = lat.rows[idx]
-        if v[piv] % row[piv]:
-            raise ValueError("vector not in lattice")
-        q = v[piv] // row[piv]
-        coeffs[idx] = q
-        for c, val in row.items():
-            nv = v.get(c, 0) - q * val
-            if nv:
-                v[c] = nv
-            elif c in v:
-                del v[c]
-    return coeffs
 
 
 def ab_quotient(grp, gens):
@@ -472,8 +434,7 @@ class Homology:
         self.middle = d_out.dom
         kgrp, incl = d_out.kernel()
         imgs = []
-        for j in range(d_in.dom.n):
-            v = d_in.mat.column(j)
+        for v in d_in.mat.transpose().entries:
             c = incl.solve(v)
             if c is None:
                 raise NonComplex("image of d_in escapes the kernel")

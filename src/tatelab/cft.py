@@ -17,7 +17,7 @@ import random
 import zlib
 from functools import cached_property
 
-from .abelian import AbMap, FgAb, subgroup_span
+from .abelian import AbMap, FgAb, ab_quotient, subgroup_span
 from .gmodules import GMap, GModule, direct_sum, perm_module, trivial_module
 from .groups import (Subgroup, abelianization, cosets_and_reps,
                      extension_from_cocycle, named_group)
@@ -241,7 +241,7 @@ def norm_model(inst):
     for pl in inst.places:
         for a in pl.subgroup.elems:
             killed.append(proj[inst.iota[pl.id][a]])
-    q, qproj = _quot(gab, killed)
+    q, qproj = ab_quotient(gab, killed)
 
     def gs_to_q(x):
         return qproj.apply(proj[x])
@@ -256,11 +256,6 @@ def norm_model(inst):
     nm_gmap = GMap(inst.cl, q_module, nm)
     class_in_q = {aux.id: nm.apply(aux.frobenius) for aux in inst.aux_places}
     return NormModel(q, nm, nm_gmap, q_module, class_in_q)
-
-
-def _quot(grp, gens):
-    from .abelian import ab_quotient
-    return ab_quotient(grp, gens)
 
 
 # -- the place modules Y and X ------------------------------------------------

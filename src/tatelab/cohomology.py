@@ -454,20 +454,7 @@ class Cocycle1:
 
     def is_coboundary(self):
         """Whether f(g) = g m - m for some m; returns (flag, witness)."""
-        ab = self.module.underlying
-        n = ab.n
-        grp = self.module.group
-        rows = []
-        target = []
-        for g in range(grp.order):
-            delta = self.module.action[g].entries
-            for r in range(n):
-                rows.append([delta[r][q] - (1 if r == q else 0)
-                             for q in range(n)])
-            target.extend(self.values[g])
-        big = FgAb.direct_sum([ab] * grp.order)
-        stack = AbMap(ab, big, IntMatrix(rows, cols=n), check=False)
-        m = stack.solve(tuple(target))
+        m = self.module.coboundary_map().solve(self.as_cochain())
         return (m is not None), m
 
 

@@ -99,6 +99,16 @@ class GModule:
     def act(self, g, x):
         return self.action[g].apply(x)
 
+    def coboundary_map(self):
+        """The map M -> M^|G|, m -> (g m - m)_g: its kernel is M^G, and a
+        1-cocycle is a coboundary iff its values lie in its image."""
+        n = self.underlying.n
+        rows = [[a - (r == q) for q, a in enumerate(row)]
+                for m in self.action for r, row in enumerate(m.entries)]
+        big = FgAb.direct_sum([self.underlying] * self.group.order)
+        return AbMap(self.underlying, big, IntMatrix(rows, cols=n),
+                     check=False)
+
     def norm_map(self):
         """Multiplication by the sum of all group elements."""
         n = self.underlying.n
@@ -266,14 +276,9 @@ def local_aug_ideal(group, sub, regular):
     basis = lat.basis()
     k = len(basis)
     incl_mat = IntMatrix.from_columns(basis, group.order)
-    from .abelian import _express_in_echelon
-    acts = []
-    for g in range(group.order):
-        cols = []
-        for b in basis:
-            moved = regular.act(g, b)
-            cols.append(tuple(_express_in_echelon(lat, moved)))
-        acts.append(IntMatrix.from_columns(cols, k))
+    acts = [IntMatrix.from_columns([lat.coords(regular.act(g, b))
+                                    for b in basis], k)
+            for g in range(group.order)]
     mod = GModule(group, FgAb(k), acts)
     incl = GMap(mod, regular, incl_mat)
     witnesses = [lat.basis_witness(i) for i in range(k)]
@@ -480,16 +485,7 @@ class FixedNormData:
         self.module = module
         grp = module.group
         ab = module.underlying
-        summands = [module] * grp.order
-        big, _, _ = direct_sum(summands)
-        rows = []
-        for g in range(grp.order):
-            delta = [[module.action[g].entries[i][j] - (1 if i == j else 0)
-                      for j in range(ab.n)] for i in range(ab.n)]
-            rows.extend(delta)
-        stacked = AbMap(ab, big.underlying, IntMatrix(rows, cols=ab.n),
-                        check=False)
-        fgrp, fincl = stacked.kernel()
+        fgrp, fincl = module.coboundary_map().kernel()
         self.fixed = fgrp
         self.fixed_incl = fincl
         nu = module.norm_map()

@@ -175,18 +175,17 @@ def smith_normal_form(m: IntMatrix):
     >>> [d.entries[i][i] for i in range(2)]
     [2, 4]
     """
-    u, d, v, _, _ = _snf_data(m)
+    u, d, v, _ = _snf_data(m)
     return u, d, v
 
 
 def _snf_data(m: IntMatrix):
-    """(U, D, V, Uinv, Vinv) with U m V = D and the inverses tracked."""
+    """(U, D, V, Uinv) with U m V = D and the inverse of U tracked."""
     rows, cols = m.rows, m.cols
     d = [list(r) for r in m.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def row_swap(a, b):
         d[a], d[b] = d[b], d[a]
@@ -219,20 +218,15 @@ def _snf_data(m: IntMatrix):
             r[a], r[b] = r[b], r[a]
         for r in v:
             r[a], r[b] = r[b], r[a]
-        vinv[a], vinv[b] = vinv[b], vinv[a]
 
     def col_sub(a, q, b):
-        # col a -= q * col b ; inverse: row b of vinv += q * row a
+        # col a -= q * col b
         for r in d:
             if r[b]:
                 r[a] -= q * r[b]
         for r in v:
             if r[b]:
                 r[a] -= q * r[b]
-        va, vb = vinv[a], vinv[b]
-        for j in range(cols):
-            if va[j]:
-                vb[j] += q * va[j]
 
     t = 0
     limit = min(rows, cols)
@@ -288,8 +282,7 @@ def _snf_data(m: IntMatrix):
     return (IntMatrix._trusted(tuple(map(tuple, u)), rows),
             IntMatrix._trusted(tuple(map(tuple, d)), cols),
             IntMatrix._trusted(tuple(map(tuple, v)), cols),
-            IntMatrix._trusted(tuple(map(tuple, uinv)), rows),
-            IntMatrix._trusted(tuple(map(tuple, vinv)), cols))
+            IntMatrix._trusted(tuple(map(tuple, uinv)), rows))
 
 
 def kernel_basis(row_iter, ncols):
@@ -371,29 +364,6 @@ def kernel_basis(row_iter, ncols):
 def matrix_kernel(m: IntMatrix):
     """Kernel basis columns of an IntMatrix."""
     return kernel_basis(m.entries, m.cols)
-
-
-def solve_matrix(m: IntMatrix, b, snf_cache=None):
-    """One integer solution x of m x = b, or None.
-
-    `snf_cache` may hold the `_snf_data` result for m to amortize solves
-    against the same matrix.
-    """
-    if snf_cache is None:
-        snf_cache = _snf_data(m)
-    u, d, v, _, _ = snf_cache
-    ub = u.apply(b)
-    z = [0] * m.cols
-    r = min(m.rows, m.cols)
-    for i in range(m.rows):
-        di = d.entries[i][i] if i < r else 0
-        if di:
-            if ub[i] % di:
-                return None
-            z[i] = ub[i] // di
-        elif ub[i]:
-            return None
-    return v.apply(z)
 
 
 class Lattice:
@@ -573,22 +543,53 @@ class Lattice:
                 out[piv] = v.pop(piv)
         return tuple(out.get(i, 0) for i in range(self.dim))
 
-    def contains(self, vec):
-        """Membership, deciding `not any(self.reduce(vec))`: the vector is
-        cleared pivot by pivot, and the walk stops at the first coordinate
-        without a pivot row or whose value the pivot does not divide."""
+    def _walk(self, vec):
+        """{basis row index: coefficient} writing vec over the basis rows,
+        or None.  The vector is cleared pivot by pivot, and the walk stops
+        at the first coordinate without a pivot row or whose value the
+        pivot does not divide; so it is None iff `any(self.reduce(vec))`."""
         v = self._to_sparse(vec)
+        out = {}
         while v:
             piv = min(v)
             idx = bisect_left(self.pivots, piv)
             if idx == len(self.pivots) or self.pivots[idx] != piv:
-                return False
+                return None
             row = self.rows[idx]
             q, r = divmod(v[piv], row[piv])
             if r:
-                return False
+                return None
+            out[idx] = q
             self._sub_from(v, q, row, None, idx)
-        return True
+        return out
+
+    def contains(self, vec):
+        """Membership, deciding `not any(self.reduce(vec))`."""
+        return self._walk(vec) is not None
+
+    def coords(self, vec):
+        """Coefficients of vec over the basis rows, or None if vec is not
+        in the lattice."""
+        c = self._walk(vec)
+        if c is None:
+            return None
+        return tuple(c.get(i, 0) for i in range(len(self.rows)))
+
+    def generator_coords(self, vec):
+        """{generator index: coefficient} writing vec over the inserted
+        generators (numbered in insertion order), or None if vec is not
+        in the lattice: the basis-row coefficients combine the rows'
+        witnesses."""
+        if self.witnesses is None:
+            raise ValueError("lattice built without witness tracking")
+        c = self._walk(vec)
+        if c is None:
+            return None
+        out = {}
+        for idx, q in c.items():
+            for k, x in self.witnesses[idx].items():
+                out[k] = out.get(k, 0) + q * x
+        return out
 
     def basis(self):
         return [tuple(r.get(i, 0) for i in range(self.dim)) for r in self.rows]

@@ -19,7 +19,8 @@ from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData, TateCohomology,
                          connecting_hom, extension_to_cocycle, induced_map)
 from .gmodules import (GMap, GModule, HomModule, _sparse_cols, direct_sum,
-                       fixed_and_norm, regular_module, standard_modules)
+                       fixed_and_norm, local_aug_ideal, regular_module,
+                       standard_modules)
 from .groups import Subgroup, abelianization, subgroup_as_group
 from .lattice import IntMatrix, Lattice, kernel_basis
 
@@ -77,7 +78,7 @@ def build_wrb(inst, xy):
 
     w_parts, w_blocks, off = [], [], 0
     for pl in inst.places:
-        ideal = _local_ideal(inst, pl, reg)
+        ideal = local_aug_ideal(grp, pl.subgroup, reg)
         w_parts.append(ideal.module)
         w_blocks.append(("place", pl.id, ideal, off))
         off += ideal.module.underlying.n
@@ -168,11 +169,6 @@ def build_wrb(inst, xy):
                    r_to_b=r_to_b, b_to_x=b_to_x, w_to_big=w_to_big, big=big,
                    b_incl=b_incl, regular=reg, aug_mod=aug_mod,
                    aug_incl=aug_incl, xy=xy)
-
-
-def _local_ideal(inst, place, reg):
-    from .gmodules import local_aug_ideal
-    return local_aug_ideal(inst.group, place.subgroup, reg)
 
 
 def wrb_exact(wrb):
@@ -670,15 +666,14 @@ def homology_generators_iso(inst, xy, calc_x):
     to_gab = AbMap(sumab, gab, IntMatrix.from_columns(cols, gab.n))
     kgrp, kincl = to_gab.kernel()
     # the chain-level map on the summands: h in G_p -> [h] (x) (p - p0)
-    nx = xy.x.underlying.n
     ccols = []
-    for k, (pl, elems) in enumerate(zip(inst.places, elems_per)):
+    for pl, elems in zip(inst.places, elems_per):
         for h_elt in elems:
-            rep = [0] * (complex_.rank(-2) * nx)
-            if not pl.is_p0:
-                b_idx = complex_._basis_index(-2, (h_elt,))
-                rep[b_idx * nx + xy.x_index[(pl.id, grp.identity)]] = 1
-            ccols.append(h.group.from_canon(h.class_of(tuple(rep))))
+            if pl.is_p0:
+                ccols.append(h.group.zero())
+            else:
+                z = generator_chain(complex_, inst, xy, calc_x, pl.id, h_elt)
+                ccols.append(h.group.from_canon(z.canon))
     chain_map = AbMap(sumab, h.group,
                       IntMatrix.from_columns(ccols, h.group.n))
     iso = chain_map.compose(kincl)
@@ -698,10 +693,8 @@ def homology_generators_iso(inst, xy, calc_x):
             if pre is None:
                 return False, f"x_p({tau}) not in the kernel"
             got = h.group.canon(iso.apply(pre))
-            rep = [0] * (complex_.rank(-2) * nx)
-            b_idx = complex_._basis_index(-2, (tau,))
-            rep[b_idx * nx + xy.x_index[(pl.id, grp.identity)]] = 1
-            want = h.class_of(tuple(rep))
+            want = generator_chain(complex_, inst, xy, calc_x, pl.id,
+                                   tau).canon
             if got != want:
                 return False, (pl.id, tau, got, want)
     return True, None

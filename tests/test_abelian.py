@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tatelab.abelian import (AbMap, FgAb, Homology, NonComplex,
                              ab_quotient, subgroup_span)
@@ -201,3 +201,42 @@ def test_direct_sum_cases():
     s = FgAb.direct_sum([wide, wide])
     assert s.rel == _reference_sum([wide, wide]).rel
     assert s.rel.cols <= 2 and s.invariant_factors() == (2, 2)
+
+
+@st.composite
+def maps_into_torsion(draw):
+    """A map Z^k -> Z^n / <rel> whose codomain has torsion; its first
+    generator image is repeated, so the map is not injective."""
+    n = draw(st.integers(1, 4))
+    ent = st.integers(-6, 6)
+    rel = draw(st.lists(st.lists(ent, min_size=n, max_size=n), max_size=3))
+    rel.append([draw(st.integers(2, 6))] + [0] * (n - 1))
+    cod = FgAb(n, IntMatrix.from_columns(rel, n))
+    assume(cod.invariant_factors())
+    cols = draw(st.lists(st.lists(ent, min_size=n, max_size=n), max_size=3))
+    cols += cols[:1]
+    return AbMap(FgAb(len(cols)), cod, IntMatrix.from_columns(cols, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_into_torsion(), st.data())
+def test_solve_agrees_with_image_membership(f, data):
+    cod = f.cod
+
+    def vec(n):
+        return data.draw(st.lists(st.integers(-9, 9), min_size=n,
+                                  max_size=n).map(tuple))
+
+    # a target built as f(x0) plus a relation combination is solved
+    y = cod.add(f.apply(vec(f.dom.n)), cod.rel.apply(vec(cod.rel.cols)))
+    x = f.solve(y)
+    assert x is not None and cod.eq(f.apply(x), y)
+    # an arbitrary target is solved iff it lies in the image; the
+    # cokernel, a Smith form of [rel | mat], decides that independently
+    q, _ = f.cokernel()
+    for _ in range(3):
+        y = vec(cod.n)
+        x = f.solve(y)
+        assert (x is None) == (not f.in_image(y)) == (not q.is_zero(y))
+        if x is not None:
+            assert cod.eq(f.apply(x), y)

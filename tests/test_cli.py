@@ -137,6 +137,21 @@ def test_selftest_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert digest.hexdigest() == SELFTEST_SEEDS1_SHA256
 
 
+# sha256 of `analyze sqrt34.json --fixture sqrt34_units.json`; the fixture
+# check decides coboundaries through AbMap.solve
+SQRT34_FIXTURE_SHA256 = ("e219e50c13704010499cb1e1e4ca9e20"
+                         "bfd3c0391f312cbb2d917d866ee988d8")
+
+
+def test_fixture_report_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["analyze", data("sqrt34.json"), "--fixture",
+                 data("sqrt34_units.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        SQRT34_FIXTURE_SHA256
+
+
 def test_report_round_trip_and_text(tmp_path):
     code = main(["analyze", data("i2_plain.json"), "--checks", "wrb.exact",
                  "--out", str(tmp_path / "r.json")])

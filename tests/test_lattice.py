@@ -3,8 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tatelab.abelian import AbMap, FgAb
 from tatelab.lattice import (IntMatrix, Lattice, _snf_data, kernel_basis,
-                             matrix_kernel, smith_normal_form, solve_matrix)
+                             matrix_kernel, smith_normal_form)
 
 small_entries = st.integers(min_value=-9, max_value=9)
 
@@ -60,10 +61,9 @@ def test_snf_2x2_example_against_exhaustive_unimodular_search():
 @settings(max_examples=120, deadline=None)
 @given(matrices())
 def test_snf_properties(m):
-    u, d, v, uinv, vinv = _snf_data(m)
+    u, d, v, uinv = _snf_data(m)
     assert u.mul(m).mul(v) == d
     assert u.mul(uinv) == IntMatrix.identity(m.rows)
-    assert v.mul(vinv) == IntMatrix.identity(m.cols)
     diag = [d.entries[i][i] for i in range(min(m.rows, m.cols))]
     for i in range(m.rows):
         for j in range(m.cols):
@@ -93,14 +93,14 @@ def test_kernel_rank_nullity_and_membership(m):
 def test_solve_hits_constructed_targets(m, x):
     x = (x + [0] * m.cols)[:m.cols]
     b = m.apply(x)
-    sol = solve_matrix(m, b)
+    sol = AbMap(FgAb(m.cols), FgAb(m.rows), m).solve(b)
     assert sol is not None
     assert m.apply(sol) == tuple(b)
 
 
 def test_solve_reports_unsolvable():
     m = IntMatrix([[2]])
-    assert solve_matrix(m, (1,)) is None
+    assert AbMap(FgAb(m.cols), FgAb(m.rows), m).solve((1,)) is None
 
 
 def test_kernel_basis_streaming_sparse_rows():
@@ -125,6 +125,37 @@ def test_lattice_membership_reduction_and_witnesses():
             for j in range(3):
                 rebuilt[j] += c * gens[k][j]
         assert tuple(rebuilt) == row
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(small_entries, min_size=n, max_size=n), max_size=6),
+    st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    st.lists(small_entries, min_size=n, max_size=n))))
+def test_witnesses_and_coords_over_random_generators(case):
+    n, gens, coeffs, other = case
+    lat = Lattice(n, witnesses=True)
+    for g in gens:
+        lat.add(g)
+
+    def combine(w):
+        return tuple(sum(c * gens[k][j] for k, c in w.items())
+                     for j in range(n))
+
+    basis = lat.basis()
+    for i, row in enumerate(basis):
+        assert combine(lat.basis_witness(i)) == row
+    v = combine(dict(enumerate(coeffs[:len(gens)])))
+    assert combine(lat.generator_coords(v)) == v
+    c = lat.coords(v)
+    assert len(c) == len(basis)
+    assert tuple(sum(q * row[j] for q, row in zip(c, basis))
+                 for j in range(n)) == v
+    # off the lattice both answers are None, exactly when reduce is not 0
+    off = any(lat.reduce(other))
+    assert (lat.coords(other) is None) == off
+    assert (lat.generator_coords(other) is None) == off
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +278,7 @@ def test_kernel_basis_spans_the_smith_kernel(case):
             assert sum(a * b for a, b in zip(row, col)) == 0
     # reference: the columns of V past the rank, from U m V = D
     m = IntMatrix(rows, cols=ncols)
-    _, d, v, _, _ = _snf_data(m)
+    _, d, v, _ = _snf_data(m)
     rank = sum(1 for i in range(min(m.rows, m.cols)) if d.entries[i][i])
     ref = [v.column(j) for j in range(rank, ncols)]
     assert len(ker) == ncols - rank
