@@ -352,6 +352,19 @@ class AbMap:
             return None
         return tuple(w.get(j, 0) for j in range(self.dom.n))
 
+    def lift(self, cols, error):
+        """The matrix whose column j is solve(cols[j]); raises error(j) for
+        the first column j outside the image."""
+        sols = []
+        for j, y in enumerate(cols):
+            x = self.solve(y)
+            if x is None:
+                raise error(j)
+            sols.append(x)
+        if not sols:
+            return IntMatrix._trusted(((),) * self.dom.n, 0)
+        return IntMatrix._trusted(tuple(zip(*sols)), len(sols))
+
     # -- kernel / image / cokernel ----------------------------------------
 
     def kernel_lattice_basis(self):
@@ -421,9 +434,10 @@ def subgroup_span(grp, elems):
 
 
 class Homology:
-    """Ker(d_out)/Im(d_in) at the middle of d_in: A -> B, d_out: B -> C."""
+    """Ker(d_out)/Im(d_in) at the middle of d_in: A -> B, d_out: B -> C;
+    `cycles` presents ker(d_out)."""
 
-    __slots__ = ("group", "_kgrp", "_incl", "_proj", "middle")
+    __slots__ = ("group", "cycles", "_incl", "middle")
 
     def __init__(self, d_in, d_out):
         if d_in.cod is not d_out.dom and d_in.cod.n != d_out.dom.n:
@@ -433,17 +447,12 @@ class Homology:
             raise NonComplex("d_out . d_in is nonzero")
         self.middle = d_out.dom
         kgrp, incl = d_out.kernel()
-        imgs = []
-        for v in d_in.mat.transpose().entries:
-            c = incl.solve(v)
-            if c is None:
-                raise NonComplex("image of d_in escapes the kernel")
-            imgs.append(c)
-        q, proj = ab_quotient(kgrp, imgs)
-        self.group = q
-        self._kgrp = kgrp
+        imgs = incl.lift(d_in.mat.transpose().entries,
+                         lambda j: NonComplex("image of d_in escapes the "
+                                              "kernel"))
+        self.group = FgAb(kgrp.n, kgrp.rel.hstack(imgs))
+        self.cycles = kgrp
         self._incl = incl
-        self._proj = proj
 
     def class_of(self, z):
         """Class of a cycle z (an element of the middle group)."""

@@ -319,17 +319,18 @@ class TateCohomology:
 def induced_map(calc_dom, calc_cod, f, i):
     """Map on degree-i cohomology induced by an equivariant map f."""
     def push(cls):
-        na_d = calc_dom.module.underlying.n
-        na_c = calc_cod.module.underlying.n
-        r = calc_dom.complex.rank(i)
-        out = [0] * (r * na_c)
-        for b in range(r):
-            chunk = cls.rep[b * na_d:(b + 1) * na_d]
-            img = f.apply(chunk)
-            for l, val in enumerate(img):
-                out[b * na_c + l] = val
-        return CohClass(calc_cod, i, out)
+        return CohClass(calc_cod, i, _apply_blockwise(
+            f.ab.mat, cls.rep, calc_dom.complex.rank(i)))
     return push
+
+
+def _apply_blockwise(mat, cochain, rank):
+    """Apply `mat` to each of the `rank` bar blocks of a cochain."""
+    width = mat.cols
+    out = []
+    for b in range(rank):
+        out.extend(mat.apply(cochain[b * width:(b + 1) * width]))
+    return out
 
 
 # -- short exact sequences and connecting homomorphisms ---------------------
@@ -355,9 +356,9 @@ class ExtensionData:
     def section_matrix(self):
         """A Z-linear section of B ->> C on generators (not equivariant)."""
         if self._section is None:
-            cols = [self.b_to_c.ab.solve(self.c.underlying.gen(j))
-                    for j in range(self.c.underlying.n)]
-            self._section = IntMatrix.from_columns(cols, self.b.underlying.n)
+            self._section = self.b_to_c.ab.lift(
+                IntMatrix.identity(self.c.underlying.n).entries,
+                lambda j: ValueError(f"generator {j} of C does not lift"))
         return self._section
 
 
@@ -374,32 +375,19 @@ def connecting_hom(complex_, ext, i, calc_c=None, calc_a=None,
     calc_a = calc_a or TateCohomology(complex_, ext.a)
     calc_b = calc_b or TateCohomology(complex_, ext.b)
     sec = section if section is not None else ext.section_matrix()
-    na_c = ext.c.underlying.n
     na_b = ext.b.underlying.n
-    na_a = ext.a.underlying.n
-    r_i = complex_.rank(i)
-    r_i1 = complex_.rank(i + 1)
 
     def delta(cls):
         if cls.degree != i:
             raise DegreeMismatch(f"class has degree {cls.degree}, need {i}")
-        lift = [0] * (r_i * na_b)
-        for b in range(r_i):
-            chunk = cls.rep[b * na_c:(b + 1) * na_c]
-            img = sec.apply(chunk)
-            for l, val in enumerate(img):
-                lift[b * na_b + l] = val
+        lift = _apply_blockwise(sec, cls.rep, complex_.rank(i))
         db = calc_b.differential(i).apply(lift)
-        out = [0] * (r_i1 * na_a)
-        for b in range(r_i1):
-            chunk = db[b * na_b:(b + 1) * na_b]
-            pre = ext.a_to_b.ab.solve(chunk)
-            if pre is None:
-                raise ValueError("differential of lift does not pull back; "
-                                 "input was not a cocycle")
-            for l, val in enumerate(pre):
-                out[b * na_a + l] = val
-        return CohClass(calc_a, i + 1, out)
+        pre = ext.a_to_b.ab.lift(
+            [db[b * na_b:(b + 1) * na_b] for b in range(complex_.rank(i + 1))],
+            lambda b: ValueError("differential of lift does not pull back; "
+                                 "input was not a cocycle"))
+        return CohClass(calc_a, i + 1,
+                        [v for col in pre.transpose().entries for v in col])
 
     return delta
 
@@ -505,13 +493,9 @@ def extension_to_cocycle(hom, ext, section=None):
         diff = IntMatrix([[a - b for a, b in zip(ra, rb)]
                           for ra, rb in zip(twisted.entries, sec.entries)],
                          cols=sec.cols)
-        cols = []
-        for j in range(diff.cols):
-            pre = ext.a_to_b.ab.solve(diff.column(j))
-            if pre is None:
-                raise ValueError("section difference does not land in A")
-            cols.append(pre)
-        fmat = IntMatrix.from_columns(cols, ext.a.underlying.n)
+        fmat = ext.a_to_b.ab.lift(
+            diff.transpose().entries,
+            lambda j: ValueError("section difference does not land in A"))
         vals.append(hom.from_matrix(fmat))
     return Cocycle1(hom.module, vals)
 

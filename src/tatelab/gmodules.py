@@ -10,7 +10,7 @@ and cokernels, fixed points and the norm.
 
 from __future__ import annotations
 
-from .abelian import AbMap, FgAb, ab_quotient
+from .abelian import AbMap, FgAb, Homology
 from .lattice import IntMatrix, Lattice
 
 
@@ -163,16 +163,9 @@ class GMap:
 
     def kernel(self):
         kgrp, incl = self.ab.kernel()
-        acts = []
-        for g in range(self.dom.group.order):
-            cols = []
-            for i in range(kgrp.n):
-                moved = self.dom.act(g, incl.apply(kgrp.gen(i)))
-                c = incl.solve(moved)
-                if c is None:
-                    raise NotEquivariant(i, g)
-                cols.append(c)
-            acts.append(IntMatrix.from_columns(cols, kgrp.n))
+        acts = [incl.lift(self.dom.action[g].mul(incl.mat).transpose().entries,
+                          lambda i, g=g: NotEquivariant(i, g))
+                for g in range(self.dom.group.order)]
         kmod = GModule(self.dom.group, kgrp, acts)
         return kmod, GMap(kmod, self.dom, incl, check=False)
 
@@ -478,57 +471,35 @@ def hom_and_tensor(cmod, amod):
 # -- fixed points, norm, direct low-degree cohomology -----------------------
 
 class FixedNormData:
-    __slots__ = ("fixed", "fixed_incl", "norm_image", "norm_incl",
-                 "h0", "_h0_solve", "h1_neg", "_h1_solve", "module")
+    """H^0 = M^G / N M and H^-1 = ker(N) / <(g-1)m> of a module, read
+    directly: M -N-> M -> M^|G| and M^|G| -> M -N-> M."""
+
+    __slots__ = ("module", "fixed", "h0", "h1_neg", "_h0", "_h1")
 
     def __init__(self, module):
         self.module = module
-        grp = module.group
-        ab = module.underlying
-        fgrp, fincl = module.coboundary_map().kernel()
-        self.fixed = fgrp
-        self.fixed_incl = fincl
-        nu = module.norm_map()
-        igrp, iincl, _ = nu.image()
-        self.norm_image = igrp
-        self.norm_incl = iincl
-        h0_gens = []
-        for j in range(ab.n):
-            c = fincl.solve(nu.apply(ab.gen(j)))
-            if c is None:
-                raise ValueError("norm image escapes the fixed points")
-            h0_gens.append(c)
-        self.h0, _ = ab_quotient(fgrp, h0_gens)
-        self._h0_solve = fincl
-        kgrp, kincl = nu.kernel()
-        dens = []
-        for g in range(grp.order):
-            for j in range(ab.n):
-                moved = ab.sub(module.act(g, ab.gen(j)), ab.gen(j))
-                c = kincl.solve(moved)
-                if c is None:
-                    raise ValueError("(g-1)m escapes the norm kernel")
-                dens.append(c)
-        self.h1_neg, _ = ab_quotient(kgrp, dens)
-        self._h1_solve = kincl
+        nu, cob = module.norm_map(), module.coboundary_map()
+        self._h0 = Homology(nu, cob)
+        # sum_g (g - 1): M^|G| -> M, columns (g - 1) e_j in (g, j) order
+        n = module.underlying.n
+        moved = IntMatrix._trusted(tuple(
+            tuple(a - (r == q) for m in module.action for q, a in
+                  enumerate(m.entries[r])) for r in range(n)), cob.cod.n)
+        self._h1 = Homology(AbMap(cob.cod, module.underlying, moved,
+                                  check=False), nu)
+        self.fixed = self._h0.cycles
+        self.h0, self.h1_neg = self._h0.group, self._h1.group
 
     def h0_class(self, x):
         """Class in M^G / N M of a fixed element x."""
-        c = self._h0_solve.solve(x)
-        if c is None:
-            raise ValueError("element is not G-fixed")
-        return self.h0.canon(c)
+        return self._h0.class_of(x)
 
     def h1_class(self, x):
         """Class in ker(N)/<(g-1)m> of a norm-killed element x."""
-        c = self._h1_solve.solve(x)
-        if c is None:
-            raise ValueError("element is not killed by the norm")
-        return self.h1_neg.canon(c)
+        return self._h1.class_of(x)
 
     def h1_rep(self, cls):
-        return self.module.underlying.reduce_rep(
-            self._h1_solve.apply(self.h1_neg.from_canon(cls)))
+        return self._h1.rep_of(cls)
 
 
 def fixed_and_norm(module):

@@ -12,7 +12,9 @@ indices are 0-based; a schema_version field is mandatory.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from math import prod
 
 from .abelian import FgAb
 from .cft import AuxPlace, Instance, PlaceData
@@ -91,13 +93,22 @@ def instance_from_dict(data):
         if len(kappa_gens) != n:
             raise InstanceSchemaError("kappa must list one image per "
                                       "class-module generator")
+        if prod(invf) > gs.order:
+            raise InstanceSchemaError(
+                f"class module of order {prod(invf)} exceeds the extension "
+                f"group of order {gs.order}; kappa cannot be injective")
+        # kappa on every element from per-generator power tables
+        powers = []
+        for i in ab._canon_idx:
+            row = [gs.identity]
+            for _ in range(invf[i] - 1):
+                row.append(gs.mul(row[-1], kappa_gens[i]))
+            powers.append(row)
         kappa = {}
-        for c in ab.elements():
-            canon = ab.canon(c)
+        for canon in itertools.product(*(range(len(r)) for r in powers)):
             img = gs.identity
-            for i, e in enumerate(canon):
-                for _ in range(e):
-                    img = gs.mul(img, kappa_gens[i])
+            for row, e in zip(powers, canon):
+                img = gs.mul(img, row[e])
             kappa[canon] = img
         places = []
         iota = {}

@@ -89,20 +89,15 @@ def build_wrb(inst, xy):
     w, w_injs, w_projs = direct_sum(w_parts)
 
     # W -> aug ideal: inclusion on ideal parts, zero on split aux parts
-    cols = []
+    vecs = []
     for part, (kind, pid, ideal, _) in zip(w_parts, w_blocks):
-        for j in range(part.underlying.n):
-            if kind == "place":
-                vec = ideal.incl.ab.mat.column(j)
-                pre = aug_incl.ab.solve(vec)
-                if pre is None:
-                    raise ValueError("ideal does not sit inside the "
-                                     "augmentation ideal")
-                cols.append(pre)
-            else:
-                cols.append((0,) * aug_mod.underlying.n)
-    w_to_aug = GMap(w, aug_mod,
-                    IntMatrix.from_columns(cols, aug_mod.underlying.n))
+        if kind == "place":
+            vecs.extend(ideal.incl.ab.mat.transpose().entries)
+        else:
+            vecs.extend([(0,) * grp.order] * part.underlying.n)
+    w_to_aug = GMap(w, aug_mod, aug_incl.ab.lift(
+        vecs, lambda j: ValueError("ideal does not sit inside the "
+                                   "augmentation ideal")))
 
     r, r_incl = w_to_aug.kernel()
 
@@ -135,14 +130,9 @@ def build_wrb(inst, xy):
     w_to_big = GMap(w, big, IntMatrix.from_columns(cols, big.underlying.n))
 
     # R -> B through the inclusions
-    cols = []
-    for j in range(r.underlying.n):
-        vec = w_to_big.apply(r_incl.apply(r.underlying.gen(j)))
-        pre = b_incl.ab.solve(vec)
-        if pre is None:
-            raise ValueError("R does not land in B")
-        cols.append(pre)
-    r_to_b = GMap(r, b, IntMatrix.from_columns(cols, b.underlying.n))
+    r_to_b = GMap(r, b, b_incl.ab.lift(
+        w_to_big.ab.mat.mul(r_incl.ab.mat).transpose().entries,
+        lambda j: ValueError("R does not land in B")))
 
     # B -> X through big -> Y
     ycols = []
@@ -155,14 +145,9 @@ def build_wrb(inst, xy):
             ycols.append(col)
     big_to_y = GMap(big, xy.y, IntMatrix.from_columns(ycols,
                                                       xy.y.underlying.n))
-    cols = []
-    for j in range(b.underlying.n):
-        vec = big_to_y.apply(b_incl.apply(b.underlying.gen(j)))
-        pre = xy.x_incl.ab.solve(vec)
-        if pre is None:
-            raise ValueError("B does not map into X")
-        cols.append(pre)
-    b_to_x = GMap(b, xy.x, IntMatrix.from_columns(cols, xy.x.underlying.n))
+    b_to_x = GMap(b, xy.x, xy.x_incl.ab.lift(
+        big_to_y.ab.mat.mul(b_incl.ab.mat).transpose().entries,
+        lambda j: ValueError("B does not map into X")))
 
     return WRBData(w=w, r=r, b=b, x=xy.x, w_blocks=w_blocks,
                    b_blocks=b_blocks, w_to_aug=w_to_aug, r_incl=r_incl,
@@ -360,16 +345,10 @@ def build_snake(inst, wrb, sh):
     w_to_h = GMap(wrb.w, sh.module,
                   IntMatrix.from_columns(cols, ab_h.n))
 
-    scols = []
-    for j in range(wrb.r.underlying.n):
-        img = w_to_h.apply(wrb.r_incl.apply(wrb.r.underlying.gen(j)))
-        pre = sh.e.ab.solve(img)
-        if pre is None:
-            raise ImageEscapesCl(f"snake image escapes the class module "
-                                 f"at R generator {j}")
-        scols.append(pre)
-    s = GMap(wrb.r, inst.cl,
-             IntMatrix.from_columns(scols, inst.cl.underlying.n))
+    s = GMap(wrb.r, inst.cl, sh.e.ab.lift(
+        w_to_h.ab.mat.mul(wrb.r_incl.ab.mat).transpose().entries,
+        lambda j: ImageEscapesCl(f"snake image escapes the class module "
+                                 f"at R generator {j}")))
     return SnakeData(s, w_to_h, wrb, sh)
 
 
@@ -478,37 +457,18 @@ def build_nabla(inst, wrb, snake):
     whose class is the extension class."""
     grp = inst.group
     cl = inst.cl
-    b = wrb.b
-    na, nb = cl.underlying.n, b.underlying.n
-    rel_cols = []
-    for j in range(cl.underlying.rel.cols):
-        rel_cols.append(list(cl.underlying.rel.column(j)) + [0] * nb)
-    for j in range(b.underlying.rel.cols):
-        rel_cols.append([0] * na + list(b.underlying.rel.column(j)))
-    for j in range(wrb.r.underlying.n):
-        sval = snake.s.apply(wrb.r.underlying.gen(j))
-        bval = wrb.r_to_b.apply(wrb.r.underlying.gen(j))
-        rel_cols.append(list(sval) + [-x for x in bval])
-    ab = FgAb(na + nb, IntMatrix.from_columns(rel_cols, na + nb))
-    acts = []
-    for g in range(grp.order):
-        rows = []
-        for r in range(na):
-            rows.append(list(cl.action[g].entries[r]) + [0] * nb)
-        for r in range(nb):
-            rows.append([0] * na + list(b.action[g].entries[r]))
-        acts.append(IntMatrix(rows, cols=na + nb))
-    nabla = GModule(grp, ab, acts)
-    cl_to_nabla = GMap(cl, nabla, IntMatrix.from_columns(
-        [tuple(1 if i == j else 0 for i in range(na + nb))
-         for j in range(na)], na + nb))
-    t = GMap(b, nabla, IntMatrix.from_columns(
-        [tuple(1 if i == na + j else 0 for i in range(na + nb))
-         for j in range(nb)], na + nb))
-    xcols = [(0,) * wrb.x.underlying.n] * na + \
-        [wrb.b_to_x.ab.mat.column(j) for j in range(nb)]
-    nabla_to_x = GMap(nabla, wrb.x,
-                      IntMatrix.from_columns(xcols, wrb.x.underlying.n))
+    total, (cl_inj, b_inj), (_, b_proj) = direct_sum([cl, wrb.b])
+    # (s(r), -r) for each generator r of R
+    glue = IntMatrix._trusted(
+        snake.s.ab.mat.entries
+        + tuple(tuple(-x for x in row) for row in wrb.r_to_b.ab.mat.entries),
+        wrb.r.underlying.n)
+    ab = FgAb(total.underlying.n, IntMatrix.block_diagonal(
+        [cl.underlying.rel, wrb.b.underlying.rel]).hstack(glue))
+    nabla = GModule(grp, ab, total.action)
+    cl_to_nabla = GMap(cl, nabla, cl_inj.ab.mat)
+    t = GMap(wrb.b, nabla, b_inj.ab.mat)
+    nabla_to_x = GMap(nabla, wrb.x, wrb.b_to_x.ab.mat.mul(b_proj.ab.mat))
     ext = ExtensionData(cl_to_nabla, nabla_to_x)
 
     hom = HomModule(wrb.x, cl)
@@ -517,7 +477,7 @@ def build_nabla(inst, wrb, snake):
         cols = []
         for (pid, tau) in wrb.xy.x_basis:
             cols.append(snake.s.apply(r_element(inst, wrb, pid, sigma, tau)))
-        fmat = IntMatrix.from_columns(cols, na)
+        fmat = IntMatrix.from_columns(cols, cl.underlying.n)
         vals.append(hom.from_matrix(fmat))
     g_cocycle = Cocycle1(hom.module, vals)
     return NablaData(module=nabla, cl_to_nabla=cl_to_nabla,
@@ -919,11 +879,12 @@ def _same_kernels(fgrp, fincl, to_cl, cdc, h1_mod, h1_proj, nm):
 
 def _short_exact_dkc(ab, cdc, ker_nm, ker_nm_incl):
     """0 -> D -> ker(Nm) -> Cbar -> 0 with the class map in the middle."""
-    # D sits inside ker(Nm)
-    knm_lat = ker_nm_incl.image_lattice()
-    for j in range(cdc.d.n):
-        if not knm_lat.contains(cdc.d_incl.apply(cdc.d.gen(j))):
-            return False, "D not inside ker(Nm)"
+    # D sits inside ker(Nm): every generator of D lifts
+    try:
+        d_in_knm = ker_nm_incl.lift(cdc.d_incl.mat.transpose().entries,
+                                    lambda j: ValueError(j))
+    except ValueError:
+        return False, "D not inside ker(Nm)"
     # the class map ker(Nm) -> H^-1 has image Cbar and kernel D
     cols = []
     for j in range(ker_nm.n):
@@ -934,10 +895,6 @@ def _short_exact_dkc(ab, cdc, ker_nm, ker_nm_incl):
     if not _same_subgroup(cdc.h1, img, img_incl, cdc.cbar, cdc.cbar_incl):
         return False, {"image": img.order(), "cbar": cdc.cbar.order()}
     kerc, kerc_incl = to_h1.kernel()
-    d_in_knm_gens = []
-    for j in range(cdc.d.n):
-        pre = ker_nm_incl.solve(cdc.d_incl.apply(cdc.d.gen(j)))
-        d_in_knm_gens.append(pre)
-    d_in, d_in_incl = subgroup_span(ker_nm, d_in_knm_gens)
+    d_in, d_in_incl = subgroup_span(ker_nm, d_in_knm.transpose().entries)
     ok = _same_subgroup(ker_nm, kerc, kerc_incl, d_in, d_in_incl)
     return ok, {"kernel": kerc.order(), "d": d_in.order()}

@@ -240,3 +240,43 @@ def test_solve_agrees_with_image_membership(f, data):
         assert (x is None) == (not f.in_image(y)) == (not q.is_zero(y))
         if x is not None:
             assert cod.eq(f.apply(x), y)
+
+
+class _Escaped(Exception):
+    def __init__(self, j):
+        super().__init__(j)
+        self.j = j
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_into_torsion(), st.data())
+def test_lift_is_solve_column_by_column(f, data):
+    def vec(n):
+        return st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple)
+
+    # image elements mixed with arbitrary targets, possibly none at all
+    cols = data.draw(st.lists(st.one_of(vec(f.dom.n).map(f.apply),
+                                        vec(f.cod.n)), max_size=5))
+    sols = [f.solve(y) for y in cols]
+    if None in sols:
+        with pytest.raises(_Escaped) as err:
+            f.lift(cols, _Escaped)
+        assert err.value.j == sols.index(None)
+    else:
+        m = f.lift(cols, _Escaped)
+        assert m.shape == (f.dom.n, len(cols))
+        assert m == IntMatrix.from_columns(sols, f.dom.n)
+
+
+def test_lift_edge_shapes():
+    z3 = diag_group(3)
+    f = AbMap(FgAb(0), z3, IntMatrix([[]], cols=0))
+    assert f.lift([], _Escaped).shape == (0, 0)
+    assert f.lift([(0,), (3,)], _Escaped).shape == (0, 2)
+    with pytest.raises(_Escaped) as err:
+        f.lift([(3,), (1,)], _Escaped)
+    assert err.value.j == 1
+    g = AbMap(FgAb(2), z3, IntMatrix([[1, 1]]))  # not injective
+    assert g.lift([], _Escaped).shape == (2, 0)
+    m = g.lift([(1,), (5,)], _Escaped)
+    assert [z3.canon(g.apply(m.column(j))) for j in range(2)] == [(1,), (2,)]

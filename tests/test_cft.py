@@ -143,6 +143,39 @@ def test_instance_io_roundtrip(tmp_path):
         assert instance_digest(back) == instance_digest(inst)
 
 
+def test_loaded_kappa_is_the_product_of_generator_powers():
+    # the loader's power tables give the dict the generator-by-generator
+    # multiplication gives, in the class module's element order
+    for inst in (i2_twist(), quadratic_sqrt34(), synth_instance("C4", 0),
+                 synth_instance("V4", 1), synth_instance("S3", 0)):
+        d = instance_to_dict(inst)
+        back = instance_from_dict(d)
+        ab, gs = back.cl.underlying, back.gs
+        ref = {}
+        for c in ab.elements():
+            canon = ab.canon(c)
+            img = gs.identity
+            for i, e in enumerate(canon):
+                for _ in range(e):
+                    img = gs.mul(img, d["kappa"][i])
+            ref[canon] = img
+        assert list(back.kappa.items()) == list(ref.items())
+
+
+def test_loader_reads_kappa_by_generator_index():
+    # a generator of order 1 takes no canonical coordinate; the next
+    # generator's kappa image must still be read from its own slot
+    d = instance_to_dict(i2_twist())
+    d["cl"]["invariant_factors"] = [1, 2]
+    d["cl"]["action"] = [[[1, 0], [0, m[0][0]]] for m in d["cl"]["action"]]
+    d["kappa"] = [0] + d["kappa"]
+    for q in d["aux_places"]:
+        q["frobenius_class"] = [0] + q["frobenius_class"]
+    inst = instance_from_dict(d)
+    assert inst.kappa == {(0,): inst.gs.identity, (1,): d["kappa"][1]}
+    assert validate_instance(inst).clean
+
+
 def test_instance_io_errors(tmp_path):
     with pytest.raises(InstanceSchemaError):
         load_instance(str(tmp_path / "missing.json"))
@@ -161,6 +194,11 @@ def test_instance_io_errors(tmp_path):
     d = instance_to_dict(i2_twist())
     d["kappa"] = [0, 0]
     with pytest.raises(InstanceSchemaError):
+        instance_from_dict(d)
+    # |Cl| > |GS|: kappa cannot be injective, rejected before enumeration
+    d = instance_to_dict(i2_twist())
+    d["cl"]["invariant_factors"] = [10 ** 6]
+    with pytest.raises(InstanceSchemaError, match="cannot be injective"):
         instance_from_dict(d)
 
 

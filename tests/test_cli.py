@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from importlib.resources import files
 
 import pytest
@@ -150,6 +151,37 @@ def test_fixture_report_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         SQRT34_FIXTURE_SHA256
+
+
+# sha256 of `analyze` on the two worked instances; W/R/B, the snake map
+# and nabla all feed these reports
+WORKED_INSTANCE_SHA256 = {
+    "i2_twist.json": ("262da1fd83fdba49458ca3b50d12cc9f"
+                      "9a5364efef08a55433dad1c90f2de79a"),
+    "i2_plain.json": ("a7446ac52a510d2c48826f593ce35e53"
+                      "603abf337cf6976ddc684d97c905200c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKED_INSTANCE_SHA256))
+def test_worked_instance_report_bytes_are_pinned(name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["analyze", data(name), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        WORKED_INSTANCE_SHA256[name]
+
+
+def test_oversized_class_module_is_rejected_quickly(tmp_path, capsys):
+    d = json.loads((files("tatelab") / "data" / "i2_twist.json").read_text())
+    d["cl"]["invariant_factors"] = [10 ** 6]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(d))
+    start = time.perf_counter()
+    assert main(["validate", str(big)]) == 2
+    assert main(["analyze", str(big)]) == 2
+    assert time.perf_counter() - start < 5
+    assert "kappa cannot be injective" in capsys.readouterr().err
 
 
 def test_report_round_trip_and_text(tmp_path):

@@ -87,7 +87,7 @@ def test_acyclicity_small():
 
 def test_direct_formula_agreement_random_modules():
     rng = random.Random(11)
-    for name in ["C2", "C3", "V4"]:
+    for name in ["C2", "C3", "V4", "S3"]:
         g = named_group(name)
         cx = TateComplex(g, (-2, 1))
         reg = regular_module(g)
@@ -109,6 +109,18 @@ def test_direct_formula_agreement_random_modules():
             for e in list(fn.h1_neg.elements())[:6]:
                 rep = fn.h1_rep(fn.h1_neg.canon(e))
                 assert (not any(h.class_of(rep))) == fn.h1_neg.is_zero(e)
+            # class-level agreement at 0: c -> h0_class(rep of c) is an
+            # additive bijection from the resolution's H^0 onto M^G / N M
+            h0, d0 = calc.group(0), fn.h0
+            phi = {c: fn.h0_class(calc.rep_of(0, c))
+                   for c in map(h0.canon, h0.elements())}
+            assert sorted(phi.values()) == sorted(map(d0.canon,
+                                                      d0.elements()))
+            for a in phi:
+                for b in phi:
+                    ab = h0.canon(h0.add(h0.from_canon(a), h0.from_canon(b)))
+                    assert phi[ab] == d0.canon(d0.add(d0.from_canon(phi[a]),
+                                                      d0.from_canon(phi[b])))
 
 
 def test_induced_modules_vanish():
