@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from math import gcd, prod
 
-from .lattice import IntMatrix, Lattice, _snf_data, kernel_basis
+from .lattice import (IntMatrix, Lattice, _kernel_columns, _snf_data,
+                      _span_basis)
 
 
 class NonComplex(Exception):
@@ -66,10 +67,8 @@ class FgAb:
             raise ValueError(f"relation matrix has {rel.rows} rows, expected {n}")
         if rel.cols > max(n, 32):
             # large redundant relation sets: keep a lattice basis instead
-            lat = Lattice(n)
-            for col in rel.transpose().entries:
-                lat.add(col)
-            rel = IntMatrix.from_columns(lat.basis(), n)
+            rel = IntMatrix._from_sparse_columns(
+                _span_basis(rel.sparse_columns(), n), n)
         self.n = n
         self.rel = rel
         self._rel_lat = None
@@ -236,18 +235,14 @@ class FgAb:
     def smith_gens(self):
         """Independent generators (one per canonical coordinate); generator
         i has order mods[i] (0 = infinite)."""
-        out = []
-        k = len(self._canon_idx)
-        for i in range(k):
-            out.append(self.from_canon(tuple(1 if j == i else 0
-                                             for j in range(k))))
-        return out
+        return [self.from_canon(e) for e in
+                IntMatrix.identity(len(self._canon_idx)).entries]
 
     def rel_lattice(self):
         if self._rel_lat is None:
             lat = Lattice(self.n)
-            for col in self.rel.transpose().entries:
-                lat.add(col)
+            for col in self.rel.sparse_columns():
+                lat._add(col)
             self._rel_lat = lat
         return self._rel_lat
 
@@ -322,10 +317,6 @@ class AbMap:
     def __hash__(self):
         raise TypeError("AbMap is unhashable")
 
-    def is_zero_map(self):
-        return all(self.cod.is_zero(col)
-                   for col in self.mat.transpose().entries)
-
     # -- image membership and solving --------------------------------------
 
     def image_lattice(self):
@@ -335,10 +326,10 @@ class AbMap:
         are coordinates of a preimage."""
         if self._img_lat is None:
             lat = Lattice(self.cod.n, witnesses=True)
-            for col in self.mat.transpose().entries:
-                lat.add(col)
-            for col in self.cod.rel.transpose().entries:
-                lat.add(col)
+            for col in self.mat.sparse_columns():
+                lat._add(col)
+            for col in self.cod.rel.sparse_columns():
+                lat._add(col)
             self._img_lat = lat
         return self._img_lat
 
@@ -361,37 +352,34 @@ class AbMap:
             if x is None:
                 raise error(j)
             sols.append(x)
-        if not sols:
-            return IntMatrix._trusted(((),) * self.dom.n, 0)
-        return IntMatrix._trusted(tuple(zip(*sols)), len(sols))
+        return IntMatrix._trusted_columns(sols, self.dom.n)
 
     # -- kernel / image / cokernel ----------------------------------------
 
     def kernel_lattice_basis(self):
-        """Basis of {x in Z^dom.n : f(x) = 0 in cod} as a lattice."""
+        """Basis of {x in Z^dom.n : f(x) = 0 in cod} as a lattice: the
+        kernel of [mat | cod.rel], cut to its first dom.n coordinates."""
+        n = self.dom.n
         aug = self.mat.hstack(self.cod.rel)
-        cols = kernel_basis(aug.entries, aug.cols)
-        lat = Lattice(self.dom.n)
-        for col in cols:
-            lat.add(col[:self.dom.n])
+        lat = Lattice(n)
+        for col in _kernel_columns(aug.sparse_rows(), aug.cols):
+            lat._add({i: x for i, x in col.items() if i < n})
         return lat
 
     def kernel(self):
         """(K, incl) with incl an injective map K -> dom whose image is
         the kernel subgroup."""
         lat = self.kernel_lattice_basis()
-        basis = lat.basis()
-        k = len(basis)
-        incl_mat = IntMatrix.from_columns(basis, self.dom.n)
-        rel_cols = [lat.coords(col)
-                    for col in self.dom.rel.transpose().entries]
-        kgrp = FgAb(k, IntMatrix.from_columns(rel_cols, k))
+        k = len(lat)
+        incl_mat = IntMatrix._trusted_columns(lat.basis(), self.dom.n)
+        kgrp = FgAb(k, IntMatrix._from_sparse_columns(
+            _relation_coords(lat, self.dom), k))
         return kgrp, AbMap(kgrp, self.dom, incl_mat, check=False)
 
     def image(self):
         """(I, incl, proj): dom ->> I >-> cod factoring f."""
         lat = self.kernel_lattice_basis()
-        rel = IntMatrix.from_columns(lat.basis(), self.dom.n)
+        rel = IntMatrix._trusted_columns(lat.basis(), self.dom.n)
         igrp = FgAb(self.dom.n, rel)
         incl = AbMap(igrp, self.cod, self.mat, check=False)
         proj = AbMap(self.dom, igrp, IntMatrix.identity(self.dom.n), check=False)
@@ -433,30 +421,69 @@ def subgroup_span(grp, elems):
     return sgrp, incl
 
 
-class Homology:
-    """Ker(d_out)/Im(d_in) at the middle of d_in: A -> B, d_out: B -> C;
-    `cycles` presents ker(d_out)."""
+def _reduced(cols, n):
+    """The sparse relation columns as FgAb(n, .) keeps them: as they are,
+    or their lattice basis when there are more than max(n, 32)."""
+    return _span_basis(cols, n) if len(cols) > max(n, 32) else cols
 
-    __slots__ = ("group", "cycles", "_incl", "middle")
+
+def _relation_coords(lat, grp):
+    """grp's relation columns over the basis rows of lat (a lattice in
+    Z^grp.n holding them), as sparse dicts."""
+    out = []
+    for col in grp.rel.sparse_columns():
+        c = lat._walk(col)
+        if c is None:
+            raise ValueError("a relation of the domain leaves the kernel")
+        out.append(c)
+    return out
+
+
+class Homology:
+    """Ker(d_out)/Im(d_in) at the middle of d_in: A -> B, d_out: B -> C.
+
+    One kernel lattice L of d_out carries everything.  The middle
+    relations and the d_in columns are written over L's basis rows by its
+    pivot walk, and H is presented on those coordinates by one FgAb.  A
+    d_in column y walks through L iff d_out(y) lies in the span of C's
+    relations, i.e. iff d_out(y) = 0 in C, so the walk also decides that
+    d_out . d_in = 0, column by column.  `cycles` presents ker(d_out) on
+    the same coordinates; it is built when first read.
+    """
+
+    __slots__ = ("group", "middle", "_lat", "_rels", "_cycles")
 
     def __init__(self, d_in, d_out):
         if d_in.cod is not d_out.dom and d_in.cod.n != d_out.dom.n:
             raise ValueError("maps are not composable")
-        comp = d_out.compose(d_in)
-        if not comp.is_zero_map():
-            raise NonComplex("d_out . d_in is nonzero")
         self.middle = d_out.dom
-        kgrp, incl = d_out.kernel()
-        imgs = incl.lift(d_in.mat.transpose().entries,
-                         lambda j: NonComplex("image of d_in escapes the "
-                                              "kernel"))
-        self.group = FgAb(kgrp.n, kgrp.rel.hstack(imgs))
-        self.cycles = kgrp
-        self._incl = incl
+        lat = self._lat = d_out.kernel_lattice_basis()
+        k = len(lat)
+        # relation sets are lattice-reduced where FgAb(k, .) would reduce
+        # them, so both presentations are FgAb's own, column for column
+        self._rels = _reduced(_relation_coords(lat, self.middle), k)
+        self._cycles = None
+        cols = [dict(c) for c in self._rels]
+        for j, col in enumerate(d_in.mat.sparse_columns()):
+            c = lat._walk(col)
+            if c is None:
+                raise NonComplex(f"d_out . d_in is nonzero on generator {j}")
+            cols.append(c)
+        self.group = FgAb(k, IntMatrix._from_sparse_columns(_reduced(cols, k),
+                                                            k))
+
+    @property
+    def cycles(self):
+        """ker(d_out), presented on the basis rows of the kernel lattice."""
+        if self._cycles is None:
+            k = len(self._lat)
+            self._cycles = FgAb(k, IntMatrix._from_sparse_columns(self._rels,
+                                                                  k))
+        return self._cycles
 
     def class_of(self, z):
         """Class of a cycle z (an element of the middle group)."""
-        c = self._incl.solve(z)
+        c = self._lat.coords(z)
         if c is None:
             raise ValueError("element is not a cycle")
         return self.group.canon(c)
@@ -464,5 +491,4 @@ class Homology:
     def rep_of(self, cls_canon):
         """A deterministic representative cycle of a class."""
         c = self.group.from_canon(cls_canon)
-        return self.middle.reduce_rep(self._incl.apply(c))
-
+        return self.middle.reduce_rep(self._lat.combine(c))

@@ -268,18 +268,23 @@ def run_analysis(inst, checks=None, window=DEFAULT_WINDOW, fixture=None,
     records = []
     for cid, keep in zip(selected, still_read):
         anchor, fn = CHECKS[cid]
-        t0 = time.monotonic()
+        # the clock starts after the fetch: an artifact's build is charged
+        # to no check, and a check whose artifact failed to build ran 0 ms
+        t0 = None
         try:
-            ok, witness = fn(*[ctx.get(a) for a in CHECK_READS[cid]])
+            args = [ctx.get(a) for a in CHECK_READS[cid]]
+            t0 = time.monotonic()
+            ok, witness = fn(*args)
         except Exception as exc:  # surfaced as a failed check with witness
             ok, witness = False, f"{type(exc).__name__}: {exc}"
+        wall_ms = 0 if t0 is None else int((time.monotonic() - t0) * 1000)
         ctx.keep_only(keep)
         records.append({
             "id": cid,
             "anchor": anchor,
             "ok": bool(ok),
             "witness": witness,
-            "wall_ms": int((time.monotonic() - t0) * 1000),
+            "wall_ms": wall_ms,
         })
     records.sort(key=lambda r: r["id"])
     return records

@@ -90,8 +90,8 @@ class Instance:
         class of the k-th auxiliary place."""
         ab = self.cl.underlying
         cols = [q.frobenius for q in self.aux_places]
-        return AbMap(FgAb(len(cols)), ab, IntMatrix.from_columns(cols, ab.n),
-                     check=False)
+        return AbMap(FgAb(len(cols)), ab,
+                     IntMatrix._trusted_columns(cols, ab.n), check=False)
 
     def frobenius_sum(self, coeffs):
         """sum a_q Frob_q in Cl, for coeffs {auxiliary place id: a_q}."""
@@ -251,7 +251,7 @@ def norm_model(inst):
     for gen in ab.gens():
         # generators may be torsion; map via kappa on canonical form
         cols.append(gs_to_q(inst.kappa[ab.canon(gen)]))
-    nm = AbMap(ab, q, IntMatrix.from_columns(cols, q.n))
+    nm = AbMap(ab, q, IntMatrix._trusted_columns(cols, q.n))
     q_module = trivial_module(inst.group, q)
     nm_gmap = GMap(inst.cl, q_module, nm)
     class_in_q = {aux.id: nm.apply(aux.frobenius) for aux in inst.aux_places}
@@ -314,7 +314,7 @@ def xy_modules(inst):
             col = [0] * k
             col[x_index[(pid, rho[grp.mul(g, tau)])]] = 1
             cols.append(col)
-        acts.append(IntMatrix.from_columns(cols, k))
+        acts.append(IntMatrix._trusted_columns(cols, k))
     x = GModule(grp, FgAb(k), acts)
     p0_coord = y_index[(p0.id, grp.identity)]
     cols = []
@@ -323,7 +323,7 @@ def xy_modules(inst):
         col[y_index[(pid, tau)]] = 1
         col[p0_coord] -= 1
         cols.append(col)
-    x_incl = GMap(x, y, IntMatrix.from_columns(cols, y.underlying.n))
+    x_incl = GMap(x, y, IntMatrix._trusted_columns(cols, y.underlying.n))
     return XYData(y, x, aug, x_incl, y_index, x_index, x_basis, injs, projs)
 
 

@@ -158,6 +158,10 @@ def cmd_selftest(args):
               f"{workers_text!r}", file=sys.stderr)
         return EXIT_ERROR
     groups = [g for g in args.groups.split(",") if g]
+    if not groups:
+        print(f"error: --groups {args.groups!r} names no group, so the "
+              "campaign would check nothing", file=sys.stderr)
+        return EXIT_ERROR
     for g in groups:
         if g not in GROUP_CATALOG:
             print(f"error: unknown group {g!r}", file=sys.stderr)

@@ -26,7 +26,7 @@ import itertools
 from .abelian import AbMap, FgAb, Homology
 from .gmodules import GMap, GModule, HomModule, TensorModule, standard_modules
 from .groups import abelianization, subgroup_as_group
-from .lattice import IntMatrix, Lattice, kernel_basis
+from .lattice import IntMatrix
 
 
 class WindowTooLarge(Exception):
@@ -194,43 +194,8 @@ class TateComplex:
         return AbMap(dom, cod, IntMatrix._trusted(tuple(map(tuple, rows)),
                                                   dom.n), check=False)
 
-    def sparse_blockified_columns(self, module, i):
-        """Columns of the specialized differential as sparse dicts (for
-        free coefficient modules and the acyclicity fast path)."""
-        na = module.underlying.n
-        ncols = self.rank(i) * na
-        cols = [dict() for _ in range(ncols)]
-        for s_idx, col in self.ring_differential(i).items():
-            for t_idx, zg in col.items():
-                for g, c in zg.items():
-                    act = module.action[g].entries
-                    for r in range(na):
-                        ar = act[r]
-                        for q in range(na):
-                            if ar[q]:
-                                d = cols[s_idx * na + q]
-                                key = t_idx * na + r
-                                d[key] = d.get(key, 0) + c * ar[q]
-        return cols, self.rank(i + 1) * na
-
     def acyclic_at(self, module, i):
-        """True iff the specialized complex is exact at degree i.  Fast
-        lattice path for relation-free modules, generic homology
-        otherwise."""
-        self._check_degree(i, public=True)
-        if module.underlying.rel.cols == 0:
-            out_cols, _ = self.sparse_blockified_columns(module, i)
-            nmid = self.rank(i) * module.underlying.n
-            rows = {}
-            for j, col in enumerate(out_cols):
-                for r, val in col.items():
-                    rows.setdefault(r, {})[j] = val
-            kern = kernel_basis(iter(rows.values()), nmid)
-            in_cols, _ = self.sparse_blockified_columns(module, i - 1)
-            lat = Lattice(nmid)
-            for col in in_cols:
-                lat.add(col)
-            return all(lat.contains(k) for k in kern)
+        """True iff the specialized complex is exact at degree i."""
         return TateCohomology(self, module).group(i).is_trivial()
 
 
@@ -460,21 +425,14 @@ def cocycle_to_extension(hom, f):
     for g in range(grp.order):
         fmat = hom.to_matrix(f.values[g])
         fg = fmat.mul(cmod.action[g])
-        rows = []
-        for r in range(na):
-            rows.append(list(amod.action[g].entries[r]) + list(fg.entries[r]))
-        for r in range(nc):
-            rows.append([0] * na + list(cmod.action[g].entries[r]))
-        acts.append(IntMatrix(rows, cols=na + nc))
+        rows = [ra + rf for ra, rf in zip(amod.action[g].entries, fg.entries)]
+        rows += [(0,) * na + rc for rc in cmod.action[g].entries]
+        acts.append(IntMatrix._trusted(tuple(rows), na + nc))
     bmod = GModule(grp, ab, acts)
-    incl = GMap(amod, bmod,
-                IntMatrix.from_columns([tuple(1 if i == j else 0
-                                              for i in range(na + nc))
-                                        for j in range(na)], na + nc))
-    proj = GMap(bmod, cmod,
-                IntMatrix([[1 if j == na + i else 0 for j in range(na + nc)]
-                           for i in range(nc)], cols=na + nc))
-    return ExtensionData(incl, proj)
+    ident = IntMatrix.identity(na + nc).entries
+    proj = IntMatrix._trusted(ident[na:], na + nc)
+    incl = IntMatrix._trusted(ident[:na], na + nc).transpose()
+    return ExtensionData(GMap(amod, bmod, incl), GMap(bmod, cmod, proj))
 
 
 def extension_to_cocycle(hom, ext, section=None):
@@ -521,8 +479,8 @@ def shapiro_hminus2(complex_, group, sub):
         rep[b_idx * na + trivial_coset] = 1
         cols.append(h.class_of(tuple(rep)))
     # columns are canonical coordinates in the homology group
-    mat = IntMatrix.from_columns([h.group.from_canon(c) for c in cols],
-                                 h.group.n)
+    mat = IntMatrix._trusted_columns([h.group.from_canon(c) for c in cols],
+                                     h.group.n)
     iso = AbMap(hab, h.group, mat)
     return iso, hab, calc, induced
 
@@ -549,7 +507,7 @@ def _aug_sequence(group, module, std=None):
                     col[i * na + l] = v
             cols.append(col)
     left = GMap(t_aug.module, t_reg.module,
-                IntMatrix.from_columns(cols, reg.underlying.n * na))
+                IntMatrix._trusted_columns(cols, reg.underlying.n * na))
     # augmentation (x) id
     rows = []
     for l in range(na):
@@ -615,7 +573,7 @@ def cup_with_h1(complex_, xi, z, calc_c=None):
         cols.append(h_t3.group.from_canon(delta2(
             CohClass(calc_ca, -1, rep)).canon))
     dmat = AbMap(h_ca.group, h_t3.group,
-                 IntMatrix.from_columns(cols, h_t3.group.n), check=False)
+                 IntMatrix._trusted_columns(cols, h_t3.group.n), check=False)
     target = h_t3.group.from_canon(CohClass(calc_t3, 0, v).canon)
     sol = dmat.solve(target)
     if sol is None:
@@ -642,7 +600,7 @@ def build_ext1_data(complex_, group, amod, std=None):
                           for r in range(na)], cols=reg.underlying.n)
         cols.append(hom_reg.from_matrix(fmat))
     left = GMap(amod, hom_reg.module,
-                IntMatrix.from_columns(cols, hom_reg.module.underlying.n))
+                IntMatrix._trusted_columns(cols, hom_reg.module.underlying.n))
     # restriction Hom(Z[G], A) -> Hom(aug, A)
     cols = []
     for j in range(hom_reg.module.underlying.n):
@@ -650,7 +608,7 @@ def build_ext1_data(complex_, group, amod, std=None):
         restricted = fmat.mul(aug_incl.ab.mat)
         cols.append(hom_aug.from_matrix(restricted))
     right = GMap(hom_reg.module, hom_aug.module,
-                 IntMatrix.from_columns(cols, hom_aug.module.underlying.n))
+                 IntMatrix._trusted_columns(cols, hom_aug.module.underlying.n))
     ext = ExtensionData(left, right)
     return {"ext": ext, "hom_reg": hom_reg, "hom_aug": hom_aug}
 

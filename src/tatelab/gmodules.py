@@ -14,16 +14,6 @@ from .abelian import AbMap, FgAb, Homology
 from .lattice import IntMatrix, Lattice
 
 
-def _sparse_cols(mat):
-    """Columns of an IntMatrix as {row: value} dicts."""
-    cols = [dict() for _ in range(mat.cols)]
-    for r, row in enumerate(mat.entries):
-        for c, v in enumerate(row):
-            if v:
-                cols[c][r] = v
-    return cols
-
-
 def _sparse_mul(a_cols, b_cols, nrows):
     """Columns of A*B from sparse columns of A and B."""
     out = []
@@ -73,7 +63,7 @@ class GModule:
         for m in self.action:
             AbMap(ab, ab, m)  # relation check
         lat = ab.rel_lattice()
-        cols = [_sparse_cols(m) for m in self.action]
+        cols = [m.sparse_columns() for m in self.action]
         for j in range(ab.n):
             col = dict(cols[grp.identity][j])
             col[j] = col.get(j, 0) - 1
@@ -138,12 +128,12 @@ class GMap:
             self.check_equivariance()
 
     def check_equivariance(self):
-        fc = _sparse_cols(self.ab.mat)
+        fc = self.ab.mat.sparse_columns()
         lat = self.cod.underlying.rel_lattice()
         nc = self.cod.underlying.n
         for g in self.dom.group.generating_set():
-            left = _sparse_mul(fc, _sparse_cols(self.dom.action[g]), nc)
-            right = _sparse_mul(_sparse_cols(self.cod.action[g]), fc, nc)
+            left = _sparse_mul(fc, self.dom.action[g].sparse_columns(), nc)
+            right = _sparse_mul(self.cod.action[g].sparse_columns(), fc, nc)
             for j in range(self.dom.underlying.n):
                 diff = dict(left[j])
                 for r, v in right[j].items():
@@ -221,7 +211,7 @@ def regular_module(group):
             col = [0] * n
             col[group.mul(g, h)] = 1
             cols.append(col)
-        acts.append(IntMatrix.from_columns(cols, n))
+        acts.append(IntMatrix._trusted_columns(cols, n))
     return GModule(group, FgAb(n), acts, check=False)
 
 
@@ -238,7 +228,7 @@ def perm_module(group, sub):
             col = [0] * k
             col[pos[rho[group.mul(g, r)]]] = 1
             cols.append(col)
-        acts.append(IntMatrix.from_columns(cols, k))
+        acts.append(IntMatrix._trusted_columns(cols, k))
     mod = GModule(group, FgAb(k), acts, check=False)
     return mod, reps, rho, pos
 
@@ -268,9 +258,9 @@ def local_aug_ideal(group, sub, regular):
         lat.add(v)
     basis = lat.basis()
     k = len(basis)
-    incl_mat = IntMatrix.from_columns(basis, group.order)
-    acts = [IntMatrix.from_columns([lat.coords(regular.act(g, b))
-                                    for b in basis], k)
+    incl_mat = IntMatrix._trusted_columns(basis, group.order)
+    acts = [IntMatrix._trusted_columns([lat.coords(regular.act(g, b))
+                                        for b in basis], k)
             for g in range(group.order)]
     mod = GModule(group, FgAb(k), acts)
     incl = GMap(mod, regular, incl_mat)
@@ -324,17 +314,12 @@ def _free_basis_maps(c):
     if not c.is_free():
         raise NotFree("module has torsion")
     idx = [i for i in c._canon_idx if c._mods[i] == 0]
-    k = len(idx)
-    if c._u is None:
-        tb = IntMatrix([[1 if j == i else 0 for j in range(c.n)] for i in idx],
-                       cols=c.n)
-        fb = IntMatrix.from_columns([tuple(1 if r == i else 0
-                                           for r in range(c.n)) for i in idx],
-                                    c.n)
-    else:
-        tb = IntMatrix([c._u.entries[i] for i in idx], cols=c.n)
-        fb = IntMatrix.from_columns([c._uinv.column(i) for i in idx], c.n)
-    return k, tb, fb
+    u, uinv = (IntMatrix.identity(c.n),) * 2 if c._u is None else \
+        (c._u, c._uinv)
+    tb = IntMatrix._trusted(tuple(u.entries[i] for i in idx), c.n)
+    fb = IntMatrix._trusted(tuple(tuple(r[i] for i in idx)
+                                  for r in uinv.entries), len(idx))
+    return len(idx), tb, fb
 
 
 class HomModule:
@@ -420,7 +405,7 @@ class TensorModule:
                     if col_a[l]:
                         col[i * na + l] = col_a[l]
                 rel_cols.append(col)
-        ab = FgAb(nc * na, IntMatrix.from_columns(rel_cols, nc * na))
+        ab = FgAb(nc * na, IntMatrix._trusted_columns(rel_cols, nc * na))
         acts = []
         for g in range(cmod.group.order):
             cg = cmod.action[g].entries
@@ -463,7 +448,8 @@ def hom_and_tensor(cmod, amod):
             col = [0] * na
             col[l] = tbcol[k]
             ev_cols.append(col)
-    evaluation = GMap(tensor.module, amod, IntMatrix.from_columns(ev_cols, na))
+    evaluation = GMap(tensor.module, amod,
+                      IntMatrix._trusted_columns(ev_cols, na))
     return {"hom": hom, "tensor": tensor, "evaluation": evaluation,
             "plain_tensor": TensorModule(cmod, amod)}
 
@@ -474,7 +460,7 @@ class FixedNormData:
     """H^0 = M^G / N M and H^-1 = ker(N) / <(g-1)m> of a module, read
     directly: M -N-> M -> M^|G| and M^|G| -> M -N-> M."""
 
-    __slots__ = ("module", "fixed", "h0", "h1_neg", "_h0", "_h1")
+    __slots__ = ("module", "h0", "h1_neg", "_h0", "_h1")
 
     def __init__(self, module):
         self.module = module
@@ -487,8 +473,12 @@ class FixedNormData:
                   enumerate(m.entries[r])) for r in range(n)), cob.cod.n)
         self._h1 = Homology(AbMap(cob.cod, module.underlying, moved,
                                   check=False), nu)
-        self.fixed = self._h0.cycles
         self.h0, self.h1_neg = self._h0.group, self._h1.group
+
+    @property
+    def fixed(self):
+        """M^G, presented when first read."""
+        return self._h0.cycles
 
     def h0_class(self, x):
         """Class in M^G / N M of a fixed element x."""

@@ -369,7 +369,7 @@ def abelianization(group):
             col[s] += 1
             col[group.mul(g, s)] -= 1
             cols.append(tuple(col))
-    a = FgAb(n, IntMatrix.from_columns(cols, n))
+    a = FgAb(n, IntMatrix._trusted_columns(cols, n))
     proj = [a.gen(g) for g in range(n)]
     return a, proj, commutator_subgroup(group)
 

@@ -40,6 +40,17 @@ def _require_chain(invf, exc):
             raise exc(f"moduli {invf} do not form a divisibility chain")
 
 
+def _indices(values, order, what):
+    """Element indices read from the file, each checked to lie in
+    range(order): a negative one would otherwise index from the end."""
+    out = [int(x) for x in values]
+    for x in out:
+        if not 0 <= x < order:
+            raise InstanceSchemaError(f"{what}: element index {x} is outside "
+                                      f"0..{order - 1}")
+    return out
+
+
 def instance_to_dict(inst):
     ab = inst.cl.underlying
     invf = [ab._mods[i] for i in ab._canon_idx]
@@ -88,8 +99,8 @@ def instance_from_dict(data):
                                 for i in range(n)], cols=n))
         action = [IntMatrix(m, cols=n) for m in data["cl"]["action"]]
         cl = GModule(grp, ab, action)
-        pi = GroupHom(gs, grp, [int(x) for x in data["pi"]])
-        kappa_gens = [int(x) for x in data["kappa"]]
+        pi = GroupHom(gs, grp, _indices(data["pi"], grp.order, "pi"))
+        kappa_gens = _indices(data["kappa"], gs.order, "kappa")
         if len(kappa_gens) != n:
             raise InstanceSchemaError("kappa must list one image per "
                                       "class-module generator")
@@ -113,10 +124,12 @@ def instance_from_dict(data):
         places = []
         iota = {}
         for p in data["places"]:
-            sub = Subgroup(grp, [int(x) for x in p["subgroup"]])
-            pl = PlaceData(str(p["id"]), sub, bool(p.get("is_p0", False)))
+            pid = str(p["id"])
+            sub = Subgroup(grp, _indices(p["subgroup"], grp.order,
+                                         f"subgroup of {pid}"))
+            pl = PlaceData(pid, sub, bool(p.get("is_p0", False)))
             places.append(pl)
-            images = [int(x) for x in data["iota"][pl.id]]
+            images = _indices(data["iota"][pid], gs.order, f"iota for {pid}")
             if len(images) != len(sub.elems):
                 raise InstanceSchemaError(f"iota for {pl.id} has wrong length")
             iota[pl.id] = dict(zip(sub.elems, images))
@@ -180,7 +193,7 @@ def fixture_from_dict(data, group):
                 col = [0] * n
                 col[i] = m
                 rel_cols.append(col)
-        ab = FgAb(n, IntMatrix.from_columns(rel_cols, n))
+        ab = FgAb(n, IntMatrix._trusted_columns(rel_cols, n))
         action = [IntMatrix(mrow, cols=n) for mrow in um["action"]]
         unit_module = GModule(group, ab, action)
         classes = []

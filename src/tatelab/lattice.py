@@ -9,6 +9,7 @@ is used anywhere; Python ints are arbitrary precision.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress, repeat
 
 
 class IntMatrix:
@@ -68,6 +69,30 @@ class IntMatrix:
         return cls([[col[i] for col in columns] for i in range(rows)],
                    cols=len(columns))
 
+    @classmethod
+    def _trusted_columns(cls, columns, rows):
+        """Internal from_columns: the columns are int sequences of length
+        `rows` that the package built, so nothing is coerced or checked."""
+        if not columns:
+            return cls._trusted(((),) * rows, 0)
+        return cls._trusted(tuple(zip(*columns)), len(columns))
+
+    @classmethod
+    def _from_sparse_columns(cls, columns, rows):
+        """_trusted_columns for {row: value} dict columns."""
+        return cls._trusted_columns([tuple(map(c.get, range(rows), repeat(0)))
+                                     for c in columns], rows)
+
+    def sparse_rows(self):
+        """Rows as fresh {column: value} dicts of the nonzero entries."""
+        rng = range(self.cols)
+        return [{j: row[j] for j in compress(rng, row)}
+                for row in self.entries]
+
+    def sparse_columns(self):
+        """Columns as fresh {row: value} dicts of the nonzero entries."""
+        return self.transpose().sparse_rows()
+
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
@@ -112,10 +137,8 @@ class IntMatrix:
         support = [j for j, x in enumerate(vec) if x]
         if 3 * len(support) < self.cols:
             if self._colcache is None:
-                cache = [tuple((i, row[j]) for i, row in
-                               enumerate(self.entries) if row[j])
-                         for j in range(self.cols)]
-                object.__setattr__(self, "_colcache", cache)
+                object.__setattr__(self, "_colcache", [
+                    tuple(c.items()) for c in self.sparse_columns()])
             out = [0] * self.rows
             for j in support:
                 vj = vec[j]
@@ -289,8 +312,17 @@ def kernel_basis(row_iter, ncols):
     """Basis of {x in Z^ncols : r . x = 0 for every row r}.
 
     Rows may be given as sparse dicts {index: value} or dense sequences.
-    Returns a list of dense tuple columns.  Works column-by-column so the
-    very sparse boundary matrices of bar resolutions stay cheap.
+    Returns dense tuple columns; `_kernel_columns` computes them as
+    sparse dicts.
+    """
+    return [tuple(map(col.get, range(ncols), repeat(0)))
+            for col in _kernel_columns(row_iter, ncols)]
+
+
+def _kernel_columns(row_iter, ncols):
+    """kernel_basis with sparse {index: value} columns.  Works
+    column-by-column so the very sparse boundary matrices of bar
+    resolutions stay cheap.
 
     Each row is eliminated by Euclidean steps among the basis columns it
     hits.  The pivot of a step is the column whose value has the least
@@ -302,7 +334,6 @@ def kernel_basis(row_iter, ncols):
     """
     basis = {j: {j: 1} for j in range(ncols)}
     touch = {j: {j} for j in range(ncols)}  # coordinate -> basis col ids
-    next_id = ncols
 
     def set_entry(col_id, coord, val):
         col = basis[col_id]
@@ -354,11 +385,7 @@ def kernel_basis(row_iter, ncols):
             for coord in list(basis[k0]):
                 touch[coord].discard(k0)
             del basis[k0]
-    cols = []
-    for cid in sorted(basis):
-        col = basis[cid]
-        cols.append(tuple(col.get(i, 0) for i in range(ncols)))
-    return cols
+    return [basis[cid] for cid in sorted(basis)]
 
 
 def matrix_kernel(m: IntMatrix):
@@ -397,7 +424,11 @@ class Lattice:
         pivot reduced modulo it) so entries stay small during long runs of
         insertions.
         """
-        v = self._to_sparse(vec)
+        return self._add(self._to_sparse(vec))
+
+    def _add(self, v):
+        """add for a sparse dict of ints the package built; the lattice
+        takes the dict over (it may become a basis row)."""
         w = {self._count: 1} if self.witnesses is not None else None
         self._count += 1
         grew = False
@@ -409,21 +440,15 @@ class Lattice:
                 a, b = row[piv], v[piv]
                 if b % a == 0:
                     q = b // a
-                    self._sub_from(v, q, row, w, idx)
+                    _axpy(v, q, row)
+                    if w is not None:
+                        _axpy(w, q, self.witnesses[idx])
                 else:
                     # replace stored row by gcd combination
                     g, x, y = _xgcd(a, b)
-                    new_row = {}
-                    for c in set(row) | set(v):
-                        val = x * row.get(c, 0) + y * v.get(c, 0)
-                        if val:
-                            new_row[c] = val
                     qa, qb = a // g, b // g
-                    red = {}
-                    for c in set(row) | set(v):
-                        val = qa * v.get(c, 0) - qb * row.get(c, 0)
-                        if val:
-                            red[c] = val
+                    new_row = _wcomb(x, row, y, v)
+                    red = _wcomb(-qb, row, qa, v)
                     if self.witnesses is not None:
                         old_w = self.witnesses[idx]
                         new_w = _wcomb(x, old_w, y, w)
@@ -463,21 +488,9 @@ class Lattice:
                 if not q:
                     continue
                 changed = True
-                other = self.rows[j]
-                for c, rv in other.items():
-                    nv = row.get(c, 0) - q * rv
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
+                _axpy(row, q, self.rows[j])
                 if self.witnesses is not None:
-                    wi = self.witnesses[idx]
-                    for c, rv in self.witnesses[j].items():
-                        nv = wi.get(c, 0) - q * rv
-                        if nv:
-                            wi[c] = nv
-                        elif c in wi:
-                            del wi[c]
+                    _axpy(self.witnesses[idx], q, self.witnesses[j])
         piv = self.pivots[idx]
         val = row[piv]
         for j in range(idx):
@@ -488,37 +501,9 @@ class Lattice:
             q = x // val
             if not q:
                 continue
-            for c, rv in row.items():
-                nv = other.get(c, 0) - q * rv
-                if nv:
-                    other[c] = nv
-                elif c in other:
-                    del other[c]
+            _axpy(other, q, row)
             if self.witnesses is not None:
-                wo = self.witnesses[j]
-                for c, rv in self.witnesses[idx].items():
-                    nv = wo.get(c, 0) - q * rv
-                    if nv:
-                        wo[c] = nv
-                    elif c in wo:
-                        del wo[c]
-
-    def _sub_from(self, v, q, row, w, idx):
-        if not q:
-            return
-        for c, val in row.items():
-            nv = v.get(c, 0) - q * val
-            if nv:
-                v[c] = nv
-            elif c in v:
-                del v[c]
-        if w is not None:
-            for c, val in self.witnesses[idx].items():
-                nv = w.get(c, 0) - q * val
-                if nv:
-                    w[c] = nv
-                elif c in w:
-                    del w[c]
+                _axpy(self.witnesses[j], q, self.witnesses[idx])
 
     def reduce(self, vec):
         """Residue of vec after subtracting lattice rows (pivot-wise)."""
@@ -531,24 +516,19 @@ class Lattice:
                 row = self.rows[idx]
                 q = v[piv] // row[piv]
                 if q:
-                    for c, val in row.items():
-                        nv = v.get(c, 0) - q * val
-                        if nv:
-                            v[c] = nv
-                        elif c in v:
-                            del v[c]
+                    _axpy(v, q, row)
                 if piv in v:
                     out[piv] = v.pop(piv)
             else:
                 out[piv] = v.pop(piv)
         return tuple(out.get(i, 0) for i in range(self.dim))
 
-    def _walk(self, vec):
-        """{basis row index: coefficient} writing vec over the basis rows,
-        or None.  The vector is cleared pivot by pivot, and the walk stops
-        at the first coordinate without a pivot row or whose value the
-        pivot does not divide; so it is None iff `any(self.reduce(vec))`."""
-        v = self._to_sparse(vec)
+    def _walk(self, v):
+        """{basis row index: coefficient} writing the sparse dict v (ints
+        the package built; it is consumed) over the basis rows, or None.
+        The vector is cleared pivot by pivot, and the walk stops at the
+        first coordinate without a pivot row or whose value the pivot does
+        not divide; so it is None iff `any(self.reduce(v))`."""
         out = {}
         while v:
             piv = min(v)
@@ -560,20 +540,30 @@ class Lattice:
             if r:
                 return None
             out[idx] = q
-            self._sub_from(v, q, row, None, idx)
+            _axpy(v, q, row)
         return out
 
     def contains(self, vec):
         """Membership, deciding `not any(self.reduce(vec))`."""
-        return self._walk(vec) is not None
+        return self._walk(self._to_sparse(vec)) is not None
 
     def coords(self, vec):
         """Coefficients of vec over the basis rows, or None if vec is not
         in the lattice."""
-        c = self._walk(vec)
+        c = self._walk(self._to_sparse(vec))
         if c is None:
             return None
         return tuple(c.get(i, 0) for i in range(len(self.rows)))
+
+    def combine(self, coeffs):
+        """The vector sum_i coeffs[i] * (basis row i), dense; the inverse
+        of coords."""
+        out = [0] * self.dim
+        for q, row in zip(coeffs, self.rows):
+            if q:
+                for c, x in row.items():
+                    out[c] += q * x
+        return tuple(out)
 
     def generator_coords(self, vec):
         """{generator index: coefficient} writing vec over the inserted
@@ -582,7 +572,7 @@ class Lattice:
         witnesses."""
         if self.witnesses is None:
             raise ValueError("lattice built without witness tracking")
-        c = self._walk(vec)
+        c = self._walk(self._to_sparse(vec))
         if c is None:
             return None
         out = {}
@@ -592,14 +582,23 @@ class Lattice:
         return out
 
     def basis(self):
-        return [tuple(r.get(i, 0) for i in range(self.dim)) for r in self.rows]
+        return [tuple(map(r.get, range(self.dim), repeat(0)))
+                for r in self.rows]
 
     def basis_witness(self, idx):
         """Witness coefficients of basis row idx over inserted generators."""
         if self.witnesses is None:
             raise ValueError("lattice built without witness tracking")
-        w = self.witnesses[idx]
-        return {k: v for k, v in w.items()}
+        return dict(self.witnesses[idx])
+
+
+def _span_basis(cols, dim):
+    """Basis rows, as sparse dicts, of the lattice in Z^dim spanned by the
+    sparse dicts cols (package-built; consumed), inserted in order."""
+    lat = Lattice(dim)
+    for col in cols:
+        lat._add(col)
+    return lat.rows
 
 
 def _xgcd(a, b):
@@ -615,6 +614,17 @@ def _xgcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _axpy(y, q, x):
+    """y -= q * x for sparse dicts, in place; entries that vanish are
+    deleted."""
+    for c, v in x.items():
+        nv = y.get(c, 0) - q * v
+        if nv:
+            y[c] = nv
+        elif c in y:
+            del y[c]
 
 
 def _wcomb(a, wa, b, wb):

@@ -18,7 +18,7 @@ from .abelian import AbMap, FgAb, Homology, ab_quotient, subgroup_span
 from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData, TateCohomology,
                          connecting_hom, extension_to_cocycle, induced_map)
-from .gmodules import (GMap, GModule, HomModule, _sparse_cols, direct_sum,
+from .gmodules import (GMap, GModule, HomModule, direct_sum,
                        fixed_and_norm, local_aug_ideal, regular_module,
                        standard_modules)
 from .groups import Subgroup, abelianization, subgroup_as_group
@@ -115,19 +115,10 @@ def build_wrb(inst, xy):
     sum_map = GMap(big, reg, IntMatrix(rows, cols=big.underlying.n))
     b, b_incl = sum_map.kernel()
 
-    # W -> big (blockwise inclusion of ideals into their ring copy)
-    cols = []
-    for k, (part, (kind, pid, ideal, _)) in enumerate(zip(w_parts, w_blocks)):
-        for j in range(part.underlying.n):
-            col = [0] * big.underlying.n
-            if kind == "place":
-                vec = ideal.incl.ab.mat.column(j)
-            else:
-                vec = tuple(1 if i == j else 0 for i in range(n))
-            for i, v in enumerate(vec):
-                col[k * n + i] = v
-            cols.append(col)
-    w_to_big = GMap(w, big, IntMatrix.from_columns(cols, big.underlying.n))
+    # W -> big: each ideal into its ring copy, each aux copy identically
+    w_to_big = GMap(w, big, IntMatrix.block_diagonal(
+        [data.incl.ab.mat if kind == "place" else IntMatrix.identity(n)
+         for kind, _, data, _ in w_blocks]))
 
     # R -> B through the inclusions
     r_to_b = GMap(r, b, b_incl.ab.lift(
@@ -143,8 +134,8 @@ def build_wrb(inst, xy):
                 _, rho = inst.cosets[pid]
                 col[xy.y_index[(pid, rho[i])]] = 1
             ycols.append(col)
-    big_to_y = GMap(big, xy.y, IntMatrix.from_columns(ycols,
-                                                      xy.y.underlying.n))
+    big_to_y = GMap(big, xy.y, IntMatrix._trusted_columns(ycols,
+                                                          xy.y.underlying.n))
     b_to_x = GMap(b, xy.x, xy.x_incl.ab.lift(
         big_to_y.ab.mat.mul(b_incl.ab.mat).transpose().entries,
         lambda j: ValueError("B does not map into X")))
@@ -232,7 +223,7 @@ def build_script_h(inst):
                     prod[index[x]] -= c
                     prod[index[y]] -= c
             lat.add(prod)
-    rel = IntMatrix.from_columns(lat.basis(), nb)
+    rel = IntMatrix._trusted_columns(lat.basis(), nb)
     hgrp = FgAb(nb, rel)
     # G acts by left multiplication by any lift; use the section over p0
     p0_sec = inst.iota[inst.p0.id]
@@ -248,7 +239,7 @@ def build_script_h(inst):
             if ghat != gs.identity:
                 col[index[ghat]] -= 1
             cols.append(col)
-        acts.append(IntMatrix.from_columns(cols, nb))
+        acts.append(IntMatrix._trusted_columns(cols, nb))
     hmod = GModule(grp, hgrp, acts)
     sh = ScriptH(hmod, None, basis, index, inst)
     # embedding of the class module: c -> class(kappa(c) - 1)
@@ -256,7 +247,7 @@ def build_script_h(inst):
     cols = []
     for j in range(ab.n):
         cols.append(sh.class_of_gs(inst.kappa[ab.canon(ab.gen(j))]))
-    e = GMap(inst.cl, hmod, IntMatrix.from_columns(cols, nb))
+    e = GMap(inst.cl, hmod, IntMatrix._trusted_columns(cols, nb))
     sh.e = e
     return sh
 
@@ -271,7 +262,7 @@ def script_h_action_lift_independent(inst, sh):
     index = sh.gs_index
     p0_sec = inst.iota[inst.p0.id]
     for g in range(inst.group.order):
-        base_cols = _sparse_cols(sh.module.action[g])
+        base_cols = sh.module.action[g].sparse_columns()
         for c in cl_ab.elements():
             cc = cl_ab.canon(c)
             alt = gs.mul(inst.kappa[cc], p0_sec[g])
@@ -324,7 +315,7 @@ def build_snake(inst, wrb, sh):
                 v[grp.mul(g, h)] += 1
                 v[g] -= 1
                 span_cols.append(v)
-            for k in kernel_basis(IntMatrix.from_columns(
+            for k in kernel_basis(IntMatrix._trusted_columns(
                     span_cols, grp.order).entries, len(span_cols)):
                 acc = ab_h.zero()
                 for si, ccf in enumerate(k):
@@ -343,7 +334,7 @@ def build_snake(inst, wrb, sh):
             for g in range(grp.order):
                 cols.append(sh.left_mul_class(p0_sec[g], frob))
     w_to_h = GMap(wrb.w, sh.module,
-                  IntMatrix.from_columns(cols, ab_h.n))
+                  IntMatrix._trusted_columns(cols, ab_h.n))
 
     s = GMap(wrb.r, inst.cl, sh.e.ab.lift(
         w_to_h.ab.mat.mul(wrb.r_incl.ab.mat).transpose().entries,
@@ -477,7 +468,7 @@ def build_nabla(inst, wrb, snake):
         cols = []
         for (pid, tau) in wrb.xy.x_basis:
             cols.append(snake.s.apply(r_element(inst, wrb, pid, sigma, tau)))
-        fmat = IntMatrix.from_columns(cols, cl.underlying.n)
+        fmat = IntMatrix._trusted_columns(cols, cl.underlying.n)
         vals.append(hom.from_matrix(fmat))
     g_cocycle = Cocycle1(hom.module, vals)
     return NablaData(module=nabla, cl_to_nabla=cl_to_nabla,
@@ -519,14 +510,15 @@ def nabla_class_checks(complex_, inst, wrb, snake, nabla):
         fmat = hom.to_matrix(hom.module.underlying.gen(j))
         left_cols.append(hom_b.from_matrix(fmat.mul(wrb.b_to_x.ab.mat)))
     left = GMap(hom.module, hom_b.module,
-                IntMatrix.from_columns(left_cols, hom_b.module.underlying.n))
+                IntMatrix._trusted_columns(left_cols,
+                                           hom_b.module.underlying.n))
     right_cols = []
     for j in range(hom_b.module.underlying.n):
         fmat = hom_b.to_matrix(hom_b.module.underlying.gen(j))
         right_cols.append(hom_r.from_matrix(fmat.mul(wrb.r_to_b.ab.mat)))
     right = GMap(hom_b.module, hom_r.module,
-                 IntMatrix.from_columns(right_cols,
-                                        hom_r.module.underlying.n))
+                 IntMatrix._trusted_columns(right_cols,
+                                            hom_r.module.underlying.n))
     ext_hom = ExtensionData(left, right)
     calc_hr = TateCohomology(complex_, hom_r.module)
     minus_s = hom_r.from_matrix(
@@ -623,7 +615,7 @@ def homology_generators_iso(inst, xy, calc_x):
     for k, (p, elems) in enumerate(zip(parts, elems_per)):
         for i in range(p.n):
             cols.append(gproj[elems[i]])
-    to_gab = AbMap(sumab, gab, IntMatrix.from_columns(cols, gab.n))
+    to_gab = AbMap(sumab, gab, IntMatrix._trusted_columns(cols, gab.n))
     kgrp, kincl = to_gab.kernel()
     # the chain-level map on the summands: h in G_p -> [h] (x) (p - p0)
     ccols = []
@@ -635,7 +627,7 @@ def homology_generators_iso(inst, xy, calc_x):
                 z = generator_chain(complex_, inst, xy, calc_x, pl.id, h_elt)
                 ccols.append(h.group.from_canon(z.canon))
     chain_map = AbMap(sumab, h.group,
-                      IntMatrix.from_columns(ccols, h.group.n))
+                      IntMatrix._trusted_columns(ccols, h.group.n))
     iso = chain_map.compose(kincl)
     if kgrp.order() != h.group.order():
         return False, f"orders differ: {kgrp.order()} vs {h.group.order()}"
@@ -820,7 +812,7 @@ def norm_suite(inst, nm, cdc):
     for j in range(h1.n):
         rep = cdc.cl_fn.h1_rep(h1.canon(h1.gen(j)))
         cols.append(nm.nm.apply(rep))
-    nmbar = AbMap(h1, nm.q, IntMatrix.from_columns(cols, nm.q.n))
+    nmbar = AbMap(h1, nm.q, IntMatrix._trusted_columns(cols, nm.q.n))
     ker_bar, ker_bar_incl = nmbar.kernel()
     ok_b = _same_subgroup(h1, ker_bar, ker_bar_incl, cdc.cbar, cdc.cbar_incl)
     record("norm.b_ker_nmbar_is_cbar", ok_b,
@@ -868,9 +860,9 @@ def _same_kernels(fgrp, fincl, to_cl, cdc, h1_mod, h1_proj, nm):
         v = to_cl.apply(fincl.apply(fgrp.gen(j)))
         cols1.append(h1_proj.apply(cdc.h1.from_canon(cdc.cl_fn.h1_class(v))))
         cols2.append(nm.nm.apply(v))
-    m1 = AbMap(fgrp, h1_proj.cod, IntMatrix.from_columns(cols1,
-                                                         h1_proj.cod.n))
-    m2 = AbMap(fgrp, nm.q, IntMatrix.from_columns(cols2, nm.q.n))
+    m1 = AbMap(fgrp, h1_proj.cod, IntMatrix._trusted_columns(cols1,
+                                                             h1_proj.cod.n))
+    m2 = AbMap(fgrp, nm.q, IntMatrix._trusted_columns(cols2, nm.q.n))
     k1, k1i = m1.kernel()
     k2, k2i = m2.kernel()
     ok = _same_subgroup(fgrp, k1, k1i, k2, k2i)
@@ -890,7 +882,7 @@ def _short_exact_dkc(ab, cdc, ker_nm, ker_nm_incl):
     for j in range(ker_nm.n):
         v = ker_nm_incl.apply(ker_nm.gen(j))
         cols.append(cdc.h1.from_canon(cdc.cl_fn.h1_class(v)))
-    to_h1 = AbMap(ker_nm, cdc.h1, IntMatrix.from_columns(cols, cdc.h1.n))
+    to_h1 = AbMap(ker_nm, cdc.h1, IntMatrix._trusted_columns(cols, cdc.h1.n))
     img, img_incl, _ = to_h1.image()
     if not _same_subgroup(cdc.h1, img, img_incl, cdc.cbar, cdc.cbar_incl):
         return False, {"image": img.order(), "cbar": cdc.cbar.order()}

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tatelab.abelian import (AbMap, FgAb, Homology, NonComplex,
                              ab_quotient, subgroup_span)
-from tatelab.lattice import IntMatrix
+from tatelab.lattice import IntMatrix, smith_normal_form
 
 
 def diag_group(*mods):
@@ -280,3 +280,136 @@ def test_lift_edge_shapes():
     assert g.lift([], _Escaped).shape == (2, 0)
     m = g.lift([(1,), (5,)], _Escaped)
     assert [z3.canon(g.apply(m.column(j))) for j in range(2)] == [(1,), (2,)]
+
+
+def _kernel_vectors(mat, cod):
+    """Vectors x with mat.x in the span of cod.rel: the columns of V past
+    the rank in the Smith form of [mat | rel], cut to mat.cols entries.
+    This does not touch the kernel code that Homology uses."""
+    aug = mat.hstack(cod.rel)
+    _, d, v = smith_normal_form(aug)
+    rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
+    return [v.column(j)[:mat.cols] for j in range(rank, aug.cols)]
+
+
+@st.composite
+def chain_pairs(draw):
+    """(d_in, d_out): Z^a -> B -> C with C finite.  B's relations and
+    d_in's columns are combinations of vectors that d_out sends into C's
+    relations, so their integer images are mostly nonzero; a perturbed
+    pair adds an arbitrary vector to one d_in column.  Wide pairs have
+    more than 32 d_in columns, so H's relations are lattice-reduced."""
+    ent = st.integers(-4, 4)
+    n = draw(st.integers(1, 3))
+    rel_c = [tuple(m if i == j else 0 for i in range(n)) for j, m in
+             enumerate(draw(st.lists(st.integers(2, 6), min_size=n,
+                                     max_size=n)))]
+    rel_c += draw(st.lists(st.lists(ent, min_size=n, max_size=n).map(tuple),
+                           max_size=2))
+    cod = FgAb(n, IntMatrix.from_columns(rel_c, n))
+    m = draw(st.integers(1, 4))
+    mat = IntMatrix(draw(st.lists(st.lists(ent, min_size=m, max_size=m),
+                                  min_size=n, max_size=n)), cols=m)
+    kers = _kernel_vectors(mat, cod)
+    rng = draw(st.randoms(use_true_random=False))
+    wide = draw(st.booleans())
+
+    def combos(count):
+        out = []
+        for _ in range(count):
+            cs = [rng.randint(-2, 2) for _ in kers]
+            out.append(tuple(sum(c * k[i] for c, k in zip(cs, kers))
+                             for i in range(m)))
+        return out
+
+    mid = FgAb(m, IntMatrix.from_columns(combos(rng.randint(0, 3)), m))
+    cols = combos(rng.randint(33, 36) if wide else rng.randint(0, 4))
+    if cols and draw(st.booleans()):
+        j = rng.randrange(len(cols))
+        cols[j] = tuple(x + rng.randint(-2, 2) for x in cols[j])
+    d_in = AbMap(FgAb(len(cols)), mid, IntMatrix.from_columns(cols, m))
+    return d_in, AbMap(mid, cod, mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_pairs(), st.randoms(use_true_random=False))
+def test_homology_agrees_with_kernel_then_quotient(pair, rng):
+    d_in, d_out = pair
+    mid, cod = d_out.dom, d_out.cod
+    # the product is computed over Z and judged modulo cod.rel by the
+    # Smith-form canonical form, not by the lattice walk under test
+    prod = d_out.mat.mul(d_in.mat).transpose().entries
+    if not all(cod.is_zero(col) for col in prod):
+        with pytest.raises(NonComplex):
+            Homology(d_in, d_out)
+        return
+    h = Homology(d_in, d_out)
+    kgrp, incl = d_out.kernel()
+    imgs = [incl.solve(col) for col in d_in.mat.transpose().entries]
+    ref, _ = ab_quotient(kgrp, imgs)
+    # the same relation columns, so the same Smith form and canonical
+    # coordinates as the two-step construction
+    assert h.group.rel == ref.rel
+    assert h.group.invariant_factors() == ref.invariant_factors()
+    assert h.group.free_rank() == ref.free_rank()
+    assert h.cycles.rel == kgrp.rel and h.cycles.same_invariants(kgrp)
+    g = h.group
+
+    def cycle():
+        return incl.apply(tuple(rng.randint(-5, 5) for _ in range(kgrp.n)))
+
+    for _ in range(4):
+        z1, z2 = cycle(), cycle()
+        c1, c2 = h.class_of(z1), h.class_of(z2)
+        assert h.class_of(mid.add(z1, z2)) == \
+            g.canon(g.add(g.from_canon(c1), g.from_canon(c2)))
+        assert (c1 == c2) == ref.eq(incl.solve(z1), incl.solve(z2))
+        assert h.class_of(h.rep_of(c1)) == c1
+        y = tuple(rng.randint(-5, 5) for _ in range(mid.n))
+        if cod.is_zero(d_out.apply(y)):
+            assert h.class_of(y) == g.canon(incl.solve(y))
+        else:
+            with pytest.raises(ValueError):
+                h.class_of(y)
+    if g.is_finite() and g.order() <= 64:
+        # rep_of is a right inverse of class_of, and distinct classes go
+        # to distinct classes of the reference: class_of is a bijection
+        seen = set()
+        for e in g.elements():
+            c = g.canon(e)
+            z = h.rep_of(c)
+            assert h.class_of(z) == c
+            seen.add(ref.canon(incl.solve(z)))
+        assert len(seen) == g.order() == ref.order()
+
+
+def test_homology_walk_is_the_complex_check():
+    # d_out . d_in = 2, nonzero over Z but zero in Z/2: still a complex
+    z, z2 = FgAb(1), diag_group(2)
+    h = Homology(AbMap(z, z, IntMatrix([[2]])), AbMap(z, z2, IntMatrix([[1]])))
+    assert h.group.is_trivial() and h.cycles.free_rank() == 1
+    with pytest.raises(NonComplex, match="generator 1"):
+        Homology(AbMap(FgAb(2), z, IntMatrix([[2, 3]])),
+                 AbMap(z, z2, IntMatrix([[1]])))
+
+
+def test_homology_reduces_many_cycle_relations():
+    # 34 relations on Z^34 are kept by FgAb, but the kernel of d_out has
+    # rank 1, so over it they are more than max(1, 32) and are reduced
+    n = 34
+    rel = [tuple((4 + 2 * j) if i == 0 else 0 for i in range(n))
+           for j in range(n)]
+    mid = FgAb(n, IntMatrix.from_columns(rel, n))
+    d_out = AbMap(mid, FgAb(n - 1), IntMatrix(
+        [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)]))
+    d_in = AbMap(FgAb(1), mid, IntMatrix.from_columns(
+        [tuple(6 if i == 0 else 0 for i in range(n))], n))
+    h = Homology(d_in, d_out)
+    kgrp, incl = d_out.kernel()
+    assert h.cycles.rel == kgrp.rel and h.cycles.rel.cols == 1
+    # kernel relations reduced first, then the image column appended: two
+    # columns, as the two-step construction presents H
+    ref, _ = ab_quotient(kgrp, [incl.solve(d_in.apply((1,)))])
+    assert h.group.rel == ref.rel and h.group.rel.cols == 2
+    assert h.group.invariant_factors() == (2,)
+    assert h.class_of(h.rep_of((1,))) == (1,)

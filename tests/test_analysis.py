@@ -1,4 +1,5 @@
 from importlib.resources import files
+from types import SimpleNamespace
 
 import pytest
 
@@ -112,3 +113,32 @@ def test_calculators_dropped_after_last_reader(monkeypatch):
         for cid in order[readers[-1] + 1:]:
             assert name not in snapshots[cid], (name, cid)
     assert not ctx._cache and not ctx._failed
+
+
+def test_artifact_builds_are_charged_to_no_check(monkeypatch):
+    # a clock that only the slow builders and the one slow check advance
+    now = [0.0]
+    monkeypatch.setattr(analysis, "time",
+                        SimpleNamespace(monotonic=lambda: now[0]))
+
+    def slow(builder):
+        def build(*args):
+            now[0] += 5.0
+            return builder(*args)
+        return build
+
+    for name in ("norm_model", "cdc"):
+        builder, reads = ARTIFACTS[name]
+        monkeypatch.setitem(ARTIFACTS, name, (slow(builder), reads))
+    anchor, suite = CHECKS["norm.suite"]
+
+    def slow_suite(*args):
+        now[0] += 0.25
+        return suite(*args)
+
+    monkeypatch.setitem(CHECKS, "norm.suite", (anchor, slow_suite))
+    records = run_analysis(i2_twist(), checks=["cdc.inclusions",
+                                               "norm.suite"])
+    assert now[0] == 10.25  # both builds ran, once each
+    assert [(r["id"], r["ok"], r["wall_ms"]) for r in records] == \
+        [("cdc.inclusions", True, 0), ("norm.suite", True, 250)]

@@ -202,6 +202,27 @@ def test_instance_io_errors(tmp_path):
         instance_from_dict(d)
 
 
+@pytest.mark.parametrize("field", ["kappa", "pi", "iota", "subgroup"])
+def test_loader_range_checks_element_indices(field):
+    # i2_twist: |G| = 2, |GS| = 4.  A negative index used to be read from
+    # the end of the table (kappa [-3] loaded as [1], with i2_twist's own
+    # digest), and one past the end failed later or not at all
+    def entry(d):
+        """(list, position) of one element index of the field."""
+        return {"kappa": (d["kappa"], 0), "pi": (d["pi"], 3),
+                "iota": (d["iota"]["p1"], 1),
+                "subgroup": (d["places"][1]["subgroup"], 1)}[field]
+    order = 2 if field in ("pi", "subgroup") else 4
+    seq, pos = entry(instance_to_dict(i2_twist()))
+    # the negative alias of the shipped value, then one past the end
+    for value in (seq[pos] - order, order):
+        d = instance_to_dict(i2_twist())
+        seq, pos = entry(d)
+        seq[pos] = value
+        with pytest.raises(InstanceSchemaError, match=f"{value} is outside"):
+            instance_from_dict(d)
+
+
 def test_shipped_data_files():
     import importlib.resources as res
     for name, mk in [("i2_twist", i2_twist), ("i2_plain", i2_plain),

@@ -100,6 +100,14 @@ def test_selftest_empty_and_unknown(capsys):
     capsys.readouterr()
 
 
+def test_selftest_without_groups_is_an_error(capsys):
+    # a group list that names no group would run no check: never a pass
+    for groups in (",", ""):
+        assert main(["selftest", "--groups", groups, "--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "names no group" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
 def test_selftest_rejects_bad_workers(value, monkeypatch, capsys):
     monkeypatch.setenv("TATELAB_WORKERS", value)
@@ -170,6 +178,15 @@ def test_worked_instance_report_bytes_are_pinned(name, tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         WORKED_INSTANCE_SHA256[name]
+
+
+def test_validate_rejects_negative_kappa(tmp_path, capsys):
+    d = json.loads((files("tatelab") / "data" / "i2_twist.json").read_text())
+    d["kappa"] = [-3]
+    bad = tmp_path / "neg.json"
+    bad.write_text(json.dumps(d))
+    assert main(["validate", str(bad)]) == 2
+    assert "kappa: element index -3 is outside 0..3" in capsys.readouterr().err
 
 
 def test_oversized_class_module_is_rejected_quickly(tmp_path, capsys):
