@@ -232,6 +232,13 @@ class FgAb:
         for combo in itertools.product(*ranges):
             yield self.from_canon(combo)
 
+    def random_element(self, rng):
+        """Element drawn through `rng`, one canonical coordinate at a
+        time: uniform on a finite cyclic factor, 0 on a free one."""
+        return self.from_canon(tuple(rng.randrange(self._mods[i])
+                                     if self._mods[i] else 0
+                                     for i in self._canon_idx))
+
     def smith_gens(self):
         """Independent generators (one per canonical coordinate); generator
         i has order mods[i] (0 = infinite)."""

@@ -135,9 +135,7 @@ def _check_delta1(inst, seed, wrb, d1, calc_cl, calc_r, calc_k):
         coeffs2 = dict(coeffs)
         if ab.order() > 1:
             g = rng.randrange(inst.group.order)
-            c = ab.from_canon(tuple(
-                rng.randrange(m) if m else 0
-                for m in (ab._mods[i] for i in ab._canon_idx)))
+            c = ab.random_element(rng)
             bdry = ab.sub(inst.cl.act(g, c), c)
             pre = inst.frobenius_map.solve(bdry)
             if pre is not None:

@@ -358,10 +358,10 @@ def _cocycle_space(group, sub, cl):
 
 
 _CL_SHAPES = ("trivial", "perm", "mixed")
+_MAX_CL = 16  # largest class module order synthesized
 
 
-def synth_instance(group_name, seed, n_extra_places=None, cl_shape=None,
-                   cl_modulus=None, n_aux=None, max_cl=16):
+def synth_instance(group_name, seed):
     """Deterministic random instance for the named group and seed.
 
     Sections are the canonical splitting twisted by sampled 1-cocycles,
@@ -373,9 +373,9 @@ def synth_instance(group_name, seed, n_extra_places=None, cl_shape=None,
     if grp.order > 16:
         raise UnsatisfiableParams("group too large for instance synthesis")
 
-    cl_shape = cl_shape or rng.choice(_CL_SHAPES)
-    cl_modulus = cl_modulus or rng.choice([2, 2, 3, 4, 5, 6, 8, 9])
-    cl = _sample_cl(grp, cl_shape, cl_modulus, rng, max_cl)
+    cl_shape = rng.choice(_CL_SHAPES)
+    cl_modulus = rng.choice([2, 2, 3, 4, 5, 6, 8, 9])
+    cl = _sample_cl(grp, cl_shape, cl_modulus, rng)
     ab = cl.underlying
 
     # extension: coboundary-twisted split extension
@@ -392,17 +392,14 @@ def synth_instance(group_name, seed, n_extra_places=None, cl_shape=None,
     # places: the distinguished one plus a few with random subgroups
     subs = grp.all_subgroups()
     places = [PlaceData("p0", Subgroup(grp, range(grp.order)), is_p0=True)]
-    if n_extra_places is None:
-        n_extra_places = rng.randint(1, 3)
-    for k in range(n_extra_places):
+    for k in range(rng.randint(1, 3)):
         sub = rng.choice(subs)
         places.append(PlaceData(f"p{k + 1}", sub))
 
     iota = {}
     for pl in places:
         zgrp, zincl, elems, pos = _cocycle_space(grp, pl.subgroup, cl)
-        z_elt = _random_element(zgrp, rng)
-        table = zincl.apply(z_elt)
+        table = zincl.apply(zgrp.random_element(rng))
         n = ab.n
         sec = {}
         for a in pl.subgroup.elems:
@@ -430,21 +427,12 @@ def synth_instance(group_name, seed, n_extra_places=None, cl_shape=None,
     return inst
 
 
-def _random_element(grp, rng):
-    """Random element of a finite FgAb via its canonical coordinates."""
-    coords = []
-    for i in grp._canon_idx:
-        m = grp._mods[i]
-        coords.append(rng.randrange(m) if m else 0)
-    return grp.from_canon(tuple(coords))
-
-
-def _sample_cl(grp, shape, modulus, rng, max_cl):
+def _sample_cl(grp, shape, modulus, rng):
     if shape == "trivial":
         return trivial_module(grp, FgAb(1, IntMatrix([[modulus]])))
     if shape == "perm":
         subs = [s for s in grp.all_subgroups()
-                if modulus ** (grp.order // len(s)) <= max_cl]
+                if modulus ** (grp.order // len(s)) <= _MAX_CL]
         if not subs:
             return trivial_module(grp, FgAb(1, IntMatrix([[modulus]])))
         sub = rng.choice(subs)
@@ -460,7 +448,7 @@ def _sample_cl(grp, shape, modulus, rng, max_cl):
     m2 = base * rng.choice([1, 2])
     first = trivial_module(grp, FgAb(1, IntMatrix([[base]])))
     subs = [s for s in grp.all_subgroups()
-            if len(s) > 1 and m2 ** (grp.order // len(s)) * base <= max_cl]
+            if len(s) > 1 and m2 ** (grp.order // len(s)) * base <= _MAX_CL]
     if not subs:
         return first
     sub = rng.choice(subs)

@@ -94,16 +94,15 @@ class FiniteGroup:
             cur = set(self.closure(gens))
         return tuple(gens)
 
-    def all_subgroups(self, max_gens=2):
-        """Subgroups generated by up to max_gens elements (all subgroups,
+    def all_subgroups(self):
+        """Subgroups generated by at most two elements (all subgroups,
         for the small groups this package targets)."""
         found = {(self.identity,)}
         singles = [self.closure([g]) for g in range(self.order)]
         found.update(singles)
-        if max_gens >= 2:
-            for a in range(self.order):
-                for b in range(a + 1, self.order):
-                    found.add(self.closure([a, b]))
+        for a in range(self.order):
+            for b in range(a + 1, self.order):
+                found.add(self.closure([a, b]))
         return [Subgroup(self, s) for s in sorted(found, key=lambda s: (len(s), s))]
 
     def __repr__(self):

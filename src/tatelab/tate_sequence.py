@@ -22,7 +22,7 @@ from .gmodules import (GMap, GModule, HomModule, direct_sum,
                        fixed_and_norm, local_aug_ideal, regular_module,
                        standard_modules)
 from .groups import Subgroup, abelianization, subgroup_as_group
-from .lattice import IntMatrix, Lattice, kernel_basis
+from .lattice import IntMatrix, _axpy, _kernel_columns, _span_basis
 
 
 class ImageEscapesCl(Exception):
@@ -168,98 +168,83 @@ def wrb_exact(wrb):
 # -- the quotient module carrying the snake map ------------------------------
 
 class ScriptH:
+    """I_GS / L with L = K.I_GS and K = ker(Z[GS] -> Z[G]), on the basis
+    {x - 1 : x != 1} of I_GS; `module` and `e` are filled in by
+    build_script_h."""
+
     __slots__ = ("module", "e", "gs_basis", "gs_index", "inst")
 
-    def __init__(self, module, e, gs_basis, gs_index, inst):
-        self.module = module
-        self.e = e
-        self.gs_basis = gs_basis
-        self.gs_index = gs_index
+    def __init__(self, inst):
+        gs = inst.gs
+        self.gs_basis = [x for x in range(gs.order) if x != gs.identity]
+        self.gs_index = {x: i for i, x in enumerate(self.gs_basis)}
         self.inst = inst
+        self.module = self.e = None
 
-    def class_of_gs(self, x):
-        """Coordinates of the class of (x - 1) for x in GS."""
-        n = len(self.gs_basis)
-        out = [0] * n
-        if x != self.inst.gs.identity:
-            out[self.gs_index[x]] = 1
-        return tuple(out)
-
-    def left_mul_class(self, y, x):
-        """Class of y*(x - 1) = (yx - 1) - (y - 1)."""
+    def left_mul(self, y, x):
+        """Coordinates of y(x - 1) = (yx - 1) - (y - 1) as a sparse
+        {index: coeff} dict; the identity of GS has no basis vector, so
+        its terms are dropped (and y(1 - 1) is {})."""
         gs = self.inst.gs
-        ab = self.module.underlying
-        return ab.sub(self.class_of_gs(gs.mul(y, x)), self.class_of_gs(y))
+        if x == gs.identity:
+            return {}
+        out = {}
+        yx = gs.mul(y, x)
+        if yx != gs.identity:
+            out[self.gs_index[yx]] = 1
+        if y != gs.identity:
+            out[self.gs_index[y]] = -1
+        return out
 
 
 def build_script_h(inst):
     """The augmentation-ideal quotient of the extension group that the
-    prime-by-prime map lands in, with the embedding of the class module."""
-    gs = inst.gs
-    grp = inst.group
-    basis = [x for x in range(gs.order) if x != gs.identity]
-    index = {x: i for i, x in enumerate(basis)}
-    nb = len(basis)
-    # kernel of aug(GS) -> aug(G)
-    g_basis = [g for g in range(grp.order) if g != grp.identity]
-    g_index = {g: i for i, g in enumerate(g_basis)}
-    rows = [[0] * nb for _ in range(len(g_basis))]
-    for x in basis:
-        g = inst.pi(x)
-        if g != grp.identity:
-            rows[g_index[g]][index[x]] = 1
-    kern = kernel_basis(rows, nb)
-    # denominator: products k * (y - 1) over kernel basis and y in GS
-    lat = Lattice(nb)
-    for k in kern:
-        for y in basis:
-            prod = [0] * nb
-            for i, c in enumerate(k):
-                if c:
-                    x = basis[i]
-                    xy = gs.mul(x, y)
-                    if xy != gs.identity:
-                        prod[index[xy]] += c
-                    prod[index[x]] -= c
-                    prod[index[y]] -= c
-            lat.add(prod)
-    rel = IntMatrix._trusted_columns(lat.basis(), nb)
-    hgrp = FgAb(nb, rel)
+    prime-by-prime map lands in, with the embedding of the class module.
+
+    L is spanned by (n - 1)t(s - 1) over n != 1 in ker(GS -> G), t in a
+    transversal and s in a generating set of GS: the (n - 1)t are a
+    Z-basis of the two-sided ideal K, and I_GS = sum_s Z[GS](s - 1), so
+    K.I_GS = sum_s K(s - 1).  The transversal is the first preimage of
+    each g under the projection, so L does not depend on the sections."""
+    gs, grp = inst.gs, inst.group
+    sh = ScriptH(inst)
+    nb = len(sh.gs_basis)
+    transversal = {}
+    for x in range(gs.order):
+        transversal.setdefault(inst.pi(x), x)
+    s_gens = gs.generating_set()
+    gens = []
+    for n in inst.pi.kernel_elements():
+        if n == gs.identity:
+            continue
+        for t in transversal.values():
+            nt = gs.mul(n, t)
+            for s in s_gens:
+                v = sh.left_mul(nt, s)
+                _axpy(v, 1, sh.left_mul(t, s))
+                gens.append(v)
+    hgrp = FgAb(nb, IntMatrix._from_sparse_columns(_span_basis(gens, nb), nb))
     # G acts by left multiplication by any lift; use the section over p0
     p0_sec = inst.iota[inst.p0.id]
-    acts = []
-    for g in range(grp.order):
-        ghat = p0_sec[g]
-        cols = []
-        for x in basis:
-            col = [0] * nb
-            gx = gs.mul(ghat, x)
-            if gx != gs.identity:
-                col[index[gx]] += 1
-            if ghat != gs.identity:
-                col[index[ghat]] -= 1
-            cols.append(col)
-        acts.append(IntMatrix._trusted_columns(cols, nb))
-    hmod = GModule(grp, hgrp, acts)
-    sh = ScriptH(hmod, None, basis, index, inst)
+    acts = [IntMatrix._from_sparse_columns(
+        [sh.left_mul(p0_sec[g], x) for x in sh.gs_basis], nb)
+        for g in range(grp.order)]
+    sh.module = GModule(grp, hgrp, acts)
     # embedding of the class module: c -> class(kappa(c) - 1)
     ab = inst.cl.underlying
-    cols = []
-    for j in range(ab.n):
-        cols.append(sh.class_of_gs(inst.kappa[ab.canon(ab.gen(j))]))
-    e = GMap(inst.cl, hmod, IntMatrix._trusted_columns(cols, nb))
-    sh.e = e
+    sh.e = GMap(inst.cl, sh.module, IntMatrix._from_sparse_columns(
+        [sh.left_mul(gs.identity, inst.kappa[ab.canon(ab.gen(j))])
+         for j in range(ab.n)], nb))
     return sh
 
 
 def script_h_action_lift_independent(inst, sh):
     """The action must not depend on which lift of g multiplies: for every
     lift alt of g and x in GS other than 1, the action column of x minus
-    the class of alt*(x - 1) = (alt*x - 1) - (alt - 1) is a relation."""
+    the class of alt*(x - 1) is a relation."""
     gs = inst.gs
     cl_ab = inst.cl.underlying
     lat = sh.module.underlying.rel_lattice()
-    index = sh.gs_index
     p0_sec = inst.iota[inst.p0.id]
     for g in range(inst.group.order):
         base_cols = sh.module.action[g].sparse_columns()
@@ -268,11 +253,7 @@ def script_h_action_lift_independent(inst, sh):
             alt = gs.mul(inst.kappa[cc], p0_sec[g])
             for i, x in enumerate(sh.gs_basis):
                 diff = dict(base_cols[i])
-                ax = gs.mul(alt, x)
-                if ax != gs.identity:
-                    diff[index[ax]] = diff.get(index[ax], 0) - 1
-                if alt != gs.identity:
-                    diff[index[alt]] = diff.get(index[alt], 0) + 1
+                _axpy(diff, 1, sh.left_mul(alt, x))
                 if not lat.contains(diff):
                     return False, (g, cc, x)
     return True, None
@@ -294,47 +275,39 @@ def build_snake(inst, wrb, sh):
     """The snake map R -> Cl: prime-by-prime into the quotient module,
     then pulled back through the embedding of the class module."""
     grp = inst.group
-    gs = inst.gs
-    ab_h = sh.module.underlying
+    rel_lat = sh.module.underlying.rel_lattice()
     p0_sec = inst.iota[inst.p0.id]
+
+    def combination(coeffs, images):
+        acc = {}
+        for si, ccf in coeffs.items():
+            _axpy(acc, -ccf, images[si])
+        return acc
 
     cols = []
     for (kind, pid, data, _) in wrb.w_blocks:
         if kind == "place":
             ideal = data
             sec = inst.iota[pid]
-            images = {}
-            for si, (g, h) in enumerate(ideal.spanning):
-                ghat = p0_sec[g]
-                # g . [iota_p(h) - 1]
-                images[si] = sh.left_mul_class(ghat, sec[h])
+            # g . [iota_p(h) - 1] for the spanning vectors g(h - 1)
+            images = [sh.left_mul(p0_sec[g], sec[h])
+                      for (g, h) in ideal.spanning]
             # well-definedness: relations among the spanning vectors die
-            span_cols = []
-            for (g, h) in ideal.spanning:
-                v = [0] * grp.order
-                v[grp.mul(g, h)] += 1
-                v[g] -= 1
-                span_cols.append(v)
-            for k in kernel_basis(IntMatrix._trusted_columns(
-                    span_cols, grp.order).entries, len(span_cols)):
-                acc = ab_h.zero()
-                for si, ccf in enumerate(k):
-                    if ccf:
-                        acc = ab_h.add(acc, ab_h.smul(ccf, images[si]))
-                if not ab_h.is_zero(acc):
+            rows = [{} for _ in range(grp.order)]
+            for si, (g, h) in enumerate(ideal.spanning):
+                rows[grp.mul(g, h)][si] = 1
+                rows[g][si] = -1
+            for k in _kernel_columns(rows, len(images)):
+                if not rel_lat.contains(combination(k, images)):
                     raise ValueError(f"prime-by-prime map ill-defined "
                                      f"at place {pid}")
-            for j in range(len(ideal.witnesses)):
-                acc = ab_h.zero()
-                for si, ccf in ideal.witnesses[j].items():
-                    acc = ab_h.add(acc, ab_h.smul(ccf, images[si]))
-                cols.append(acc)
+            cols.extend(combination(w, images) for w in ideal.witnesses)
         else:
             frob = inst.kappa[inst.cl.underlying.canon(data.frobenius)]
-            for g in range(grp.order):
-                cols.append(sh.left_mul_class(p0_sec[g], frob))
+            cols.extend(sh.left_mul(p0_sec[g], frob)
+                        for g in range(grp.order))
     w_to_h = GMap(wrb.w, sh.module,
-                  IntMatrix._trusted_columns(cols, ab_h.n))
+                  IntMatrix._from_sparse_columns(cols, len(sh.gs_basis)))
 
     s = GMap(wrb.r, inst.cl, sh.e.ab.lift(
         w_to_h.ab.mat.mul(wrb.r_incl.ab.mat).transpose().entries,

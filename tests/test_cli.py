@@ -131,19 +131,26 @@ def test_selftest_deterministic_bytes(tmp_path):
         assert counts["fail"] == 0
 
 
-# sha256 of the `selftest --seeds 1` report; a change that keeps the
-# analysis the same keeps these bytes
-SELFTEST_SEEDS1_SHA256 = ("411e4550523aa8e385428c9631d65c6a"
-                          "a741f31f49bcb49639ed166158ad2869")
+# sha256 of the `selftest --seeds N` report; a change that keeps the
+# analysis the same keeps these bytes; `--seeds 2` adds the seed-1
+# instances of every catalog group
+SELFTEST_SHA256 = {
+    "1": ("411e4550523aa8e385428c9631d65c6a"
+          "a741f31f49bcb49639ed166158ad2869"),
+    "2": ("0a0c9802b14a77d675f94268799fe2e5"
+          "ddddfe32982704d7b4e7f89eb33b4a9a"),
+}
 
 
-def test_selftest_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("seeds", sorted(SELFTEST_SHA256))
+def test_selftest_report_bytes_are_pinned(seeds, tmp_path, monkeypatch,
+                                          capsys):
     monkeypatch.delenv("TATELAB_WORKERS", raising=False)
     monkeypatch.chdir(tmp_path)
-    assert main(["selftest", "--seeds", "1", "--out", "report.json"]) == 0
+    assert main(["selftest", "--seeds", seeds, "--out", "report.json"]) == 0
     capsys.readouterr()
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes())
-    assert digest.hexdigest() == SELFTEST_SEEDS1_SHA256
+    assert digest.hexdigest() == SELFTEST_SHA256[seeds]
 
 
 # sha256 of `analyze sqrt34.json --fixture sqrt34_units.json`; the fixture

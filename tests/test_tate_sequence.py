@@ -1,10 +1,13 @@
 import pytest
 
-from tatelab.cft import (c_p, i2_plain, i2_twist, norm_model,
-                         quadratic_sqrt34, synth_instance, xy_modules)
+from tatelab.abelian import FgAb
+from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
+                         i2_plain, i2_twist, norm_model, quadratic_sqrt34,
+                         synth_instance, xy_modules)
 from tatelab.cohomology import CohClass, TateCohomology, TateComplex
-from tatelab.gmodules import GModule, fixed_and_norm
-from tatelab.lattice import IntMatrix
+from tatelab.gmodules import GModule, fixed_and_norm, trivial_module
+from tatelab.groups import Subgroup, extension_from_cocycle, named_group
+from tatelab.lattice import IntMatrix, Lattice, kernel_basis
 from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
                                    build_delta1, build_nabla,
                                    build_script_h, build_snake, build_wrb,
@@ -19,7 +22,19 @@ from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
                                    snake_closed_form_agrees,
                                    snake_of_aux_units, subgroups_cdc,
                                    wrb_exact)
-from tatelab.cft import PlaceIsP0
+
+CATALOG = ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
+
+
+def trivial_group_instance(cl_order):
+    """The trivial group with one place, class module Z/cl_order and one
+    auxiliary place; GS is then cyclic of order cl_order."""
+    g1 = named_group("1")
+    cl = trivial_module(g1, FgAb(1, IntMatrix([[cl_order]])))
+    gs, kappa, pi, member = extension_from_cocycle(cl, g1, lambda a, b: (0,))
+    return Instance(g1, [PlaceData("p0", Subgroup(g1, [0]), is_p0=True)],
+                    [AuxPlace("q0", (1,))], cl, gs, pi, kappa,
+                    {"p0": {0: gs.identity}})
 
 
 def lab(inst, window=(-2, 1)):
@@ -38,17 +53,7 @@ def test_wrb_ranks_and_exactness():
     assert ok
     assert info == {"rank_w": 4, "rank_r": 3, "rank_b": 4, "rank_x": 1}
     # trivial group with one auxiliary place: R = B = the ring copy, X = 0
-    from tatelab.cft import AuxPlace, Instance, PlaceData
-    from tatelab.abelian import FgAb
-    from tatelab.gmodules import trivial_module
-    from tatelab.groups import Subgroup, extension_from_cocycle, named_group
-    from tatelab.lattice import IntMatrix
-    g1 = named_group("1")
-    cl = trivial_module(g1, FgAb(1, IntMatrix([[2]])))
-    gs, kappa, pi, member = extension_from_cocycle(cl, g1, lambda a, b: (0,))
-    inst = Instance(g1, [PlaceData("p0", Subgroup(g1, [0]), is_p0=True)],
-                    [AuxPlace("q0", (1,))], cl, gs, pi, kappa,
-                    {"p0": {0: gs.identity}})
+    inst = trivial_group_instance(2)
     xy1 = xy_modules(inst)
     wrb1 = build_wrb(inst, xy1)
     assert xy1.x.underlying.n == 0
@@ -66,19 +71,9 @@ def test_script_h():
     assert sh.e.ab.apply(it.cl.underlying.zero()) == \
         sh.module.underlying.zero()
     # trivial group: the quotient is the class module itself
-    from tatelab.cft import AuxPlace, Instance, PlaceData
-    from tatelab.abelian import FgAb
-    from tatelab.gmodules import trivial_module
-    from tatelab.groups import Subgroup, extension_from_cocycle, named_group
-    from tatelab.lattice import IntMatrix
-    g1 = named_group("1")
-    cl = trivial_module(g1, FgAb(1, IntMatrix([[4]])))
-    gs, kappa, pi, member = extension_from_cocycle(cl, g1, lambda a, b: (0,))
-    inst = Instance(g1, [PlaceData("p0", Subgroup(g1, [0]), is_p0=True)],
-                    [AuxPlace("q0", (1,))], cl, gs, pi, kappa,
-                    {"p0": {0: gs.identity}})
+    inst = trivial_group_instance(4)
     sh1 = build_script_h(inst)
-    assert sh1.module.underlying.same_invariants(cl.underlying)
+    assert sh1.module.underlying.same_invariants(inst.cl.underlying)
     assert sh1.e.ab.is_bijective()
 
 
@@ -100,6 +95,69 @@ def test_script_h_lift_dependence_is_caught():
     assert not ok
     cl_ab = it.cl.underlying
     assert wit == (g, cl_ab.canon(next(cl_ab.elements())), sh.gs_basis[0])
+
+
+def reference_script_h(inst):
+    """The relation vectors, action matrices and embedding of the quotient
+    written out densely on the basis {x - 1 : x != 1}: L is spanned by a
+    kernel basis k of aug(GS) -> aug(G) times every y - 1, with
+    (x - 1)(y - 1) = (xy - 1) - (x - 1) - (y - 1)."""
+    gs, grp = inst.gs, inst.group
+    basis = [x for x in range(gs.order) if x != gs.identity]
+    index = {x: i for i, x in enumerate(basis)}
+    nb = len(basis)
+
+    def minus_one(x):
+        v = [0] * nb
+        if x != gs.identity:
+            v[index[x]] = 1
+        return v
+
+    rows = {g: [0] * nb for g in range(grp.order) if g != grp.identity}
+    for x in basis:
+        if inst.pi(x) in rows:
+            rows[inst.pi(x)][index[x]] = 1
+    rel = []
+    for k in kernel_basis(list(rows.values()), nb):
+        for y in basis:
+            prod = [0] * nb
+            for x, c in zip(basis, k):
+                if c:
+                    for z, sign in ((gs.mul(x, y), c), (x, -c), (y, -c)):
+                        if z != gs.identity:
+                            prod[index[z]] += sign
+            rel.append(prod)
+    p0_sec = inst.iota[inst.p0.id]
+    acts = [IntMatrix.from_columns(
+        [[a - b for a, b in zip(minus_one(gs.mul(p0_sec[g], x)),
+                                minus_one(p0_sec[g]))] for x in basis], nb)
+        for g in range(grp.order)]
+    ab = inst.cl.underlying
+    e = IntMatrix.from_columns(
+        [minus_one(inst.kappa[ab.canon(ab.gen(j))]) for j in range(ab.n)], nb)
+    return rel, acts, e
+
+
+@pytest.mark.parametrize("name", [f"{g}/{s}" for g in CATALOG
+                                  for s in (0, 1)] + ["i2_twist", "1"])
+def test_script_h_matches_the_kernel_times_augmentation_span(name):
+    if name == "i2_twist":
+        inst = i2_twist()
+    elif name == "1":
+        inst = trivial_group_instance(4)
+    else:
+        group, seed = name.split("/")
+        inst = synth_instance(group, int(seed))
+    sh = build_script_h(inst)
+    rel, acts, e = reference_script_h(inst)
+    ab = sh.module.underlying
+    ref = Lattice(ab.n)
+    for v in rel:
+        ref.add(v)
+    assert all(ref.contains(col) for col in ab.rel.sparse_columns())
+    assert all(ab.rel_lattice().contains(v) for v in rel)
+    assert list(sh.module.action) == acts
+    assert sh.e.ab.mat == e
 
 
 def test_snake_values_on_worked_instances():
