@@ -239,6 +239,27 @@ class FgAb:
                                      if self._mods[i] else 0
                                      for i in self._canon_idx))
 
+    def canonical_moduli(self):
+        """The modulus of each canonical coordinate, 0 for a free one."""
+        return tuple(self._mods[i] for i in self._canon_idx)
+
+    def is_diagonal(self):
+        """Whether every relation touches one generator, so that the
+        canonical coordinates are generator coordinates."""
+        return self._u is None
+
+    def free_basis_maps(self):
+        """(TB, FB): TB maps coordinates to the free canonical coordinates
+        and FB embeds them back, TB*FB = identity; inverse isomorphisms
+        when the group is torsion-free."""
+        idx = [i for i in self._canon_idx if self._mods[i] == 0]
+        u, uinv = (IntMatrix.identity(self.n),) * 2 if self._u is None \
+            else (self._u, self._uinv)
+        tb = IntMatrix._trusted(tuple(u.entries[i] for i in idx), self.n)
+        fb = IntMatrix._trusted(tuple(tuple(r[i] for i in idx)
+                                      for r in uinv.entries), len(idx))
+        return tb, fb
+
     def smith_gens(self):
         """Independent generators (one per canonical coordinate); generator
         i has order mods[i] (0 = infinite)."""

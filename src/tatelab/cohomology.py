@@ -16,7 +16,13 @@ and H^1 the usual crossed homomorphisms modulo principal ones.
 
 Everything is stored as a matrix over the group ring per pair of adjacent
 degrees and specialized at a coefficient module by replacing each ring
-entry with the matrix by which it acts.
+entry with the matrix by which it acts.  The specialization is truncated
+at the two edge degrees of a window lo..hi where that cannot change the
+answer: at lo-1 <= -2, on the chain side, only the image of the boundary
+out of it is read, and at hi+1 >= 1, on the cochain side, only the kernel
+of the coboundary into it; there only the bar tuples whose last entry is
+a generator or 1 are kept (see `TateComplex`).  Every other degree keeps
+all |G|^k tuples.
 """
 
 from __future__ import annotations
@@ -48,7 +54,19 @@ class TateComplex:
     """Complete-resolution data for one finite group over a degree window.
 
     Cohomology is computable at every degree of `window`; internally the
-    complex extends one degree beyond each end.
+    complex extends one degree beyond each end.  The ring-level complex
+    (`basis`, `rank`, `ring_differential`) is whole at every degree.  Its
+    specialization at a module (`cochain_group`, `blockified`) keeps, at
+    an edge degree the window reads from one side only, just the bar
+    tuples whose last entry lies in S u {1}, S = `group.generating_set()`:
+    degree lo-1 when lo-1 <= -2, where the window reads only the image of
+    the boundary out of it, and degree hi+1 when hi+1 >= 1, where it reads
+    only the kernel of the coboundary into it.  Evaluating dd = 0 at
+    (g, h, s) writes the (co)boundary at (g, hs) through the one at (g, h)
+    and tuples ending in s, so by induction on the word length of the last
+    entry the image and the kernel are unchanged.  On the other side of an
+    edge (a boundary into it, a coboundary out of it) the argument fails,
+    and those edges keep every tuple.
     """
 
     def __init__(self, group, window=(-4, 3)):
@@ -59,6 +77,8 @@ class TateComplex:
         self.window = (lo, hi)
         self._bases = {}
         self._diffs = {}
+        self._kept = {}
+        self._edge_diffs = {}
 
     def degrees(self):
         return range(self.window[0], self.window[1] + 1)
@@ -84,51 +104,72 @@ class TateComplex:
     def rank(self, i):
         return self.group.order ** self.tuple_length(i)
 
+    def _edge_tuples(self, i):
+        """The kept bar tuples of degree i, in basis order, if i is a
+        truncated edge (see the class docstring); None otherwise."""
+        lo, hi = self.window
+        if not ((i == lo - 1 and i <= -2) or (i == hi + 1 and i >= 1)):
+            return None
+        if i not in self._kept:
+            grp = self.group
+            last = sorted({grp.identity, *grp.generating_set()})
+            self._kept[i] = [
+                w + (s,) for w in itertools.product(
+                    range(grp.order), repeat=self.tuple_length(i) - 1)
+                for s in last]
+        return self._kept[i]
+
     def ring_differential(self, i):
         """Differential degree i -> i+1 as {source: {target: {g: coeff}}}."""
-        if i in self._diffs:
-            return self._diffs[i]
+        if i not in self._diffs:
+            self._diffs[i] = self._columns(
+                i, self.basis(i) if i <= -1 else self.basis(i + 1))
+        return self._diffs[i]
+
+    def _window_differential(self, i):
+        """ring_differential(i) as the specialization reads it: at a
+        truncated edge, over the kept sources (chain side) or targets
+        (cochain side) only, numbered by their place among the kept."""
+        kept = self._edge_tuples(i if i <= -1 else i + 1)
+        if kept is None:
+            return self.ring_differential(i)
+        if i not in self._edge_diffs:
+            self._edge_diffs[i] = self._columns(i, kept)
+        return self._edge_diffs[i]
+
+    def _columns(self, i, tuples):
+        """Columns of the differential i -> i+1 in ring_differential's
+        layout.  `tuples` lists the sources on the chain side (i <= -1)
+        and the targets on the cochain side; they are numbered by their
+        place in `tuples`, the other side by its full basis index."""
         grp = self.group
-        n = grp.order
-        src = self.basis(i)
-        tgt_index = {w: k for k, w in enumerate(self.basis(i + 1))}
         cols = {}
 
-        def put(col, target, g, c):
-            zg = col.setdefault(tgt_index[target], {})
+        def put(s_idx, t_idx, g, c):
+            col = cols.setdefault(s_idx, {})
+            zg = col.setdefault(t_idx, {})
             zg[g] = zg.get(g, 0) + c
             if not zg[g]:
                 del zg[g]
                 if not zg:
-                    del col[tgt_index[target]]
+                    del col[t_idx]
 
         if i <= -2:
             m = -i - 1
-            for s_idx, w in enumerate(src):
-                col = {}
-                put(col, w[:-1], w[-1], 1)
+            tgt_index = {w: k for k, w in enumerate(self.basis(i + 1))}
+            for s_idx, w in enumerate(tuples):
+                put(s_idx, tgt_index[w[:-1]], w[-1], 1)
                 for k in range(1, m):
                     merged = w[:k - 1] + (grp.mul(w[k - 1], w[k]),) + w[k + 1:]
-                    put(col, merged, grp.identity, (-1) ** (m - k))
-                put(col, w[1:], grp.identity, (-1) ** m)
-                cols[s_idx] = col
+                    put(s_idx, tgt_index[merged], grp.identity, (-1) ** (m - k))
+                put(s_idx, tgt_index[w[1:]], grp.identity, (-1) ** m)
         elif i == -1:
-            col = {}
-            for g in range(n):
-                put(col, (), g, 1)
-            cols[0] = col
+            for g in range(grp.order):
+                put(0, 0, g, 1)
         else:
-            for t_idx, w in enumerate(self.basis(i + 1)):
+            for t_idx, w in enumerate(tuples):
                 for s_w, g, c in self._cochain_terms(w, i):
-                    s_idx2 = self._basis_index(i, s_w)
-                    col = cols.setdefault(s_idx2, {})
-                    zg = col.setdefault(t_idx, {})
-                    zg[g] = zg.get(g, 0) + c
-                    if not zg[g]:
-                        del zg[g]
-                        if not zg:
-                            del col[t_idx]
-        self._diffs[i] = cols
+                    put(self._basis_index(i, s_w), t_idx, g, c)
         return cols
 
     def _basis_index(self, i, w):
@@ -171,8 +212,12 @@ class TateComplex:
     # -- specialization at a module ---------------------------------------
 
     def cochain_group(self, module, i):
+        """Degree-i cochains with values in `module`: one copy of it per
+        bar tuple, or per kept tuple at a truncated edge."""
         self._check_degree(i)
-        return FgAb.direct_sum([module.underlying] * self.rank(i))
+        kept = self._edge_tuples(i)
+        size = self.rank(i) if kept is None else len(kept)
+        return FgAb.direct_sum([module.underlying] * size)
 
     def blockified(self, module, i, dom=None, cod=None):
         """The degree i -> i+1 differential specialized at `module`."""
@@ -182,7 +227,7 @@ class TateComplex:
         dom = dom if dom is not None else self.cochain_group(module, i)
         cod = cod if cod is not None else self.cochain_group(module, i + 1)
         rows = [[0] * dom.n for _ in range(cod.n)]
-        for s_idx, col in self.ring_differential(i).items():
+        for s_idx, col in self._window_differential(i).items():
             for t_idx, zg in col.items():
                 for g, c in zg.items():
                     act = module.action[g].entries
@@ -334,8 +379,12 @@ def connecting_hom(complex_, ext, i, calc_c=None, calc_a=None,
     The calculators of C, A and B over `complex_` are built unless given.
 
     A custom (Z-linear) `section` matrix may be supplied to re-randomize
-    the lift; the class of the result does not depend on it.
+    the lift; the class of the result does not depend on it.  Both i and
+    i + 1 must lie in the window: an edge degree of the cochain groups
+    may be truncated and cannot carry a class.
     """
+    complex_._check_degree(i, public=True)
+    complex_._check_degree(i + 1, public=True)
     calc_c = calc_c or TateCohomology(complex_, ext.c)
     calc_a = calc_a or TateCohomology(complex_, ext.a)
     calc_b = calc_b or TateCohomology(complex_, ext.b)

@@ -308,20 +308,6 @@ def direct_sum(mods):
 
 # -- Hom and tensor ---------------------------------------------------------
 
-def _free_basis_maps(c):
-    """(k, TB, FB) for torsion-free c: TB maps coordinates to the free
-    basis, FB embeds back, TB*FB = identity."""
-    if not c.is_free():
-        raise NotFree("module has torsion")
-    idx = [i for i in c._canon_idx if c._mods[i] == 0]
-    u, uinv = (IntMatrix.identity(c.n),) * 2 if c._u is None else \
-        (c._u, c._uinv)
-    tb = IntMatrix._trusted(tuple(u.entries[i] for i in idx), c.n)
-    fb = IntMatrix._trusted(tuple(tuple(r[i] for i in idx)
-                                  for r in uinv.entries), len(idx))
-    return len(idx), tb, fb
-
-
 class HomModule:
     """Hom_Z(C, A) with the conjugation action, C torsion-free."""
 
@@ -332,7 +318,10 @@ class HomModule:
             raise ValueError("modules over different groups")
         group = cmod.group
         c, a = cmod.underlying, amod.underlying
-        k, tb, fb = _free_basis_maps(c)
+        if not c.is_free():
+            raise NotFree("module has torsion")
+        tb, fb = c.free_basis_maps()
+        k = tb.rows
         na = a.n
         ab = FgAb.direct_sum([a] * k)
         acts = []

@@ -53,8 +53,8 @@ def _indices(values, order, what):
 
 def instance_to_dict(inst):
     ab = inst.cl.underlying
-    invf = [ab._mods[i] for i in ab._canon_idx]
-    if ab._u is not None or any(m == 0 for m in invf):
+    invf = list(ab.canonical_moduli())
+    if not ab.is_diagonal() or 0 in invf:
         raise InstanceSchemaError("class module must carry a finite "
                                   "diagonal presentation")
     _require_chain(invf, InstanceSchemaError)
@@ -110,10 +110,12 @@ def instance_from_dict(data):
                 f"group of order {gs.order}; kappa cannot be injective")
         # kappa on every element from per-generator power tables
         powers = []
-        for i in ab._canon_idx:
+        for d, gen in zip(invf, kappa_gens):
+            if d == 1:
+                continue  # not a canonical coordinate of the diagonal ab
             row = [gs.identity]
-            for _ in range(invf[i] - 1):
-                row.append(gs.mul(row[-1], kappa_gens[i]))
+            for _ in range(d - 1):
+                row.append(gs.mul(row[-1], gen))
             powers.append(row)
         kappa = {}
         for canon in itertools.product(*(range(len(r)) for r in powers)):

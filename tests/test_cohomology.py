@@ -2,11 +2,13 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tatelab.abelian import FgAb
-from tatelab.cohomology import (CohClass, Cocycle1, DegreeMismatch,
-                                DegreeOutOfWindow, ExtensionData,
-                                TateCohomology, TateComplex, WindowTooLarge,
+from tatelab.abelian import AbMap, FgAb, Homology
+from tatelab.cohomology import (MAX_WINDOW, CohClass, Cocycle1,
+                                DegreeMismatch, DegreeOutOfWindow,
+                                ExtensionData, TateCohomology, TateComplex,
+                                WindowTooLarge,
                                 build_ext1_data, connecting_hom,
                                 cocycle_to_extension, cup_with_h1,
                                 ext1_class_to_h2, extension_to_cocycle,
@@ -465,3 +467,146 @@ def test_every_degree_matches_closed_forms(name):
             h = calc.group(i)
             assert (h.free_rank(), h.invariant_factors()) == (0, want), \
                 (module, i, source)
+
+
+@pytest.mark.parametrize("window", [(-4, -3), (2, 3)])
+@pytest.mark.parametrize("name", ["C4", "S3", "Q8"])
+def test_one_sided_windows_match_closed_forms(name, window):
+    """Windows whose outer edges lie on the side that keeps every tuple:
+    degree -2 is the target of a boundary and degree 1 the source of a
+    coboundary, so truncating them would change H^-3 and H^2."""
+    grp = named_group(name)
+    calc = TateCohomology(TateComplex(grp, window), trivial_module(grp))
+    for i in range(window[0], window[1] + 1):
+        want, source = _tate(name, "Z", i)
+        h = calc.group(i)
+        assert (h.free_rank(), h.invariant_factors()) == (0, want), \
+            (i, source)
+
+
+# -- truncated edge degrees against the whole specialization -----------------
+
+_MODULES = {"Z": trivial_module, "Z/6": lambda g: z_mod(g, 6),
+            "Z[G]": regular_module}
+_EDGE_CAP = 256  # largest cochain rank, bar tuples times module rank
+
+
+def _edge_cases():
+    """(group, module, window) over windows inside MAX_WINDOW whose
+    largest cochain group, at degree lo-1 or hi+1, stays within the cap."""
+    out = []
+    for name in ("C2", "C3", "C4", "V4", "S3"):
+        for kind in _MODULES:
+            na = _ORDER[name] if kind == "Z[G]" else 1
+            for lo in range(MAX_WINDOW[0], MAX_WINDOW[1] + 1):
+                for hi in range(lo, MAX_WINDOW[1] + 1):
+                    if _ORDER[name] ** max(-lo, hi + 1) * na <= _EDGE_CAP:
+                        out.append((name, kind, (lo, hi)))
+    return out
+
+
+def full_differential(cx, module, i):
+    """The degree i -> i+1 differential specialized over every bar tuple
+    of both degrees, read from the ring-level complex."""
+    na = module.underlying.n
+    dom, cod = (FgAb.direct_sum([module.underlying] * cx.rank(j))
+                for j in (i, i + 1))
+    rows = [[0] * dom.n for _ in range(cod.n)]
+    for s_idx, col in cx.ring_differential(i).items():
+        for t_idx, zg in col.items():
+            for g, c in zg.items():
+                for r, row in enumerate(module.action[g].entries):
+                    for q, x in enumerate(row):
+                        rows[t_idx * na + r][s_idx * na + q] += c * x
+    return AbMap(dom, cod, IntMatrix(rows, cols=dom.n), check=False)
+
+
+def _combination(incl, rng):
+    """A random integer combination of the columns of incl."""
+    return incl.apply([rng.randint(-3, 3) for _ in range(incl.dom.n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_edge_cases()), st.integers(0, 2 ** 16))
+@example(("C4", "Z", (-4, -3)), 0)
+@example(("C4", "Z", (-3, -2)), 0)
+@example(("C4", "Z", (-1, 0)), 0)
+@example(("C4", "Z", (1, 2)), 0)
+@example(("C4", "Z", (2, 3)), 0)
+@example(("S3", "Z/6", (-3, -2)), 0)
+@example(("S3", "Z/6", (-1, 0)), 0)
+@example(("S3", "Z/6", (1, 2)), 0)
+@example(("V4", "Z[G]", (-1, 0)), 0)
+def test_truncated_edges_keep_homology(case, seed):
+    """The truncated specialization and the whole one have the same
+    cohomology at every degree of the window, the same cocycles at hi and
+    the same boundaries at lo."""
+    name, kind, (lo, hi) = case
+    grp = named_group(name)
+    cx = TateComplex(grp, (lo, hi))
+    mod = _MODULES[kind](grp)
+    calc = TateCohomology(cx, mod)
+    full = {i: full_differential(cx, mod, i) for i in range(lo - 1, hi + 1)}
+    for i in range(lo, hi + 1):
+        got, want = calc.group(i), Homology(full[i - 1], full[i]).group
+        assert got.same_invariants(want), (i, got, want)
+    rng = random.Random(seed)
+    # cocycles at hi: the kernel into the (possibly truncated) degree hi+1
+    top, top_full = calc.differential(hi), full[hi]
+    z = _combination(top.kernel()[1], rng)
+    bumped = list(z)
+    bumped[rng.randrange(len(z))] += 1
+    for x in (z, bumped, _combination(top_full.kernel()[1], rng),
+              [rng.randint(-2, 2) for _ in z]):
+        assert (top.cod.is_zero(top.apply(x))
+                == top_full.cod.is_zero(top_full.apply(x))), x
+    # boundaries at lo: the image out of the (possibly truncated) lo-1
+    bottom, bottom_full = calc.differential(lo - 1), full[lo - 1]
+    cycle = _combination(full[lo].kernel()[1], rng)
+    boundary = _combination(bottom_full, rng)
+    for y in (cycle, boundary, [a + b for a, b in zip(cycle, boundary)]):
+        assert bottom.in_image(y) == bottom_full.in_image(y), y
+
+
+# the modules and windows of the `resolution` benchmark, and two one-sided
+# windows whose outer edges keep every tuple
+_SIZE_CASES = (("Z", (-3, 2)), ("Z/6", (-3, 2)), ("Z[G]", (-3, 2)),
+               ("Z", (-4, 3)), ("Z", (-4, -3)), ("Z", (2, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER))
+def test_edge_cochain_groups_keep_generator_tuples(name):
+    """At degree lo-1 <= -2 and hi+1 >= 1 a cochain group has one block per
+    bar tuple ending in S u {1}; every other degree keeps all |G|^k.
+    The ring-level ranks stay whole everywhere."""
+    grp = named_group(name)
+    n, kept = grp.order, len(set(grp.generating_set()) | {grp.identity})
+    for kind, (lo, hi) in _SIZE_CASES:
+        mod = _MODULES[kind](grp)
+        na = mod.underlying.n
+        cx = TateComplex(grp, (lo, hi))
+        calc = TateCohomology(cx, mod)
+        for i in range(lo - 1, hi + 2):
+            k = cx.tuple_length(i)
+            edge = (i == lo - 1 and i <= -2) or (i == hi + 1 and i >= 1)
+            blocks = n ** (k - 1) * kept if edge else n ** k
+            assert calc.cochain_group(i).n == blocks * na, (kind, lo, hi, i)
+            assert len(cx.basis(i)) == cx.rank(i) == n ** k
+
+
+def test_connecting_hom_rejects_degrees_outside_the_window():
+    """A connecting map out of hi would land in the truncated degree hi+1;
+    it is refused when it is built, before anything is lifted."""
+    c4 = named_group("C4")
+    cx = TateComplex(c4, (-2, 1))
+    z2m, z4m = z_mod(c4, 2), z_mod(c4, 4)
+    ext = ExtensionData(GMap(z2m, z4m, IntMatrix([[2]])),
+                        GMap(z4m, z2m, IntMatrix([[1]])))
+    for i in (-3, 1, 2):
+        with pytest.raises(DegreeOutOfWindow):
+            connecting_hom(cx, ext, i)
+    # inside the window it still runs; H^0(Z/4) = Z/4 maps onto
+    # H^0(Z/2) = Z/2, so the connecting map out of degree 0 is zero
+    calc = TateCohomology(cx, z2m)
+    delta = connecting_hom(cx, ext, 0, calc_c=calc, calc_a=calc)
+    assert delta(nonzero_class(calc, 0)).is_zero()
