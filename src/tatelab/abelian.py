@@ -73,14 +73,13 @@ class FgAb:
         self.rel = rel
         self._rel_lat = None
         self._inv_factors = None
-        cols = rel.transpose().entries
-        if all(sum(1 for x in col if x) <= 1 for col in cols):
+        cols = rel._column_dicts()
+        if all(len(col) <= 1 for col in cols):
             # every relation touches a single generator: no basis change needed
             mods = [0] * n
             for col in cols:
-                for i, x in enumerate(col):
-                    if x:
-                        mods[i] = gcd(mods[i], abs(x))
+                for i, x in col.items():
+                    mods[i] = gcd(mods[i], abs(x))
             self._mods = tuple(mods)
             self._u = None
             self._uinv = None
@@ -101,7 +100,13 @@ class FgAb:
         The parts' Smith data is assembled, not recomputed: diag(U_k) is
         unimodular and diag(U_k) R diag(V_k) = diag(D_k), so canon reduces
         each block modulo its own part's moduli (a part without U takes
-        the identity block).  The moduli form no divisibility chain.
+        the identity block).  The moduli form no divisibility chain.  The
+        relations stay sparse columns, however many parts there are.
+
+        >>> z6 = FgAb(1, IntMatrix([[6]]))
+        >>> s = FgAb.direct_sum([z6, FgAb(1), z6])
+        >>> s, s.rel.sparse_columns()
+        (FgAb(Z + Z/6 + Z/6), [{0: 6}, {2: 6}])
         """
         parts = list(parts)
         n = sum(p.n for p in parts)
@@ -303,8 +308,8 @@ class AbMap:
         self._img_lat = None
         if check:
             lat = cod.rel_lattice()
-            for col in dom.rel.transpose().entries:
-                if not lat.contains(mat.apply(col)):
+            for col in dom.rel._column_dicts():
+                if lat._walk(mat._apply_sparse(col)) is None:
                     raise ValueError("matrix does not respect domain relations")
 
     @classmethod

@@ -220,24 +220,29 @@ class TateComplex:
         return FgAb.direct_sum([module.underlying] * size)
 
     def blockified(self, module, i, dom=None, cod=None):
-        """The degree i -> i+1 differential specialized at `module`."""
+        """The degree i -> i+1 differential specialized at `module`, held
+        by its sparse columns: block column s of a source tuple sums, over
+        its ring entries c*g at target t, c times g's action columns
+        shifted into block row t."""
         self._check_degree(i)
         self._check_degree(i + 1)
         na = module.underlying.n
         dom = dom if dom is not None else self.cochain_group(module, i)
         cod = cod if cod is not None else self.cochain_group(module, i + 1)
-        rows = [[0] * dom.n for _ in range(cod.n)]
+        acts = [[tuple(c.items()) for c in a.sparse_columns()]
+                for a in module.action]
+        cols = [{} for _ in range(dom.n)]
         for s_idx, col in self._window_differential(i).items():
+            out_cols = cols[s_idx * na:(s_idx + 1) * na]
             for t_idx, zg in col.items():
+                top = t_idx * na
                 for g, c in zg.items():
-                    act = module.action[g].entries
-                    for r in range(na):
-                        ar = act[r]
-                        for q in range(na):
-                            if ar[q]:
-                                rows[t_idx * na + r][s_idx * na + q] += c * ar[q]
-        return AbMap(dom, cod, IntMatrix._trusted(tuple(map(tuple, rows)),
-                                                  dom.n), check=False)
+                    for out, pairs in zip(out_cols, acts[g]):
+                        for r, a in pairs:
+                            out[top + r] = out.get(top + r, 0) + c * a
+        return AbMap(dom, cod, IntMatrix._from_sparse_columns(
+            [{k: x for k, x in col.items() if x} for col in cols], cod.n),
+            check=False)
 
     def acyclic_at(self, module, i):
         """True iff the specialized complex is exact at degree i."""

@@ -13,13 +13,27 @@ from itertools import compress, repeat
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major.
+    """Immutable integer matrix.
+
+    A matrix is held by its rows, by its sparse columns, or by both.  One
+    built from sparse columns keeps them and builds its rows only when
+    `entries` is first read, so the large and very sparse differentials
+    and relation matrices of the cohomology never become dense unless a
+    caller asks for their rows.  Shape, equality and hashing do not depend
+    on how a matrix was built.
 
     >>> IntMatrix([[1, 2], [3, 4]]).shape
     (2, 2)
+    >>> m = IntMatrix._from_sparse_columns([{0: 5}, {}, {1: -1}], 2)
+    >>> m.sparse_rows()
+    [{0: 5}, {2: -1}]
+    >>> m.entries
+    ((5, 0, 0), (0, 0, -1))
+    >>> m == IntMatrix([[5, 0, 0], [0, 0, -1]])
+    True
     """
 
-    __slots__ = ("rows", "cols", "entries", "_colcache")
+    __slots__ = ("rows", "cols", "_entries", "_columns")
 
     def __init__(self, entries, cols=None):
         entries = tuple(tuple(int(x) for x in row) for row in entries)
@@ -33,8 +47,8 @@ class IntMatrix:
                 raise ValueError("ragged rows in matrix")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_colcache", None)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_columns", None)
 
     @classmethod
     def _trusted(cls, entries, cols):
@@ -43,12 +57,33 @@ class IntMatrix:
         m = object.__new__(cls)
         object.__setattr__(m, "rows", len(entries))
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "_colcache", None)
+        object.__setattr__(m, "_entries", entries)
+        object.__setattr__(m, "_columns", None)
+        return m
+
+    @classmethod
+    def _from_sparse_columns(cls, columns, rows):
+        """A rows x len(columns) matrix held by its {row: value} dict
+        columns.  They hold nonzero ints only, and the matrix takes them
+        over: nothing may change them afterwards."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", len(columns))
+        object.__setattr__(m, "_entries", None)
+        object.__setattr__(m, "_columns", list(columns))
         return m
 
     def __setattr__(self, *a):
         raise AttributeError("IntMatrix is immutable")
+
+    @property
+    def entries(self):
+        """The rows, a tuple of int tuples; a matrix held by its sparse
+        columns builds them here, once."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries",
+                               tuple(map(tuple, self._row_lists())))
+        return self._entries
 
     @property
     def shape(self):
@@ -77,40 +112,72 @@ class IntMatrix:
             return cls._trusted(((),) * rows, 0)
         return cls._trusted(tuple(zip(*columns)), len(columns))
 
-    @classmethod
-    def _from_sparse_columns(cls, columns, rows):
-        """_trusted_columns for {row: value} dict columns."""
-        return cls._trusted_columns([tuple(map(c.get, range(rows), repeat(0)))
-                                     for c in columns], rows)
+    def _row_lists(self):
+        """The rows as fresh lists."""
+        if self._entries is not None:
+            return [list(r) for r in self._entries]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
+
+    def _column_dicts(self):
+        """The sparse columns, not to be changed: the kept ones, or ones
+        read off the rows."""
+        if self._columns is not None:
+            return self._columns
+        if not self.rows:
+            return [{} for _ in range(self.cols)]
+        rng = range(self.rows)
+        return [{i: col[i] for i in compress(rng, col)}
+                for col in zip(*self._entries)]
 
     def sparse_rows(self):
         """Rows as fresh {column: value} dicts of the nonzero entries."""
+        if self._entries is None:
+            out = [{} for _ in range(self.rows)]
+            for j, col in enumerate(self._columns):
+                for i, x in col.items():
+                    out[i][j] = x
+            return out
         rng = range(self.cols)
         return [{j: row[j] for j in compress(rng, row)}
-                for row in self.entries]
+                for row in self._entries]
 
     def sparse_columns(self):
         """Columns as fresh {row: value} dicts of the nonzero entries."""
-        return self.transpose().sparse_rows()
+        if self._columns is not None:
+            return [dict(c) for c in self._columns]
+        return self._column_dicts()
 
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        if self._entries is None:
+            return tuple(map(self._columns[j].get, range(self.rows),
+                             repeat(0)))
+        return tuple(self._entries[i][j] for i in range(self.rows))
 
     @classmethod
     def block_diagonal(cls, blocks):
-        """Block-diagonal matrix of the given (possibly rectangular) blocks."""
-        cols = sum(b.cols for b in blocks)
-        rows, left = [], 0
+        """Block-diagonal matrix of the given (possibly rectangular) blocks,
+        held by its sparse columns."""
+        cols, top = [], 0
         for b in blocks:
-            pad_l, pad_r = (0,) * left, (0,) * (cols - left - b.cols)
-            rows.extend(pad_l + r + pad_r for r in b.entries)
-            left += b.cols
-        return cls._trusted(tuple(rows), cols)
+            if top:
+                cols.extend({i + top: x for i, x in c.items()}
+                            for c in b._column_dicts())
+            else:
+                cols.extend(b._column_dicts())
+            top += b.rows
+        return cls._from_sparse_columns(cols, top)
 
     def transpose(self):
+        if self._entries is None:
+            return IntMatrix._from_sparse_columns(self.sparse_rows(),
+                                                  self.cols)
         if not self.rows:
             return IntMatrix._trusted(((),) * self.cols, 0)
-        return IntMatrix._trusted(tuple(zip(*self.entries)), self.rows)
+        return IntMatrix._trusted(tuple(zip(*self._entries)), self.rows)
 
     def mul(self, other):
         """Matrix product; only the nonzero entries of both factors are
@@ -118,8 +185,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         m = other.cols
-        nonzero = [[(j, b) for j, b in enumerate(row) if b]
-                   for row in other.entries]
+        nonzero = [tuple(r.items()) for r in other.sparse_rows()]
         out = []
         for row in self.entries:
             acc = [0] * m
@@ -131,36 +197,57 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(out), m)
 
     def apply(self, vec):
-        """Matrix times column vector; sparse vectors use cached columns."""
+        """Matrix times column vector.  Sparse vectors, and every vector
+        when the matrix is held by its columns, go through the sparse
+        columns, which a matrix held by its rows keeps from then on."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         support = [j for j, x in enumerate(vec) if x]
-        if 3 * len(support) < self.cols:
-            if self._colcache is None:
-                object.__setattr__(self, "_colcache", [
-                    tuple(c.items()) for c in self.sparse_columns()])
+        if self._entries is None or 3 * len(support) < self.cols:
             out = [0] * self.rows
+            cols = self._sparse_cache()
             for j in support:
                 vj = vec[j]
-                for i, a in self._colcache[j]:
+                for i, a in cols[j].items():
                     out[i] += a * vj
             return tuple(out)
         return tuple(sum(a * b for a, b in zip(row, vec))
-                     for row in self.entries)
+                     for row in self._entries)
+
+    def _sparse_cache(self):
+        """The sparse columns, kept from their first use."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", self._column_dicts())
+        return self._columns
+
+    def _apply_sparse(self, vec):
+        """Matrix times a {index: value} vector, as a fresh dict of the
+        nonzero entries."""
+        cols = self._sparse_cache()
+        out = {}
+        for j, vj in vec.items():
+            for i, a in cols[j].items():
+                out[i] = out.get(i, 0) + a * vj
+        return {i: x for i, x in out.items() if x}
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
+        if self._entries is None or other._entries is None:
+            return IntMatrix._from_sparse_columns(
+                self._column_dicts() + other._column_dicts(), self.rows)
         return IntMatrix._trusted(tuple(ra + rb for ra, rb in
-                                        zip(self.entries, other.entries)),
+                                        zip(self._entries, other._entries)),
                                   self.cols + other.cols)
 
     def is_zero(self):
-        return all(all(x == 0 for x in row) for row in self.entries)
+        if self._entries is None:
+            return not any(self._columns)
+        return all(all(x == 0 for x in row) for row in self._entries)
 
     def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.entries == other.entries
-                and self.cols == other.cols)
+        return (isinstance(other, IntMatrix) and self.shape == other.shape
+                and self.entries == other.entries)
 
     def __hash__(self):
         return hash((self.cols, self.entries))
@@ -198,17 +285,26 @@ def smith_normal_form(m: IntMatrix):
     >>> [d.entries[i][i] for i in range(2)]
     [2, 4]
     """
-    u, d, v, _ = _snf_data(m)
+    u, d, v, _ = _snf_data(m, track_v=True)
     return u, d, v
 
 
-def _snf_data(m: IntMatrix):
-    """(U, D, V, Uinv) with U m V = D and the inverse of U tracked."""
+def _snf_data(m: IntMatrix, track_v=False):
+    """(U, D, V, Uinv) with U m V = D and the inverse of U tracked; V is
+    None unless `track_v`.  U, D and Uinv do not depend on `track_v`.
+
+    Once a pivot has cleared its row and column, the rest of the matrix
+    is swept for an entry the pivot does not divide, and such a row is
+    added to the pivot row.  A pivot of +-1 divides every entry, so the
+    sweep could find nothing there and is skipped: the result is the one
+    the sweep would give, only sooner.
+    """
     rows, cols = m.rows, m.cols
-    d = [list(r) for r in m.entries]
+    d = m._row_lists()
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    v = ([[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+         if track_v else [])  # no rows: the column operations skip V
 
     def row_swap(a, b):
         d[a], d[b] = d[b], d[a]
@@ -285,6 +381,8 @@ def _snf_data(m: IntMatrix):
                 continue
             # pivot clean; enforce divisibility against the rest
             p = d[t][t]
+            if p == 1 or p == -1:
+                break  # a unit divides every entry
             offender = None
             for i in range(t + 1, rows):
                 di = d[i]
@@ -304,7 +402,8 @@ def _snf_data(m: IntMatrix):
             row_neg(i)
     return (IntMatrix._trusted(tuple(map(tuple, u)), rows),
             IntMatrix._trusted(tuple(map(tuple, d)), cols),
-            IntMatrix._trusted(tuple(map(tuple, v)), cols),
+            IntMatrix._trusted(tuple(map(tuple, v)), cols) if track_v
+            else None,
             IntMatrix._trusted(tuple(map(tuple, uinv)), rows))
 
 

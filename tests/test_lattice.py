@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tatelab.abelian import AbMap, FgAb
 from tatelab.lattice import (IntMatrix, Lattice, _snf_data, kernel_basis,
@@ -58,10 +58,36 @@ def test_snf_2x2_example_against_exhaustive_unimodular_search():
     assert u.mul(m).mul(v) == d
 
 
-@settings(max_examples=120, deadline=None)
-@given(matrices())
+@st.composite
+def unit_pivot_matrices(draw):
+    """Matrices whose Smith pivots are mostly +-1, with non-unit pivots
+    after the unit ones: a permuted diagonal such as diag(1, 1, 2, 4, 0)
+    plus a little noise, both biased toward +-1."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    diag = draw(st.lists(st.sampled_from([1, 1, -1, 2, 3, 4, 6, 0]),
+                         min_size=min(rows, cols), max_size=min(rows, cols)))
+    d = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    for i, j, x in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                           st.integers(0, cols - 1),
+                                           st.sampled_from([1, -1, 2])),
+                                 max_size=3)):
+        d[i][j] += x
+    rp = draw(st.permutations(range(rows)))
+    cp = draw(st.permutations(range(cols)))
+    return IntMatrix([[d[i][j] for j in cp] for i in rp], cols=cols)
+
+
+@settings(max_examples=240, deadline=None)
+@given(st.one_of(matrices(), unit_pivot_matrices()))
+@example(IntMatrix([[0, 0, 2, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 1],
+                    [0, 1, 0, 0, 0], [0, 0, 1, 4, 0]]))
+@example(IntMatrix([[2, 0], [0, 3]]))
 def test_snf_properties(m):
-    u, d, v, uinv = _snf_data(m)
+    u, d, v, uinv = _snf_data(m, track_v=True)
+    u0, d0, v0, uinv0 = _snf_data(m)
+    assert (u0, d0, v0, uinv0) == (u, d, None, uinv)
     assert u.mul(m).mul(v) == d
     assert u.mul(uinv) == IntMatrix.identity(m.rows)
     diag = [d.entries[i][i] for i in range(min(m.rows, m.cols))]
@@ -230,6 +256,75 @@ def test_block_diagonal():
         IntMatrix([[0, 0], [0, 0], [1, 2]])
 
 
+def _column_built(m):
+    """A fresh copy of m held by its sparse columns, rows not yet built."""
+    c = IntMatrix._from_sparse_columns(m.sparse_columns(), m.rows)
+    assert c._entries is None
+    return c
+
+
+def _padded_rows(blocks):
+    """The block-diagonal matrix of blocks, built row by row."""
+    cols, rows, left = sum(x.cols for x in blocks), [], 0
+    for x in blocks:
+        rows += [[0] * left + list(row) + [0] * (cols - left - x.cols)
+                 for row in x.entries]
+        left += x.cols
+    return IntMatrix(rows, cols=cols)
+
+
+@st.composite
+def operand_triples(draw):
+    """(m, b, w): an r x c matrix, a c x 2 one to multiply it by and an
+    r x 3 one to stack beside it, r and c from 0 to 4, mostly zeros."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def mat(rows, cols):
+        entry = st.one_of(st.just(0), st.just(0), small_entries)
+        return IntMatrix(draw(st.lists(st.lists(entry, min_size=cols,
+                                                max_size=cols),
+                                       min_size=rows, max_size=rows)),
+                         cols=cols)
+    return mat(r, c), mat(c, 2), mat(r, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operand_triples())
+def test_column_built_matrix_agrees_with_row_built(case):
+    """Every view and operation of a matrix is the same whether it was
+    built from rows or from sparse columns, on either side of a product,
+    a stack or a block diagonal, including shapes with no rows or no
+    columns."""
+    m, b, w = case
+    r, c = m.shape
+    cb = _column_built
+    assert cb(m).shape == m.shape
+    assert cb(m).sparse_rows() == m.sparse_rows()
+    assert cb(m).sparse_columns() == m.sparse_columns()
+    one = cb(m)
+    assert [one.column(j) for j in range(c)] == \
+        [m.column(j) for j in range(c)]
+    assert cb(m).is_zero() == m.is_zero()
+    assert cb(m).transpose() == m.transpose()
+    assert cb(m).transpose().shape == (c, r)
+    for x, y in ((cb(m), w), (m, cb(w)), (cb(m), cb(w))):
+        assert x.hstack(y) == m.hstack(w)
+    for blocks, want in (((cb(m), w), (m, w)), ((w, cb(m)), (w, m)),
+                         ((cb(m), cb(m)), (m, m))):
+        assert IntMatrix.block_diagonal(blocks) == _padded_rows(want)
+    want = m.mul(b)
+    for x, y in ((cb(m), b), (m, cb(b)), (cb(m), cb(b))):
+        assert x.mul(y) == want
+    dense_vec = tuple(range(1, c + 1))
+    sparse_vec = tuple(int(j == c - 1) for j in range(c))
+    for vec in (dense_vec, sparse_vec):
+        assert cb(m).apply(vec) == m.apply(vec)
+    assert cb(m) == m and m == cb(m)
+    assert hash(cb(m)) == hash(m)
+    assert cb(m).entries == m.entries
+    assert (cb(m) == IntMatrix.zeros(r, c + 1)) is False
+
+
 def test_identity_and_zeros_shapes():
     assert IntMatrix.identity(3) == IntMatrix([[1, 0, 0], [0, 1, 0],
                                                [0, 0, 1]])
@@ -278,7 +373,7 @@ def test_kernel_basis_spans_the_smith_kernel(case):
             assert sum(a * b for a, b in zip(row, col)) == 0
     # reference: the columns of V past the rank, from U m V = D
     m = IntMatrix(rows, cols=ncols)
-    _, d, v, _ = _snf_data(m)
+    _, d, v = smith_normal_form(m)
     rank = sum(1 for i in range(min(m.rows, m.cols)) if d.entries[i][i])
     ref = [v.column(j) for j in range(rank, ncols)]
     assert len(ker) == ncols - rank
