@@ -48,6 +48,13 @@ def _chain_from_multiset(ds):
     return tuple(chain)
 
 
+def _reduces(ncols, n):
+    """Whether FgAb keeps a lattice basis of ncols relation columns in
+    Z^n instead of the columns themselves: when there are more than
+    max(n, 32) of them."""
+    return ncols > max(n, 32)
+
+
 class FgAb:
     """Finitely generated abelian group Z^n / (column span of rel).
 
@@ -65,7 +72,7 @@ class FgAb:
             rel = IntMatrix(rel)
         if rel.rows != n:
             raise ValueError(f"relation matrix has {rel.rows} rows, expected {n}")
-        if rel.cols > max(n, 32):
+        if _reduces(rel.cols, n):
             # large redundant relation sets: keep a lattice basis instead
             rel = IntMatrix._from_sparse_columns(
                 _span_basis(rel.sparse_columns(), n), n)
@@ -111,7 +118,7 @@ class FgAb:
         parts = list(parts)
         n = sum(p.n for p in parts)
         rel = IntMatrix.block_diagonal([p.rel for p in parts])
-        if rel.cols > max(n, 32):
+        if _reduces(rel.cols, n):
             return cls(n, rel)  # lattice-reduced as the constructor does
         grp = object.__new__(cls)
         grp.n = n
@@ -456,8 +463,8 @@ def subgroup_span(grp, elems):
 
 def _reduced(cols, n):
     """The sparse relation columns as FgAb(n, .) keeps them: as they are,
-    or their lattice basis when there are more than max(n, 32)."""
-    return _span_basis(cols, n) if len(cols) > max(n, 32) else cols
+    or their lattice basis (see _reduces)."""
+    return _span_basis(cols, n) if _reduces(len(cols), n) else cols
 
 
 def _relation_coords(lat, grp):

@@ -141,8 +141,8 @@ def _check_delta1(inst, seed, wrb, d1, calc_cl, calc_r, calc_k):
             if pre is not None:
                 for qid, v in zip(aux_ids, pre):
                     coeffs2[qid] = coeffs2.get(qid, 0) + v
-                out1 = delta1(inst, wrb, d1, coeffs)
-                out2 = delta1(inst, wrb, d1, coeffs2)
+                out1 = delta1(inst, wrb, d1, calc_k, coeffs)
+                out2 = delta1(inst, wrb, d1, calc_k, coeffs2)
                 if out1 != out2:
                     return False, {"coeffs": coeffs, "coeffs2": coeffs2,
                                    "outputs": (out1, out2)}
@@ -184,7 +184,7 @@ _REGISTRY = {
                         snake_of_aux_units, ("inst", "wrb", "snake")),
     "snake.closed_form": ("snake closed form on distinguished elements",
                           snake_closed_form_agrees,
-                          ("inst", "wrb", "snake")),
+                          ("inst", "wrb", "snake", "cdc")),
     "nabla.class": ("pushout extension class equals the snake cocycle "
                     "class", nabla_class_checks,
                     ("complex", "inst", "wrb", "snake", "nabla")),

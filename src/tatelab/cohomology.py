@@ -324,12 +324,6 @@ class TateCohomology:
     def rep_of(self, i, canon):
         return self.homology(i).rep_of(canon)
 
-    def classes(self, i):
-        """All classes of a finite cohomology group."""
-        h = self.homology(i)
-        return [CohClass(self, i, h.rep_of(h.group.canon(e)))
-                for e in h.group.elements()]
-
 
 def induced_map(calc_dom, calc_cod, f, i):
     """Map on degree-i cohomology induced by an equivariant map f."""
@@ -414,7 +408,13 @@ def connecting_hom(complex_, ext, i, calc_c=None, calc_a=None,
 # -- 1-cocycles and extension classes ---------------------------------------
 
 class Cocycle1:
-    """Normalized 1-cocycle G -> M: f(gh) = f(g) + g f(h), f(1) = 0."""
+    """Normalized 1-cocycle G -> M: f(gh) = f(g) + g f(h), f(1) = 0.
+
+    The identity is checked for g in a generating set only: the g at which
+    it holds for every h are closed under the product, since
+    f(g1g2 h) = f(g1) + g1 f(g2) + g1g2 f(h) = f(g1g2) + g1g2 f(h), so
+    they make up all of G.
+    """
 
     __slots__ = ("module", "values")
 
@@ -428,7 +428,7 @@ class Cocycle1:
             ab = module.underlying
             if not ab.is_zero(self.values[grp.identity]):
                 raise ValueError("cocycle not normalized at the identity")
-            for g in range(grp.order):
+            for g in grp.generating_set():
                 for h in range(grp.order):
                     lhs = self.values[grp.mul(g, h)]
                     rhs = ab.add(self.values[g], module.act(g, self.values[h]))

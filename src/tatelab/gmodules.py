@@ -5,12 +5,13 @@ per group element; a GMap is a homomorphism commuting with both actions.
 All the standard constructions live here: the regular module, permutation
 and induced modules, augmentation ideals and the left ideals they
 generate, Hom and tensor with the diagonal action, equivariant kernels
-and cokernels, fixed points and the norm.
+and cokernels, the norm and the coboundary map.  Their cohomology,
+including H^0 and H^-1, is computed in `tatelab.cohomology` only.
 """
 
 from __future__ import annotations
 
-from .abelian import AbMap, FgAb, Homology
+from .abelian import AbMap, FgAb
 from .lattice import IntMatrix, Lattice
 
 
@@ -441,45 +442,3 @@ def hom_and_tensor(cmod, amod):
                       IntMatrix._trusted_columns(ev_cols, na))
     return {"hom": hom, "tensor": tensor, "evaluation": evaluation,
             "plain_tensor": TensorModule(cmod, amod)}
-
-
-# -- fixed points, norm, direct low-degree cohomology -----------------------
-
-class FixedNormData:
-    """H^0 = M^G / N M and H^-1 = ker(N) / <(g-1)m> of a module, read
-    directly: M -N-> M -> M^|G| and M^|G| -> M -N-> M."""
-
-    __slots__ = ("module", "h0", "h1_neg", "_h0", "_h1")
-
-    def __init__(self, module):
-        self.module = module
-        nu, cob = module.norm_map(), module.coboundary_map()
-        self._h0 = Homology(nu, cob)
-        # sum_g (g - 1): M^|G| -> M, columns (g - 1) e_j in (g, j) order
-        n = module.underlying.n
-        moved = IntMatrix._trusted(tuple(
-            tuple(a - (r == q) for m in module.action for q, a in
-                  enumerate(m.entries[r])) for r in range(n)), cob.cod.n)
-        self._h1 = Homology(AbMap(cob.cod, module.underlying, moved,
-                                  check=False), nu)
-        self.h0, self.h1_neg = self._h0.group, self._h1.group
-
-    @property
-    def fixed(self):
-        """M^G, presented when first read."""
-        return self._h0.cycles
-
-    def h0_class(self, x):
-        """Class in M^G / N M of a fixed element x."""
-        return self._h0.class_of(x)
-
-    def h1_class(self, x):
-        """Class in ker(N)/<(g-1)m> of a norm-killed element x."""
-        return self._h1.class_of(x)
-
-    def h1_rep(self, cls):
-        return self._h1.rep_of(cls)
-
-
-def fixed_and_norm(module):
-    return FixedNormData(module)

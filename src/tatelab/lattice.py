@@ -487,11 +487,6 @@ def _kernel_columns(row_iter, ncols):
     return [basis[cid] for cid in sorted(basis)]
 
 
-def matrix_kernel(m: IntMatrix):
-    """Kernel basis columns of an IntMatrix."""
-    return kernel_basis(m.entries, m.cols)
-
-
 class Lattice:
     """Integer row lattice in Z^dim kept in echelon form.
 

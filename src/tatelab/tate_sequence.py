@@ -17,10 +17,10 @@ from __future__ import annotations
 from .abelian import AbMap, FgAb, Homology, ab_quotient, subgroup_span
 from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData, TateCohomology,
-                         connecting_hom, extension_to_cocycle, induced_map)
-from .gmodules import (GMap, GModule, HomModule, direct_sum,
-                       fixed_and_norm, local_aug_ideal, regular_module,
-                       standard_modules)
+                         TateComplex, connecting_hom, extension_to_cocycle,
+                         induced_map)
+from .gmodules import (GMap, GModule, HomModule, direct_sum, local_aug_ideal,
+                       regular_module, standard_modules)
 from .groups import Subgroup, abelianization, subgroup_as_group
 from .lattice import IntMatrix, _axpy, _kernel_columns, _span_basis
 
@@ -382,12 +382,13 @@ def snake_closed_form(inst, place_id, sigma, tau):
     return inst.cl.act(grp.mul(tau, h), c_p(inst, place_id, h))
 
 
-def snake_closed_form_agrees(inst, wrb, snake):
+def snake_closed_form_agrees(inst, wrb, snake, cdc):
     """Element-level identity s(r_{sigma,tau}) = closed form for all
-    data, plus the class-level identity with the untwisted form."""
+    data, plus the class-level identity with the untwisted form, read in
+    H^-1(Cl) through the calculator of `cdc`."""
     ab = inst.cl.underlying
     grp = inst.group
-    fn = fixed_and_norm(inst.cl)
+    h1 = cdc.calc_cl.homology(-1)
     for pl in inst.other_places():
         reps, rho = inst.cosets[pl.id]
         for sigma in range(grp.order):
@@ -399,7 +400,7 @@ def snake_closed_form_agrees(inst, wrb, snake):
                 h = grp.mul(grp.inv[tau],
                             grp.mul(sigma, rho[grp.mul(grp.inv[sigma], tau)]))
                 untwisted = inst.cl.act(tau, c_p(inst, pl.id, h))
-                if fn.h1_class(lhs) != fn.h1_class(untwisted):
+                if h1.class_of(lhs) != h1.class_of(untwisted):
                     return False, (pl.id, sigma, tau, "class form")
     return True, None
 
@@ -555,12 +556,15 @@ def delta_minus2_agrees(inst, nabla, xy, calc_x, calc_cl, calc_nabla):
 
 
 def h_minus1_x_vanishes(xy, calc_x):
-    """H^-1(G, X) = 0, by the resolution and by the direct formula."""
+    """H^-1(G, X) = 0, over the window's resolution and over the window
+    -1..0.  There the edge degree -2 keeps only the chains [s] with s a
+    generator or 1 (see TateComplex), so unless G is C2 or trivial the
+    second route also tests that edge rule."""
     if not calc_x.group(-1).is_trivial():
         return False, "resolution H^-1(X) nonzero"
-    fn = fixed_and_norm(xy.x)
-    if not fn.h1_neg.is_trivial():
-        return False, "direct H^-1(X) nonzero"
+    edge = TateCohomology(TateComplex(xy.x.group, (-1, 0)), xy.x)
+    if not edge.group(-1).is_trivial():
+        return False, "H^-1(X) nonzero over the window -1..0"
     return True, None
 
 
@@ -648,8 +652,11 @@ def connecting_functorial(wrb, snake, nabla, calc_x, calc_r, calc_cl,
 # -- subgroup bookkeeping ------------------------------------------------------
 
 class CDCData:
+    """The distinguished subgroups; `calc_cl` is the calculator of Cl over
+    the window -1..0, and `h1` its H^-1."""
+
     __slots__ = ("h1", "cbar", "cbar_incl", "c_s", "c_incl", "d", "d_incl",
-                 "cl_fn", "c_values")
+                 "calc_cl", "c_values")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -658,26 +665,27 @@ class CDCData:
 
 def subgroups_cdc(inst):
     """The subgroup of H^-1(Cl) generated by section discrepancies, its
-    counterpart inside Cl, and the subgroup generated by (g-1)c."""
+    counterpart inside Cl, and the subgroup generated by (g-1)c.  The
+    window -1..0 reads only the norm and d_-2, so no resolution of the
+    analysis window is needed."""
     ab = inst.cl.underlying
-    fn = fixed_and_norm(inst.cl)
+    calc_cl = TateCohomology(TateComplex(inst.group, (-1, 0)), inst.cl)
+    hom = calc_cl.homology(-1)
     c_values = []
     for pl in inst.other_places():
         for tau in pl.subgroup.elems:
             if tau != inst.group.identity:
                 c_values.append(((pl.id, tau), c_p(inst, pl.id, tau)))
-    cbar_gens = []
-    for (_, v) in c_values:
-        cbar_gens.append(fn.h1_neg.from_canon(fn.h1_class(v)))
-    cbar, cbar_incl = subgroup_span(fn.h1_neg, cbar_gens)
+    cbar_gens = [hom.group.from_canon(hom.class_of(v)) for (_, v) in c_values]
+    cbar, cbar_incl = subgroup_span(hom.group, cbar_gens)
     c_s, c_incl = subgroup_span(ab, [v for (_, v) in c_values])
     d_gens = []
     for g in range(inst.group.order):
         for gen in ab.smith_gens():
             d_gens.append(ab.sub(inst.cl.act(g, gen), gen))
     d, d_incl = subgroup_span(ab, d_gens)
-    return CDCData(h1=fn.h1_neg, cbar=cbar, cbar_incl=cbar_incl, c_s=c_s,
-                   c_incl=c_incl, d=d, d_incl=d_incl, cl_fn=fn,
+    return CDCData(h1=hom.group, cbar=cbar, cbar_incl=cbar_incl, c_s=c_s,
+                   c_incl=c_incl, d=d, d_incl=d_incl, calc_cl=calc_cl,
                    c_values=c_values)
 
 
@@ -706,27 +714,25 @@ def cdc_checks(inst, cdc, nm):
 # -- the first connecting map of the unit sequence -----------------------------
 
 class Delta1Data:
-    """ker(s), the sequence 0 -> ker s -> R -> Cl -> 0 and the fixed
-    points and norm of ker(s)."""
+    """ker(s) and the sequence 0 -> ker s -> R -> Cl -> 0."""
 
-    __slots__ = ("ker_s", "ker_incl", "ext", "fn")
+    __slots__ = ("ker_s", "ker_incl", "ext")
 
-    def __init__(self, ker_s, ker_incl, ext, fn):
+    def __init__(self, ker_s, ker_incl, ext):
         self.ker_s = ker_s
         self.ker_incl = ker_incl
         self.ext = ext
-        self.fn = fn
 
 
 def build_delta1(snake):
     ker_s, ker_incl = snake.s.kernel()
-    ext = ExtensionData(ker_incl, snake.s)
-    return Delta1Data(ker_s, ker_incl, ext, fixed_and_norm(ker_s))
+    return Delta1Data(ker_s, ker_incl, ExtensionData(ker_incl, snake.s))
 
 
-def delta1(inst, wrb, d1, coeffs):
-    """Class in H^0(ker s) of the norm-multiplied auxiliary vector; the
-    input represents sum a_q Frob_q, which must be killed by the norm."""
+def delta1(inst, wrb, d1, calc_k, coeffs):
+    """Class in H^0(ker s) of the norm-multiplied auxiliary vector, in the
+    canonical coordinates of calc_k, the calculator of ker(s); the input
+    represents sum a_q Frob_q, which must be killed by the norm."""
     ab = inst.cl.underlying
     nu = inst.cl.norm_map()
     if not ab.is_zero(nu.apply(inst.frobenius_sum(coeffs))):
@@ -738,7 +744,8 @@ def delta1(inst, wrb, d1, coeffs):
     k_vec = d1.ker_incl.ab.solve(r_vec)
     if k_vec is None:
         raise ValueError("norm vector escaped ker(s)")
-    return d1.fn.h0_class(k_vec)
+    # the degree-0 cochain group of ker(s) is ker(s) itself
+    return calc_k.homology(0).class_of(k_vec)
 
 
 def delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_r, calc_k, coeffs):
@@ -747,11 +754,9 @@ def delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_r, calc_k, coeffs):
     calculators are those of Cl, R and ker(s) over one complex."""
     delta = connecting_hom(calc_cl.complex, d1.ext, -1, calc_c=calc_cl,
                            calc_b=calc_r, calc_a=calc_k)
-    cls = delta(CohClass(calc_cl, -1, inst.frobenius_sum(coeffs)))
-    formula = delta1(inst, wrb, d1, coeffs)
-    # the degree-0 cochain group of ker(s) is ker(s) itself
-    generic = d1.fn.h0_class(cls.rep)
-    return generic == formula, (generic, formula)
+    generic = delta(CohClass(calc_cl, -1, inst.frobenius_sum(coeffs)))
+    formula = delta1(inst, wrb, d1, calc_k, coeffs)
+    return generic.canon == formula, (generic.canon, formula)
 
 
 # -- norm corollary suite -------------------------------------------------------
@@ -771,11 +776,11 @@ def norm_suite(inst, nm, cdc):
     fgrp, fincl = comp.kernel()
 
     # (a) F surjects onto H^-1(Cl)
-    h1 = cdc.h1
+    h1, hom = cdc.h1, cdc.calc_cl.homology(-1)
     img_gens = []
     for j in range(fgrp.n):
         v = to_cl.apply(fincl.apply(fgrp.gen(j)))
-        img_gens.append(h1.from_canon(cdc.cl_fn.h1_class(v)))
+        img_gens.append(h1.from_canon(hom.class_of(v)))
     span, _ = subgroup_span(h1, img_gens)
     record("norm.a_surjects", span.order() == h1.order(),
            {"image": span.order(), "h1": h1.order()})
@@ -783,7 +788,7 @@ def norm_suite(inst, nm, cdc):
     # (b) ker(induced Nm on H^-1) = Cbar
     cols = []
     for j in range(h1.n):
-        rep = cdc.cl_fn.h1_rep(h1.canon(h1.gen(j)))
+        rep = hom.rep_of(h1.canon(h1.gen(j)))
         cols.append(nm.nm.apply(rep))
     nmbar = AbMap(h1, nm.q, IntMatrix._trusted_columns(cols, nm.q.n))
     ker_bar, ker_bar_incl = nmbar.kernel()
@@ -828,10 +833,11 @@ def _same_subgroup(ambient, g1, incl1, g2, incl2):
 
 def _same_kernels(fgrp, fincl, to_cl, cdc, h1_mod, h1_proj, nm):
     """Kernels of F -> H^-1/Cbar and F -> Q coincide."""
+    hom = cdc.calc_cl.homology(-1)
     cols1, cols2 = [], []
     for j in range(fgrp.n):
         v = to_cl.apply(fincl.apply(fgrp.gen(j)))
-        cols1.append(h1_proj.apply(cdc.h1.from_canon(cdc.cl_fn.h1_class(v))))
+        cols1.append(h1_proj.apply(cdc.h1.from_canon(hom.class_of(v))))
         cols2.append(nm.nm.apply(v))
     m1 = AbMap(fgrp, h1_proj.cod, IntMatrix._trusted_columns(cols1,
                                                              h1_proj.cod.n))
@@ -851,10 +857,11 @@ def _short_exact_dkc(ab, cdc, ker_nm, ker_nm_incl):
     except ValueError:
         return False, "D not inside ker(Nm)"
     # the class map ker(Nm) -> H^-1 has image Cbar and kernel D
+    hom = cdc.calc_cl.homology(-1)
     cols = []
     for j in range(ker_nm.n):
         v = ker_nm_incl.apply(ker_nm.gen(j))
-        cols.append(cdc.h1.from_canon(cdc.cl_fn.h1_class(v)))
+        cols.append(cdc.h1.from_canon(hom.class_of(v)))
     to_h1 = AbMap(ker_nm, cdc.h1, IntMatrix._trusted_columns(cols, cdc.h1.n))
     img, img_incl, _ = to_h1.image()
     if not _same_subgroup(cdc.h1, img, img_incl, cdc.cbar, cdc.cbar_incl):

@@ -58,9 +58,10 @@ def fixture_unit_check(complex_, inst, fixture_data, cdc=None):
 
     # coboundary <-> unit flag <-> class in the discrepancy subgroup
     cbar_lat = cdc.cbar_incl.image_lattice()
+    hom = cdc.calc_cl.homology(-1)
     for k, w, total, flag in cocycles:
         is_cob, _ = w.is_coboundary()
-        cls_h1 = cdc.h1.from_canon(cdc.cl_fn.h1_class(total))
+        cls_h1 = cdc.h1.from_canon(hom.class_of(total))
         in_cbar = cbar_lat.contains(cls_h1)
         if is_cob != flag:
             raise InconsistentFixture(k, f"coboundary={is_cob} but unit "
@@ -79,7 +80,7 @@ def fixture_unit_check(complex_, inst, fixture_data, cdc=None):
     assign = {}
     for k, w, total, flag in cocycles:
         key = quot.canon(proj.apply(
-            cdc.h1.from_canon(cdc.cl_fn.h1_class(total))))
+            cdc.h1.from_canon(hom.class_of(total))))
         val = CohClass(calc_u, 1, w.as_cochain())
         if key in assign:
             if assign[key] != val:

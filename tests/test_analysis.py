@@ -1,3 +1,4 @@
+import sys
 from importlib.resources import files
 from types import SimpleNamespace
 
@@ -6,10 +7,11 @@ import pytest
 from tatelab import analysis
 from tatelab.analysis import (ARTIFACTS, CHECK_READS, CHECKS, DEFAULT_CHECKS,
                               AnalysisContext, closure, run_analysis)
-from tatelab.cft import i2_twist
-from tatelab.cohomology import TateCohomology
+from tatelab.abelian import Homology
+from tatelab.cft import i2_twist, synth_instance
+from tatelab.cohomology import ExtensionData, TateCohomology
 from tatelab.instance_io import load_fixture, load_instance
-from tatelab.tate_sequence import ImageEscapesCl
+from tatelab.tate_sequence import ImageEscapesCl, wrb_exact
 
 
 def record_requests(monkeypatch):
@@ -88,8 +90,47 @@ def test_one_calculator_per_shared_module(monkeypatch):
     shared = {"X": art["xy"].x, "Cl": inst.cl, "R": art["wrb"].r,
               "nabla": art["nabla"].module, "ker(s)": art["delta1"].ker_s}
     for label, module in shared.items():
-        pairs = [c for c, m in built if m is module]
+        pairs = [c for c, m in built if m is module and c is art["complex"]]
         assert pairs == [art["complex"]], label
+        # the only other calculators: H^-1(Cl) for the distinguished
+        # subgroups and the second H^-1(X) route, both over -1..0
+        others = [c.window for c, m in built
+                  if m is module and c is not art["complex"]]
+        assert others == ([(-1, 0)] if label in ("X", "Cl") else []), label
+
+
+@pytest.mark.parametrize("make", [i2_twist, lambda: synth_instance("S3", 0)],
+                         ids=["i2_twist", "S3/0"])
+def test_every_homology_is_a_calculator_or_an_exactness_check(make,
+                                                              monkeypatch):
+    """Every Homology an analysis builds is a Tate cohomology group built
+    by TateCohomology.homology, or the middle of a sequence whose
+    exactness is checked (ExtensionData, wrb_exact); and no complex, by
+    group and window, gets two calculators of one module."""
+    homes = {TateCohomology.homology.__code__,
+             ExtensionData.__init__.__code__, wrb_exact.__code__}
+    strays, built = [], []
+    orig_homology, orig_calc = Homology.__init__, TateCohomology.__init__
+
+    def homology_init(h, d_in, d_out):
+        code = sys._getframe(1).f_code
+        if code not in homes:
+            strays.append(getattr(code, "co_qualname", code.co_name))
+        orig_homology(h, d_in, d_out)
+
+    def calc_init(calc, complex_, module):
+        built.append((complex_.group, complex_.window, module))
+        orig_calc(calc, complex_, module)
+
+    monkeypatch.setattr(Homology, "__init__", homology_init)
+    monkeypatch.setattr(TateCohomology, "__init__", calc_init)
+    records = run_analysis(make())
+    assert all(r["ok"] for r in records), records
+    assert not strays, strays
+    for k, (group, window, module) in enumerate(built):
+        for g, w, m in built[:k]:
+            assert not (g is group and w == window and m is module), \
+                (window, module)
 
 
 def test_calculators_dropped_after_last_reader(monkeypatch):

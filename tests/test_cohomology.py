@@ -13,9 +13,8 @@ from tatelab.cohomology import (MAX_WINDOW, CohClass, Cocycle1,
                                 cocycle_to_extension, cup_with_h1,
                                 ext1_class_to_h2, extension_to_cocycle,
                                 induced_map, shapiro_hminus2)
-from tatelab.gmodules import (GMap, GModule, direct_sum, fixed_and_norm,
-                              hom_and_tensor, regular_module,
-                              trivial_module)
+from tatelab.gmodules import (GMap, GModule, direct_sum, hom_and_tensor,
+                              regular_module, trivial_module)
 from tatelab.groups import Subgroup, named_group
 from tatelab.lattice import IntMatrix
 
@@ -88,7 +87,7 @@ def test_acyclicity_small():
             assert cx.acyclic_at(reg, i), (name, i)
 
 
-def test_direct_formula_agreement_random_modules():
+def test_direct_formula_agreement_random_modules(direct_formula):
     rng = random.Random(11)
     for name in ["C2", "C3", "V4", "S3"]:
         g = named_group(name)
@@ -104,18 +103,19 @@ def test_direct_formula_agreement_random_modules():
             mod = GModule(g, FgAb(n, IntMatrix.from_columns(
                 [tuple(c) for c in cols], n)), reg.action)
             calc = TateCohomology(cx, mod)
-            fn = fixed_and_norm(mod)
-            assert calc.group(0).same_invariants(fn.h0)
-            assert calc.group(-1).same_invariants(fn.h1_neg)
+            direct0, direct1 = direct_formula(mod)
+            assert calc.group(0).same_invariants(direct0.group)
+            assert calc.group(-1).same_invariants(direct1.group)
             # class-level agreement at -1 (class_of returns canon coords)
-            h = calc.homology(-1)
-            for e in list(fn.h1_neg.elements())[:6]:
-                rep = fn.h1_rep(fn.h1_neg.canon(e))
-                assert (not any(h.class_of(rep))) == fn.h1_neg.is_zero(e)
-            # class-level agreement at 0: c -> h0_class(rep of c) is an
-            # additive bijection from the resolution's H^0 onto M^G / N M
-            h0, d0 = calc.group(0), fn.h0
-            phi = {c: fn.h0_class(calc.rep_of(0, c))
+            h, d1 = calc.homology(-1), direct1.group
+            for e in list(d1.elements())[:6]:
+                rep = direct1.rep_of(d1.canon(e))
+                assert (not any(h.class_of(rep))) == d1.is_zero(e)
+            # class-level agreement at 0: c -> direct class of (rep of c)
+            # is an additive bijection from the resolution's H^0 onto
+            # M^G / N M
+            h0, d0 = calc.group(0), direct0.group
+            phi = {c: direct0.class_of(calc.rep_of(0, c))
                    for c in map(h0.canon, h0.elements())}
             assert sorted(phi.values()) == sorted(map(d0.canon,
                                                       d0.elements()))
@@ -622,3 +622,28 @@ def test_connecting_hom_rejects_degrees_outside_the_window():
     calc = TateCohomology(cx, z2m)
     delta = connecting_hom(cx, ext, 0, calc_c=calc, calc_a=calc)
     assert delta(nonzero_class(calc, 0)).is_zero()
+
+
+def test_cocycle_check_reaches_elements_outside_the_generators():
+    s3 = named_group("S3")
+    reg = regular_module(s3)
+    m = [0, 1, 0, 0, 0, 0]
+    # the coboundary g -> g m - m is a cocycle
+    vals = [tuple(a - b for a, b in zip(reg.act(g, m), m))
+            for g in range(s3.order)]
+    Cocycle1(reg, vals)
+    gens = set(s3.generating_set()) | {s3.identity}
+    outside = [x for x in range(s3.order) if x not in gens]
+    assert outside
+    for x in outside:
+        bad = list(vals)
+        bad[x] = tuple(v + (i == 0) for i, v in enumerate(bad[x]))
+        with pytest.raises(ValueError, match="cocycle identity"):
+            Cocycle1(reg, bad)
+    # 1 off the subgroup of the first generator r: f(r h) = f(r) + f(h)
+    # holds for every h, and f(s s) = 0 != 2 = f(s) + f(s) does not
+    r = s3.generating_set()[0]
+    inside = s3.closure([r])
+    with pytest.raises(ValueError, match="cocycle identity"):
+        Cocycle1(trivial_module(s3),
+                 [(int(x not in inside),) for x in range(s3.order)])

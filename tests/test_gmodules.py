@@ -3,9 +3,10 @@ import random
 import pytest
 
 from tatelab.abelian import FgAb
+from tatelab.cohomology import TateCohomology, TateComplex
 from tatelab.gmodules import (GMap, GModule, HomModule, NotEquivariant,
                               NotFree, TensorModule, direct_sum,
-                              fixed_and_norm, gmap_kernel_image,
+                              gmap_kernel_image,
                               hom_and_tensor, perm_module, regular_module,
                               standard_modules, trivial_module)
 from tatelab.groups import Subgroup, named_group, symmetric3
@@ -14,6 +15,12 @@ from tatelab.lattice import IntMatrix
 
 def z_mod(group, m):
     return trivial_module(group, FgAb(1, IntMatrix([[m]])))
+
+
+def low_degrees(module):
+    """The calculator of `module` over the window -1..0: H^0 = M^G / N M
+    and H^-1 = ker N / <(g-1)m>."""
+    return TateCohomology(TateComplex(module.group, (-1, 0)), module)
 
 
 def test_standard_modules_c2():
@@ -62,8 +69,8 @@ def test_hom_and_tensor():
     reg = regular_module(c2)
     ht2 = hom_and_tensor(reg, z2)
     assert ht2["hom"].module.underlying.order() == 4
-    fn = fixed_and_norm(ht2["hom"].module)
-    assert fn.fixed.order() == 2
+    # the fixed points are the degree-0 cycles
+    assert low_degrees(ht2["hom"].module).homology(0).cycles.order() == 2
     assert ht["plain_tensor"].module.underlying.order() == 2
     # evaluation agrees with pointwise application
     ev, hom, tens = ht2["evaluation"], ht2["hom"], ht2["tensor"]
@@ -112,28 +119,29 @@ def test_kernel_image_cokernel():
 
 def test_fixed_and_norm_values():
     c2 = named_group("C2")
-    fn = fixed_and_norm(trivial_module(c2))
-    assert fn.h0.invariant_factors() == (2,)
-    assert fn.h1_neg.is_trivial()
-    fn = fixed_and_norm(z_mod(c2, 2))
-    assert fn.h1_neg.invariant_factors() == (2,)
-    fn = fixed_and_norm(regular_module(c2))
-    assert fn.h0.is_trivial() and fn.h1_neg.is_trivial()
+    calc = low_degrees(trivial_module(c2))
+    assert calc.group(0).invariant_factors() == (2,)
+    assert calc.group(-1).is_trivial()
+    calc = low_degrees(z_mod(c2, 2))
+    assert calc.group(-1).invariant_factors() == (2,)
+    calc = low_degrees(regular_module(c2))
+    assert calc.group(0).is_trivial() and calc.group(-1).is_trivial()
 
 
 def test_fixed_and_norm_class_functions():
     c2 = named_group("C2")
     z4 = z_mod(c2, 4)
-    fn = fixed_and_norm(z4)
+    calc = low_degrees(z4)
+    h0, h1 = calc.homology(0), calc.homology(-1)
     # norm is multiplication by 2: h0 = Z/4 / 2Z/4 = Z/2
-    assert fn.h0.order() == 2
-    assert any(fn.h0_class((1,)))
-    assert not any(fn.h0_class((2,)))
+    assert h0.group.order() == 2
+    assert any(h0.class_of((1,)))
+    assert not any(h0.class_of((2,)))
     # h1: ker(2)/0 = {0, 2}
-    assert fn.h1_neg.order() == 2
-    assert any(fn.h1_class((2,)))
+    assert h1.group.order() == 2
+    assert any(h1.class_of((2,)))
     with pytest.raises(ValueError):
-        fn.h1_class((1,))
+        h1.class_of((1,))
 
 
 def test_direct_sum_and_perm_module():

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -165,3 +167,155 @@ def test_generating_sets():
         gens = g.generating_set()
         assert len(g.closure(gens)) == g.order
         assert len(gens) <= 3
+
+
+def _associative(table):
+    """The all-triples associativity loop, kept as the reference for
+    Light's test."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def _reduced_latin_squares(n, rows=None):
+    """Every n x n Latin square whose first row and column are 0..n-1:
+    a two-sided identity at 0."""
+    rows = rows or [tuple(range(n))]
+    if len(rows) == n:
+        yield rows
+        return
+    r = len(rows)
+    for rest in itertools.permutations([v for v in range(n) if v != r]):
+        row = (r,) + rest
+        if all(row[c] != prev[c] for prev in rows for c in range(n)):
+            yield from _reduced_latin_squares(n, rows + [row])
+
+
+def _intercalates(table, identity):
+    """(r1, r2, c1, c2) with table[r1][c1] = table[r2][c2] and
+    table[r1][c2] = table[r2][c1], away from the identity's row, column
+    and value: switching the two values keeps a Latin square with the
+    same identity and inverses."""
+    n = len(table)
+    col_of = [{v: c for c, v in enumerate(row)} for row in table]
+    found = []
+    for r1 in range(n):
+        for r2 in range(r1 + 1, n):
+            if identity in (r1, r2):
+                continue
+            for c1 in range(n):
+                c2 = col_of[r2][table[r1][c1]]
+                if c1 < c2 and identity not in (c1, c2, table[r1][c1],
+                                                 table[r1][c2]) \
+                        and table[r1][c2] == table[r2][c1]:
+                    found.append((r1, r2, c1, c2))
+    return found
+
+
+def _switched(table, r1, r2, c1, c2):
+    out = [list(row) for row in table]
+    out[r1][c1], out[r1][c2] = out[r1][c2], out[r1][c1]
+    out[r2][c1], out[r2][c2] = out[r2][c2], out[r2][c1]
+    return out
+
+
+def _accepted(table):
+    try:
+        group_from_table(table)
+    except NotAGroup:
+        return False
+    return True
+
+
+def test_light_test_agrees_with_all_triples():
+    # every loop of order <= 5, plus intercalate switches of the order-8
+    # tables: a Latin square with a two-sided identity is accepted iff it
+    # is associative
+    squares = [sq for n in range(1, 6) for sq in _reduced_latin_squares(n)]
+    for g in (dihedral4(), quaternion8()):
+        for r1, r2, c1, c2 in _intercalates(g.table, g.identity)[:20]:
+            squares.append(_switched(g.table, r1, r2, c1, c2))
+    verdicts = [(_accepted(sq), _associative(sq)) for sq in squares]
+    assert all(a == b for a, b in verdicts)
+    assert {a for a, _ in verdicts} == {True, False}
+
+
+def test_intercalate_switches_of_an_extension_table_are_refused(tmp_path):
+    from tatelab.cft import synth_instance
+    from tatelab.cli import main
+    from tatelab.instance_io import (InstanceSchemaError, instance_from_dict,
+                                     instance_to_dict)
+    inst = synth_instance("Q8", 0)
+    gs = inst.gs
+    assert gs.order == 72
+    data = instance_to_dict(inst)
+    # the loader reads the extension table first, so the rejection is
+    # associativity's, not the projection's
+    switches = _intercalates(gs.table, gs.identity)[:8]
+    assert len(switches) == 8
+    for sw in switches:
+        bad = _switched(gs.table, *sw)
+        assert not _associative(bad)
+        with pytest.raises(NotAGroup) as exc:
+            group_from_table(bad)
+        assert exc.value.axiom == "associativity"
+        with pytest.raises(InstanceSchemaError, match="associativity"):
+            instance_from_dict(dict(data, gs={"table": bad,
+                                              "labels": list(gs.labels)}))
+    path = tmp_path / "switched.json"
+    path.write_text(json.dumps(dict(data, gs={
+        "table": _switched(gs.table, *switches[0]),
+        "labels": list(gs.labels)})))
+    assert main(["validate", str(path)]) == 2
+
+
+def test_hom_check_reaches_elements_outside_the_generators():
+    q8 = quaternion8()
+    gens = set(q8.generating_set()) | {q8.identity}
+    outside = [x for x in range(q8.order) if x not in gens]
+    assert outside
+    for x in outside:
+        images = list(range(q8.order))
+        images[x] = q8.inv[x]  # x has order 4, so this is another element
+        assert images[x] != x
+        with pytest.raises(NotAGroup) as exc:
+            GroupHom(q8, q8, images)
+        assert exc.value.axiom == "hom-multiplicativity"
+    # r^i s^j -> r^(i+j) on S3 is multiplicative at the first generator r
+    # (f(r x) = r f(x)) but not at s, since f(s s) = 1 != r^2
+    s3 = symmetric3()
+    r, s = s3.generating_set()
+    power = [s3.identity]
+    for _ in range(2):
+        power.append(s3.mul(power[-1], r))
+    images = [None] * s3.order
+    for i in range(3):
+        for j in range(2):
+            images[s3.mul(power[i], s if j else s3.identity)] = \
+                power[(i + j) % 3]
+    with pytest.raises(NotAGroup):
+        GroupHom(s3, s3, images)
+
+
+def test_cocycle_check_reaches_middles_outside_the_generators():
+    s3 = symmetric3()
+    z2 = trivial_module(s3, FgAb(1, IntMatrix([[2]])))
+    gens = set(s3.generating_set()) | {s3.identity}
+    extension_from_cocycle(z2, s3, lambda g, h: (0,))
+    for h in range(s3.order):
+        if h in gens:
+            continue
+        for g in range(s3.order):
+            if g == s3.identity:
+                continue
+            with pytest.raises(NotACocycle):
+                extension_from_cocycle(
+                    z2, s3, lambda a, b, bad=(g, h): (int((a, b) == bad),))
+    # inflated from Q8/{1, -1}: the identity holds at the middle -1, the
+    # first generator, but not at the middle i
+    q8 = quaternion8()
+    assert q8.generating_set()[0] == 1  # -1
+    z2q = trivial_module(q8, FgAb(1, IntMatrix([[2]])))
+    with pytest.raises(NotACocycle):
+        extension_from_cocycle(
+            z2q, q8, lambda a, b: (int(a in (2, 3) and b in (4, 5)),))

@@ -5,7 +5,7 @@ from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
                          i2_plain, i2_twist, norm_model, quadratic_sqrt34,
                          synth_instance, xy_modules)
 from tatelab.cohomology import CohClass, TateCohomology, TateComplex
-from tatelab.gmodules import GModule, fixed_and_norm, trivial_module
+from tatelab.gmodules import GModule, trivial_module
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
 from tatelab.lattice import IntMatrix, Lattice, kernel_basis
 from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
@@ -176,11 +176,11 @@ def test_snake_values_on_worked_instances():
         gen = wrb.r.underlying.gen(j)
         assert it.cl.underlying.is_zero(nu.apply(snake.s.apply(gen)))
         assert it.cl.underlying.is_zero(snake.s.apply(big.apply(gen)))
-    ok, wit = snake_closed_form_agrees(it, wrb, snake)
+    ok, wit = snake_closed_form_agrees(it, wrb, snake, subgroups_cdc(it))
     assert ok, wit
     ip = i2_plain()
     cxp, xyp, wrbp, shp, snakep = lab(ip)
-    ok, wit = snake_closed_form_agrees(ip, wrbp, snakep)
+    ok, wit = snake_closed_form_agrees(ip, wrbp, snakep, subgroups_cdc(ip))
     assert ok, wit
     # plain instance: all distinguished values vanish
     assert ip.cl.underlying.is_zero(snake_closed_form(ip, "p1", 1, 0))
@@ -302,14 +302,15 @@ def test_delta1():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
     d1 = build_delta1(snake)
-    # zero coefficients give the zero class
-    assert not any(delta1(it, wrb, d1, {"q0": 0}))
-    out = delta1(it, wrb, d1, {"q0": 1})
     cs = calcs(cx, it.cl, wrb.r, d1.ker_s)
+    calc_k = cs[2]
+    # zero coefficients give the zero class
+    assert not any(delta1(it, wrb, d1, calc_k, {"q0": 0}))
+    out = delta1(it, wrb, d1, calc_k, {"q0": 1})
     ok, wit = delta1_generic_agrees(it, wrb, d1, *cs, {"q0": 1})
     assert ok, wit
     # equal classes give equal outputs: q0 coefficient 1 vs 3
-    out3 = delta1(it, wrb, d1, {"q0": 3})
+    out3 = delta1(it, wrb, d1, calc_k, {"q0": 3})
     assert out == out3
     # the nontrivial class of a Z/3 module is not norm-killed for C2
     # twisted shape: NotNormKilled surfaces on a bad vector
@@ -329,7 +330,8 @@ def test_delta1():
             break
     if bad is not None:
         with pytest.raises(NotNormKilled):
-            delta1(inst, wrb2, d12, {bad: 1})
+            delta1(inst, wrb2, d12, TateCohomology(cx2, d12.ker_s),
+                   {bad: 1})
 
 
 def test_aux_unit_in_r():
@@ -347,13 +349,13 @@ def test_small_random_campaign():
             ok, _ = wrb_exact(wrb)
             assert ok
             assert sh.e.ab.is_injective()
-            ok, wit = snake_closed_form_agrees(inst, wrb, snake)
+            cdc = subgroups_cdc(inst)
+            ok, wit = snake_closed_form_agrees(inst, wrb, snake, cdc)
             assert ok, wit
             nabla = build_nabla(inst, wrb, snake)
             ok, wit = delta_minus2_agrees(
                 inst, nabla, xy, *calcs(cx, xy.x, inst.cl, nabla.module))
             assert ok, wit
             nm = norm_model(inst)
-            cdc = subgroups_cdc(inst)
             recs = norm_suite(inst, nm, cdc)
             assert all(r["ok"] for r in recs), (gname, seed, recs)
