@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from math import gcd, prod
 
-from .lattice import (IntMatrix, Lattice, _kernel_columns, _snf_data,
-                      _span_basis)
+from .lattice import (IntMatrix, Lattice, PrivateBasis, _kernel_columns,
+                      _snf_data, _span_basis)
 
 
 class NonComplex(Exception):
@@ -397,29 +397,45 @@ class AbMap:
     # -- kernel / image / cokernel ----------------------------------------
 
     def kernel_lattice_basis(self):
-        """Basis of {x in Z^dom.n : f(x) = 0 in cod} as a lattice: the
-        kernel of [mat | cod.rel], cut to its first dom.n coordinates."""
+        """Basis of ker f = {x in Z^dom.n : f(x) = 0 in cod}, with the
+        walk that writes a vector over it.
+
+        The kernel columns of [mat | cod.rel], cut to their first dom.n
+        coordinates, generate ker f (x is in ker f iff mat x is a
+        combination of cod's relations).  When each cut column owns a
+        private coordinate they are independent, hence a basis, and come
+        back as a PrivateBasis; otherwise they are inserted into a
+        Hermite-reduced Lattice.  Either way the rows are never changed
+        afterwards, so matrices may be built on them.
+        """
         n = self.dom.n
         aug = self.mat.hstack(self.cod.rel)
+        cols = [{i: x for i, x in col.items() if i < n}
+                for col in _kernel_columns(aug.sparse_rows(), aug.cols)]
+        basis = PrivateBasis.of(cols, n)
+        if basis is not None:
+            return basis
         lat = Lattice(n)
-        for col in _kernel_columns(aug.sparse_rows(), aug.cols):
-            lat._add({i: x for i, x in col.items() if i < n})
+        for col in cols:
+            lat._add(col)
         return lat
 
     def kernel(self):
         """(K, incl) with incl an injective map K -> dom whose image is
-        the kernel subgroup."""
+        the kernel subgroup; incl's matrix is held by the kernel basis's
+        sparse rows as its columns."""
         lat = self.kernel_lattice_basis()
         k = len(lat)
-        incl_mat = IntMatrix._trusted_columns(lat.basis(), self.dom.n)
+        incl_mat = IntMatrix._from_sparse_columns(lat.rows, self.dom.n)
         kgrp = FgAb(k, IntMatrix._from_sparse_columns(
             _relation_coords(lat, self.dom), k))
         return kgrp, AbMap(kgrp, self.dom, incl_mat, check=False)
 
     def image(self):
-        """(I, incl, proj): dom ->> I >-> cod factoring f."""
+        """(I, incl, proj): dom ->> I >-> cod factoring f; I's relations
+        are the kernel basis's sparse rows, held as columns."""
         lat = self.kernel_lattice_basis()
-        rel = IntMatrix._trusted_columns(lat.basis(), self.dom.n)
+        rel = IntMatrix._from_sparse_columns(lat.rows, self.dom.n)
         igrp = FgAb(self.dom.n, rel)
         incl = AbMap(igrp, self.cod, self.mat, check=False)
         proj = AbMap(self.dom, igrp, IntMatrix.identity(self.dom.n), check=False)
@@ -468,8 +484,9 @@ def _reduced(cols, n):
 
 
 def _relation_coords(lat, grp):
-    """grp's relation columns over the basis rows of lat (a lattice in
-    Z^grp.n holding them), as sparse dicts."""
+    """grp's relation columns over the basis rows of lat (a kernel basis
+    from `AbMap.kernel_lattice_basis` in Z^grp.n, holding them), as sparse
+    dicts, each written by lat's walk."""
     out = []
     for col in grp.rel.sparse_columns():
         c = lat._walk(col)
@@ -482,16 +499,16 @@ def _relation_coords(lat, grp):
 class Homology:
     """Ker(d_out)/Im(d_in) at the middle of d_in: A -> B, d_out: B -> C.
 
-    One kernel lattice L of d_out carries everything.  The middle
-    relations and the d_in columns are written over L's basis rows by its
-    pivot walk, and H is presented on those coordinates by one FgAb.  A
-    d_in column y walks through L iff d_out(y) lies in the span of C's
-    relations, i.e. iff d_out(y) = 0 in C, so the walk also decides that
-    d_out . d_in = 0, column by column.  `cycles` presents ker(d_out) on
-    the same coordinates; it is built when first read.
+    One kernel basis L of d_out (`AbMap.kernel_lattice_basis`: read off
+    private coordinates, or a Hermite-reduced lattice) carries everything.
+    The middle relations and the d_in columns are written over L's basis
+    rows by its walk, and H is presented on those coordinates by one FgAb.
+    A d_in column y walks through L iff it lies in ker d_out, i.e. iff
+    d_out(y) = 0 in C, so the walk also decides that d_out . d_in = 0,
+    column by column.
     """
 
-    __slots__ = ("group", "middle", "_lat", "_rels", "_cycles")
+    __slots__ = ("group", "middle", "_lat")
 
     def __init__(self, d_in, d_out):
         if d_in.cod is not d_out.dom and d_in.cod.n != d_out.dom.n:
@@ -500,10 +517,8 @@ class Homology:
         lat = self._lat = d_out.kernel_lattice_basis()
         k = len(lat)
         # relation sets are lattice-reduced where FgAb(k, .) would reduce
-        # them, so both presentations are FgAb's own, column for column
-        self._rels = _reduced(_relation_coords(lat, self.middle), k)
-        self._cycles = None
-        cols = [dict(c) for c in self._rels]
+        # them, so the cycle relations are those d_out.kernel() presents
+        cols = _reduced(_relation_coords(lat, self.middle), k)
         for j, col in enumerate(d_in.mat.sparse_columns()):
             c = lat._walk(col)
             if c is None:
@@ -511,15 +526,6 @@ class Homology:
             cols.append(c)
         self.group = FgAb(k, IntMatrix._from_sparse_columns(_reduced(cols, k),
                                                             k))
-
-    @property
-    def cycles(self):
-        """ker(d_out), presented on the basis rows of the kernel lattice."""
-        if self._cycles is None:
-            k = len(self._lat)
-            self._cycles = FgAb(k, IntMatrix._from_sparse_columns(self._rels,
-                                                                  k))
-        return self._cycles
 
     def class_of(self, z):
         """Class of a cycle z (an element of the middle group)."""

@@ -487,7 +487,107 @@ def _kernel_columns(row_iter, ncols):
     return [basis[cid] for cid in sorted(basis)]
 
 
-class Lattice:
+class _RowBasis:
+    """A lattice in Z^dim given by independent basis rows, the sparse dicts
+    in `rows`; a subclass supplies `_walk`, which writes a vector over
+    them or returns None."""
+
+    def __len__(self):
+        return len(self.rows)
+
+    @staticmethod
+    def _to_sparse(vec):
+        if isinstance(vec, dict):
+            return {int(k): int(v) for k, v in vec.items() if v}
+        return {j: int(x) for j, x in enumerate(vec) if x}
+
+    def contains(self, vec):
+        """Membership: whether `_walk` writes vec over the basis rows."""
+        return self._walk(self._to_sparse(vec)) is not None
+
+    def coords(self, vec):
+        """Coefficients of vec over the basis rows, or None if vec is not
+        in the lattice."""
+        c = self._walk(self._to_sparse(vec))
+        if c is None:
+            return None
+        return tuple(c.get(i, 0) for i in range(len(self.rows)))
+
+    def combine(self, coeffs):
+        """The vector sum_i coeffs[i] * (basis row i), dense; the inverse
+        of coords."""
+        out = [0] * self.dim
+        for q, row in zip(coeffs, self.rows):
+            if q:
+                for c, x in row.items():
+                    out[c] += q * x
+        return tuple(out)
+
+    def basis(self):
+        return [tuple(map(r.get, range(self.dim), repeat(0)))
+                for r in self.rows]
+
+
+class PrivateBasis(_RowBasis):
+    """Rows in Z^dim of which each owns a private coordinate: one where it
+    is nonzero and every other row is zero.
+
+    The rows are diagonal on their private coordinates, so they are
+    independent, and in any combination v = sum_j c_j * row_j the
+    coefficient c_j is v[p_j] / x_j, where p_j is row j's lowest private
+    coordinate and x_j its entry there.  `_walk` reads the coefficients
+    off those places and then tests the whole vector: v minus the
+    combination must be zero.  No echelon form is built.
+
+    >>> b = PrivateBasis.of([{0: 1, 2: 2}, {1: 6, 2: -1}], 3)
+    >>> b.coords((2, 6, 3)), b.coords((1, 0, 0)), b.coords((0, 3, 0))
+    ((2, 1), None, None)
+    >>> PrivateBasis.of([{0: 1, 1: 1}, {1: 1}], 2) is None
+    True
+    """
+
+    def __init__(self, dim, rows, owner):
+        self.dim = dim
+        self.rows = rows
+        self._owner = owner  # private coordinate -> row index
+
+    @classmethod
+    def of(cls, rows, dim):
+        """The basis on the sparse dicts `rows` (nonzero ints the package
+        built; taken over, and never changed), or None when some row has
+        no private coordinate."""
+        seen = {}  # coordinate -> the one row touching it, or -1
+        for j, row in enumerate(rows):
+            for i in row:
+                seen[i] = -1 if i in seen else j
+        private = [None] * len(rows)
+        for i, j in seen.items():
+            if j >= 0 and (private[j] is None or i < private[j]):
+                private[j] = i
+        if None in private:
+            return None
+        return cls(dim, rows, {i: j for j, i in enumerate(private)})
+
+    def _walk(self, v):
+        """{row index: coefficient} writing the sparse dict v (ints the
+        package built; it is consumed) over the rows, or None: None when a
+        private entry of v is not divisible by the row's own, or when v
+        minus the combination read off the private entries is not zero."""
+        out = {}
+        rows, owner = self.rows, self._owner
+        for i, x in v.items():
+            j = owner.get(i)
+            if j is not None:
+                q, r = divmod(x, rows[j][i])
+                if r:
+                    return None
+                out[j] = q
+        for j, q in out.items():
+            _axpy(v, q, rows[j])
+        return None if v else out
+
+
+class Lattice(_RowBasis):
     """Integer row lattice in Z^dim kept in echelon form.
 
     Supports incremental insertion, membership, reduction of a vector
@@ -501,15 +601,6 @@ class Lattice:
         self.pivots = []      # pivot column per row
         self.witnesses = [] if witnesses else None
         self._count = 0
-
-    def __len__(self):
-        return len(self.rows)
-
-    @staticmethod
-    def _to_sparse(vec):
-        if isinstance(vec, dict):
-            return {int(k): int(v) for k, v in vec.items() if v}
-        return {j: int(x) for j, x in enumerate(vec) if x}
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the lattice.
@@ -637,28 +728,6 @@ class Lattice:
             _axpy(v, q, row)
         return out
 
-    def contains(self, vec):
-        """Membership, deciding `not any(self.reduce(vec))`."""
-        return self._walk(self._to_sparse(vec)) is not None
-
-    def coords(self, vec):
-        """Coefficients of vec over the basis rows, or None if vec is not
-        in the lattice."""
-        c = self._walk(self._to_sparse(vec))
-        if c is None:
-            return None
-        return tuple(c.get(i, 0) for i in range(len(self.rows)))
-
-    def combine(self, coeffs):
-        """The vector sum_i coeffs[i] * (basis row i), dense; the inverse
-        of coords."""
-        out = [0] * self.dim
-        for q, row in zip(coeffs, self.rows):
-            if q:
-                for c, x in row.items():
-                    out[c] += q * x
-        return tuple(out)
-
     def generator_coords(self, vec):
         """{generator index: coefficient} writing vec over the inserted
         generators (numbered in insertion order), or None if vec is not
@@ -674,10 +743,6 @@ class Lattice:
             for k, x in self.witnesses[idx].items():
                 out[k] = out.get(k, 0) + q * x
         return out
-
-    def basis(self):
-        return [tuple(map(r.get, range(self.dim), repeat(0)))
-                for r in self.rows]
 
     def basis_witness(self, idx):
         """Witness coefficients of basis row idx over inserted generators."""

@@ -5,13 +5,75 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tatelab.abelian import (AbMap, FgAb, Homology, NonComplex,
                              ab_quotient, subgroup_span)
-from tatelab.lattice import IntMatrix, smith_normal_form
+from tatelab.lattice import IntMatrix, Lattice, PrivateBasis, smith_normal_form
 
 
 def diag_group(*mods):
     n = len(mods)
     return FgAb(n, IntMatrix([[mods[i] if i == j else 0 for j in range(n)]
                               for i in range(n)], cols=n))
+
+
+def _agrees_with_hermite(f, rng):
+    """f's kernel basis against a Hermite Lattice of the same rows, and
+    both against the Smith-form test f(v) = 0 in cod: the same span, the
+    same members among random vectors and near-misses, and coords and
+    combine inverse to each other.  Returns the kernel basis."""
+    n = f.dom.n
+    b = f.kernel_lattice_basis()
+    lat = Lattice(n)
+    for row in b.rows:
+        lat._add(dict(row))
+    assert len(lat) == len(b)
+    assert all(lat.contains(r) for r in b.basis())
+    assert all(b.contains(r) for r in lat.basis())
+
+    def near_misses():
+        # a kernel vector moved at one coordinate: its other private
+        # entries still divide, so only the residual test can refuse it
+        for _ in range(6):
+            v = list(b.combine([rng.randint(-3, 3) for _ in range(len(b))]))
+            v[rng.randrange(n)] += rng.choice((-2, -1, 1, 2, 3))
+            yield tuple(v)
+        for _ in range(6):
+            yield tuple(rng.randint(-6, 6) for _ in range(n))
+
+    for v in near_misses():
+        assert b.contains(v) == lat.contains(v) == f.cod.is_zero(f.apply(v))
+    for _ in range(4):
+        c = tuple(rng.randint(-3, 3) for _ in range(len(b)))
+        v = b.combine(c)
+        assert f.cod.is_zero(f.apply(v)) and lat.contains(v)
+        assert b.coords(v) == c and lat.combine(lat.coords(v)) == v
+    return b
+
+
+def test_private_kernel_agrees_with_hermite_lattice():
+    rng = random.Random(5)
+    # free codomain: the kernel columns keep private +-1 entries
+    free = AbMap(FgAb(4), FgAb(2), IntMatrix([[1, 2, 0, -1], [0, 3, 1, 2]]))
+    assert isinstance(_agrees_with_hermite(free, rng), PrivateBasis)
+    # Z/6: x -> 2x has kernel 3Z + Z, and the private entry of 3Z is -3
+    z6 = AbMap(FgAb(2), diag_group(6), IntMatrix([[2, 0]]))
+    b = _agrees_with_hermite(z6, rng)
+    assert isinstance(b, PrivateBasis)
+    assert sorted(b.basis()) == [(-3, 0), (0, 1)]
+    assert b.coords((1, 0)) is None and b.contains((3, 1))
+    # x + y into Z/2: the cut columns (-1, 1) and (-2, 0) share coordinate
+    # 0, so the second owns none and the kernel is a Hermite Lattice
+    z2 = AbMap(FgAb(2), diag_group(2), IntMatrix([[1, 1]]))
+    assert isinstance(_agrees_with_hermite(z2, rng), Lattice)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from([0, 2, 6]),
+       st.randoms(use_true_random=False))
+def test_kernel_basis_agrees_with_hermite_lattice(n, m, mod, rng):
+    """Random maps Z^m -> Z^n (mod 0) or (Z/mod)^n; both paths occur."""
+    cod = FgAb(n) if mod == 0 else diag_group(*[mod] * n)
+    mat = IntMatrix([[rng.randint(-3, 3) for _ in range(m)]
+                     for _ in range(n)], cols=m)
+    _agrees_with_hermite(AbMap(FgAb(m), cod, mat), rng)
 
 
 def test_presentations():
@@ -352,8 +414,14 @@ def test_homology_agrees_with_kernel_then_quotient(pair, rng):
     assert h.group.rel == ref.rel
     assert h.group.invariant_factors() == ref.invariant_factors()
     assert h.group.free_rank() == ref.free_rank()
-    assert h.cycles.rel == kgrp.rel and h.cycles.same_invariants(kgrp)
+    # ker(d_out) as H presents it (H with no incoming map) is
+    # d_out.kernel(), and H's coordinates are the kernel's: each kernel
+    # generator is its own class
+    cycles = Homology(AbMap.zero(FgAb(0), mid), d_out).group
+    assert cycles.rel == kgrp.rel and cycles.same_invariants(kgrp)
     g = h.group
+    for i in range(kgrp.n):
+        assert h.class_of(incl.apply(kgrp.gen(i))) == g.canon(kgrp.gen(i))
 
     def cycle():
         return incl.apply(tuple(rng.randint(-5, 5) for _ in range(kgrp.n)))
@@ -387,7 +455,8 @@ def test_homology_walk_is_the_complex_check():
     # d_out . d_in = 2, nonzero over Z but zero in Z/2: still a complex
     z, z2 = FgAb(1), diag_group(2)
     h = Homology(AbMap(z, z, IntMatrix([[2]])), AbMap(z, z2, IntMatrix([[1]])))
-    assert h.group.is_trivial() and h.cycles.free_rank() == 1
+    assert h.group.is_trivial() and h.class_of((2,)) == ()
+    assert AbMap(z, z2, IntMatrix([[1]])).kernel()[0].free_rank() == 1
     with pytest.raises(NonComplex, match="generator 1"):
         Homology(AbMap(FgAb(2), z, IntMatrix([[2, 3]])),
                  AbMap(z, z2, IntMatrix([[1]])))
@@ -406,7 +475,8 @@ def test_homology_reduces_many_cycle_relations():
         [tuple(6 if i == 0 else 0 for i in range(n))], n))
     h = Homology(d_in, d_out)
     kgrp, incl = d_out.kernel()
-    assert h.cycles.rel == kgrp.rel and h.cycles.rel.cols == 1
+    cycles = Homology(AbMap.zero(FgAb(0), mid), d_out).group
+    assert cycles.rel == kgrp.rel and kgrp.rel.cols == 1
     # kernel relations reduced first, then the image column appended: two
     # columns, as the two-step construction presents H
     ref, _ = ab_quotient(kgrp, [incl.solve(d_in.apply((1,)))])
