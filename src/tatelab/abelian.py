@@ -402,16 +402,19 @@ class AbMap:
 
         The kernel columns of [mat | cod.rel], cut to their first dom.n
         coordinates, generate ker f (x is in ker f iff mat x is a
-        combination of cod's relations).  When each cut column owns a
-        private coordinate they are independent, hence a basis, and come
-        back as a PrivateBasis; otherwise they are inserted into a
-        Hermite-reduced Lattice.  Either way the rows are never changed
-        afterwards, so matrices may be built on them.
+        combination of cod's relations).  Cut columns that are zero add
+        nothing to the span, so the others still generate ker f and the
+        zero ones are dropped.  When each remaining column owns a private
+        coordinate they are independent, hence a basis, and come back as
+        a PrivateBasis; otherwise they are inserted into a Hermite-reduced
+        Lattice.  Either way the rows are never changed afterwards, so
+        matrices may be built on them.
         """
         n = self.dom.n
         aug = self.mat.hstack(self.cod.rel)
-        cols = [{i: x for i, x in col.items() if i < n}
-                for col in _kernel_columns(aug.sparse_rows(), aug.cols)]
+        cuts = ({i: x for i, x in col.items() if i < n}
+                for col in _kernel_columns(aug.sparse_rows(), aug.cols))
+        cols = [cut for cut in cuts if cut]
         basis = PrivateBasis.of(cols, n)
         if basis is not None:
             return basis

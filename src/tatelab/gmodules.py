@@ -31,6 +31,19 @@ def _sparse_mul(a_cols, b_cols, nrows):
     return out
 
 
+def _kron_columns(left, right, nr):
+    """Sparse columns of the Kronecker product L (x) R from the sparse
+    columns of L and of R, which has nr rows: column p.len(right) + q is
+    {i.nr + k: l_ip.r_kq}.  The entries are products of nonzero ints at
+    distinct places, so no sum is formed and no zero is stored.
+
+    >>> _kron_columns([{0: 2}, {0: 1, 1: -1}], [{1: 3}], 2)
+    [{1: 6}, {1: 3, 3: -3}]
+    """
+    return [{i * nr + k: x * y for i, x in lc.items() for k, y in rc.items()}
+            for lc in left for rc in right]
+
+
 class NotEquivariant(Exception):
     def __init__(self, witness_elt, witness_g):
         self.witness = (witness_elt, witness_g)
@@ -325,21 +338,18 @@ class HomModule:
         k = tb.rows
         na = a.n
         ab = FgAb.direct_sum([a] * k)
+        tb_cols, fb_cols = tb.sparse_columns(), fb.sparse_columns()
         acts = []
         for g in range(group.order):
-            ginv = group.inv[g]
-            s = tb.mul(cmod.action[ginv]).mul(fb)  # action of g^-1 on the basis
-            ag = amod.action[g].entries
-            rows = [[0] * (k * na) for _ in range(k * na)]
-            for i in range(k):
-                for j in range(k):
-                    sij = s.entries[i][j]
-                    if sij:
-                        for m in range(na):
-                            for l in range(na):
-                                if ag[m][l]:
-                                    rows[j * na + m][i * na + l] += sij * ag[m][l]
-            acts.append(IntMatrix(rows, cols=k * na))
+            # S = TB.rho(g^-1).FB, the action of g^-1 on the free basis
+            s_cols = _sparse_mul(tb_cols, _sparse_mul(
+                cmod.action[group.inv[g]].sparse_columns(), fb_cols, c.n), k)
+            s_rows = [{} for _ in range(k)]
+            for j, col in enumerate(s_cols):
+                for i, x in col.items():
+                    s_rows[i][j] = x
+            acts.append(IntMatrix._from_sparse_columns(_kron_columns(
+                s_rows, amod.action[g].sparse_columns(), na), k * na))
         self.module = GModule(group, ab, acts)
         self.c, self.a = cmod, amod
         self.k, self.tb, self.fb = k, tb, fb
@@ -396,20 +406,9 @@ class TensorModule:
                         col[i * na + l] = col_a[l]
                 rel_cols.append(col)
         ab = FgAb(nc * na, IntMatrix._trusted_columns(rel_cols, nc * na))
-        acts = []
-        for g in range(cmod.group.order):
-            cg = cmod.action[g].entries
-            ag = amod.action[g].entries
-            rows = [[0] * (nc * na) for _ in range(nc * na)]
-            for i in range(nc):
-                for j in range(nc):
-                    x = cg[i][j]
-                    if x:
-                        for l in range(na):
-                            for m in range(na):
-                                if ag[l][m]:
-                                    rows[i * na + l][j * na + m] += x * ag[l][m]
-            acts.append(IntMatrix(rows, cols=nc * na))
+        acts = [IntMatrix._from_sparse_columns(_kron_columns(
+            cmod.action[g].sparse_columns(), amod.action[g].sparse_columns(),
+            na), nc * na) for g in range(cmod.group.order)]
         self.module = GModule(cmod.group, ab, acts, check=False)
         self.c, self.a = cmod, amod
 

@@ -240,23 +240,82 @@ def build_script_h(inst):
 
 def script_h_action_lift_independent(inst, sh):
     """The action must not depend on which lift of g multiplies: for every
-    lift alt of g and x in GS other than 1, the action column of x minus
-    the class of alt*(x - 1) is a relation."""
+    g, every class c and every x in GS other than 1, the action column of
+    x minus the class of kappa(c)s(g)(x - 1) must be a relation, where s
+    is the section over p0.
+
+    Decided on a class table instead of |G|.|Cl|.(|GS| - 1) membership
+    tests.  cls[z] is the canonical class of z - 1 (cls[1] = 0); canon is
+    linear modulo the canonical moduli and vanishes exactly on relations,
+    so y(x - 1) = (yx - 1) - (y - 1) has class cls[yx] - cls[y] and a
+    sparse column v has class sum_j v_j.cls[gs_basis[j]].  With c0 the
+    first class of Cl, n_c = kappa(c) and F_c(z) = cls[n_c z] - cls[n_c0 z]
+    the check splits in two:
+
+    (a) for every g and x, the column of x has class cls[yx] - cls[y]
+        with y = n_c0 s(g): the old condition at c = c0;
+    (b) for every c, F_c is constant on GS, tested as F_c(s(0)x) =
+        F_c(s(0)) for every x.
+
+    Given (a) at g, the old condition at (g, c, x) reads F_c(s(g)x) =
+    F_c(s(g)); as x runs over GS - {1}, s(g)x runs over GS - {s(g)}, so
+    it holds for all x iff F_c is constant, whatever g is.  Hence (a) and
+    (b) together are the old check, with no use of kappa being a
+    homomorphism.  (a) at g = 0 runs first, then (b), then (a) at the
+    other g, so the witness (g, c, x) is the old loop's first failing
+    triple: (g, c0, x) from (a), (0, c, x) from (b).
+    """
     gs = inst.gs
-    cl_ab = inst.cl.underlying
-    lat = sh.module.underlying.rel_lattice()
+    ab = sh.module.underlying
+    mods = ab.canonical_moduli()
     p0_sec = inst.iota[inst.p0.id]
-    for g in range(inst.group.order):
-        base_cols = sh.module.action[g].sparse_columns()
-        for c in cl_ab.elements():
-            cc = cl_ab.canon(c)
-            alt = gs.mul(inst.kappa[cc], p0_sec[g])
-            for i, x in enumerate(sh.gs_basis):
-                diff = dict(base_cols[i])
-                _axpy(diff, 1, sh.left_mul(alt, x))
-                if not lat.contains(diff):
-                    return False, (g, cc, x)
-    return True, None
+
+    def reduced(v):
+        return tuple(x % m if m else x for x, m in zip(v, mods))
+
+    cls = [(0,) * len(mods)] * gs.order
+    for j, z in enumerate(sh.gs_basis):
+        e = [0] * ab.n
+        e[j] = 1
+        cls[z] = ab.canon(e)
+
+    def minus(a, b):
+        return reduced([x - y for x, y in zip(a, b)])
+
+    def col_class(col):
+        acc = [0] * len(mods)
+        for j, v in col.items():
+            for k, x in enumerate(cls[sh.gs_basis[j]]):
+                acc[k] += v * x
+        return reduced(acc)
+
+    cl_ab = inst.cl.underlying
+    classes = [cl_ab.canon(c) for c in cl_ab.elements()]
+    n0 = inst.kappa[classes[0]]
+
+    def action_fails(g):  # (a) at g
+        y = gs.mul(n0, p0_sec[g])
+        cols = sh.module.action[g].sparse_columns()
+        for col, x in zip(cols, sh.gs_basis):
+            if col_class(col) != minus(cls[gs.mul(y, x)], cls[y]):
+                return g, classes[0], x
+        return None
+
+    def kappa_fails():  # (b)
+        z0 = p0_sec[0]
+        for cc in classes[1:]:
+            n = inst.kappa[cc]
+            base = minus(cls[gs.mul(n, z0)], cls[gs.mul(n0, z0)])
+            for x in sh.gs_basis:
+                z = gs.mul(z0, x)
+                if minus(cls[gs.mul(n, z)], cls[gs.mul(n0, z)]) != base:
+                    return 0, cc, x
+        return None
+
+    wit = (action_fails(0) or kappa_fails()
+           or next(filter(None, map(action_fails,
+                                    range(1, inst.group.order))), None))
+    return wit is None, wit
 
 
 # -- the snake map ------------------------------------------------------------

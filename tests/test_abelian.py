@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tatelab.abelian import (AbMap, FgAb, Homology, NonComplex,
                              ab_quotient, subgroup_span)
-from tatelab.lattice import IntMatrix, Lattice, PrivateBasis, smith_normal_form
+from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _kernel_columns,
+                             smith_normal_form)
 
 
 def diag_group(*mods):
@@ -63,6 +64,20 @@ def test_private_kernel_agrees_with_hermite_lattice():
     # 0, so the second owns none and the kernel is a Hermite Lattice
     z2 = AbMap(FgAb(2), diag_group(2), IntMatrix([[1, 1]]))
     assert isinstance(_agrees_with_hermite(z2, rng), Lattice)
+
+
+def test_zero_cut_kernel_columns_are_dropped():
+    """x -> 5x into Z/6 presented by the dependent relations 6 and 12: one
+    kernel column of [5 | 6 12] is zero on the domain coordinate.  It is
+    dropped, so the other column keeps its private entry."""
+    f = AbMap(FgAb(1), FgAb(1, IntMatrix([[6, 12]])), IntMatrix([[5]]))
+    aug = f.mat.hstack(f.cod.rel)
+    cuts = [{i: x for i, x in col.items() if i < 1}
+            for col in _kernel_columns(aug.sparse_rows(), aug.cols)]
+    assert {} in cuts and len(cuts) == 2
+    b = _agrees_with_hermite(f, random.Random(7))
+    assert isinstance(b, PrivateBasis)
+    assert [abs(x) for (x,) in b.basis()] == [6]
 
 
 @settings(max_examples=120, deadline=None)

@@ -100,6 +100,86 @@ def test_hom_with_redundant_free_presentation():
     assert hom.module.underlying.order() == 4
 
 
+def dense_hom_actions(cmod, amod):
+    """Hom(C, A) action matrices by the dense quadruple loop: the entry at
+    (j.n_A + m, i.n_A + l) is s_ij.a_ml with S = TB.rho(g^-1).FB."""
+    group, na = cmod.group, amod.underlying.n
+    tb, fb = cmod.underlying.free_basis_maps()
+    k = tb.rows
+    acts = []
+    for g in range(group.order):
+        s = tb.mul(cmod.action[group.inv[g]]).mul(fb)
+        ag = amod.action[g].entries
+        rows = [[0] * (k * na) for _ in range(k * na)]
+        for i in range(k):
+            for j in range(k):
+                if s.entries[i][j]:
+                    for m in range(na):
+                        for l in range(na):
+                            rows[j * na + m][i * na + l] += \
+                                s.entries[i][j] * ag[m][l]
+        acts.append(IntMatrix(rows, cols=k * na))
+    return acts
+
+
+def dense_tensor_actions(cmod, amod):
+    """C (x) A action matrices by the dense quadruple loop: the entry at
+    (i.n_A + l, j.n_A + m) is c_ij.a_lm."""
+    nc, na = cmod.underlying.n, amod.underlying.n
+    acts = []
+    for g in range(cmod.group.order):
+        cg, ag = cmod.action[g].entries, amod.action[g].entries
+        rows = [[0] * (nc * na) for _ in range(nc * na)]
+        for i in range(nc):
+            for j in range(nc):
+                for l in range(na):
+                    for m in range(na):
+                        rows[i * na + l][j * na + m] += cg[i][j] * ag[l][m]
+        acts.append(IntMatrix(rows, cols=nc * na))
+    return acts
+
+
+def regular_with_relation(group):
+    """Z[G] on |G| + 1 generators with the relation x_|G| = x_0: free,
+    but its TB and FB are not the identity."""
+    n = group.order
+    reg = regular_module(group)
+    acts = []
+    for g in range(n):
+        cols = [reg.action[g].column(j) + (0,) for j in range(n)]
+        acts.append(IntMatrix.from_columns(cols + [cols[0]], n + 1))
+    rel = IntMatrix.from_columns([[-1] + [0] * (n - 1) + [1]], n + 1)
+    return GModule(group, FgAb(n + 1, rel), acts)
+
+
+def z3_squared(group):
+    """Z/3 + Z/3, its two generators swapped by the elements outside an
+    index-2 subgroup (all fixed when there is none)."""
+    half = next((h for h in group.all_subgroups()
+                 if 2 * len(h) == group.order), None)
+    swap = IntMatrix([[0, 1], [1, 0]])
+    acts = [IntMatrix.identity(2) if half is None or g in half else swap
+            for g in range(group.order)]
+    return GModule(group, FgAb(2, IntMatrix([[3, 0], [0, 3]])), acts)
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"])
+def test_sparse_kronecker_actions_match_dense_loops(name):
+    group = named_group(name)
+    std = standard_modules(group, Subgroup(group, [group.identity]))
+    with_rel = regular_with_relation(group)
+    assert with_rel.underlying.free_basis_maps()[0].shape == \
+        (group.order, group.order + 1)
+    cs = [std["trivial"], std["regular"], std["aug_ideal"], with_rel]
+    amods = [trivial_module(group), z_mod(group, 6), z3_squared(group)]
+    for cmod in cs:
+        for amod in amods:
+            assert list(HomModule(cmod, amod).module.action) == \
+                dense_hom_actions(cmod, amod)
+            assert list(TensorModule(cmod, amod).module.action) == \
+                dense_tensor_actions(cmod, amod)
+
+
 def test_kernel_image_cokernel():
     c2 = named_group("C2")
     reg = regular_module(c2)

@@ -1,3 +1,5 @@
+from importlib.resources import files
+
 import pytest
 
 from tatelab.abelian import FgAb
@@ -7,7 +9,9 @@ from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
 from tatelab.cohomology import CohClass, TateCohomology, TateComplex
 from tatelab.gmodules import GModule, trivial_module
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
-from tatelab.lattice import IntMatrix, Lattice, kernel_basis
+from tatelab.instance_io import load_instance
+from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _axpy,
+                             kernel_basis)
 from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
                                    build_delta1, build_nabla,
                                    build_script_h, build_snake, build_wrb,
@@ -77,24 +81,114 @@ def test_script_h():
     assert sh1.e.ab.is_bijective()
 
 
-def test_script_h_lift_dependence_is_caught():
-    it = i2_twist()
-    sh = build_script_h(it)
+def shift_action(inst, sh):
+    """Shift the action column of the first basis element under the first
+    g != 1 by a generator that is not a relation, so every lift of g
+    disagrees there; returns g."""
     mod = sh.module
     ab = mod.underlying
-    g = next(h for h in range(it.group.order) if h != it.group.identity)
-    # shift the action column of the first basis element by a generator
-    # that is not a relation, so every lift of g disagrees there
+    g = next(h for h in range(inst.group.order) if h != inst.group.identity)
     k = next(k for k in range(ab.n) if not ab.is_zero(ab.gen(k)))
     rows = [list(r) for r in mod.action[g].entries]
     rows[k][0] += 1
     action = list(mod.action)
     action[g] = IntMatrix(rows, cols=ab.n)
     sh.module = GModule(mod.group, ab, action, check=False)
+    return g
+
+
+def test_script_h_lift_dependence_is_caught():
+    it = i2_twist()
+    sh = build_script_h(it)
+    g = shift_action(it, sh)
     ok, wit = script_h_action_lift_independent(it, sh)
     assert not ok
     cl_ab = it.cl.underlying
     assert wit == (g, cl_ab.canon(next(cl_ab.elements())), sh.gs_basis[0])
+
+
+def reference_lift_check(inst, sh):
+    """The lift check as one relation-lattice membership test per triple
+    (g, c, x): the action column of x minus alt(x - 1), alt = kappa(c)s(g)
+    with s the section over p0, must be a relation.  Returns (ok, the
+    first failing triple)."""
+    gs = inst.gs
+    cl_ab = inst.cl.underlying
+    lat = sh.module.underlying.rel_lattice()
+    p0_sec = inst.iota[inst.p0.id]
+    for g in range(inst.group.order):
+        base_cols = sh.module.action[g].sparse_columns()
+        for c in cl_ab.elements():
+            cc = cl_ab.canon(c)
+            alt = gs.mul(inst.kappa[cc], p0_sec[g])
+            for i, x in enumerate(sh.gs_basis):
+                diff = dict(base_cols[i])
+                _axpy(diff, 1, sh.left_mul(alt, x))
+                if not lat.contains(diff):
+                    return False, (g, cc, x)
+    return True, None
+
+
+def lift_case(name):
+    if name in SHIPPED:
+        return load_instance(str(files("tatelab") / "data" / f"{name}.json"))
+    group, seed = name.split("/")
+    return synth_instance(group, int(seed))
+
+
+SHIPPED = ("i2_plain", "i2_twist", "sqrt34")
+LIFT_CASES = [f"{g}/{s}" for g in CATALOG for s in (0, 1)] + list(SHIPPED)
+
+
+@pytest.mark.parametrize("name", LIFT_CASES)
+def test_lift_check_agrees_with_all_triples(name):
+    """The class-table check against the all-triples loop, on the verdict
+    and the witness: as built, with a shifted action column (caught by
+    the action half), and with kappa of one nonzero class moved off the
+    kernel of GS -> G (caught only by the kappa half)."""
+    inst = lift_case(name)
+    sh = build_script_h(inst)
+    assert script_h_action_lift_independent(inst, sh) == \
+        reference_lift_check(inst, sh) == (True, None)
+    cl_ab = inst.cl.underlying
+    classes = [cl_ab.canon(c) for c in cl_ab.elements()]
+    if len(classes) > 1:
+        not_lift = next(z for z in range(inst.gs.order)
+                        if inst.pi(z) != inst.group.identity)
+        kappa = inst.kappa
+        inst.kappa = {**kappa, classes[1]: not_lift}
+        got = script_h_action_lift_independent(inst, sh)
+        assert got == reference_lift_check(inst, sh)
+        assert not got[0] and got[1][:2] == (0, classes[1])
+        inst.kappa = kappa
+    g = shift_action(inst, sh)
+    got = script_h_action_lift_independent(inst, sh)
+    assert got == reference_lift_check(inst, sh)
+    assert got == (False, (g, classes[0], sh.gs_basis[0]))
+
+
+def test_lift_check_cost():
+    """No relation-lattice walk, and one canon per element of GS (the
+    class table) and per class of Cl: not one per triple (g, c, x)."""
+    inst = synth_instance("D4", 0)
+    sh = build_script_h(inst)
+    calls = {"walk": 0, "canon": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Lattice, "_walk", counted(Lattice._walk, "walk"))
+        mp.setattr(PrivateBasis, "_walk", counted(PrivateBasis._walk, "walk"))
+        mp.setattr(FgAb, "canon", counted(FgAb.canon, "canon"))
+        assert script_h_action_lift_independent(inst, sh) == (True, None)
+    n_cl = inst.cl.underlying.order()
+    assert calls["walk"] == 0
+    assert 0 < calls["canon"] <= inst.gs.order + n_cl
+    assert inst.group.order * n_cl * len(sh.gs_basis) > inst.gs.order + n_cl
 
 
 def reference_script_h(inst):
