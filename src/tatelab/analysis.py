@@ -3,12 +3,14 @@ shared artifacts.
 
 ARTIFACTS maps each artifact to its builder and the artifacts the builder
 reads; CHECK_READS lists, next to each registered check, the artifacts the
-check function receives.  The inputs (the instance, the degree window, the
-unit fixture and the sampling seed) are artifacts that exist from the
-start.  An artifact is built on first request, once: a builder that raised
-is not run again, and everything that reads it fails with the same
-exception.  The runner drops an artifact after the last selected check
-whose reads reach it.
+check function receives.  The inputs (the instance, the unit fixture and
+the sampling seed) are artifacts that exist from the start.  Every
+analysis resolves the one degree window WINDOW, -2..1, the degrees its
+checks read: one complex, and one calculator per module over it.  An
+artifact is built on first request, once: a builder that raised is not
+run again, and everything that reads it fails with the same exception.
+The runner drops an artifact after the last selected check whose reads
+reach it.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from .tate_sequence import (build_delta1, build_nabla, build_script_h,
                             subgroups_cdc, wrb_exact)
 from .unit_fixture import fixture_unit_check
 
-DEFAULT_WINDOW = (-2, 1)
+WINDOW = (-2, 1)
 
-INPUTS = ("inst", "window", "fixture", "seed")
+INPUTS = ("inst", "fixture", "seed")
 
 
-def _tate_complex(inst, window):
-    return TateComplex(inst.group, window)
+def _tate_complex(inst):
+    return TateComplex(inst.group, WINDOW)
 
 
 def _calculator(module_of):
@@ -47,14 +49,14 @@ def _calculator(module_of):
 
 # artifact -> (builder, artifacts passed to the builder in order)
 ARTIFACTS = {
-    "complex": (_tate_complex, ("inst", "window")),
+    "complex": (_tate_complex, ("inst",)),
     "xy": (xy_modules, ("inst",)),
     "wrb": (build_wrb, ("inst", "xy")),
     "script_h": (build_script_h, ("inst",)),
     "snake": (build_snake, ("inst", "wrb", "script_h")),
     "nabla": (build_nabla, ("inst", "wrb", "snake")),
     "norm_model": (norm_model, ("inst",)),
-    "cdc": (subgroups_cdc, ("inst",)),
+    "cdc": (subgroups_cdc, ("inst", "calc_cl")),
     "delta1": (build_delta1, ("snake",)),
     "calc_x": (_calculator(attrgetter("x")), ("complex", "xy")),
     "calc_cl": (_calculator(attrgetter("cl")), ("complex", "inst")),
@@ -79,8 +81,8 @@ def closure(names):
 class AnalysisContext:
     """The artifacts of one instance, built on first request."""
 
-    def __init__(self, inst, window=DEFAULT_WINDOW, fixture=None, seed=0):
-        self._cache = dict(zip(INPUTS, (inst, window, fixture, seed)))
+    def __init__(self, inst, fixture=None, seed=0):
+        self._cache = dict(zip(INPUTS, (inst, fixture, seed)))
         self._failed = {}
 
     def get(self, name):
@@ -166,7 +168,7 @@ def _check_norm_suite(inst, nm, cdc):
 def _check_fixture(inst, fixture, complex_, cdc):
     if fixture is None:
         return False, "no fixture supplied"
-    return _all_ok(fixture_unit_check(complex_, inst, fixture, cdc=cdc))
+    return _all_ok(fixture_unit_check(complex_, inst, fixture, cdc))
 
 
 # check id -> (anchor, function, artifacts passed to it in order)
@@ -193,7 +195,7 @@ _REGISTRY = {
                      ("inst", "nabla", "xy", "calc_x", "calc_cl",
                       "calc_nabla")),
     "x.h_minus1_zero": ("H^-1(G, X) vanishes", h_minus1_x_vanishes,
-                        ("xy", "calc_x")),
+                        ("calc_x",)),
     "x.generator_iso": ("decomposition abelianizations present H^-2(X)",
                         homology_generators_iso, ("inst", "xy", "calc_x")),
     "conn.functorial": ("connecting maps commute with the sequence "
@@ -252,8 +254,7 @@ def select_checks(checks=None, fixture=None):
     return selected
 
 
-def run_analysis(inst, checks=None, window=DEFAULT_WINDOW, fixture=None,
-                 seed=0):
+def run_analysis(inst, checks=None, fixture=None, seed=0):
     """Run the selected checks; returns records sorted by check id."""
     selected = select_checks(checks, fixture)
     # still_read[k]: the artifacts that the checks after the k-th reach
@@ -262,7 +263,7 @@ def run_analysis(inst, checks=None, window=DEFAULT_WINDOW, fixture=None,
         still_read.append(later)
         later = later | closure(CHECK_READS[cid])
     still_read.reverse()
-    ctx = AnalysisContext(inst, window=window, fixture=fixture, seed=seed)
+    ctx = AnalysisContext(inst, fixture=fixture, seed=seed)
     records = []
     for cid, keep in zip(selected, still_read):
         anchor, fn = CHECKS[cid]

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all selected checks pass, 1 a mathematical check failed,
 2 operational failure (unreadable file, schema error, bad arguments,
-a window the selected checks cannot use, bad TATELAB_WORKERS).
+bad TATELAB_WORKERS).
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ import argparse
 import os
 import sys
 
-from .analysis import (CHECK_READS, CHECKS, DEFAULT_WINDOW, closure,
-                       resolve_check_ids, run_analysis, select_checks)
+from .analysis import (CHECKS, WINDOW, resolve_check_ids, run_analysis,
+                       select_checks)
 from .cft import UnsatisfiableParams, synth_instance, validate_instance
-from .cohomology import TateComplex, WindowTooLarge
 from .groups import GROUP_CATALOG
 from .instance_io import (FixtureSchemaError, InstanceSchemaError,
                           instance_digest, load_fixture, load_instance)
@@ -25,16 +24,6 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 SELFTEST_GROUPS = ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
-
-
-def _parse_window(text):
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise argparse.ArgumentTypeError("window must look like -2..1")
-    try:
-        return (int(lo), int(hi))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad window {text!r}") from None
 
 
 def build_parser():
@@ -53,8 +42,6 @@ def build_parser():
     a.add_argument("path")
     a.add_argument("--checks", help="comma-separated check ids or groups "
                                     f"(known: {', '.join(sorted(CHECKS))})")
-    a.add_argument("--window", type=_parse_window, default=(-2, 1),
-                   help="resolution degree window, e.g. -2..1")
     a.add_argument("--fixture", help="unit fixture file for fixture checks")
     a.add_argument("--out", help="write the report here")
     a.add_argument("--format", choices=["json", "text"], default="json")
@@ -97,37 +84,16 @@ def cmd_analyze(args):
         if args.fixture:
             fixture = load_fixture(args.fixture, inst.group)
         checks = args.checks.split(",") if args.checks else None
-        selected = select_checks(checks, fixture)  # unknown names raise
+        select_checks(checks, fixture)  # unknown names raise
     except (InstanceSchemaError, FixtureSchemaError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    problem = _window_problem(inst, args.window, selected)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_ERROR
-    records = run_analysis(inst, checks=checks, window=args.window,
-                           fixture=fixture)
+    records = run_analysis(inst, checks=checks, fixture=fixture)
     report = Report("analyze", instance_digest(inst), records,
                     meta={"path": os.path.basename(args.path),
-                          "window": list(args.window)})
+                          "window": list(WINDOW)})
     _emit(report, args, timings=args.timings)
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
-
-
-def _window_problem(inst, window, selected):
-    """Why the selected checks cannot run over `window`, or None.  The
-    checks that read the resolution use exactly the default degrees."""
-    try:
-        TateComplex(inst.group, window)
-    except WindowTooLarge as exc:
-        return str(exc)
-    lo, hi = DEFAULT_WINDOW
-    needs = [cid for cid in selected
-             if "complex" in closure(CHECK_READS[cid])]
-    if needs and not (window[0] <= lo and hi <= window[1]):
-        return (f"window {window[0]}..{window[1]} does not contain "
-                f"{lo}..{hi}, which {', '.join(needs)} need")
-    return None
 
 
 def _selftest_one(group, seed, checks):

@@ -21,8 +21,12 @@ at the two edge degrees of a window lo..hi where that cannot change the
 answer: at lo-1 <= -2, on the chain side, only the image of the boundary
 out of it is read, and at hi+1 >= 1, on the cochain side, only the kernel
 of the coboundary into it; there only the bar tuples whose last entry is
-a generator or 1 are kept (see `TateComplex`).  Every other degree keeps
-all |G|^k tuples.
+a generator are kept, or the tuples ending in 1 for the trivial group
+(see `TateComplex`).  Evaluating dd = 0 at (g, h, s) with s a generator
+expresses the (co)boundary at (g, hs) through the one at (g, h) and
+tuples ending in s; at h = 1 this reaches the tuples ending in 1, and by
+induction on word length every other last entry.  Every other degree
+keeps all |G|^k tuples.
 """
 
 from __future__ import annotations
@@ -58,15 +62,17 @@ class TateComplex:
     (`basis`, `rank`, `ring_differential`) is whole at every degree.  Its
     specialization at a module (`cochain_group`, `blockified`) keeps, at
     an edge degree the window reads from one side only, just the bar
-    tuples whose last entry lies in S u {1}, S = `group.generating_set()`:
-    degree lo-1 when lo-1 <= -2, where the window reads only the image of
-    the boundary out of it, and degree hi+1 when hi+1 >= 1, where it reads
-    only the kernel of the coboundary into it.  Evaluating dd = 0 at
-    (g, h, s) writes the (co)boundary at (g, hs) through the one at (g, h)
-    and tuples ending in s, so by induction on the word length of the last
-    entry the image and the kernel are unchanged.  On the other side of an
-    edge (a boundary into it, a coboundary out of it) the argument fails,
-    and those edges keep every tuple.
+    tuples whose last entry lies in S = `group.generating_set()`, or in
+    {1} when S is empty (the trivial group): degree lo-1 when lo-1 <= -2,
+    where the window reads only the image of the boundary out of it, and
+    degree hi+1 when hi+1 >= 1, where it reads only the kernel of the
+    coboundary into it.  Evaluating dd = 0 at (g, h, s), s in S, writes
+    the (co)boundary at (g, hs) through the one at (g, h) and tuples
+    ending in s.  At h = 1 it writes the one at (g, 1) through tuples
+    ending in s, since hs = s; every other x in G is a positive word in S,
+    so by induction on its length the image and the kernel are unchanged.
+    On the other side of an edge (a boundary into it, a coboundary out of
+    it) the argument fails, and those edges keep every tuple.
     """
 
     def __init__(self, group, window=(-4, 3)):
@@ -112,7 +118,7 @@ class TateComplex:
             return None
         if i not in self._kept:
             grp = self.group
-            last = sorted({grp.identity, *grp.generating_set()})
+            last = sorted(grp.generating_set()) or [grp.identity]
             self._kept[i] = [
                 w + (s,) for w in itertools.product(
                     range(grp.order), repeat=self.tuple_length(i) - 1)

@@ -17,8 +17,7 @@ from __future__ import annotations
 from .abelian import AbMap, FgAb, Homology, ab_quotient, subgroup_span
 from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData, TateCohomology,
-                         TateComplex, connecting_hom, extension_to_cocycle,
-                         induced_map)
+                         connecting_hom, extension_to_cocycle, induced_map)
 from .gmodules import (GMap, GModule, HomModule, direct_sum, local_aug_ideal,
                        regular_module, standard_modules)
 from .groups import Subgroup, abelianization, subgroup_as_group
@@ -614,16 +613,11 @@ def delta_minus2_agrees(inst, nabla, xy, calc_x, calc_cl, calc_nabla):
     return True, None
 
 
-def h_minus1_x_vanishes(xy, calc_x):
-    """H^-1(G, X) = 0, over the window's resolution and over the window
-    -1..0.  There the edge degree -2 keeps only the chains [s] with s a
-    generator or 1 (see TateComplex), so unless G is C2 or trivial the
-    second route also tests that edge rule."""
-    if not calc_x.group(-1).is_trivial():
-        return False, "resolution H^-1(X) nonzero"
-    edge = TateCohomology(TateComplex(xy.x.group, (-1, 0)), xy.x)
-    if not edge.group(-1).is_trivial():
-        return False, "H^-1(X) nonzero over the window -1..0"
+def h_minus1_x_vanishes(calc_x):
+    """H^-1(G, X) = 0; the witness is the group found."""
+    h = calc_x.group(-1)
+    if not h.is_trivial():
+        return False, {"h_minus1_x": list(h.invariant_factors())}
     return True, None
 
 
@@ -711,8 +705,8 @@ def connecting_functorial(wrb, snake, nabla, calc_x, calc_r, calc_cl,
 # -- subgroup bookkeeping ------------------------------------------------------
 
 class CDCData:
-    """The distinguished subgroups; `calc_cl` is the calculator of Cl over
-    the window -1..0, and `h1` its H^-1."""
+    """The distinguished subgroups; `calc_cl` is the calculator of Cl the
+    subgroups were read through, and `h1` its H^-1."""
 
     __slots__ = ("h1", "cbar", "cbar_incl", "c_s", "c_incl", "d", "d_incl",
                  "calc_cl", "c_values")
@@ -722,13 +716,11 @@ class CDCData:
             setattr(self, k, v)
 
 
-def subgroups_cdc(inst):
+def subgroups_cdc(inst, calc_cl):
     """The subgroup of H^-1(Cl) generated by section discrepancies, its
-    counterpart inside Cl, and the subgroup generated by (g-1)c.  The
-    window -1..0 reads only the norm and d_-2, so no resolution of the
-    analysis window is needed."""
+    counterpart inside Cl, and the subgroup generated by (g-1)c; classes
+    are read through `calc_cl`, the calculator of Cl."""
     ab = inst.cl.underlying
-    calc_cl = TateCohomology(TateComplex(inst.group, (-1, 0)), inst.cl)
     hom = calc_cl.homology(-1)
     c_values = []
     for pl in inst.other_places():

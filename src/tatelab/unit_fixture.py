@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from .abelian import ab_quotient
 from .cohomology import CohClass, Cocycle1, TateCohomology
-from .instance_io import fixture_from_dict
-from .tate_sequence import subgroups_cdc
 
 
 class InconsistentFixture(Exception):
@@ -26,17 +24,16 @@ class InconsistentFixture(Exception):
         super().__init__(f"fixture class {class_index}: {reason}")
 
 
-def fixture_unit_check(complex_, inst, fixture_data, cdc=None):
+def fixture_unit_check(complex_, inst, fixture, cdc):
     """Run every fixture assertion; returns a list of check records.
 
-    Raises FixtureSchemaError for malformed input and InconsistentFixture
-    when an assertion fails with a class witness.
+    `fixture` is the (unit module, classes, provenance) triple of
+    `instance_io.fixture_from_dict`, and `cdc` the distinguished subgroups
+    of `tate_sequence.subgroups_cdc`.  Raises InconsistentFixture when an
+    assertion fails with a class witness.
     """
-    unit_module, classes, provenance = (
-        fixture_data if isinstance(fixture_data, tuple)
-        else fixture_from_dict(fixture_data, inst.group))
+    unit_module, classes, _ = fixture
     ab = inst.cl.underlying
-    cdc = cdc or subgroups_cdc(inst)
     records = []
 
     def record(name, ok, witness=None):

@@ -268,7 +268,8 @@ def test_criterion_8_norm_suite(campaign):
     from tatelab.tate_sequence import subgroups_cdc
     it, ip = i2_twist(), i2_plain()
     nm_t, nm_p = norm_model(it), norm_model(ip)
-    cdc_t, cdc_p = subgroups_cdc(it), subgroups_cdc(ip)
+    cdc_t, cdc_p = (subgroups_cdc(inst, TateCohomology(
+        TateComplex(inst.group, (-2, 1)), inst.cl)) for inst in (it, ip))
     hand = (nm_t.q.order() == 1 and nm_p.q.order() == 2
             and nm_t.nm.kernel()[0].order() == 2
             and nm_p.nm.kernel()[0].order() == 1
@@ -294,12 +295,14 @@ def test_criterion_9_delta1_well_defined(campaign):
 def test_criterion_10_fixture_path():
     from importlib.resources import files
     from tatelab.instance_io import load_fixture
+    from tatelab.tate_sequence import subgroups_cdc
     from tatelab.unit_fixture import fixture_unit_check
     inst = quadratic_sqrt34()
     cx = TateComplex(inst.group, (-2, 1))
     fx = load_fixture(str(files("tatelab") / "data" / "sqrt34_units.json"),
                       inst.group)
-    recs = fixture_unit_check(cx, inst, fx)
+    cdc = subgroups_cdc(inst, TateCohomology(cx, inst.cl))
+    recs = fixture_unit_check(cx, inst, fx, cdc)
     ok = bool(recs) and all(r["ok"] for r in recs)
     _report(10, ok, "real-field unit fixture passes all assertions")
 

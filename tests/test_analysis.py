@@ -9,7 +9,7 @@ from tatelab.analysis import (ARTIFACTS, CHECK_READS, CHECKS, DEFAULT_CHECKS,
                               AnalysisContext, closure, run_analysis)
 from tatelab.abelian import Homology
 from tatelab.cft import i2_twist, synth_instance
-from tatelab.cohomology import ExtensionData, TateCohomology
+from tatelab.cohomology import ExtensionData, TateCohomology, TateComplex
 from tatelab.instance_io import load_fixture, load_instance
 from tatelab.tate_sequence import ImageEscapesCl, wrb_exact
 
@@ -73,14 +73,19 @@ def test_failing_builder_runs_once(monkeypatch):
 
 def test_one_calculator_per_shared_module(monkeypatch):
     seen = record_requests(monkeypatch)
-    built = []
-    orig_init = TateCohomology.__init__
+    built, complexes = [], []
+    orig_init, orig_complex = TateCohomology.__init__, TateComplex.__init__
 
     def init(calc, complex_, module):
         built.append((complex_, module))
         orig_init(calc, complex_, module)
 
+    def init_complex(cx, group, window):
+        complexes.append(cx)
+        orig_complex(cx, group, window)
+
     monkeypatch.setattr(TateCohomology, "__init__", init)
+    monkeypatch.setattr(TateComplex, "__init__", init_complex)
     inst = load_instance(str(files("tatelab") / "data" / "sqrt34.json"))
     fixture = load_fixture(str(files("tatelab") / "data" /
                                "sqrt34_units.json"), inst.group)
@@ -89,14 +94,11 @@ def test_one_calculator_per_shared_module(monkeypatch):
     art = {name: value for _, name, value in seen}
     shared = {"X": art["xy"].x, "Cl": inst.cl, "R": art["wrb"].r,
               "nabla": art["nabla"].module, "ker(s)": art["delta1"].ker_s}
+    assert complexes == [art["complex"]]
+    assert art["complex"].window == analysis.WINDOW == (-2, 1)
     for label, module in shared.items():
-        pairs = [c for c, m in built if m is module and c is art["complex"]]
-        assert pairs == [art["complex"]], label
-        # the only other calculators: H^-1(Cl) for the distinguished
-        # subgroups and the second H^-1(X) route, both over -1..0
-        others = [c.window for c, m in built
-                  if m is module and c is not art["complex"]]
-        assert others == ([(-1, 0)] if label in ("X", "Cl") else []), label
+        assert [c for c, m in built if m is module] == [art["complex"]], \
+            label
 
 
 @pytest.mark.parametrize("make", [i2_twist, lambda: synth_instance("S3", 0)],

@@ -73,22 +73,13 @@ def test_analyze_errors(capsys):
     capsys.readouterr()
 
 
-def test_analyze_rejects_unusable_window(capsys):
-    # a window the resolution rejects, whatever the checks
-    for window in ("--window=-9..9", "--window=2..1"):
-        assert main(["analyze", data("i2_twist.json"), window,
-                     "--checks", "norm"]) == 2
-        captured = capsys.readouterr()
-        assert "window" in captured.err and captured.out == ""
-    # a window without -2..1 while a selected check reads the resolution
-    assert main(["analyze", data("i2_twist.json"), "--window=0..0"]) == 2
+def test_analyze_has_no_window_option(capsys):
+    # the analysis window is fixed at -2..1; the option is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", data("i2_twist.json"), "--window=-2..1"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "-2..1" in captured.err and "delta2.agree" in captured.err
-    assert captured.out == ""
-    # checks that never read the resolution accept any valid window
-    assert main(["analyze", data("i2_twist.json"), "--window=0..0",
-                 "--checks", "norm,snake"]) == 0
-    capsys.readouterr()
+    assert "--window" in captured.err and captured.out == ""
 
 
 def test_selftest_empty_and_unknown(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tatelab.abelian import AbMap, FgAb, Homology
+from tatelab.cft import i2_plain, i2_twist, synth_instance, xy_modules
 from tatelab.cohomology import (MAX_WINDOW, CohClass, Cocycle1,
                                 DegreeMismatch, DegreeOutOfWindow,
                                 ExtensionData, TateCohomology, TateComplex,
@@ -573,6 +574,28 @@ def test_truncated_edges_keep_homology(case, seed):
         assert bottom.in_image(y) == bottom_full.in_image(y), y
 
 
+@pytest.mark.parametrize("make", [i2_twist, i2_plain] + [
+    lambda name=name: synth_instance(name, 0) for name in sorted(_ORDER)],
+    ids=["i2_twist", "i2_plain"] + [f"{name}/0" for name in sorted(_ORDER)])
+def test_truncated_edges_keep_h_minus1_of_x(make):
+    """H^-1 of the X module over -1..0, where both edges are truncated,
+    against the whole specialization: the same group, trivial, and the
+    same boundaries at -1."""
+    x = xy_modules(make()).x
+    cx = TateComplex(x.group, (-1, 0))
+    calc = TateCohomology(cx, x)
+    full = {i: full_differential(cx, x, i) for i in (-2, -1, 0)}
+    for i in (-1, 0):
+        got, want = calc.group(i), Homology(full[i - 1], full[i]).group
+        assert got.same_invariants(want), (i, got, want)
+    assert calc.group(-1).is_trivial()
+    rng = random.Random(0)
+    bottom = calc.differential(-2)
+    for _ in range(3):
+        y = _combination(full[-2], rng)
+        assert bottom.in_image(y), y
+
+
 # the modules and windows of the `resolution` benchmark, and two one-sided
 # windows whose outer edges keep every tuple
 _SIZE_CASES = (("Z", (-3, 2)), ("Z/6", (-3, 2)), ("Z[G]", (-3, 2)),
@@ -582,10 +605,10 @@ _SIZE_CASES = (("Z", (-3, 2)), ("Z/6", (-3, 2)), ("Z[G]", (-3, 2)),
 @pytest.mark.parametrize("name", sorted(_ORDER))
 def test_edge_cochain_groups_keep_generator_tuples(name):
     """At degree lo-1 <= -2 and hi+1 >= 1 a cochain group has one block per
-    bar tuple ending in S u {1}; every other degree keeps all |G|^k.
-    The ring-level ranks stay whole everywhere."""
+    bar tuple ending in S; every other degree keeps all |G|^k.  The
+    ring-level ranks stay whole everywhere."""
     grp = named_group(name)
-    n, kept = grp.order, len(set(grp.generating_set()) | {grp.identity})
+    n, kept = grp.order, len(grp.generating_set())
     for kind, (lo, hi) in _SIZE_CASES:
         mod = _MODULES[kind](grp)
         na = mod.underlying.n

@@ -1,8 +1,9 @@
 from importlib.resources import files
+from types import SimpleNamespace
 
 import pytest
 
-from tatelab.abelian import FgAb
+from tatelab.abelian import AbMap, FgAb, Homology, subgroup_span
 from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
                          i2_plain, i2_twist, norm_model, quadratic_sqrt34,
                          synth_instance, xy_modules)
@@ -39,6 +40,10 @@ def trivial_group_instance(cl_order):
     return Instance(g1, [PlaceData("p0", Subgroup(g1, [0]), is_p0=True)],
                     [AuxPlace("q0", (1,))], cl, gs, pi, kappa,
                     {"p0": {0: gs.identity}})
+
+
+def cdc_of(cx, inst):
+    return subgroups_cdc(inst, TateCohomology(cx, inst.cl))
 
 
 def lab(inst, window=(-2, 1)):
@@ -270,11 +275,11 @@ def test_snake_values_on_worked_instances():
         gen = wrb.r.underlying.gen(j)
         assert it.cl.underlying.is_zero(nu.apply(snake.s.apply(gen)))
         assert it.cl.underlying.is_zero(snake.s.apply(big.apply(gen)))
-    ok, wit = snake_closed_form_agrees(it, wrb, snake, subgroups_cdc(it))
+    ok, wit = snake_closed_form_agrees(it, wrb, snake, cdc_of(cx, it))
     assert ok, wit
     ip = i2_plain()
     cxp, xyp, wrbp, shp, snakep = lab(ip)
-    ok, wit = snake_closed_form_agrees(ip, wrbp, snakep, subgroups_cdc(ip))
+    ok, wit = snake_closed_form_agrees(ip, wrbp, snakep, cdc_of(cxp, ip))
     assert ok, wit
     # plain instance: all distinguished values vanish
     assert ip.cl.underlying.is_zero(snake_closed_form(ip, "p1", 1, 0))
@@ -353,10 +358,19 @@ def test_x_cohomology_structure():
         cx = TateComplex(inst.group, (-2, 1))
         xy = xy_modules(inst)
         calc_x = TateCohomology(cx, xy.x)
-        ok, wit = h_minus1_x_vanishes(xy, calc_x)
+        ok, wit = h_minus1_x_vanishes(calc_x)
         assert ok, wit
         ok, wit = homology_generators_iso(inst, xy, calc_x)
         assert ok, wit
+
+
+def test_h_minus1_x_vanishes_fails_on_the_sign_module():
+    # H^-1(C2, Z with the sign action) = ker N / (g-1)Z = Z / 2Z
+    c2 = named_group("C2")
+    sign = GModule(c2, FgAb(1), [[[1 if g == c2.identity else -1]]
+                                 for g in range(c2.order)])
+    calc = TateCohomology(TateComplex(c2, (-2, 1)), sign)
+    assert h_minus1_x_vanishes(calc) == (False, {"h_minus1_x": [2]})
 
 
 def test_functoriality_square():
@@ -371,7 +385,7 @@ def test_functoriality_square():
 def test_subgroups_and_norm_suite_values():
     it = i2_twist()
     nm = norm_model(it)
-    cdc = subgroups_cdc(it)
+    cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
     assert cdc.cbar.order() == 2 and cdc.c_s.order() == 2
     assert cdc.d.order() == 1
     assert nm.q.order() == 1
@@ -383,13 +397,40 @@ def test_subgroups_and_norm_suite_values():
     assert by_id["norm.c_ker_nm_is_d_plus_c"]["witness"]["ker_nm"] == 2
     ip = i2_plain()
     nmp = norm_model(ip)
-    cdcp = subgroups_cdc(ip)
+    cdcp = cdc_of(TateComplex(ip.group, (-2, 1)), ip)
     assert cdcp.cbar.order() == 1 and cdcp.c_s.order() == 1
     assert nmp.q.order() == 2
     recsp = norm_suite(ip, nmp, cdcp)
     assert all(r["ok"] for r in recsp), recsp
     by_id = {r["id"]: r for r in recsp}
     assert by_id["norm.c_ker_nm_is_d_plus_c"]["witness"]["ker_nm"] == 1
+
+
+def test_norm_suite_fails_on_a_wrong_cbar():
+    it = i2_twist()
+    cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
+    assert cdc.cbar.order() == cdc.h1.order() == 2
+    cdc.cbar, cdc.cbar_incl = subgroup_span(cdc.h1, [])
+    recs = norm_suite(it, norm_model(it), cdc)
+    failed = {r["id"]: r["witness"] for r in recs if not r["ok"]}
+    assert set(failed) == {"norm.b_ker_nmbar_is_cbar", "norm.d_same_kernels",
+                           "norm.e_break_up_kernel"}
+    assert failed["norm.b_ker_nmbar_is_cbar"] == {"ker": 2, "cbar": 1}
+
+
+def test_snake_class_form_fails_without_the_boundaries():
+    """On D4/0 some twisted and untwisted closed forms differ in Cl by an
+    element of (h-1)Cl, so they agree only in H^-1(Cl).  Read through
+    ker(N) / 0, which keeps those elements, the class form fails."""
+    inst = synth_instance("D4", 0)
+    cx, xy, wrb, sh, snake = lab(inst)
+    cdc = cdc_of(cx, inst)
+    assert snake_closed_form_agrees(inst, wrb, snake, cdc) == (True, None)
+    ab = inst.cl.underlying
+    no_boundaries = Homology(AbMap.zero(ab, ab), inst.cl.norm_map())
+    cdc.calc_cl = SimpleNamespace(homology=lambda i: no_boundaries)
+    ok, wit = snake_closed_form_agrees(inst, wrb, snake, cdc)
+    assert not ok and wit[-1] == "class form", wit
 
 
 def test_delta1():
@@ -443,7 +484,7 @@ def test_small_random_campaign():
             ok, _ = wrb_exact(wrb)
             assert ok
             assert sh.e.ab.is_injective()
-            cdc = subgroups_cdc(inst)
+            cdc = cdc_of(cx, inst)
             ok, wit = snake_closed_form_agrees(inst, wrb, snake, cdc)
             assert ok, wit
             nabla = build_nabla(inst, wrb, snake)

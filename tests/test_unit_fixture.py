@@ -8,6 +8,7 @@ from tatelab.cft import quadratic_sqrt34, validate_instance
 from tatelab.cohomology import TateCohomology, TateComplex
 from tatelab.instance_io import (FixtureSchemaError, fixture_from_dict,
                                  load_fixture)
+from tatelab.tate_sequence import subgroups_cdc
 from tatelab.unit_fixture import InconsistentFixture, fixture_unit_check
 
 
@@ -20,12 +21,20 @@ def fixture_path():
     return str(files("tatelab") / "data" / "sqrt34_units.json")
 
 
+def check(cx, inst, data):
+    """fixture_unit_check on a fixture given as its JSON dict."""
+    cdc = subgroups_cdc(inst, TateCohomology(cx, inst.cl))
+    return fixture_unit_check(cx, inst, fixture_from_dict(data, inst.group),
+                              cdc)
+
+
 def test_real_field_fixture_passes():
     inst = quadratic_sqrt34()
     assert validate_instance(inst).clean
     cx = TateComplex(inst.group, (-2, 1))
     fx = load_fixture(fixture_path(), inst.group)
-    recs = fixture_unit_check(cx, inst, fx)
+    cdc = subgroups_cdc(inst, TateCohomology(cx, inst.cl))
+    recs = fixture_unit_check(cx, inst, fx, cdc)
     assert recs and all(r["ok"] for r in recs), recs
     ids = {r["id"] for r in recs}
     assert {"fixture.cocycle_identity", "fixture.biconditional",
@@ -42,18 +51,16 @@ def test_fixture_unit_module_cohomology():
     assert "sqrt(34)" in provenance
     calc = TateCohomology(cx, unit_module)
     assert calc.group(1).is_trivial()
-    from tatelab.tate_sequence import subgroups_cdc
-    cdc = subgroups_cdc(inst)
+    cdc = subgroups_cdc(inst, TateCohomology(cx, inst.cl))
     assert cdc.h1.order() == cdc.cbar.order() == 2
 
 
 def test_schema_errors():
     inst = quadratic_sqrt34()
-    cx = TateComplex(inst.group, (-2, 1))
     with pytest.raises(FixtureSchemaError):
-        fixture_unit_check(cx, inst, {"schema_version": "0"})
+        fixture_from_dict({"schema_version": "0"}, inst.group)
     with pytest.raises(FixtureSchemaError):
-        fixture_unit_check(cx, inst, {"nope": 1})
+        fixture_from_dict({"nope": 1}, inst.group)
     bad = fixture_data()
     bad["classes"][0]["cocycle"] = [[0, 0], [0, 0]]  # wrong width
     with pytest.raises(FixtureSchemaError):
@@ -67,19 +74,19 @@ def test_inconsistent_fixture_paths():
     bad = copy.deepcopy(fixture_data())
     bad["classes"][1]["cocycle"] = [[0, 0, 0, 0], [0, 0, 1, 0]]
     with pytest.raises(InconsistentFixture):
-        fixture_unit_check(cx, inst, bad)
+        check(cx, inst, bad)
     # flag contradicting the coboundary status
     bad = copy.deepcopy(fixture_data())
     bad["classes"][1]["a_in_units_times_K"] = False
     with pytest.raises(InconsistentFixture) as exc:
-        fixture_unit_check(cx, inst, bad)
+        check(cx, inst, bad)
     assert "unit flag" in str(exc.value)
     # incomplete coverage of the quotient is fine here (quotient trivial),
     # so drop all classes to force the coverage error
     bad = copy.deepcopy(fixture_data())
     bad["classes"] = []
     with pytest.raises(InconsistentFixture) as exc:
-        fixture_unit_check(cx, inst, bad)
+        check(cx, inst, bad)
     assert "cover" in str(exc.value)
 
 
@@ -92,5 +99,5 @@ def test_trivial_cocycle_class_passes():
     fx["classes"] = [c for c in fx["classes"]
                      if not any(any(v) for v in c["cocycle"])]
     assert fx["classes"]
-    recs = fixture_unit_check(cx, inst, fx)
+    recs = check(cx, inst, fx)
     assert all(r["ok"] for r in recs)
