@@ -13,14 +13,14 @@ from .cohomology import (CohClass, Cocycle1, DegreeMismatch,
                          ext1_class_to_h2, extension_to_cocycle,
                          shapiro_hminus2)
 from .gmodules import (GMap, GModule, HomModule, NotEquivariant, NotFree,
-                       TensorModule, direct_sum, gmap_kernel_image,
-                       hom_and_tensor, perm_module, regular_module,
-                       standard_modules, trivial_module)
+                       TensorModule, aug_ideal, direct_sum,
+                       gmap_kernel_image, hom_and_tensor, perm_module,
+                       regular_module, trivial_module)
 from .groups import (FiniteGroup, GroupHom, NotACocycle, NotAGroup,
                      Subgroup, abelianization, cosets_and_reps, cyclic,
                      dihedral4, direct_product, extension_from_cocycle,
-                     group_from_table, named_group, normal_closure,
-                     quaternion8, subgroup_as_group, symmetric3)
+                     group_from_table, named_group, quaternion8,
+                     subgroup_as_group, symmetric3)
 from .lattice import IntMatrix, Lattice, smith_normal_form
 from .tate_sequence import (ImageEscapesCl, NotNormKilled, build_delta1,
                             build_nabla, build_script_h, build_snake,

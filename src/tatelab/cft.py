@@ -236,7 +236,7 @@ def norm_model(inst):
     induced map from the class module.  Q plays the role of the base
     S-class-group and the induced map the role of the ideal norm."""
     gs = inst.gs
-    gab, proj, _ = abelianization(gs)
+    gab, proj = abelianization(gs)
     killed = []
     for pl in inst.places:
         for a in pl.subgroup.elems:
@@ -262,10 +262,9 @@ def norm_model(inst):
 
 class XYData:
     __slots__ = ("y", "x", "aug", "x_incl", "y_index", "x_index",
-                 "x_basis", "y_injs", "y_projs")
+                 "x_basis")
 
-    def __init__(self, y, x, aug, x_incl, y_index, x_index, x_basis,
-                 y_injs, y_projs):
+    def __init__(self, y, x, aug, x_incl, y_index, x_index, x_basis):
         self.y = y
         self.x = x
         self.aug = aug
@@ -273,8 +272,6 @@ class XYData:
         self.y_index = y_index      # (place_id, coset rep) -> Y coordinate
         self.x_index = x_index      # (place_id, coset rep) -> X coordinate
         self.x_basis = x_basis      # list of (place_id, coset rep)
-        self.y_injs = y_injs
-        self.y_projs = y_projs
 
 
 def xy_modules(inst):
@@ -286,7 +283,7 @@ def xy_modules(inst):
         mod, reps, rho, pos = perm_module(grp, pl.subgroup)
         mods.append(mod)
         labels.append([(pl.id, r) for r in reps])
-    y, injs, projs = direct_sum(mods)
+    y, _, _ = direct_sum(mods)
     y_index = {}
     off = 0
     for lab in labels:
@@ -324,7 +321,7 @@ def xy_modules(inst):
         col[p0_coord] -= 1
         cols.append(col)
     x_incl = GMap(x, y, IntMatrix._trusted_columns(cols, y.underlying.n))
-    return XYData(y, x, aug, x_incl, y_index, x_index, x_basis, injs, projs)
+    return XYData(y, x, aug, x_incl, y_index, x_index, x_basis)
 
 
 # -- synthetic instances -----------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 
 from .abelian import AbMap, FgAb, Homology
-from .gmodules import GMap, GModule, HomModule, TensorModule, standard_modules
+from .gmodules import GMap, GModule, HomModule, TensorModule, aug_ideal
 from .groups import abelianization, subgroup_as_group
 from .lattice import IntMatrix
 
@@ -529,7 +529,7 @@ def shapiro_hminus2(complex_, group, sub):
     calc = TateCohomology(complex_, induced)
     h = calc.homology(-2)
     hgrp, elems = subgroup_as_group(sub)
-    hab, proj, _ = abelianization(hgrp)
+    hab, _ = abelianization(hgrp)
     na = induced.underlying.n
     trivial_coset = pos[group.identity]
     cols = []
@@ -547,42 +547,17 @@ def shapiro_hminus2(complex_, group, sub):
 
 # -- cup product with a degree-1 class (bidegree (-2, 1) -> -1) --------------
 
-def _aug_sequence(group, module, std=None):
-    """0 -> aug (x) M -> Z[G] (x) M -> M -> 0 with the diagonal action."""
-    std = std or standard_modules(group, _full_subgroup(group))
-    reg = std["regular"]
-    augm = std["aug_ideal"]
-    aug_incl = std["aug_ideal_incl"]
+def _aug_sequence(aug_incl, module):
+    """0 -> aug (x) M -> Z[G] (x) M -> M -> 0 with the diagonal action,
+    from the inclusion of the augmentation ideal into Z[G]."""
+    augm, reg = aug_incl.dom, aug_incl.cod
     t_aug = TensorModule(augm, module)
     t_reg = TensorModule(reg, module)
-    na = module.underlying.n
-    # inclusion (x) id
-    cols = []
-    for j in range(augm.underlying.n):
-        icol = aug_incl.ab.mat.column(j)
-        for l in range(na):
-            col = [0] * (reg.underlying.n * na)
-            for i, v in enumerate(icol):
-                if v:
-                    col[i * na + l] = v
-            cols.append(col)
-    left = GMap(t_aug.module, t_reg.module,
-                IntMatrix._trusted_columns(cols, reg.underlying.n * na))
-    # augmentation (x) id
-    rows = []
-    for l in range(na):
-        row = [0] * (reg.underlying.n * na)
-        for i in range(reg.underlying.n):
-            row[i * na + l] = 1
-        rows.append(row)
+    ident = IntMatrix.identity(module.underlying.n)
+    left = GMap(t_aug.module, t_reg.module, aug_incl.ab.mat.kron(ident))
     right = GMap(t_reg.module, module,
-                 IntMatrix(rows, cols=reg.underlying.n * na))
+                 IntMatrix([[1] * reg.underlying.n]).kron(ident))
     return ExtensionData(left, right), t_aug, t_reg
-
-
-def _full_subgroup(group):
-    from .groups import Subgroup
-    return Subgroup(group, range(group.order))
 
 
 def cup_with_h1(complex_, xi, z, calc_c=None):
@@ -604,8 +579,8 @@ def cup_with_h1(complex_, xi, z, calc_c=None):
     amod = xi.module
     cmod = z.module
     group = complex_.group
-    std = standard_modules(group, _full_subgroup(group))
-    ext_c, t_aug_c, _ = _aug_sequence(group, cmod, std)
+    _, aug_incl = aug_ideal(group)
+    ext_c, t_aug_c, _ = _aug_sequence(aug_incl, cmod)
     calc_c = calc_c or z.calc
     calc_augc = TateCohomology(complex_, t_aug_c.module)
     delta1 = connecting_hom(complex_, ext_c, -2, calc_c=calc_c,
@@ -619,7 +594,7 @@ def cup_with_h1(complex_, xi, z, calc_c=None):
         gw = t_aug_c.module.act(g, w)
         term = t3.pure(gw, xi.values[g])
         v = [x - y for x, y in zip(v, term)]
-    ext_ca, t_aug_ca, _ = _aug_sequence(group, ca.module, std)
+    ext_ca, t_aug_ca, _ = _aug_sequence(aug_incl, ca.module)
     # aug (x) (C (x) A) and (aug (x) C) (x) A share coordinates
     calc_ca = TateCohomology(complex_, ca.module)
     calc_t3 = TateCohomology(complex_, t3.module)
@@ -645,30 +620,19 @@ def cup_with_h1(complex_, xi, z, calc_c=None):
 
 # -- Ext^1(aug, A) = H^2(G, A) ------------------------------------------------
 
-def build_ext1_data(complex_, group, amod, std=None):
+def build_ext1_data(complex_, group, amod):
     """The sequence 0 -> A -> Hom(Z[G], A) -> Hom(aug, A) -> 0 together
     with Hom-module wrappers; returns dict of parts."""
-    std = std or standard_modules(group, _full_subgroup(group))
-    reg, augm, aug_incl = std["regular"], std["aug_ideal"], std["aug_ideal_incl"]
-    hom_reg = HomModule(reg, amod)
+    augm, aug_incl = aug_ideal(group)
+    hom_reg = HomModule(aug_incl.cod, amod)
     hom_aug = HomModule(augm, amod)
-    na = amod.underlying.n
-    # A -> Hom(Z[G], A): a |-> (x |-> eps(x) a)
-    cols = []
-    for m in range(na):
-        fmat = IntMatrix([[1 if r == m else 0 for _ in range(reg.underlying.n)]
-                          for r in range(na)], cols=reg.underlying.n)
-        cols.append(hom_reg.from_matrix(fmat))
-    left = GMap(amod, hom_reg.module,
-                IntMatrix._trusted_columns(cols, hom_reg.module.underlying.n))
+    # A -> Hom(Z[G], A): a |-> (x |-> eps(x) a); Z[G] is free on G, so its
+    # Hom coordinates are the values on the group elements
+    left = GMap(amod, hom_reg.module, IntMatrix([[1]] * group.order).kron(
+        IntMatrix.identity(amod.underlying.n)))
     # restriction Hom(Z[G], A) -> Hom(aug, A)
-    cols = []
-    for j in range(hom_reg.module.underlying.n):
-        fmat = hom_reg.to_matrix(hom_reg.module.underlying.gen(j))
-        restricted = fmat.mul(aug_incl.ab.mat)
-        cols.append(hom_aug.from_matrix(restricted))
     right = GMap(hom_reg.module, hom_aug.module,
-                 IntMatrix._trusted_columns(cols, hom_aug.module.underlying.n))
+                 hom_aug.precompose(hom_reg, aug_incl.ab.mat))
     ext = ExtensionData(left, right)
     return {"ext": ext, "hom_reg": hom_reg, "hom_aug": hom_aug}
 

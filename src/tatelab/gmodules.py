@@ -31,19 +31,6 @@ def _sparse_mul(a_cols, b_cols, nrows):
     return out
 
 
-def _kron_columns(left, right, nr):
-    """Sparse columns of the Kronecker product L (x) R from the sparse
-    columns of L and of R, which has nr rows: column p.len(right) + q is
-    {i.nr + k: l_ip.r_kq}.  The entries are products of nonzero ints at
-    distinct places, so no sum is formed and no zero is stored.
-
-    >>> _kron_columns([{0: 2}, {0: 1, 1: -1}], [{1: 3}], 2)
-    [{1: 6}, {1: 3, 3: -3}]
-    """
-    return [{i * nr + k: x * y for i, x in lc.items() for k, y in rc.items()}
-            for lc in left for rc in right]
-
-
 class NotEquivariant(Exception):
     def __init__(self, witness_elt, witness_g):
         self.witness = (witness_elt, witness_g)
@@ -282,24 +269,12 @@ def local_aug_ideal(group, sub, regular):
     return LocalIdeal(mod, incl, spanning, witnesses)
 
 
-def standard_modules(group, sub):
-    """The stock of modules the instance pipelines need, for H <= G."""
-    reg = regular_module(group)
-    triv = trivial_module(group)
-    aug = GMap(reg, triv, IntMatrix([[1] * group.order]), check=False)
-    aug_mod, aug_incl = aug.kernel()
-    induced, reps, rho, pos = perm_module(group, sub)
-    ideal = local_aug_ideal(group, sub, reg)
-    return {
-        "regular": reg,
-        "trivial": triv,
-        "augmentation": aug,
-        "aug_ideal": aug_mod,
-        "aug_ideal_incl": aug_incl,
-        "induced": induced,
-        "induced_reps": reps,
-        "local_aug_ideal": ideal,
-    }
+def aug_ideal(group):
+    """(I_G, inclusion into Z[G]): the augmentation ideal as the kernel of
+    Z[G] -> Z, sum a_g g -> sum a_g."""
+    aug = GMap(regular_module(group), trivial_module(group),
+               IntMatrix([[1] * group.order]), check=False)
+    return aug.kernel()
 
 
 def direct_sum(mods):
@@ -310,20 +285,33 @@ def direct_sum(mods):
     acts = [IntMatrix.block_diagonal([m.action[g] for m in mods])
             for g in range(group.order)]
     smod = GModule(group, ab, acts, check=False)
-    ident = IntMatrix.identity(ab.n).entries
     injs, projs, off = [], [], 0
     for m in mods:
-        proj = IntMatrix(ident[off:off + m.underlying.n], cols=ab.n)
-        injs.append(GMap(m, smod, proj.transpose(), check=False))
-        projs.append(GMap(smod, m, proj, check=False))
-        off += m.underlying.n
+        n = m.underlying.n
+        inj = IntMatrix._from_sparse_columns(
+            [{off + i: 1} for i in range(n)], ab.n)
+        injs.append(GMap(m, smod, inj, check=False))
+        projs.append(GMap(smod, m, inj.transpose(), check=False))
+        off += n
     return smod, injs, projs
 
 
 # -- Hom and tensor ---------------------------------------------------------
 
 class HomModule:
-    """Hom_Z(C, A) with the conjugation action, C torsion-free."""
+    """Hom_Z(C, A) with the conjugation action, C torsion-free.
+
+    An element is held by the coordinates of E = f.FB, the matrix of f on
+    the free basis of C (see `FgAb.free_basis_maps`), stacked column by
+    column: coordinate i.n_A + l is E[l][i].  With S(g) = TB.rho_C(g^-1).FB,
+    E goes to rho_A(g).E.S(g) under g, so g acts by S(g)^T (x) rho_A(g).
+
+    The module is built unchecked.  TB kills C's relations, and FB.TB is
+    the identity modulo them, so S(g)S(h) = S(hg) and S(1) = I exactly.
+    Hence S(g)^T (x) rho_A(g) is multiplicative, with the identity acting
+    trivially, up to terms (x) a relation of A, and it maps each relation
+    e_i (x) r of A^k to S(g)^T e_i (x) rho_A(g) r: all relations of A^k.
+    """
 
     __slots__ = ("module", "c", "a", "k", "tb", "fb")
 
@@ -336,21 +324,15 @@ class HomModule:
             raise NotFree("module has torsion")
         tb, fb = c.free_basis_maps()
         k = tb.rows
-        na = a.n
-        ab = FgAb.direct_sum([a] * k)
         tb_cols, fb_cols = tb.sparse_columns(), fb.sparse_columns()
         acts = []
         for g in range(group.order):
-            # S = TB.rho(g^-1).FB, the action of g^-1 on the free basis
             s_cols = _sparse_mul(tb_cols, _sparse_mul(
                 cmod.action[group.inv[g]].sparse_columns(), fb_cols, c.n), k)
-            s_rows = [{} for _ in range(k)]
-            for j, col in enumerate(s_cols):
-                for i, x in col.items():
-                    s_rows[i][j] = x
-            acts.append(IntMatrix._from_sparse_columns(_kron_columns(
-                s_rows, amod.action[g].sparse_columns(), na), k * na))
-        self.module = GModule(group, ab, acts)
+            acts.append(IntMatrix._from_sparse_columns(s_cols, k).transpose()
+                        .kron(amod.action[g]))
+        self.module = GModule(group, FgAb.direct_sum([a] * k), acts,
+                              check=False)
         self.c, self.a = cmod, amod
         self.k, self.tb, self.fb = k, tb, fb
 
@@ -370,13 +352,30 @@ class HomModule:
                 out.append(e.entries[l][i])
         return tuple(out)
 
+    def precompose(self, dom_hom, phi):
+        """The matrix of Hom(C', A) -> Hom(C, A), f -> f.phi, where
+        dom_hom = Hom(C', A) and phi is the matrix of a map C -> C'.  The
+        map sends E' to E'.M with M = TB_C'.phi.FB_C, and stacking the
+        columns of E'.M gives (M^T (x) I_{n_A}) applied to E' stacked.
+
+        >>> from tatelab.groups import named_group
+        >>> z = trivial_module(named_group("C2"))
+        >>> reg = regular_module(z.group)
+        >>> eps = IntMatrix([[1, 1]])  # the augmentation Z[G] -> Z
+        >>> HomModule(reg, z).precompose(HomModule(z, z), eps).entries
+        ((1,), (1,))
+        """
+        m = dom_hom.tb.mul(phi).mul(self.fb)
+        return m.transpose().kron(IntMatrix.identity(self.a.underlying.n))
+
     def apply(self, h, x):
         """Evaluate a Hom element at x in C."""
         return self.to_matrix(h).apply(x)
 
 
 class TensorModule:
-    """C tensor A over Z with the diagonal action."""
+    """C tensor A over Z with the diagonal action; c_i (x) a_l has
+    coordinate i.n_A + l."""
 
     __slots__ = ("module", "c", "a")
 
@@ -388,27 +387,16 @@ class TensorModule:
             raise ValueError("tensor factors must include a finite or a "
                              "Z-free module")
         nc, na = c.n, a.n
-        rel_cols = []
-        for j in range(c.rel.cols):
-            col_c = c.rel.column(j)
-            for l in range(na):
-                col = [0] * (nc * na)
-                for i in range(nc):
-                    if col_c[i]:
-                        col[i * na + l] = col_c[i]
-                rel_cols.append(col)
-        for j in range(a.rel.cols):
-            col_a = a.rel.column(j)
-            for i in range(nc):
-                col = [0] * (nc * na)
-                for l in range(na):
-                    if col_a[l]:
-                        col[i * na + l] = col_a[l]
-                rel_cols.append(col)
-        ab = FgAb(nc * na, IntMatrix._trusted_columns(rel_cols, nc * na))
-        acts = [IntMatrix._from_sparse_columns(_kron_columns(
-            cmod.action[g].sparse_columns(), amod.action[g].sparse_columns(),
-            na), nc * na) for g in range(cmod.group.order)]
+        # r (x) a_l for the relations r of C, then c_i (x) r for those of A,
+        # grouped by r
+        rel_cols = c.rel.kron(IntMatrix.identity(na)).sparse_columns()
+        ident_c = IntMatrix.identity(nc)
+        for col in a.rel.sparse_columns():
+            rel_cols += ident_c.kron(
+                IntMatrix._from_sparse_columns([col], na)).sparse_columns()
+        ab = FgAb(nc * na, IntMatrix._from_sparse_columns(rel_cols, nc * na))
+        acts = [cmod.action[g].kron(amod.action[g])
+                for g in range(cmod.group.order)]
         self.module = GModule(cmod.group, ab, acts, check=False)
         self.c, self.a = cmod, amod
 
@@ -427,17 +415,10 @@ def hom_and_tensor(cmod, amod):
     """{hom, tensor, evaluation} as in the module contract."""
     hom = HomModule(cmod, amod)
     tensor = TensorModule(cmod, hom.module)
-    na = amod.underlying.n
-    ev_cols = []
-    nh = hom.module.underlying.n
-    for i in range(cmod.underlying.n):
-        tbcol = hom.tb.column(i)
-        for hidx in range(nh):
-            k, l = divmod(hidx, na)
-            col = [0] * na
-            col[l] = tbcol[k]
-            ev_cols.append(col)
-    evaluation = GMap(tensor.module, amod,
-                      IntMatrix._trusted_columns(ev_cols, na))
+    # c_i (x) (coordinate k.n_A + l of Hom) -> TB[k][i] a_l
+    tb_row = tuple(x for col in hom.tb.transpose().entries for x in col)
+    ev = IntMatrix._trusted((tb_row,), len(tb_row)).kron(
+        IntMatrix.identity(amod.underlying.n))
+    evaluation = GMap(tensor.module, amod, ev)
     return {"hom": hom, "tensor": tensor, "evaluation": evaluation,
             "plain_tensor": TensorModule(cmod, amod)}

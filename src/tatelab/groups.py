@@ -55,9 +55,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def commutator(self, a, b):
-        return self.mul(self.mul(a, b), self.mul(self.inv[a], self.inv[b]))
-
     def is_abelian(self):
         t = self.table
         return all(t[i][j] == t[j][i] for i in range(self.order)
@@ -341,30 +338,9 @@ def cosets_and_reps(group, sub):
     return tuple(reps), tuple(rho)
 
 
-def normal_closure(group, gens):
-    """Smallest normal subgroup containing gens."""
-    cur = set(group.closure(gens))
-    changed = True
-    while changed:
-        changed = False
-        for g in range(group.order):
-            for x in sorted(cur):
-                c = group.conj(g, x)
-                if c not in cur:
-                    cur = set(group.closure(sorted(cur | {c})))
-                    changed = True
-    return Subgroup(group, sorted(cur))
-
-
-def commutator_subgroup(group):
-    comms = {group.commutator(a, b)
-             for a in range(group.order) for b in range(group.order)}
-    return normal_closure(group, sorted(comms))
-
-
 def abelianization(group):
-    """(A, proj, commutators): A = G^ab as an FgAb on one generator per
-    group element, proj[g] = coordinate vector of the image of g.
+    """(A, proj): A = G^ab as an FgAb on one generator per group
+    element, proj[g] = coordinate vector of the image of g.
 
     Relations e_g + e_s - e_{gs} over a generating set s already present
     the full abelianization.
@@ -381,7 +357,7 @@ def abelianization(group):
             cols.append(tuple(col))
     a = FgAb(n, IntMatrix._trusted_columns(cols, n))
     proj = [a.gen(g) for g in range(n)]
-    return a, proj, commutator_subgroup(group)
+    return a, proj
 
 
 def subgroup_as_group(sub):

@@ -171,6 +171,23 @@ class IntMatrix:
             top += b.rows
         return cls._from_sparse_columns(cols, top)
 
+    def kron(self, other):
+        """The Kronecker product self (x) other, held by its sparse
+        columns: column p.other.cols + q is {i.other.rows + k: a_ip.b_kq}.
+        The entries are products of nonzero ints at distinct places, so
+        no sum is formed and no zero is stored.
+
+        >>> m = IntMatrix([[2, 1], [0, -1]]).kron(IntMatrix([[0], [3]]))
+        >>> m.shape, m.sparse_columns()
+        ((4, 2), [{1: 6}, {1: 3, 3: -3}])
+        """
+        nr = other.rows
+        right = other._column_dicts()
+        return IntMatrix._from_sparse_columns(
+            [{i * nr + k: x * y for i, x in lc.items() for k, y in rc.items()}
+             for lc in self._column_dicts() for rc in right],
+            self.rows * nr)
+
     def transpose(self):
         if self._entries is None:
             return IntMatrix._from_sparse_columns(self.sparse_rows(),

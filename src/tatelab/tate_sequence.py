@@ -18,9 +18,9 @@ from .abelian import AbMap, FgAb, Homology, ab_quotient, subgroup_span
 from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData, TateCohomology,
                          connecting_hom, extension_to_cocycle, induced_map)
-from .gmodules import (GMap, GModule, HomModule, direct_sum, local_aug_ideal,
-                       regular_module, standard_modules)
-from .groups import Subgroup, abelianization, subgroup_as_group
+from .gmodules import (GMap, GModule, HomModule, aug_ideal, direct_sum,
+                       local_aug_ideal)
+from .groups import abelianization, subgroup_as_group
 from .lattice import IntMatrix, _axpy, _kernel_columns, _span_basis
 
 
@@ -39,9 +39,8 @@ class WRBData:
     order as (kind, id, data, offset): kind "place" with the local ideal
     as data, or kind "aux" with the auxiliary place."""
 
-    __slots__ = ("w", "r", "b", "x", "w_blocks", "b_blocks", "w_to_aug",
-                 "r_incl", "r_to_b", "b_to_x", "w_to_big", "big", "b_incl",
-                 "regular", "aug_mod", "aug_incl", "xy")
+    __slots__ = ("w", "r", "b", "x", "w_blocks", "r_incl", "r_to_b",
+                 "b_to_x", "xy")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -71,9 +70,8 @@ class WRBData:
 def build_wrb(inst, xy):
     """W, R, B and the maps tying them to the augmentation ideal and X."""
     grp = inst.group
-    reg = regular_module(grp)
-    std_full = standard_modules(grp, Subgroup(grp, range(grp.order)))
-    aug_mod, aug_incl = std_full["aug_ideal"], std_full["aug_ideal_incl"]
+    aug_mod, aug_incl = aug_ideal(grp)
+    reg = aug_incl.cod
 
     w_parts, w_blocks, off = [], [], 0
     for pl in inst.places:
@@ -85,7 +83,7 @@ def build_wrb(inst, xy):
         w_parts.append(reg)
         w_blocks.append(("aux", q.id, q, off))
         off += reg.underlying.n
-    w, w_injs, w_projs = direct_sum(w_parts)
+    w, _, _ = direct_sum(w_parts)
 
     # W -> aug ideal: inclusion on ideal parts, zero on split aux parts
     vecs = []
@@ -102,16 +100,12 @@ def build_wrb(inst, xy):
 
     # big = sum of one regular copy per place of S', map to Z[G]
     big_parts = [reg] * (len(inst.places) + len(inst.aux_places))
-    big, big_injs, big_projs = direct_sum(big_parts)
+    big, _, _ = direct_sum(big_parts)
     b_blocks = [("place", pl.id) for pl in inst.places] + \
                [("aux", q.id) for q in inst.aux_places]
     n = grp.order
-    rows = [[0] * big.underlying.n for _ in range(n)]
-    for k, (kind, pid) in enumerate(b_blocks):
-        if kind == "place":
-            for i in range(n):
-                rows[i][k * n + i] = 1
-    sum_map = GMap(big, reg, IntMatrix(rows, cols=big.underlying.n))
+    on_places = IntMatrix([[int(kind == "place") for kind, _ in b_blocks]])
+    sum_map = GMap(big, reg, on_places.kron(IntMatrix.identity(n)))
     b, b_incl = sum_map.kernel()
 
     # W -> big: each ideal into its ring copy, each aux copy identically
@@ -139,11 +133,8 @@ def build_wrb(inst, xy):
         big_to_y.ab.mat.mul(b_incl.ab.mat).transpose().entries,
         lambda j: ValueError("B does not map into X")))
 
-    return WRBData(w=w, r=r, b=b, x=xy.x, w_blocks=w_blocks,
-                   b_blocks=b_blocks, w_to_aug=w_to_aug, r_incl=r_incl,
-                   r_to_b=r_to_b, b_to_x=b_to_x, w_to_big=w_to_big, big=big,
-                   b_incl=b_incl, regular=reg, aug_mod=aug_mod,
-                   aug_incl=aug_incl, xy=xy)
+    return WRBData(w=w, r=r, b=b, x=xy.x, w_blocks=w_blocks, r_incl=r_incl,
+                   r_to_b=r_to_b, b_to_x=b_to_x, xy=xy)
 
 
 def wrb_exact(wrb):
@@ -511,11 +502,8 @@ def build_nabla(inst, wrb, snake):
 def nabla_class_checks(complex_, inst, wrb, snake, nabla):
     """The pushout's extension class is the class of the cocycle from the
     snake values, and the image of minus the snake class under the
-    Hom-sequence connecting map is the same class.
-
-    The Hom-sequence cross-check costs rank(B) * |Cl generators| Hom
-    modules, so it runs only while that product is at most 96.
-    """
+    connecting map of 0 -> Hom(X, Cl) -> Hom(B, Cl) -> Hom(R, Cl) -> 0
+    is the same class."""
     hom = nabla.hom_x_cl
     calc = TateCohomology(complex_, hom.module)
     f = extension_to_cocycle(hom, nabla.ext)
@@ -532,25 +520,13 @@ def nabla_class_checks(complex_, inst, wrb, snake, nabla):
     rhs = nabla.cl_to_nabla.compose(snake.s)
     if lhs != rhs:
         return False, "ladder does not commute"
-    if wrb.b.underlying.n * inst.cl.underlying.n > 96:
-        return True, None
     # Hom-sequence route: image of -[s] is the class of g
     hom_b = HomModule(wrb.b, inst.cl)
     hom_r = HomModule(wrb.r, inst.cl)
-    left_cols = []
-    for j in range(hom.module.underlying.n):
-        fmat = hom.to_matrix(hom.module.underlying.gen(j))
-        left_cols.append(hom_b.from_matrix(fmat.mul(wrb.b_to_x.ab.mat)))
     left = GMap(hom.module, hom_b.module,
-                IntMatrix._trusted_columns(left_cols,
-                                           hom_b.module.underlying.n))
-    right_cols = []
-    for j in range(hom_b.module.underlying.n):
-        fmat = hom_b.to_matrix(hom_b.module.underlying.gen(j))
-        right_cols.append(hom_r.from_matrix(fmat.mul(wrb.r_to_b.ab.mat)))
+                hom_b.precompose(hom, wrb.b_to_x.ab.mat))
     right = GMap(hom_b.module, hom_r.module,
-                 IntMatrix._trusted_columns(right_cols,
-                                            hom_r.module.underlying.n))
+                 hom_r.precompose(hom_b, wrb.r_to_b.ab.mat))
     ext_hom = ExtensionData(left, right)
     calc_hr = TateCohomology(complex_, hom_r.module)
     minus_s = hom_r.from_matrix(
@@ -627,11 +603,11 @@ def homology_generators_iso(inst, xy, calc_x):
     grp = inst.group
     complex_ = calc_x.complex
     h = calc_x.homology(-2)
-    gab, gproj, _ = abelianization(grp)
+    gab, gproj = abelianization(grp)
     parts, proj_maps, elems_per = [], [], []
     for pl in inst.places:
         hgrp, elems = subgroup_as_group(pl.subgroup)
-        hab, hproj, _ = abelianization(hgrp)
+        hab, hproj = abelianization(hgrp)
         parts.append(hab)
         proj_maps.append(hproj)
         elems_per.append(elems)
@@ -709,7 +685,7 @@ class CDCData:
     subgroups were read through, and `h1` its H^-1."""
 
     __slots__ = ("h1", "cbar", "cbar_incl", "c_s", "c_incl", "d", "d_incl",
-                 "calc_cl", "c_values")
+                 "calc_cl")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -736,8 +712,7 @@ def subgroups_cdc(inst, calc_cl):
             d_gens.append(ab.sub(inst.cl.act(g, gen), gen))
     d, d_incl = subgroup_span(ab, d_gens)
     return CDCData(h1=hom.group, cbar=cbar, cbar_incl=cbar_incl, c_s=c_s,
-                   c_incl=c_incl, d=d, d_incl=d_incl, calc_cl=calc_cl,
-                   c_values=c_values)
+                   c_incl=c_incl, d=d, d_incl=d_incl, calc_cl=calc_cl)
 
 
 def cdc_checks(inst, cdc, nm):

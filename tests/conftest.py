@@ -23,3 +23,21 @@ def direct_low_degrees(module):
 def direct_formula():
     """The direct-formula oracle for H^0 and H^-1 (see direct_low_degrees)."""
     return direct_low_degrees
+
+
+def precompose_loop(hom, dom_hom, phi):
+    """The matrix of Hom(C', A) -> Hom(C, A), f -> f.phi, one generator at
+    a time: to_matrix, compose with phi, from_matrix.  The reference that
+    `HomModule.precompose` must equal."""
+    cols = []
+    for j in range(dom_hom.module.underlying.n):
+        fmat = dom_hom.to_matrix(dom_hom.module.underlying.gen(j))
+        cols.append(hom.from_matrix(fmat.mul(phi)))
+    return IntMatrix._trusted_columns(cols, hom.module.underlying.n)
+
+
+@pytest.fixture
+def precompose_by_loop():
+    """The per-generator reference for HomModule.precompose (see
+    precompose_loop)."""
+    return precompose_loop

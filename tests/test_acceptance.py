@@ -75,7 +75,7 @@ def test_criterion_2_standard_values():
         cx = TateComplex(g, (-4, 3))
         z = trivial_module(g)
         calc = TateCohomology(cx, z)
-        gab, _, _ = abelianization(g)
+        gab, _ = abelianization(g)
         assert calc.group(-2).invariant_factors() == gab.invariant_factors()
         assert calc.group(-1).is_trivial()
         assert calc.group(0).invariant_factors() == (g.order,)

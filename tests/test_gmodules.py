@@ -5,10 +5,10 @@ import pytest
 from tatelab.abelian import FgAb
 from tatelab.cohomology import TateCohomology, TateComplex
 from tatelab.gmodules import (GMap, GModule, HomModule, NotEquivariant,
-                              NotFree, TensorModule, direct_sum,
-                              gmap_kernel_image,
-                              hom_and_tensor, perm_module, regular_module,
-                              standard_modules, trivial_module)
+                              NotFree, TensorModule, aug_ideal, direct_sum,
+                              gmap_kernel_image, hom_and_tensor,
+                              local_aug_ideal, perm_module, regular_module,
+                              trivial_module)
 from tatelab.groups import Subgroup, named_group, symmetric3
 from tatelab.lattice import IntMatrix
 
@@ -25,25 +25,25 @@ def low_degrees(module):
 
 def test_standard_modules_c2():
     c2 = named_group("C2")
-    std = standard_modules(c2, Subgroup(c2, [0, 1]))
-    assert std["regular"].underlying.free_rank() == 2
-    assert std["aug_ideal"].underlying.free_rank() == 1
-    li = std["local_aug_ideal"]
+    reg = regular_module(c2)
+    aug, aug_incl = aug_ideal(c2)
+    assert aug_incl.cod.underlying.free_rank() == 2
+    assert aug.underlying.free_rank() == 1
+    li = local_aug_ideal(c2, Subgroup(c2, [0, 1]), reg)
     assert li.module.underlying.free_rank() == 1
     assert tuple(li.incl.ab.mat.column(0)) in {(-1, 1), (1, -1)}
     assert li.module.action[1].entries[0][0] == -1
-    std1 = standard_modules(c2, Subgroup(c2, [0]))
-    assert std1["induced"].underlying.free_rank() == 2
-    assert std1["local_aug_ideal"].module.underlying.n == 0
+    induced, _, _, _ = perm_module(c2, Subgroup(c2, [0]))
+    assert induced.underlying.free_rank() == 2
+    assert local_aug_ideal(c2, Subgroup(c2, [0]), reg).module.underlying.n == 0
 
 
 def test_standard_modules_ranks_s3():
     s3 = symmetric3()
     h = Subgroup(s3, s3.closure([3]))
-    std = standard_modules(s3, h)
-    assert std["aug_ideal"].underlying.free_rank() == 5
-    assert std["induced"].underlying.free_rank() == 3
-    li = std["local_aug_ideal"]
+    assert aug_ideal(s3)[0].underlying.free_rank() == 5
+    assert perm_module(s3, h)[0].underlying.free_rank() == 3
+    li = local_aug_ideal(s3, h, regular_module(s3))
     assert li.module.underlying.free_rank() == 6 - 3
     # local ideal sits inside the augmentation ideal
     for j in range(li.module.underlying.n):
@@ -163,15 +163,21 @@ def z3_squared(group):
     return GModule(group, FgAb(2, IntMatrix([[3, 0], [0, 3]])), acts)
 
 
+def hom_test_modules(group):
+    """(C factors, A factors): Z, Z[G], the augmentation ideal and Z[G]
+    with a redundant generator; Z, Z/6 and Z/3 + Z/3."""
+    cs = [trivial_module(group), regular_module(group), aug_ideal(group)[0],
+          regular_with_relation(group)]
+    return cs, [trivial_module(group), z_mod(group, 6), z3_squared(group)]
+
+
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"])
 def test_sparse_kronecker_actions_match_dense_loops(name):
     group = named_group(name)
-    std = standard_modules(group, Subgroup(group, [group.identity]))
     with_rel = regular_with_relation(group)
     assert with_rel.underlying.free_basis_maps()[0].shape == \
         (group.order, group.order + 1)
-    cs = [std["trivial"], std["regular"], std["aug_ideal"], with_rel]
-    amods = [trivial_module(group), z_mod(group, 6), z3_squared(group)]
+    cs, amods = hom_test_modules(group)
     for cmod in cs:
         for amod in amods:
             assert list(HomModule(cmod, amod).module.action) == \
@@ -188,8 +194,7 @@ def test_kernel_image_cokernel():
     assert d["kernel"].underlying.free_rank() == 2
     assert d["image"].underlying.is_trivial()
     assert d["cokernel"].underlying.order() == 2
-    std = standard_modules(c2, Subgroup(c2, [0, 1]))
-    d = gmap_kernel_image(std["augmentation"])
+    d = gmap_kernel_image(GMap(reg, trivial_module(c2), IntMatrix([[1, 1]])))
     assert d["kernel"].underlying.free_rank() == 1
     nu = GMap(reg, reg, reg.norm_map(), check=False)
     d = gmap_kernel_image(nu)
@@ -258,3 +263,36 @@ def test_action_axioms_random_modules():
                 [tuple(c) for c in cols], n))
             mod = GModule(g, ab, big.action)  # validates all axioms
             mod.validate(full=True)
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"])
+def test_hom_modules_pass_full_validation(name):
+    """HomModule builds its module unchecked; the action still meets every
+    axiom, on all pairs of group elements."""
+    cs, amods = hom_test_modules(named_group(name))
+    for cmod in cs:
+        for amod in amods:
+            HomModule(cmod, amod).module.validate(full=True)
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"])
+def test_precompose_matches_the_generator_loop(name, precompose_by_loop):
+    group = named_group(name)
+    n = group.order
+    cs, amods = hom_test_modules(group)
+    triv, reg, aug, with_rel = cs
+    aug_incl = aug_ideal(group)[1].ab.mat
+    # (C, C', phi: C -> C'), with and without relations on either side
+    maps = [(aug, reg, aug_incl),
+            (reg, triv, IntMatrix([[1] * n])),
+            (with_rel, reg, IntMatrix.identity(n).hstack(
+                IntMatrix.from_columns([[1] + [0] * (n - 1)], n))),
+            (reg, with_rel, IntMatrix.from_columns(
+                [tuple(r) + (0,) for r in IntMatrix.identity(n).entries],
+                n + 1))]
+    for amod in amods:
+        for cmod, cprime, phi in maps:
+            hom, dom_hom = HomModule(cmod, amod), HomModule(cprime, amod)
+            assert hom.precompose(dom_hom, phi) == \
+                precompose_by_loop(hom, dom_hom, phi)
+            GMap(dom_hom.module, hom.module, hom.precompose(dom_hom, phi))

@@ -7,8 +7,9 @@ from tatelab.abelian import AbMap, FgAb, Homology, subgroup_span
 from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
                          i2_plain, i2_twist, norm_model, quadratic_sqrt34,
                          synth_instance, xy_modules)
-from tatelab.cohomology import CohClass, TateCohomology, TateComplex
-from tatelab.gmodules import GModule, trivial_module
+from tatelab import tate_sequence
+from tatelab.cohomology import CohClass, Cocycle1, TateCohomology, TateComplex
+from tatelab.gmodules import GModule, HomModule, trivial_module
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
 from tatelab.instance_io import load_instance
 from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _axpy,
@@ -319,6 +320,65 @@ def test_nabla_and_cocycle():
     assert CohClass(calcp, 1, nablap.g_cocycle.as_cochain()).is_zero()
     ok, wit = nabla_class_checks(cxp, ip, wrbp, snakep, nablap)
     assert ok, wit
+
+
+def test_nabla_class_fails_on_the_zero_cocycle():
+    it = i2_twist()
+    cx, xy, wrb, sh, snake = lab(it)
+    nabla = build_nabla(it, wrb, snake)
+    hom = nabla.hom_x_cl
+    zero = (0,) * hom.module.underlying.n
+    nabla.g_cocycle = Cocycle1(hom.module, [zero] * it.group.order)
+    ok, wit = nabla_class_checks(cx, it, wrb, snake, nabla)
+    assert not ok
+    assert wit == "pushout class differs from the snake cocycle class"
+
+
+def test_nabla_class_hom_route_can_fail(monkeypatch):
+    """Valid input cannot reach a failure of the Hom-sequence route: a
+    wrong cocycle fails the pushout comparison first, and a snake map
+    other than the one nabla was glued along fails the ladder.  So the
+    Hom modules the route builds are replaced by ones whose from_matrix
+    returns 0, which hands the connecting map the zero cochain for -[s];
+    on i2_twist the cocycle class is not zero."""
+    it = i2_twist()
+    cx, xy, wrb, sh, snake = lab(it)
+    nabla = build_nabla(it, wrb, snake)
+
+    class ZeroCoordinates(HomModule):
+        def from_matrix(self, f):
+            return (0,) * self.module.underlying.n
+
+    monkeypatch.setattr(tate_sequence, "HomModule", ZeroCoordinates)
+    ok, wit = nabla_class_checks(cx, it, wrb, snake, nabla)
+    assert not ok
+    assert wit == "connecting image of -[s] differs from the cocycle class"
+
+
+def test_nabla_class_runs_the_hom_route_on_large_instances():
+    # rank(B) * n(Cl) = 216 here, above the old cap of 96
+    inst = synth_instance("S3", 12)
+    cx, xy, wrb, sh, snake = lab(inst)
+    assert wrb.b.underlying.n * inst.cl.underlying.n > 96
+    nabla = build_nabla(inst, wrb, snake)
+    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    assert ok, wit
+
+
+@pytest.mark.parametrize("make", [i2_twist, quadratic_sqrt34,
+                                  lambda: synth_instance("D4", 0)])
+def test_hom_sequence_maps_match_the_generator_loop(make, precompose_by_loop):
+    """The maps Hom(X, Cl) -> Hom(B, Cl) -> Hom(R, Cl) of the nabla check,
+    by precompose and by the per-generator loop."""
+    inst = make()
+    cx, xy, wrb, sh, snake = lab(inst)
+    hom_x = HomModule(wrb.x, inst.cl)
+    hom_b = HomModule(wrb.b, inst.cl)
+    hom_r = HomModule(wrb.r, inst.cl)
+    for hom, dom_hom, phi in ((hom_b, hom_x, wrb.b_to_x.ab.mat),
+                              (hom_r, hom_b, wrb.r_to_b.ab.mat)):
+        assert hom.precompose(dom_hom, phi) == \
+            precompose_by_loop(hom, dom_hom, phi)
 
 
 def calcs(cx, *modules):
