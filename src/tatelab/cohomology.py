@@ -394,21 +394,30 @@ def connecting_hom(complex_, ext, i, calc_c=None, calc_a=None,
     calc_a = calc_a or TateCohomology(complex_, ext.a)
     calc_b = calc_b or TateCohomology(complex_, ext.b)
     sec = section if section is not None else ext.section_matrix()
-    na_b = ext.b.underlying.n
 
     def delta(cls):
         if cls.degree != i:
             raise DegreeMismatch(f"class has degree {cls.degree}, need {i}")
         lift = _apply_blockwise(sec, cls.rep, complex_.rank(i))
-        db = calc_b.differential(i).apply(lift)
-        pre = ext.a_to_b.ab.lift(
-            [db[b * na_b:(b + 1) * na_b] for b in range(complex_.rank(i + 1))],
-            lambda b: ValueError("differential of lift does not pull back; "
-                                 "input was not a cocycle"))
-        return CohClass(calc_a, i + 1,
-                        [v for col in pre.transpose().entries for v in col])
+        return CohClass(calc_a, i + 1, zig_zag(
+            ext.a_to_b, calc_b.differential(i), lift, complex_.rank(i + 1)))
 
     return delta
+
+
+def zig_zag(a_to_b, d_b, lift, blocks):
+    """The cochain step of a connecting map: apply d_b, a differential of
+    B, to `lift`, a cochain of B, and pull the `blocks` blocks of the
+    result back through A -> B.  Returns the cochain of A; raises
+    ValueError when the result does not pull back, that is when the
+    lifted cochain was not a cocycle modulo A."""
+    na_b = a_to_b.cod.underlying.n
+    db = d_b.apply(lift)
+    pre = a_to_b.ab.lift(
+        [db[b * na_b:(b + 1) * na_b] for b in range(blocks)],
+        lambda b: ValueError("differential of lift does not pull back; "
+                             "input was not a cocycle"))
+    return [v for col in pre.transpose().entries for v in col]
 
 
 # -- 1-cocycles and extension classes ---------------------------------------

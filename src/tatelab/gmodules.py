@@ -153,11 +153,35 @@ class GMap:
         return GMap(other.dom, self.cod, self.ab.compose(other.ab), check=False)
 
     def kernel(self):
+        """(K, inclusion) for the kernel K of this map, a submodule.
+
+        Only the generators s in S = `generating_set()` are lifted:
+        A_s = the solution of incl.A_s = rho(s).incl, raising
+        NotEquivariant when rho(s) moves K out of itself.  Every other
+        element acts by a product along a word in S, A_{sg} = A_s.A_g,
+        and K is built unchecked.  incl.A_s = rho(s).incl with incl
+        injective, so A_s carries each relation of K (a vector that incl
+        sends to a relation of the domain) to one, and incl.A_s.A_g =
+        rho(s).rho(g).incl = rho(sg).incl: the products act as rho does,
+        whatever the word, and the identity acts as the identity.  If the
+        generators keep K stable every element does, so NotEquivariant is
+        raised whenever some rho(g) moves K out of itself.
+        """
         kgrp, incl = self.ab.kernel()
-        acts = [incl.lift(self.dom.action[g].mul(incl.mat).transpose().entries,
-                          lambda i, g=g: NotEquivariant(i, g))
-                for g in range(self.dom.group.order)]
-        kmod = GModule(self.dom.group, kgrp, acts)
+        grp = self.dom.group
+        gens = [(s, incl.lift(self.dom.action[s].mul(incl.mat).transpose()
+                              .entries, lambda i, s=s: NotEquivariant(i, s)))
+                for s in grp.generating_set()]
+        acts = {grp.identity: IntMatrix.identity(kgrp.n)}
+        reached = [grp.identity]
+        for g in reached:
+            for s, a_s in gens:
+                sg = grp.mul(s, g)
+                if sg not in acts:
+                    acts[sg] = a_s.mul(acts[g])
+                    reached.append(sg)
+        kmod = GModule(grp, kgrp, [acts[g] for g in range(grp.order)],
+                       check=False)
         return kmod, GMap(kmod, self.dom, incl, check=False)
 
     def image(self):

@@ -1,6 +1,7 @@
 import pytest
 
 from tatelab.abelian import AbMap, Homology
+from tatelab.gmodules import NotEquivariant
 from tatelab.lattice import IntMatrix
 
 
@@ -41,3 +42,20 @@ def precompose_by_loop():
     """The per-generator reference for HomModule.precompose (see
     precompose_loop)."""
     return precompose_loop
+
+
+def kernel_lift_loop(f):
+    """(inclusion, action matrices) of the kernel of the GMap f, one lift
+    per group element: rho(g).incl solved through the inclusion for every
+    g.  The reference that the actions of `GMap.kernel` must agree with
+    modulo the kernel's relations."""
+    _, incl = f.ab.kernel()
+    return incl, [incl.lift(f.dom.action[g].mul(incl.mat).transpose().entries,
+                            lambda i, g=g: NotEquivariant(i, g))
+                  for g in range(f.dom.group.order)]
+
+
+@pytest.fixture
+def kernel_by_lift():
+    """The all-elements reference for GMap.kernel (see kernel_lift_loop)."""
+    return kernel_lift_loop

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tatelab.abelian import FgAb
+from tatelab.abelian import AbMap, FgAb
+from tatelab.cft import i2_twist, quadratic_sqrt34, synth_instance, xy_modules
 from tatelab.cohomology import TateCohomology, TateComplex
 from tatelab.gmodules import (GMap, GModule, HomModule, NotEquivariant,
                               NotFree, TensorModule, aug_ideal, direct_sum,
@@ -11,6 +12,10 @@ from tatelab.gmodules import (GMap, GModule, HomModule, NotEquivariant,
                               trivial_module)
 from tatelab.groups import Subgroup, named_group, symmetric3
 from tatelab.lattice import IntMatrix
+from tatelab.tate_sequence import (build_delta1, build_script_h, build_snake,
+                                   build_wrb)
+
+CATALOG = ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 
 
 def z_mod(group, m):
@@ -296,3 +301,89 @@ def test_precompose_matches_the_generator_loop(name, precompose_by_loop):
             assert hom.precompose(dom_hom, phi) == \
                 precompose_by_loop(hom, dom_hom, phi)
             GMap(dom_hom.module, hom.module, hom.precompose(dom_hom, phi))
+
+
+def kernel_modules(make, monkeypatch):
+    """Every (map, kernel module, kernel inclusion) that GMap.kernel builds
+    for the instance: the augmentation ideal, R and B of build_wrb and
+    ker s of build_delta1, its only callers."""
+    built = []
+    real = GMap.kernel
+
+    def recording(self):
+        kmod, kincl = real(self)
+        built.append((self, kmod, kincl))
+        return kmod, kincl
+
+    monkeypatch.setattr(GMap, "kernel", recording)
+    inst = make()
+    wrb = build_wrb(inst, xy_modules(inst))
+    build_delta1(build_snake(inst, wrb, build_script_h(inst)))
+    return built
+
+
+@pytest.mark.parametrize("make", [lambda g=g: synth_instance(g, 0)
+                                  for g in CATALOG]
+                         + [i2_twist, quadratic_sqrt34],
+                         ids=[f"{g}/0" for g in CATALOG]
+                         + ["i2_twist", "sqrt34"])
+def test_kernel_actions_match_the_lift_loop(make, kernel_by_lift,
+                                            monkeypatch):
+    """GMap.kernel lifts the generators only and builds the other actions
+    as products; each agrees with the lift of rho(g) modulo the kernel's
+    relations, and the module passes full validation."""
+    built = kernel_modules(make, monkeypatch)
+    # the augmentation ideal, R, B (build_wrb) and ker s (build_delta1)
+    assert len(built) == 4
+    for f, kmod, kincl in built:
+        incl, ref = kernel_by_lift(f)
+        assert kincl.ab.mat == incl.mat
+        k = kmod.underlying
+        for a, b in zip(kmod.action, ref):
+            assert AbMap(k, k, a) == AbMap(k, k, b)
+        kmod.validate(full=True)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_kernel_with_relations_matches_the_lift_loop(name, kernel_by_lift):
+    """The kernel of the augmentation Z[G]/3 -> Z/3 has relations, so an
+    action matrix is determined only modulo them: the products along
+    words agree with the lifts there."""
+    group = named_group(name)
+    n = group.order
+    reg = regular_module(group)
+    reg3 = GModule(group, FgAb(n, IntMatrix.identity(n).kron(
+        IntMatrix([[3]]))), reg.action, check=False)
+    f = GMap(reg3, z_mod(group, 3), IntMatrix([[1] * n]))
+    kmod, _ = f.kernel()
+    k = kmod.underlying
+    assert k.order() == 3 ** (n - 1)
+    _, ref = kernel_by_lift(f)
+    for a, b in zip(kmod.action, ref):
+        assert AbMap(k, k, a) == AbMap(k, k, b)
+    kmod.validate(full=True)
+
+
+def test_kernel_of_a_non_equivariant_map_raises():
+    """Z[C2] -> Z, e_1 -> 1 and e_g -> 0, built unchecked: its kernel is
+    spanned by e_g, which g moves out of it."""
+    c2 = named_group("C2")
+    f = GMap(regular_module(c2), trivial_module(c2), IntMatrix([[1, 0]]),
+             check=False)
+    with pytest.raises(NotEquivariant):
+        f.kernel()
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_kernel_lifts_once_per_generator(name, monkeypatch):
+    group = named_group(name)
+    calls = {"lift": 0}
+    real = AbMap.lift
+
+    def counted(self, cols, error):
+        calls["lift"] += 1
+        return real(self, cols, error)
+
+    monkeypatch.setattr(AbMap, "lift", counted)
+    aug_ideal(group)
+    assert calls["lift"] == len(group.generating_set())

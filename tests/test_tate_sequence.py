@@ -8,7 +8,8 @@ from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
                          i2_plain, i2_twist, norm_model, quadratic_sqrt34,
                          synth_instance, xy_modules)
 from tatelab import tate_sequence
-from tatelab.cohomology import CohClass, Cocycle1, TateCohomology, TateComplex
+from tatelab.cohomology import (CohClass, Cocycle1, ExtensionData,
+                                TateCohomology, TateComplex)
 from tatelab.gmodules import GModule, HomModule, trivial_module
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
 from tatelab.instance_io import load_instance
@@ -332,6 +333,82 @@ def test_nabla_class_fails_on_the_zero_cocycle():
     ok, wit = nabla_class_checks(cx, it, wrb, snake, nabla)
     assert not ok
     assert wit == "pushout class differs from the snake cocycle class"
+
+
+def test_nabla_class_compares_classes_not_cochains():
+    """g + d^0(m) has the class of g: the check still passes."""
+    inst = quadratic_sqrt34()
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    mod = nabla.hom_x_cl.module
+    ab = mod.underlying
+    m = ab.gen(1)
+    shift = [ab.sub(mod.act(x, m), m) for x in range(inst.group.order)]
+    assert not all(ab.is_zero(v) for v in shift)
+    nabla.g_cocycle = Cocycle1(mod, [ab.add(v, d) for v, d in
+                                     zip(nabla.g_cocycle.values, shift)])
+    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    assert ok, wit
+
+
+def test_nabla_class_fails_on_a_shifted_class():
+    """g + c with c a cocycle that is not a coboundary (c = g) has another
+    class than g."""
+    inst = synth_instance("S3", 0)
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    g = nabla.g_cocycle
+    assert not g.is_coboundary()[0]
+    ab = g.module.underlying
+    twice = g.add(g)
+    assert not all(ab.is_zero(v) for v in twice.values)
+    nabla.g_cocycle = Cocycle1(g.module, twice.values)
+    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    assert not ok
+    assert wit == "pushout class differs from the snake cocycle class"
+
+
+def test_nabla_class_builds_no_cohomology_group(monkeypatch):
+    """The check decides both comparisons by coboundary tests: no
+    Homology, no Tate-cohomology group and no re-proof of exactness."""
+    inst = synth_instance("D4", 0)
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    calls = {}
+
+    def spy(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kw):
+            calls[cls.__name__] = calls.get(cls.__name__, 0) + 1
+            return real(*args, **kw)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    spy(Homology, "__init__")
+    spy(TateCohomology, "homology")
+    spy(ExtensionData, "__init__")
+    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    assert ok, wit
+    assert calls == {}
+
+
+@pytest.mark.parametrize("make", [lambda: synth_instance("V4", 0),
+                                  lambda: synth_instance("C2", 1),
+                                  lambda: synth_instance("C4", 1),
+                                  lambda: synth_instance("S3", 0),
+                                  i2_twist, quadratic_sqrt34],
+                         ids=["V4/0", "C2/1", "C4/1", "S3/0", "i2_twist",
+                              "sqrt34"])
+def test_nabla_class_compares_nonzero_classes(make):
+    """Vacuity guard: on these benchmark instances the snake cocycle class
+    is not zero, so the coboundary comparisons of nabla.class are not all
+    comparisons of coboundaries."""
+    inst = make()
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    assert not nabla.g_cocycle.is_coboundary()[0]
+    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    assert ok, wit
 
 
 def test_nabla_class_hom_route_can_fail(monkeypatch):
