@@ -13,9 +13,8 @@ from .cohomology import (CohClass, Cocycle1, DegreeMismatch,
                          ext1_class_to_h2, extension_to_cocycle,
                          shapiro_hminus2)
 from .gmodules import (GMap, GModule, HomModule, NotEquivariant, NotFree,
-                       TensorModule, aug_ideal, direct_sum,
-                       gmap_kernel_image, hom_and_tensor, perm_module,
-                       regular_module, trivial_module)
+                       TensorModule, aug_ideal, direct_sum, hom_and_tensor,
+                       perm_module, regular_module, trivial_module)
 from .groups import (FiniteGroup, GroupHom, NotACocycle, NotAGroup,
                      Subgroup, abelianization, cosets_and_reps, cyclic,
                      dihedral4, direct_product, extension_from_cocycle,

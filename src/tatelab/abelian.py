@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from math import gcd, prod
 
-from .lattice import (IntMatrix, Lattice, PrivateBasis, _kernel_columns,
-                      _snf_data, _span_basis)
+from .lattice import (IntMatrix, Lattice, PrivateBasis, _axpy,
+                      _kernel_columns, _snf_data, _span_basis)
 
 
 class NonComplex(Exception):
@@ -169,6 +169,26 @@ class FgAb:
     def is_zero(self, x):
         return not any(self.canon(x))
 
+    def first_difference(self, a, b):
+        """The first column j at which the matrices a and b, both with n
+        rows, differ by more than a relation, i.e. column j of a - b is
+        not in the relation lattice; None when they agree in the group
+        column by column.
+
+        >>> z4 = FgAb(1, IntMatrix([[4]]))
+        >>> z4.first_difference(IntMatrix([[1, 2]]), IntMatrix([[-3, 1]]))
+        1
+        >>> z4.first_difference(IntMatrix([[1, 2]]), IntMatrix([[5, 6]]))
+        """
+        for j, (ca, cb) in enumerate(zip(a._sparse_cache(),
+                                         b._sparse_cache())):
+            if ca != cb:
+                diff = dict(ca)
+                _axpy(diff, 1, cb)
+                if self.rel_lattice()._walk(diff) is None:
+                    return j
+        return None
+
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
@@ -178,26 +198,11 @@ class FgAb:
     def neg(self, x):
         return tuple(-a for a in x)
 
-    def smul(self, k, x):
-        return tuple(k * a for a in x)
-
     def gen(self, i):
         return tuple(1 if j == i else 0 for j in range(self.n))
 
     def gens(self):
         return [self.gen(i) for i in range(self.n)]
-
-    def order_of(self, x):
-        c = self.canon(x)
-        n = 1
-        for i, v in zip(self._canon_idx, c):
-            m = self._mods[i]
-            if m == 0:
-                if v:
-                    return 0
-            elif v:
-                n = n * (m // gcd(m, v)) // gcd(n, m // gcd(m, v))
-        return n
 
     # -- structure --------------------------------------------------------
 
@@ -350,9 +355,7 @@ class AbMap:
             return NotImplemented
         if self.mat.cols != other.mat.cols or self.cod.n != other.cod.n:
             return False
-        return all(self.cod.eq(a, b) for a, b in
-                   zip(self.mat.transpose().entries,
-                       other.mat.transpose().entries))
+        return self.cod.first_difference(self.mat, other.mat) is None
 
     def __hash__(self):
         raise TypeError("AbMap is unhashable")
@@ -373,9 +376,6 @@ class AbMap:
             self._img_lat = lat
         return self._img_lat
 
-    def in_image(self, y):
-        return self.image_lattice().contains(y)
-
     def solve(self, y):
         """Some x with f(x) = y in the codomain, or None."""
         w = self.image_lattice().generator_coords(y)
@@ -383,16 +383,18 @@ class AbMap:
             return None
         return tuple(w.get(j, 0) for j in range(self.dom.n))
 
-    def lift(self, cols, error):
-        """The matrix whose column j is solve(cols[j]); raises error(j) for
-        the first column j outside the image."""
+    def lift(self, mat, error):
+        """The matrix whose column j solves f(x) = column j of mat in the
+        codomain, from mat's sparse columns to sparse columns; raises
+        error(j) for the first column j outside the image."""
+        lat, n = self.image_lattice(), self.dom.n
         sols = []
-        for j, y in enumerate(cols):
-            x = self.solve(y)
-            if x is None:
+        for j, y in enumerate(mat._column_dicts()):
+            w = lat.generator_coords(y)
+            if w is None:
                 raise error(j)
-            sols.append(x)
-        return IntMatrix._trusted_columns(sols, self.dom.n)
+            sols.append({k: x for k, x in w.items() if k < n and x})
+        return IntMatrix._from_sparse_columns(sols, n)
 
     # -- kernel / image / cokernel ----------------------------------------
 
@@ -457,9 +459,6 @@ class AbMap:
     def is_surjective(self):
         q, _ = self.cokernel()
         return q.is_trivial()
-
-    def is_bijective(self):
-        return self.is_injective() and self.is_surjective()
 
 
 def ab_quotient(grp, gens):

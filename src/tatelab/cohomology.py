@@ -196,25 +196,6 @@ class TateComplex:
         out.append((w[:-1], grp.identity, (-1) ** (i + 1)))
         return out
 
-    def ring_compose_is_zero(self, i):
-        """Verify d^{i+1} . d^i = 0 as matrices over the group ring."""
-        grp = self.group
-        a = self.ring_differential(i)
-        b = self.ring_differential(i + 1)
-        for s_idx, col in a.items():
-            acc = {}
-            for mid, zg1 in col.items():
-                for tgt, zg2 in b.get(mid, {}).items():
-                    bucket = acc.setdefault(tgt, {})
-                    for g2, c2 in zg2.items():
-                        for g1, c1 in zg1.items():
-                            g = grp.mul(g2, g1)
-                            bucket[g] = bucket.get(g, 0) + c1 * c2
-            for bucket in acc.values():
-                if any(bucket.values()):
-                    return False
-        return True
-
     # -- specialization at a module ---------------------------------------
 
     def cochain_group(self, module, i):
@@ -249,10 +230,6 @@ class TateComplex:
         return AbMap(dom, cod, IntMatrix._from_sparse_columns(
             [{k: x for k, x in col.items() if x} for col in cols], cod.n),
             check=False)
-
-    def acyclic_at(self, module, i):
-        """True iff the specialized complex is exact at degree i."""
-        return TateCohomology(self, module).group(i).is_trivial()
 
 
 class CohClass:
@@ -372,7 +349,7 @@ class ExtensionData:
         """A Z-linear section of B ->> C on generators (not equivariant)."""
         if self._section is None:
             self._section = self.b_to_c.ab.lift(
-                IntMatrix.identity(self.c.underlying.n).entries,
+                IntMatrix.identity(self.c.underlying.n),
                 lambda j: ValueError(f"generator {j} of C does not lift"))
         return self._section
 
@@ -413,11 +390,12 @@ def zig_zag(a_to_b, d_b, lift, blocks):
     lifted cochain was not a cocycle modulo A."""
     na_b = a_to_b.cod.underlying.n
     db = d_b.apply(lift)
-    pre = a_to_b.ab.lift(
-        [db[b * na_b:(b + 1) * na_b] for b in range(blocks)],
+    pre = a_to_b.ab.lift(IntMatrix._from_sparse_columns(
+        [{i: x for i, x in enumerate(db[b * na_b:(b + 1) * na_b]) if x}
+         for b in range(blocks)], na_b),
         lambda b: ValueError("differential of lift does not pull back; "
                              "input was not a cocycle"))
-    return [v for col in pre.transpose().entries for v in col]
+    return [v for b in range(blocks) for v in pre.column(b)]
 
 
 # -- 1-cocycles and extension classes ---------------------------------------
@@ -521,7 +499,7 @@ def extension_to_cocycle(hom, ext, section=None):
                           for ra, rb in zip(twisted.entries, sec.entries)],
                          cols=sec.cols)
         fmat = ext.a_to_b.ab.lift(
-            diff.transpose().entries,
+            diff,
             lambda j: ValueError("section difference does not land in A"))
         vals.append(hom.from_matrix(fmat))
     return Cocycle1(hom.module, vals)

@@ -15,22 +15,6 @@ from .abelian import AbMap, FgAb
 from .lattice import IntMatrix, Lattice
 
 
-def _sparse_mul(a_cols, b_cols, nrows):
-    """Columns of A*B from sparse columns of A and B."""
-    out = []
-    for bc in b_cols:
-        acc = {}
-        for k, bv in bc.items():
-            for r, av in a_cols[k].items():
-                nv = acc.get(r, 0) + av * bv
-                if nv:
-                    acc[r] = nv
-                elif r in acc:
-                    del acc[r]
-        out.append(acc)
-    return out
-
-
 class NotEquivariant(Exception):
     def __init__(self, witness_elt, witness_g):
         self.witness = (witness_elt, witness_g)
@@ -60,32 +44,19 @@ class GModule:
         as the identity, and multiplicativity.  Multiplicativity on pairs
         (s, h) with s from a generating set implies it on all pairs; pass
         full=True to check every pair anyway."""
-        grp, ab = self.group, self.underlying
-        for m in self.action:
+        grp, ab, act = self.group, self.underlying, self.action
+        for m in act:
             AbMap(ab, ab, m)  # relation check
-        lat = ab.rel_lattice()
-        cols = [m.sparse_columns() for m in self.action]
-        for j in range(ab.n):
-            col = dict(cols[grp.identity][j])
-            col[j] = col.get(j, 0) - 1
-            if not lat.contains(col):
-                raise ValueError("identity must act as the identity")
+        if ab.first_difference(act[grp.identity],
+                               IntMatrix.identity(ab.n)) is not None:
+            raise ValueError("identity must act as the identity")
         firsts = range(grp.order) if full else grp.generating_set()
         for g in firsts:
             for h in range(grp.order):
-                prod = _sparse_mul(cols[g], cols[h], ab.n)
-                tgt = cols[grp.mul(g, h)]
-                for j in range(ab.n):
-                    diff = dict(prod[j])
-                    for r, v in tgt[j].items():
-                        nv = diff.get(r, 0) - v
-                        if nv:
-                            diff[r] = nv
-                        elif r in diff:
-                            del diff[r]
-                    if diff and not lat.contains(diff):
-                        raise ValueError(f"action is not multiplicative at "
-                                         f"({g}, {h})")
+                if ab.first_difference(act[g].mul(act[h]),
+                                       act[grp.mul(g, h)]) is not None:
+                    raise ValueError(f"action is not multiplicative at "
+                                     f"({g}, {h})")
 
     def act(self, g, x):
         return self.action[g].apply(x)
@@ -129,22 +100,12 @@ class GMap:
             self.check_equivariance()
 
     def check_equivariance(self):
-        fc = self.ab.mat.sparse_columns()
-        lat = self.cod.underlying.rel_lattice()
-        nc = self.cod.underlying.n
+        f = self.ab.mat
         for g in self.dom.group.generating_set():
-            left = _sparse_mul(fc, self.dom.action[g].sparse_columns(), nc)
-            right = _sparse_mul(self.cod.action[g].sparse_columns(), fc, nc)
-            for j in range(self.dom.underlying.n):
-                diff = dict(left[j])
-                for r, v in right[j].items():
-                    nv = diff.get(r, 0) - v
-                    if nv:
-                        diff[r] = nv
-                    elif r in diff:
-                        del diff[r]
-                if diff and not lat.contains(diff):
-                    raise NotEquivariant(j, g)
+            j = self.cod.underlying.first_difference(
+                f.mul(self.dom.action[g]), self.cod.action[g].mul(f))
+            if j is not None:
+                raise NotEquivariant(j, g)
 
     def apply(self, x):
         return self.ab.apply(x)
@@ -169,8 +130,8 @@ class GMap:
         """
         kgrp, incl = self.ab.kernel()
         grp = self.dom.group
-        gens = [(s, incl.lift(self.dom.action[s].mul(incl.mat).transpose()
-                              .entries, lambda i, s=s: NotEquivariant(i, s)))
+        gens = [(s, incl.lift(self.dom.action[s].mul(incl.mat),
+                              lambda i, s=s: NotEquivariant(i, s)))
                 for s in grp.generating_set()]
         acts = {grp.identity: IntMatrix.identity(kgrp.n)}
         reached = [grp.identity]
@@ -205,17 +166,6 @@ class GMap:
 
     def __hash__(self):
         raise TypeError("GMap is unhashable")
-
-
-def gmap_kernel_image(f):
-    """{kernel, image, cokernel} with their witness maps, per the module
-    contract."""
-    kmod, kincl = f.kernel()
-    imod, iincl, iproj = f.image()
-    cmod, cproj = f.cokernel()
-    return {"kernel": kmod, "kernel_incl": kincl,
-            "image": imod, "image_incl": iincl, "image_proj": iproj,
-            "cokernel": cmod, "cokernel_proj": cproj}
 
 
 # -- constructions ----------------------------------------------------------
@@ -348,13 +298,8 @@ class HomModule:
             raise NotFree("module has torsion")
         tb, fb = c.free_basis_maps()
         k = tb.rows
-        tb_cols, fb_cols = tb.sparse_columns(), fb.sparse_columns()
-        acts = []
-        for g in range(group.order):
-            s_cols = _sparse_mul(tb_cols, _sparse_mul(
-                cmod.action[group.inv[g]].sparse_columns(), fb_cols, c.n), k)
-            acts.append(IntMatrix._from_sparse_columns(s_cols, k).transpose()
-                        .kron(amod.action[g]))
+        acts = [tb.mul(cmod.action[group.inv[g]]).mul(fb).transpose()
+                .kron(amod.action[g]) for g in range(group.order)]
         self.module = GModule(group, FgAb.direct_sum([a] * k), acts,
                               check=False)
         self.c, self.a = cmod, amod

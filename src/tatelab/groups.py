@@ -26,7 +26,7 @@ class NotACocycle(Exception):
 
 
 class FiniteGroup:
-    __slots__ = ("order", "table", "identity", "inv", "labels")
+    __slots__ = ("order", "table", "identity", "inv", "labels", "_gens")
 
     def __init__(self, table, identity, inv, labels=None):
         self.table = tuple(tuple(row) for row in table)
@@ -34,6 +34,7 @@ class FiniteGroup:
         self.identity = identity
         self.inv = tuple(inv)
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(self.order))
+        self._gens = None
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -47,18 +48,6 @@ class FiniteGroup:
 
     def elements(self):
         return range(self.order)
-
-    def element_order(self, a):
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
-    def is_abelian(self):
-        t = self.table
-        return all(t[i][j] == t[j][i] for i in range(self.order)
-                   for j in range(i))
 
     def closure(self, gens):
         """Sorted element set of the subgroup generated by gens."""
@@ -80,14 +69,17 @@ class FiniteGroup:
         return Subgroup(self, elems)
 
     def generating_set(self):
-        """A small generating set, chosen deterministically."""
-        gens = []
-        cur = {self.identity}
-        while len(cur) < self.order:
-            nxt = min(x for x in range(self.order) if x not in cur)
-            gens.append(nxt)
-            cur = set(self.closure(gens))
-        return tuple(gens)
+        """A small generating set, chosen deterministically; computed on
+        the first call and kept, as the table never changes."""
+        if self._gens is None:
+            gens = []
+            cur = {self.identity}
+            while len(cur) < self.order:
+                nxt = min(x for x in range(self.order) if x not in cur)
+                gens.append(nxt)
+                cur = set(self.closure(gens))
+            self._gens = tuple(gens)
+        return self._gens
 
     def all_subgroups(self):
         """Subgroups generated by at most two elements (all subgroups,

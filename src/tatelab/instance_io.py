@@ -167,12 +167,6 @@ def load_instance(path):
     return instance_from_dict(data)
 
 
-def save_instance(inst, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 # -- fixtures ------------------------------------------------------------------
 
 def fixture_from_dict(data, group):

@@ -197,21 +197,25 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(zip(*self._entries)), self.rows)
 
     def mul(self, other):
-        """Matrix product; only the nonzero entries of both factors are
-        visited, which is what the sparse differentials need."""
+        """Matrix product, held by its sparse columns: column j is the sum
+        of b_kj times column k of self over the nonzero b_kj of other's
+        column j, so only nonzero entries of both factors are visited.
+
+        >>> IntMatrix([[1, 2], [0, 1]]).mul(IntMatrix([[0, 1], [1, -2]])
+        ...                                 ).sparse_columns()
+        [{0: 2, 1: 1}, {0: -3, 1: -2}]
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        m = other.cols
-        nonzero = [tuple(r.items()) for r in other.sparse_rows()]
+        left = self._sparse_cache()
         out = []
-        for row in self.entries:
-            acc = [0] * m
-            for a, pairs in zip(row, nonzero):
-                if a:
-                    for j, b in pairs:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return IntMatrix._trusted(tuple(out), m)
+        for col in other._sparse_cache():
+            acc = {}
+            for k, b in col.items():
+                for i, a in left[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+            out.append({i: x for i, x in acc.items() if x})
+        return IntMatrix._from_sparse_columns(out, self.rows)
 
     def apply(self, vec):
         """Matrix times column vector.  Sparse vectors, and every vector

@@ -86,15 +86,16 @@ def build_wrb(inst, xy):
     w, _, _ = direct_sum(w_parts)
 
     # W -> aug ideal: inclusion on ideal parts, zero on split aux parts
-    vecs = []
+    cols = []
     for part, (kind, pid, ideal, _) in zip(w_parts, w_blocks):
         if kind == "place":
-            vecs.extend(ideal.incl.ab.mat.transpose().entries)
+            cols.extend(ideal.incl.ab.mat.sparse_columns())
         else:
-            vecs.extend([(0,) * grp.order] * part.underlying.n)
+            cols.extend({} for _ in range(part.underlying.n))
     w_to_aug = GMap(w, aug_mod, aug_incl.ab.lift(
-        vecs, lambda j: ValueError("ideal does not sit inside the "
-                                   "augmentation ideal")))
+        IntMatrix._from_sparse_columns(cols, grp.order),
+        lambda j: ValueError("ideal does not sit inside the "
+                             "augmentation ideal")))
 
     r, r_incl = w_to_aug.kernel()
 
@@ -115,7 +116,7 @@ def build_wrb(inst, xy):
 
     # R -> B through the inclusions
     r_to_b = GMap(r, b, b_incl.ab.lift(
-        w_to_big.ab.mat.mul(r_incl.ab.mat).transpose().entries,
+        w_to_big.ab.mat.mul(r_incl.ab.mat),
         lambda j: ValueError("R does not land in B")))
 
     # B -> X through big -> Y
@@ -130,7 +131,7 @@ def build_wrb(inst, xy):
     big_to_y = GMap(big, xy.y, IntMatrix._trusted_columns(ycols,
                                                           xy.y.underlying.n))
     b_to_x = GMap(b, xy.x, xy.x_incl.ab.lift(
-        big_to_y.ab.mat.mul(b_incl.ab.mat).transpose().entries,
+        big_to_y.ab.mat.mul(b_incl.ab.mat),
         lambda j: ValueError("B does not map into X")))
 
     return WRBData(w=w, r=r, b=b, x=xy.x, w_blocks=w_blocks, r_incl=r_incl,
@@ -359,7 +360,7 @@ def build_snake(inst, wrb, sh):
                   IntMatrix._from_sparse_columns(cols, len(sh.gs_basis)))
 
     s = GMap(wrb.r, inst.cl, sh.e.ab.lift(
-        w_to_h.ab.mat.mul(wrb.r_incl.ab.mat).transpose().entries,
+        w_to_h.ab.mat.mul(wrb.r_incl.ab.mat),
         lambda j: ImageEscapesCl(f"snake image escapes the class module "
                                  f"at R generator {j}")))
     return SnakeData(s, w_to_h, wrb, sh)
@@ -540,8 +541,9 @@ def nabla_class_checks(complex_, inst, wrb, snake, nabla):
     right = GMap(hom_b.module, hom_r.module,
                  hom_r.precompose(hom_b, wrb.r_to_b.ab.mat))
     minus_s = hom_r.from_matrix(snake.s.ab.neg().mat)
-    lift = right.ab.lift([minus_s], lambda j: ValueError(
-        "-s does not lift to Hom(B, Cl)")).column(0)
+    lift = right.ab.lift(
+        IntMatrix._trusted_columns([minus_s], len(minus_s)),
+        lambda j: ValueError("-s does not lift to Hom(B, Cl)")).column(0)
     image = zig_zag(left, complex_.blockified(hom_b.module, 0), lift,
                     complex_.rank(1))
     if not coboundaries.contains([a - b for a, b in zip(image, g)]):
@@ -888,8 +890,7 @@ def _short_exact_dkc(ab, cdc, ker_nm, ker_nm_incl):
     """0 -> D -> ker(Nm) -> Cbar -> 0 with the class map in the middle."""
     # D sits inside ker(Nm): every generator of D lifts
     try:
-        d_in_knm = ker_nm_incl.lift(cdc.d_incl.mat.transpose().entries,
-                                    lambda j: ValueError(j))
+        d_in_knm = ker_nm_incl.lift(cdc.d_incl.mat, lambda j: ValueError(j))
     except ValueError:
         return False, "D not inside ker(Nm)"
     # the class map ker(Nm) -> H^-1 has image Cbar and kernel D
@@ -903,6 +904,7 @@ def _short_exact_dkc(ab, cdc, ker_nm, ker_nm_incl):
     if not _same_subgroup(cdc.h1, img, img_incl, cdc.cbar, cdc.cbar_incl):
         return False, {"image": img.order(), "cbar": cdc.cbar.order()}
     kerc, kerc_incl = to_h1.kernel()
-    d_in, d_in_incl = subgroup_span(ker_nm, d_in_knm.transpose().entries)
+    d_in, d_in_incl, _ = AbMap(FgAb(d_in_knm.cols), ker_nm, d_in_knm,
+                               check=False).image()
     ok = _same_subgroup(ker_nm, kerc, kerc_incl, d_in, d_in_incl)
     return ok, {"kernel": kerc.order(), "d": d_in.order()}

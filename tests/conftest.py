@@ -50,7 +50,7 @@ def kernel_lift_loop(f):
     g.  The reference that the actions of `GMap.kernel` must agree with
     modulo the kernel's relations."""
     _, incl = f.ab.kernel()
-    return incl, [incl.lift(f.dom.action[g].mul(incl.mat).transpose().entries,
+    return incl, [incl.lift(f.dom.action[g].mul(incl.mat),
                             lambda i, g=g: NotEquivariant(i, g))
                   for g in range(f.dom.group.order)]
 

@@ -109,10 +109,10 @@ def test_element_arithmetic_and_enumeration():
     elems = [tuple(e) for e in g.elements()]
     assert len(elems) == 8 and len({g.canon(e) for e in elems}) == 8
     x = (1, 3)
-    assert g.order_of(x) == 4
-    assert g.eq(g.smul(5, x), x)
-    assert g.is_zero(g.smul(4, x))
-    assert g.canon(g.smul(4, x)) == (0, 0)
+    kx = [tuple(k * a for a in x) for k in range(6)]
+    assert [k for k in range(1, 6) if g.is_zero(kx[k])] == [4]  # order 4
+    assert g.eq(kx[5], x)
+    assert g.canon(kx[4]) == (0, 0)
 
 
 def test_kernel_quotient_examples():
@@ -187,12 +187,22 @@ def test_first_isomorphism_and_order_property():
             assert a.order() == k.order() * img.order()
 
 
+def test_maps_differing_by_a_relation_are_equal():
+    z4 = diag_group(4)
+    g = FgAb(2, IntMatrix([[2, 1], [0, 2]]))  # Z/4 on (1, 0), not diagonal
+    assert AbMap(z4, z4, IntMatrix([[1]])) == AbMap(z4, z4, IntMatrix([[5]]))
+    assert AbMap(z4, z4, IntMatrix([[1]])) != AbMap(z4, z4, IntMatrix([[3]]))
+    f = AbMap(g, g, IntMatrix.identity(2))
+    assert f == AbMap(g, g, IntMatrix([[3, 1], [0, 3]]))
+    assert f != AbMap(g, g, IntMatrix([[3, 0], [0, 3]]))
+
+
 def test_subgroup_span():
     g = diag_group(4, 4)
     s, incl = subgroup_span(g, [(2, 0), (0, 2)])
     assert s.order() == 4
-    assert incl.in_image((2, 2))
-    assert not incl.in_image((1, 0))
+    assert incl.image_lattice().contains((2, 2))
+    assert not incl.image_lattice().contains((1, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,7 +324,8 @@ def test_solve_agrees_with_image_membership(f, data):
     for _ in range(3):
         y = vec(cod.n)
         x = f.solve(y)
-        assert (x is None) == (not f.in_image(y)) == (not q.is_zero(y))
+        assert (x is None) == (not f.image_lattice().contains(y)) \
+            == (not q.is_zero(y))
         if x is not None:
             assert cod.eq(f.apply(x), y)
 
@@ -335,12 +346,13 @@ def test_lift_is_solve_column_by_column(f, data):
     cols = data.draw(st.lists(st.one_of(vec(f.dom.n).map(f.apply),
                                         vec(f.cod.n)), max_size=5))
     sols = [f.solve(y) for y in cols]
+    mat = IntMatrix.from_columns(cols, f.cod.n)
     if None in sols:
         with pytest.raises(_Escaped) as err:
-            f.lift(cols, _Escaped)
+            f.lift(mat, _Escaped)
         assert err.value.j == sols.index(None)
     else:
-        m = f.lift(cols, _Escaped)
+        m = f.lift(mat, _Escaped)
         assert m.shape == (f.dom.n, len(cols))
         assert m == IntMatrix.from_columns(sols, f.dom.n)
 
@@ -348,14 +360,14 @@ def test_lift_is_solve_column_by_column(f, data):
 def test_lift_edge_shapes():
     z3 = diag_group(3)
     f = AbMap(FgAb(0), z3, IntMatrix([[]], cols=0))
-    assert f.lift([], _Escaped).shape == (0, 0)
-    assert f.lift([(0,), (3,)], _Escaped).shape == (0, 2)
+    assert f.lift(IntMatrix.zeros(1, 0), _Escaped).shape == (0, 0)
+    assert f.lift(IntMatrix([[0, 3]]), _Escaped).shape == (0, 2)
     with pytest.raises(_Escaped) as err:
-        f.lift([(3,), (1,)], _Escaped)
+        f.lift(IntMatrix([[3, 1]]), _Escaped)
     assert err.value.j == 1
     g = AbMap(FgAb(2), z3, IntMatrix([[1, 1]]))  # not injective
-    assert g.lift([], _Escaped).shape == (2, 0)
-    m = g.lift([(1,), (5,)], _Escaped)
+    assert g.lift(IntMatrix.zeros(1, 0), _Escaped).shape == (2, 0)
+    m = g.lift(IntMatrix([[1, 5]]), _Escaped)
     assert [z3.canon(g.apply(m.column(j))) for j in range(2)] == [(1,), (2,)]
 
 

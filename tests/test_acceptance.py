@@ -56,8 +56,9 @@ def test_criterion_1_resolution_correctness(direct_formula):
         g = named_group(name)
         cx = TateComplex(g, (-4, 3))
         reg = regular_module(g)
+        calc = TateCohomology(cx, reg)
         for i in range(-3, 3):
-            assert cx.acyclic_at(reg, i), (name, i)
+            assert calc.group(i).is_trivial(), (name, i)
         for k in range(50):
             mod = _random_finite_module(g, reg, rng)
             calc = TateCohomology(cx, mod)
@@ -128,7 +129,8 @@ def test_criterion_3_section3_lemma_suite():
                                         if len(subs) > 2 else [])
         for sub in chosen:
             iso, hab, calc, ind = shapiro_hminus2(cx, g, sub)
-            assert iso.is_bijective(), (name, sub.elems)
+            assert iso.is_injective() and iso.is_surjective(), \
+                (name, sub.elems)
             pairs += 1
     assert pairs >= 10
     # extension <-> cocycle roundtrips, class preserving, >= 50

@@ -50,11 +50,30 @@ def test_window_and_ranks():
     assert all(triv.rank(i) == 1 for i in triv.degrees())
 
 
+def ring_compose_is_zero(cx, i):
+    """Whether d^{i+1} . d^i = 0 as matrices over the group ring."""
+    grp = cx.group
+    a = cx.ring_differential(i)
+    b = cx.ring_differential(i + 1)
+    for col in a.values():
+        acc = {}
+        for mid, zg1 in col.items():
+            for tgt, zg2 in b.get(mid, {}).items():
+                bucket = acc.setdefault(tgt, {})
+                for g2, c2 in zg2.items():
+                    for g1, c1 in zg1.items():
+                        g = grp.mul(g2, g1)
+                        bucket[g] = bucket.get(g, 0) + c1 * c2
+        if any(any(bucket.values()) for bucket in acc.values()):
+            return False
+    return True
+
+
 def test_ring_level_complex():
     for name in ["C2", "C3", "S3"]:
         cx = TateComplex(named_group(name), (-3, 2))
         for i in range(-4, 3):
-            assert cx.ring_compose_is_zero(i), (name, i)
+            assert ring_compose_is_zero(cx, i), (name, i)
 
 
 def test_standard_values_c2():
@@ -83,9 +102,9 @@ def test_acyclicity_small():
     for name in ["C2", "C3", "V4"]:
         g = named_group(name)
         cx = TateComplex(g, (-3, 2))
-        reg = regular_module(g)
+        calc = TateCohomology(cx, regular_module(g))
         for i in range(-2, 2):
-            assert cx.acyclic_at(reg, i), (name, i)
+            assert calc.group(i).is_trivial(), (name, i)
 
 
 def test_direct_formula_agreement_random_modules(direct_formula):
@@ -206,7 +225,8 @@ def test_shapiro_pairs():
     for g, sub in pairs:
         cx = TateComplex(g, (-2, 1))
         iso, hab, calc, induced = shapiro_hminus2(cx, g, sub)
-        assert iso.is_bijective(), (g.order, sub.elems)
+        assert iso.is_injective() and iso.is_surjective(), (g.order,
+                                                            sub.elems)
         assert iso.dom.same_invariants(iso.cod)
         count += 1
     assert count >= 10
@@ -571,7 +591,8 @@ def test_truncated_edges_keep_homology(case, seed):
     cycle = _combination(full[lo].kernel()[1], rng)
     boundary = _combination(bottom_full, rng)
     for y in (cycle, boundary, [a + b for a, b in zip(cycle, boundary)]):
-        assert bottom.in_image(y) == bottom_full.in_image(y), y
+        assert (bottom.image_lattice().contains(y)
+                == bottom_full.image_lattice().contains(y)), y
 
 
 @pytest.mark.parametrize("make", [i2_twist, i2_plain] + [
@@ -593,7 +614,7 @@ def test_truncated_edges_keep_h_minus1_of_x(make):
     bottom = calc.differential(-2)
     for _ in range(3):
         y = _combination(full[-2], rng)
-        assert bottom.in_image(y), y
+        assert bottom.image_lattice().contains(y), y
 
 
 # the modules and windows of the `resolution` benchmark, and two one-sided

@@ -7,7 +7,7 @@ from tatelab.cft import i2_twist, quadratic_sqrt34, synth_instance, xy_modules
 from tatelab.cohomology import TateCohomology, TateComplex
 from tatelab.gmodules import (GMap, GModule, HomModule, NotEquivariant,
                               NotFree, TensorModule, aug_ideal, direct_sum,
-                              gmap_kernel_image, hom_and_tensor,
+                              hom_and_tensor,
                               local_aug_ideal, perm_module, regular_module,
                               trivial_module)
 from tatelab.groups import Subgroup, named_group, symmetric3
@@ -63,6 +63,31 @@ def test_module_validation():
     reg = regular_module(c2)
     with pytest.raises(NotEquivariant):
         GMap(reg, trivial_module(c2), IntMatrix([[1, 0]]))
+
+
+def test_checks_compare_modulo_relations():
+    """Z/4 with the generator of C2 acting by -1: matrices that differ by a
+    nonzero relation agree, one that differs by anything else does not,
+    and the witness names the first failing column and generator."""
+    c2 = named_group("C2")
+    z4 = FgAb(1, IntMatrix([[4]]))
+    minus = GModule(c2, z4, [IntMatrix([[1]]), IntMatrix([[-1]])])
+    # g acts by 3 = -1 + 4, and 3 * 3 = 1 + 8: validate passes
+    three = GModule(c2, z4, [IntMatrix([[5]]), IntMatrix([[3]])])
+    ident = IntMatrix([[1]])
+    assert ident.mul(minus.action[1]) != three.action[1].mul(ident)
+    GMap(minus, three, ident)
+    with pytest.raises(ValueError, match="identity must act as the identity"):
+        GModule(c2, z4, [IntMatrix([[3]]), IntMatrix([[-1]])])
+    with pytest.raises(ValueError, match=r"not multiplicative at \(1, 1\)"):
+        GModule(c2, z4, [IntMatrix([[1]]), IntMatrix([[2]])])
+    # Z[C2] + Z -> Z/4: e_1 -> 1 and e_g -> 3 are off by relations, but
+    # the trivial summand's generator must go to an element g fixes
+    dom, _, _ = direct_sum([regular_module(c2), trivial_module(c2)])
+    GMap(dom, minus, IntMatrix([[1, 3, 2]]))
+    with pytest.raises(NotEquivariant) as err:
+        GMap(dom, minus, IntMatrix([[1, 3, 1]]))
+    assert err.value.witness == (2, 1)
 
 
 def test_hom_and_tensor():
@@ -195,17 +220,17 @@ def test_kernel_image_cokernel():
     c2 = named_group("C2")
     reg = regular_module(c2)
     z2 = z_mod(c2, 2)
-    d = gmap_kernel_image(GMap.zero(reg, z2))
-    assert d["kernel"].underlying.free_rank() == 2
-    assert d["image"].underlying.is_trivial()
-    assert d["cokernel"].underlying.order() == 2
-    d = gmap_kernel_image(GMap(reg, trivial_module(c2), IntMatrix([[1, 1]])))
-    assert d["kernel"].underlying.free_rank() == 1
+    zero = GMap.zero(reg, z2)
+    assert zero.kernel()[0].underlying.free_rank() == 2
+    assert zero.image()[0].underlying.is_trivial()
+    assert zero.cokernel()[0].underlying.order() == 2
+    aug = GMap(reg, trivial_module(c2), IntMatrix([[1, 1]]))
+    assert aug.kernel()[0].underlying.free_rank() == 1
     nu = GMap(reg, reg, reg.norm_map(), check=False)
-    d = gmap_kernel_image(nu)
-    assert d["kernel"].underlying.free_rank() == 1
-    assert d["image"].underlying.free_rank() == 1
-    assert tuple(d["kernel_incl"].ab.mat.column(0)) in {(1, -1), (-1, 1)}
+    kmod, kincl = nu.kernel()
+    assert kmod.underlying.free_rank() == 1
+    assert nu.image()[0].underlying.free_rank() == 1
+    assert tuple(kincl.ab.mat.column(0)) in {(1, -1), (-1, 1)}
 
 
 def test_fixed_and_norm_values():

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from tatelab.abelian import AbMap, FgAb
-from tatelab.groups import (GroupHom, NotACocycle, NotAGroup, Subgroup,
-                            abelianization, cosets_and_reps, dihedral4,
-                            direct_product, extension_from_cocycle,
+from tatelab.groups import (FiniteGroup, GroupHom, NotACocycle, NotAGroup,
+                            Subgroup, abelianization, cosets_and_reps,
+                            dihedral4, direct_product, extension_from_cocycle,
                             group_from_table, named_group, quaternion8,
                             subgroup_as_group, symmetric3)
 from tatelab.gmodules import trivial_module
@@ -34,19 +34,25 @@ def test_table_validation():
     assert exc.value.axiom == "associativity"
 
 
+def _is_abelian(g):
+    return all(g.mul(a, b) == g.mul(b, a) for a in range(g.order)
+               for b in range(a))
+
+
+def _element_orders(g):
+    """Sorted orders of the elements: the sizes of the cyclic subgroups."""
+    return sorted(len(g.closure([x])) for x in range(g.order))
+
+
 def test_catalog():
     for name, order, abelian in [("C2", 2, True), ("C3", 3, True),
                                  ("C4", 4, True), ("V4", 4, True),
                                  ("S3", 6, False), ("D4", 8, False),
                                  ("Q8", 8, False), ("C6", 6, True)]:
         g = named_group(name)
-        assert g.order == order and g.is_abelian() == abelian
-    q8 = quaternion8()
-    assert sorted(q8.element_order(x) for x in range(8)) == \
-        [1, 2, 4, 4, 4, 4, 4, 4]
-    d4 = dihedral4()
-    assert sorted(d4.element_order(x) for x in range(8)) == \
-        [1, 2, 2, 2, 2, 2, 4, 4]
+        assert g.order == order and _is_abelian(g) == abelian
+    assert _element_orders(quaternion8()) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert _element_orders(dihedral4()) == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
 def test_cosets_and_reps():
@@ -100,7 +106,7 @@ def test_abelianization_universal_property():
 def test_subgroup_as_group():
     s3 = symmetric3()
     h, elems = subgroup_as_group(Subgroup(s3, s3.closure([1])))
-    assert h.order == 3 and h.is_abelian()
+    assert h.order == 3 and _is_abelian(h)
     assert [s3.labels[e] for e in elems] == [h.labels[i] for i in range(3)]
 
 
@@ -110,7 +116,7 @@ def test_extension_from_cocycle():
     gs, kappa, pi, member = extension_from_cocycle(z2, c2,
                                                    lambda g, h: (0,))
     assert gs.order == 4
-    assert sorted(gs.element_order(x) for x in range(4)) == [1, 2, 2, 2]
+    assert _element_orders(gs) == [1, 2, 2, 2]
     assert pi.is_surjective()
     assert set(pi.kernel_elements()) == set(kappa.values())
     # zero cocycle: homomorphic section exists
@@ -121,7 +127,7 @@ def test_extension_from_cocycle():
     # the nonsplit extension
     gs2, _, _, _ = extension_from_cocycle(
         z2, c2, lambda g, h: (1,) if (g, h) == (1, 1) else (0,))
-    assert sorted(gs2.element_order(x) for x in range(4)) == [1, 2, 4, 4]
+    assert _element_orders(gs2) == [1, 2, 4, 4]
     with pytest.raises(NotACocycle):
         extension_from_cocycle(
             z2, c2, lambda g, h: (1,) if (g, h) == (1, 0) else (0,))
@@ -140,7 +146,7 @@ def test_extension_with_nontrivial_action():
     m = GModule(c2, z3, [IntMatrix([[1]]), IntMatrix([[-1]])])
     gs, kappa, pi, member = extension_from_cocycle(m, c2, lambda g, h: (0,))
     # semidirect product Z/3 x| C2 = S3
-    assert gs.order == 6 and not gs.is_abelian()
+    assert gs.order == 6 and not _is_abelian(gs)
     ghat = next(x for x in range(6) if pi(x) == 1)
     assert gs.conj(ghat, kappa[(1,)]) == kappa[(2,)]
 
@@ -159,6 +165,24 @@ def test_generating_sets():
         gens = g.generating_set()
         assert len(g.closure(gens)) == g.order
         assert len(gens) <= 3
+
+
+def test_generating_set_is_computed_once(monkeypatch):
+    d4 = dihedral4()
+    d4 = FiniteGroup(d4.table, d4.identity, d4.inv)  # nothing computed yet
+    calls = []
+    closure = FiniteGroup.closure
+
+    def spy(self, gens):
+        calls.append(tuple(gens))
+        return closure(self, gens)
+
+    monkeypatch.setattr(FiniteGroup, "closure", spy)
+    first = d4.generating_set()
+    assert calls
+    calls.clear()
+    assert d4.generating_set() == first
+    assert calls == []
 
 
 def _associative(table):

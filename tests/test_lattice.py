@@ -223,11 +223,18 @@ def _naive_mul(a, b, rows, inner, cols):
                     min_size=s[1], max_size=s[1]),
            st.just(s))))
 def test_mul_matches_naive_triple_loop(case):
+    """Each factor built from rows and through _from_sparse_columns."""
     a, b, (rows, inner, cols) = case
-    prod_ = IntMatrix(a, cols=inner).mul(IntMatrix(b, cols=cols))
-    assert prod_.shape == (rows, cols)
-    assert prod_ == IntMatrix(_naive_mul(a, b, rows, inner, cols), cols=cols)
-    assert all(type(x) is int for row in prod_.entries for x in row)
+    want = IntMatrix(_naive_mul(a, b, rows, inner, cols), cols=cols)
+    ma, mb = IntMatrix(a, cols=inner), IntMatrix(b, cols=cols)
+    for left in (ma, _column_built(ma)):
+        for right in (mb, _column_built(mb)):
+            prod_ = left.mul(right)
+            assert prod_.shape == (rows, cols)
+            assert prod_ == want
+            assert all(type(x) is int for row in prod_.entries for x in row)
+            assert all(x for col in prod_.sparse_columns()
+                       for x in col.values())
 
 
 def test_mul_and_transpose_empty_shapes():
