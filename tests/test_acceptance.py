@@ -56,9 +56,9 @@ def test_criterion_1_resolution_correctness(direct_formula):
         g = named_group(name)
         cx = TateComplex(g, (-4, 3))
         reg = regular_module(g)
-        calc = TateCohomology(cx, reg)
+        reg_calc = TateCohomology(cx, reg)
         for i in range(-3, 3):
-            assert calc.group(i).is_trivial(), (name, i)
+            assert reg_calc.group(i).is_trivial(), (name, i)
         for k in range(50):
             mod = _random_finite_module(g, reg, rng)
             calc = TateCohomology(cx, mod)

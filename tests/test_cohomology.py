@@ -225,8 +225,8 @@ def test_shapiro_pairs():
     for g, sub in pairs:
         cx = TateComplex(g, (-2, 1))
         iso, hab, calc, induced = shapiro_hminus2(cx, g, sub)
-        assert iso.is_injective() and iso.is_surjective(), (g.order,
-                                                            sub.elems)
+        assert iso.is_injective() and iso.is_surjective(), \
+            (g.order, sub.elems)
         assert iso.dom.same_invariants(iso.cod)
         count += 1
     assert count >= 10
