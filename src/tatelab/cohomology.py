@@ -36,7 +36,7 @@ import itertools
 from .abelian import AbMap, FgAb, Homology
 from .gmodules import GMap, GModule, HomModule, TensorModule, aug_ideal
 from .groups import abelianization, subgroup_as_group
-from .lattice import IntMatrix
+from .lattice import IntMatrix, _axpy
 
 
 class WindowTooLarge(Exception):
@@ -484,25 +484,45 @@ def cocycle_to_extension(hom, f):
 
 def extension_to_cocycle(hom, ext, section=None):
     """The 1-cocycle g -> (g.s - s) of a Z-linear section s of B ->> C,
-    read inside Hom(C, A)."""
+    read inside Hom(C, A).
+
+    Only the generators t in `generating_set()` are lifted through
+    A -> B: f(t) solves a.f(t) = rho_B(t).s.rho_C(t^-1) - s.  The other
+    values follow along a breadth-first walk, f(tg) = f(t) + t.f(g), as
+    the actions do in `GMap.kernel`.  D(g) = rho_B(g).s.rho_C(g^-1) - s
+    satisfies D(tg) = D(t) + t.D(g) in Hom(C, B), and A -> B is
+    injective, so f(t) + t.f(g) is the lift of D(tg) modulo the
+    relations of Hom(C, A)."""
     if hom.c is not ext.c or hom.a is not ext.a:
         if (hom.c.underlying.n != ext.c.underlying.n
                 or hom.a.underlying.n != ext.a.underlying.n):
             raise ValueError("Hom module does not match the sequence")
     sec = section if section is not None else ext.section_matrix()
     grp = ext.b.group
-    vals = []
-    for g in range(grp.order):
-        ginv = grp.inv[g]
-        twisted = ext.b.action[g].mul(sec).mul(ext.c.action[ginv])
-        diff = IntMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(twisted.entries, sec.entries)],
-                         cols=sec.cols)
-        fmat = ext.a_to_b.ab.lift(
-            diff,
-            lambda j: ValueError("section difference does not land in A"))
-        vals.append(hom.from_matrix(fmat))
-    return Cocycle1(hom.module, vals)
+    gens = grp.generating_set()
+    diffs = []
+    for t in gens:
+        twisted = ext.b.action[t].mul(sec).mul(ext.c.action[grp.inv[t]])
+        for col, scol in zip(twisted.sparse_columns(), sec.sparse_columns()):
+            _axpy(col, 1, scol)
+            diffs.append(col)
+    lifted = ext.a_to_b.ab.lift(
+        IntMatrix._from_sparse_columns(diffs, sec.rows),
+        lambda j: ValueError("section difference does not land in A"))
+    na, nc = ext.a.underlying.n, sec.cols
+    cols = lifted.sparse_columns()
+    steps = [(t, hom.from_matrix(IntMatrix._from_sparse_columns(
+        cols[k * nc:(k + 1) * nc], na))) for k, t in enumerate(gens)]
+    vals = {grp.identity: hom.module.underlying.zero()}
+    reached = [grp.identity]
+    for g in reached:
+        for t, ft in steps:
+            tg = grp.mul(t, g)
+            if tg not in vals:
+                vals[tg] = tuple(a + b for a, b in zip(
+                    ft, hom.module.action[t].apply(vals[g])))
+                reached.append(tg)
+    return Cocycle1(hom.module, [vals[g] for g in range(grp.order)])
 
 
 # -- Shapiro in degree -2 ----------------------------------------------------
@@ -510,7 +530,9 @@ def extension_to_cocycle(hom, ext, section=None):
 def shapiro_hminus2(complex_, group, sub):
     """The map H^ab -> H^-2(G, Z[G] (x)_{Z[H]} Z) sending h to the class
     of the chain ([h], trivial coset); returns (map, H^ab, calculator,
-    induced module) with bijectivity verified."""
+    induced module).  H^ab is presented on the generators of H (see
+    `abelianization`), so the map is given on them, and the checked
+    AbMap proves that it kills the relations."""
     from .gmodules import perm_module
     induced, reps, rho, pos = perm_module(group, sub)
     calc = TateCohomology(complex_, induced)
@@ -520,9 +542,9 @@ def shapiro_hminus2(complex_, group, sub):
     na = induced.underlying.n
     trivial_coset = pos[group.identity]
     cols = []
-    for new_idx, parent_elt in enumerate(elems):
+    for s in hgrp.generating_set():
         rep = [0] * (complex_.rank(-2) * na)
-        b_idx = complex_._basis_index(-2, (parent_elt,))
+        b_idx = complex_._basis_index(-2, (elems[s],))
         rep[b_idx * na + trivial_coset] = 1
         cols.append(h.class_of(tuple(rep)))
     # columns are canonical coordinates in the homology group

@@ -223,6 +223,14 @@ class LocalIdeal:
 
 
 def local_aug_ideal(group, sub, regular):
+    """The left ideal Z[G](h - 1), h in `sub`, inside `regular`.
+
+    The module is built unchecked.  The lattice is spanned by every
+    g(h - 1), so it is a left ideal: each g.b lies in it, and its
+    coordinates over the lattice basis are unique.  The action matrices
+    A_g therefore satisfy incl.A_g = rho(g).incl exactly, with incl
+    injective, so A_1 = I and A_g A_h = A_gh hold exactly, and the free
+    module has no relations to respect."""
     spanning = [(g, h) for g in range(group.order) for h in sub.elems
                 if h != group.identity]
     lat = Lattice(group.order, witnesses=True)
@@ -237,7 +245,7 @@ def local_aug_ideal(group, sub, regular):
     acts = [IntMatrix._trusted_columns([lat.coords(regular.act(g, b))
                                         for b in basis], k)
             for g in range(group.order)]
-    mod = GModule(group, FgAb(k), acts)
+    mod = GModule(group, FgAb(k), acts, check=False)
     incl = GMap(mod, regular, incl_mat)
     witnesses = [lat.basis_witness(i) for i in range(k)]
     return LocalIdeal(mod, incl, spanning, witnesses)

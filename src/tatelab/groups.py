@@ -331,25 +331,38 @@ def cosets_and_reps(group, sub):
 
 
 def abelianization(group):
-    """(A, proj): A = G^ab as an FgAb on one generator per group
-    element, proj[g] = coordinate vector of the image of g.
+    """(A, proj): A = G^ab as an FgAb on S = `generating_set()`, and
+    proj[g] = w(g), the word of g in Z^S.
 
-    Relations e_g + e_s - e_{gs} over a generating set s already present
-    the full abelianization.
+    w(g) is read along a breadth-first spanning tree of the Cayley graph
+    x -> xs from the identity, and A = Z^S / <w(g) + e_s - w(gs)> over
+    every g and s in S.  By Schreier's lemma the elements t_g s t_gs^-1,
+    with t_g the tree path to g, generate the kernel of the free group
+    F(S) -> G, so their images in Z^S present G^ab (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005).  A tree edge
+    gives the zero relation and is skipped.  The trivial group has S
+    empty and A = Z^0.
     """
-    n = group.order
-    gens = group.generating_set() + (group.identity,)
+    gens = group.generating_set()
+    k = len(gens)
+    words = {group.identity: (0,) * k}
+    reached = [group.identity]
     cols = []
-    for g in range(n):
-        for s in gens:
-            col = [0] * n
-            col[g] += 1
-            col[s] += 1
-            col[group.mul(g, s)] -= 1
-            cols.append(tuple(col))
-    a = FgAb(n, IntMatrix._trusted_columns(cols, n))
-    proj = [a.gen(g) for g in range(n)]
-    return a, proj
+    for g in reached:
+        wg = words[g]
+        for i, s in enumerate(gens):
+            gs = group.mul(g, s)
+            moved = wg[:i] + (wg[i] + 1,) + wg[i + 1:]
+            if gs not in words:
+                words[gs] = moved
+                reached.append(gs)
+                continue
+            col = {j: a - b for j, (a, b) in enumerate(zip(moved, words[gs]))
+                   if a != b}
+            if col:
+                cols.append(col)
+    a = FgAb(k, IntMatrix._from_sparse_columns(cols, k))
+    return a, [words[g] for g in range(group.order)]
 
 
 def subgroup_as_group(sub):

@@ -56,10 +56,6 @@ class Report:
             raise ValueError("verdict does not match records")
         return rep
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
     def to_text(self, timings=False):
         lines = [f"{self.kind} report for {self.subject}: {self.verdict}"]
         for k, v in sorted(self.meta.items()):

@@ -196,8 +196,24 @@ def build_script_h(inst):
     transversal and s in a generating set of GS: the (n - 1)t are a
     Z-basis of the two-sided ideal K, and I_GS = sum_s Z[GS](s - 1), so
     K.I_GS = sum_s K(s - 1).  The transversal is the first preimage of
-    each g under the projection, so L does not depend on the sections."""
+    each g under the projection, so L does not depend on the sections.
+
+    G acts by left multiplication by the lift s(g) of the section over
+    p0, and the module is built unchecked.  pi is a checked GroupHom, so
+    K is a two-sided ideal and every y in GS keeps L = K.I_GS: y.L is
+    inside L, and each column y(x - 1) is exact in I_GS.  The builder
+    checks pi(s(g)) = g for every g itself, and raises ValueError naming
+    the first g that fails.  Two lifts of one element differ by some n in
+    ker pi, and (n - 1)x lies in L for every x in I_GS; s(1) and
+    s(g)s(h) lift 1 and gh, so the identity acts as the identity and the
+    action is multiplicative modulo L."""
     gs, grp = inst.gs, inst.group
+    p0_sec = inst.iota[inst.p0.id]
+    for g in range(grp.order):
+        if inst.pi(p0_sec[g]) != g:
+            raise ValueError(f"the section over {inst.p0.id} does not lift "
+                             f"{g} ({grp.labels[g]}): it maps to "
+                             f"{inst.pi(p0_sec[g])}")
     sh = ScriptH(inst)
     nb = len(sh.gs_basis)
     transversal = {}
@@ -215,12 +231,10 @@ def build_script_h(inst):
                 _axpy(v, 1, sh.left_mul(t, s))
                 gens.append(v)
     hgrp = FgAb(nb, IntMatrix._from_sparse_columns(_span_basis(gens, nb), nb))
-    # G acts by left multiplication by any lift; use the section over p0
-    p0_sec = inst.iota[inst.p0.id]
     acts = [IntMatrix._from_sparse_columns(
         [sh.left_mul(p0_sec[g], x) for x in sh.gs_basis], nb)
         for g in range(grp.order)]
-    sh.module = GModule(grp, hgrp, acts)
+    sh.module = GModule(grp, hgrp, acts, check=False)
     # embedding of the class module: c -> class(kappa(c) - 1)
     ab = inst.cl.underlying
     sh.e = GMap(inst.cl, sh.module, IntMatrix._from_sparse_columns(
@@ -469,7 +483,13 @@ class NablaData:
 def build_nabla(inst, wrb, snake):
     """nabla as the explicit pushout (Cl + B)/(s(r) ~ r), its exact
     sequence, the middle map of the commuting ladder, and the 1-cocycle
-    whose class is the extension class."""
+    whose class is the extension class.
+
+    The module is built unchecked.  It carries the direct-sum action of
+    the valid modules Cl and B, so the identity and multiplicativity
+    hold modulo their relations, which are relations of nabla.  g moves
+    the glue column (s(r_j), -r_j) to glue.rho_R(g)e_j plus relations of
+    Cl and B, as the snake map s and R -> B are checked GMaps."""
     grp = inst.group
     cl = inst.cl
     total, (cl_inj, b_inj), (_, b_proj) = direct_sum([cl, wrb.b])
@@ -480,7 +500,7 @@ def build_nabla(inst, wrb, snake):
         wrb.r.underlying.n)
     ab = FgAb(total.underlying.n, IntMatrix.block_diagonal(
         [cl.underlying.rel, wrb.b.underlying.rel]).hstack(glue))
-    nabla = GModule(grp, ab, total.action)
+    nabla = GModule(grp, ab, total.action, check=False)
     cl_to_nabla = GMap(cl, nabla, cl_inj.ab.mat)
     t = GMap(wrb.b, nabla, b_inj.ab.mat)
     nabla_to_x = GMap(nabla, wrb.x, wrb.b_to_x.ab.mat.mul(b_proj.ab.mat))
@@ -611,7 +631,13 @@ def h_minus1_x_vanishes(calc_x):
 
 def homology_generators_iso(inst, xy, calc_x):
     """The map ker(sum of decomposition abelianizations -> G^ab) ->
-    H^-2(G, X), x_p(tau) -> [tau (x) (p - p0)], is an isomorphism."""
+    H^-2(G, X), x_p(tau) -> [tau (x) (p - p0)], is an isomorphism.
+
+    Each abelianization is presented on the generators of its subgroup
+    (see `abelianization`), so both maps out of the sum are defined on
+    those generators; the chain map is a checked AbMap, which proves
+    that it kills the relations.  The images of x_p(tau) are then
+    compared with `generator_chain` for every tau."""
     grp = inst.group
     complex_ = calc_x.complex
     h = calc_x.homology(-2)
@@ -620,29 +646,26 @@ def homology_generators_iso(inst, xy, calc_x):
     for pl in inst.places:
         hgrp, elems = subgroup_as_group(pl.subgroup)
         hab, hproj = abelianization(hgrp)
-        parts.append(hab)
+        parts.append((hab, [elems[s] for s in hgrp.generating_set()]))
         proj_maps.append(hproj)
         elems_per.append(elems)
     offs, total = [], 0
-    for p in parts:
+    for hab, _ in parts:
         offs.append(total)
-        total += p.n
-    sumab = FgAb.direct_sum(parts)
+        total += hab.n
+    sumab = FgAb.direct_sum([hab for hab, _ in parts])
     # map to G^ab
-    cols = []
-    for k, (p, elems) in enumerate(zip(parts, elems_per)):
-        for i in range(p.n):
-            cols.append(gproj[elems[i]])
+    cols = [gproj[s] for _, gens in parts for s in gens]
     to_gab = AbMap(sumab, gab, IntMatrix._trusted_columns(cols, gab.n))
     kgrp, kincl = to_gab.kernel()
     # the chain-level map on the summands: h in G_p -> [h] (x) (p - p0)
     ccols = []
-    for pl, elems in zip(inst.places, elems_per):
-        for h_elt in elems:
+    for pl, (_, gens) in zip(inst.places, parts):
+        for s in gens:
             if pl.is_p0:
                 ccols.append(h.group.zero())
             else:
-                z = generator_chain(complex_, inst, xy, calc_x, pl.id, h_elt)
+                z = generator_chain(complex_, inst, xy, calc_x, pl.id, s)
                 ccols.append(h.group.from_canon(z.canon))
     chain_map = AbMap(sumab, h.group,
                       IntMatrix._trusted_columns(ccols, h.group.n))
@@ -652,13 +675,14 @@ def homology_generators_iso(inst, xy, calc_x):
     if not iso.is_injective() or not iso.is_surjective():
         return False, "generator map is not bijective"
     # x_p(tau) images are the stated generators
+    k0 = inst.places.index(inst.p0)
     for pl in inst.other_places():
         k = inst.places.index(pl)
-        k0 = inst.places.index(inst.p0)
         for tau in pl.subgroup.elems:
             vec = [0] * total
-            vec[offs[k] + elems_per[k].index(tau)] += 1
-            vec[offs[k0] + elems_per[k0].index(grp.inv[tau])] += 1
+            for kk, t in ((k, tau), (k0, grp.inv[tau])):
+                w = proj_maps[kk][elems_per[kk].index(t)]
+                vec[offs[kk]:offs[kk] + len(w)] = w
             pre = kincl.solve(vec)
             if pre is None:
                 return False, f"x_p({tau}) not in the kernel"

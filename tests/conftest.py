@@ -1,7 +1,13 @@
+import functools
+from importlib.resources import files
+
 import pytest
 
-from tatelab.abelian import AbMap, Homology
+from tatelab.abelian import AbMap, FgAb, Homology
+from tatelab.cft import synth_instance
 from tatelab.gmodules import NotEquivariant
+from tatelab.groups import GROUP_CATALOG, cyclic, direct_product
+from tatelab.instance_io import load_instance
 from tatelab.lattice import IntMatrix
 
 
@@ -59,3 +65,86 @@ def kernel_lift_loop(f):
 def kernel_by_lift():
     """The all-elements reference for GMap.kernel (see kernel_lift_loop)."""
     return kernel_lift_loop
+
+
+def abelianization_by_elements(group):
+    """(A, proj) with A = G^ab on one generator per group element and
+    proj[g] = e_g: relations e_g + e_s - e_gs over every g and every s in
+    the generating set and the identity.  The reference that the
+    generator presentation of `groups.abelianization` must match."""
+    n = group.order
+    cols = []
+    for g in range(n):
+        for s in group.generating_set() + (group.identity,):
+            col = [0] * n
+            col[g] += 1
+            col[s] += 1
+            col[group.mul(g, s)] -= 1
+            cols.append(tuple(col))
+    a = FgAb(n, IntMatrix._trusted_columns(cols, n))
+    return a, [a.gen(g) for g in range(n)]
+
+
+def extension_cocycle_by_elements(hom, ext, section=None):
+    """The values of the cocycle g -> g.s - s of `extension_to_cocycle`,
+    one lift through A -> B for every group element g.  The reference
+    that the values built from the generators must equal."""
+    sec = section if section is not None else ext.section_matrix()
+    grp = ext.b.group
+    vals = []
+    for g in range(grp.order):
+        twisted = ext.b.action[g].mul(sec).mul(ext.c.action[grp.inv[g]])
+        diff = IntMatrix([[a - b for a, b in zip(ra, rb)]
+                          for ra, rb in zip(twisted.entries, sec.entries)],
+                         cols=sec.cols)
+        fmat = ext.a_to_b.ab.lift(
+            diff, lambda j: ValueError("section difference escapes A"))
+        vals.append(hom.from_matrix(fmat))
+    return vals
+
+
+CAMPAIGN_GROUPS = ("C2", "C3", "C4", "V4", "S3", "D4", "Q8")
+SHIPPED = ("i2_twist", "i2_plain", "sqrt34")
+# the benchmark's stress instances: direct products outside the catalog,
+# synthesized under these names (the name seeds the synthesis)
+STRESS = (("C2xC4", (2, 4), 0), ("C2xC4", (2, 4), 1), ("C2xC6", (2, 6), 0))
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_instances():
+    """(name, instance) pairs: the campaign of `selftest --seeds 2` (the
+    seven catalog groups at seeds 0-1 and the three shipped instances)
+    and the three stress instances C2xC4/0, C2xC4/1 and C2xC6/0."""
+    out = [(f"{g}/{s}", synth_instance(g, s))
+           for s in range(2) for g in CAMPAIGN_GROUPS]
+    out += [(name, load_instance(str(files("tatelab") / "data" /
+                                     f"{name}.json")))
+            for name in SHIPPED]
+    for name, (a, b), seed in STRESS:
+        GROUP_CATALOG[name] = (lambda a=a, b=b:
+                               direct_product(cyclic(a), cyclic(b)))
+        try:
+            out.append((f"{name}/{seed}", synth_instance(name, seed)))
+        finally:
+            del GROUP_CATALOG[name]
+    return tuple(out)
+
+
+@pytest.fixture
+def corpus():
+    """The campaign and stress instances (see corpus_instances)."""
+    return corpus_instances()
+
+
+@pytest.fixture
+def abelianization_reference():
+    """The per-element reference for groups.abelianization (see
+    abelianization_by_elements)."""
+    return abelianization_by_elements
+
+
+@pytest.fixture
+def extension_cocycle_reference():
+    """The all-elements reference for extension_to_cocycle (see
+    extension_cocycle_by_elements)."""
+    return extension_cocycle_by_elements

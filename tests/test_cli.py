@@ -45,7 +45,7 @@ def test_analyze_pass_and_report(tmp_path, capsys):
                  "wrb.exact,snake", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    rep = Report.from_json(out.read_text())
+    rep = Report.from_dict(json.loads(out.read_text()))
     assert rep.verdict == "pass"
     ids = [r["id"] for r in rep.records]
     assert ids == sorted(ids)
@@ -60,7 +60,7 @@ def test_analyze_with_fixture(tmp_path, capsys):
                  "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    rep = Report.from_json(out.read_text())
+    rep = Report.from_dict(json.loads(out.read_text()))
     assert [r["id"] for r in rep.records] == ["fixture.units"]
 
 
@@ -116,7 +116,7 @@ def test_selftest_deterministic_bytes(tmp_path):
                   "--out", str(out2)])
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
-    rep = Report.from_json(out1.read_text())
+    rep = Report.from_dict(json.loads(out1.read_text()))
     assert rep.meta["totals"]
     for counts in rep.meta["totals"].values():
         assert counts["fail"] == 0
@@ -204,7 +204,7 @@ def test_report_round_trip_and_text(tmp_path):
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
     text = (tmp_path / "r.json").read_text()
-    rep = Report.from_json(text)
+    rep = Report.from_dict(json.loads(text))
     assert rep.to_json() == text
     rendered = rep.to_text()
     assert "wrb.exact" in rendered and "pass" in rendered

@@ -18,6 +18,8 @@ from tatelab.gmodules import (GMap, GModule, direct_sum, hom_and_tensor,
                               regular_module, trivial_module)
 from tatelab.groups import Subgroup, named_group
 from tatelab.lattice import IntMatrix
+from tatelab.tate_sequence import (build_nabla, build_script_h, build_snake,
+                                   build_wrb)
 
 
 def z_mod(group, m):
@@ -276,6 +278,57 @@ def test_extension_cocycle_roundtrips():
         assert CohClass(calcHom := calc_hom, 1, f3.as_cochain()) == \
             CohClass(calc_hom, 1, f.as_cochain())
         done += 1
+
+
+def _shifted_section(ext, rng):
+    """Another Z-linear section of B ->> C: the default one plus the image
+    of a random matrix under A -> B."""
+    sec = ext.section_matrix()
+    na = ext.a.underlying.n
+    shift = ext.a_to_b.ab.mat.mul(IntMatrix(
+        [[rng.randint(-2, 2) for _ in range(sec.cols)] for _ in range(na)],
+        cols=sec.cols))
+    return IntMatrix([[a + b for a, b in zip(ra, rb)]
+                      for ra, rb in zip(sec.entries, shift.entries)],
+                     cols=sec.cols)
+
+
+def _assert_cocycle_matches_reference(hom, ext, reference, rng, label):
+    """extension_to_cocycle, with the default and a shifted section, has
+    the values of the all-elements reference, as elements of Hom(C, A)
+    (the coordinates may differ by its relations)."""
+    ab = hom.module.underlying
+    for sec in (None, _shifted_section(ext, rng)):
+        got = extension_to_cocycle(hom, ext, section=sec).values
+        want = reference(hom, ext, section=sec)
+        for g, (a, b) in enumerate(zip(got, want)):
+            assert ab.eq(a, b), (label, sec is None, g)
+
+
+def test_extension_to_cocycle_matches_all_elements_reference(
+        corpus, extension_cocycle_reference):
+    """Values built from the generators against one lift per element: on
+    extensions rebuilt from random cocycles (trivial and regular C over
+    the abelian catalog groups and S3) and on the nabla sequence of every
+    campaign and stress instance."""
+    rng = random.Random(31)
+    for gname in ("C2", "C3", "C4", "V4", "S3"):
+        g = named_group(gname)
+        cx = TateComplex(g, (-2, 1))
+        for cmod in (trivial_module(g, FgAb(2)), regular_module(g)):
+            hom = hom_and_tensor(cmod, z_mod(g, rng.choice([2, 3, 4])))["hom"]
+            f = random_cocycle(TateCohomology(cx, hom.module), hom, rng)
+            _assert_cocycle_matches_reference(
+                hom, cocycle_to_extension(hom, f),
+                extension_cocycle_reference, rng, gname)
+    for name, inst in corpus:
+        xy = xy_modules(inst)
+        wrb = build_wrb(inst, xy)
+        snake = build_snake(inst, wrb, build_script_h(inst))
+        nabla = build_nabla(inst, wrb, snake)
+        _assert_cocycle_matches_reference(nabla.hom_x_cl, nabla.ext,
+                                          extension_cocycle_reference, rng,
+                                          name)
 
 
 def test_norm_splice_and_twisted_middle_action():

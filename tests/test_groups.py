@@ -5,11 +5,12 @@ import random
 import pytest
 
 from tatelab.abelian import AbMap, FgAb
-from tatelab.groups import (FiniteGroup, GroupHom, NotACocycle, NotAGroup,
-                            Subgroup, abelianization, cosets_and_reps,
-                            dihedral4, direct_product, extension_from_cocycle,
-                            group_from_table, named_group, quaternion8,
-                            subgroup_as_group, symmetric3)
+from tatelab.groups import (GROUP_CATALOG, FiniteGroup, GroupHom,
+                            NotACocycle, NotAGroup, Subgroup, abelianization,
+                            cosets_and_reps, dihedral4, direct_product,
+                            extension_from_cocycle, group_from_table,
+                            named_group, quaternion8, subgroup_as_group,
+                            symmetric3)
 from tatelab.gmodules import trivial_module
 from tatelab.lattice import IntMatrix
 
@@ -94,13 +95,41 @@ def test_abelianization_universal_property():
     z2 = FgAb(1, IntMatrix([[2]]))
     # the sign character S3 -> Z/2 by order parity of the coset
     sign = [0 if x in (0, 1, 2) else 1 for x in range(6)]
-    cols = []
-    for g in range(6):
-        cols.append((sign[g],))
-    # factorization: the character descends to a map on the quotient
-    f = AbMap(a, z2, IntMatrix([[cols[g][0] for g in range(6)]], cols=6))
+    # factorization: the character, given on the generator columns,
+    # descends to a map on the quotient (AbMap checks the relations)
+    f = AbMap(a, z2, IntMatrix([[sign[s] for s in s3.generating_set()]],
+                               cols=a.n))
     for g in range(6):
         assert z2.eq(f.apply(proj[g]), (sign[g],))
+
+
+def test_schreier_abelianization_matches_element_presentation(
+        corpus, abelianization_reference):
+    """The presentation on the generating set against the one on every
+    element: the same invariant factors, and e_s -> (old image of s) is
+    an isomorphism carrying the new image of every g to the old one.
+    Cases: the catalog groups, each of their subgroups as a group, and
+    the extension group GS of every campaign and stress instance."""
+    cases = []
+    for name in sorted(GROUP_CATALOG):
+        grp = named_group(name)
+        cases.append((name, grp))
+        cases += [(f"{name} > {sub.elems}", subgroup_as_group(sub)[0])
+                  for sub in grp.all_subgroups()]
+    cases += [(f"GS of {name}", inst.gs) for name, inst in corpus]
+    assert any(grp.order == 1 for _, grp in cases)
+    for label, grp in cases:
+        gens = grp.generating_set()
+        a, proj = abelianization(grp)
+        old, old_proj = abelianization_reference(grp)
+        assert a.n == len(gens), label
+        assert a.invariant_factors() == old.invariant_factors(), label
+        assert a.free_rank() == old.free_rank() == 0, label
+        phi = AbMap(a, old, IntMatrix._trusted_columns(
+            [old_proj[s] for s in gens], old.n))
+        assert phi.is_injective() and phi.is_surjective(), label
+        for g in range(grp.order):
+            assert old.eq(phi.apply(proj[g]), old_proj[g]), (label, g)
 
 
 def test_subgroup_as_group():

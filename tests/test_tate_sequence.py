@@ -631,3 +631,76 @@ def test_small_random_campaign():
             nm = norm_model(inst)
             recs = norm_suite(inst, nm, cdc)
             assert all(r["ok"] for r in recs), (gname, seed, recs)
+
+
+def _place_ideals(wrb):
+    return [data for kind, _, data, _ in wrb.w_blocks if kind == "place"]
+
+
+def test_unchecked_modules_validate_in_full(corpus):
+    """Script H, nabla and the local augmentation ideals are built
+    unchecked; on every campaign and stress instance they pass the full
+    module check anyway, with multiplicativity on every pair."""
+    for name, inst in corpus:
+        _, _, wrb, sh, snake = lab(inst)
+        nabla = build_nabla(inst, wrb, snake)
+        mods = [sh.module, nabla.module] + [i.module for i in _place_ideals(wrb)]
+        for mod in mods:
+            mod.validate(full=True)
+
+
+def test_script_h_rejects_a_section_that_is_not_a_lift():
+    """A p0 section with pi(s(g)) != g is refused by build_script_h,
+    which names g, and run_analysis fails every check that reads the
+    script-H module, directly or through another artifact."""
+    from tatelab.analysis import CHECK_READS, closure, run_analysis
+    inst = i2_twist()
+    grp, p0 = inst.group, inst.p0.id
+    g = next(x for x in range(grp.order) if x != grp.identity)
+    iota = {pid: dict(sec) for pid, sec in inst.iota.items()}
+    iota[p0][g] = inst.gs.identity
+    bad = Instance(grp, inst.places, inst.aux_places, inst.cl, inst.gs,
+                   inst.pi, inst.kappa, iota)
+    with pytest.raises(ValueError, match=rf"does not lift {g} "
+                                         rf"\({grp.labels[g]}\)"):
+        build_script_h(bad)
+    records = {r["id"]: r for r in run_analysis(bad)}
+    reading = [cid for cid in records
+               if "script_h" in closure(CHECK_READS[cid])]
+    assert {"scripth.embedding", "scripth.lifts", "nabla.class"} <= \
+        set(reading)
+    for cid in reading:
+        assert not records[cid]["ok"], cid
+        assert "ValueError" in records[cid]["witness"], cid
+
+
+def test_unchecked_builders_make_no_validate_calls(corpus, monkeypatch):
+    """build_script_h, build_nabla and local_aug_ideal call
+    GModule.validate zero times."""
+    from tatelab.gmodules import local_aug_ideal
+    calls = []
+    original = GModule.validate
+
+    def spy(self, full=False):
+        calls.append(self)
+        return original(self, full)
+
+    monkeypatch.setattr(GModule, "validate", spy)
+    grp = named_group("S3")
+    GModule(grp, FgAb(1), [IntMatrix.identity(1)] * grp.order)
+    assert len(calls) == 1  # the spy sees a checked construction
+    picked = [(name, inst) for name, inst in corpus
+              if name in ("S3/0", "D4/1", "sqrt34", "C2xC6/0")]
+    assert len(picked) == 4
+    for name, inst in picked:
+        wrb = build_wrb(inst, xy_modules(inst))
+        reg = _place_ideals(wrb)[0].incl.cod
+        calls.clear()
+        for pl in inst.places:
+            local_aug_ideal(inst.group, pl.subgroup, reg)
+        sh = build_script_h(inst)
+        assert not calls, name
+        snake = build_snake(inst, wrb, sh)
+        calls.clear()
+        build_nabla(inst, wrb, snake)
+        assert not calls, name
