@@ -8,9 +8,11 @@ from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
                          i2_plain, i2_twist, norm_model, quadratic_sqrt34,
                          synth_instance, xy_modules)
 from tatelab import tate_sequence
+from tatelab.analysis import CHECK_READS, closure, run_analysis
 from tatelab.cohomology import (CohClass, Cocycle1, ExtensionData,
                                 TateCohomology, TateComplex)
-from tatelab.gmodules import GModule, HomModule, trivial_module
+from tatelab.gmodules import (GModule, HomModule, local_aug_ideal,
+                              trivial_module)
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
 from tatelab.instance_io import load_instance
 from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _axpy,
@@ -653,7 +655,6 @@ def test_script_h_rejects_a_section_that_is_not_a_lift():
     """A p0 section with pi(s(g)) != g is refused by build_script_h,
     which names g, and run_analysis fails every check that reads the
     script-H module, directly or through another artifact."""
-    from tatelab.analysis import CHECK_READS, closure, run_analysis
     inst = i2_twist()
     grp, p0 = inst.group, inst.p0.id
     g = next(x for x in range(grp.order) if x != grp.identity)
@@ -677,7 +678,6 @@ def test_script_h_rejects_a_section_that_is_not_a_lift():
 def test_unchecked_builders_make_no_validate_calls(corpus, monkeypatch):
     """build_script_h, build_nabla and local_aug_ideal call
     GModule.validate zero times."""
-    from tatelab.gmodules import local_aug_ideal
     calls = []
     original = GModule.validate
 
