@@ -237,10 +237,6 @@ class FgAb:
         """Group order; 0 means infinite."""
         return self.torsion_order() if self.is_finite() else 0
 
-    def same_invariants(self, other):
-        return (self.invariant_factors() == other.invariant_factors()
-                and self.free_rank() == other.free_rank())
-
     def elements(self):
         """All elements of a finite group, in a deterministic order."""
         if not self.is_finite():

@@ -272,8 +272,12 @@ def direct_sum(mods):
         n = m.underlying.n
         inj = IntMatrix._from_sparse_columns(
             [{off + i: 1} for i in range(n)], ab.n)
-        injs.append(GMap(m, smod, inj, check=False))
-        projs.append(GMap(smod, m, inj.transpose(), check=False))
+        # the relations are block-diagonal: unit columns carry them to
+        # relations both ways, so neither AbMap re-checks them
+        injs.append(GMap(m, smod, AbMap(m.underlying, ab, inj, check=False),
+                         check=False))
+        projs.append(GMap(smod, m, AbMap(ab, m.underlying, inj.transpose(),
+                                         check=False), check=False))
         off += n
     return smod, injs, projs
 

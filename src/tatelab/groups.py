@@ -386,6 +386,24 @@ def extension_from_cocycle(cl_mod, group, cocycle):
     Returns (GS, kappa, pi, member): kappa maps canonical module
     coordinates to element indices of GS, pi is the projection GS ->
     group, and member[(canon(c), g)] is the index of the pair (c, g).
+    GS lists the pairs (c, g) by g, then by c in `elements()` order.
+
+    Everything is decided on integer codes (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005): an element of Cl is
+    coded by its position in `elements()`, found from its canonical
+    coordinates, and four tables are built once: the addition table
+    (|Cl|^2), the action table act[g][i] = code(g.c_i) (|G|.|Cl|), the
+    cocycle table f[g][h] = code(cocycle(g, h)) (one call per pair) and
+    the zero code.  canon is a homomorphism Z^n -> (+) Z/m_i whose
+    kernel is the relation lattice, so the code of canon(x + y) is the
+    sum of the codes, added digit by digit modulo the canonical moduli.
+    The module is a valid G-module, so g acts on classes and act[g]
+    gives g.x for any representative x.  Hence the entry at ((c1, g1),
+    (c2, g2)), t[g1][g2].|Cl| + add[add[c1][act[g1][c2]]][f[g1][g2]],
+    is the pair (canon(c1 + g1.c2 + f(g1, g2)), g1 g2) that the product
+    in the extension names, and each cocycle identity below holds on
+    codes iff it holds in Cl.  A cocycle value of the wrong length
+    raises ValueError.
 
     The cocycle identity g.f(h, k) + f(g, hk) = f(gh, k) + f(g, h) is
     checked for middle elements h in a generating set only.  Write
@@ -400,41 +418,51 @@ def extension_from_cocycle(cl_mod, group, cocycle):
         raise ValueError("extension kernel must be finite")
     n = group.order
     e = group.identity
+    t = group.table
+    elems = [tuple(x) for x in cl.elements()]
+    canons = [cl.canon(c) for c in elems]
+    m = len(elems)
+    code = {c: i for i, c in enumerate(canons)}
+    mods = cl.canonical_moduli()
 
-    def cval(g, h):
-        v = cocycle(g, h) if callable(cocycle) else cocycle[(g, h)]
-        return tuple(v)
+    def enc(x):
+        return code[cl.canon(x)]
+
+    add = [[code[tuple((a + b) % q for a, b, q in zip(ca, cb, mods))]
+            for cb in canons] for ca in canons]
+    act = [[enc(cl_mod.act(g, c)) for c in elems] for g in range(n)]
+    get = cocycle if callable(cocycle) else (lambda g, h: cocycle[(g, h)])
+    f = [[enc(get(g, h)) for h in range(n)] for g in range(n)]
+    zero = enc(cl.zero())
 
     for g in range(n):
-        if not cl.is_zero(cval(g, e)) or not cl.is_zero(cval(e, g)):
+        if f[g][e] != zero or f[e][g] != zero:
             raise NotACocycle((g, "identity-normalization"))
     gens = group.generating_set()
     for g in range(n):
+        act_g, f_g = act[g], f[g]
         for h in gens:
+            f_h, f_gh, f_gh_row = f[h], f_g[h], f[t[g][h]]
             for k in range(n):
-                lhs = cl.add(cl_mod.act(g, cval(h, k)), cval(g, group.mul(h, k)))
-                rhs = cl.add(cval(group.mul(g, h), k), cval(g, h))
-                if not cl.eq(lhs, rhs):
+                if add[act_g[f_h[k]]][f_g[t[h][k]]] != \
+                        add[f_gh_row[k]][f_gh]:
                     raise NotACocycle((g, h, k))
 
-    members = [(c, g) for g in range(n) for c in
-               (tuple(x) for x in cl.elements())]
-    canon_members = [(cl.canon(c), g) for (c, g) in members]
-    idx = {m: i for i, m in enumerate(canon_members)}
-
-    def key(c, g):
-        return (cl.canon(c), g)
-
     table = []
-    for (c1, g1) in members:
-        row = []
-        for (c2, g2) in members:
-            c = cl.add(cl.add(c1, cl_mod.act(g1, c2)), cval(g1, g2))
-            row.append(idx[key(c, group.mul(g1, g2))])
-        table.append(row)
-    labels = [f"({'+'.join(map(str, cl.canon(c))) or '0'};{group.labels[g]})"
-              for (c, g) in members]
+    for g1 in range(n):
+        act_g, f_g, t_g = act[g1], f[g1], t[g1]
+        for i1 in range(m):
+            moved = [add[i1][a] for a in act_g]  # c1 + g1.c2, by c2
+            row = []
+            for g2 in range(n):
+                base, shift = t_g[g2] * m, add[f_g[g2]]
+                row.extend(base + shift[x] for x in moved)
+            table.append(row)
+    labels = [f"({'+'.join(map(str, c)) or '0'};{group.labels[g]})"
+              for g in range(n) for c in canons]
     gs = group_from_table(table, labels)
-    kappa = {cl.canon(c): idx[key(c, e)] for c in cl.elements()}
-    pi = GroupHom(gs, group, [g for (_, g) in members])
-    return gs, kappa, pi, idx
+    member = {(c, g): g * m + i for g in range(n)
+              for i, c in enumerate(canons)}
+    kappa = {c: e * m + i for i, c in enumerate(canons)}
+    pi = GroupHom(gs, group, [g for g in range(n) for _ in range(m)])
+    return gs, kappa, pi, member

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 from importlib.resources import files
 
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from tatelab.abelian import AbMap, FgAb, Homology
 from tatelab.cft import synth_instance
 from tatelab.gmodules import NotEquivariant
-from tatelab.groups import GROUP_CATALOG, cyclic, direct_product
-from tatelab.instance_io import load_instance
+from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
+                            direct_product, group_from_table)
+from tatelab.instance_io import instance_digest, load_instance
 from tatelab.lattice import IntMatrix
 
 
@@ -103,11 +105,73 @@ def extension_cocycle_by_elements(hom, ext, section=None):
     return vals
 
 
+def extension_by_fgab(cl_mod, group, cocycle):
+    """(GS, kappa, pi, member) of `groups.extension_from_cocycle`, built
+    by FgAb arithmetic: every cocycle identity and every table entry
+    adds coordinate vectors with `FgAb.add`, applies the action matrix
+    and looks the sum up by `canon`, calling the cocycle at each use.
+    The reference that the integer-coded tables must equal."""
+    cl = cl_mod.underlying
+    if not cl.is_finite():
+        raise ValueError("extension kernel must be finite")
+    n = group.order
+    e = group.identity
+
+    def cval(g, h):
+        v = cocycle(g, h) if callable(cocycle) else cocycle[(g, h)]
+        return tuple(v)
+
+    for g in range(n):
+        if not cl.is_zero(cval(g, e)) or not cl.is_zero(cval(e, g)):
+            raise NotACocycle((g, "identity-normalization"))
+    gens = group.generating_set()
+    for g in range(n):
+        for h in gens:
+            for k in range(n):
+                lhs = cl.add(cl_mod.act(g, cval(h, k)), cval(g, group.mul(h, k)))
+                rhs = cl.add(cval(group.mul(g, h), k), cval(g, h))
+                if not cl.eq(lhs, rhs):
+                    raise NotACocycle((g, h, k))
+
+    members = [(c, g) for g in range(n) for c in
+               (tuple(x) for x in cl.elements())]
+    canon_members = [(cl.canon(c), g) for (c, g) in members]
+    idx = {m: i for i, m in enumerate(canon_members)}
+
+    def key(c, g):
+        return (cl.canon(c), g)
+
+    table = []
+    for (c1, g1) in members:
+        row = []
+        for (c2, g2) in members:
+            c = cl.add(cl.add(c1, cl_mod.act(g1, c2)), cval(g1, g2))
+            row.append(idx[key(c, group.mul(g1, g2))])
+        table.append(row)
+    labels = [f"({'+'.join(map(str, cl.canon(c))) or '0'};{group.labels[g]})"
+              for (c, g) in members]
+    gs = group_from_table(table, labels)
+    kappa = {cl.canon(c): idx[key(c, e)] for c in cl.elements()}
+    pi = GroupHom(gs, group, [g for (_, g) in members])
+    return gs, kappa, pi, idx
+
+
 CAMPAIGN_GROUPS = ("C2", "C3", "C4", "V4", "S3", "D4", "Q8")
 SHIPPED = ("i2_twist", "i2_plain", "sqrt34")
 # the benchmark's stress instances: direct products outside the catalog,
 # synthesized under these names (the name seeds the synthesis)
 STRESS = (("C2xC4", (2, 4), 0), ("C2xC4", (2, 4), 1), ("C2xC6", (2, 6), 0))
+
+
+def synth_product(name, factors, seed):
+    """synth_instance for the direct product of the cyclic groups of
+    orders `factors`, registered in the catalog as `name` for the call."""
+    a, b = factors
+    GROUP_CATALOG[name] = lambda: direct_product(cyclic(a), cyclic(b))
+    try:
+        return synth_instance(name, seed)
+    finally:
+        del GROUP_CATALOG[name]
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,14 +184,35 @@ def corpus_instances():
     out += [(name, load_instance(str(files("tatelab") / "data" /
                                      f"{name}.json")))
             for name in SHIPPED]
-    for name, (a, b), seed in STRESS:
-        GROUP_CATALOG[name] = (lambda a=a, b=b:
-                               direct_product(cyclic(a), cyclic(b)))
-        try:
-            out.append((f"{name}/{seed}", synth_instance(name, seed)))
-        finally:
-            del GROUP_CATALOG[name]
+    out += [(f"{name}/{seed}", synth_product(name, factors, seed))
+            for name, factors, seed in STRESS]
     return tuple(out)
+
+
+def synthesized_digest():
+    """sha256 over the lines "name/seed instance_digest" of the seven
+    catalog groups at seeds 0-14 and the three stress instances, in that
+    order: one value that moves if any synthesized instance does."""
+    lines = [f"{g}/{s} {instance_digest(synth_instance(g, s))}"
+             for g in CAMPAIGN_GROUPS for s in range(15)]
+    lines += [f"{name}/{seed} "
+              f"{instance_digest(synth_product(name, factors, seed))}"
+              for name, factors, seed in STRESS]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture
+def synthesis_digest():
+    """The digest of every synthesized instance (see
+    synthesized_digest)."""
+    return synthesized_digest
+
+
+@pytest.fixture
+def extension_reference():
+    """The FgAb-arithmetic reference for extension_from_cocycle (see
+    extension_by_fgab)."""
+    return extension_by_fgab
 
 
 @pytest.fixture

@@ -9,6 +9,12 @@ from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _kernel_columns,
                              smith_normal_form)
 
 
+def _invariants(a):
+    """(free rank, invariant factors): equal iff the groups are
+    isomorphic."""
+    return (a.free_rank(), a.invariant_factors())
+
+
 def diag_group(*mods):
     n = len(mods)
     return FgAb(n, IntMatrix([[mods[i] if i == j else 0 for j in range(n)]
@@ -182,7 +188,7 @@ def test_first_isomorphism_and_order_property():
         k, kin = f.kernel()
         img, _, _ = f.image()
         q, _ = ab_quotient(a, [kin.apply(k.gen(i)) for i in range(k.n)])
-        assert q.same_invariants(img)
+        assert _invariants(q) == _invariants(img)
         if a.is_finite():
             assert a.order() == k.order() * img.order()
 
@@ -445,7 +451,8 @@ def test_homology_agrees_with_kernel_then_quotient(pair, rng):
     # d_out.kernel(), and H's coordinates are the kernel's: each kernel
     # generator is its own class
     cycles = Homology(AbMap.zero(FgAb(0), mid), d_out).group
-    assert cycles.rel == kgrp.rel and cycles.same_invariants(kgrp)
+    assert cycles.rel == kgrp.rel
+    assert _invariants(cycles) == _invariants(kgrp)
     g = h.group
     for i in range(kgrp.n):
         assert h.class_of(incl.apply(kgrp.gen(i))) == g.canon(kgrp.gen(i))

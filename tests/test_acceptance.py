@@ -31,6 +31,12 @@ GROUPS = ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 CAMPAIGN_SEEDS = 15
 
 
+def _invariants(a):
+    """(free rank, invariant factors): equal iff the groups are
+    isomorphic."""
+    return (a.free_rank(), a.invariant_factors())
+
+
 def _report(num, ok, detail=""):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}"
     print(line)
@@ -63,8 +69,10 @@ def test_criterion_1_resolution_correctness(direct_formula):
             mod = _random_finite_module(g, reg, rng)
             calc = TateCohomology(cx, mod)
             direct0, direct1 = direct_formula(mod)
-            assert calc.group(-1).same_invariants(direct1.group), (name, k)
-            assert calc.group(0).same_invariants(direct0.group), (name, k)
+            assert _invariants(calc.group(-1)) == \
+                _invariants(direct1.group), (name, k)
+            assert _invariants(calc.group(0)) == \
+                _invariants(direct0.group), (name, k)
     elapsed = time.monotonic() - t0
     _report(1, elapsed < 120,
             f"acyclicity + 350 random-module agreements in {elapsed:.1f}s")
@@ -87,7 +95,8 @@ def test_criterion_2_standard_values():
                     trivial_module(g, FgAb(1, IntMatrix([[6]])))]:
             calc = TateCohomology(cx, mod)
             for i in range(-4, 2):
-                assert calc.group(i).same_invariants(calc.group(i + 2)), \
+                assert _invariants(calc.group(i)) == \
+                    _invariants(calc.group(i + 2)), \
                     (name, i)
     _report(2, True, "H^-2 = G^ab, H^-1(Z) = 0, H^0 = Z/|G|, cyclic "
                      "periodicity with exact invariant factors")

@@ -22,6 +22,12 @@ from tatelab.tate_sequence import (build_nabla, build_script_h, build_snake,
                                    build_wrb)
 
 
+def _invariants(a):
+    """(free rank, invariant factors): equal iff the groups are
+    isomorphic."""
+    return (a.free_rank(), a.invariant_factors())
+
+
 def z_mod(group, m):
     return trivial_module(group, FgAb(1, IntMatrix([[m]])))
 
@@ -126,8 +132,8 @@ def test_direct_formula_agreement_random_modules(direct_formula):
                 [tuple(c) for c in cols], n)), reg.action)
             calc = TateCohomology(cx, mod)
             direct0, direct1 = direct_formula(mod)
-            assert calc.group(0).same_invariants(direct0.group)
-            assert calc.group(-1).same_invariants(direct1.group)
+            assert _invariants(calc.group(0)) == _invariants(direct0.group)
+            assert _invariants(calc.group(-1)) == _invariants(direct1.group)
             # class-level agreement at -1 (class_of returns canon coords)
             h, d1 = calc.homology(-1), direct1.group
             for e in list(d1.elements())[:6]:
@@ -164,7 +170,8 @@ def test_cyclic_periodicity():
         for mod in [trivial_module(g), z_mod(g, 6)]:
             calc = TateCohomology(cx, mod)
             for i in range(-4, 2):
-                assert calc.group(i).same_invariants(calc.group(i + 2))
+                assert _invariants(calc.group(i)) == \
+                    _invariants(calc.group(i + 2))
 
 
 def test_connecting_hom_examples():
@@ -229,7 +236,7 @@ def test_shapiro_pairs():
         iso, hab, calc, induced = shapiro_hminus2(cx, g, sub)
         assert iso.is_injective() and iso.is_surjective(), \
             (g.order, sub.elems)
-        assert iso.dom.same_invariants(iso.cod)
+        assert _invariants(iso.dom) == _invariants(iso.cod)
         count += 1
     assert count >= 10
 
@@ -628,7 +635,7 @@ def test_truncated_edges_keep_homology(case, seed):
     full = {i: full_differential(cx, mod, i) for i in range(lo - 1, hi + 1)}
     for i in range(lo, hi + 1):
         got, want = calc.group(i), Homology(full[i - 1], full[i]).group
-        assert got.same_invariants(want), (i, got, want)
+        assert _invariants(got) == _invariants(want), (i, got, want)
     rng = random.Random(seed)
     # cocycles at hi: the kernel into the (possibly truncated) degree hi+1
     top, top_full = calc.differential(hi), full[hi]
@@ -661,7 +668,7 @@ def test_truncated_edges_keep_h_minus1_of_x(make):
     full = {i: full_differential(cx, x, i) for i in (-2, -1, 0)}
     for i in (-1, 0):
         got, want = calc.group(i), Homology(full[i - 1], full[i]).group
-        assert got.same_invariants(want), (i, got, want)
+        assert _invariants(got) == _invariants(want), (i, got, want)
     assert calc.group(-1).is_trivial()
     rng = random.Random(0)
     bottom = calc.differential(-2)

@@ -272,6 +272,31 @@ def test_direct_sum_and_perm_module():
         assert comp.ab == comp.ab.identity(inj.dom.underlying)
 
 
+def test_direct_sum_walks_no_relation_lattice(monkeypatch):
+    s3 = symmetric3()
+    mod, _, _, _ = perm_module(s3, Subgroup(s3, s3.closure([3])))
+    z2_cubed = FgAb(3, IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    parts = [z_mod(s3, 4), GModule(s3, z2_cubed, mod.action),
+             trivial_module(s3)]
+    walks = {"n": 0}
+    real = FgAb.rel_lattice
+
+    def counted(self):
+        walks["n"] += 1
+        return real(self)
+
+    monkeypatch.setattr(FgAb, "rel_lattice", counted)
+    total, injs, projs = direct_sum(parts)
+    assert walks["n"] == 0
+    # what the unchecked maps skip holds: checked rebuilds accept them
+    for inj, proj in zip(injs, projs):
+        AbMap(inj.dom.underlying, total.underlying, inj.ab.mat)
+        AbMap(total.underlying, proj.cod.underlying, proj.ab.mat)
+        inj.check_equivariance()
+        proj.check_equivariance()
+    assert walks["n"] > 0
+
+
 def test_action_axioms_random_modules():
     rng = random.Random(3)
     for name in ["C2", "C3", "V4", "S3"]:

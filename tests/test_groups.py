@@ -364,3 +364,126 @@ def test_cocycle_check_reaches_middles_outside_the_generators():
     with pytest.raises(NotACocycle):
         extension_from_cocycle(
             z2q, q8, lambda a, b: (int(a in (2, 3) and b in (4, 5)),))
+
+
+def _extension_outcome(build, cl, grp, cocycle):
+    """What `build` makes of the cocycle: the table, labels, kappa, the
+    images of pi and member (dicts as item lists, so order counts), or
+    the witness of the NotACocycle it raises."""
+    try:
+        gs, kappa, pi, member = build(cl, grp, cocycle)
+    except NotACocycle as exc:
+        return ("not a cocycle", exc.witness)
+    return (gs.table, gs.labels, list(kappa.items()), pi.images,
+            list(member.items()))
+
+
+def _coboundary(cl, grp, rng):
+    """f(g, h) = g.b(h) + b(g) - b(gh) for a random normalized b, as
+    `synth_instance` twists its extensions."""
+    ab = cl.underlying
+    elems = [tuple(x) for x in ab.elements()]
+    b = [rng.choice(elems) for _ in range(grp.order)]
+    b[grp.identity] = ab.zero()
+    return {(g, h): ab.sub(ab.add(cl.act(g, b[h]), b[g]), b[grp.mul(g, h)])
+            for g in range(grp.order) for h in range(grp.order)}
+
+
+def _off_canonical(cl, values, rng):
+    """The same cocycle with every value moved by a random multiple of a
+    random relation column, so most values come back off-canonical."""
+    ab = cl.underlying
+    rels = [tuple(col.get(i, 0) for i in range(ab.n))
+            for col in ab.rel.sparse_columns()]
+    out = {}
+    for key, v in values.items():
+        r, k = rng.choice(rels), rng.randint(-2, 2)
+        out[key] = tuple(a + k * x for a, x in zip(v, r))
+    return out
+
+
+def test_integer_tables_match_the_fgab_reference(extension_reference):
+    from tatelab.cft import _sample_cl
+    rng = random.Random(19)
+    cases = []
+    for name in ("C2", "C3", "C4", "V4", "S3", "D4", "Q8"):
+        grp = named_group(name)
+        for shape in ("trivial", "perm", "mixed"):
+            for modulus in (2, 3):
+                cases.append((name, shape, grp,
+                              _sample_cl(grp, shape, modulus, rng)))
+        # relations that are not diagonal: canon goes through U
+        cases.append((name, "skew", grp, trivial_module(
+            grp, FgAb(2, IntMatrix([[2, 4], [0, 6]])))))
+    # nonsplit: the carry cocycle of C4 with values in Z/2
+    c4 = named_group("C4")
+    z2 = trivial_module(c4, FgAb(1, IntMatrix([[2]])))
+    carry = {(g, h): (int(g + h >= 4),) for g in range(4) for h in range(4)}
+    cases.append(("C4", "carry", c4, z2))
+    for name, shape, grp, cl in cases:
+        f = carry if shape == "carry" else _coboundary(cl, grp, rng)
+        for values in (f, _off_canonical(cl, f, rng)):
+            want = _extension_outcome(extension_reference, cl, grp, values)
+            assert want[0] != "not a cocycle", (name, shape)
+            got = _extension_outcome(extension_from_cocycle, cl, grp, values)
+            assert got == want, (name, shape, cl.underlying)
+
+
+def test_integer_tables_raise_the_reference_witness(extension_reference):
+    from tatelab.cft import _sample_cl
+    rng = random.Random(7)
+    seen = set()
+    for name in ("C2", "C3", "C4", "V4", "S3", "D4", "Q8"):
+        grp = named_group(name)
+        e = grp.identity
+        for shape in ("trivial", "perm", "mixed"):
+            cl = _sample_cl(grp, shape, 2, rng)
+            ab = cl.underlying
+            f = _coboundary(cl, grp, rng)
+            bump = ab.smith_gens()[0]
+            broken = []
+            for g in range(1, grp.order):  # a nonzero f(g, 1) or f(1, g)
+                for key in ((g, e), (e, g)):
+                    broken.append({**f, key: ab.add(f[key], bump)})
+            # one moved value off the identity; some still give cocycles
+            for a in range(grp.order):
+                for b in range(grp.order):
+                    if e not in (a, b):
+                        broken.append({**f, (a, b): ab.add(f[(a, b)], bump)})
+            for values in broken:
+                want = _extension_outcome(extension_reference, cl, grp,
+                                          values)
+                got = _extension_outcome(extension_from_cocycle, cl, grp,
+                                         values)
+                assert got == want, (name, shape)
+                if want[0] == "not a cocycle":
+                    seen.add(want[1][1] == "identity-normalization")
+    assert seen == {True, False}  # both kinds of witness were compared
+    # the cases of test_cocycle_check_reaches_middles_outside_the_generators
+    s3 = symmetric3()
+    z2 = trivial_module(s3, FgAb(1, IntMatrix([[2]])))
+    for g in range(1, s3.order):
+        for h in range(1, s3.order):
+            values = {(a, b): (int((a, b) == (g, h)),)
+                      for a in range(6) for b in range(6)}
+            assert _extension_outcome(extension_from_cocycle, z2, s3,
+                                      values) == \
+                _extension_outcome(extension_reference, z2, s3, values)
+    q8 = quaternion8()
+    z2q = trivial_module(q8, FgAb(1, IntMatrix([[2]])))
+    inflated = {(a, b): (int(a in (2, 3) and b in (4, 5)),)
+                for a in range(8) for b in range(8)}
+    want = _extension_outcome(extension_reference, z2q, q8, inflated)
+    assert want[0] == "not a cocycle"
+    assert _extension_outcome(extension_from_cocycle, z2q, q8,
+                              inflated) == want
+
+
+def test_cocycle_value_of_the_wrong_length_is_refused():
+    c2 = named_group("C2")
+    z2 = trivial_module(c2, FgAb(1, IntMatrix([[2]])))
+    with pytest.raises(ValueError):
+        extension_from_cocycle(z2, c2, lambda g, h: (0, 0))
+    with pytest.raises(ValueError):
+        extension_from_cocycle(
+            z2, c2, lambda g, h: (0, 0) if (g, h) == (1, 1) else (0,))

@@ -35,6 +35,12 @@ from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
 CATALOG = ["C2", "C3", "C4", "V4", "S3", "D4", "Q8"]
 
 
+def _invariants(a):
+    """(free rank, invariant factors): equal iff the groups are
+    isomorphic."""
+    return (a.free_rank(), a.invariant_factors())
+
+
 def trivial_group_instance(cl_order):
     """The trivial group with one place, class module Z/cl_order and one
     auxiliary place; GS is then cyclic of order cl_order."""
@@ -86,7 +92,8 @@ def test_script_h():
     # trivial group: the quotient is the class module itself
     inst = trivial_group_instance(4)
     sh1 = build_script_h(inst)
-    assert sh1.module.underlying.same_invariants(inst.cl.underlying)
+    assert _invariants(sh1.module.underlying) == \
+        _invariants(inst.cl.underlying)
     assert sh1.e.ab.is_injective() and sh1.e.ab.is_surjective()
 
 
