@@ -442,10 +442,10 @@ def extension_from_cocycle(cl_mod, group, cocycle):
     for g in range(n):
         act_g, f_g = act[g], f[g]
         for h in gens:
-            f_h, f_gh, f_gh_row = f[h], f_g[h], f[t[g][h]]
+            f_h, f_of_gh, f_g_h = f[h], f[t[g][h]], f_g[h]
             for k in range(n):
                 if add[act_g[f_h[k]]][f_g[t[h][k]]] != \
-                        add[f_gh_row[k]][f_gh]:
+                        add[f_of_gh[k]][f_g_h]:
                     raise NotACocycle((g, h, k))
 
     table = []
