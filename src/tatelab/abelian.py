@@ -80,7 +80,7 @@ class FgAb:
         self.rel = rel
         self._rel_lat = None
         self._inv_factors = None
-        cols = rel._column_dicts()
+        cols = rel._columns
         if all(len(col) <= 1 for col in cols):
             # every relation touches a single generator: no basis change needed
             mods = [0] * n
@@ -180,8 +180,7 @@ class FgAb:
         1
         >>> z4.first_difference(IntMatrix([[1, 2]]), IntMatrix([[5, 6]]))
         """
-        for j, (ca, cb) in enumerate(zip(a._sparse_cache(),
-                                         b._sparse_cache())):
+        for j, (ca, cb) in enumerate(zip(a._columns, b._columns)):
             if ca != cb:
                 diff = dict(ca)
                 _axpy(diff, 1, cb)
@@ -316,7 +315,7 @@ class AbMap:
         self._img_lat = None
         if check:
             lat = cod.rel_lattice()
-            for col in dom.rel._column_dicts():
+            for col in dom.rel._columns:
                 if lat._walk(mat._apply_sparse(col)) is None:
                     raise ValueError("matrix does not respect domain relations")
 
@@ -385,7 +384,7 @@ class AbMap:
         error(j) for the first column j outside the image."""
         lat, n = self.image_lattice(), self.dom.n
         sols = []
-        for j, y in enumerate(mat._column_dicts()):
+        for j, y in enumerate(mat._columns):
             w = lat.generator_coords(y)
             if w is None:
                 raise error(j)

@@ -372,7 +372,8 @@ def synth_instance(group_name, seed):
 
     cl_shape = rng.choice(_CL_SHAPES)
     cl_modulus = rng.choice([2, 2, 3, 4, 5, 6, 8, 9])
-    cl = _sample_cl(grp, cl_shape, cl_modulus, rng)
+    subs = grp.all_subgroups()
+    cl = _sample_cl(grp, cl_shape, cl_modulus, rng, subs)
     ab = cl.underlying
 
     # extension: coboundary-twisted split extension
@@ -387,7 +388,6 @@ def synth_instance(group_name, seed):
     gs, kappa, pi, member = extension_from_cocycle(cl, grp, cocycle)
 
     # places: the distinguished one plus a few with random subgroups
-    subs = grp.all_subgroups()
     places = [PlaceData("p0", Subgroup(grp, range(grp.order)), is_p0=True)]
     for k in range(rng.randint(1, 3)):
         sub = rng.choice(subs)
@@ -424,11 +424,13 @@ def synth_instance(group_name, seed):
     return inst
 
 
-def _sample_cl(grp, shape, modulus, rng):
+def _sample_cl(grp, shape, modulus, rng, subgroups):
+    """A class module of the given shape; `subgroups` is
+    `grp.all_subgroups()`."""
     if shape == "trivial":
         return trivial_module(grp, FgAb(1, IntMatrix([[modulus]])))
     if shape == "perm":
-        subs = [s for s in grp.all_subgroups()
+        subs = [s for s in subgroups
                 if modulus ** (grp.order // len(s)) <= _MAX_CL]
         if not subs:
             return trivial_module(grp, FgAb(1, IntMatrix([[modulus]])))
@@ -444,7 +446,7 @@ def _sample_cl(grp, shape, modulus, rng):
     base = rng.choice([2, 3])
     m2 = base * rng.choice([1, 2])
     first = trivial_module(grp, FgAb(1, IntMatrix([[base]])))
-    subs = [s for s in grp.all_subgroups()
+    subs = [s for s in subgroups
             if len(s) > 1 and m2 ** (grp.order // len(s)) * base <= _MAX_CL]
     if not subs:
         return first

@@ -428,6 +428,28 @@ class Cocycle1:
                     if not ab.eq(lhs, rhs):
                         raise ValueError(f"cocycle identity fails at ({g},{h})")
 
+    @classmethod
+    def from_generators(cls, module, values):
+        """The checked cocycle with f(t) = values[k] at the k-th t of
+        `generating_set()`.  The other values follow along a breadth-first
+        walk, f(tg) = f(t) + t.f(g), over the whole group, since the
+        generators reach every element."""
+        grp = module.group
+        gens = grp.generating_set()
+        if len(values) != len(gens):
+            raise ValueError("need one value per generator")
+        steps = [(t, module.action[t], tuple(v)) for t, v in zip(gens, values)]
+        vals = {grp.identity: module.underlying.zero()}
+        reached = [grp.identity]
+        for g in reached:
+            for t, act, ft in steps:
+                tg = grp.mul(t, g)
+                if tg not in vals:
+                    vals[tg] = tuple(a + b for a, b in
+                                     zip(ft, act.apply(vals[g])))
+                    reached.append(tg)
+        return cls(module, [vals[g] for g in range(grp.order)])
+
     def as_cochain(self):
         """Flat degree-1 cochain coordinates for the resolution."""
         out = []
@@ -487,12 +509,11 @@ def extension_to_cocycle(hom, ext, section=None):
     read inside Hom(C, A).
 
     Only the generators t in `generating_set()` are lifted through
-    A -> B: f(t) solves a.f(t) = rho_B(t).s.rho_C(t^-1) - s.  The other
-    values follow along a breadth-first walk, f(tg) = f(t) + t.f(g), as
-    the actions do in `GMap.kernel`.  D(g) = rho_B(g).s.rho_C(g^-1) - s
-    satisfies D(tg) = D(t) + t.D(g) in Hom(C, B), and A -> B is
-    injective, so f(t) + t.f(g) is the lift of D(tg) modulo the
-    relations of Hom(C, A)."""
+    A -> B: f(t) solves a.f(t) = rho_B(t).s.rho_C(t^-1) - s, and
+    `Cocycle1.from_generators` walks out the other values.
+    D(g) = rho_B(g).s.rho_C(g^-1) - s satisfies D(tg) = D(t) + t.D(g) in
+    Hom(C, B), and A -> B is injective, so f(t) + t.f(g) is the lift of
+    D(tg) modulo the relations of Hom(C, A)."""
     if hom.c is not ext.c or hom.a is not ext.a:
         if (hom.c.underlying.n != ext.c.underlying.n
                 or hom.a.underlying.n != ext.a.underlying.n):
@@ -511,18 +532,9 @@ def extension_to_cocycle(hom, ext, section=None):
         lambda j: ValueError("section difference does not land in A"))
     na, nc = ext.a.underlying.n, sec.cols
     cols = lifted.sparse_columns()
-    steps = [(t, hom.from_matrix(IntMatrix._from_sparse_columns(
-        cols[k * nc:(k + 1) * nc], na))) for k, t in enumerate(gens)]
-    vals = {grp.identity: hom.module.underlying.zero()}
-    reached = [grp.identity]
-    for g in reached:
-        for t, ft in steps:
-            tg = grp.mul(t, g)
-            if tg not in vals:
-                vals[tg] = tuple(a + b for a, b in zip(
-                    ft, hom.module.action[t].apply(vals[g])))
-                reached.append(tg)
-    return Cocycle1(hom.module, [vals[g] for g in range(grp.order)])
+    return Cocycle1.from_generators(hom.module, [
+        hom.from_matrix(IntMatrix._from_sparse_columns(
+            cols[k * nc:(k + 1) * nc], na)) for k in range(len(gens))])
 
 
 # -- Shapiro in degree -2 ----------------------------------------------------

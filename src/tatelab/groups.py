@@ -39,9 +39,6 @@ class FiniteGroup:
     def mul(self, a, b):
         return self.table[a][b]
 
-    def inverse(self, a):
-        return self.inv[a]
-
     def conj(self, g, x):
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv[g])
@@ -64,9 +61,6 @@ class FiniteGroup:
                             new.append(y)
             frontier = new
         return tuple(sorted(seen))
-
-    def subgroup(self, elems):
-        return Subgroup(self, elems)
 
     def generating_set(self):
         """A small generating set, chosen deterministically; computed on

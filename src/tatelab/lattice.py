@@ -13,73 +13,94 @@ from itertools import compress, repeat
 
 
 class IntMatrix:
-    """Immutable integer matrix.
+    """Immutable integer matrix, held by its sparse columns.
 
-    A matrix is held by its rows, by its sparse columns, or by both.  One
-    built from sparse columns keeps them and builds its rows only when
-    `entries` is first read, so the large and very sparse differentials
-    and relation matrices of the cohomology never become dense unless a
-    caller asks for their rows.  Shape, equality and hashing do not depend
-    on how a matrix was built.
+    Column j is a {row: value} dict of its nonzero entries, and the
+    package reads these dicts as `_columns`, never changing them.  Every
+    constructor builds them and every operation works on them, so the
+    large and very sparse differentials and relation matrices of the
+    cohomology never become dense.  `entries`, the rows as a tuple of int
+    tuples, is a view for dense readers: built from the columns when it
+    is first read, and kept.  Shape, equality and hashing depend on the
+    entries only, not on how a matrix was built.
 
-    >>> IntMatrix([[1, 2], [3, 4]]).shape
-    (2, 2)
-    >>> m = IntMatrix._from_sparse_columns([{0: 5}, {}, {1: -1}], 2)
-    >>> m.sparse_rows()
-    [{0: 5}, {2: -1}]
-    >>> m.entries
-    ((5, 0, 0), (0, 0, -1))
-    >>> m == IntMatrix([[5, 0, 0], [0, 0, -1]])
+    >>> m = IntMatrix([[5, 0, 0], [0, 0, -1]])
+    >>> m.shape, m.sparse_columns()
+    ((2, 3), [{0: 5}, {}, {1: -1}])
+    >>> c = IntMatrix._from_sparse_columns([{0: 5}, {}, {1: -1}], 2)
+    >>> c.sparse_rows(), c.entries
+    ([{0: 5}, {2: -1}], ((5, 0, 0), (0, 0, -1)))
+    >>> c == m
     True
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_columns")
+    __slots__ = ("rows", "cols", "_columns", "_entries")
 
     def __init__(self, entries, cols=None):
         entries = tuple(tuple(int(x) for x in row) for row in entries)
-        rows = len(entries)
-        if rows:
+        if entries:
             cols = len(entries[0])
         elif cols is None:
             cols = 0
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged rows in matrix")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_columns", None)
+        self._hold(_sparse(list(zip(*entries)) or [()] * cols, len(entries)),
+                   len(entries))
 
-    @classmethod
-    def _trusted(cls, entries, cols):
-        """Internal constructor: `entries` is already a tuple of int tuples,
-        each of length `cols`, so no coercion or shape check is done."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(entries))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_entries", entries)
-        object.__setattr__(m, "_columns", None)
-        return m
+    def _hold(self, columns, rows):
+        """Set the slots: `columns` are {row: value} dicts of nonzero ints,
+        taken over."""
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_entries", None)
 
     @classmethod
     def _from_sparse_columns(cls, columns, rows):
-        """A rows x len(columns) matrix held by its {row: value} dict
-        columns.  They hold nonzero ints only, and the matrix takes them
-        over: nothing may change them afterwards."""
+        """A rows x len(columns) matrix on its {row: value} dict columns.
+        They hold nonzero ints only, and the matrix takes them over:
+        nothing may change them afterwards."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", len(columns))
-        object.__setattr__(m, "_entries", None)
-        object.__setattr__(m, "_columns", list(columns))
+        m._hold(list(columns), rows)
         return m
+
+    @classmethod
+    def _trusted(cls, entries, cols):
+        """Internal constructor from rows: `entries` is a sequence of int
+        sequences, each of length `cols`, so nothing is coerced or
+        checked."""
+        return cls._trusted_columns(list(zip(*entries)) or [()] * cols,
+                                    len(entries))
+
+    @classmethod
+    def _trusted_columns(cls, columns, rows):
+        """Internal from_columns: the columns are int sequences of length
+        `rows` that the package built, so nothing is coerced or checked."""
+        return cls._from_sparse_columns(_sparse(columns, rows), rows)
+
+    @classmethod
+    def from_columns(cls, columns, rows):
+        """Build a rows x len(columns) matrix from column vectors."""
+        columns = [tuple(int(x) for x in col) for col in columns]
+        if any(len(col) != rows for col in columns):
+            raise ValueError("column length mismatch in matrix")
+        return cls._trusted_columns(columns, rows)
+
+    @classmethod
+    def identity(cls, n):
+        return cls._from_sparse_columns([{j: 1} for j in range(n)], n)
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls._from_sparse_columns([{} for _ in range(cols)], rows)
 
     def __setattr__(self, *a):
         raise AttributeError("IntMatrix is immutable")
 
     @property
     def entries(self):
-        """The rows, a tuple of int tuples; a matrix held by its sparse
-        columns builds them here, once."""
+        """The rows, a tuple of int tuples, built on the first read."""
         if self._entries is None:
             object.__setattr__(self, "_entries",
                                tuple(map(tuple, self._row_lists())))
@@ -89,117 +110,66 @@ class IntMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    @classmethod
-    def identity(cls, n):
-        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                  for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls._trusted(((0,) * cols,) * rows, cols)
-
-    @classmethod
-    def from_columns(cls, columns, rows):
-        """Build a rows x len(columns) matrix from column vectors."""
-        return cls([[col[i] for col in columns] for i in range(rows)],
-                   cols=len(columns))
-
-    @classmethod
-    def _trusted_columns(cls, columns, rows):
-        """Internal from_columns: the columns are int sequences of length
-        `rows` that the package built, so nothing is coerced or checked."""
-        if not columns:
-            return cls._trusted(((),) * rows, 0)
-        return cls._trusted(tuple(zip(*columns)), len(columns))
-
     def _row_lists(self):
         """The rows as fresh lists."""
-        if self._entries is not None:
-            return [list(r) for r in self._entries]
         out = [[0] * self.cols for _ in range(self.rows)]
         for j, col in enumerate(self._columns):
             for i, x in col.items():
                 out[i][j] = x
         return out
 
-    def _column_dicts(self):
-        """The sparse columns, not to be changed: the kept ones, or ones
-        read off the rows."""
-        if self._columns is not None:
-            return self._columns
-        if not self.rows:
-            return [{} for _ in range(self.cols)]
-        rng = range(self.rows)
-        return [{i: col[i] for i in compress(rng, col)}
-                for col in zip(*self._entries)]
-
     def sparse_rows(self):
         """Rows as fresh {column: value} dicts of the nonzero entries."""
-        if self._entries is None:
-            out = [{} for _ in range(self.rows)]
-            for j, col in enumerate(self._columns):
-                for i, x in col.items():
-                    out[i][j] = x
-            return out
-        rng = range(self.cols)
-        return [{j: row[j] for j in compress(rng, row)}
-                for row in self._entries]
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
 
     def sparse_columns(self):
         """Columns as fresh {row: value} dicts of the nonzero entries."""
-        if self._columns is not None:
-            return [dict(c) for c in self._columns]
-        return self._column_dicts()
+        return [dict(c) for c in self._columns]
 
     def column(self, j):
-        if self._entries is None:
-            return tuple(map(self._columns[j].get, range(self.rows),
-                             repeat(0)))
-        return tuple(self._entries[i][j] for i in range(self.rows))
+        return tuple(map(self._columns[j].get, range(self.rows), repeat(0)))
 
     @classmethod
     def block_diagonal(cls, blocks):
-        """Block-diagonal matrix of the given (possibly rectangular) blocks,
-        held by its sparse columns."""
+        """Block-diagonal matrix of the given (possibly rectangular)
+        blocks."""
         cols, top = [], 0
         for b in blocks:
             if top:
                 cols.extend({i + top: x for i, x in c.items()}
-                            for c in b._column_dicts())
+                            for c in b._columns)
             else:
-                cols.extend(b._column_dicts())
+                cols.extend(b._columns)
             top += b.rows
         return cls._from_sparse_columns(cols, top)
 
     def kron(self, other):
-        """The Kronecker product self (x) other, held by its sparse
-        columns: column p.other.cols + q is {i.other.rows + k: a_ip.b_kq}.
-        The entries are products of nonzero ints at distinct places, so
-        no sum is formed and no zero is stored.
+        """The Kronecker product self (x) other: column p.other.cols + q is
+        {i.other.rows + k: a_ip.b_kq}.  The entries are products of
+        nonzero ints at distinct places, so no sum is formed and no zero
+        is stored.
 
         >>> m = IntMatrix([[2, 1], [0, -1]]).kron(IntMatrix([[0], [3]]))
         >>> m.shape, m.sparse_columns()
         ((4, 2), [{1: 6}, {1: 3, 3: -3}])
         """
         nr = other.rows
-        right = other._column_dicts()
         return IntMatrix._from_sparse_columns(
             [{i * nr + k: x * y for i, x in lc.items() for k, y in rc.items()}
-             for lc in self._column_dicts() for rc in right],
+             for lc in self._columns for rc in other._columns],
             self.rows * nr)
 
     def transpose(self):
-        if self._entries is None:
-            return IntMatrix._from_sparse_columns(self.sparse_rows(),
-                                                  self.cols)
-        if not self.rows:
-            return IntMatrix._trusted(((),) * self.cols, 0)
-        return IntMatrix._trusted(tuple(zip(*self._entries)), self.rows)
+        return IntMatrix._from_sparse_columns(self.sparse_rows(), self.cols)
 
     def mul(self, other):
-        """Matrix product, held by its sparse columns: column j is the sum
-        of b_kj times column k of self over the nonzero b_kj of other's
-        column j, so only nonzero entries of both factors are visited.
+        """Matrix product: column j is the sum of b_kj times column k of
+        self over the nonzero b_kj of other's column j, so only nonzero
+        entries of both factors are visited.
 
         >>> IntMatrix([[1, 2], [0, 1]]).mul(IntMatrix([[0, 1], [1, -2]])
         ...                                 ).sparse_columns()
@@ -207,9 +177,9 @@ class IntMatrix:
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        left = self._sparse_cache()
+        left = self._columns
         out = []
-        for col in other._sparse_cache():
+        for col in other._columns:
             acc = {}
             for k, b in col.items():
                 for i, a in left[k].items():
@@ -218,33 +188,20 @@ class IntMatrix:
         return IntMatrix._from_sparse_columns(out, self.rows)
 
     def apply(self, vec):
-        """Matrix times column vector.  Sparse vectors, and every vector
-        when the matrix is held by its columns, go through the sparse
-        columns, which a matrix held by its rows keeps from then on."""
+        """Matrix times column vector, over the vector's nonzero entries."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        support = [j for j, x in enumerate(vec) if x]
-        if self._entries is None or 3 * len(support) < self.cols:
-            out = [0] * self.rows
-            cols = self._sparse_cache()
-            for j in support:
-                vj = vec[j]
-                for i, a in cols[j].items():
+        out = [0] * self.rows
+        for vj, col in zip(vec, self._columns):
+            if vj:
+                for i, a in col.items():
                     out[i] += a * vj
-            return tuple(out)
-        return tuple(sum(a * b for a, b in zip(row, vec))
-                     for row in self._entries)
-
-    def _sparse_cache(self):
-        """The sparse columns, kept from their first use."""
-        if self._columns is None:
-            object.__setattr__(self, "_columns", self._column_dicts())
-        return self._columns
+        return tuple(out)
 
     def _apply_sparse(self, vec):
         """Matrix times a {index: value} vector, as a fresh dict of the
         nonzero entries."""
-        cols = self._sparse_cache()
+        cols = self._columns
         out = {}
         for j, vj in vec.items():
             for i, a in cols[j].items():
@@ -254,27 +211,28 @@ class IntMatrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        if self._entries is None or other._entries is None:
-            return IntMatrix._from_sparse_columns(
-                self._column_dicts() + other._column_dicts(), self.rows)
-        return IntMatrix._trusted(tuple(ra + rb for ra, rb in
-                                        zip(self._entries, other._entries)),
-                                  self.cols + other.cols)
+        return IntMatrix._from_sparse_columns(self._columns + other._columns,
+                                              self.rows)
 
     def is_zero(self):
-        if self._entries is None:
-            return not any(self._columns)
-        return all(all(x == 0 for x in row) for row in self._entries)
+        return not any(self._columns)
 
     def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.shape == other.shape
-                and self.entries == other.entries)
+        return (isinstance(other, IntMatrix) and self.rows == other.rows
+                and self._columns == other._columns)
 
     def __hash__(self):
-        return hash((self.cols, self.entries))
+        return hash((self.rows, tuple(frozenset(c.items())
+                                      for c in self._columns)))
 
     def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.entries]!r})"
+        return f"IntMatrix({self._row_lists()!r})"
+
+
+def _sparse(columns, rows):
+    """{row: value} dicts of the nonzero entries of dense int columns."""
+    rng = range(rows)
+    return [{i: col[i] for i in compress(rng, col)} for col in columns]
 
 
 def _smallest_pivot(d, t, rows, cols):
@@ -421,11 +379,9 @@ def _snf_data(m: IntMatrix, track_v=False):
     for i in range(limit):
         if d[i][i] < 0:
             row_neg(i)
-    return (IntMatrix._trusted(tuple(map(tuple, u)), rows),
-            IntMatrix._trusted(tuple(map(tuple, d)), cols),
-            IntMatrix._trusted(tuple(map(tuple, v)), cols) if track_v
-            else None,
-            IntMatrix._trusted(tuple(map(tuple, uinv)), rows))
+    return (IntMatrix._trusted(u, rows), IntMatrix._trusted(d, cols),
+            IntMatrix._trusted(v, cols) if track_v else None,
+            IntMatrix._trusted(uinv, rows))
 
 
 def kernel_basis(row_iter, ncols):

@@ -489,7 +489,15 @@ def build_nabla(inst, wrb, snake):
     the valid modules Cl and B, so the identity and multiplicativity
     hold modulo their relations, which are relations of nabla.  g moves
     the glue column (s(r_j), -r_j) to glue.rho_R(g)e_j plus relations of
-    Cl and B, as the snake map s and R -> B are checked GMaps."""
+    Cl and B, as the snake map s and R -> B are checked GMaps.
+
+    The snake cocycle sigma -> (x_{p,tau} -> s(r_{sigma,tau})) is solved
+    at the generators only.  With the Z-linear section
+    s^(x_{p,tau}) = e_tau(p) - e_tau(p0) of B -> X and
+    D(sigma) = sigma.s^.sigma^-1 - s^, one has r_{sigma,tau} =
+    D(sigma)(x_{p,tau}), and D(gh) = D(g) + g.D(h); so
+    sigma -> s.D(sigma) is a 1-cocycle, fixed by its values on
+    `generating_set()`."""
     grp = inst.group
     cl = inst.cl
     total, (cl_inj, b_inj), (_, b_proj) = direct_sum([cl, wrb.b])
@@ -508,13 +516,13 @@ def build_nabla(inst, wrb, snake):
 
     hom = HomModule(wrb.x, cl)
     vals = []
-    for sigma in range(grp.order):
+    for sigma in grp.generating_set():
         cols = []
         for (pid, tau) in wrb.xy.x_basis:
             cols.append(snake.s.apply(r_element(inst, wrb, pid, sigma, tau)))
         fmat = IntMatrix._trusted_columns(cols, cl.underlying.n)
         vals.append(hom.from_matrix(fmat))
-    g_cocycle = Cocycle1(hom.module, vals)
+    g_cocycle = Cocycle1.from_generators(hom.module, vals)
     return NablaData(module=nabla, cl_to_nabla=cl_to_nabla,
                      nabla_to_x=nabla_to_x, t=t, ext=ext,
                      g_cocycle=g_cocycle, hom_x_cl=hom)

@@ -11,6 +11,7 @@ from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
                             direct_product, group_from_table)
 from tatelab.instance_io import instance_digest, load_instance
 from tatelab.lattice import IntMatrix
+from tatelab.tate_sequence import r_element
 
 
 def direct_low_degrees(module):
@@ -102,6 +103,19 @@ def extension_cocycle_by_elements(hom, ext, section=None):
         fmat = ext.a_to_b.ab.lift(
             diff, lambda j: ValueError("section difference escapes A"))
         vals.append(hom.from_matrix(fmat))
+    return vals
+
+
+def snake_cocycle_by_elements(inst, wrb, snake, hom):
+    """The values of the snake cocycle of `build_nabla`, one solve of
+    r_{sigma,tau} for every group element sigma.  The reference that the
+    values walked out from the generators must equal."""
+    vals = []
+    for sigma in range(inst.group.order):
+        cols = [snake.s.apply(r_element(inst, wrb, pid, sigma, tau))
+                for (pid, tau) in wrb.xy.x_basis]
+        vals.append(hom.from_matrix(
+            IntMatrix._trusted_columns(cols, inst.cl.underlying.n)))
     return vals
 
 
@@ -233,3 +247,10 @@ def extension_cocycle_reference():
     """The all-elements reference for extension_to_cocycle (see
     extension_cocycle_by_elements)."""
     return extension_cocycle_by_elements
+
+
+@pytest.fixture
+def snake_cocycle_reference():
+    """The all-elements reference for the snake cocycle of build_nabla
+    (see snake_cocycle_by_elements)."""
+    return snake_cocycle_by_elements

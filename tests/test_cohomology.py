@@ -367,6 +367,16 @@ def test_cocycle_validation():
     z3 = z_mod(c3, 3)
     with pytest.raises(ValueError):
         Cocycle1(z3, [(0,), (1,), (1,)])
+    # from the generators: the walk fills in the other values, and the
+    # identity is still checked at every generator
+    gen, = c3.generating_set()
+    f = Cocycle1.from_generators(z3, [(1,)])
+    assert (f.values[gen], f.values[c3.mul(gen, gen)]) == ((1,), (2,))
+    z = trivial_module(c2)
+    with pytest.raises(ValueError, match="cocycle identity"):
+        Cocycle1.from_generators(z, [(1,)])
+    with pytest.raises(ValueError, match="one value per generator"):
+        Cocycle1.from_generators(z2, [(1,), (1,)])
 
 
 def test_cup_examples():

@@ -204,6 +204,11 @@ def test_lattice_reduce_is_coset_canonical(gens, v, coeffs):
 def test_intmatrix_validation():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+    for short_or_long in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([[1, 2], short_or_long], 2)
+    m = IntMatrix.from_columns([[1, 2], [3.0, 4]], 2)
+    assert m.entries == ((1, 3), (2, 4)) and type(m.entries[0][1]) is int
     m = IntMatrix([[1, 2], [3, 4]])
     with pytest.raises(AttributeError):
         m.rows = 3
@@ -300,8 +305,9 @@ def operand_triples(draw):
 def test_column_built_matrix_agrees_with_row_built(case):
     """Every view and operation of a matrix is the same whether it was
     built from rows or from sparse columns, on either side of a product,
-    a stack or a block diagonal, including shapes with no rows or no
-    columns."""
+    a Kronecker product, a stack or a block diagonal, including shapes
+    with no rows or no columns; identity and zeros equal the matrices
+    built from their rows."""
     m, b, w = case
     r, c = m.shape
     cb = _column_built
@@ -322,6 +328,15 @@ def test_column_built_matrix_agrees_with_row_built(case):
     want = m.mul(b)
     for x, y in ((cb(m), b), (m, cb(b)), (cb(m), cb(b))):
         assert x.mul(y) == want
+    wr, wc = w.shape
+    want = IntMatrix([[m.entries[i][p] * w.entries[k][q]
+                       for p in range(c) for q in range(wc)]
+                      for i in range(r) for k in range(wr)], cols=c * wc)
+    for x, y in ((m, w), (cb(m), w), (m, cb(w)), (cb(m), cb(w))):
+        assert x.kron(y) == want
+    assert IntMatrix.identity(c) == IntMatrix(
+        [[int(i == j) for j in range(c)] for i in range(c)], cols=c)
+    assert IntMatrix.zeros(r, c) == IntMatrix([[0] * c] * r, cols=c)
     dense_vec = tuple(range(1, c + 1))
     sparse_vec = tuple(int(j == c - 1) for j in range(c))
     for vec in (dense_vec, sparse_vec):

@@ -332,6 +332,24 @@ def test_nabla_and_cocycle():
     assert ok, wit
 
 
+def test_snake_cocycle_matches_all_elements_reference(
+        corpus, snake_cocycle_reference):
+    """build_nabla solves the snake cocycle at the generators only.  On
+    every campaign and stress instance its values equal those of one
+    solve per group element, as elements of Hom(X, Cl) (the coordinates
+    may differ by its relations), and the reference values are a
+    1-cocycle themselves."""
+    for name, inst in corpus:
+        _, _, wrb, _, snake = lab(inst)
+        nabla = build_nabla(inst, wrb, snake)
+        hom = nabla.hom_x_cl
+        want = snake_cocycle_reference(inst, wrb, snake, hom)
+        Cocycle1(hom.module, want)
+        ab = hom.module.underlying
+        for sigma, (a, b) in enumerate(zip(nabla.g_cocycle.values, want)):
+            assert ab.eq(a, b), (name, sigma)
+
+
 def test_nabla_class_fails_on_the_zero_cocycle():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
