@@ -94,7 +94,7 @@ class FgAb:
             u, d, _, uinv = _snf_data(rel)
             mods = [0] * n
             for i in range(min(n, rel.cols)):
-                mods[i] = d.entries[i][i]
+                mods[i] = d._columns[i].get(i, 0)
             self._mods = tuple(mods)
             self._u = u
             self._uinv = uinv

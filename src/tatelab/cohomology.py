@@ -1,18 +1,28 @@
 """Tate cohomology of a finite group from a complete resolution.
 
-The resolution splices the bar resolution (degrees <= -1 of the cochain
-complex, where the groups are homology-style chain groups) with its dual
-(degrees >= 0, carried in the standard inhomogeneous cochain
-conventions), through the norm map at the middle.  Concretely, for a
-module A the coefficient complex is
+The resolution splices the normalized bar resolution (degrees <= -1 of
+the cochain complex, where the groups are homology-style chain groups)
+with its dual (degrees >= 0, carried in the standard inhomogeneous
+cochain conventions), through the norm map at the middle.  Concretely,
+for a module A and G' = G minus the identity the coefficient complex is
 
-  ... -> Maps(G^2, A) -> Maps(G, A) -> A --N--> A -> Maps(G, A) -> ...
+  ... -> Maps(G'^2, A) -> Maps(G', A) -> A --N--> A -> Maps(G', A) -> ...
 
 with the homology boundary on the left, the norm in the middle and the
 usual cochain differential on the right.  Degree i of Tate cohomology is
 the homology of this complex at position i, so H^0 = A^G / N A and H^-1
 = ker(N) / <(g-1)a> drop out literally, H^-2 is the first homology group
-and H^1 the usual crossed homomorphisms modulo principal ones.
+and H^1 the normalized crossed homomorphisms (f(1) = 0) modulo principal
+ones.
+
+The cells are the bar tuples with no identity entry, so a tuple of
+length k spans a free module of rank (|G|-1)^k.  The degenerate tuples
+(some entry 1) span a subcomplex of the bar resolution that is acyclic,
+and the quotient by it, the normalized bar resolution, is again a free
+resolution of Z (Eilenberg-Mac Lane, Ann. of Math. 1947; Brown, GTM 87,
+I.5).  The differential of the quotient is the bar differential with
+every degenerate term dropped: a face that merges g and h with gh = 1
+lands in the degenerate subcomplex, which the quotient sets to zero.
 
 Everything is stored as a matrix over the group ring per pair of adjacent
 degrees and specialized at a coefficient module by replacing each ring
@@ -20,13 +30,12 @@ entry with the matrix by which it acts.  The specialization is truncated
 at the two edge degrees of a window lo..hi where that cannot change the
 answer: at lo-1 <= -2, on the chain side, only the image of the boundary
 out of it is read, and at hi+1 >= 1, on the cochain side, only the kernel
-of the coboundary into it; there only the bar tuples whose last entry is
-a generator are kept, or the tuples ending in 1 for the trivial group
-(see `TateComplex`).  Evaluating dd = 0 at (g, h, s) with s a generator
-expresses the (co)boundary at (g, hs) through the one at (g, h) and
-tuples ending in s; at h = 1 this reaches the tuples ending in 1, and by
-induction on word length every other last entry.  Every other degree
-keeps all |G|^k tuples.
+of the coboundary into it; there only the tuples whose last entry is a
+generator are kept (see `TateComplex`).  Evaluating dd = 0 at (g, h, s)
+with s a generator writes the (co)boundary at (g, hs) through the ones
+at (g, h).s, (gh, s) and (h, s), where a degenerate term is zero; by
+induction on the word length of hs every last entry is reached.  Every
+other degree keeps all (|G|-1)^k tuples.
 """
 
 from __future__ import annotations
@@ -58,21 +67,30 @@ class TateComplex:
     """Complete-resolution data for one finite group over a degree window.
 
     Cohomology is computable at every degree of `window`; internally the
-    complex extends one degree beyond each end.  The ring-level complex
-    (`basis`, `rank`, `ring_differential`) is whole at every degree.  Its
-    specialization at a module (`cochain_group`, `blockified`) keeps, at
-    an edge degree the window reads from one side only, just the bar
-    tuples whose last entry lies in S = `group.generating_set()`, or in
-    {1} when S is empty (the trivial group): degree lo-1 when lo-1 <= -2,
-    where the window reads only the image of the boundary out of it, and
-    degree hi+1 when hi+1 >= 1, where it reads only the kernel of the
-    coboundary into it.  Evaluating dd = 0 at (g, h, s), s in S, writes
-    the (co)boundary at (g, hs) through the one at (g, h) and tuples
-    ending in s.  At h = 1 it writes the one at (g, 1) through tuples
-    ending in s, since hs = s; every other x in G is a positive word in S,
-    so by induction on its length the image and the kernel are unchanged.
-    On the other side of an edge (a boundary into it, a coboundary out of
-    it) the argument fails, and those edges keep every tuple.
+    complex extends one degree beyond each end.  The cells of degree i
+    are the normalized bar tuples: the k-tuples, k = `tuple_length(i)`,
+    over G' = G minus the identity, in `basis` order, (|G|-1)^k of them.
+    A face of the bar differential whose merged entry is the identity is
+    degenerate and zero in the normalized complex, so `ring_differential`
+    drops it: on the chain side when a target has g.h = 1, on the cochain
+    side when a source does; `_basis_index` is None for such a tuple.
+
+    The ring-level complex (`basis`, `rank`, `ring_differential`) is
+    whole at every degree.  Its specialization at a module
+    (`cochain_group`, `blockified`) keeps, at an edge degree the window
+    reads from one side only, just the tuples of G'^(k-1) x S with
+    S = `group.generating_set()`: degree lo-1 when lo-1 <= -2, where the
+    window reads only the image of the boundary out of it, and degree
+    hi+1 when hi+1 >= 1, where it reads only the kernel of the coboundary
+    into it.  Evaluating dd = 0 at (g, h, s), s in S, writes the
+    (co)boundary at (g, hs) through the ones at (g, h).s, (gh, s) and
+    (h, s), any degenerate one of them being zero.  At h = 1 the tuple
+    (g, hs) = (g, s) is kept already; every other x in G' is a positive
+    word hs in S with h shorter, so by induction on its length the image
+    and the kernel are unchanged.  For the trivial group G' is empty and
+    nothing is kept, nor is there anything to keep.  On the other side of
+    an edge (a boundary into it, a coboundary out of it) the argument
+    fails, and those edges keep every tuple.
     """
 
     def __init__(self, group, window=(-4, 3)):
@@ -81,6 +99,8 @@ class TateComplex:
             raise WindowTooLarge(f"window {window} exceeds {MAX_WINDOW}")
         self.group = group
         self.window = (lo, hi)
+        self._cells = [g for g in range(group.order) if g != group.identity]
+        self._cell_index = {g: k for k, g in enumerate(self._cells)}
         self._bases = {}
         self._diffs = {}
         self._kept = {}
@@ -100,15 +120,15 @@ class TateComplex:
         return -i - 1 if i <= -1 else i
 
     def basis(self, i):
-        """Bar-type basis of the degree-i term: tuples of group elements."""
+        """Normalized bar basis of the degree-i term: tuples of non-identity
+        group elements."""
         if i not in self._bases:
-            k = self.tuple_length(i)
-            self._bases[i] = list(itertools.product(range(self.group.order),
-                                                    repeat=k))
+            self._bases[i] = list(itertools.product(
+                self._cells, repeat=self.tuple_length(i)))
         return self._bases[i]
 
     def rank(self, i):
-        return self.group.order ** self.tuple_length(i)
+        return len(self._cells) ** self.tuple_length(i)
 
     def _edge_tuples(self, i):
         """The kept bar tuples of degree i, in basis order, if i is a
@@ -117,11 +137,10 @@ class TateComplex:
         if not ((i == lo - 1 and i <= -2) or (i == hi + 1 and i >= 1)):
             return None
         if i not in self._kept:
-            grp = self.group
-            last = sorted(grp.generating_set()) or [grp.identity]
+            last = sorted(self.group.generating_set())
             self._kept[i] = [
                 w + (s,) for w in itertools.product(
-                    range(grp.order), repeat=self.tuple_length(i) - 1)
+                    self._cells, repeat=self.tuple_length(i) - 1)
                 for s in last]
         return self._kept[i]
 
@@ -147,11 +166,14 @@ class TateComplex:
         """Columns of the differential i -> i+1 in ring_differential's
         layout.  `tuples` lists the sources on the chain side (i <= -1)
         and the targets on the cochain side; they are numbered by their
-        place in `tuples`, the other side by its full basis index."""
+        place in `tuples`, the other side by its basis index.  A
+        degenerate term, whose `_basis_index` is None, is dropped."""
         grp = self.group
         cols = {}
 
         def put(s_idx, t_idx, g, c):
+            if s_idx is None or t_idx is None:
+                return
             col = cols.setdefault(s_idx, {})
             zg = col.setdefault(t_idx, {})
             zg[g] = zg.get(g, 0) + c
@@ -162,13 +184,14 @@ class TateComplex:
 
         if i <= -2:
             m = -i - 1
-            tgt_index = {w: k for k, w in enumerate(self.basis(i + 1))}
             for s_idx, w in enumerate(tuples):
-                put(s_idx, tgt_index[w[:-1]], w[-1], 1)
+                put(s_idx, self._basis_index(i + 1, w[:-1]), w[-1], 1)
                 for k in range(1, m):
                     merged = w[:k - 1] + (grp.mul(w[k - 1], w[k]),) + w[k + 1:]
-                    put(s_idx, tgt_index[merged], grp.identity, (-1) ** (m - k))
-                put(s_idx, tgt_index[w[1:]], grp.identity, (-1) ** m)
+                    put(s_idx, self._basis_index(i + 1, merged),
+                        grp.identity, (-1) ** (m - k))
+                put(s_idx, self._basis_index(i + 1, w[1:]), grp.identity,
+                    (-1) ** m)
         elif i == -1:
             for g in range(grp.order):
                 put(0, 0, g, 1)
@@ -179,15 +202,20 @@ class TateComplex:
         return cols
 
     def _basis_index(self, i, w):
-        n = self.group.order
+        """The place of the tuple w in `basis(i)`, or None if w has an
+        identity entry (a degenerate tuple, zero in the complex)."""
+        base, index = len(self._cells), self._cell_index
         idx = 0
         for x in w:
-            idx = idx * n + x
+            k = index.get(x)
+            if k is None:
+                return None
+            idx = idx * base + k
         return idx
 
     def _cochain_terms(self, w, i):
         """(source tuple, acting element, sign) triples of (delta f)(w) for
-        the standard inhomogeneous differential, w in G^(i+1)."""
+        the standard inhomogeneous differential, w in G'^(i+1)."""
         grp = self.group
         out = [(w[1:], w[0], 1)]
         for k in range(1, i + 1):
@@ -451,17 +479,23 @@ class Cocycle1:
         return cls(module, [vals[g] for g in range(grp.order)])
 
     def as_cochain(self):
-        """Flat degree-1 cochain coordinates for the resolution."""
+        """Flat degree-1 cochain coordinates for the resolution: the
+        values at the non-identity elements, in `TateComplex.basis(1)`
+        order.  f(1) = 0 has no cell."""
+        identity = self.module.group.identity
         out = []
-        for v in self.values:
-            out.extend(v)
+        for g, v in enumerate(self.values):
+            if g != identity:
+                out.extend(v)
         return tuple(out)
 
     @classmethod
     def from_cochain(cls, module, rep, check=True):
-        na = module.underlying.n
-        vals = [tuple(rep[g * na:(g + 1) * na])
-                for g in range(module.group.order)]
+        """The cocycle of degree-1 cochain coordinates (see `as_cochain`),
+        with f(1) = 0."""
+        grp, na = module.group, module.underlying.n
+        vals = [tuple(rep[k * na:(k + 1) * na]) for k in range(grp.order - 1)]
+        vals.insert(grp.identity, module.underlying.zero())
         return cls(module, vals, check=check)
 
     def add(self, other):
@@ -476,7 +510,8 @@ class Cocycle1:
 
     def is_coboundary(self):
         """Whether f(g) = g m - m for some m; returns (flag, witness)."""
-        m = self.module.coboundary_map().solve(self.as_cochain())
+        m = self.module.coboundary_map().solve(
+            tuple(x for v in self.values for x in v))
         return (m is not None), m
 
 
@@ -544,7 +579,8 @@ def shapiro_hminus2(complex_, group, sub):
     of the chain ([h], trivial coset); returns (map, H^ab, calculator,
     induced module).  H^ab is presented on the generators of H (see
     `abelianization`), so the map is given on them, and the checked
-    AbMap proves that it kills the relations."""
+    AbMap proves that it kills the relations.  No generator is the
+    identity, so no chain is the degenerate cell [1]."""
     from .gmodules import perm_module
     induced, reps, rho, pos = perm_module(group, sub)
     calc = TateCohomology(complex_, induced)

@@ -4,9 +4,9 @@ A GModule is a presented abelian group together with one action matrix
 per group element; a GMap is a homomorphism commuting with both actions.
 All the standard constructions live here: the regular module, permutation
 and induced modules, augmentation ideals and the left ideals they
-generate, Hom and tensor with the diagonal action, equivariant kernels
-and cokernels, the norm and the coboundary map.  Their cohomology,
-including H^0 and H^-1, is computed in `tatelab.cohomology` only.
+generate, Hom and tensor with the diagonal action, equivariant kernels,
+the norm and the coboundary map.  Their cohomology, including H^0 and
+H^-1, is computed in `tatelab.cohomology` only.
 """
 
 from __future__ import annotations
@@ -144,17 +144,6 @@ class GMap:
         kmod = GModule(grp, kgrp, [acts[g] for g in range(grp.order)],
                        check=False)
         return kmod, GMap(kmod, self.dom, incl, check=False)
-
-    def image(self):
-        igrp, incl, proj = self.ab.image()
-        imod = GModule(self.dom.group, igrp, self.dom.action)
-        return (imod, GMap(imod, self.cod, incl, check=False),
-                GMap(self.dom, imod, proj, check=False))
-
-    def cokernel(self):
-        qgrp, proj = self.ab.cokernel()
-        qmod = GModule(self.cod.group, qgrp, self.cod.action)
-        return qmod, GMap(self.cod, qmod, proj, check=False)
 
     @classmethod
     def zero(cls, dom, cod):

@@ -592,11 +592,14 @@ class ConnectingData:
 
 
 def generator_chain(complex_, inst, xy, calc_x, place_id, tau):
-    """The degree -2 class of [tau] (x) (p - p0)."""
+    """The degree -2 class of [tau] (x) (p - p0).  [1] is a degenerate
+    cell, zero in the normalized complex, so tau = 1 gives the zero
+    chain."""
     nx = xy.x.underlying.n
     rep = [0] * (complex_.rank(-2) * nx)
     b_idx = complex_._basis_index(-2, (tau,))
-    rep[b_idx * nx + xy.x_index[(place_id, inst.group.identity)]] = 1
+    if b_idx is not None:
+        rep[b_idx * nx + xy.x_index[(place_id, inst.group.identity)]] = 1
     return CohClass(calc_x, -2, rep)
 
 

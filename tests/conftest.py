@@ -6,6 +6,7 @@ import pytest
 
 from tatelab.abelian import AbMap, FgAb, Homology
 from tatelab.cft import synth_instance
+from tatelab.cohomology import TateComplex
 from tatelab.gmodules import NotEquivariant
 from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
                             direct_product, group_from_table)
@@ -33,6 +34,41 @@ def direct_low_degrees(module):
 def direct_formula():
     """The direct-formula oracle for H^0 and H^-1 (see direct_low_degrees)."""
     return direct_low_degrees
+
+
+class BarComplex(TateComplex):
+    """The un-normalized bar complex over the same window: every k-tuple
+    over G is a cell, |G|^k of them, degenerate or not, and no face is
+    dropped.  At a truncated edge the tuples ending in a generator are
+    kept, or the one tuple (1, ..., 1) for the trivial group, where there
+    is no generator.  Its cochains of degree 1 have a block at the
+    identity too (see `bar_cochain`).  The normalized `TateComplex` is
+    its quotient by the acyclic degenerate subcomplex, so the two must
+    have the same cohomology: this is the reference for that."""
+
+    def __init__(self, group, window=(-4, 3)):
+        super().__init__(group, window)
+        self._cells = list(range(group.order))
+        self._cell_index = {g: g for g in self._cells}
+
+    def _edge_tuples(self, i):
+        kept = super()._edge_tuples(i)
+        if kept == []:
+            return [(self.group.identity,) * self.tuple_length(i)]
+        return kept
+
+
+def bar_cochain(cocycle):
+    """The degree-1 cochain of a Cocycle1 over `BarComplex`: its value at
+    every group element, the identity included."""
+    return tuple(x for v in cocycle.values for x in v)
+
+
+@pytest.fixture
+def bar_complex():
+    """The un-normalized reference complex (see BarComplex) and the
+    degree-1 cochain of a cocycle over it (see bar_cochain)."""
+    return BarComplex, bar_cochain
 
 
 def precompose_loop(hom, dom_hom, phi):

@@ -15,7 +15,7 @@ from tatelab.cohomology import (MAX_WINDOW, CohClass, Cocycle1,
                                 ext1_class_to_h2, extension_to_cocycle,
                                 induced_map, shapiro_hminus2)
 from tatelab.gmodules import (GMap, GModule, direct_sum, hom_and_tensor,
-                              regular_module, trivial_module)
+                              perm_module, regular_module, trivial_module)
 from tatelab.groups import Subgroup, named_group
 from tatelab.lattice import IntMatrix
 from tatelab.tate_sequence import (build_nabla, build_script_h, build_snake,
@@ -51,11 +51,14 @@ def test_window_and_ranks():
     with pytest.raises(WindowTooLarge):
         TateComplex(c2, (-6, 3))
     cx = TateComplex(c2, (-4, 3))
-    assert [cx.rank(i) for i in (-3, -2, -1, 0, 1, 2)] == [4, 2, 1, 1, 2, 4]
     with pytest.raises(DegreeOutOfWindow):
         TateCohomology(cx, trivial_module(c2)).homology(-5)
+    # (|G|-1)^k normalized cells of tuple length k
+    cx3 = TateComplex(named_group("C3"), (-4, 3))
+    assert [cx3.rank(i) for i in (-3, -2, -1, 0, 1, 2)] == [4, 2, 1, 1, 2, 4]
+    assert all(cx.rank(i) == 1 for i in cx.degrees())
     triv = TateComplex(named_group("1"), (-3, 3))
-    assert all(triv.rank(i) == 1 for i in triv.degrees())
+    assert [triv.rank(i) for i in triv.degrees()] == [0, 0, 1, 1, 0, 0, 0]
 
 
 def ring_compose_is_zero(cx, i):
@@ -180,8 +183,9 @@ def test_connecting_hom_examples():
     rng = random.Random(1)
     # multiplication by 2 on Z, trivial action: delta at degree 0 is zero
     z = trivial_module(c2)
-    cok, proj = GMap(z, z, IntMatrix([[2]])).cokernel()
-    ext = ExtensionData(GMap(z, z, IntMatrix([[2]])), proj)
+    cok = z_mod(c2, 2)
+    ext = ExtensionData(GMap(z, z, IntMatrix([[2]])),
+                        GMap(z, cok, IntMatrix([[1]])))
     calc_c, calc_a = TateCohomology(cx, cok), TateCohomology(cx, z)
     delta = connecting_hom(cx, ext, 0, calc_c=calc_c, calc_a=calc_a)
     gen = nonzero_class(calc_c, 0)
@@ -189,8 +193,9 @@ def test_connecting_hom_examples():
     assert delta(gen).is_zero()
     # same sequence with the sign action: delta is injective Z/2 -> Z/2
     zs = GModule(c2, FgAb(1), [IntMatrix([[1]]), IntMatrix([[-1]])])
-    coks, projs = GMap(zs, zs, IntMatrix([[2]])).cokernel()
-    exts = ExtensionData(GMap(zs, zs, IntMatrix([[2]])), projs)
+    coks = GModule(c2, FgAb(1, IntMatrix([[2]])), zs.action)
+    exts = ExtensionData(GMap(zs, zs, IntMatrix([[2]])),
+                         GMap(zs, coks, IntMatrix([[1]])))
     calc_cs, calc_as = TateCohomology(cx, coks), TateCohomology(cx, zs)
     assert calc_as.group(1).invariant_factors() == (2,)
     deltas = connecting_hom(cx, exts, 0, calc_c=calc_cs, calc_a=calc_as)
@@ -402,7 +407,7 @@ def test_cup_examples():
     z3m = z_mod(c3, 3)
     calc3 = TateCohomology(cx3, z3t)
     rep = [0] * cx3.rank(-2)
-    rep[1] = 1
+    rep[cx3._basis_index(-2, (1,))] = 1
     zc = CohClass(calc3, -2, rep)
     cup3, ca3 = cup_with_h1(cx3, Cocycle1(z3m, [(0,), (1,), (2,)]), zc)
     h = TateCohomology(cx3, ca3.module).homology(-1)
@@ -622,6 +627,71 @@ def _combination(incl, rng):
     return incl.apply([rng.randint(-3, 3) for _ in range(incl.dom.n)])
 
 
+# -- the normalized complex against the un-normalized bar complex ------------
+
+def _random_finite_module(grp, rng):
+    """A random finite G-module: Z/m[G/<h>], the permutation module on
+    the cosets of a random cyclic subgroup <h> of index at most 2, modulo
+    a random m.  The index bound keeps the rank at most 2, so that the
+    un-normalized complex of an order-8 group stays cheap at -4 and 3."""
+    subs = [grp.closure([h]) for h in range(grp.order)]
+    perm = perm_module(grp, Subgroup(grp, rng.choice(
+        [sub for sub in subs if 2 * len(sub) >= grp.order])))[0]
+    n, m = perm.underlying.n, rng.choice([2, 3, 4, 6])
+    return GModule(grp, FgAb(n, IntMatrix.from_columns(
+        [tuple(m * (r == q) for r in range(n)) for q in range(n)], n)),
+        perm.action)
+
+
+def _drawn_cocycles(norm, full, rng):
+    """1-cocycles of the module of the calculators `norm` (normalized) and
+    `full` (bar): random cocycles of either complex, a random coboundary,
+    their sums and zero.  A bar cocycle has f(1) = 0 in the module, so it
+    is a Cocycle1 too."""
+    mod = norm.module
+    na, order = mod.underlying.n, mod.group.order
+    zs = [Cocycle1.from_cochain(mod, _combination(
+        norm.differential(1).kernel()[1], rng)) for _ in range(3)]
+    for _ in range(3):
+        rep = _combination(full.differential(1).kernel()[1], rng)
+        zs.append(Cocycle1(mod, [rep[g * na:(g + 1) * na]
+                                 for g in range(order)]))
+    cob = Cocycle1.from_cochain(mod, norm.differential(0).apply(
+        [rng.randint(-3, 3) for _ in range(na)]))
+    return zs + [cob, zs[0].add(cob), zs[-1].add(cob), zs[0].neg(),
+                 Cocycle1(mod, [mod.underlying.zero()] * order)]
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER))
+def test_normalized_complex_matches_the_bar_complex(name, bar_complex):
+    """The normalized complex and the un-normalized bar complex over
+    -4..3 have isomorphic cohomology at every degree, for Z, Z/6, Z[G]
+    and a random finite module; and a drawn 1-cocycle is a coboundary in
+    one complex iff it is one in the other, iff `is_coboundary` says
+    so."""
+    bar, bar_cochain = bar_complex
+    grp = named_group(name)
+    rng = random.Random(_ORDER[name])
+    norm_cx, bar_cx = TateComplex(grp, (-4, 3)), bar(grp, (-4, 3))
+    assert bar_cx.rank(-4) == grp.order ** 3
+    mods = {"Z": trivial_module(grp), "Z/6": z_mod(grp, 6),
+            "Z[G]": regular_module(grp),
+            "random": _random_finite_module(grp, rng)}
+    seen = set()
+    for kind, mod in mods.items():
+        norm, full = TateCohomology(norm_cx, mod), TateCohomology(bar_cx, mod)
+        for i in range(-4, 4):
+            assert _invariants(norm.group(i)) == _invariants(full.group(i)), \
+                (kind, i)
+        for f in _drawn_cocycles(norm, full, rng):
+            in_norm = CohClass(norm, 1, f.as_cochain()).is_zero()
+            in_bar = CohClass(full, 1, bar_cochain(f)).is_zero()
+            assert in_norm == in_bar == f.is_coboundary()[0], (kind, f.values)
+            seen.add(in_norm)
+    # H^1(G, Z/6) = Hom(G, Z/6) != 0 here, so both answers are drawn
+    assert seen == {True, False}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_edge_cases()), st.integers(0, 2 ** 16))
 @example(("C4", "Z", (-4, -3)), 0)
@@ -696,10 +766,11 @@ _SIZE_CASES = (("Z", (-3, 2)), ("Z/6", (-3, 2)), ("Z[G]", (-3, 2)),
 @pytest.mark.parametrize("name", sorted(_ORDER))
 def test_edge_cochain_groups_keep_generator_tuples(name):
     """At degree lo-1 <= -2 and hi+1 >= 1 a cochain group has one block per
-    bar tuple ending in S; every other degree keeps all |G|^k.  The
-    ring-level ranks stay whole everywhere."""
+    normalized tuple ending in S, (|G|-1)^(k-1) |S| of them; every other
+    degree keeps all (|G|-1)^k.  The ring-level ranks stay whole
+    everywhere."""
     grp = named_group(name)
-    n, kept = grp.order, len(grp.generating_set())
+    n, kept = grp.order - 1, len(grp.generating_set())
     for kind, (lo, hi) in _SIZE_CASES:
         mod = _MODULES[kind](grp)
         na = mod.underlying.n
