@@ -110,6 +110,12 @@ class FgAb:
         the identity block).  The moduli form no divisibility chain.  The
         relations stay sparse columns, however many parts there are.
 
+        Where the constructor would lattice-reduce (see _reduces), each
+        distinct part is reduced on its own: a Hermite insertion of one
+        block's columns only meets rows of that block, so this gives the
+        constructor's rows of the whole, in its order, and the parts'
+        Smith data still presents them.
+
         >>> z6 = FgAb(1, IntMatrix([[6]]))
         >>> s = FgAb.direct_sum([z6, FgAb(1), z6])
         >>> s, s.rel.sparse_columns()
@@ -119,7 +125,10 @@ class FgAb:
         n = sum(p.n for p in parts)
         rel = IntMatrix.block_diagonal([p.rel for p in parts])
         if _reduces(rel.cols, n):
-            return cls(n, rel)  # lattice-reduced as the constructor does
+            basis = {id(p): IntMatrix._from_sparse_columns(
+                _span_basis(p.rel.sparse_columns(), p.n), p.n)
+                for p in {id(p): p for p in parts}.values()}
+            rel = IntMatrix.block_diagonal([basis[id(p)] for p in parts])
         grp = object.__new__(cls)
         grp.n = n
         grp.rel = rel
@@ -267,16 +276,23 @@ class FgAb:
         idx = [i for i in self._canon_idx if self._mods[i] == 0]
         u, uinv = (IntMatrix.identity(self.n),) * 2 if self._u is None \
             else (self._u, self._uinv)
-        tb = IntMatrix._trusted(tuple(u.entries[i] for i in idx), self.n)
-        fb = IntMatrix._trusted(tuple(tuple(r[i] for i in idx)
-                                      for r in uinv.entries), len(idx))
+        # TB is the rows idx of U, read off its columns; FB the columns idx
+        # of Uinv
+        pos = {i: k for k, i in enumerate(idx)}
+        tb = IntMatrix._from_sparse_columns(
+            [{pos[i]: x for i, x in col.items() if i in pos}
+             for col in u._columns], len(idx))
+        fb = IntMatrix._from_sparse_columns([uinv._columns[i] for i in idx],
+                                            self.n)
         return tb, fb
 
     def smith_gens(self):
         """Independent generators (one per canonical coordinate); generator
-        i has order mods[i] (0 = infinite)."""
-        return [self.from_canon(e) for e in
-                IntMatrix.identity(len(self._canon_idx)).entries]
+        i has order mods[i] (0 = infinite): the columns of Uinv at the
+        canonical coordinates."""
+        if self._uinv is None:
+            return [self.gen(i) for i in self._canon_idx]
+        return [self._uinv.column(i) for i in self._canon_idx]
 
     def rel_lattice(self):
         if self._rel_lat is None:
@@ -335,15 +351,19 @@ class AbMap:
         return AbMap(other.dom, self.cod, self.mat.mul(other.mat), check=False)
 
     def add(self, other):
-        m = IntMatrix([[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.mat.entries, other.mat.entries)],
-                      cols=self.mat.cols)
-        return AbMap(self.dom, self.cod, m, check=False)
+        cols = []
+        for ca, cb in zip(self.mat._columns, other.mat._columns):
+            col = dict(ca)
+            _axpy(col, -1, cb)
+            cols.append(col)
+        return AbMap(self.dom, self.cod,
+                     IntMatrix._from_sparse_columns(cols, self.cod.n),
+                     check=False)
 
     def neg(self):
-        return AbMap(self.dom, self.cod,
-                     IntMatrix([[-a for a in r] for r in self.mat.entries],
-                               cols=self.mat.cols), check=False)
+        return AbMap(self.dom, self.cod, IntMatrix._from_sparse_columns(
+            [{i: -x for i, x in col.items()} for col in self.mat._columns],
+            self.cod.n), check=False)
 
     def __eq__(self, other):
         if not isinstance(other, AbMap):

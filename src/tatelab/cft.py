@@ -342,11 +342,9 @@ def _cocycle_space(group, sub, cl):
             for r in range(n):
                 row_block[r][pos[a] * n + r] += 1
                 row_block[r][pos[sub.group.mul(a, b)] * n + r] -= 1
-            act = cl.action[a].entries
-            for r in range(n):
-                for q in range(n):
-                    if act[r][q]:
-                        row_block[r][pos[b] * n + q] += act[r][q]
+            for q, col in enumerate(cl.action[a]._columns):
+                for r, x in col.items():
+                    row_block[r][pos[b] * n + q] += x
             conds.extend(row_block)
     big = FgAb.direct_sum([ab] * (len(elems) * len(elems)))
     cond_map = AbMap(tables, big, IntMatrix(conds, cols=tables.n), check=False)

@@ -509,9 +509,13 @@ class Cocycle1:
                         check=False)
 
     def is_coboundary(self):
-        """Whether f(g) = g m - m for some m; returns (flag, witness)."""
+        """Whether f(g) = g m - m for some m; returns (flag, witness).
+        The values at `generating_set()` are solved for alone: a 1-cocycle
+        is fixed by them, and so is g -> g m - m (see
+        `GModule.coboundary_map`)."""
         m = self.module.coboundary_map().solve(
-            tuple(x for v in self.values for x in v))
+            tuple(x for s in self.module.group.generating_set()
+                  for x in self.values[s]))
         return (m is not None), m
 
 
@@ -527,15 +531,17 @@ def cocycle_to_extension(hom, f):
     ab = FgAb.direct_sum([amod.underlying, cmod.underlying])
     acts = []
     for g in range(grp.order):
-        fmat = hom.to_matrix(f.values[g])
-        fg = fmat.mul(cmod.action[g])
-        rows = [ra + rf for ra, rf in zip(amod.action[g].entries, fg.entries)]
-        rows += [(0,) * na + rc for rc in cmod.action[g].entries]
-        acts.append(IntMatrix._trusted(tuple(rows), na + nc))
+        # columns of [[rho_A(g), f(g) rho_C(g)], [0, rho_C(g)]]
+        fg = hom.to_matrix(f.values[g]).mul(cmod.action[g])
+        cols = list(amod.action[g]._columns)
+        cols += [{**top, **{na + i: x for i, x in bottom.items()}}
+                 for top, bottom in zip(fg._columns, cmod.action[g]._columns)]
+        acts.append(IntMatrix._from_sparse_columns(cols, na + nc))
     bmod = GModule(grp, ab, acts)
-    ident = IntMatrix.identity(na + nc).entries
-    proj = IntMatrix._trusted(ident[na:], na + nc)
-    incl = IntMatrix._trusted(ident[:na], na + nc).transpose()
+    proj = IntMatrix._from_sparse_columns(
+        [{} for _ in range(na)] + [{j: 1} for j in range(nc)], nc)
+    incl = IntMatrix._from_sparse_columns([{j: 1} for j in range(na)],
+                                          na + nc)
     return ExtensionData(GMap(amod, bmod, incl), GMap(bmod, cmod, proj))
 
 

@@ -62,22 +62,36 @@ class GModule:
         return self.action[g].apply(x)
 
     def coboundary_map(self):
-        """The map M -> M^|G|, m -> (g m - m)_g: its kernel is M^G, and a
-        1-cocycle is a coboundary iff its values lie in its image."""
+        """The map M -> M^|S|, m -> (s m - m)_s over S = `generating_set()`.
+        Its kernel is M^G, and a 1-cocycle f is a coboundary iff its
+        values at S lie in its image: g -> g m - m is a 1-cocycle, and two
+        that agree on S agree on G, since f(sg) = f(s) + s f(g)."""
         n = self.underlying.n
-        rows = [[a - (r == q) for q, a in enumerate(row)]
-                for m in self.action for r, row in enumerate(m.entries)]
-        big = FgAb.direct_sum([self.underlying] * self.group.order)
-        return AbMap(self.underlying, big, IntMatrix(rows, cols=n),
-                     check=False)
+        gens = self.group.generating_set()
+        cols = [{} for _ in range(n)]
+        for b, s in enumerate(gens):
+            for j, (col, out) in enumerate(zip(self.action[s]._columns,
+                                               cols)):
+                out.update((b * n + i, x) for i, x in col.items() if i != j)
+                if col.get(j, 0) != 1:
+                    out[b * n + j] = col.get(j, 0) - 1
+        big = FgAb.direct_sum([self.underlying] * len(gens))
+        return AbMap(self.underlying, big,
+                     IntMatrix._from_sparse_columns(cols, big.n), check=False)
 
     def norm_map(self):
-        """Multiplication by the sum of all group elements."""
-        n = self.underlying.n
-        rows = [[sum(self.action[g].entries[i][j] for g in range(self.group.order))
-                 for j in range(n)] for i in range(n)]
+        """Multiplication by the sum of all group elements, summed over
+        the action's sparse columns."""
+        cols = []
+        for j in range(self.underlying.n):
+            acc = {}
+            for m in self.action:
+                for i, x in m._columns[j].items():
+                    acc[i] = acc.get(i, 0) + x
+            cols.append({i: x for i, x in acc.items() if x})
         return AbMap(self.underlying, self.underlying,
-                     IntMatrix(rows, cols=n), check=False)
+                     IntMatrix._from_sparse_columns(cols, self.underlying.n),
+                     check=False)
 
     def __repr__(self):
         return f"GModule({self.underlying!r} over order-{self.group.order} group)"
@@ -316,11 +330,7 @@ class HomModule:
     def from_matrix(self, f):
         """Matrix of a map C -> A -> Hom element coordinates."""
         e = f.mul(self.fb)
-        out = []
-        for i in range(self.k):
-            for l in range(self.a.underlying.n):
-                out.append(e.entries[l][i])
-        return tuple(out)
+        return tuple(x for i in range(self.k) for x in e.column(i))
 
     def precompose(self, dom_hom, phi):
         """The matrix of Hom(C', A) -> Hom(C, A), f -> f.phi, where
@@ -386,8 +396,9 @@ def hom_and_tensor(cmod, amod):
     hom = HomModule(cmod, amod)
     tensor = TensorModule(cmod, hom.module)
     # c_i (x) (coordinate k.n_A + l of Hom) -> TB[k][i] a_l
-    tb_row = tuple(x for col in hom.tb.transpose().entries for x in col)
-    ev = IntMatrix._trusted((tb_row,), len(tb_row)).kron(
+    tb_row = [{0: col[k]} if k in col else {}
+              for col in hom.tb._columns for k in range(hom.k)]
+    ev = IntMatrix._from_sparse_columns(tb_row, 1).kron(
         IntMatrix.identity(amod.underlying.n))
     evaluation = GMap(tensor.module, amod, ev)
     return {"hom": hom, "tensor": tensor, "evaluation": evaluation,

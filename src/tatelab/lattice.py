@@ -20,9 +20,10 @@ class IntMatrix:
     constructor builds them and every operation works on them, so the
     large and very sparse differentials and relation matrices of the
     cohomology never become dense.  `entries`, the rows as a tuple of int
-    tuples, is a view for dense readers: built from the columns when it
-    is first read, and kept.  Shape, equality and hashing depend on the
-    entries only, not on how a matrix was built.
+    tuples, is a view for the dense lists that leave the package (the
+    action rows of an instance file, doctests): built from the columns
+    when it is first read, and kept.  Shape, equality and hashing depend
+    on the entries only, not on how a matrix was built.
 
     >>> m = IntMatrix([[5, 0, 0], [0, 0, -1]])
     >>> m.shape, m.sparse_columns()
@@ -64,14 +65,6 @@ class IntMatrix:
         m = object.__new__(cls)
         m._hold(list(columns), rows)
         return m
-
-    @classmethod
-    def _trusted(cls, entries, cols):
-        """Internal constructor from rows: `entries` is a sequence of int
-        sequences, each of length `cols`, so nothing is coerced or
-        checked."""
-        return cls._trusted_columns(list(zip(*entries)) or [()] * cols,
-                                    len(entries))
 
     @classmethod
     def _trusted_columns(cls, columns, rows):
@@ -235,23 +228,6 @@ def _sparse(columns, rows):
     return [{i: col[i] for i in compress(rng, col)} for col in columns]
 
 
-def _smallest_pivot(d, t, rows, cols):
-    """Position of the nonzero entry of least absolute value in d[t:, t:]."""
-    best = None
-    best_abs = None
-    for i in range(t, rows):
-        di = d[i]
-        for j in range(t, cols):
-            x = di[j]
-            if x:
-                a = -x if x < 0 else x
-                if best_abs is None or a < best_abs:
-                    best, best_abs = (i, j), a
-                    if a == 1:
-                        return best
-    return best
-
-
 def smith_normal_form(m: IntMatrix):
     """Smith normal form with unimodular witnesses: U * m * V == D.
 
@@ -272,6 +248,14 @@ def _snf_data(m: IntMatrix, track_v=False):
     """(U, D, V, Uinv) with U m V = D and the inverse of U tracked; V is
     None unless `track_v`.  U, D and Uinv do not depend on `track_v`.
 
+    The elimination visits nonzero entries only: D is held by its sparse
+    rows, U by its sparse rows and Uinv and V by their sparse columns, so
+    a row operation is one `_axpy` on each and a swap moves two dicts.
+    Step t pivots on the least (|x|, i, j) of the trailing block, the
+    first +-1 ending the search.  Rows above t are zero in the columns
+    from t on, so a column swap touches rows t and below only, and a
+    column operation only the rows with an entry in column t.
+
     Once a pivot has cleared its row and column, the rest of the matrix
     is swept for an entry the pivot does not divide, and such a row is
     added to the pivot row.  A pivot of +-1 divides every entry, so the
@@ -279,126 +263,115 @@ def _snf_data(m: IntMatrix, track_v=False):
     the sweep would give, only sooner.
     """
     rows, cols = m.rows, m.cols
-    d = m._row_lists()
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = ([[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-         if track_v else [])  # no rows: the column operations skip V
-
-    def row_swap(a, b):
-        d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
-        for r in uinv:
-            r[a], r[b] = r[b], r[a]
-
-    def row_sub(a, q, b):
-        # row a -= q * row b ; inverse op: column b += q * column a of uinv
-        da, db = d[a], d[b]
-        for j in range(cols):
-            if db[j]:
-                da[j] -= q * db[j]
-        ua, ub = u[a], u[b]
-        for j in range(rows):
-            if ub[j]:
-                ua[j] -= q * ub[j]
-        for r in uinv:
-            if r[a]:
-                r[b] += q * r[a]
-
-    def row_neg(a):
-        d[a] = [-x for x in d[a]]
-        u[a] = [-x for x in u[a]]
-        for r in uinv:
-            r[a] = -r[a]
-
-    def col_swap(a, b):
-        for r in d:
-            r[a], r[b] = r[b], r[a]
-        for r in v:
-            r[a], r[b] = r[b], r[a]
-
-    def col_sub(a, q, b):
-        # col a -= q * col b
-        for r in d:
-            if r[b]:
-                r[a] -= q * r[b]
-        for r in v:
-            if r[b]:
-                r[a] -= q * r[b]
-
+    d = m.sparse_rows()
+    u = [{i: 1} for i in range(rows)]
+    uinv = [{i: 1} for i in range(rows)]
+    v = [{j: 1} for j in range(cols)] if track_v else None
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        pos = _smallest_pivot(d, t, rows, cols)
+        pos = _smallest_pivot(d, t)
         if pos is None:
             break
         while True:
             i, j = pos
-            if (i, j) != (t, t):
-                if i != t:
-                    row_swap(i, t)
-                if j != t:
-                    col_swap(j, t)
-            p = d[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                x = d[i][t]
-                if x:
-                    q = x // p
-                    row_sub(i, q, t)
-                    if d[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                x = d[t][j]
-                if x:
-                    q = x // p
-                    col_sub(j, q, t)
-                    if d[t][j]:
-                        dirty = True
-            if dirty:
-                pos = _smallest_pivot(d, t, rows, cols)
-                continue
-            # pivot clean; enforce divisibility against the rest
-            p = d[t][t]
-            if p == 1 or p == -1:
-                break  # a unit divides every entry
-            offender = None
+            if i != t:
+                d[i], d[t] = d[t], d[i]
+                u[i], u[t] = u[t], u[i]
+                uinv[i], uinv[t] = uinv[t], uinv[i]
+            if j != t:
+                for r in d[t:]:
+                    x, y = r.pop(j, 0), r.pop(t, 0)
+                    if x:
+                        r[t] = x
+                    if y:
+                        r[j] = y
+                if v is not None:
+                    v[j], v[t] = v[t], v[j]
+            dt, ut, ct = d[t], u[t], uinv[t]
+            p = dt[t]
+            # row i -= q * row t; inverse op: column t of Uinv += q * column i
+            live = [dt]  # the rows with an entry in column t
             for i in range(t + 1, rows):
                 di = d[i]
-                for j in range(t + 1, cols):
-                    if di[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+                x = di.get(t)
+                if x:
+                    q = x // p
+                    _axpy(di, q, dt)
+                    _axpy(u[i], q, ut)
+                    _axpy(ct, -q, uinv[i])
+                    if t in di:
+                        live.append(di)
+            dirty = len(live) > 1
+            # column j -= q * column t
+            for j, x in list(dt.items()):
+                if j == t:
+                    continue
+                q = x // p
+                if q:
+                    for r in live:
+                        nv = r.get(j, 0) - q * r[t]
+                        if nv:
+                            r[j] = nv
+                        else:
+                            r.pop(j, None)
+                    if v is not None:
+                        _axpy(v[j], q, v[t])
+                if j in dt:
+                    dirty = True
+            if dirty:
+                pos = _smallest_pivot(d, t)
+                continue
+            # pivot clean; enforce divisibility against the rest
+            if p == 1 or p == -1:
+                break  # a unit divides every entry
+            k = next((i for i in range(t + 1, rows)
+                      if any(x % p for x in d[i].values())), None)
+            if k is None:
                 break
-            row_sub(t, -1, offender)
+            # row t += row k; inverse op: column k of Uinv -= column t
+            _axpy(dt, -1, d[k])
+            _axpy(ut, -1, u[k])
+            _axpy(uinv[k], 1, ct)
             pos = (t, t)
         t += 1
-    for i in range(limit):
-        if d[i][i] < 0:
-            row_neg(i)
-    return (IntMatrix._trusted(u, rows), IntMatrix._trusted(d, cols),
-            IntMatrix._trusted(v, cols) if track_v else None,
-            IntMatrix._trusted(uinv, rows))
+    diag = [d[i].get(i, 0) for i in range(limit)]
+    for i, x in enumerate(diag):
+        if x < 0:
+            diag[i] = -x
+            u[i] = {k: -y for k, y in u[i].items()}
+            uinv[i] = {k: -y for k, y in uinv[i].items()}
+    dcols = ([{i: x} if x else {} for i, x in enumerate(diag)]
+             + [{} for _ in range(cols - limit)])
+    return (IntMatrix._from_sparse_columns(u, rows).transpose(),
+            IntMatrix._from_sparse_columns(dcols, rows),
+            None if v is None else IntMatrix._from_sparse_columns(v, cols),
+            IntMatrix._from_sparse_columns(uinv, rows))
 
 
-def kernel_basis(row_iter, ncols):
-    """Basis of {x in Z^ncols : r . x = 0 for every row r}.
-
-    Rows may be given as sparse dicts {index: value} or dense sequences.
-    Returns dense tuple columns; `_kernel_columns` computes them as
-    sparse dicts.
-    """
-    return [tuple(map(col.get, range(ncols), repeat(0)))
-            for col in _kernel_columns(row_iter, ncols)]
+def _smallest_pivot(d, t):
+    """Position (i, j) of the least (|x|, i, j) over the sparse rows
+    d[t:], which are zero before column t; None when they are all zero."""
+    best, least = None, 0
+    for i in range(t, len(d)):
+        for j, x in d[i].items():
+            a = -x if x < 0 else x
+            if best is None or a < least or (a == least and i == best[0]
+                                             and j < best[1]):
+                best, least = (i, j), a
+        if least == 1:
+            break  # no later row has a smaller key
+    return best
 
 
 def _kernel_columns(row_iter, ncols):
-    """kernel_basis with sparse {index: value} columns.  Works
-    column-by-column so the very sparse boundary matrices of bar
-    resolutions stay cheap.
+    """Basis of {x in Z^ncols : r . x = 0 for every row r}, as sparse
+    {index: value} columns.  Rows may be given as sparse dicts
+    {index: value} or dense sequences.  Works column-by-column so the
+    very sparse boundary matrices of bar resolutions stay cheap: the
+    values of a row at the basis columns are summed over the columns
+    `touch` lists at the row's coordinates, so only nonzero products are
+    formed.
 
     Each row is eliminated by Euclidean steps among the basis columns it
     hits.  The pivot of a step is the column whose value has the least
@@ -410,57 +383,41 @@ def _kernel_columns(row_iter, ncols):
     """
     basis = {j: {j: 1} for j in range(ncols)}
     touch = {j: {j} for j in range(ncols)}  # coordinate -> basis col ids
-
-    def set_entry(col_id, coord, val):
-        col = basis[col_id]
-        if val:
-            col[coord] = val
-            touch.setdefault(coord, set()).add(col_id)
-        elif coord in col:
-            del col[coord]
-            touch[coord].discard(col_id)
-
-    def col_sub(a, q, b):
-        # column a -= q * column b
-        ca, cb = basis[a], basis[b]
-        for coord, val in list(cb.items()):
-            set_entry(a, coord, ca.get(coord, 0) - q * val)
-
     for row in row_iter:
         if not isinstance(row, dict):
             row = {j: x for j, x in enumerate(row) if x}
-        if not row:
-            continue
-        hit = set()
-        for coord in row:
-            hit |= touch.get(coord, set())
         vals = {}
-        for cid in hit:
-            col = basis[cid]
-            s = 0
-            for coord, rv in row.items():
-                cv = col.get(coord)
-                if cv:
-                    s += rv * cv
-            if s:
-                vals[cid] = s
+        for coord, rv in row.items():
+            for cid in touch.get(coord, ()):
+                vals[cid] = vals.get(cid, 0) + rv * basis[cid][coord]
+        vals = {cid: s for cid, s in vals.items() if s}
         while len(vals) > 1:
             order = sorted(vals, key=lambda c: (abs(vals[c]),
                                                 len(basis[c]), c))
             k0 = order[0]
             p = vals[k0]
+            piv = list(basis[k0].items())
             for cid in order[1:]:
                 q = vals[cid] // p
                 if q:
-                    col_sub(cid, q, k0)
+                    # column cid -= q * column k0
+                    col = basis[cid]
+                    for coord, x in piv:
+                        nv = col.get(coord, 0) - q * x
+                        if nv:
+                            if coord not in col:
+                                touch[coord].add(cid)
+                            col[coord] = nv
+                        elif coord in col:
+                            del col[coord]
+                            touch[coord].discard(cid)
                     vals[cid] -= q * p
                 if not vals[cid]:
                     del vals[cid]
         if vals:
             (k0, _), = vals.items()
-            for coord in list(basis[k0]):
+            for coord in basis.pop(k0):
                 touch[coord].discard(k0)
-            del basis[k0]
     return [basis[cid] for cid in sorted(basis)]
 
 

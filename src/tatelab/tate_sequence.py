@@ -502,10 +502,12 @@ def build_nabla(inst, wrb, snake):
     cl = inst.cl
     total, (cl_inj, b_inj), (_, b_proj) = direct_sum([cl, wrb.b])
     # (s(r), -r) for each generator r of R
-    glue = IntMatrix._trusted(
-        snake.s.ab.mat.entries
-        + tuple(tuple(-x for x in row) for row in wrb.r_to_b.ab.mat.entries),
-        wrb.r.underlying.n)
+    ncl = cl.underlying.n
+    glue = IntMatrix._from_sparse_columns(
+        [{**sc, **{ncl + i: -x for i, x in rc.items()}}
+         for sc, rc in zip(snake.s.ab.mat._columns,
+                           wrb.r_to_b.ab.mat._columns)],
+        total.underlying.n)
     ab = FgAb(total.underlying.n, IntMatrix.block_diagonal(
         [cl.underlying.rel, wrb.b.underlying.rel]).hstack(glue))
     nabla = GModule(grp, ab, total.action, check=False)

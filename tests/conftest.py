@@ -4,26 +4,31 @@ from importlib.resources import files
 
 import pytest
 
+from tatelab import abelian, tate_sequence
 from tatelab.abelian import AbMap, FgAb, Homology
+from tatelab.analysis import run_analysis
 from tatelab.cft import synth_instance
 from tatelab.cohomology import TateComplex
 from tatelab.gmodules import NotEquivariant
 from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
                             direct_product, group_from_table)
 from tatelab.instance_io import instance_digest, load_instance
-from tatelab.lattice import IntMatrix
+from tatelab.lattice import IntMatrix, _kernel_columns, _snf_data
 from tatelab.tate_sequence import r_element
 
 
 def direct_low_degrees(module):
     """(H^0, H^-1) of `module` as Homology objects read off the direct
-    formulas, with no resolution: H^0 = M^G / N M at the middle of
-    M -N-> M -> M^|G|, m -> (gm - m)_g, and H^-1 = ker N / <(g-1)m> at
-    the middle of M^|G| -> M -N-> M, (m_g) -> sum_g (g - 1) m_g."""
+    formulas, with no resolution, over the generating set S: H^0 =
+    M^G / N M at the middle of M -N-> M -> M^|S|, m -> (sm - m)_s, and
+    H^-1 = ker N / <(s-1)m> at the middle of M^|S| -> M -N-> M,
+    (m_s) -> sum_s (s - 1) m_s.  <(s-1)m> is all of <(g-1)m>, since
+    (gh - 1)m = (g - 1)hm + (h - 1)m, by induction on word length."""
     nu, cob = module.norm_map(), module.coboundary_map()
     n = module.underlying.n
-    moved = IntMatrix([[a - (r == q) for m in module.action
-                        for q, a in enumerate(m.entries[r])]
+    gens = module.group.generating_set()
+    moved = IntMatrix([[a - (r == q) for s in gens
+                        for q, a in enumerate(module.action[s].entries[r])]
                        for r in range(n)], cols=cob.cod.n)
     return (Homology(nu, cob),
             Homology(AbMap(cob.cod, module.underlying, moved, check=False),
@@ -290,3 +295,214 @@ def snake_cocycle_reference():
     """The all-elements reference for the snake cocycle of build_nabla
     (see snake_cocycle_by_elements)."""
     return snake_cocycle_by_elements
+
+
+def _dense_smallest_pivot(d, t, rows, cols):
+    """Position of the nonzero entry of least absolute value in d[t:, t:],
+    scanned row by row; the first +-1 ends the scan."""
+    best = None
+    best_abs = None
+    for i in range(t, rows):
+        di = d[i]
+        for j in range(t, cols):
+            x = di[j]
+            if x:
+                a = -x if x < 0 else x
+                if best_abs is None or a < best_abs:
+                    best, best_abs = (i, j), a
+                    if a == 1:
+                        return best
+    return best
+
+
+def dense_snf_data(m, track_v=False):
+    """(U, D, V, Uinv) of `lattice._snf_data`, eliminated on dense row
+    lists: the same pivots, operations, divisibility sweep and sign fix,
+    applied to every entry of every row and column.  The reference that
+    the sparse elimination must equal matrix for matrix."""
+    rows, cols = m.rows, m.cols
+    d = [list(r) for r in m.entries]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    uinv = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = ([[int(i == j) for j in range(cols)] for i in range(cols)]
+         if track_v else [])  # no rows: the column operations skip V
+
+    def row_swap(a, b):
+        d[a], d[b] = d[b], d[a]
+        u[a], u[b] = u[b], u[a]
+        for r in uinv:
+            r[a], r[b] = r[b], r[a]
+
+    def row_sub(a, q, b):
+        # row a -= q * row b ; inverse op: column b += q * column a of uinv
+        da, db = d[a], d[b]
+        for j in range(cols):
+            da[j] -= q * db[j]
+        ua, ub = u[a], u[b]
+        for j in range(rows):
+            ua[j] -= q * ub[j]
+        for r in uinv:
+            r[b] += q * r[a]
+
+    def row_neg(a):
+        d[a] = [-x for x in d[a]]
+        u[a] = [-x for x in u[a]]
+        for r in uinv:
+            r[a] = -r[a]
+
+    def col_swap(a, b):
+        for r in d + v:
+            r[a], r[b] = r[b], r[a]
+
+    def col_sub(a, q, b):
+        # col a -= q * col b
+        for r in d + v:
+            r[a] -= q * r[b]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        pos = _dense_smallest_pivot(d, t, rows, cols)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            if i != t:
+                row_swap(i, t)
+            if j != t:
+                col_swap(j, t)
+            p = d[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                x = d[i][t]
+                if x:
+                    row_sub(i, x // p, t)
+                    dirty = dirty or bool(d[i][t])
+            for j in range(t + 1, cols):
+                x = d[t][j]
+                if x:
+                    col_sub(j, x // p, t)
+                    dirty = dirty or bool(d[t][j])
+            if dirty:
+                pos = _dense_smallest_pivot(d, t, rows, cols)
+                continue
+            if p in (1, -1):
+                break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % p for x in d[i][t + 1:])), None)
+            if offender is None:
+                break
+            row_sub(t, -1, offender)
+            pos = (t, t)
+        t += 1
+    for i in range(limit):
+        if d[i][i] < 0:
+            row_neg(i)
+    return (IntMatrix(u, cols=rows), IntMatrix(d, cols=cols),
+            IntMatrix(v, cols=cols) if track_v else None,
+            IntMatrix(uinv, cols=rows))
+
+
+def kernel_columns_loop(row_iter, ncols):
+    """`lattice._kernel_columns` as it was written before its row loop was
+    inlined: the same pivot order (|value|, nonzeros, id), through
+    set_entry/col_sub closures, with each row's values at the basis
+    columns summed over every coordinate of the row.  The reference that
+    the kernel columns must equal."""
+    basis = {j: {j: 1} for j in range(ncols)}
+    touch = {j: {j} for j in range(ncols)}
+
+    def set_entry(col_id, coord, val):
+        col = basis[col_id]
+        if val:
+            col[coord] = val
+            touch.setdefault(coord, set()).add(col_id)
+        elif coord in col:
+            del col[coord]
+            touch[coord].discard(col_id)
+
+    def col_sub(a, q, b):
+        ca, cb = basis[a], basis[b]
+        for coord, val in list(cb.items()):
+            set_entry(a, coord, ca.get(coord, 0) - q * val)
+
+    for row in row_iter:
+        if not isinstance(row, dict):
+            row = {j: x for j, x in enumerate(row) if x}
+        if not row:
+            continue
+        hit = set()
+        for coord in row:
+            hit |= touch.get(coord, set())
+        vals = {}
+        for cid in hit:
+            col = basis[cid]
+            s = sum(rv * col.get(coord, 0) for coord, rv in row.items())
+            if s:
+                vals[cid] = s
+        while len(vals) > 1:
+            order = sorted(vals, key=lambda c: (abs(vals[c]),
+                                                len(basis[c]), c))
+            k0 = order[0]
+            p = vals[k0]
+            for cid in order[1:]:
+                q = vals[cid] // p
+                if q:
+                    col_sub(cid, q, k0)
+                    vals[cid] -= q * p
+                if not vals[cid]:
+                    del vals[cid]
+        if vals:
+            (k0, _), = vals.items()
+            for coord in list(basis[k0]):
+                touch[coord].discard(k0)
+            del basis[k0]
+    return [basis[cid] for cid in sorted(basis)]
+
+
+@pytest.fixture(scope="session")
+def dense_snf():
+    """The dense-row reference for lattice._snf_data (see
+    dense_snf_data)."""
+    return dense_snf_data
+
+
+@pytest.fixture(scope="session")
+def kernel_by_loop():
+    """The closure-loop reference for lattice._kernel_columns (see
+    kernel_columns_loop)."""
+    return kernel_columns_loop
+
+
+REPLAYED = ("C3/1", "S3/0", "D4/0", "i2_twist")
+
+
+@pytest.fixture(scope="session")
+def replayed_inputs():
+    """(Smith inputs, kernel inputs) that `run_analysis` hands to
+    `_snf_data` and `_kernel_columns` on the corpus instances REPLAYED:
+    the matrices, and (rows, ncols) with the rows as fresh dicts, in call
+    order."""
+    snf_in, ker_in = [], []
+
+    def snf(m, track_v=False):
+        snf_in.append(m)
+        return _snf_data(m, track_v)
+
+    def ker(row_iter, ncols):
+        rows = [dict(r) for r in row_iter]
+        ker_in.append(([dict(r) for r in rows], ncols))
+        return _kernel_columns(rows, ncols)
+
+    saved = (abelian._snf_data, abelian._kernel_columns,
+             tate_sequence._kernel_columns)
+    abelian._snf_data = snf
+    abelian._kernel_columns = tate_sequence._kernel_columns = ker
+    try:
+        for name, inst in corpus_instances():
+            if name in REPLAYED:
+                run_analysis(inst, seed=int(name.partition("/")[2] or 0))
+    finally:
+        (abelian._snf_data, abelian._kernel_columns,
+         tate_sequence._kernel_columns) = saved
+    return snf_in, ker_in

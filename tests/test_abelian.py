@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tatelab import abelian
 from tatelab.abelian import (AbMap, FgAb, Homology, NonComplex,
                              ab_quotient, subgroup_span)
 from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _kernel_columns,
@@ -276,6 +277,40 @@ def test_direct_sum_matches_block_diagonal_presentation(parts, data):
         y2 = ref.add(y, ref.rel.apply(tuple(c)))
         assert got.eq(y, y2) and ref.eq(y, y2)
         assert got.eq(x, y2) == ref.eq(x, y2)
+        assert got.eq(got.from_canon(got.canon(x)), x)
+
+
+def test_direct_sum_reduces_each_part_without_the_whole_smith_form(
+        monkeypatch):
+    """Eight copies of a rank-4 part with 6 relations and a diagonal part
+    carry 52 relation columns on 36 generators, so the relations are
+    lattice-reduced.  Each part is reduced on its own: the relations are
+    those of FgAb(n, rel), the group and its element equality agree with
+    it, and no Smith form runs."""
+    part = FgAb(4, IntMatrix.from_columns(
+        [(2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (0, 0, 0, 2),
+         (2, 3, 1, 0), (0, 2, 3, 3)], 4))
+    parts = [part, diag_group(2, 0, 6, 1)] + [part] * 7
+    ref = _reference_sum(parts)
+    shapes = []
+    snf = abelian._snf_data
+    monkeypatch.setattr(abelian, "_snf_data",
+                        lambda m, *a: shapes.append(m.shape) or snf(m, *a))
+    got = FgAb.direct_sum(parts)
+    assert shapes == []
+    assert got.n == 36 and got.rel == ref.rel
+    # the reduced part is not diagonal, so FgAb(n, rel) needs a Smith form
+    assert any(len(col) > 1 for col in got.rel._columns)
+    assert _invariants(got) == _invariants(ref) == (1, (2, 2) + (16,) * 7
+                                                    + (48,))
+    rng = random.Random(5)
+    for _ in range(40):
+        x = tuple(rng.randint(-7, 7) for _ in range(got.n))
+        c = tuple(rng.randint(-2, 2) for _ in range(ref.rel.cols))
+        y = ref.add(x, ref.rel.apply(c))
+        z = ref.add(y, ref.gen(rng.randrange(got.n)))
+        assert got.eq(x, y) and ref.eq(x, y)
+        assert got.eq(x, z) == ref.eq(x, z)
         assert got.eq(got.from_canon(got.canon(x)), x)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tatelab.abelian import AbMap, FgAb
-from tatelab.lattice import (IntMatrix, Lattice, _snf_data, kernel_basis,
+from tatelab.lattice import (IntMatrix, Lattice, _kernel_columns, _snf_data,
                              smith_normal_form)
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -17,6 +17,12 @@ def matrices(max_dim=4):
                 st.lists(small_entries, min_size=c, max_size=c),
                 min_size=r, max_size=r).map(
                     lambda rows: IntMatrix(rows, cols=c))))
+
+
+def dense_kernel(row_iter, ncols):
+    """The columns of `_kernel_columns`, as dense tuples."""
+    return [tuple(col.get(j, 0) for j in range(ncols))
+            for col in _kernel_columns(row_iter, ncols)]
 
 
 def unimodular_2x2(bound=3):
@@ -106,7 +112,7 @@ def test_snf_properties(m):
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_kernel_rank_nullity_and_membership(m):
-    ker = kernel_basis(m.entries, m.cols)
+    ker = dense_kernel(m.entries, m.cols)
     _, d, _ = smith_normal_form(m)
     rank = sum(1 for i in range(min(m.rows, m.cols)) if d.entries[i][i])
     assert len(ker) == m.cols - rank
@@ -131,7 +137,7 @@ def test_solve_reports_unsolvable():
 
 def test_kernel_basis_streaming_sparse_rows():
     rows = [{0: 1, 1: 1, 2: 1}, {1: 2}]
-    ker = kernel_basis(iter(rows), 3)
+    ker = dense_kernel(iter(rows), 3)
     assert len(ker) == 1
     v = ker[0]
     assert v[0] + v[1] + v[2] == 0 and 2 * v[1] == 0
@@ -361,7 +367,7 @@ sparse_entries = st.one_of(st.just(0), st.just(0), small_entries)
 
 @st.composite
 def kernel_inputs(draw):
-    """(dense rows, the rows as given to kernel_basis, ncols): a mix of
+    """(dense rows, the rows as given to _kernel_columns, ncols): a mix of
     dict and dense rows, with zero rows and repeated rows."""
     ncols = draw(st.integers(0, 6))
     rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols,
@@ -388,7 +394,7 @@ def _lattice_of(vectors, dim):
 @given(kernel_inputs())
 def test_kernel_basis_spans_the_smith_kernel(case):
     rows, given_rows, ncols = case
-    ker = kernel_basis(iter(given_rows), ncols)
+    ker = dense_kernel(iter(given_rows), ncols)
     for col in ker:
         assert len(col) == ncols
         for row in rows:
@@ -432,3 +438,58 @@ def test_contains_agrees_with_reduce(case):
         assert lat.contains({j: x for j, x in enumerate(vec)
                              if x}) == expected
     assert lat.contains({}) and lat.contains((0,) * n)
+
+
+@st.composite
+def smith_inputs(draw):
+    """Tall, wide and square matrices up to 9 x 9, mostly zero, with
+    whole zero rows and columns, scaled by 1, 2, 3 or 6, so that some
+    have no unit pivot at all."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    scale = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    ent = draw(st.lists(st.lists(sparse_entries, min_size=cols,
+                                 max_size=cols), min_size=rows,
+                        max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    return IntMatrix([[0 if i in zero_rows or j in zero_cols else scale * x
+                       for j, x in enumerate(r)] for i, r in enumerate(ent)],
+                     cols=cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(smith_inputs(), unit_pivot_matrices(), matrices()))
+@example(IntMatrix([[0, 0, 2, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 1],
+                    [0, 1, 0, 0, 0], [0, 0, 1, 4, 0]]))
+@example(IntMatrix([[2, 0], [0, 3]]))
+@example(IntMatrix([[4, 6, 0], [6, 9, 2]]))
+def test_snf_matches_the_dense_reference(dense_snf, m):
+    for track_v in (False, True):
+        assert _snf_data(m, track_v) == dense_snf(m, track_v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_kernel_columns_match_the_loop_reference(kernel_by_loop, case):
+    _, given_rows, ncols = case
+    got, want = (_kernel_columns(given_rows, ncols),
+                 kernel_by_loop(given_rows, ncols))
+    assert [list(c.items()) for c in got] == [list(c.items()) for c in want]
+
+
+def test_pipeline_inputs_match_the_references(dense_snf, kernel_by_loop,
+                                              replayed_inputs):
+    """Every Smith form and kernel that run_analysis takes on a few corpus
+    instances equals the dense Smith form and the loop reference, the
+    kernel columns down to the order of their entries."""
+    snf_in, ker_in = replayed_inputs
+    assert len(snf_in) > 20 and len(ker_in) > 50
+    # some of them have an elementary divisor other than 0 and 1
+    assert any(x > 1 for m in snf_in for col in _snf_data(m)[1]._columns
+               for x in col.values())
+    for m in snf_in:
+        assert _snf_data(m, True) == dense_snf(m, True)
+    for rows, ncols in ker_in:
+        got, want = _kernel_columns(rows, ncols), kernel_by_loop(rows, ncols)
+        assert [list(c.items()) for c in got] == \
+            [list(c.items()) for c in want]

@@ -10,7 +10,9 @@ divisor of valuation a <= v stays p^a, and a zero one becomes 0.  This
 is the local rank idea of Dumas-Saunders-Villard (J. Symbolic Comput.
 2001).
 
-The oracle is written in plain lists and dicts.  It reads the ring-level
+The modules checked are Z, Z[G] and permutation modules, and the
+lattices W, R, B and X that the analysis builds from an instance.  The
+oracle is written in plain lists and dicts.  It reads the ring-level
 differential of `TateComplex` and the action matrices, and shares no
 code with the specialization, `Homology`, the Smith form or the kernel
 and lattice code that `TateCohomology` runs on.
@@ -18,12 +20,15 @@ and lattice code that `TateCohomology` runs on.
 
 import pytest
 
+from tatelab.cft import synth_instance, xy_modules
 from tatelab.cohomology import TateCohomology, TateComplex
 from tatelab.gmodules import perm_module, regular_module, trivial_module
 from tatelab.groups import Subgroup, named_group
+from tatelab.tate_sequence import build_wrb
 
 GROUPS = ("C2", "C3", "C4", "V4", "S3", "D4", "Q8")
 WINDOW = (-3, 2)
+PIPELINE_WINDOW = (-2, 1)  # the degrees the analysis reads
 
 
 def prime_powers(n):
@@ -165,6 +170,29 @@ def test_local_oracle_matches_tate_cohomology(name):
                                            grp.order)
             assert (h.free_rank(), h.invariant_factors()) == (0, want), \
                 (kind, i)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_local_oracle_matches_the_pipeline_lattices(name):
+    """At every degree of -2..1, the Tate cohomology of W, R, B and X of
+    the seed-0 instance, modules without relations, has the invariant
+    factors the local elimination reads off."""
+    inst = synth_instance(name, 0)
+    wrb = build_wrb(inst, xy_modules(inst))
+    cx = TateComplex(inst.group, PIPELINE_WINDOW)
+    nonzero = 0
+    for kind in ("w", "r", "b", "x"):
+        mod = getattr(wrb, kind)
+        assert mod.underlying.rel.cols == 0
+        calc = TateCohomology(cx, mod)
+        for i in range(PIPELINE_WINDOW[0], PIPELINE_WINDOW[1] + 1):
+            h = calc.group(i)
+            want = local_invariant_factors(incoming_columns(cx, mod, i),
+                                           inst.group.order)
+            assert (h.free_rank(), h.invariant_factors()) == (0, want), \
+                (kind, i)
+            nonzero += bool(want)
+    assert nonzero
 
 
 def test_local_oracle_sees_one_perturbed_entry():

@@ -16,7 +16,7 @@ from tatelab.gmodules import (GModule, HomModule, local_aug_ideal,
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
 from tatelab.instance_io import load_instance
 from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _axpy,
-                             kernel_basis)
+                             _kernel_columns)
 from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
                                    build_delta1, build_nabla,
                                    build_script_h, build_snake, build_wrb,
@@ -228,7 +228,8 @@ def reference_script_h(inst):
         if inst.pi(x) in rows:
             rows[inst.pi(x)][index[x]] = 1
     rel = []
-    for k in kernel_basis(list(rows.values()), nb):
+    for col in _kernel_columns(list(rows.values()), nb):
+        k = [col.get(j, 0) for j in range(nb)]
         for y in basis:
             prod = [0] * nb
             for x, c in zip(basis, k):
