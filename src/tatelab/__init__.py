@@ -20,7 +20,7 @@ from .groups import (FiniteGroup, GroupHom, NotACocycle, NotAGroup,
                      dihedral4, direct_product, extension_from_cocycle,
                      group_from_table, named_group, quaternion8,
                      subgroup_as_group, symmetric3)
-from .lattice import IntMatrix, Lattice, smith_normal_form
+from .lattice import IntMatrix, Lattice
 from .tate_sequence import (ImageEscapesCl, NotNormKilled, build_delta1,
                             build_nabla, build_script_h, build_snake,
                             build_wrb, delta1, delta_minus2, norm_suite,

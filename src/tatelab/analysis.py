@@ -189,7 +189,7 @@ _REGISTRY = {
                           ("inst", "wrb", "snake", "cdc")),
     "nabla.class": ("pushout extension class equals the snake cocycle "
                     "class", nabla_class_checks,
-                    ("complex", "inst", "wrb", "snake", "nabla")),
+                    ("inst", "wrb", "snake", "nabla")),
     "delta2.agree": ("connecting map H^-2(X) -> H^-1(Cl) matches the "
                      "section discrepancies", delta_minus2_agrees,
                      ("inst", "nabla", "xy", "calc_x", "calc_cl",

@@ -234,16 +234,15 @@ class TateComplex:
         size = self.rank(i) if kept is None else len(kept)
         return FgAb.direct_sum([module.underlying] * size)
 
-    def blockified(self, module, i, dom=None, cod=None):
-        """The degree i -> i+1 differential specialized at `module`, held
+    def blockified(self, module, i, dom, cod):
+        """The degree i -> i+1 differential specialized at `module`, from
+        `dom` to `cod`, its `cochain_group`s of degrees i and i+1, held
         by its sparse columns: block column s of a source tuple sums, over
         its ring entries c*g at target t, c times g's action columns
         shifted into block row t."""
         self._check_degree(i)
         self._check_degree(i + 1)
         na = module.underlying.n
-        dom = dom if dom is not None else self.cochain_group(module, i)
-        cod = cod if cod is not None else self.cochain_group(module, i + 1)
         acts = [[tuple(c.items()) for c in a.sparse_columns()]
                 for a in module.action]
         cols = [{} for _ in range(dom.n)]
@@ -412,8 +411,9 @@ def connecting_hom(complex_, ext, i, calc_c=None, calc_a=None,
 
 def zig_zag(a_to_b, d_b, lift, blocks):
     """The cochain step of a connecting map: apply d_b, a differential of
-    B, to `lift`, a cochain of B, and pull the `blocks` blocks of the
-    result back through A -> B.  Returns the cochain of A; raises
+    B or its `coboundary_map`, to `lift`, a cochain of B, and pull the
+    `blocks` blocks of the result back through A -> B.  Returns the
+    cochain of A, or the values at the generators; raises
     ValueError when the result does not pull back, that is when the
     lifted cochain was not a cocycle modulo A."""
     na_b = a_to_b.cod.underlying.n

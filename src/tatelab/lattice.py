@@ -228,25 +228,11 @@ def _sparse(columns, rows):
     return [{i: col[i] for i in compress(rng, col)} for col in columns]
 
 
-def smith_normal_form(m: IntMatrix):
-    """Smith normal form with unimodular witnesses: U * m * V == D.
-
-    D is diagonal with d1 | d2 | ... and nonnegative diagonal.  Pivoting
-    always picks the entry of least absolute value, which keeps the
-    intermediate entries from exploding on the matrices this package
-    produces.
-
-    >>> u, d, v = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
-    >>> [d.entries[i][i] for i in range(2)]
-    [2, 4]
-    """
-    u, d, v, _ = _snf_data(m, track_v=True)
-    return u, d, v
-
-
 def _snf_data(m: IntMatrix, track_v=False):
-    """(U, D, V, Uinv) with U m V = D and the inverse of U tracked; V is
-    None unless `track_v`.  U, D and Uinv do not depend on `track_v`.
+    """The Smith normal form (U, D, V, Uinv): U m V = D, D diagonal with
+    d1 | d2 | ... and a nonnegative diagonal, U and V unimodular and the
+    inverse of U tracked; V is None unless `track_v`.  U, D and Uinv do
+    not depend on `track_v`.
 
     The elimination visits nonzero entries only: D is held by its sparse
     rows, U by its sparse rows and Uinv and V by their sparse columns, so

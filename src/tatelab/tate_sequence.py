@@ -530,29 +530,27 @@ def build_nabla(inst, wrb, snake):
                      g_cocycle=g_cocycle, hom_x_cl=hom)
 
 
-def nabla_class_checks(complex_, inst, wrb, snake, nabla):
+def nabla_class_checks(inst, wrb, snake, nabla):
     """The pushout's extension class is the class of the cocycle from the
     snake values, and the image of minus the snake class under the
     connecting map of 0 -> Hom(X, Cl) -> Hom(B, Cl) -> Hom(R, Cl) -> 0
     is the same class.
 
-    Both comparisons are coboundary tests in Hom(X, Cl), with no
-    cohomology group built.  The pushout cocycle f and the snake cocycle
-    g are checked 1-cocycles, so [f] = [g] iff f - g lies in the image of
-    d^0: m -> (g.m - m)_g, the complex's own differential at degree 0;
-    one image lattice serves both tests.  The connecting image of -[s] is
-    the zig-zag of `zig_zag`: a preimage of -s in Hom(B, Cl), its d^0,
-    pulled back to Hom(X, Cl), which is a 1-cocycle since Hom(X, Cl) ->
-    Hom(B, Cl) is injective; the pull-back fails iff -s is not a
-    0-cocycle.  The Hom sequence is exact by construction and not
-    re-proved: 0 -> R -> B -> X -> 0 is exact (`wrb.exact`) with X
-    Z-free, so it splits over Z, and Hom(-, Cl) keeps a split sequence
-    exact."""
+    Both comparisons are `Cocycle1.is_coboundary` tests in Hom(X, Cl), at
+    the generators, with no resolution and no cohomology group built:
+    the pushout cocycle f and the snake cocycle g are checked 1-cocycles,
+    so [f] = [g] iff f - g is a coboundary.  The connecting image of -[s]
+    is the `zig_zag` of a preimage of -s in Hom(B, Cl) through
+    `coboundary_map`: its values at S = `generating_set()`, pulled back to
+    Hom(X, Cl) (which fails iff -s is not a 0-cocycle), made a checked
+    cocycle by `Cocycle1.from_generators`.  The Hom sequence is exact by
+    construction and not re-proved: 0 -> R -> B -> X -> 0 is exact
+    (`wrb.exact`) with X Z-free, so it splits over Z, and Hom(-, Cl)
+    keeps a split sequence exact."""
     hom = nabla.hom_x_cl
-    coboundaries = complex_.blockified(hom.module, 0).image_lattice()
-    g = nabla.g_cocycle.as_cochain()
-    f = extension_to_cocycle(hom, nabla.ext).as_cochain()
-    if not coboundaries.contains([a - b for a, b in zip(f, g)]):
+    minus_g = nabla.g_cocycle.neg()
+    f = extension_to_cocycle(hom, nabla.ext)
+    if not f.add(minus_g).is_coboundary()[0]:
         return False, "pushout class differs from the snake cocycle class"
     # torsion bookkeeping: |torsion(nabla)| = |Cl|
     if nabla.module.underlying.torsion_order() != \
@@ -570,13 +568,18 @@ def nabla_class_checks(complex_, inst, wrb, snake, nabla):
                 hom_b.precompose(hom, wrb.b_to_x.ab.mat))
     right = GMap(hom_b.module, hom_r.module,
                  hom_r.precompose(hom_b, wrb.r_to_b.ab.mat))
-    minus_s = hom_r.from_matrix(snake.s.ab.neg().mat)
-    lift = right.ab.lift(
-        IntMatrix._trusted_columns([minus_s], len(minus_s)),
-        lambda j: ValueError("-s does not lift to Hom(B, Cl)")).column(0)
-    image = zig_zag(left, complex_.blockified(hom_b.module, 0), lift,
-                    complex_.rank(1))
-    if not coboundaries.contains([a - b for a, b in zip(image, g)]):
+    lift = right.ab.solve(hom_r.from_matrix(snake.s.ab.neg().mat))
+    if lift is None:
+        raise ValueError("-s does not lift to Hom(B, Cl)")
+    blocks = len(inst.group.generating_set())
+    pulled = zig_zag(left, hom_b.module.coboundary_map(), lift, blocks)
+    n = hom.module.underlying.n
+    try:
+        image = Cocycle1.from_generators(
+            hom.module, [pulled[k * n:(k + 1) * n] for k in range(blocks)])
+    except ValueError as exc:
+        return False, f"connecting image of -[s] is not a cocycle: {exc}"
+    if not image.add(minus_g).is_coboundary()[0]:
         return False, "connecting image of -[s] differs from the cocycle class"
     return True, None
 
@@ -743,39 +746,35 @@ class CDCData:
 
 def subgroups_cdc(inst, calc_cl):
     """The subgroup of H^-1(Cl) generated by section discrepancies, its
-    counterpart inside Cl, and the subgroup generated by (g-1)c; classes
-    are read through `calc_cl`, the calculator of Cl."""
+    counterpart inside Cl, and D = <(g-1)c>, read through `calc_cl`, the
+    calculator of Cl.  D is spanned by (s-1)c_j, s in `generating_set()`,
+    c_j the Smith generators: s-1 is additive, (gh-1)c = (g-1)hc + (h-1)c."""
     ab = inst.cl.underlying
     hom = calc_cl.homology(-1)
-    c_values = []
-    for pl in inst.other_places():
-        for tau in pl.subgroup.elems:
-            if tau != inst.group.identity:
-                c_values.append(((pl.id, tau), c_p(inst, pl.id, tau)))
-    cbar_gens = [hom.group.from_canon(hom.class_of(v)) for (_, v) in c_values]
+    c_values = [c_p(inst, pl.id, tau) for pl in inst.other_places()
+                for tau in pl.subgroup.elems if tau != inst.group.identity]
+    cbar_gens = [hom.group.from_canon(hom.class_of(v)) for v in c_values]
     cbar, cbar_incl = subgroup_span(hom.group, cbar_gens)
-    c_s, c_incl = subgroup_span(ab, [v for (_, v) in c_values])
-    d_gens = []
-    for g in range(inst.group.order):
-        for gen in ab.smith_gens():
-            d_gens.append(ab.sub(inst.cl.act(g, gen), gen))
+    c_s, c_incl = subgroup_span(ab, c_values)
+    d_gens = [ab.sub(inst.cl.act(s, gen), gen)
+              for s in inst.group.generating_set() for gen in ab.smith_gens()]
     d, d_incl = subgroup_span(ab, d_gens)
     return CDCData(h1=hom.group, cbar=cbar, cbar_incl=cbar_incl, c_s=c_s,
                    c_incl=c_incl, d=d, d_incl=d_incl, calc_cl=calc_cl)
 
 
 def cdc_checks(inst, cdc, nm):
-    """D is stable, and D <= ker(Nm) <= ker(N on Cl)."""
+    """D is stable, and D <= ker(Nm) <= ker(N on Cl).  Stability is
+    checked under `generating_set()`, whose positive words are all of G."""
     ab = inst.cl.underlying
     dlat = cdc.d_incl.image_lattice()
-    for g in range(inst.group.order):
-        for j in range(cdc.d.n):
-            moved = inst.cl.act(g, cdc.d_incl.apply(cdc.d.gen(j)))
-            if not dlat.contains(moved):
-                return False, ("D not stable", g, j)
+    d_vecs = [cdc.d_incl.apply(cdc.d.gen(j)) for j in range(cdc.d.n)]
+    for s in inst.group.generating_set():
+        for j, v in enumerate(d_vecs):
+            if not dlat.contains(inst.cl.act(s, v)):
+                return False, ("D not stable", s, j)
     nu = inst.cl.norm_map()
-    for j in range(cdc.d.n):
-        v = cdc.d_incl.apply(cdc.d.gen(j))
+    for j, v in enumerate(d_vecs):
         if not nm.q.is_zero(nm.nm.apply(v)):
             return False, ("D escapes ker(Nm)", j)
     ker_nm, ker_nm_incl = nm.nm.kernel()

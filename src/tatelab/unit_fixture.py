@@ -39,6 +39,7 @@ def fixture_unit_check(complex_, inst, fixture, cdc):
     def record(name, ok, witness=None):
         records.append({"id": name, "ok": bool(ok), "witness": witness})
 
+    nu = inst.cl.norm_map()
     cocycles = []
     for k, cls in enumerate(classes):
         try:
@@ -46,7 +47,6 @@ def fixture_unit_check(complex_, inst, fixture, cdc):
         except ValueError as exc:
             raise InconsistentFixture(k, f"cocycle identity: {exc}") from exc
         total = inst.frobenius_sum(cls["aux_coeffs"])
-        nu = inst.cl.norm_map()
         if not ab.is_zero(nu.apply(total)):
             raise InconsistentFixture(k, "coefficients do not define a "
                                       "norm-killed class")

@@ -8,7 +8,7 @@ from tatelab import abelian, tate_sequence
 from tatelab.abelian import AbMap, FgAb, Homology
 from tatelab.analysis import run_analysis
 from tatelab.cft import synth_instance
-from tatelab.cohomology import TateComplex
+from tatelab.cohomology import TateCohomology, TateComplex
 from tatelab.gmodules import NotEquivariant
 from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
                             direct_product, group_from_table)
@@ -158,6 +158,24 @@ def snake_cocycle_by_elements(inst, wrb, snake, hom):
         vals.append(hom.from_matrix(
             IntMatrix._trusted_columns(cols, inst.cl.underlying.n)))
     return vals
+
+
+def coboundary_over_all_elements(complex_, module):
+    """The coboundary test of 1-cocycles valued in `module` that reads
+    every group element: a cocycle is a coboundary iff its degree-1
+    cochain (`Cocycle1.as_cochain`) lies in the image of the complex's
+    d^0, m -> (g.m - m) over every g other than 1.  Returns the test as
+    a predicate on cocycles.  The reference that `Cocycle1.is_coboundary`,
+    which solves at the generators only, must agree with."""
+    d0 = TateCohomology(complex_, module).differential(0)
+    lat = d0.image_lattice()
+    return lambda f: lat.contains(f.as_cochain())
+
+
+@pytest.fixture
+def coboundary_reference():
+    """The all-elements coboundary test (see coboundary_over_all_elements)."""
+    return coboundary_over_all_elements
 
 
 def extension_by_fgab(cl_mod, group, cocycle):

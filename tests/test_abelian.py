@@ -7,7 +7,7 @@ from tatelab import abelian
 from tatelab.abelian import (AbMap, FgAb, Homology, NonComplex,
                              ab_quotient, subgroup_span)
 from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _kernel_columns,
-                             smith_normal_form)
+                             _snf_data)
 
 
 def _invariants(a):
@@ -417,7 +417,7 @@ def _kernel_vectors(mat, cod):
     the rank in the Smith form of [mat | rel], cut to mat.cols entries.
     This does not touch the kernel code that Homology uses."""
     aug = mat.hstack(cod.rel)
-    _, d, v = smith_normal_form(aug)
+    _, d, v, _ = _snf_data(aug, track_v=True)
     rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
     return [v.column(j)[:mat.cols] for j in range(rank, aug.cols)]
 

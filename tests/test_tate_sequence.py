@@ -10,7 +10,8 @@ from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
 from tatelab import tate_sequence
 from tatelab.analysis import CHECK_READS, closure, run_analysis
 from tatelab.cohomology import (CohClass, Cocycle1, ExtensionData,
-                                TateCohomology, TateComplex)
+                                TateCohomology, TateComplex,
+                                extension_to_cocycle)
 from tatelab.gmodules import (GModule, HomModule, local_aug_ideal,
                               trivial_module)
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
@@ -314,7 +315,7 @@ def test_nabla_and_cocycle():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
     nabla = build_nabla(it, wrb, snake)
-    ok, wit = nabla_class_checks(cx, it, wrb, snake, nabla)
+    ok, wit = nabla_class_checks(it, wrb, snake, nabla)
     assert ok, wit
     hom = nabla.hom_x_cl
     # g(sigma) sends the basis vector to the nontrivial class
@@ -329,7 +330,7 @@ def test_nabla_and_cocycle():
     nablap = build_nabla(ip, wrbp, snakep)
     calcp = TateCohomology(cxp, nablap.hom_x_cl.module)
     assert CohClass(calcp, 1, nablap.g_cocycle.as_cochain()).is_zero()
-    ok, wit = nabla_class_checks(cxp, ip, wrbp, snakep, nablap)
+    ok, wit = nabla_class_checks(ip, wrbp, snakep, nablap)
     assert ok, wit
 
 
@@ -358,7 +359,7 @@ def test_nabla_class_fails_on_the_zero_cocycle():
     hom = nabla.hom_x_cl
     zero = (0,) * hom.module.underlying.n
     nabla.g_cocycle = Cocycle1(hom.module, [zero] * it.group.order)
-    ok, wit = nabla_class_checks(cx, it, wrb, snake, nabla)
+    ok, wit = nabla_class_checks(it, wrb, snake, nabla)
     assert not ok
     assert wit == "pushout class differs from the snake cocycle class"
 
@@ -375,7 +376,7 @@ def test_nabla_class_compares_classes_not_cochains():
     assert not all(ab.is_zero(v) for v in shift)
     nabla.g_cocycle = Cocycle1(mod, [ab.add(v, d) for v, d in
                                      zip(nabla.g_cocycle.values, shift)])
-    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
     assert ok, wit
 
 
@@ -391,14 +392,17 @@ def test_nabla_class_fails_on_a_shifted_class():
     twice = g.add(g)
     assert not all(ab.is_zero(v) for v in twice.values)
     nabla.g_cocycle = Cocycle1(g.module, twice.values)
-    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
     assert not ok
     assert wit == "pushout class differs from the snake cocycle class"
 
 
 def test_nabla_class_builds_no_cohomology_group(monkeypatch):
-    """The check decides both comparisons by coboundary tests: no
-    Homology, no Tate-cohomology group and no re-proof of exactness."""
+    """The check decides both comparisons by coboundary tests at the
+    generators: no Homology, no Tate-cohomology group, no specialized
+    resolution and no re-proof of exactness; and the analysis hands it
+    no complex."""
+    assert "complex" not in CHECK_READS["nabla.class"]
     inst = synth_instance("D4", 0)
     cx, xy, wrb, sh, snake = lab(inst)
     nabla = build_nabla(inst, wrb, snake)
@@ -408,14 +412,18 @@ def test_nabla_class_builds_no_cohomology_group(monkeypatch):
         real = getattr(cls, name)
 
         def wrapper(*args, **kw):
-            calls[cls.__name__] = calls.get(cls.__name__, 0) + 1
+            key = f"{cls.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
             return real(*args, **kw)
         monkeypatch.setattr(cls, name, wrapper)
 
     spy(Homology, "__init__")
+    spy(TateCohomology, "__init__")
     spy(TateCohomology, "homology")
+    spy(TateComplex, "blockified")
+    spy(TateComplex, "cochain_group")
     spy(ExtensionData, "__init__")
-    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
     assert ok, wit
     assert calls == {}
 
@@ -435,7 +443,7 @@ def test_nabla_class_compares_nonzero_classes(make):
     cx, xy, wrb, sh, snake = lab(inst)
     nabla = build_nabla(inst, wrb, snake)
     assert not nabla.g_cocycle.is_coboundary()[0]
-    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
     assert ok, wit
 
 
@@ -455,7 +463,7 @@ def test_nabla_class_hom_route_can_fail(monkeypatch):
             return (0,) * self.module.underlying.n
 
     monkeypatch.setattr(tate_sequence, "HomModule", ZeroCoordinates)
-    ok, wit = nabla_class_checks(cx, it, wrb, snake, nabla)
+    ok, wit = nabla_class_checks(it, wrb, snake, nabla)
     assert not ok
     assert wit == "connecting image of -[s] differs from the cocycle class"
 
@@ -466,8 +474,101 @@ def test_nabla_class_runs_the_hom_route_on_large_instances():
     cx, xy, wrb, sh, snake = lab(inst)
     assert wrb.b.underlying.n * inst.cl.underlying.n > 96
     nabla = build_nabla(inst, wrb, snake)
-    ok, wit = nabla_class_checks(cx, inst, wrb, snake, nabla)
+    ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
     assert ok, wit
+
+
+def _record_zig_zag(monkeypatch, bump=0):
+    """Replace tate_sequence.zig_zag by one that adds `bump` to the first
+    coordinate of its result, the value at the first generator, and
+    records the values it returns."""
+    real, out = tate_sequence.zig_zag, []
+
+    def recorded(*args):
+        pulled = real(*args)
+        pulled[0] += bump
+        out.append(pulled)
+        return pulled
+    monkeypatch.setattr(tate_sequence, "zig_zag", recorded)
+    return out
+
+
+def _cocycle_at_generators(module, pulled):
+    """The checked cocycle with the values `pulled` at the generators."""
+    n = module.underlying.n
+    return Cocycle1.from_generators(module, [
+        pulled[k * n:(k + 1) * n]
+        for k in range(len(module.group.generating_set()))])
+
+
+def test_generator_coboundary_test_agrees_with_all_elements_reference(
+        corpus, coboundary_reference, monkeypatch):
+    """nabla.class decides its two comparisons with
+    Cocycle1.is_coboundary, at the generators.  On every campaign and
+    stress instance that agrees with the all-elements test (membership
+    in the image of the resolution's d^0) on f - g, on the connecting
+    image minus g, on f - (g + d^0(m)), which compares f with a
+    coboundary shift of g, and on 2g where g is not a coboundary; both
+    answers occur."""
+    pulled = _record_zig_zag(monkeypatch)
+    answers, shifted = set(), False
+    for name, inst in corpus:
+        cx, xy, wrb, sh, snake = lab(inst)
+        nabla = build_nabla(inst, wrb, snake)
+        ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
+        assert ok, (name, wit)
+        hom = nabla.hom_x_cl
+        mod, ab = hom.module, hom.module.underlying
+        reference = coboundary_reference(cx, mod)
+        g = nabla.g_cocycle
+        minus_g = g.neg()
+        m = tuple(range(ab.n))
+        shift = Cocycle1(mod, [ab.sub(mod.act(x, m), m)
+                               for x in range(inst.group.order)])
+        shifted = shifted or not all(ab.is_zero(v) for v in shift.values)
+        f = extension_to_cocycle(hom, nabla.ext)
+        cases = [("f - g", f.add(minus_g), True),
+                 ("image - g",
+                  _cocycle_at_generators(mod, pulled[-1]).add(minus_g), True),
+                 ("f - (g + d0(m))", f.add(minus_g).add(shift.neg()), True)]
+        if not g.is_coboundary()[0]:
+            # 2g is a coboundary when [g] has order 2, as on i2_twist
+            cases.append(("2g", g.add(g), None))
+        for label, h, want in cases:
+            got = h.is_coboundary()[0]
+            assert got == reference(h), (name, label)
+            assert want is None or got == want, (name, label)
+            answers.add(got)
+    assert answers == {True, False} and shifted
+
+
+@pytest.mark.parametrize("make,extends",
+                         [(lambda: synth_instance("S3", 0), False),
+                          (lambda: synth_instance("D4", 0), False),
+                          (i2_twist, True),
+                          (lambda: synth_instance("C2", 1), True)],
+                         ids=["S3/0", "D4/0", "i2_twist", "C2/1"])
+def test_nabla_class_names_a_perturbed_connecting_image(make, extends,
+                                                        monkeypatch):
+    """One generator value of the connecting image of -[s], moved by 1:
+    the check fails with the non-cocycle witness when the values no
+    longer extend to a 1-cocycle (S3/0, D4/0), and with the class
+    witness when they do (i2_twist, C2/1)."""
+    inst = make()
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    pulled = _record_zig_zag(monkeypatch, bump=1)
+    ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
+    assert not ok
+    try:
+        _cocycle_at_generators(nabla.hom_x_cl.module, pulled[-1])
+    except ValueError as exc:
+        assert not extends
+        assert wit == f"connecting image of -[s] is not a cocycle: {exc}"
+    else:
+        assert extends
+        assert wit == ("connecting image of -[s] differs from the cocycle "
+                       "class")
 
 
 @pytest.mark.parametrize("make", [i2_twist, quadratic_sqrt34,
@@ -545,6 +646,22 @@ def test_functoriality_square():
     ok, wit = connecting_functorial(
         wrb, snake, nabla, *calcs(cx, xy.x, wrb.r, it.cl, nabla.module))
     assert ok, wit
+
+
+def test_cdc_checks_name_an_unstable_difference_subgroup():
+    """A D that a generator moves out of itself fails cdc.inclusions with
+    ("D not stable", s, j), s in generating_set().  On D4/0 the class
+    module is (Z/3)^2 and the first generator moves the first Smith
+    generator c off <c>."""
+    inst = synth_instance("D4", 0)
+    ab = inst.cl.underlying
+    c = ab.smith_gens()[0]
+    s = inst.group.generating_set()[0]
+    cdc = cdc_of(TateComplex(inst.group, (-2, 1)), inst)
+    cdc.d, cdc.d_incl = subgroup_span(ab, [c])
+    assert not cdc.d_incl.image_lattice().contains(inst.cl.act(s, c))
+    ok, wit = cdc_checks(inst, cdc, norm_model(inst))
+    assert (ok, wit) == (False, ("D not stable", s, 0))
 
 
 def test_subgroups_and_norm_suite_values():
