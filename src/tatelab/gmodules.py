@@ -26,14 +26,40 @@ class NotFree(Exception):
     pass
 
 
+class LazyActions:
+    """Action matrices built on first read: `make(g)` gives the matrix of
+    g, which is kept.  It indexes, iterates and has a length, as the
+    tuple a GModule otherwise holds does."""
+
+    __slots__ = ("_make", "_built")
+
+    def __init__(self, order, make):
+        self._make = make
+        self._built = [None] * order
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, g):
+        m = self._built[g]
+        if m is None:
+            m = self._built[g] = self._make(g)
+        return m
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._built)))
+
+
 class GModule:
-    __slots__ = ("group", "underlying", "action")
+    __slots__ = ("group", "underlying", "action", "_coboundary")
 
     def __init__(self, group, underlying, action, check=True):
         self.group = group
         self.underlying = underlying
-        self.action = tuple(m if isinstance(m, IntMatrix) else
-                            IntMatrix(m, cols=underlying.n) for m in action)
+        self.action = action if isinstance(action, LazyActions) else tuple(
+            m if isinstance(m, IntMatrix) else IntMatrix(m, cols=underlying.n)
+            for m in action)
+        self._coboundary = None
         if len(self.action) != group.order:
             raise ValueError("one action matrix per group element required")
         if check:
@@ -65,7 +91,10 @@ class GModule:
         """The map M -> M^|S|, m -> (s m - m)_s over S = `generating_set()`.
         Its kernel is M^G, and a 1-cocycle f is a coboundary iff its
         values at S lie in its image: g -> g m - m is a 1-cocycle, and two
-        that agree on S agree on G, since f(sg) = f(s) + s f(g)."""
+        that agree on S agree on G, since f(sg) = f(s) + s f(g).  Built
+        once per module and kept, with the image lattice it solves on."""
+        if self._coboundary is not None:
+            return self._coboundary
         n = self.underlying.n
         gens = self.group.generating_set()
         cols = [{} for _ in range(n)]
@@ -76,8 +105,10 @@ class GModule:
                 if col.get(j, 0) != 1:
                     out[b * n + j] = col.get(j, 0) - 1
         big = FgAb.direct_sum([self.underlying] * len(gens))
-        return AbMap(self.underlying, big,
-                     IntMatrix._from_sparse_columns(cols, big.n), check=False)
+        self._coboundary = AbMap(self.underlying, big,
+                                 IntMatrix._from_sparse_columns(cols, big.n),
+                                 check=False)
+        return self._coboundary
 
     def norm_map(self):
         """Multiplication by the sum of all group elements, summed over
@@ -300,6 +331,11 @@ class HomModule:
     Hence S(g)^T (x) rho_A(g) is multiplicative, with the identity acting
     trivially, up to terms (x) a relation of A, and it maps each relation
     e_i (x) r of A^k to S(g)^T e_i (x) rho_A(g) r: all relations of A^k.
+
+    The matrix of g is built when `module.action[g]` is first read (see
+    `LazyActions`), so a caller that reads the generators only, as
+    `GMap`'s equivariance check, `coboundary_map` and the cocycles of
+    `tatelab.cohomology` do, builds |S| of them and not |G|.
     """
 
     __slots__ = ("module", "c", "a", "k", "tb", "fb")
@@ -313,10 +349,13 @@ class HomModule:
             raise NotFree("module has torsion")
         tb, fb = c.free_basis_maps()
         k = tb.rows
-        acts = [tb.mul(cmod.action[group.inv[g]]).mul(fb).transpose()
-                .kron(amod.action[g]) for g in range(group.order)]
-        self.module = GModule(group, FgAb.direct_sum([a] * k), acts,
-                              check=False)
+        inv = group.inv
+
+        def act(g):
+            return tb.mul(cmod.action[inv[g]]).mul(fb).transpose().kron(
+                amod.action[g])
+        self.module = GModule(group, FgAb.direct_sum([a] * k),
+                              LazyActions(group.order, act), check=False)
         self.c, self.a = cmod, amod
         self.k, self.tb, self.fb = k, tb, fb
 

@@ -269,6 +269,12 @@ def script_h_action_lift_independent(inst, sh):
     homomorphism.  (a) at g = 0 runs first, then (b), then (a) at the
     other g, so the witness (g, c, x) is the old loop's first failing
     triple: (g, c0, x) from (a), (0, c, x) from (b).
+
+    (a) first compares the column with the sparse vector y(x - 1), and
+    reads classes only where the two differ: equal vectors have equal
+    classes, so neither the verdict nor the witness changes.  As built,
+    the column of x is s(g)(x - 1) and y = s(g) when kappa(c0) = 1, so on
+    valid input (a) does no class arithmetic.
     """
     gs = inst.gs
     ab = sh.module.underlying
@@ -302,7 +308,8 @@ def script_h_action_lift_independent(inst, sh):
         y = gs.mul(n0, p0_sec[g])
         cols = sh.module.action[g].sparse_columns()
         for col, x in zip(cols, sh.gs_basis):
-            if col_class(col) != minus(cls[gs.mul(y, x)], cls[y]):
+            if col != sh.left_mul(y, x) and \
+                    col_class(col) != minus(cls[gs.mul(y, x)], cls[y]):
                 return g, classes[0], x
         return None
 
@@ -546,7 +553,10 @@ def nabla_class_checks(inst, wrb, snake, nabla):
     cocycle by `Cocycle1.from_generators`.  The Hom sequence is exact by
     construction and not re-proved: 0 -> R -> B -> X -> 0 is exact
     (`wrb.exact`) with X Z-free, so it splits over Z, and Hom(-, Cl)
-    keeps a split sequence exact."""
+    keeps a split sequence exact.  Every module here is read at the
+    generators only, so `HomModule` builds |S| action matrices of Hom(B,
+    Cl) and Hom(R, Cl), and Hom(X, Cl) keeps the coboundary map both
+    tests solve through."""
     hom = nabla.hom_x_cl
     minus_g = nabla.g_cocycle.neg()
     f = extension_to_cocycle(hom, nabla.ext)
@@ -714,7 +724,12 @@ def connecting_functorial(wrb, snake, nabla, calc_x, calc_r, calc_cl,
                           calc_nabla):
     """For the morphism of short exact sequences (s, t, id) from the
     R-B-X sequence to the nabla sequence, the connecting squares commute:
-    s_* after delta_RBX equals delta_nabla at degree -2."""
+    s_* after delta_RBX equals delta_nabla at degree -2.
+
+    Both sides are homomorphisms out of H^-2(X), so they agree everywhere
+    iff they agree on generators: they are compared on the unit canonical
+    coordinates, one evaluation per coordinate, and the witness is
+    the first unit vector at which they differ."""
     complex_ = calc_x.complex
     ext_rbx = ExtensionData(wrb.r_to_b, wrb.b_to_x)
     d_rbx = connecting_hom(complex_, ext_rbx, -2, calc_c=calc_x,
@@ -723,10 +738,12 @@ def connecting_functorial(wrb, snake, nabla, calc_x, calc_r, calc_cl,
                            calc_b=calc_nabla, calc_a=calc_cl)
     push = induced_map(calc_r, calc_cl, snake.s, -1)
     h = calc_x.homology(-2)
-    for e in h.group.elements():
-        z = CohClass(calc_x, -2, h.rep_of(h.group.canon(e)))
+    k = len(h.group.canonical_moduli())
+    for j in range(k):
+        e = tuple(int(i == j) for i in range(k))
+        z = CohClass(calc_x, -2, h.rep_of(e))
         if push(d_rbx(z)) != d_nab(z):
-            return False, h.group.canon(e)
+            return False, e
     return True, None
 
 

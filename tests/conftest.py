@@ -8,7 +8,8 @@ from tatelab import abelian, tate_sequence
 from tatelab.abelian import AbMap, FgAb, Homology
 from tatelab.analysis import run_analysis
 from tatelab.cft import synth_instance
-from tatelab.cohomology import TateCohomology, TateComplex
+from tatelab.cohomology import (CohClass, ExtensionData, TateCohomology,
+                                TateComplex, connecting_hom)
 from tatelab.gmodules import NotEquivariant
 from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
                             direct_product, group_from_table)
@@ -176,6 +177,53 @@ def coboundary_over_all_elements(complex_, module):
 def coboundary_reference():
     """The all-elements coboundary test (see coboundary_over_all_elements)."""
     return coboundary_over_all_elements
+
+
+def functorial_over_all_elements(wrb, snake, nabla, calc_x, calc_r,
+                                 calc_cl, calc_nabla):
+    """`connecting_functorial` as it read every element of H^-2(X): push
+    after delta_RBX against delta_nabla on each element in the order of
+    `FgAb.elements`, the witness being the canonical coordinates of the
+    first that fails.  The push is `tate_sequence.induced_map`, looked up
+    at the call, so a test that patches it there patches both.  The
+    reference that the check at the unit canonical coordinates must
+    agree with."""
+    complex_ = calc_x.complex
+    d_rbx = connecting_hom(complex_, ExtensionData(wrb.r_to_b, wrb.b_to_x),
+                           -2, calc_c=calc_x, calc_a=calc_r)
+    d_nab = connecting_hom(complex_, nabla.ext, -2, calc_c=calc_x,
+                           calc_b=calc_nabla, calc_a=calc_cl)
+    push = tate_sequence.induced_map(calc_r, calc_cl, snake.s, -1)
+    h = calc_x.homology(-2)
+    for e in h.group.elements():
+        z = CohClass(calc_x, -2, h.rep_of(h.group.canon(e)))
+        if push(d_rbx(z)) != d_nab(z):
+            return False, h.group.canon(e)
+    return True, None
+
+
+@pytest.fixture
+def functorial_reference():
+    """The all-elements conn.functorial (see
+    functorial_over_all_elements)."""
+    return functorial_over_all_elements
+
+
+def eager_hom_actions(cmod, amod):
+    """The action matrices of Hom(C, A), all built at once as the
+    products S(g)^T (x) rho_A(g) with S(g) = TB.rho_C(g^-1).FB.  The
+    reference that the matrices `HomModule` builds on first read must
+    equal."""
+    group = cmod.group
+    tb, fb = cmod.underlying.free_basis_maps()
+    return [tb.mul(cmod.action[group.inv[g]]).mul(fb).transpose()
+            .kron(amod.action[g]) for g in range(group.order)]
+
+
+@pytest.fixture
+def hom_actions_reference():
+    """The eager Hom actions (see eager_hom_actions)."""
+    return eager_hom_actions
 
 
 def extension_by_fgab(cl_mod, group, cocycle):

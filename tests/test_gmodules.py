@@ -216,6 +216,31 @@ def test_sparse_kronecker_actions_match_dense_loops(name):
                 dense_tensor_actions(cmod, amod)
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_lazy_hom_actions_match_the_eager_products(name,
+                                                   hom_actions_reference):
+    """HomModule builds the matrix of g when module.action[g] is first
+    read, and keeps it.  Read last element first, each equals the eager
+    S(g)^T (x) rho_A(g): on the test modules of the group, with values in
+    Z[G] too (where g and g^-1 act differently), and on X, B and R of the
+    seed-0 instance with values in Cl."""
+    group = named_group(name)
+    cs, amods = hom_test_modules(group)
+    pairs = [(cmod, amod) for cmod in cs
+             for amod in amods + [regular_module(group)]]
+    inst = synth_instance(name, 0)
+    wrb = build_wrb(inst, xy_modules(inst))
+    pairs += [(cmod, inst.cl) for cmod in (wrb.x, wrb.b, wrb.r)]
+    for cmod, amod in pairs:
+        acts = HomModule(cmod, amod).module.action
+        want = hom_actions_reference(cmod, amod)
+        assert len(acts) == len(want) == cmod.group.order
+        for g in reversed(range(len(want))):
+            assert acts[g] == want[g]
+            assert acts[g] is acts[g]
+        assert list(acts) == want
+
+
 def test_kernel_image_cokernel():
     c2 = named_group("C2")
     reg = regular_module(c2)

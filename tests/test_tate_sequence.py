@@ -7,10 +7,10 @@ from tatelab.abelian import AbMap, FgAb, Homology, subgroup_span
 from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
                          i2_plain, i2_twist, norm_model, quadratic_sqrt34,
                          synth_instance, xy_modules)
-from tatelab import tate_sequence
+from tatelab import gmodules, tate_sequence
 from tatelab.analysis import CHECK_READS, closure, run_analysis
 from tatelab.cohomology import (CohClass, Cocycle1, ExtensionData,
-                                TateCohomology, TateComplex,
+                                TateCohomology, TateComplex, connecting_hom,
                                 extension_to_cocycle)
 from tatelab.gmodules import (GModule, HomModule, local_aug_ideal,
                               trivial_module)
@@ -206,6 +206,30 @@ def test_lift_check_cost():
     assert calls["walk"] == 0
     assert 0 < calls["canon"] <= inst.gs.order + n_cl
     assert inst.group.order * n_cl * len(sh.gs_basis) > inst.gs.order + n_cl
+
+
+@pytest.mark.parametrize("name", LIFT_CASES)
+def test_lift_check_reads_a_column_moved_by_l_as_its_class(name):
+    """The action half compares each column with y(x - 1) as a vector
+    first.  A column moved by a nonzero element of L = K.I_GS, here under
+    the last g, differs as a vector but not as a class: the check must
+    still pass, as the all-triples loop does."""
+    inst = lift_case(name)
+    sh = build_script_h(inst)
+    mod = sh.module
+    ab = mod.underlying
+    rel = next(c for c in ab.rel.sparse_columns() if c)
+    g = inst.group.order - 1
+    cols = mod.action[g].sparse_columns()
+    _axpy(cols[0], 1, rel)
+    action = list(mod.action)
+    action[g] = IntMatrix._from_sparse_columns(cols, ab.n)
+    sh.module = GModule(mod.group, ab, action, check=False)
+    y = inst.iota[inst.p0.id][g]
+    assert sh.module.action[g].sparse_columns()[0] != \
+        sh.left_mul(y, sh.gs_basis[0])
+    assert script_h_action_lift_independent(inst, sh) == \
+        reference_lift_check(inst, sh) == (True, None)
 
 
 def reference_script_h(inst):
@@ -428,6 +452,74 @@ def test_nabla_class_builds_no_cohomology_group(monkeypatch):
     assert calls == {}
 
 
+def test_nabla_class_builds_hom_actions_at_the_generators_only(
+        monkeypatch):
+    """HomModule builds the action of g when it is first read.  nabla.class
+    reads the actions of Hom(B, Cl) and Hom(R, Cl) at generating_set()
+    only, so those are the only ones built, each once."""
+    inst = synth_instance("D4", 0)
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    homs = []
+
+    class Recorded(HomModule):
+        def __init__(self, cmod, amod):
+            super().__init__(cmod, amod)
+            homs.append(self)
+
+    class Reads(gmodules.LazyActions):
+        __slots__ = ("reads",)
+
+        def __init__(self, order, make):
+            def recorded(g):
+                self.reads.append(g)
+                return make(g)
+            self.reads = []
+            super().__init__(order, recorded)
+
+    monkeypatch.setattr(tate_sequence, "HomModule", Recorded)
+    monkeypatch.setattr(gmodules, "LazyActions", Reads)
+    ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
+    assert ok, wit
+    gens = inst.group.generating_set()
+    assert len(gens) < inst.group.order
+    assert [h.c for h in homs] == [wrb.b, wrb.r]
+    for h in homs:
+        assert sorted(h.module.action.reads) == sorted(gens)
+
+
+def test_nabla_class_builds_one_coboundary_lattice_per_module(monkeypatch):
+    """Both coboundary tests of nabla.class solve in Hom(X, Cl): the
+    module keeps its coboundary map, so one image lattice serves both.
+    Hom(B, Cl)'s coboundary map is applied, never solved through."""
+    inst = synth_instance("S3", 0)
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    module_of, lattices = {}, {}
+    real_cob, real_lat = GModule.coboundary_map, AbMap.image_lattice
+
+    def coboundary_map(self):
+        cob = real_cob(self)
+        module_of[id(cob)] = self
+        return cob
+
+    def image_lattice(self):
+        lat = real_lat(self)
+        mod = module_of.get(id(self))
+        if mod is not None:
+            lattices.setdefault(mod, []).append(lat)
+        return lat
+
+    monkeypatch.setattr(GModule, "coboundary_map", coboundary_map)
+    monkeypatch.setattr(AbMap, "image_lattice", image_lattice)
+    ok, wit = nabla_class_checks(inst, wrb, snake, nabla)
+    assert ok, wit
+    assert len(module_of) == 2
+    got = lattices.pop(nabla.hom_x_cl.module)
+    assert len(got) == 2 and got[0] is got[1]
+    assert lattices == {}
+
+
 @pytest.mark.parametrize("make", [lambda: synth_instance("V4", 0),
                                   lambda: synth_instance("C2", 1),
                                   lambda: synth_instance("C4", 1),
@@ -646,6 +738,86 @@ def test_functoriality_square():
     ok, wit = connecting_functorial(
         wrb, snake, nabla, *calcs(cx, xy.x, wrb.r, it.cl, nabla.module))
     assert ok, wit
+
+
+def functorial_case(inst):
+    """(wrb, snake, nabla, calculators of X, R, Cl and nabla): the
+    arguments of connecting_functorial."""
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    return (wrb, snake, nabla, *calcs(cx, xy.x, wrb.r, inst.cl,
+                                      nabla.module))
+
+
+def unit(k, j):
+    return tuple(int(i == j) for i in range(k))
+
+
+def move_push_at(mp, wrb, calc_x, calc_r, calc_cl, j):
+    """Patch tate_sequence.induced_map so that the push adds a nonzero
+    class of H^-1(Cl) to the class delta_RBX(e_j), e_j the j-th unit
+    canonical coordinate of H^-2(X), and to no other.  B is projective,
+    so delta_RBX: H^-2(X) -> H^-1(R) is an isomorphism, and the square
+    then fails at e_j alone.  Returns e_j."""
+    h = calc_x.homology(-2)
+    e = unit(len(h.group.canonical_moduli()), j)
+    d_rbx = connecting_hom(calc_x.complex,
+                           ExtensionData(wrb.r_to_b, wrb.b_to_x), -2,
+                           calc_c=calc_x, calc_a=calc_r)
+    target = d_rbx(CohClass(calc_x, -2, h.rep_of(e))).canon
+    h1 = calc_cl.homology(-1)
+    extra = CohClass(calc_cl, -1,
+                     h1.rep_of(unit(len(h1.group.canonical_moduli()), 0)))
+    assert not extra.is_zero()
+    real = tate_sequence.induced_map
+
+    def moved(calc_dom, calc_cod, f, i):
+        push = real(calc_dom, calc_cod, f, i)
+        return lambda cls: (push(cls).add(extra) if cls.canon == target
+                            else push(cls))
+
+    mp.setattr(tate_sequence, "induced_map", moved)
+    return e
+
+
+@pytest.mark.parametrize("name,j", [("S3/0", 0), ("S3/0", 1), ("V4/0", 3),
+                                    ("C2/1", 1)])
+def test_functoriality_square_names_the_moved_generator(
+        name, j, functorial_reference, monkeypatch):
+    """A push moved at one generator of H^-2(X) fails conn.functorial,
+    with that generator's canonical coordinates as the witness, as the
+    all-elements loop finds too; at j > 0 the generators before it
+    pass."""
+    group, seed = name.split("/")
+    args = functorial_case(synth_instance(group, int(seed)))
+    wrb, _, _, calc_x, calc_r, calc_cl, _ = args
+    assert len(calc_x.group(-2).canonical_moduli()) > j
+    e = move_push_at(monkeypatch, wrb, calc_x, calc_r, calc_cl, j)
+    assert connecting_functorial(*args) == functorial_reference(*args) == \
+        (False, e)
+
+
+def test_functoriality_square_agrees_with_all_elements_reference(
+        corpus, functorial_reference):
+    """conn.functorial compares the two sides on the unit canonical
+    coordinates of H^-2(X) only.  On every campaign and stress instance
+    it agrees with the loop over every element, as built and with the
+    push moved at the last generator wherever H^-2(X) and H^-1(Cl) are
+    both nonzero."""
+    moved = 0
+    for name, inst in corpus:
+        args = functorial_case(inst)
+        wrb, _, _, calc_x, calc_r, calc_cl, _ = args
+        assert connecting_functorial(*args) == functorial_reference(*args) \
+            == (True, None), name
+        k = len(calc_x.group(-2).canonical_moduli())
+        if k and not calc_cl.group(-1).is_trivial():
+            with pytest.MonkeyPatch.context() as mp:
+                e = move_push_at(mp, wrb, calc_x, calc_r, calc_cl, k - 1)
+                assert connecting_functorial(*args) == \
+                    functorial_reference(*args) == (False, e), name
+            moved += 1
+    assert moved >= 5
 
 
 def test_cdc_checks_name_an_unstable_difference_subgroup():
