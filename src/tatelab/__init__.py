@@ -23,8 +23,8 @@ from .groups import (FiniteGroup, GroupHom, NotACocycle, NotAGroup,
 from .lattice import IntMatrix, Lattice
 from .tate_sequence import (ImageEscapesCl, NotNormKilled, build_delta1,
                             build_nabla, build_script_h, build_snake,
-                            build_wrb, delta1, delta_minus2, norm_suite,
-                            r_element, snake_closed_form, subgroups_cdc)
+                            build_wrb, delta1, norm_suite, r_element,
+                            snake_closed_form, subgroups_cdc)
 from .unit_fixture import InconsistentFixture, fixture_unit_check
 
 __version__ = "0.1.0"

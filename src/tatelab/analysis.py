@@ -6,7 +6,8 @@ reads; CHECK_READS lists, next to each registered check, the artifacts the
 check function receives.  The inputs (the instance, the unit fixture and
 the sampling seed) are artifacts that exist from the start.  Every
 analysis resolves the one degree window WINDOW, -2..1, the degrees its
-checks read: one complex, and one calculator per module over it.  An
+checks read: one complex, one calculator per module over it, and each
+connecting map the checks compare, built once from those calculators.  An
 artifact is built on first request, once: a builder that raised is not
 run again, and everything that reads it fails with the same exception.
 The runner drops an artifact after the last selected check whose reads
@@ -20,7 +21,8 @@ import time
 from operator import attrgetter
 
 from .cft import norm_model, validate_instance, xy_modules
-from .cohomology import TateCohomology, TateComplex
+from .cohomology import (ExtensionData, TateCohomology, TateComplex,
+                         connecting_hom)
 from .tate_sequence import (build_delta1, build_nabla, build_script_h,
                             build_snake, build_wrb, cdc_checks,
                             connecting_functorial, delta1,
@@ -47,6 +49,14 @@ def _calculator(module_of):
                                                    module_of(source))
 
 
+def _connecting(i, ext_of):
+    """Builder of the degree-i connecting map of the short exact sequence
+    0 -> A -> B -> C -> 0 that `ext_of` reads off its source, from the
+    calculators of C, A and B."""
+    return lambda source, calc_c, calc_a, calc_b: connecting_hom(
+        ext_of(source), i, calc_c, calc_a, calc_b)
+
+
 # artifact -> (builder, artifacts passed to the builder in order)
 ARTIFACTS = {
     "complex": (_tate_complex, ("inst",)),
@@ -61,8 +71,18 @@ ARTIFACTS = {
     "calc_x": (_calculator(attrgetter("x")), ("complex", "xy")),
     "calc_cl": (_calculator(attrgetter("cl")), ("complex", "inst")),
     "calc_r": (_calculator(attrgetter("r")), ("complex", "wrb")),
+    "calc_b": (_calculator(attrgetter("b")), ("complex", "wrb")),
     "calc_nabla": (_calculator(attrgetter("module")), ("complex", "nabla")),
     "calc_ker_s": (_calculator(attrgetter("ker_s")), ("complex", "delta1")),
+    # the connecting maps: H^-2(X) -> H^-1(R) and H^-2(X) -> H^-1(Cl),
+    # and H^-1(Cl) -> H^0(ker s) of the unit sequence
+    "delta_rbx": (_connecting(-2, lambda wrb: ExtensionData(wrb.r_to_b,
+                                                            wrb.b_to_x)),
+                  ("wrb", "calc_x", "calc_r", "calc_b")),
+    "delta_nabla": (_connecting(-2, attrgetter("ext")),
+                    ("nabla", "calc_x", "calc_cl", "calc_nabla")),
+    "delta_unit": (_connecting(-1, attrgetter("ext")),
+                   ("delta1", "calc_cl", "calc_ker_s", "calc_r")),
 }
 
 
@@ -116,9 +136,10 @@ def _check_scripth_embedding(sh):
     return ok, None if ok else "embedding has a kernel"
 
 
-def _check_delta1(inst, seed, wrb, d1, calc_cl, calc_r, calc_k):
-    """Representative-independence and the generic/formula agreement on a
-    deterministic sample of norm-killed coefficient vectors."""
+def _check_delta1(inst, seed, wrb, d1, calc_cl, calc_k, delta_unit):
+    """Representative-independence and the agreement of `delta_unit` with
+    the formula on a deterministic sample of norm-killed coefficient
+    vectors."""
     ab = inst.cl.underlying
     rng = random.Random(seed * 7919 + 13)
     nu = inst.cl.norm_map()
@@ -128,8 +149,8 @@ def _check_delta1(inst, seed, wrb, d1, calc_cl, calc_r, calc_k):
         coeffs = {qid: rng.randrange(-3, 4) for qid in aux_ids}
         if not ab.is_zero(nu.apply(inst.frobenius_sum(coeffs))):
             continue
-        ok, wit = delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_r,
-                                        calc_k, coeffs)
+        ok, wit = delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_k,
+                                        delta_unit, coeffs)
         if not ok:
             return False, {"coeffs": coeffs, "witness": wit}
         # second representative of the same class: shift by a kernel
@@ -161,14 +182,14 @@ def _all_ok(records):
     return not bad, bad or {"records": len(records)}
 
 
-def _check_norm_suite(inst, nm, cdc):
-    return _all_ok(norm_suite(inst, nm, cdc))
+def _check_norm_suite(inst, nm, cdc, calc_cl):
+    return _all_ok(norm_suite(inst, nm, cdc, calc_cl))
 
 
-def _check_fixture(inst, fixture, complex_, cdc):
+def _check_fixture(inst, fixture, calc_cl, cdc):
     if fixture is None:
         return False, "no fixture supplied"
-    return _all_ok(fixture_unit_check(complex_, inst, fixture, cdc))
+    return _all_ok(fixture_unit_check(inst, fixture, calc_cl, cdc))
 
 
 # check id -> (anchor, function, artifacts passed to it in order)
@@ -186,33 +207,32 @@ _REGISTRY = {
                         snake_of_aux_units, ("inst", "wrb", "snake")),
     "snake.closed_form": ("snake closed form on distinguished elements",
                           snake_closed_form_agrees,
-                          ("inst", "wrb", "snake", "cdc")),
+                          ("inst", "wrb", "snake", "calc_cl")),
     "nabla.class": ("pushout extension class equals the snake cocycle "
                     "class", nabla_class_checks,
                     ("inst", "wrb", "snake", "nabla")),
     "delta2.agree": ("connecting map H^-2(X) -> H^-1(Cl) matches the "
                      "section discrepancies", delta_minus2_agrees,
-                     ("inst", "nabla", "xy", "calc_x", "calc_cl",
-                      "calc_nabla")),
+                     ("inst", "xy", "calc_x", "calc_cl", "delta_nabla")),
     "x.h_minus1_zero": ("H^-1(G, X) vanishes", h_minus1_x_vanishes,
                         ("calc_x",)),
     "x.generator_iso": ("decomposition abelianizations present H^-2(X)",
                         homology_generators_iso, ("inst", "xy", "calc_x")),
     "conn.functorial": ("connecting maps commute with the sequence "
                         "morphism", connecting_functorial,
-                        ("wrb", "snake", "nabla", "calc_x", "calc_r",
-                         "calc_cl", "calc_nabla")),
+                        ("snake", "calc_x", "calc_r", "calc_cl",
+                         "delta_rbx", "delta_nabla")),
     "cdc.inclusions": ("difference subgroup is stable and the kernel "
                        "inclusions hold", cdc_checks,
                        ("inst", "cdc", "norm_model")),
     "delta1.factors": ("first unit connecting map factors through "
                        "H^-1(Cl)", _check_delta1,
                        ("inst", "seed", "wrb", "delta1", "calc_cl",
-                        "calc_r", "calc_ker_s")),
+                        "calc_ker_s", "delta_unit")),
     "norm.suite": ("norm kernel decompositions", _check_norm_suite,
-                   ("inst", "norm_model", "cdc")),
+                   ("inst", "norm_model", "cdc", "calc_cl")),
     "fixture.units": ("unit-cocycle fixture assertions", _check_fixture,
-                      ("inst", "fixture", "complex", "cdc")),
+                      ("inst", "fixture", "calc_cl", "cdc")),
 }
 
 CHECKS = {cid: (anchor, fn) for cid, (anchor, fn, _) in _REGISTRY.items()}

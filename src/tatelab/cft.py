@@ -221,20 +221,18 @@ def c_p(inst, place_id, tau):
 # -- the norm model ----------------------------------------------------------
 
 class NormModel:
-    __slots__ = ("q", "nm", "nm_gmap", "q_module", "class_in_q")
+    __slots__ = ("q", "nm")
 
-    def __init__(self, q, nm, nm_gmap, q_module, class_in_q):
+    def __init__(self, q, nm):
         self.q = q
         self.nm = nm
-        self.nm_gmap = nm_gmap
-        self.q_module = q_module
-        self.class_in_q = class_in_q
 
 
 def norm_model(inst):
     """Quotient Q of GS by commutators and all section images, with the
     induced map from the class module.  Q plays the role of the base
-    S-class-group and the induced map the role of the ideal norm."""
+    S-class-group and the induced map the role of the ideal norm; the map
+    is checked equivariant into Q with the trivial action."""
     gs = inst.gs
     gab, proj = abelianization(gs)
     killed = []
@@ -252,22 +250,18 @@ def norm_model(inst):
         # generators may be torsion; map via kappa on canonical form
         cols.append(gs_to_q(inst.kappa[ab.canon(gen)]))
     nm = AbMap(ab, q, IntMatrix._trusted_columns(cols, q.n))
-    q_module = trivial_module(inst.group, q)
-    nm_gmap = GMap(inst.cl, q_module, nm)
-    class_in_q = {aux.id: nm.apply(aux.frobenius) for aux in inst.aux_places}
-    return NormModel(q, nm, nm_gmap, q_module, class_in_q)
+    GMap(inst.cl, trivial_module(inst.group, q), nm)  # checks equivariance
+    return NormModel(q, nm)
 
 
 # -- the place modules Y and X ------------------------------------------------
 
 class XYData:
-    __slots__ = ("y", "x", "aug", "x_incl", "y_index", "x_index",
-                 "x_basis")
+    __slots__ = ("y", "x", "x_incl", "y_index", "x_index", "x_basis")
 
-    def __init__(self, y, x, aug, x_incl, y_index, x_index, x_basis):
+    def __init__(self, y, x, x_incl, y_index, x_index, x_basis):
         self.y = y
         self.x = x
-        self.aug = aug
         self.x_incl = x_incl
         self.y_index = y_index      # (place_id, coset rep) -> Y coordinate
         self.x_index = x_index      # (place_id, coset rep) -> X coordinate
@@ -290,9 +284,6 @@ def xy_modules(inst):
         for k, key in enumerate(lab):
             y_index[key] = off + k
         off += len(lab)
-    aug = GMap(y, trivial_module(grp),
-               IntMatrix([[1] * y.underlying.n]), check=False)
-
     p0 = inst.p0
     x_basis = []
     for pl in inst.places:
@@ -321,7 +312,7 @@ def xy_modules(inst):
         col[p0_coord] -= 1
         cols.append(col)
     x_incl = GMap(x, y, IntMatrix._trusted_columns(cols, y.underlying.n))
-    return XYData(y, x, aug, x_incl, y_index, x_index, x_basis)
+    return XYData(y, x, x_incl, y_index, x_index, x_basis)
 
 
 # -- synthetic instances -----------------------------------------------------

@@ -381,22 +381,23 @@ class ExtensionData:
         return self._section
 
 
-def connecting_hom(complex_, ext, i, calc_c=None, calc_a=None,
-                   section=None, calc_b=None):
+def connecting_hom(ext, i, calc_c, calc_a, calc_b, section=None):
     """The connecting homomorphism H^i(C) -> H^{i+1}(A) by the zig-zag:
     lift a representative through B, apply the differential, pull back.
-    The calculators of C, A and B over `complex_` are built unless given.
+    `calc_c`, `calc_a` and `calc_b` are the calculators of C, A and B;
+    they must share one complex (ValueError otherwise).
 
     A custom (Z-linear) `section` matrix may be supplied to re-randomize
     the lift; the class of the result does not depend on it.  Both i and
     i + 1 must lie in the window: an edge degree of the cochain groups
     may be truncated and cannot carry a class.
     """
+    complex_ = calc_c.complex
+    if calc_a.complex is not complex_ or calc_b.complex is not complex_:
+        raise ValueError("calculators of C, A and B are over different "
+                         "complexes")
     complex_._check_degree(i, public=True)
     complex_._check_degree(i + 1, public=True)
-    calc_c = calc_c or TateCohomology(complex_, ext.c)
-    calc_a = calc_a or TateCohomology(complex_, ext.a)
-    calc_b = calc_b or TateCohomology(complex_, ext.b)
     sec = section if section is not None else ext.section_matrix()
 
     def delta(cls):
@@ -580,7 +581,7 @@ def extension_to_cocycle(hom, ext, section=None):
 
 # -- Shapiro in degree -2 ----------------------------------------------------
 
-def shapiro_hminus2(complex_, group, sub):
+def shapiro_hminus2(complex_, sub):
     """The map H^ab -> H^-2(G, Z[G] (x)_{Z[H]} Z) sending h to the class
     of the chain ([h], trivial coset); returns (map, H^ab, calculator,
     induced module).  H^ab is presented on the generators of H (see
@@ -588,6 +589,7 @@ def shapiro_hminus2(complex_, group, sub):
     AbMap proves that it kills the relations.  No generator is the
     identity, so no chain is the degenerate cell [1]."""
     from .gmodules import perm_module
+    group = complex_.group
     induced, reps, rho, pos = perm_module(group, sub)
     calc = TateCohomology(complex_, induced)
     h = calc.homology(-2)
@@ -623,15 +625,15 @@ def _aug_sequence(aug_incl, module):
     return ExtensionData(left, right), t_aug, t_reg
 
 
-def cup_with_h1(complex_, xi, z, calc_c=None):
+def cup_with_h1(complex_, xi, z):
     """Cup product H^-2(G, C) x H^1(G, A) -> H^-1(G, C (x) A).
 
     xi is a degree-1 class or a Cocycle1 valued in A; z a degree -2 class
-    with coefficients in C.  Computed through the dimension shift by the
-    augmentation sequence: push z to H^-1(aug (x) C), pair with the
-    cocycle by v = -sum_g (g.w) (x) xi(g) in degree 0, and pull back
-    through the (bijective) connecting map of the augmentation sequence
-    of C (x) A.
+    with coefficients in C, over a calculator of `complex_`.  Computed
+    through the dimension shift by the augmentation sequence: push z to
+    H^-1(aug (x) C), pair with the cocycle by v = -sum_g (g.w) (x) xi(g)
+    in degree 0, and pull back through the (bijective) connecting map of
+    the augmentation sequence of C (x) A.
     """
     if isinstance(xi, CohClass):
         if xi.degree != 1:
@@ -644,10 +646,9 @@ def cup_with_h1(complex_, xi, z, calc_c=None):
     group = complex_.group
     _, aug_incl = aug_ideal(group)
     ext_c, t_aug_c, _ = _aug_sequence(aug_incl, cmod)
-    calc_c = calc_c or z.calc
-    calc_augc = TateCohomology(complex_, t_aug_c.module)
-    delta1 = connecting_hom(complex_, ext_c, -2, calc_c=calc_c,
-                            calc_a=calc_augc)
+    delta1 = connecting_hom(ext_c, -2, z.calc,
+                            TateCohomology(complex_, t_aug_c.module),
+                            TateCohomology(complex_, ext_c.b))
     w_cls = delta1(z)
     w = w_cls.rep  # element of aug (x) C (degree -1 cochain group)
     ca = TensorModule(cmod, amod)
@@ -661,8 +662,8 @@ def cup_with_h1(complex_, xi, z, calc_c=None):
     # aug (x) (C (x) A) and (aug (x) C) (x) A share coordinates
     calc_ca = TateCohomology(complex_, ca.module)
     calc_t3 = TateCohomology(complex_, t3.module)
-    delta2 = connecting_hom(complex_, ext_ca, -1, calc_c=calc_ca,
-                            calc_a=calc_t3)
+    delta2 = connecting_hom(ext_ca, -1, calc_ca, calc_t3,
+                            TateCohomology(complex_, ext_ca.b))
     h_ca = calc_ca.homology(-1)
     h_t3 = calc_t3.homology(-1 + 1)
     cols = []
@@ -683,7 +684,7 @@ def cup_with_h1(complex_, xi, z, calc_c=None):
 
 # -- Ext^1(aug, A) = H^2(G, A) ------------------------------------------------
 
-def build_ext1_data(complex_, group, amod):
+def build_ext1_data(group, amod):
     """The sequence 0 -> A -> Hom(Z[G], A) -> Hom(aug, A) -> 0 together
     with Hom-module wrappers; returns dict of parts."""
     augm, aug_incl = aug_ideal(group)
@@ -700,12 +701,13 @@ def build_ext1_data(complex_, group, amod):
     return {"ext": ext, "hom_reg": hom_reg, "hom_aug": hom_aug}
 
 
-def ext1_class_to_h2(complex_, group, amod, f, data=None):
+def ext1_class_to_h2(complex_, amod, f, data=None):
     """H^2(G, A) class of a 1-cocycle f valued in Hom(aug ideal, A)."""
-    data = data or build_ext1_data(complex_, group, amod)
+    data = data or build_ext1_data(complex_.group, amod)
     ext = data["ext"]
     calc_c = TateCohomology(complex_, ext.c)
     calc_a = TateCohomology(complex_, amod)
-    delta = connecting_hom(complex_, ext, 1, calc_c=calc_c, calc_a=calc_a)
+    delta = connecting_hom(ext, 1, calc_c, calc_a,
+                           TateCohomology(complex_, ext.b))
     cls = CohClass(calc_c, 1, f.as_cochain())
     return delta(cls), calc_a

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .abelian import AbMap, FgAb, Homology, ab_quotient, subgroup_span
 from .cft import PlaceIsP0, c_p
-from .cohomology import (CohClass, Cocycle1, ExtensionData, connecting_hom,
+from .cohomology import (CohClass, Cocycle1, ExtensionData,
                          extension_to_cocycle, induced_map, zig_zag)
 from .gmodules import (GMap, GModule, HomModule, aug_ideal, direct_sum,
                        local_aug_ideal)
@@ -332,19 +332,10 @@ def script_h_action_lift_independent(inst, sh):
 
 # -- the snake map ------------------------------------------------------------
 
-class SnakeData:
-    __slots__ = ("s", "w_to_h", "wrb", "sh")
-
-    def __init__(self, s, w_to_h, wrb, sh):
-        self.s = s
-        self.w_to_h = w_to_h
-        self.wrb = wrb
-        self.sh = sh
-
-
 def build_snake(inst, wrb, sh):
-    """The snake map R -> Cl: prime-by-prime into the quotient module,
-    then pulled back through the embedding of the class module."""
+    """The snake map s: R -> Cl, a GMap: prime-by-prime into the
+    quotient module, then pulled back through the embedding of the class
+    module."""
     grp = inst.group
     rel_lat = sh.module.underlying.rel_lattice()
     p0_sec = inst.iota[inst.p0.id]
@@ -380,11 +371,10 @@ def build_snake(inst, wrb, sh):
     w_to_h = GMap(wrb.w, sh.module,
                   IntMatrix._from_sparse_columns(cols, len(sh.gs_basis)))
 
-    s = GMap(wrb.r, inst.cl, sh.e.ab.lift(
+    return GMap(wrb.r, inst.cl, sh.e.ab.lift(
         w_to_h.ab.mat.mul(wrb.r_incl.ab.mat),
         lambda j: ImageEscapesCl(f"snake image escapes the class module "
                                  f"at R generator {j}")))
-    return SnakeData(s, w_to_h, wrb, sh)
 
 
 def aux_unit_in_r(inst, wrb, q_id, coeff=None):
@@ -402,7 +392,7 @@ def snake_of_aux_units(inst, wrb, snake):
     ab = inst.cl.underlying
     for q in inst.aux_places:
         r = aux_unit_in_r(inst, wrb, q.id)
-        if not ab.eq(snake.s.apply(r), q.frobenius):
+        if not ab.eq(snake.apply(r), q.frobenius):
             return False, q.id
     return True, None
 
@@ -453,18 +443,18 @@ def snake_closed_form(inst, place_id, sigma, tau):
     return inst.cl.act(grp.mul(tau, h), c_p(inst, place_id, h))
 
 
-def snake_closed_form_agrees(inst, wrb, snake, cdc):
+def snake_closed_form_agrees(inst, wrb, snake, calc_cl):
     """Element-level identity s(r_{sigma,tau}) = closed form for all
     data, plus the class-level identity with the untwisted form, read in
-    H^-1(Cl) through the calculator of `cdc`."""
+    H^-1(Cl) through `calc_cl`, the calculator of Cl."""
     ab = inst.cl.underlying
     grp = inst.group
-    h1 = cdc.calc_cl.homology(-1)
+    h1 = calc_cl.homology(-1)
     for pl in inst.other_places():
         reps, rho = inst.cosets[pl.id]
         for sigma in range(grp.order):
             for tau in reps:
-                lhs = snake.s.apply(r_element(inst, wrb, pl.id, sigma, tau))
+                lhs = snake.apply(r_element(inst, wrb, pl.id, sigma, tau))
                 rhs = snake_closed_form(inst, pl.id, sigma, tau)
                 if not ab.eq(lhs, rhs):
                     return False, (pl.id, sigma, tau, "element form")
@@ -512,7 +502,7 @@ def build_nabla(inst, wrb, snake):
     ncl = cl.underlying.n
     glue = IntMatrix._from_sparse_columns(
         [{**sc, **{ncl + i: -x for i, x in rc.items()}}
-         for sc, rc in zip(snake.s.ab.mat._columns,
+         for sc, rc in zip(snake.ab.mat._columns,
                            wrb.r_to_b.ab.mat._columns)],
         total.underlying.n)
     ab = FgAb(total.underlying.n, IntMatrix.block_diagonal(
@@ -528,7 +518,7 @@ def build_nabla(inst, wrb, snake):
     for sigma in grp.generating_set():
         cols = []
         for (pid, tau) in wrb.xy.x_basis:
-            cols.append(snake.s.apply(r_element(inst, wrb, pid, sigma, tau)))
+            cols.append(snake.apply(r_element(inst, wrb, pid, sigma, tau)))
         fmat = IntMatrix._trusted_columns(cols, cl.underlying.n)
         vals.append(hom.from_matrix(fmat))
     g_cocycle = Cocycle1.from_generators(hom.module, vals)
@@ -568,7 +558,7 @@ def nabla_class_checks(inst, wrb, snake, nabla):
         return False, "nabla torsion does not match the class module"
     # ladder commutes: t . (R -> B) = (Cl -> nabla) . s
     lhs = nabla.t.compose(wrb.r_to_b)
-    rhs = nabla.cl_to_nabla.compose(snake.s)
+    rhs = nabla.cl_to_nabla.compose(snake)
     if lhs != rhs:
         return False, "ladder does not commute"
     # Hom-sequence route: image of -[s] is the class of g
@@ -578,7 +568,7 @@ def nabla_class_checks(inst, wrb, snake, nabla):
                 hom_b.precompose(hom, wrb.b_to_x.ab.mat))
     right = GMap(hom_b.module, hom_r.module,
                  hom_r.precompose(hom_b, wrb.r_to_b.ab.mat))
-    lift = right.ab.solve(hom_r.from_matrix(snake.s.ab.neg().mat))
+    lift = right.ab.solve(hom_r.from_matrix(snake.ab.neg().mat))
     if lift is None:
         raise ValueError("-s does not lift to Hom(B, Cl)")
     blocks = len(inst.group.generating_set())
@@ -596,16 +586,6 @@ def nabla_class_checks(inst, wrb, snake, nabla):
 
 # -- the two descriptions of H^-2(X) -> H^-1(Cl) -------------------------------
 
-class ConnectingData:
-    __slots__ = ("calc_x", "calc_cl", "generic", "gen_classes")
-
-    def __init__(self, calc_x, calc_cl, generic, gen_classes):
-        self.calc_x = calc_x
-        self.calc_cl = calc_cl
-        self.generic = generic
-        self.gen_classes = gen_classes
-
-
 def generator_chain(complex_, inst, xy, calc_x, place_id, tau):
     """The degree -2 class of [tau] (x) (p - p0).  [1] is a degenerate
     cell, zero in the normalized complex, so tau = 1 gives the zero
@@ -618,32 +598,19 @@ def generator_chain(complex_, inst, xy, calc_x, place_id, tau):
     return CohClass(calc_x, -2, rep)
 
 
-def delta_minus2(inst, nabla, xy, calc_x, calc_cl, calc_nabla):
-    """Generic and closed-form connecting maps H^-2(X) -> H^-1(Cl); the
-    calculators are those of X, Cl and nabla over one complex."""
-    complex_ = calc_x.complex
-    generic = connecting_hom(complex_, nabla.ext, -2, calc_c=calc_x,
-                             calc_b=calc_nabla, calc_a=calc_cl)
-    gen_classes = {}
+def delta_minus2_agrees(inst, xy, calc_x, calc_cl, delta_nabla):
+    """Headline check: `delta_nabla`, the connecting map H^-2(X) ->
+    H^-1(Cl) of the nabla sequence, sends [tau (x) (p - p0)] to the class
+    of the section discrepancy c_p(tau), on every generator."""
     for pl in inst.other_places():
         for tau in pl.subgroup.elems:
-            gen_classes[(pl.id, tau)] = generator_chain(
-                complex_, inst, xy, calc_x, pl.id, tau)
-    return ConnectingData(calc_x, calc_cl, generic, gen_classes)
-
-
-def delta_minus2_agrees(inst, nabla, xy, calc_x, calc_cl, calc_nabla):
-    """Headline check: the connecting map of the nabla sequence sends
-    [tau (x) (p - p0)] to the class of the section discrepancy c_p(tau),
-    on every generator."""
-    conn = delta_minus2(inst, nabla, xy, calc_x, calc_cl, calc_nabla)
-    for (pid, tau), z in conn.gen_classes.items():
-        lhs = conn.generic(z)
-        rhs = CohClass(conn.calc_cl, -1, c_p(inst, pid, tau))
-        if lhs != rhs:
-            return False, (pid, tau, lhs.canon, rhs.canon)
-        if tau == inst.group.identity and not lhs.is_zero():
-            return False, (pid, tau, "identity generator must die")
+            lhs = delta_nabla(generator_chain(calc_x.complex, inst, xy,
+                                              calc_x, pl.id, tau))
+            rhs = CohClass(calc_cl, -1, c_p(inst, pl.id, tau))
+            if lhs != rhs:
+                return False, (pl.id, tau, lhs.canon, rhs.canon)
+            if tau == inst.group.identity and not lhs.is_zero():
+                return False, (pl.id, tau, "identity generator must die")
     return True, None
 
 
@@ -720,29 +687,23 @@ def homology_generators_iso(inst, xy, calc_x):
     return True, None
 
 
-def connecting_functorial(wrb, snake, nabla, calc_x, calc_r, calc_cl,
-                          calc_nabla):
+def connecting_functorial(snake, calc_x, calc_r, calc_cl, delta_rbx,
+                          delta_nabla):
     """For the morphism of short exact sequences (s, t, id) from the
     R-B-X sequence to the nabla sequence, the connecting squares commute:
-    s_* after delta_RBX equals delta_nabla at degree -2.
+    s_* after `delta_rbx` equals `delta_nabla` at degree -2.
 
     Both sides are homomorphisms out of H^-2(X), so they agree everywhere
     iff they agree on generators: they are compared on the unit canonical
     coordinates, one evaluation per coordinate, and the witness is
     the first unit vector at which they differ."""
-    complex_ = calc_x.complex
-    ext_rbx = ExtensionData(wrb.r_to_b, wrb.b_to_x)
-    d_rbx = connecting_hom(complex_, ext_rbx, -2, calc_c=calc_x,
-                           calc_a=calc_r)
-    d_nab = connecting_hom(complex_, nabla.ext, -2, calc_c=calc_x,
-                           calc_b=calc_nabla, calc_a=calc_cl)
-    push = induced_map(calc_r, calc_cl, snake.s, -1)
+    push = induced_map(calc_r, calc_cl, snake, -1)
     h = calc_x.homology(-2)
     k = len(h.group.canonical_moduli())
     for j in range(k):
         e = tuple(int(i == j) for i in range(k))
         z = CohClass(calc_x, -2, h.rep_of(e))
-        if push(d_rbx(z)) != d_nab(z):
+        if push(delta_rbx(z)) != delta_nabla(z):
             return False, e
     return True, None
 
@@ -750,11 +711,10 @@ def connecting_functorial(wrb, snake, nabla, calc_x, calc_r, calc_cl,
 # -- subgroup bookkeeping ------------------------------------------------------
 
 class CDCData:
-    """The distinguished subgroups; `calc_cl` is the calculator of Cl the
-    subgroups were read through, and `h1` its H^-1."""
+    """The distinguished subgroups; `cbar` lies in H^-1(Cl) as read by
+    the calculator of Cl that `subgroups_cdc` was given."""
 
-    __slots__ = ("h1", "cbar", "cbar_incl", "c_s", "c_incl", "d", "d_incl",
-                 "calc_cl")
+    __slots__ = ("cbar", "cbar_incl", "c_s", "c_incl", "d", "d_incl")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -776,8 +736,8 @@ def subgroups_cdc(inst, calc_cl):
     d_gens = [ab.sub(inst.cl.act(s, gen), gen)
               for s in inst.group.generating_set() for gen in ab.smith_gens()]
     d, d_incl = subgroup_span(ab, d_gens)
-    return CDCData(h1=hom.group, cbar=cbar, cbar_incl=cbar_incl, c_s=c_s,
-                   c_incl=c_incl, d=d, d_incl=d_incl, calc_cl=calc_cl)
+    return CDCData(cbar=cbar, cbar_incl=cbar_incl, c_s=c_s, c_incl=c_incl,
+                   d=d, d_incl=d_incl)
 
 
 def cdc_checks(inst, cdc, nm):
@@ -816,8 +776,8 @@ class Delta1Data:
 
 
 def build_delta1(snake):
-    ker_s, ker_incl = snake.s.kernel()
-    return Delta1Data(ker_s, ker_incl, ExtensionData(ker_incl, snake.s))
+    ker_s, ker_incl = snake.kernel()
+    return Delta1Data(ker_s, ker_incl, ExtensionData(ker_incl, snake))
 
 
 def delta1(inst, wrb, d1, calc_k, coeffs):
@@ -839,21 +799,21 @@ def delta1(inst, wrb, d1, calc_k, coeffs):
     return calc_k.homology(0).class_of(k_vec)
 
 
-def delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_r, calc_k, coeffs):
-    """The formula output equals the generic connecting map of
-    0 -> ker s -> R -> Cl -> 0 at degree -1 on the class of the sum; the
-    calculators are those of Cl, R and ker(s) over one complex."""
-    delta = connecting_hom(calc_cl.complex, d1.ext, -1, calc_c=calc_cl,
-                           calc_b=calc_r, calc_a=calc_k)
-    generic = delta(CohClass(calc_cl, -1, inst.frobenius_sum(coeffs)))
+def delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_k, delta_unit,
+                          coeffs):
+    """The formula output equals `delta_unit`, the connecting map of
+    0 -> ker s -> R -> Cl -> 0 at degree -1, on the class of the sum; the
+    calculators are those of Cl and ker(s)."""
+    generic = delta_unit(CohClass(calc_cl, -1, inst.frobenius_sum(coeffs)))
     formula = delta1(inst, wrb, d1, calc_k, coeffs)
     return generic.canon == formula, (generic.canon, formula)
 
 
 # -- norm corollary suite -------------------------------------------------------
 
-def norm_suite(inst, nm, cdc):
-    """The five norm-kernel assertions; returns a list of records."""
+def norm_suite(inst, nm, cdc, calc_cl):
+    """The five norm-kernel assertions, reading H^-1(Cl) through
+    `calc_cl`; returns a list of records."""
     ab = inst.cl.underlying
     records = []
 
@@ -867,7 +827,8 @@ def norm_suite(inst, nm, cdc):
     fgrp, fincl = comp.kernel()
 
     # (a) F surjects onto H^-1(Cl)
-    h1, hom = cdc.h1, cdc.calc_cl.homology(-1)
+    hom = calc_cl.homology(-1)
+    h1 = hom.group
     img_gens = []
     for j in range(fgrp.n):
         v = to_cl.apply(fincl.apply(fgrp.gen(j)))
@@ -901,13 +862,12 @@ def norm_suite(inst, nm, cdc):
     # (d) same kernels: F -> H^-1 -> H^-1/Cbar and F -> Q
     cbar_in_h1 = [cdc.cbar_incl.apply(cdc.cbar.gen(j))
                   for j in range(cdc.cbar.n)]
-    h1_mod, h1_proj = ab_quotient(h1, cbar_in_h1)
-    ok_d, wit_d = _same_kernels(fgrp, fincl, to_cl, cdc, h1_mod, h1_proj,
-                                nm)
+    _, h1_proj = ab_quotient(h1, cbar_in_h1)
+    ok_d, wit_d = _same_kernels(fgrp, fincl, to_cl, hom, h1_proj, nm)
     record("norm.d_same_kernels", ok_d, wit_d)
 
     # (e) 0 -> D -> ker(Nm) -> Cbar -> 0
-    ok_e, wit_e = _short_exact_dkc(ab, cdc, ker_nm, ker_nm_incl)
+    ok_e, wit_e = _short_exact_dkc(cdc, hom, ker_nm, ker_nm_incl)
     record("norm.e_break_up_kernel", ok_e, wit_e)
     return records
 
@@ -922,13 +882,12 @@ def _same_subgroup(ambient, g1, incl1, g2, incl2):
     return True
 
 
-def _same_kernels(fgrp, fincl, to_cl, cdc, h1_mod, h1_proj, nm):
-    """Kernels of F -> H^-1/Cbar and F -> Q coincide."""
-    hom = cdc.calc_cl.homology(-1)
+def _same_kernels(fgrp, fincl, to_cl, hom, h1_proj, nm):
+    """Kernels of F -> H^-1/Cbar and F -> Q coincide; `hom` is H^-1(Cl)."""
     cols1, cols2 = [], []
     for j in range(fgrp.n):
         v = to_cl.apply(fincl.apply(fgrp.gen(j)))
-        cols1.append(h1_proj.apply(cdc.h1.from_canon(hom.class_of(v))))
+        cols1.append(h1_proj.apply(hom.group.from_canon(hom.class_of(v))))
         cols2.append(nm.nm.apply(v))
     m1 = AbMap(fgrp, h1_proj.cod, IntMatrix._trusted_columns(cols1,
                                                              h1_proj.cod.n))
@@ -939,22 +898,23 @@ def _same_kernels(fgrp, fincl, to_cl, cdc, h1_mod, h1_proj, nm):
     return ok, {"k1": k1.order(), "k2": k2.order()}
 
 
-def _short_exact_dkc(ab, cdc, ker_nm, ker_nm_incl):
-    """0 -> D -> ker(Nm) -> Cbar -> 0 with the class map in the middle."""
+def _short_exact_dkc(cdc, hom, ker_nm, ker_nm_incl):
+    """0 -> D -> ker(Nm) -> Cbar -> 0 with the class map in the middle;
+    `hom` is H^-1(Cl)."""
     # D sits inside ker(Nm): every generator of D lifts
     try:
         d_in_knm = ker_nm_incl.lift(cdc.d_incl.mat, lambda j: ValueError(j))
     except ValueError:
         return False, "D not inside ker(Nm)"
     # the class map ker(Nm) -> H^-1 has image Cbar and kernel D
-    hom = cdc.calc_cl.homology(-1)
+    h1 = hom.group
     cols = []
     for j in range(ker_nm.n):
         v = ker_nm_incl.apply(ker_nm.gen(j))
-        cols.append(cdc.h1.from_canon(hom.class_of(v)))
-    to_h1 = AbMap(ker_nm, cdc.h1, IntMatrix._trusted_columns(cols, cdc.h1.n))
+        cols.append(h1.from_canon(hom.class_of(v)))
+    to_h1 = AbMap(ker_nm, h1, IntMatrix._trusted_columns(cols, h1.n))
     img, img_incl, _ = to_h1.image()
-    if not _same_subgroup(cdc.h1, img, img_incl, cdc.cbar, cdc.cbar_incl):
+    if not _same_subgroup(h1, img, img_incl, cdc.cbar, cdc.cbar_incl):
         return False, {"image": img.order(), "cbar": cdc.cbar.order()}
     kerc, kerc_incl = to_h1.kernel()
     d_in, d_in_incl, _ = AbMap(FgAb(d_in_knm.cols), ker_nm, d_in_knm,

@@ -24,13 +24,15 @@ class InconsistentFixture(Exception):
         super().__init__(f"fixture class {class_index}: {reason}")
 
 
-def fixture_unit_check(complex_, inst, fixture, cdc):
+def fixture_unit_check(inst, fixture, calc_cl, cdc):
     """Run every fixture assertion; returns a list of check records.
 
     `fixture` is the (unit module, classes, provenance) triple of
-    `instance_io.fixture_from_dict`, and `cdc` the distinguished subgroups
-    of `tate_sequence.subgroups_cdc`.  Raises InconsistentFixture when an
-    assertion fails with a class witness.
+    `instance_io.fixture_from_dict`, `calc_cl` the calculator of Cl, and
+    `cdc` the distinguished subgroups of `tate_sequence.subgroups_cdc`
+    read through it.  The units get a calculator over the complex of
+    `calc_cl`.  Raises InconsistentFixture when an assertion fails with a
+    class witness.
     """
     unit_module, classes, _ = fixture
     ab = inst.cl.underlying
@@ -55,10 +57,11 @@ def fixture_unit_check(complex_, inst, fixture, cdc):
 
     # coboundary <-> unit flag <-> class in the discrepancy subgroup
     cbar_lat = cdc.cbar_incl.image_lattice()
-    hom = cdc.calc_cl.homology(-1)
+    hom = calc_cl.homology(-1)
+    h1 = hom.group
     for k, w, total, flag in cocycles:
         is_cob, _ = w.is_coboundary()
-        cls_h1 = cdc.h1.from_canon(hom.class_of(total))
+        cls_h1 = h1.from_canon(hom.class_of(total))
         in_cbar = cbar_lat.contains(cls_h1)
         if is_cob != flag:
             raise InconsistentFixture(k, f"coboundary={is_cob} but unit "
@@ -69,15 +72,15 @@ def fixture_unit_check(complex_, inst, fixture, cdc):
     record("fixture.biconditional", True, None)
 
     # the induced map H^-1(Cl)/Cbar -> H^1(U)
-    calc_u = TateCohomology(complex_, unit_module)
+    calc_u = TateCohomology(calc_cl.complex, unit_module)
     h1u = calc_u.homology(1)
     cbar_gens = [cdc.cbar_incl.apply(cdc.cbar.gen(j))
                  for j in range(cdc.cbar.n)]
-    quot, proj = ab_quotient(cdc.h1, cbar_gens)
+    quot, proj = ab_quotient(h1, cbar_gens)
     assign = {}
     for k, w, total, flag in cocycles:
         key = quot.canon(proj.apply(
-            cdc.h1.from_canon(hom.class_of(total))))
+            h1.from_canon(hom.class_of(total))))
         val = CohClass(calc_u, 1, w.as_cochain())
         if key in assign:
             if assign[key] != val:

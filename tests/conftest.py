@@ -8,8 +8,7 @@ from tatelab import abelian, tate_sequence
 from tatelab.abelian import AbMap, FgAb, Homology
 from tatelab.analysis import run_analysis
 from tatelab.cft import synth_instance
-from tatelab.cohomology import (CohClass, ExtensionData, TateCohomology,
-                                TateComplex, connecting_hom)
+from tatelab.cohomology import CohClass, TateCohomology, TateComplex
 from tatelab.gmodules import NotEquivariant
 from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
                             direct_product, group_from_table)
@@ -154,7 +153,7 @@ def snake_cocycle_by_elements(inst, wrb, snake, hom):
     values walked out from the generators must equal."""
     vals = []
     for sigma in range(inst.group.order):
-        cols = [snake.s.apply(r_element(inst, wrb, pid, sigma, tau))
+        cols = [snake.apply(r_element(inst, wrb, pid, sigma, tau))
                 for (pid, tau) in wrb.xy.x_basis]
         vals.append(hom.from_matrix(
             IntMatrix._trusted_columns(cols, inst.cl.underlying.n)))
@@ -179,25 +178,20 @@ def coboundary_reference():
     return coboundary_over_all_elements
 
 
-def functorial_over_all_elements(wrb, snake, nabla, calc_x, calc_r,
-                                 calc_cl, calc_nabla):
+def functorial_over_all_elements(snake, calc_x, calc_r, calc_cl, delta_rbx,
+                                 delta_nabla):
     """`connecting_functorial` as it read every element of H^-2(X): push
-    after delta_RBX against delta_nabla on each element in the order of
+    after delta_rbx against delta_nabla on each element in the order of
     `FgAb.elements`, the witness being the canonical coordinates of the
     first that fails.  The push is `tate_sequence.induced_map`, looked up
     at the call, so a test that patches it there patches both.  The
     reference that the check at the unit canonical coordinates must
     agree with."""
-    complex_ = calc_x.complex
-    d_rbx = connecting_hom(complex_, ExtensionData(wrb.r_to_b, wrb.b_to_x),
-                           -2, calc_c=calc_x, calc_a=calc_r)
-    d_nab = connecting_hom(complex_, nabla.ext, -2, calc_c=calc_x,
-                           calc_b=calc_nabla, calc_a=calc_cl)
-    push = tate_sequence.induced_map(calc_r, calc_cl, snake.s, -1)
+    push = tate_sequence.induced_map(calc_r, calc_cl, snake, -1)
     h = calc_x.homology(-2)
     for e in h.group.elements():
         z = CohClass(calc_x, -2, h.rep_of(h.group.canon(e)))
-        if push(d_rbx(z)) != d_nab(z):
+        if push(delta_rbx(z)) != delta_nabla(z):
             return False, h.group.canon(e)
     return True, None
 

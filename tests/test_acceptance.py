@@ -137,7 +137,7 @@ def test_criterion_3_section3_lemma_suite():
         chosen = [subs[0], subs[-1]] + ([subs[len(subs) // 2]]
                                         if len(subs) > 2 else [])
         for sub in chosen:
-            iso, hab, calc, ind = shapiro_hminus2(cx, g, sub)
+            iso, hab, calc, ind = shapiro_hminus2(cx, sub)
             assert iso.is_injective() and iso.is_surjective(), \
                 (name, sub.elems)
             pairs += 1
@@ -174,9 +174,10 @@ def test_criterion_3_section3_lemma_suite():
         ext = cocycle_to_extension(hom, f)
         calc_c = TateCohomology(cx, cmod)
         calc_a = TateCohomology(cx, amod)
-        delta = connecting_hom(cx, ext, -2, calc_c=calc_c, calc_a=calc_a)
+        delta = connecting_hom(ext, -2, calc_c, calc_a,
+                               TateCohomology(cx, ext.b))
         for z in _all_classes(calc_c, -2, limit=2):
-            cup, ca = cup_with_h1(cx, f, z, calc_c=calc_c)
+            cup, ca = cup_with_h1(cx, f, z)
             push = induced_map(cup.calc, calc_a, ht["evaluation"], -1)
             assert delta(z) == push(cup)
             cups += 1
@@ -188,7 +189,7 @@ def test_criterion_3_section3_lemma_suite():
         for _ in range(3):
             amod = trivial_module(
                 g, FgAb(1, IntMatrix([[rng.choice([2, 3, 4, 5, 6])]])))
-            data = build_ext1_data(cx, g, amod)
+            data = build_ext1_data(g, amod)
             calc_c = TateCohomology(cx, data["ext"].c)
             calc_a = TateCohomology(cx, amod)
             assert calc_c.group(1).order() == calc_a.group(2).order()
@@ -228,18 +229,19 @@ def test_criterion_4_headline_connecting_map(campaign):
     cx = TateComplex(it.group, (-2, 1))
     from tatelab.cft import xy_modules
     from tatelab.tate_sequence import (build_nabla, build_script_h,
-                                       build_snake, build_wrb, delta_minus2)
+                                       build_snake, build_wrb,
+                                       generator_chain)
     xy = xy_modules(it)
     wrb = build_wrb(it, xy)
     snake = build_snake(it, wrb, build_script_h(it))
     nabla = build_nabla(it, wrb, snake)
-    conn = delta_minus2(it, nabla, xy, TateCohomology(cx, xy.x),
-                        TateCohomology(cx, it.cl),
-                        TateCohomology(cx, nabla.module))
-    assert conn.calc_x.group(-2).invariant_factors() == (2,)
-    assert conn.calc_cl.group(-1).invariant_factors() == (2,)
-    z = conn.gen_classes[("p1", 1)]
-    assert not conn.generic(z).is_zero()
+    calc_x, calc_cl = TateCohomology(cx, xy.x), TateCohomology(cx, it.cl)
+    delta = connecting_hom(nabla.ext, -2, calc_x, calc_cl,
+                           TateCohomology(cx, nabla.module))
+    assert calc_x.group(-2).invariant_factors() == (2,)
+    assert calc_cl.group(-1).invariant_factors() == (2,)
+    z = generator_chain(cx, it, xy, calc_x, "p1", 1)
+    assert not delta(z).is_zero()
     within = campaign["elapsed"] < 600
     _report(4, within,
             f"generic = closed form on {campaign['count']} instances "
@@ -312,8 +314,9 @@ def test_criterion_10_fixture_path():
     cx = TateComplex(inst.group, (-2, 1))
     fx = load_fixture(str(files("tatelab") / "data" / "sqrt34_units.json"),
                       inst.group)
-    cdc = subgroups_cdc(inst, TateCohomology(cx, inst.cl))
-    recs = fixture_unit_check(cx, inst, fx, cdc)
+    calc_cl = TateCohomology(cx, inst.cl)
+    recs = fixture_unit_check(inst, fx, calc_cl,
+                              subgroups_cdc(inst, calc_cl))
     ok = bool(recs) and all(r["ok"] for r in recs)
     _report(10, ok, "real-field unit fixture passes all assertions")
 

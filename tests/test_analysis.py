@@ -1,3 +1,4 @@
+import inspect
 import sys
 from importlib.resources import files
 from types import SimpleNamespace
@@ -48,6 +49,17 @@ def test_every_read_is_an_input_or_an_artifact():
         assert set(reads) <= known
 
 
+def test_builders_and_checks_take_what_they_declare():
+    """Each builder and check function has one parameter per declared
+    read, so nothing reaches it except through the graph."""
+    for name, (builder, reads) in ARTIFACTS.items():
+        assert len(inspect.signature(builder).parameters) == len(reads), \
+            name
+    for cid, (_, fn) in CHECKS.items():
+        assert len(inspect.signature(fn).parameters) == \
+            len(CHECK_READS[cid]), cid
+
+
 def test_failing_builder_runs_once(monkeypatch):
     calls = []
 
@@ -93,7 +105,8 @@ def test_one_calculator_per_shared_module(monkeypatch):
     assert all(r["ok"] for r in records), records
     art = {name: value for _, name, value in seen}
     shared = {"X": art["xy"].x, "Cl": inst.cl, "R": art["wrb"].r,
-              "nabla": art["nabla"].module, "ker(s)": art["delta1"].ker_s}
+              "B": art["wrb"].b, "nabla": art["nabla"].module,
+              "ker(s)": art["delta1"].ker_s}
     assert complexes == [art["complex"]]
     assert art["complex"].window == analysis.WINDOW == (-2, 1)
     for label, module in shared.items():
@@ -133,6 +146,39 @@ def test_every_homology_is_a_calculator_or_an_exactness_check(make,
         for g, w, m in built[:k]:
             assert not (g is group and w == window and m is module), \
                 (window, module)
+
+
+@pytest.mark.parametrize("name", ["sqrt34", "D4/0"])
+def test_checks_construct_no_calculator(name, monkeypatch):
+    """Every calculator a check reads comes from the graph: while a check
+    function runs, the only TateCohomology built is that of the unit
+    module in fixture.units, which no artifact carries."""
+    if name == "sqrt34":
+        inst = load_instance(str(files("tatelab") / "data" / "sqrt34.json"))
+        fixture = load_fixture(str(files("tatelab") / "data" /
+                                   "sqrt34_units.json"), inst.group)
+    else:
+        inst, fixture = synth_instance("D4", 0), None
+    running, built = [None], []
+    orig_init = TateCohomology.__init__
+
+    def init(calc, complex_, module):
+        if running[0] is not None:
+            built.append((running[0], module))
+        orig_init(calc, complex_, module)
+
+    monkeypatch.setattr(TateCohomology, "__init__", init)
+    for cid, (anchor, fn) in list(CHECKS.items()):
+        def spied(*args, _cid=cid, _fn=fn):
+            running[0] = _cid
+            try:
+                return _fn(*args)
+            finally:
+                running[0] = None
+        monkeypatch.setitem(CHECKS, cid, (anchor, spied))
+    records = run_analysis(inst, fixture=fixture)
+    assert all(r["ok"] for r in records), records
+    assert built == ([("fixture.units", fixture[0])] if fixture else [])
 
 
 def test_calculators_dropped_after_last_reader(monkeypatch):

@@ -187,7 +187,7 @@ def test_connecting_hom_examples():
     ext = ExtensionData(GMap(z, z, IntMatrix([[2]])),
                         GMap(z, cok, IntMatrix([[1]])))
     calc_c, calc_a = TateCohomology(cx, cok), TateCohomology(cx, z)
-    delta = connecting_hom(cx, ext, 0, calc_c=calc_c, calc_a=calc_a)
+    delta = connecting_hom(ext, 0, calc_c, calc_a, TateCohomology(cx, ext.b))
     gen = nonzero_class(calc_c, 0)
     assert calc_a.group(1).is_trivial()
     assert delta(gen).is_zero()
@@ -198,14 +198,15 @@ def test_connecting_hom_examples():
                          GMap(zs, coks, IntMatrix([[1]])))
     calc_cs, calc_as = TateCohomology(cx, coks), TateCohomology(cx, zs)
     assert calc_as.group(1).invariant_factors() == (2,)
-    deltas = connecting_hom(cx, exts, 0, calc_c=calc_cs, calc_a=calc_as)
+    calc_bs = TateCohomology(cx, exts.b)
+    deltas = connecting_hom(exts, 0, calc_cs, calc_as, calc_bs)
     gens = nonzero_class(calc_cs, 0)
     assert not deltas(gens).is_zero()
     # lift randomization leaves the value unchanged
     for _ in range(5):
         sec = IntMatrix([[exts.section_matrix().entries[0][0]
                           + 2 * rng.randint(-3, 3)]])
-        alt = connecting_hom(cx, exts, 0, calc_c=calc_cs, calc_a=calc_as,
+        alt = connecting_hom(exts, 0, calc_cs, calc_as, calc_bs,
                              section=sec)
         assert alt(gens) == deltas(gens)
     # 2-4-2 sequence: delta nonzero at degree -1
@@ -213,15 +214,17 @@ def test_connecting_hom_examples():
     ext3 = ExtensionData(GMap(z2m, z4m, IntMatrix([[2]])),
                          GMap(z4m, z2m, IntMatrix([[1]])))
     calc2 = TateCohomology(cx, z2m)
-    delta3 = connecting_hom(cx, ext3, -1, calc_c=calc2, calc_a=calc2)
+    delta3 = connecting_hom(ext3, -1, calc2, calc2,
+                            TateCohomology(cx, z4m))
     g = nonzero_class(calc2, -1)
     assert not delta3(g).is_zero()
     # split extensions: zero connecting map in every degree
     sm, injs, projs2 = direct_sum([z2m, z2m])
     es = ExtensionData(injs[0], projs2[1])
-    calc_es = TateCohomology(cx, es.c)
+    calc_es, calc_ea, calc_eb = (TateCohomology(cx, m)
+                                 for m in (es.c, es.a, es.b))
     for deg in (-2, -1, 0, 1):
-        dd = connecting_hom(cx, es, deg, calc_c=calc_es)
+        dd = connecting_hom(es, deg, calc_es, calc_ea, calc_eb)
         for cls in all_classes(calc_es, deg):
             assert dd(cls).is_zero()
 
@@ -238,7 +241,7 @@ def test_shapiro_pairs():
     count = 0
     for g, sub in pairs:
         cx = TateComplex(g, (-2, 1))
-        iso, hab, calc, induced = shapiro_hminus2(cx, g, sub)
+        iso, hab, calc, induced = shapiro_hminus2(cx, sub)
         assert iso.is_injective() and iso.is_surjective(), \
             (g.order, sub.elems)
         assert _invariants(iso.dom) == _invariants(iso.cod)
@@ -249,8 +252,7 @@ def test_shapiro_pairs():
 def test_shapiro_s3_c3():
     s3 = named_group("S3")
     cx = TateComplex(s3, (-2, 1))
-    iso, hab, calc, ind = shapiro_hminus2(cx, s3,
-                                          Subgroup(s3, s3.closure([1])))
+    iso, hab, calc, ind = shapiro_hminus2(cx, Subgroup(s3, s3.closure([1])))
     assert iso.dom.invariant_factors() == (3,)
     assert iso.cod.invariant_factors() == (3,)
 
@@ -430,9 +432,10 @@ def test_connecting_equals_evaluation_after_cup():
         ext = cocycle_to_extension(hom, f)
         calc_c = TateCohomology(cx, cmod)
         calc_a = TateCohomology(cx, amod)
-        delta = connecting_hom(cx, ext, -2, calc_c=calc_c, calc_a=calc_a)
+        delta = connecting_hom(ext, -2, calc_c, calc_a,
+                               TateCohomology(cx, ext.b))
         for z in all_classes(calc_c, -2)[:3]:
-            cup, ca = cup_with_h1(cx, f, z, calc_c=calc_c)
+            cup, ca = cup_with_h1(cx, f, z)
             push = induced_map(cup.calc, calc_a, ht["evaluation"], -1)
             assert delta(z) == push(cup), (gname, z.canon)
             done += 1
@@ -445,7 +448,7 @@ def test_ext1_aug_order_match_and_iso():
         cx = TateComplex(g, (-2, 3))
         for m in [2, 3, 4, rng.choice([5, 6])]:
             amod = z_mod(g, m)
-            data = build_ext1_data(cx, g, amod)
+            data = build_ext1_data(g, amod)
             calc_c = TateCohomology(cx, data["ext"].c)
             calc_a = TateCohomology(cx, amod)
             assert calc_c.group(1).order() == calc_a.group(2).order()
@@ -456,7 +459,7 @@ def test_ext1_aug_order_match_and_iso():
                 f = Cocycle1.from_cochain(
                     data["hom_aug"].module,
                     h1.rep_of(h1.group.canon(e)), check=False)
-                cls, _ = ext1_class_to_h2(cx, g, amod, f, data)
+                cls, _ = ext1_class_to_h2(cx, amod, f, data)
                 key = h1.group.canon(e)
                 assert (cls.is_zero()) == (not any(key))
                 seen.add(cls.canon)
@@ -467,7 +470,7 @@ def test_h2_c2_value():
     c2 = named_group("C2")
     cx = TateComplex(c2, (-2, 3))
     amod = trivial_module(c2)
-    data = build_ext1_data(cx, c2, amod)
+    data = build_ext1_data(c2, amod)
     calc_a = TateCohomology(cx, amod)
     assert calc_a.group(2).invariant_factors() == (2,)
     calc_c = TateCohomology(cx, data["ext"].c)
@@ -476,7 +479,7 @@ def test_h2_c2_value():
     for e in h1.group.elements():
         f = Cocycle1.from_cochain(data["hom_aug"].module,
                                   h1.rep_of(h1.group.canon(e)), check=False)
-        cls, _ = ext1_class_to_h2(cx, c2, amod, f, data)
+        cls, _ = ext1_class_to_h2(cx, amod, f, data)
         hit.add(cls.canon)
     assert len(hit) == 2  # surjective onto H^2(C2, Z) = Z/2
 
@@ -792,14 +795,31 @@ def test_connecting_hom_rejects_degrees_outside_the_window():
     z2m, z4m = z_mod(c4, 2), z_mod(c4, 4)
     ext = ExtensionData(GMap(z2m, z4m, IntMatrix([[2]])),
                         GMap(z4m, z2m, IntMatrix([[1]])))
+    calc, calc4 = TateCohomology(cx, z2m), TateCohomology(cx, z4m)
     for i in (-3, 1, 2):
         with pytest.raises(DegreeOutOfWindow):
-            connecting_hom(cx, ext, i)
+            connecting_hom(ext, i, calc, calc, calc4)
     # inside the window it still runs; H^0(Z/4) = Z/4 maps onto
     # H^0(Z/2) = Z/2, so the connecting map out of degree 0 is zero
-    calc = TateCohomology(cx, z2m)
-    delta = connecting_hom(cx, ext, 0, calc_c=calc, calc_a=calc)
+    delta = connecting_hom(ext, 0, calc, calc, calc4)
     assert delta(nonzero_class(calc, 0)).is_zero()
+
+
+def test_connecting_hom_rejects_calculators_over_two_complexes():
+    """The three calculators must share one complex: one over an equal
+    but separate complex is refused when the map is built."""
+    c4 = named_group("C4")
+    cx, other = TateComplex(c4, (-2, 1)), TateComplex(c4, (-2, 1))
+    z2m, z4m = z_mod(c4, 2), z_mod(c4, 4)
+    ext = ExtensionData(GMap(z2m, z4m, IntMatrix([[2]])),
+                        GMap(z4m, z2m, IntMatrix([[1]])))
+    calc, calc4 = TateCohomology(cx, z2m), TateCohomology(cx, z4m)
+    for calcs in ((TateCohomology(other, z2m), calc, calc4),
+                  (calc, TateCohomology(other, z2m), calc4),
+                  (calc, calc, TateCohomology(other, z4m))):
+        with pytest.raises(ValueError, match="different complexes"):
+            connecting_hom(ext, 0, *calcs)
+    assert connecting_hom(ext, 0, calc, calc, calc4) is not None
 
 
 def test_cocycle_check_reaches_elements_outside_the_generators():

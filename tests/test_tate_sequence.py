@@ -8,7 +8,8 @@ from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
                          i2_plain, i2_twist, norm_model, quadratic_sqrt34,
                          synth_instance, xy_modules)
 from tatelab import gmodules, tate_sequence
-from tatelab.analysis import CHECK_READS, closure, run_analysis
+from tatelab.analysis import (CHECK_READS, AnalysisContext, closure,
+                              run_analysis)
 from tatelab.cohomology import (CohClass, Cocycle1, ExtensionData,
                                 TateCohomology, TateComplex, connecting_hom,
                                 extension_to_cocycle)
@@ -23,7 +24,7 @@ from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
                                    build_script_h, build_snake, build_wrb,
                                    cdc_checks, connecting_functorial,
                                    delta1, delta1_generic_agrees,
-                                   delta_minus2, delta_minus2_agrees,
+                                   delta_minus2_agrees, generator_chain,
                                    h_minus1_x_vanishes,
                                    homology_generators_iso,
                                    nabla_class_checks, norm_suite,
@@ -54,7 +55,9 @@ def trivial_group_instance(cl_order):
 
 
 def cdc_of(cx, inst):
-    return subgroups_cdc(inst, TateCohomology(cx, inst.cl))
+    """The calculator of Cl over `cx` and the subgroups read through it."""
+    calc_cl = TateCohomology(cx, inst.cl)
+    return calc_cl, subgroups_cdc(inst, calc_cl)
 
 
 def lab(inst, window=(-2, 1)):
@@ -304,19 +307,21 @@ def test_snake_values_on_worked_instances():
     # s on ((sigma-1), -(sigma-1), 0): the twisted instance gives the
     # nontrivial class
     r = r_element(it, wrb, "p1", 1, 0)
-    assert it.cl.underlying.canon(snake.s.apply(r)) == (1,)
+    assert it.cl.underlying.canon(snake.apply(r)) == (1,)
     # norm annihilation: s(N r) = N s(r) = 0 since the norm kills Cl here
     nu = it.cl.norm_map()
     big = wrb.r.norm_map()
     for j in range(wrb.r.underlying.n):
         gen = wrb.r.underlying.gen(j)
-        assert it.cl.underlying.is_zero(nu.apply(snake.s.apply(gen)))
-        assert it.cl.underlying.is_zero(snake.s.apply(big.apply(gen)))
-    ok, wit = snake_closed_form_agrees(it, wrb, snake, cdc_of(cx, it))
+        assert it.cl.underlying.is_zero(nu.apply(snake.apply(gen)))
+        assert it.cl.underlying.is_zero(snake.apply(big.apply(gen)))
+    ok, wit = snake_closed_form_agrees(it, wrb, snake,
+                                       TateCohomology(cx, it.cl))
     assert ok, wit
     ip = i2_plain()
     cxp, xyp, wrbp, shp, snakep = lab(ip)
-    ok, wit = snake_closed_form_agrees(ip, wrbp, snakep, cdc_of(cxp, ip))
+    ok, wit = snake_closed_form_agrees(ip, wrbp, snakep,
+                                       TateCohomology(cxp, ip.cl))
     assert ok, wit
     # plain instance: all distinguished values vanish
     assert ip.cl.underlying.is_zero(snake_closed_form(ip, "p1", 1, 0))
@@ -683,30 +688,37 @@ def calcs(cx, *modules):
     return [TateCohomology(cx, m) for m in modules]
 
 
+def headline_case(inst):
+    """(xy, calculators of X and Cl, delta_nabla): the arguments of
+    delta_minus2_agrees after the instance, the map built from
+    calculators over one complex."""
+    cx, xy, wrb, sh, snake = lab(inst)
+    nabla = build_nabla(inst, wrb, snake)
+    calc_x, calc_cl, calc_nabla = calcs(cx, xy.x, inst.cl, nabla.module)
+    return xy, calc_x, calc_cl, connecting_hom(nabla.ext, -2, calc_x,
+                                               calc_cl, calc_nabla)
+
+
 def test_connecting_map_headline():
     it = i2_twist()
-    cx, xy, wrb, sh, snake = lab(it)
-    nabla = build_nabla(it, wrb, snake)
-    cs = calcs(cx, xy.x, it.cl, nabla.module)
-    ok, wit = delta_minus2_agrees(it, nabla, xy, *cs)
+    xy, calc_x, calc_cl, delta = headline_case(it)
+    ok, wit = delta_minus2_agrees(it, xy, calc_x, calc_cl, delta)
     assert ok, wit
-    conn = delta_minus2(it, nabla, xy, *cs)
-    assert conn.calc_x.group(-2).invariant_factors() == (2,)
-    assert conn.calc_cl.group(-1).invariant_factors() == (2,)
-    z = conn.gen_classes[("p1", 1)]
-    assert not z.is_zero() and not conn.generic(z).is_zero()
+    assert calc_x.group(-2).invariant_factors() == (2,)
+    assert calc_cl.group(-1).invariant_factors() == (2,)
+    z = generator_chain(calc_x.complex, it, xy, calc_x, "p1", 1)
+    assert not z.is_zero() and not delta(z).is_zero()
     # identity generators die
-    z1 = conn.gen_classes[("p1", 0)]
-    assert conn.generic(z1).is_zero()
+    z1 = generator_chain(calc_x.complex, it, xy, calc_x, "p1", 0)
+    assert delta(z1).is_zero()
     # plain: both maps vanish
     ip = i2_plain()
-    cxp, xyp, wrbp, shp, snakep = lab(ip)
-    nablap = build_nabla(ip, wrbp, snakep)
-    csp = calcs(cxp, xyp.x, ip.cl, nablap.module)
-    connp = delta_minus2(ip, nablap, xyp, *csp)
-    for z in connp.gen_classes.values():
-        assert connp.generic(z).is_zero()
-    ok, wit = delta_minus2_agrees(ip, nablap, xyp, *csp)
+    xyp, calc_xp, calc_clp, deltap = headline_case(ip)
+    for pl in ip.other_places():
+        for tau in pl.subgroup.elems:
+            assert deltap(generator_chain(calc_xp.complex, ip, xyp,
+                                          calc_xp, pl.id, tau)).is_zero()
+    ok, wit = delta_minus2_agrees(ip, xyp, calc_xp, calc_clp, deltap)
     assert ok, wit
 
 
@@ -732,28 +744,22 @@ def test_h_minus1_x_vanishes_fails_on_the_sign_module():
 
 
 def test_functoriality_square():
-    it = i2_twist()
-    cx, xy, wrb, sh, snake = lab(it)
-    nabla = build_nabla(it, wrb, snake)
-    ok, wit = connecting_functorial(
-        wrb, snake, nabla, *calcs(cx, xy.x, wrb.r, it.cl, nabla.module))
+    ok, wit = connecting_functorial(*functorial_case(i2_twist()))
     assert ok, wit
 
 
 def functorial_case(inst):
-    """(wrb, snake, nabla, calculators of X, R, Cl and nabla): the
-    arguments of connecting_functorial."""
-    cx, xy, wrb, sh, snake = lab(inst)
-    nabla = build_nabla(inst, wrb, snake)
-    return (wrb, snake, nabla, *calcs(cx, xy.x, wrb.r, inst.cl,
-                                      nabla.module))
+    """(snake, calculators of X, R and Cl, delta_rbx, delta_nabla): the
+    arguments of connecting_functorial, as the analysis builds them."""
+    ctx = AnalysisContext(inst)
+    return [ctx.get(name) for name in CHECK_READS["conn.functorial"]]
 
 
 def unit(k, j):
     return tuple(int(i == j) for i in range(k))
 
 
-def move_push_at(mp, wrb, calc_x, calc_r, calc_cl, j):
+def move_push_at(mp, calc_x, calc_cl, delta_rbx, j):
     """Patch tate_sequence.induced_map so that the push adds a nonzero
     class of H^-1(Cl) to the class delta_RBX(e_j), e_j the j-th unit
     canonical coordinate of H^-2(X), and to no other.  B is projective,
@@ -761,10 +767,7 @@ def move_push_at(mp, wrb, calc_x, calc_r, calc_cl, j):
     then fails at e_j alone.  Returns e_j."""
     h = calc_x.homology(-2)
     e = unit(len(h.group.canonical_moduli()), j)
-    d_rbx = connecting_hom(calc_x.complex,
-                           ExtensionData(wrb.r_to_b, wrb.b_to_x), -2,
-                           calc_c=calc_x, calc_a=calc_r)
-    target = d_rbx(CohClass(calc_x, -2, h.rep_of(e))).canon
+    target = delta_rbx(CohClass(calc_x, -2, h.rep_of(e))).canon
     h1 = calc_cl.homology(-1)
     extra = CohClass(calc_cl, -1,
                      h1.rep_of(unit(len(h1.group.canonical_moduli()), 0)))
@@ -790,9 +793,9 @@ def test_functoriality_square_names_the_moved_generator(
     pass."""
     group, seed = name.split("/")
     args = functorial_case(synth_instance(group, int(seed)))
-    wrb, _, _, calc_x, calc_r, calc_cl, _ = args
+    _, calc_x, _, calc_cl, delta_rbx, _ = args
     assert len(calc_x.group(-2).canonical_moduli()) > j
-    e = move_push_at(monkeypatch, wrb, calc_x, calc_r, calc_cl, j)
+    e = move_push_at(monkeypatch, calc_x, calc_cl, delta_rbx, j)
     assert connecting_functorial(*args) == functorial_reference(*args) == \
         (False, e)
 
@@ -807,13 +810,13 @@ def test_functoriality_square_agrees_with_all_elements_reference(
     moved = 0
     for name, inst in corpus:
         args = functorial_case(inst)
-        wrb, _, _, calc_x, calc_r, calc_cl, _ = args
+        _, calc_x, _, calc_cl, delta_rbx, _ = args
         assert connecting_functorial(*args) == functorial_reference(*args) \
             == (True, None), name
         k = len(calc_x.group(-2).canonical_moduli())
         if k and not calc_cl.group(-1).is_trivial():
             with pytest.MonkeyPatch.context() as mp:
-                e = move_push_at(mp, wrb, calc_x, calc_r, calc_cl, k - 1)
+                e = move_push_at(mp, calc_x, calc_cl, delta_rbx, k - 1)
                 assert connecting_functorial(*args) == \
                     functorial_reference(*args) == (False, e), name
             moved += 1
@@ -829,7 +832,7 @@ def test_cdc_checks_name_an_unstable_difference_subgroup():
     ab = inst.cl.underlying
     c = ab.smith_gens()[0]
     s = inst.group.generating_set()[0]
-    cdc = cdc_of(TateComplex(inst.group, (-2, 1)), inst)
+    _, cdc = cdc_of(TateComplex(inst.group, (-2, 1)), inst)
     cdc.d, cdc.d_incl = subgroup_span(ab, [c])
     assert not cdc.d_incl.image_lattice().contains(inst.cl.act(s, c))
     ok, wit = cdc_checks(inst, cdc, norm_model(inst))
@@ -839,22 +842,22 @@ def test_cdc_checks_name_an_unstable_difference_subgroup():
 def test_subgroups_and_norm_suite_values():
     it = i2_twist()
     nm = norm_model(it)
-    cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
+    calc_cl, cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
     assert cdc.cbar.order() == 2 and cdc.c_s.order() == 2
     assert cdc.d.order() == 1
     assert nm.q.order() == 1
     ok, wit = cdc_checks(it, cdc, nm)
     assert ok, wit
-    recs = norm_suite(it, nm, cdc)
+    recs = norm_suite(it, nm, cdc, calc_cl)
     assert all(r["ok"] for r in recs), recs
     by_id = {r["id"]: r for r in recs}
     assert by_id["norm.c_ker_nm_is_d_plus_c"]["witness"]["ker_nm"] == 2
     ip = i2_plain()
     nmp = norm_model(ip)
-    cdcp = cdc_of(TateComplex(ip.group, (-2, 1)), ip)
+    calc_clp, cdcp = cdc_of(TateComplex(ip.group, (-2, 1)), ip)
     assert cdcp.cbar.order() == 1 and cdcp.c_s.order() == 1
     assert nmp.q.order() == 2
-    recsp = norm_suite(ip, nmp, cdcp)
+    recsp = norm_suite(ip, nmp, cdcp, calc_clp)
     assert all(r["ok"] for r in recsp), recsp
     by_id = {r["id"]: r for r in recsp}
     assert by_id["norm.c_ker_nm_is_d_plus_c"]["witness"]["ker_nm"] == 1
@@ -862,10 +865,11 @@ def test_subgroups_and_norm_suite_values():
 
 def test_norm_suite_fails_on_a_wrong_cbar():
     it = i2_twist()
-    cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
-    assert cdc.cbar.order() == cdc.h1.order() == 2
-    cdc.cbar, cdc.cbar_incl = subgroup_span(cdc.h1, [])
-    recs = norm_suite(it, norm_model(it), cdc)
+    calc_cl, cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
+    h1 = calc_cl.group(-1)
+    assert cdc.cbar.order() == h1.order() == 2
+    cdc.cbar, cdc.cbar_incl = subgroup_span(h1, [])
+    recs = norm_suite(it, norm_model(it), cdc, calc_cl)
     failed = {r["id"]: r["witness"] for r in recs if not r["ok"]}
     assert set(failed) == {"norm.b_ker_nmbar_is_cbar", "norm.d_same_kernels",
                            "norm.e_break_up_kernel"}
@@ -878,12 +882,13 @@ def test_snake_class_form_fails_without_the_boundaries():
     ker(N) / 0, which keeps those elements, the class form fails."""
     inst = synth_instance("D4", 0)
     cx, xy, wrb, sh, snake = lab(inst)
-    cdc = cdc_of(cx, inst)
-    assert snake_closed_form_agrees(inst, wrb, snake, cdc) == (True, None)
+    calc_cl = TateCohomology(cx, inst.cl)
+    assert snake_closed_form_agrees(inst, wrb, snake, calc_cl) == \
+        (True, None)
     ab = inst.cl.underlying
     no_boundaries = Homology(AbMap.zero(ab, ab), inst.cl.norm_map())
-    cdc.calc_cl = SimpleNamespace(homology=lambda i: no_boundaries)
-    ok, wit = snake_closed_form_agrees(inst, wrb, snake, cdc)
+    ok, wit = snake_closed_form_agrees(
+        inst, wrb, snake, SimpleNamespace(homology=lambda i: no_boundaries))
     assert not ok and wit[-1] == "class form", wit
 
 
@@ -891,12 +896,13 @@ def test_delta1():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
     d1 = build_delta1(snake)
-    cs = calcs(cx, it.cl, wrb.r, d1.ker_s)
-    calc_k = cs[2]
+    calc_cl, calc_r, calc_k = calcs(cx, it.cl, wrb.r, d1.ker_s)
+    delta_unit = connecting_hom(d1.ext, -1, calc_cl, calc_k, calc_r)
     # zero coefficients give the zero class
     assert not any(delta1(it, wrb, d1, calc_k, {"q0": 0}))
     out = delta1(it, wrb, d1, calc_k, {"q0": 1})
-    ok, wit = delta1_generic_agrees(it, wrb, d1, *cs, {"q0": 1})
+    ok, wit = delta1_generic_agrees(it, wrb, d1, calc_cl, calc_k,
+                                    delta_unit, {"q0": 1})
     assert ok, wit
     # equal classes give equal outputs: q0 coefficient 1 vs 3
     out3 = delta1(it, wrb, d1, calc_k, {"q0": 3})
@@ -927,7 +933,7 @@ def test_aux_unit_in_r():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
     r = aux_unit_in_r(it, wrb, "q0")
-    assert it.cl.underlying.canon(snake.s.apply(r)) == (1,)
+    assert it.cl.underlying.canon(snake.apply(r)) == (1,)
 
 
 def test_small_random_campaign():
@@ -938,15 +944,13 @@ def test_small_random_campaign():
             ok, _ = wrb_exact(wrb)
             assert ok
             assert sh.e.ab.is_injective()
-            cdc = cdc_of(cx, inst)
-            ok, wit = snake_closed_form_agrees(inst, wrb, snake, cdc)
+            calc_cl, cdc = cdc_of(cx, inst)
+            ok, wit = snake_closed_form_agrees(inst, wrb, snake, calc_cl)
             assert ok, wit
-            nabla = build_nabla(inst, wrb, snake)
-            ok, wit = delta_minus2_agrees(
-                inst, nabla, xy, *calcs(cx, xy.x, inst.cl, nabla.module))
+            ok, wit = delta_minus2_agrees(inst, *headline_case(inst))
             assert ok, wit
             nm = norm_model(inst)
-            recs = norm_suite(inst, nm, cdc)
+            recs = norm_suite(inst, nm, cdc, calc_cl)
             assert all(r["ok"] for r in recs), (gname, seed, recs)
 
 

@@ -23,9 +23,9 @@ def fixture_path():
 
 def check(cx, inst, data):
     """fixture_unit_check on a fixture given as its JSON dict."""
-    cdc = subgroups_cdc(inst, TateCohomology(cx, inst.cl))
-    return fixture_unit_check(cx, inst, fixture_from_dict(data, inst.group),
-                              cdc)
+    calc_cl = TateCohomology(cx, inst.cl)
+    return fixture_unit_check(inst, fixture_from_dict(data, inst.group),
+                              calc_cl, subgroups_cdc(inst, calc_cl))
 
 
 def test_real_field_fixture_passes():
@@ -33,8 +33,9 @@ def test_real_field_fixture_passes():
     assert validate_instance(inst).clean
     cx = TateComplex(inst.group, (-2, 1))
     fx = load_fixture(fixture_path(), inst.group)
-    cdc = subgroups_cdc(inst, TateCohomology(cx, inst.cl))
-    recs = fixture_unit_check(cx, inst, fx, cdc)
+    calc_cl = TateCohomology(cx, inst.cl)
+    recs = fixture_unit_check(inst, fx, calc_cl,
+                              subgroups_cdc(inst, calc_cl))
     assert recs and all(r["ok"] for r in recs), recs
     ids = {r["id"] for r in recs}
     assert {"fixture.cocycle_identity", "fixture.biconditional",
@@ -51,8 +52,9 @@ def test_fixture_unit_module_cohomology():
     assert "sqrt(34)" in provenance
     calc = TateCohomology(cx, unit_module)
     assert calc.group(1).is_trivial()
-    cdc = subgroups_cdc(inst, TateCohomology(cx, inst.cl))
-    assert cdc.h1.order() == cdc.cbar.order() == 2
+    calc_cl = TateCohomology(cx, inst.cl)
+    cdc = subgroups_cdc(inst, calc_cl)
+    assert calc_cl.group(-1).order() == cdc.cbar.order() == 2
 
 
 def test_schema_errors():
