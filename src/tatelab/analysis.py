@@ -6,12 +6,13 @@ reads; CHECK_READS lists, next to each registered check, the artifacts the
 check function receives.  The inputs (the instance, the unit fixture and
 the sampling seed) are artifacts that exist from the start.  Every
 analysis resolves the one degree window WINDOW, -2..1, the degrees its
-checks read: one complex, one calculator per module over it, and each
-connecting map the checks compare, built once from those calculators.  An
-artifact is built on first request, once: a builder that raised is not
-run again, and everything that reads it fails with the same exception.
-The runner drops an artifact after the last selected check whose reads
-reach it.
+checks read: one complex, one calculator per module over it, each short
+exact sequence as one checked `ExtensionData` (`rbx`, `nabla.ext` and
+`delta1`), proved exact once, and each connecting map the checks compare,
+built once from those calculators.  An artifact is built on first
+request, once: a builder that raised is not run again, and everything
+that reads it fails with the same exception.  The runner drops an
+artifact after the last selected check whose reads reach it.
 """
 
 from __future__ import annotations
@@ -49,10 +50,17 @@ def _calculator(module_of):
                                                    module_of(source))
 
 
-def _connecting(i, ext_of):
+def _rbx(wrb):
+    """The support sequence 0 -> R -> B -> X -> 0, proved exact by the
+    checked constructor: the one proof that `wrb.exact` and `delta_rbx`
+    rest on."""
+    return ExtensionData(wrb.r_to_b, wrb.b_to_x)
+
+
+def _connecting(i, ext_of=lambda ext: ext):
     """Builder of the degree-i connecting map of the short exact sequence
-    0 -> A -> B -> C -> 0 that `ext_of` reads off its source, from the
-    calculators of C, A and B."""
+    0 -> A -> B -> C -> 0 that `ext_of` reads off its source (by default
+    the source is the sequence), from the calculators of C, A and B."""
     return lambda source, calc_c, calc_a, calc_b: connecting_hom(
         ext_of(source), i, calc_c, calc_a, calc_b)
 
@@ -62,26 +70,25 @@ ARTIFACTS = {
     "complex": (_tate_complex, ("inst",)),
     "xy": (xy_modules, ("inst",)),
     "wrb": (build_wrb, ("inst", "xy")),
+    "rbx": (_rbx, ("wrb",)),
     "script_h": (build_script_h, ("inst",)),
     "snake": (build_snake, ("inst", "wrb", "script_h")),
     "nabla": (build_nabla, ("inst", "wrb", "snake")),
     "norm_model": (norm_model, ("inst",)),
     "cdc": (subgroups_cdc, ("inst", "calc_cl")),
-    "delta1": (build_delta1, ("snake",)),
+    "delta1": (build_delta1, ("snake",)),  # 0 -> ker s -> R -> Cl -> 0
     "calc_x": (_calculator(attrgetter("x")), ("complex", "xy")),
     "calc_cl": (_calculator(attrgetter("cl")), ("complex", "inst")),
     "calc_r": (_calculator(attrgetter("r")), ("complex", "wrb")),
     "calc_b": (_calculator(attrgetter("b")), ("complex", "wrb")),
-    "calc_nabla": (_calculator(attrgetter("module")), ("complex", "nabla")),
-    "calc_ker_s": (_calculator(attrgetter("ker_s")), ("complex", "delta1")),
+    "calc_nabla": (_calculator(attrgetter("ext.b")), ("complex", "nabla")),
+    "calc_ker_s": (_calculator(attrgetter("a")), ("complex", "delta1")),
     # the connecting maps: H^-2(X) -> H^-1(R) and H^-2(X) -> H^-1(Cl),
     # and H^-1(Cl) -> H^0(ker s) of the unit sequence
-    "delta_rbx": (_connecting(-2, lambda wrb: ExtensionData(wrb.r_to_b,
-                                                            wrb.b_to_x)),
-                  ("wrb", "calc_x", "calc_r", "calc_b")),
+    "delta_rbx": (_connecting(-2), ("rbx", "calc_x", "calc_r", "calc_b")),
     "delta_nabla": (_connecting(-2, attrgetter("ext")),
                     ("nabla", "calc_x", "calc_cl", "calc_nabla")),
-    "delta_unit": (_connecting(-1, attrgetter("ext")),
+    "delta_unit": (_connecting(-1),
                    ("delta1", "calc_cl", "calc_ker_s", "calc_r")),
 }
 
@@ -164,7 +171,7 @@ def _check_delta1(inst, seed, wrb, d1, calc_cl, calc_k, delta_unit):
             if pre is not None:
                 for qid, v in zip(aux_ids, pre):
                     coeffs2[qid] = coeffs2.get(qid, 0) + v
-                out1 = delta1(inst, wrb, d1, calc_k, coeffs)
+                out1 = wit[1]  # the formula value at coeffs
                 out2 = delta1(inst, wrb, d1, calc_k, coeffs2)
                 if out1 != out2:
                     return False, {"coeffs": coeffs, "coeffs2": coeffs2,
@@ -196,7 +203,7 @@ def _check_fixture(inst, fixture, calc_cl, cdc):
 _REGISTRY = {
     "instance.valid": ("instance axioms", _check_instance_valid, ("inst",)),
     "wrb.exact": ("support sequence 0 -> R -> B -> X -> 0 exact",
-                  wrb_exact, ("wrb",)),
+                  wrb_exact, ("wrb", "rbx")),
     "scripth.embedding": ("class module embeds into the augmentation "
                           "quotient", _check_scripth_embedding,
                           ("script_h",)),

@@ -13,7 +13,7 @@ import sys
 
 from .analysis import (CHECKS, WINDOW, resolve_check_ids, run_analysis,
                        select_checks)
-from .cft import UnsatisfiableParams, synth_instance, validate_instance
+from .cft import UnsatisfiableParams, synth_instance
 from .groups import GROUP_CATALOG
 from .instance_io import (FixtureSchemaError, InstanceSchemaError,
                           instance_digest, load_fixture, load_instance)
@@ -67,14 +67,11 @@ def cmd_validate(args):
     except InstanceSchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    rep = validate_instance(inst)
-    records = [{"id": "instance.valid", "anchor": "instance axioms",
-                "ok": rep.clean, "witness": rep.violations or None,
-                "wall_ms": 0}]
-    report = Report("validate", instance_digest(inst), records,
+    report = Report("validate", instance_digest(inst),
+                    run_analysis(inst, checks=["instance.valid"]),
                     meta={"path": os.path.basename(args.path)})
     _emit(report, args, timings=False)
-    return EXIT_PASS if rep.clean else EXIT_FAIL
+    return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 
 def cmd_analyze(args):

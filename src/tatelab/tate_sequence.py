@@ -14,7 +14,7 @@ generic homological computation.
 
 from __future__ import annotations
 
-from .abelian import AbMap, FgAb, Homology, ab_quotient, subgroup_span
+from .abelian import AbMap, FgAb, ab_quotient, subgroup_span
 from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData,
                          extension_to_cocycle, induced_map, zig_zag)
@@ -138,18 +138,11 @@ def build_wrb(inst, xy):
                    r_to_b=r_to_b, b_to_x=b_to_x, xy=xy)
 
 
-def wrb_exact(wrb):
-    """Exactness of 0 -> R -> B -> X -> 0 plus the rank bookkeeping."""
-    if not wrb.r_to_b.ab.is_injective():
-        return False, "R -> B not injective"
-    if not wrb.b_to_x.ab.is_surjective():
-        return False, "B -> X not surjective"
-    h = Homology(wrb.r_to_b.ab, wrb.b_to_x.ab)
-    if not h.group.is_trivial():
-        return False, f"middle homology {h.group!r}"
-    rb = wrb.b.underlying.free_rank()
-    rr = wrb.r.underlying.free_rank()
-    rx = wrb.x.underlying.free_rank()
+def wrb_exact(wrb, rbx):
+    """The rank bookkeeping of 0 -> R -> B -> X -> 0.  Its exactness is
+    proved once, by `rbx`, the checked `ExtensionData` of the sequence:
+    that artifact does not exist unless the sequence is exact."""
+    rr, rb, rx = (m.underlying.free_rank() for m in (rbx.a, rbx.b, rbx.c))
     if rb != rr + rx:
         return False, f"rank mismatch {rb} != {rr} + {rx}"
     return True, {"rank_w": wrb.w.underlying.free_rank(), "rank_r": rr,
@@ -469,8 +462,10 @@ def snake_closed_form_agrees(inst, wrb, snake, calc_cl):
 # -- nabla ---------------------------------------------------------------------
 
 class NablaData:
-    __slots__ = ("module", "cl_to_nabla", "nabla_to_x", "t", "ext",
-                 "g_cocycle", "hom_x_cl")
+    """The pushout sequence `ext`, 0 -> Cl -> nabla -> X -> 0, the middle
+    map t: B -> nabla of the ladder, and the snake cocycle in Hom(X, Cl)."""
+
+    __slots__ = ("t", "ext", "g_cocycle", "hom_x_cl")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -508,10 +503,10 @@ def build_nabla(inst, wrb, snake):
     ab = FgAb(total.underlying.n, IntMatrix.block_diagonal(
         [cl.underlying.rel, wrb.b.underlying.rel]).hstack(glue))
     nabla = GModule(grp, ab, total.action, check=False)
-    cl_to_nabla = GMap(cl, nabla, cl_inj.ab.mat)
     t = GMap(wrb.b, nabla, b_inj.ab.mat)
-    nabla_to_x = GMap(nabla, wrb.x, wrb.b_to_x.ab.mat.mul(b_proj.ab.mat))
-    ext = ExtensionData(cl_to_nabla, nabla_to_x)
+    ext = ExtensionData(GMap(cl, nabla, cl_inj.ab.mat),
+                        GMap(nabla, wrb.x,
+                             wrb.b_to_x.ab.mat.mul(b_proj.ab.mat)))
 
     hom = HomModule(wrb.x, cl)
     vals = []
@@ -522,9 +517,7 @@ def build_nabla(inst, wrb, snake):
         fmat = IntMatrix._trusted_columns(cols, cl.underlying.n)
         vals.append(hom.from_matrix(fmat))
     g_cocycle = Cocycle1.from_generators(hom.module, vals)
-    return NablaData(module=nabla, cl_to_nabla=cl_to_nabla,
-                     nabla_to_x=nabla_to_x, t=t, ext=ext,
-                     g_cocycle=g_cocycle, hom_x_cl=hom)
+    return NablaData(t=t, ext=ext, g_cocycle=g_cocycle, hom_x_cl=hom)
 
 
 def nabla_class_checks(inst, wrb, snake, nabla):
@@ -542,7 +535,7 @@ def nabla_class_checks(inst, wrb, snake, nabla):
     Hom(X, Cl) (which fails iff -s is not a 0-cocycle), made a checked
     cocycle by `Cocycle1.from_generators`.  The Hom sequence is exact by
     construction and not re-proved: 0 -> R -> B -> X -> 0 is exact
-    (`wrb.exact`) with X Z-free, so it splits over Z, and Hom(-, Cl)
+    (the `rbx` artifact) with X Z-free, so it splits over Z, and Hom(-, Cl)
     keeps a split sequence exact.  Every module here is read at the
     generators only, so `HomModule` builds |S| action matrices of Hom(B,
     Cl) and Hom(R, Cl), and Hom(X, Cl) keeps the coboundary map both
@@ -553,12 +546,12 @@ def nabla_class_checks(inst, wrb, snake, nabla):
     if not f.add(minus_g).is_coboundary()[0]:
         return False, "pushout class differs from the snake cocycle class"
     # torsion bookkeeping: |torsion(nabla)| = |Cl|
-    if nabla.module.underlying.torsion_order() != \
+    if nabla.ext.b.underlying.torsion_order() != \
             inst.cl.underlying.torsion_order():
         return False, "nabla torsion does not match the class module"
     # ladder commutes: t . (R -> B) = (Cl -> nabla) . s
     lhs = nabla.t.compose(wrb.r_to_b)
-    rhs = nabla.cl_to_nabla.compose(snake)
+    rhs = nabla.ext.a_to_b.compose(snake)
     if lhs != rhs:
         return False, "ladder does not commute"
     # Hom-sequence route: image of -[s] is the class of g
@@ -764,26 +757,18 @@ def cdc_checks(inst, cdc, nm):
 
 # -- the first connecting map of the unit sequence -----------------------------
 
-class Delta1Data:
-    """ker(s) and the sequence 0 -> ker s -> R -> Cl -> 0."""
-
-    __slots__ = ("ker_s", "ker_incl", "ext")
-
-    def __init__(self, ker_s, ker_incl, ext):
-        self.ker_s = ker_s
-        self.ker_incl = ker_incl
-        self.ext = ext
-
-
 def build_delta1(snake):
-    ker_s, ker_incl = snake.kernel()
-    return Delta1Data(ker_s, ker_incl, ExtensionData(ker_incl, snake))
+    """The unit sequence 0 -> ker s -> R -> Cl -> 0: `a` is ker(s) and
+    `a_to_b` its inclusion into R."""
+    _, ker_incl = snake.kernel()
+    return ExtensionData(ker_incl, snake)
 
 
 def delta1(inst, wrb, d1, calc_k, coeffs):
     """Class in H^0(ker s) of the norm-multiplied auxiliary vector, in the
-    canonical coordinates of calc_k, the calculator of ker(s); the input
-    represents sum a_q Frob_q, which must be killed by the norm."""
+    canonical coordinates of calc_k, the calculator of ker(s); d1 is the
+    unit sequence of `build_delta1`.  The input represents sum a_q Frob_q,
+    which must be killed by the norm."""
     ab = inst.cl.underlying
     nu = inst.cl.norm_map()
     if not ab.is_zero(nu.apply(inst.frobenius_sum(coeffs))):
@@ -792,7 +777,7 @@ def delta1(inst, wrb, d1, calc_k, coeffs):
     parts = {("aux", q.id): (coeffs[q.id],) * n for q in inst.aux_places
              if coeffs.get(q.id, 0)}
     r_vec = wrb.r_coords(parts, "norm vector")
-    k_vec = d1.ker_incl.ab.solve(r_vec)
+    k_vec = d1.a_to_b.ab.solve(r_vec)
     if k_vec is None:
         raise ValueError("norm vector escaped ker(s)")
     # the degree-0 cochain group of ker(s) is ker(s) itself
@@ -844,7 +829,7 @@ def norm_suite(inst, nm, cdc, calc_cl):
         cols.append(nm.nm.apply(rep))
     nmbar = AbMap(h1, nm.q, IntMatrix._trusted_columns(cols, nm.q.n))
     ker_bar, ker_bar_incl = nmbar.kernel()
-    ok_b = _same_subgroup(h1, ker_bar, ker_bar_incl, cdc.cbar, cdc.cbar_incl)
+    ok_b = _same_subgroup(ker_bar, ker_bar_incl, cdc.cbar, cdc.cbar_incl)
     record("norm.b_ker_nmbar_is_cbar", ok_b,
            {"ker": ker_bar.order(), "cbar": cdc.cbar.order()})
 
@@ -853,7 +838,7 @@ def norm_suite(inst, nm, cdc, calc_cl):
     dc_gens = [cdc.d_incl.apply(cdc.d.gen(j)) for j in range(cdc.d.n)] + \
               [cdc.c_incl.apply(cdc.c_s.gen(j)) for j in range(cdc.c_s.n)]
     dplusc, dplusc_incl = subgroup_span(ab, dc_gens)
-    ok_c = _same_subgroup(ab, ker_nm, ker_nm_incl, dplusc, dplusc_incl)
+    ok_c = _same_subgroup(ker_nm, ker_nm_incl, dplusc, dplusc_incl)
     surj = nm.nm.is_surjective()
     record("norm.c_ker_nm_is_d_plus_c", ok_c and surj,
            {"ker_nm": ker_nm.order(), "d_plus_c": dplusc.order(),
@@ -872,7 +857,7 @@ def norm_suite(inst, nm, cdc, calc_cl):
     return records
 
 
-def _same_subgroup(ambient, g1, incl1, g2, incl2):
+def _same_subgroup(g1, incl1, g2, incl2):
     if g1.order() != g2.order():
         return False
     lat = incl1.image_lattice()
@@ -894,7 +879,7 @@ def _same_kernels(fgrp, fincl, to_cl, hom, h1_proj, nm):
     m2 = AbMap(fgrp, nm.q, IntMatrix._trusted_columns(cols2, nm.q.n))
     k1, k1i = m1.kernel()
     k2, k2i = m2.kernel()
-    ok = _same_subgroup(fgrp, k1, k1i, k2, k2i)
+    ok = _same_subgroup(k1, k1i, k2, k2i)
     return ok, {"k1": k1.order(), "k2": k2.order()}
 
 
@@ -914,10 +899,10 @@ def _short_exact_dkc(cdc, hom, ker_nm, ker_nm_incl):
         cols.append(h1.from_canon(hom.class_of(v)))
     to_h1 = AbMap(ker_nm, h1, IntMatrix._trusted_columns(cols, h1.n))
     img, img_incl, _ = to_h1.image()
-    if not _same_subgroup(h1, img, img_incl, cdc.cbar, cdc.cbar_incl):
+    if not _same_subgroup(img, img_incl, cdc.cbar, cdc.cbar_incl):
         return False, {"image": img.order(), "cbar": cdc.cbar.order()}
     kerc, kerc_incl = to_h1.kernel()
     d_in, d_in_incl, _ = AbMap(FgAb(d_in_knm.cols), ker_nm, d_in_knm,
                                check=False).image()
-    ok = _same_subgroup(ker_nm, kerc, kerc_incl, d_in, d_in_incl)
+    ok = _same_subgroup(kerc, kerc_incl, d_in, d_in_incl)
     return ok, {"kernel": kerc.order(), "d": d_in.order()}

@@ -237,7 +237,7 @@ def test_criterion_4_headline_connecting_map(campaign):
     nabla = build_nabla(it, wrb, snake)
     calc_x, calc_cl = TateCohomology(cx, xy.x), TateCohomology(cx, it.cl)
     delta = connecting_hom(nabla.ext, -2, calc_x, calc_cl,
-                           TateCohomology(cx, nabla.module))
+                           TateCohomology(cx, nabla.ext.b))
     assert calc_x.group(-2).invariant_factors() == (2,)
     assert calc_cl.group(-1).invariant_factors() == (2,)
     z = generator_chain(cx, it, xy, calc_x, "p1", 1)

@@ -12,7 +12,7 @@ from tatelab.abelian import Homology
 from tatelab.cft import i2_twist, synth_instance
 from tatelab.cohomology import ExtensionData, TateCohomology, TateComplex
 from tatelab.instance_io import load_fixture, load_instance
-from tatelab.tate_sequence import ImageEscapesCl, wrb_exact
+from tatelab.tate_sequence import ImageEscapesCl
 
 
 def record_requests(monkeypatch):
@@ -105,8 +105,8 @@ def test_one_calculator_per_shared_module(monkeypatch):
     assert all(r["ok"] for r in records), records
     art = {name: value for _, name, value in seen}
     shared = {"X": art["xy"].x, "Cl": inst.cl, "R": art["wrb"].r,
-              "B": art["wrb"].b, "nabla": art["nabla"].module,
-              "ker(s)": art["delta1"].ker_s}
+              "B": art["wrb"].b, "nabla": art["nabla"].ext.b,
+              "ker(s)": art["delta1"].a}
     assert complexes == [art["complex"]]
     assert art["complex"].window == analysis.WINDOW == (-2, 1)
     for label, module in shared.items():
@@ -120,10 +120,10 @@ def test_every_homology_is_a_calculator_or_an_exactness_check(make,
                                                               monkeypatch):
     """Every Homology an analysis builds is a Tate cohomology group built
     by TateCohomology.homology, or the middle of a sequence whose
-    exactness is checked (ExtensionData, wrb_exact); and no complex, by
-    group and window, gets two calculators of one module."""
+    exactness is checked (ExtensionData); and no complex, by group and
+    window, gets two calculators of one module."""
     homes = {TateCohomology.homology.__code__,
-             ExtensionData.__init__.__code__, wrb_exact.__code__}
+             ExtensionData.__init__.__code__}
     strays, built = [], []
     orig_homology, orig_calc = Homology.__init__, TateCohomology.__init__
 
@@ -146,6 +146,33 @@ def test_every_homology_is_a_calculator_or_an_exactness_check(make,
         for g, w, m in built[:k]:
             assert not (g is group and w == window and m is module), \
                 (window, module)
+
+
+@pytest.mark.parametrize("make", [i2_twist, lambda: synth_instance("S3", 0)],
+                         ids=["i2_twist", "S3/0"])
+def test_each_sequence_is_proved_exact_once(make, monkeypatch):
+    """Outside TateCohomology.homology, one analysis builds exactly three
+    Homology groups, all in ExtensionData.__init__: the middle of each of
+    its short exact sequences (the support sequence `rbx`, the pushout
+    `nabla.ext` and the unit sequence `delta1`), once each."""
+    seen = record_requests(monkeypatch)
+    proofs = []
+    orig_homology = Homology.__init__
+
+    def homology_init(h, d_in, d_out):
+        frame = sys._getframe(1)
+        if frame.f_code is not TateCohomology.homology.__code__:
+            proofs.append((frame.f_code, frame.f_locals.get("self")))
+        orig_homology(h, d_in, d_out)
+
+    monkeypatch.setattr(Homology, "__init__", homology_init)
+    records = run_analysis(make())
+    assert all(r["ok"] for r in records), records
+    art = {name: value for _, name, value in seen}
+    assert [code for code, _ in proofs] == \
+        [ExtensionData.__init__.__code__] * 3
+    assert [ext for _, ext in proofs] == \
+        [art["rbx"], art["nabla"].ext, art["delta1"]]
 
 
 @pytest.mark.parametrize("name", ["sqrt34", "D4/0"])

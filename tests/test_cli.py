@@ -178,6 +178,37 @@ def test_worked_instance_report_bytes_are_pinned(name, tmp_path, capsys):
         WORKED_INSTANCE_SHA256[name]
 
 
+# sha256 of the `validate` reports of the shipped instances and of one
+# instance that parses but breaks an axiom (exit 1): its auxiliary
+# Frobenius classes do not generate the class module
+VALIDATE_SHA256 = {
+    "i2_twist.json": (0, "4dec427cb23cce58072314e7ac766840"
+                         "8f385af5419d21b04199b8cd05b0e4dc"),
+    "i2_plain.json": (0, "36d1eb2294689bb1d38ea7647ea1369a"
+                         "a51881aab27dee941b37bb91254e33fc"),
+    "sqrt34.json": (0, "23cd867bfa435876dfbd0c8ce8da5e16"
+                       "7b1166109f88e8da19dfb0b424f7b3f9"),
+    "weak.json": (1, "98d369dba15eb6ab8f77db14373b9489"
+                     "0b7b09a2cf36bd4bbf68422f489288e3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_SHA256))
+def test_validate_report_bytes_are_pinned(name, tmp_path, capsys):
+    path = data(name)
+    if name == "weak.json":
+        d = json.loads((files("tatelab") / "data" /
+                        "i2_twist.json").read_text())
+        d["aux_places"] = [{"id": "q0", "frobenius_class": [0]}]
+        path = tmp_path / name
+        path.write_text(json.dumps(d))
+    out = tmp_path / "report.json"
+    code = main(["validate", str(path), "--out", str(out)])
+    capsys.readouterr()
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == \
+        VALIDATE_SHA256[name]
+
+
 def test_validate_rejects_negative_kappa(tmp_path, capsys):
     d = json.loads((files("tatelab") / "data" / "i2_twist.json").read_text())
     d["kappa"] = [-3]

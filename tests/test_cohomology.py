@@ -787,6 +787,30 @@ def test_edge_cochain_groups_keep_generator_tuples(name):
             assert len(cx.basis(i)) == cx.rank(i) == n ** k
 
 
+def test_extension_data_rejects_a_sequence_that_is_not_exact():
+    """ExtensionData is the one exactness proof of the package: over C2
+    with trivial action it refuses each way 0 -> A -> B -> C -> 0 can
+    fail to be exact, with its own message."""
+    c2 = named_group("C2")
+    z, z2m, z4m, zero = (trivial_module(c2), z_mod(c2, 2), z_mod(c2, 4),
+                         z_mod(c2, 1))
+    cases = [
+        # Z -> Z/2 kills 2
+        (GMap(z, z2m, IntMatrix([[1]])), GMap(z2m, z2m, IntMatrix([[1]])),
+         "left map is not injective"),
+        # Z -> Z/4 by 2 misses 1
+        (GMap(z, z, IntMatrix([[2]])), GMap(z, z4m, IntMatrix([[2]])),
+         "right map is not surjective"),
+        # Z/2 -> Z/4 -> 0: the kernel Z/4 is larger than the image 2Z/4
+        (GMap(z2m, z4m, IntMatrix([[2]])), GMap(z4m, zero, IntMatrix([[0]])),
+         "sequence is not exact in the middle"),
+    ]
+    for a_to_b, b_to_c, message in cases:
+        with pytest.raises(ValueError) as exc:
+            ExtensionData(a_to_b, b_to_c)
+        assert str(exc.value) == message
+
+
 def test_connecting_hom_rejects_degrees_outside_the_window():
     """A connecting map out of hi would land in the truncated degree hi+1;
     it is refused when it is built, before anything is lifted."""

@@ -2,14 +2,20 @@
 compares it fail, with its named witness.
 
 Valid input cannot reach these failures, since each connecting map is
-built by `connecting_hom` from the analysis graph.  So each test patches
-the builder of one connecting map in `analysis.ARTIFACTS` to add a
-nonzero class, and runs the check that reads it through `run_analysis`.
+built by `connecting_hom` from the analysis graph and each short exact
+sequence by the checked `ExtensionData`.  So each test patches one builder
+in `analysis.ARTIFACTS`, to add a nonzero class to a connecting map or to
+break the exactness of a sequence, and runs the checks that read it
+through `run_analysis`.
 """
 
-from tatelab.analysis import ARTIFACTS, run_analysis
+from types import SimpleNamespace
+
+from tatelab.analysis import ARTIFACTS, DEFAULT_CHECKS, run_analysis
 from tatelab.cft import c_p, i2_plain, i2_twist, xy_modules
 from tatelab.cohomology import CohClass
+from tatelab.gmodules import GMap
+from tatelab.lattice import IntMatrix
 from tatelab.tate_sequence import generator_chain
 
 
@@ -83,3 +89,26 @@ def test_delta1_factors_names_the_moved_sample(monkeypatch):
     want = CohClass(calc_k, 0, calc_k.rep_of(0, formula)).add(seen["extra"])
     assert generic == want.canon != formula
     assert set(rec["witness"]["coeffs"]) == {q.id for q in inst.aux_places}
+
+
+def test_wrb_exact_fails_with_the_sequence_builders_witness(monkeypatch):
+    """Exactness of 0 -> R -> B -> X -> 0 is proved once, by the checked
+    ExtensionData of the `rbx` artifact, which `wrb.exact` and
+    `delta_rbx` read.  Valid input builds an exact sequence, so the `rbx`
+    builder is patched to double B -> X: on i2_twist X = Z, so the right
+    map is not onto.  Exactly the two checks that read the sequence fail,
+    each with the builder's ValueError, and the other twelve pass."""
+    build, reads = ARTIFACTS["rbx"]
+
+    def doubled(wrb):
+        mat = IntMatrix([[2]]).kron(wrb.b_to_x.ab.mat)
+        return build(SimpleNamespace(r_to_b=wrb.r_to_b,
+                                     b_to_x=GMap(wrb.b, wrb.x, mat)))
+
+    monkeypatch.setitem(ARTIFACTS, "rbx", (doubled, reads))
+    records = run_analysis(i2_twist())
+    assert [r["id"] for r in records] == sorted(DEFAULT_CHECKS)
+    failed = {r["id"]: r["witness"] for r in records if not r["ok"]}
+    witness = "ValueError: right map is not surjective"
+    assert failed == {"wrb.exact": witness, "conn.functorial": witness}
+    assert len(records) - len(failed) == 12

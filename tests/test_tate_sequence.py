@@ -72,7 +72,7 @@ def lab(inst, window=(-2, 1)):
 def test_wrb_ranks_and_exactness():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
-    ok, info = wrb_exact(wrb)
+    ok, info = wrb_exact(wrb, ExtensionData(wrb.r_to_b, wrb.b_to_x))
     assert ok
     assert info == {"rank_w": 4, "rank_r": 3, "rank_b": 4, "rank_x": 1}
     # trivial group with one auxiliary place: R = B = the ring copy, X = 0
@@ -694,7 +694,7 @@ def headline_case(inst):
     calculators over one complex."""
     cx, xy, wrb, sh, snake = lab(inst)
     nabla = build_nabla(inst, wrb, snake)
-    calc_x, calc_cl, calc_nabla = calcs(cx, xy.x, inst.cl, nabla.module)
+    calc_x, calc_cl, calc_nabla = calcs(cx, xy.x, inst.cl, nabla.ext.b)
     return xy, calc_x, calc_cl, connecting_hom(nabla.ext, -2, calc_x,
                                                calc_cl, calc_nabla)
 
@@ -896,8 +896,8 @@ def test_delta1():
     it = i2_twist()
     cx, xy, wrb, sh, snake = lab(it)
     d1 = build_delta1(snake)
-    calc_cl, calc_r, calc_k = calcs(cx, it.cl, wrb.r, d1.ker_s)
-    delta_unit = connecting_hom(d1.ext, -1, calc_cl, calc_k, calc_r)
+    calc_cl, calc_r, calc_k = calcs(cx, it.cl, wrb.r, d1.a)
+    delta_unit = connecting_hom(d1, -1, calc_cl, calc_k, calc_r)
     # zero coefficients give the zero class
     assert not any(delta1(it, wrb, d1, calc_k, {"q0": 0}))
     out = delta1(it, wrb, d1, calc_k, {"q0": 1})
@@ -925,7 +925,7 @@ def test_delta1():
             break
     if bad is not None:
         with pytest.raises(NotNormKilled):
-            delta1(inst, wrb2, d12, TateCohomology(cx2, d12.ker_s),
+            delta1(inst, wrb2, d12, TateCohomology(cx2, d12.a),
                    {bad: 1})
 
 
@@ -941,7 +941,7 @@ def test_small_random_campaign():
         for seed in range(2):
             inst = synth_instance(gname, seed)
             cx, xy, wrb, sh, snake = lab(inst)
-            ok, _ = wrb_exact(wrb)
+            ok, _ = wrb_exact(wrb, ExtensionData(wrb.r_to_b, wrb.b_to_x))
             assert ok
             assert sh.e.ab.is_injective()
             calc_cl, cdc = cdc_of(cx, inst)
@@ -965,7 +965,8 @@ def test_unchecked_modules_validate_in_full(corpus):
     for name, inst in corpus:
         _, _, wrb, sh, snake = lab(inst)
         nabla = build_nabla(inst, wrb, snake)
-        mods = [sh.module, nabla.module] + [i.module for i in _place_ideals(wrb)]
+        mods = [sh.module, nabla.ext.b] + \
+            [i.module for i in _place_ideals(wrb)]
         for mod in mods:
             mod.validate(full=True)
 
