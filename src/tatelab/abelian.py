@@ -551,6 +551,14 @@ class Homology:
             raise ValueError("element is not a cycle")
         return self.group.canon(c)
 
+    def class_map(self, f):
+        """The checked map f.dom -> H, x -> [f(x)], for f into the middle
+        group with every generator image a cycle."""
+        h = self.group
+        cols = [h.from_canon(self.class_of(f.mat.column(j)))
+                for j in range(f.dom.n)]
+        return AbMap(f.dom, h, IntMatrix._trusted_columns(cols, h.n))
+
     def rep_of(self, cls_canon):
         """A deterministic representative cycle of a class."""
         c = self.group.from_canon(cls_canon)

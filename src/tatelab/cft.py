@@ -221,11 +221,14 @@ def c_p(inst, place_id, tau):
 # -- the norm model ----------------------------------------------------------
 
 class NormModel:
-    __slots__ = ("q", "nm")
+    """Nm: Cl -> Q and `ker`, the inclusion of ker(Nm) into Cl."""
+
+    __slots__ = ("q", "nm", "ker")
 
     def __init__(self, q, nm):
         self.q = q
         self.nm = nm
+        _, self.ker = nm.kernel()
 
 
 def norm_model(inst):

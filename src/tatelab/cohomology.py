@@ -272,9 +272,6 @@ class CohClass:
         self.rep = tuple(rep)
         self.canon = calc.homology(degree).class_of(self.rep)
 
-    def group(self):
-        return self.calc.homology(self.degree).group
-
     def is_zero(self):
         return not any(self.canon)
 
@@ -327,12 +324,6 @@ class TateCohomology:
 
     def group(self, i):
         return self.homology(i).group
-
-    def class_of(self, i, rep):
-        return CohClass(self, i, rep)
-
-    def rep_of(self, i, canon):
-        return self.homology(i).rep_of(canon)
 
 
 def induced_map(calc_dom, calc_cod, f, i):

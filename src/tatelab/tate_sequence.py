@@ -14,7 +14,7 @@ generic homological computation.
 
 from __future__ import annotations
 
-from .abelian import AbMap, FgAb, ab_quotient, subgroup_span
+from .abelian import AbMap, FgAb, subgroup_span
 from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData,
                          extension_to_cocycle, induced_map, zig_zag)
@@ -392,6 +392,14 @@ def snake_of_aux_units(inst, wrb, snake):
 
 # -- distinguished elements of R and the closed form of the snake map --------
 
+def _twisted(inst, place_id, sigma, tau):
+    """sigma rho(sigma^-1 tau), rho the coset representative map of the
+    place."""
+    grp = inst.group
+    _, rho = inst.cosets[place_id]
+    return grp.mul(sigma, rho[grp.mul(grp.inv[sigma], tau)])
+
+
 def r_element(inst, wrb, place_id, sigma, tau):
     """The element with sigma rho(sigma^-1 tau) - tau in the given place
     component and the negative in the distinguished component."""
@@ -399,10 +407,9 @@ def r_element(inst, wrb, place_id, sigma, tau):
     if pl.is_p0:
         raise PlaceIsP0(place_id)
     grp = inst.group
-    reps, rho = inst.cosets[place_id]
-    if tau not in reps:
+    if tau not in inst.cosets[place_id][0]:
         raise ValueError(f"{tau} is not a chosen coset representative")
-    moved = grp.mul(sigma, rho[grp.mul(grp.inv[sigma], tau)])
+    moved = _twisted(inst, place_id, sigma, tau)
     vec_p = [0] * grp.order
     vec_p[moved] += 1
     vec_p[tau] -= 1
@@ -430,10 +437,9 @@ def snake_closed_form(inst, place_id, sigma, tau):
     decomposition group acts trivially.
     """
     grp = inst.group
-    _, rho = inst.cosets[place_id]
-    h = grp.mul(grp.inv[tau],
-                grp.mul(sigma, rho[grp.mul(grp.inv[sigma], tau)]))
-    return inst.cl.act(grp.mul(tau, h), c_p(inst, place_id, h))
+    moved = _twisted(inst, place_id, sigma, tau)
+    h = grp.mul(grp.inv[tau], moved)
+    return inst.cl.act(moved, c_p(inst, place_id, h))
 
 
 def snake_closed_form_agrees(inst, wrb, snake, calc_cl):
@@ -444,15 +450,13 @@ def snake_closed_form_agrees(inst, wrb, snake, calc_cl):
     grp = inst.group
     h1 = calc_cl.homology(-1)
     for pl in inst.other_places():
-        reps, rho = inst.cosets[pl.id]
         for sigma in range(grp.order):
-            for tau in reps:
+            for tau in inst.cosets[pl.id][0]:
                 lhs = snake.apply(r_element(inst, wrb, pl.id, sigma, tau))
                 rhs = snake_closed_form(inst, pl.id, sigma, tau)
                 if not ab.eq(lhs, rhs):
                     return False, (pl.id, sigma, tau, "element form")
-                h = grp.mul(grp.inv[tau],
-                            grp.mul(sigma, rho[grp.mul(grp.inv[sigma], tau)]))
+                h = grp.mul(grp.inv[tau], _twisted(inst, pl.id, sigma, tau))
                 untwisted = inst.cl.act(tau, c_p(inst, pl.id, h))
                 if h1.class_of(lhs) != h1.class_of(untwisted):
                     return False, (pl.id, sigma, tau, "class form")
@@ -704,10 +708,11 @@ def connecting_functorial(snake, calc_x, calc_r, calc_cl, delta_rbx,
 # -- subgroup bookkeeping ------------------------------------------------------
 
 class CDCData:
-    """The distinguished subgroups; `cbar` lies in H^-1(Cl) as read by
-    the calculator of Cl that `subgroups_cdc` was given."""
+    """The distinguished subgroups, each held by its inclusion: `cbar`
+    into H^-1(Cl) as read by the calculator of Cl that `subgroups_cdc`
+    was given, `c_s` and `d` into Cl."""
 
-    __slots__ = ("cbar", "cbar_incl", "c_s", "c_incl", "d", "d_incl")
+    __slots__ = ("cbar", "c_s", "d")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -720,38 +725,38 @@ def subgroups_cdc(inst, calc_cl):
     calculator of Cl.  D is spanned by (s-1)c_j, s in `generating_set()`,
     c_j the Smith generators: s-1 is additive, (gh-1)c = (g-1)hc + (h-1)c."""
     ab = inst.cl.underlying
-    hom = calc_cl.homology(-1)
     c_values = [c_p(inst, pl.id, tau) for pl in inst.other_places()
                 for tau in pl.subgroup.elems if tau != inst.group.identity]
-    cbar_gens = [hom.group.from_canon(hom.class_of(v)) for v in c_values]
-    cbar, cbar_incl = subgroup_span(hom.group, cbar_gens)
-    c_s, c_incl = subgroup_span(ab, c_values)
+    _, c_s = subgroup_span(ab, c_values)
+    _, cbar, _ = calc_cl.homology(-1).class_map(c_s).image()
     d_gens = [ab.sub(inst.cl.act(s, gen), gen)
               for s in inst.group.generating_set() for gen in ab.smith_gens()]
-    d, d_incl = subgroup_span(ab, d_gens)
-    return CDCData(cbar=cbar, cbar_incl=cbar_incl, c_s=c_s, c_incl=c_incl,
-                   d=d, d_incl=d_incl)
+    _, d = subgroup_span(ab, d_gens)
+    return CDCData(cbar=cbar, c_s=c_s, d=d)
+
+
+def _first_outside(incl, mat):
+    """The first column of `mat` outside the image of `incl`, or None."""
+    lat = incl.image_lattice()
+    return next((j for j, col in enumerate(mat.sparse_columns())
+                 if lat._walk(col) is None), None)
 
 
 def cdc_checks(inst, cdc, nm):
     """D is stable, and D <= ker(Nm) <= ker(N on Cl).  Stability is
     checked under `generating_set()`, whose positive words are all of G."""
-    ab = inst.cl.underlying
-    dlat = cdc.d_incl.image_lattice()
-    d_vecs = [cdc.d_incl.apply(cdc.d.gen(j)) for j in range(cdc.d.n)]
     for s in inst.group.generating_set():
-        for j, v in enumerate(d_vecs):
-            if not dlat.contains(inst.cl.act(s, v)):
-                return False, ("D not stable", s, j)
-    nu = inst.cl.norm_map()
-    for j, v in enumerate(d_vecs):
-        if not nm.q.is_zero(nm.nm.apply(v)):
-            return False, ("D escapes ker(Nm)", j)
-    ker_nm, ker_nm_incl = nm.nm.kernel()
-    for j in range(ker_nm.n):
-        v = ker_nm_incl.apply(ker_nm.gen(j))
-        if not ab.is_zero(nu.apply(v)):
-            return False, ("ker(Nm) escapes ker(N)", j)
+        j = _first_outside(cdc.d, inst.cl.action[s].mul(cdc.d.mat))
+        if j is not None:
+            return False, ("D not stable", s, j)
+    j = _first_outside(nm.ker, cdc.d.mat)
+    if j is not None:
+        return False, ("D escapes ker(Nm)", j)
+    ab, k = inst.cl.underlying, nm.ker.mat
+    j = ab.first_difference(inst.cl.norm_map().mat.mul(k),
+                            IntMatrix.zeros(ab.n, k.cols))
+    if j is not None:
+        return False, ("ker(Nm) escapes ker(N)", j)
     return True, None
 
 
@@ -805,20 +810,16 @@ def norm_suite(inst, nm, cdc, calc_cl):
     def record(name, ok, witness=None):
         records.append({"id": name, "ok": bool(ok), "witness": witness})
 
-    # F = ker(Z^aux -> Cl -> N Cl)
+    # F = ker(Z^aux -> Cl -> N Cl), and its maps to Cl and H^-1(Cl)
     to_cl = inst.frobenius_map
-    nu = inst.cl.norm_map()
-    comp = AbMap(to_cl.dom, ab, nu.mat.mul(to_cl.mat), check=False)
-    fgrp, fincl = comp.kernel()
-
-    # (a) F surjects onto H^-1(Cl)
+    _, fincl = inst.cl.norm_map().compose(to_cl).kernel()
+    f_to_cl = to_cl.compose(fincl)
     hom = calc_cl.homology(-1)
     h1 = hom.group
-    img_gens = []
-    for j in range(fgrp.n):
-        v = to_cl.apply(fincl.apply(fgrp.gen(j)))
-        img_gens.append(h1.from_canon(hom.class_of(v)))
-    span, _ = subgroup_span(h1, img_gens)
+    f_to_h1 = hom.class_map(f_to_cl)
+
+    # (a) F surjects onto H^-1(Cl)
+    span, _, _ = f_to_h1.image()
     record("norm.a_surjects", span.order() == h1.order(),
            {"image": span.order(), "h1": h1.order()})
 
@@ -828,81 +829,56 @@ def norm_suite(inst, nm, cdc, calc_cl):
         rep = hom.rep_of(h1.canon(h1.gen(j)))
         cols.append(nm.nm.apply(rep))
     nmbar = AbMap(h1, nm.q, IntMatrix._trusted_columns(cols, nm.q.n))
-    ker_bar, ker_bar_incl = nmbar.kernel()
-    ok_b = _same_subgroup(ker_bar, ker_bar_incl, cdc.cbar, cdc.cbar_incl)
-    record("norm.b_ker_nmbar_is_cbar", ok_b,
-           {"ker": ker_bar.order(), "cbar": cdc.cbar.order()})
+    _, ker_bar = nmbar.kernel()
+    record("norm.b_ker_nmbar_is_cbar", _same_subgroup(ker_bar, cdc.cbar),
+           {"ker": ker_bar.dom.order(), "cbar": cdc.cbar.dom.order()})
 
     # (c) ker(Nm) = D + C and Nm surjective
-    ker_nm, ker_nm_incl = nm.nm.kernel()
-    dc_gens = [cdc.d_incl.apply(cdc.d.gen(j)) for j in range(cdc.d.n)] + \
-              [cdc.c_incl.apply(cdc.c_s.gen(j)) for j in range(cdc.c_s.n)]
-    dplusc, dplusc_incl = subgroup_span(ab, dc_gens)
-    ok_c = _same_subgroup(ker_nm, ker_nm_incl, dplusc, dplusc_incl)
+    dc = cdc.d.mat.hstack(cdc.c_s.mat)
+    _, dplusc, _ = AbMap(FgAb(dc.cols), ab, dc, check=False).image()
     surj = nm.nm.is_surjective()
-    record("norm.c_ker_nm_is_d_plus_c", ok_c and surj,
-           {"ker_nm": ker_nm.order(), "d_plus_c": dplusc.order(),
+    record("norm.c_ker_nm_is_d_plus_c",
+           _same_subgroup(nm.ker, dplusc) and surj,
+           {"ker_nm": nm.ker.dom.order(), "d_plus_c": dplusc.dom.order(),
             "nm_surjective": surj})
 
     # (d) same kernels: F -> H^-1 -> H^-1/Cbar and F -> Q
-    cbar_in_h1 = [cdc.cbar_incl.apply(cdc.cbar.gen(j))
-                  for j in range(cdc.cbar.n)]
-    _, h1_proj = ab_quotient(h1, cbar_in_h1)
-    ok_d, wit_d = _same_kernels(fgrp, fincl, to_cl, hom, h1_proj, nm)
-    record("norm.d_same_kernels", ok_d, wit_d)
+    _, h1_proj = cdc.cbar.cokernel()
+    _, k1 = h1_proj.compose(f_to_h1).kernel()
+    _, k2 = nm.nm.compose(f_to_cl).kernel()
+    record("norm.d_same_kernels", _same_subgroup(k1, k2),
+           {"k1": k1.dom.order(), "k2": k2.dom.order()})
 
     # (e) 0 -> D -> ker(Nm) -> Cbar -> 0
-    ok_e, wit_e = _short_exact_dkc(cdc, hom, ker_nm, ker_nm_incl)
+    ok_e, wit_e = _short_exact_dkc(cdc, hom, nm.ker)
     record("norm.e_break_up_kernel", ok_e, wit_e)
     return records
 
 
-def _same_subgroup(g1, incl1, g2, incl2):
-    if g1.order() != g2.order():
-        return False
-    lat = incl1.image_lattice()
-    for j in range(g2.n):
-        if not lat.contains(incl2.apply(g2.gen(j))):
-            return False
-    return True
+def _same_subgroup(incl1, incl2):
+    """Whether two inclusions into one group have the same image: each
+    image holds the other's generators.  Equal orders would not do for
+    the infinite kernels of (d), which all have order 0."""
+    return _first_outside(incl1, incl2.mat) is None and \
+        _first_outside(incl2, incl1.mat) is None
 
 
-def _same_kernels(fgrp, fincl, to_cl, hom, h1_proj, nm):
-    """Kernels of F -> H^-1/Cbar and F -> Q coincide; `hom` is H^-1(Cl)."""
-    cols1, cols2 = [], []
-    for j in range(fgrp.n):
-        v = to_cl.apply(fincl.apply(fgrp.gen(j)))
-        cols1.append(h1_proj.apply(hom.group.from_canon(hom.class_of(v))))
-        cols2.append(nm.nm.apply(v))
-    m1 = AbMap(fgrp, h1_proj.cod, IntMatrix._trusted_columns(cols1,
-                                                             h1_proj.cod.n))
-    m2 = AbMap(fgrp, nm.q, IntMatrix._trusted_columns(cols2, nm.q.n))
-    k1, k1i = m1.kernel()
-    k2, k2i = m2.kernel()
-    ok = _same_subgroup(k1, k1i, k2, k2i)
-    return ok, {"k1": k1.order(), "k2": k2.order()}
-
-
-def _short_exact_dkc(cdc, hom, ker_nm, ker_nm_incl):
+def _short_exact_dkc(cdc, hom, ker_nm):
     """0 -> D -> ker(Nm) -> Cbar -> 0 with the class map in the middle;
-    `hom` is H^-1(Cl)."""
+    `hom` is H^-1(Cl) and `ker_nm` the inclusion of ker(Nm)."""
     # D sits inside ker(Nm): every generator of D lifts
     try:
-        d_in_knm = ker_nm_incl.lift(cdc.d_incl.mat, lambda j: ValueError(j))
+        d_in_knm = ker_nm.lift(cdc.d.mat, lambda j: ValueError(j))
     except ValueError:
         return False, "D not inside ker(Nm)"
     # the class map ker(Nm) -> H^-1 has image Cbar and kernel D
-    h1 = hom.group
-    cols = []
-    for j in range(ker_nm.n):
-        v = ker_nm_incl.apply(ker_nm.gen(j))
-        cols.append(h1.from_canon(hom.class_of(v)))
-    to_h1 = AbMap(ker_nm, h1, IntMatrix._trusted_columns(cols, h1.n))
-    img, img_incl, _ = to_h1.image()
-    if not _same_subgroup(img, img_incl, cdc.cbar, cdc.cbar_incl):
-        return False, {"image": img.order(), "cbar": cdc.cbar.order()}
-    kerc, kerc_incl = to_h1.kernel()
-    d_in, d_in_incl, _ = AbMap(FgAb(d_in_knm.cols), ker_nm, d_in_knm,
-                               check=False).image()
-    ok = _same_subgroup(kerc, kerc_incl, d_in, d_in_incl)
-    return ok, {"kernel": kerc.order(), "d": d_in.order()}
+    to_h1 = hom.class_map(ker_nm)
+    _, img, _ = to_h1.image()
+    if not _same_subgroup(img, cdc.cbar):
+        return False, {"image": img.dom.order(),
+                       "cbar": cdc.cbar.dom.order()}
+    _, kerc = to_h1.kernel()
+    _, d_in, _ = AbMap(FgAb(d_in_knm.cols), ker_nm.dom, d_in_knm,
+                       check=False).image()
+    return _same_subgroup(kerc, d_in), {"kernel": kerc.dom.order(),
+                                        "d": d_in.dom.order()}

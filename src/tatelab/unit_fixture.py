@@ -13,7 +13,6 @@ subgroup of H^1 of the units of the right order.
 
 from __future__ import annotations
 
-from .abelian import ab_quotient
 from .cohomology import CohClass, Cocycle1, TateCohomology
 
 
@@ -42,6 +41,7 @@ def fixture_unit_check(inst, fixture, calc_cl, cdc):
         records.append({"id": name, "ok": bool(ok), "witness": witness})
 
     nu = inst.cl.norm_map()
+    hom = calc_cl.homology(-1)
     cocycles = []
     for k, cls in enumerate(classes):
         try:
@@ -52,16 +52,14 @@ def fixture_unit_check(inst, fixture, calc_cl, cdc):
         if not ab.is_zero(nu.apply(total)):
             raise InconsistentFixture(k, "coefficients do not define a "
                                       "norm-killed class")
-        cocycles.append((k, w, total, cls["a_in_units_times_K"]))
+        cocycles.append((k, w, hom.group.from_canon(hom.class_of(total)),
+                         cls["a_in_units_times_K"]))
     record("fixture.cocycle_identity", True, {"classes": len(classes)})
 
     # coboundary <-> unit flag <-> class in the discrepancy subgroup
-    cbar_lat = cdc.cbar_incl.image_lattice()
-    hom = calc_cl.homology(-1)
-    h1 = hom.group
-    for k, w, total, flag in cocycles:
+    cbar_lat = cdc.cbar.image_lattice()
+    for k, w, cls_h1, flag in cocycles:
         is_cob, _ = w.is_coboundary()
-        cls_h1 = h1.from_canon(hom.class_of(total))
         in_cbar = cbar_lat.contains(cls_h1)
         if is_cob != flag:
             raise InconsistentFixture(k, f"coboundary={is_cob} but unit "
@@ -73,14 +71,10 @@ def fixture_unit_check(inst, fixture, calc_cl, cdc):
 
     # the induced map H^-1(Cl)/Cbar -> H^1(U)
     calc_u = TateCohomology(calc_cl.complex, unit_module)
-    h1u = calc_u.homology(1)
-    cbar_gens = [cdc.cbar_incl.apply(cdc.cbar.gen(j))
-                 for j in range(cdc.cbar.n)]
-    quot, proj = ab_quotient(h1, cbar_gens)
+    quot, proj = cdc.cbar.cokernel()
     assign = {}
-    for k, w, total, flag in cocycles:
-        key = quot.canon(proj.apply(
-            h1.from_canon(hom.class_of(total))))
+    for k, w, cls_h1, _ in cocycles:
+        key = quot.canon(proj.apply(cls_h1))
         val = CohClass(calc_u, 1, w.as_cochain())
         if key in assign:
             if assign[key] != val:

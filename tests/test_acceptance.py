@@ -284,9 +284,9 @@ def test_criterion_8_norm_suite(campaign):
     cdc_t, cdc_p = (subgroups_cdc(inst, TateCohomology(
         TateComplex(inst.group, (-2, 1)), inst.cl)) for inst in (it, ip))
     hand = (nm_t.q.order() == 1 and nm_p.q.order() == 2
-            and nm_t.nm.kernel()[0].order() == 2
-            and nm_p.nm.kernel()[0].order() == 1
-            and cdc_t.cbar.order() == 2 and cdc_p.cbar.order() == 1)
+            and nm_t.ker.dom.order() == 2 and nm_p.ker.dom.order() == 1
+            and cdc_t.cbar.dom.order() == 2
+            and cdc_p.cbar.dom.order() == 1)
     _report(8, ok1 and ok2 and hand,
             f"norm kernel decompositions on {campaign['count']} instances; "
             f"worked values Q = 0 vs Z/2, kernels Z/2 vs 0 "

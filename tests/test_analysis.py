@@ -8,7 +8,7 @@ import pytest
 from tatelab import analysis
 from tatelab.analysis import (ARTIFACTS, CHECK_READS, CHECKS, DEFAULT_CHECKS,
                               AnalysisContext, closure, run_analysis)
-from tatelab.abelian import Homology
+from tatelab.abelian import AbMap, Homology
 from tatelab.cft import i2_twist, synth_instance
 from tatelab.cohomology import ExtensionData, TateCohomology, TateComplex
 from tatelab.instance_io import load_fixture, load_instance
@@ -258,3 +258,28 @@ def test_artifact_builds_are_charged_to_no_check(monkeypatch):
     assert now[0] == 10.25  # both builds ran, once each
     assert [(r["id"], r["ok"], r["wall_ms"]) for r in records] == \
         [("cdc.inclusions", True, 0), ("norm.suite", True, 250)]
+
+
+def test_one_analysis_takes_the_kernel_of_nm_once(monkeypatch):
+    """A default analysis of D4/0 computes ker(Nm) once, for the norm
+    model: the checks that compare subgroups with it share that one
+    kernel."""
+    build, reads = ARTIFACTS["norm_model"]
+    models, kernels = [], []
+
+    def spy_build(inst):
+        models.append(build(inst))
+        return models[-1]
+
+    kernel = AbMap.kernel
+
+    def spy_kernel(f):
+        kernels.append(f)
+        return kernel(f)
+
+    monkeypatch.setitem(ARTIFACTS, "norm_model", (spy_build, reads))
+    monkeypatch.setattr(AbMap, "kernel", spy_kernel)
+    records = run_analysis(synth_instance("D4", 0))
+    assert all(r["ok"] for r in records), records
+    (nm,) = models
+    assert sum(f is nm.nm for f in kernels) == 1

@@ -130,6 +130,10 @@ SELFTEST_SHA256 = {
           "a741f31f49bcb49639ed166158ad2869"),
     "2": ("0a0c9802b14a77d675f94268799fe2e5"
           "ddddfe32982704d7b4e7f89eb33b4a9a"),
+    # 7 catalog groups x 15 seeds: norm.suite and cdc.inclusions on every
+    # catalog group
+    "15": ("24bb93a6a0a887d88b308c47a1b3ed21"
+           "c69f500b594fae9fb62c24365976f86b"),
 }
 
 

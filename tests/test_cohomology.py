@@ -146,7 +146,7 @@ def test_direct_formula_agreement_random_modules(direct_formula):
             # is an additive bijection from the resolution's H^0 onto
             # M^G / N M
             h0, d0 = calc.group(0), direct0.group
-            phi = {c: direct0.class_of(calc.rep_of(0, c))
+            phi = {c: direct0.class_of(calc.homology(0).rep_of(c))
                    for c in map(h0.canon, h0.elements())}
             assert sorted(phi.values()) == sorted(map(d0.canon,
                                                       d0.elements()))
@@ -398,7 +398,7 @@ def test_cup_examples():
     assert cup0.is_zero()
     cup, ca = cup_with_h1(cx, Cocycle1(z2m, [(0,), (1,)]), zgen)
     assert not cup.is_zero()
-    assert cup.group().invariant_factors() == (2,)
+    assert cup.calc.group(cup.degree).invariant_factors() == (2,)
     with pytest.raises(DegreeMismatch):
         cup_with_h1(cx, Cocycle1(z2m, [(0,), (1,)]),
                     nonzero_class(calc_z, 0))

@@ -86,7 +86,8 @@ def test_delta1_factors_names_the_moved_sample(monkeypatch):
     assert set(rec["witness"]) == {"coeffs", "witness"}
     generic, formula = rec["witness"]["witness"]
     calc_k = seen["calc_k"]
-    want = CohClass(calc_k, 0, calc_k.rep_of(0, formula)).add(seen["extra"])
+    want = CohClass(calc_k, 0, calc_k.homology(0).rep_of(formula)).add(
+        seen["extra"])
     assert generic == want.canon != formula
     assert set(rec["witness"]["coeffs"]) == {q.id for q in inst.aux_places}
 

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import pytest
 
 from tatelab.abelian import AbMap, FgAb, Homology, subgroup_span
-from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
-                         i2_plain, i2_twist, norm_model, quadratic_sqrt34,
-                         synth_instance, xy_modules)
+from tatelab.cft import (AuxPlace, Instance, NormModel, PlaceData,
+                         PlaceIsP0, c_p, i2_plain, i2_twist, norm_model,
+                         quadratic_sqrt34, synth_instance, xy_modules)
 from tatelab import gmodules, tate_sequence
 from tatelab.analysis import (CHECK_READS, AnalysisContext, closure,
                               run_analysis)
@@ -833,8 +833,8 @@ def test_cdc_checks_name_an_unstable_difference_subgroup():
     c = ab.smith_gens()[0]
     s = inst.group.generating_set()[0]
     _, cdc = cdc_of(TateComplex(inst.group, (-2, 1)), inst)
-    cdc.d, cdc.d_incl = subgroup_span(ab, [c])
-    assert not cdc.d_incl.image_lattice().contains(inst.cl.act(s, c))
+    _, cdc.d = subgroup_span(ab, [c])
+    assert not cdc.d.image_lattice().contains(inst.cl.act(s, c))
     ok, wit = cdc_checks(inst, cdc, norm_model(inst))
     assert (ok, wit) == (False, ("D not stable", s, 0))
 
@@ -843,8 +843,8 @@ def test_subgroups_and_norm_suite_values():
     it = i2_twist()
     nm = norm_model(it)
     calc_cl, cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
-    assert cdc.cbar.order() == 2 and cdc.c_s.order() == 2
-    assert cdc.d.order() == 1
+    assert cdc.cbar.dom.order() == 2 and cdc.c_s.dom.order() == 2
+    assert cdc.d.dom.order() == 1
     assert nm.q.order() == 1
     ok, wit = cdc_checks(it, cdc, nm)
     assert ok, wit
@@ -855,7 +855,7 @@ def test_subgroups_and_norm_suite_values():
     ip = i2_plain()
     nmp = norm_model(ip)
     calc_clp, cdcp = cdc_of(TateComplex(ip.group, (-2, 1)), ip)
-    assert cdcp.cbar.order() == 1 and cdcp.c_s.order() == 1
+    assert cdcp.cbar.dom.order() == 1 and cdcp.c_s.dom.order() == 1
     assert nmp.q.order() == 2
     recsp = norm_suite(ip, nmp, cdcp, calc_clp)
     assert all(r["ok"] for r in recsp), recsp
@@ -863,17 +863,124 @@ def test_subgroups_and_norm_suite_values():
     assert by_id["norm.c_ker_nm_is_d_plus_c"]["witness"]["ker_nm"] == 1
 
 
+def failed_records(recs):
+    return {r["id"]: r["witness"] for r in recs if not r["ok"]}
+
+
 def test_norm_suite_fails_on_a_wrong_cbar():
+    """A wrong Cbar = 0 on i2_twist, where Ĥ^-1(Cl) = Z/2, fails (b), (d)
+    and the image branch of (e), each with its witness.  Valid input
+    cannot reach them: Cbar is built as the class-map image of C, and
+    ker(Nm) = D + C with D = I_G Cl the kernel of the class map, so Cbar
+    is also the image of ker(Nm), which is (e); (b) and (d) follow from
+    it and ker(Nm) <= ker(N).  F is free, so both kernels in (d) are
+    infinite and have order 0."""
     it = i2_twist()
     calc_cl, cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
     h1 = calc_cl.group(-1)
-    assert cdc.cbar.order() == h1.order() == 2
-    cdc.cbar, cdc.cbar_incl = subgroup_span(h1, [])
-    recs = norm_suite(it, norm_model(it), cdc, calc_cl)
-    failed = {r["id"]: r["witness"] for r in recs if not r["ok"]}
-    assert set(failed) == {"norm.b_ker_nmbar_is_cbar", "norm.d_same_kernels",
-                           "norm.e_break_up_kernel"}
-    assert failed["norm.b_ker_nmbar_is_cbar"] == {"ker": 2, "cbar": 1}
+    assert cdc.cbar.dom.order() == h1.order() == 2
+    _, cdc.cbar = subgroup_span(h1, [])
+    failed = failed_records(norm_suite(it, norm_model(it), cdc, calc_cl))
+    assert failed == {"norm.b_ker_nmbar_is_cbar": {"ker": 2, "cbar": 1},
+                      "norm.d_same_kernels": {"k1": 0, "k2": 0},
+                      "norm.e_break_up_kernel": {"image": 2, "cbar": 1}}
+
+
+def test_norm_suite_compares_the_infinite_kernels_both_ways():
+    """(d) compares two subgroups of the free group F, whose orders are
+    both 0, so it must test containment both ways.  On i2_plain, where
+    Cbar = 0 and Q = Z/2, a Cbar set to all of Ĥ^-1(Cl) = Z/2 makes
+    ker(F -> Ĥ^-1/Cbar) all of F = Z, while ker(F -> Q) is 2Z: the second
+    lies in the first, and (d) fails only because the first does not lie
+    in the second.  (b) and (e) fail as well."""
+    ip = i2_plain()
+    calc_cl, cdc = cdc_of(TateComplex(ip.group, (-2, 1)), ip)
+    h1 = calc_cl.group(-1)
+    assert cdc.cbar.dom.order() == 1 and h1.order() == 2
+    _, cdc.cbar = subgroup_span(h1, h1.gens())
+    failed = failed_records(norm_suite(ip, norm_model(ip), cdc, calc_cl))
+    assert failed == {"norm.b_ker_nmbar_is_cbar": {"ker": 1, "cbar": 2},
+                      "norm.d_same_kernels": {"k1": 0, "k2": 0},
+                      "norm.e_break_up_kernel": {"image": 1, "cbar": 2}}
+
+
+def test_norm_checks_name_a_difference_subgroup_outside_ker_nm():
+    """A D that Nm does not kill fails cdc.inclusions with ("D escapes
+    ker(Nm)", j), (c) with its orders and (e) with "D not inside
+    ker(Nm)".  Valid input cannot reach these: D = <(g-1)c>, and Nm is
+    checked equivariant into Q with the trivial action, so
+    Nm((g-1)c) = (g-1)Nm(c) = 0.  On C3/0, Cl = Z/2 maps isomorphically
+    onto Q, and D is set to all of Cl, which is stable."""
+    inst = synth_instance("C3", 0)
+    ab = inst.cl.underlying
+    nm = norm_model(inst)
+    calc_cl, cdc = cdc_of(TateComplex(inst.group, (-2, 1)), inst)
+    _, cdc.d = subgroup_span(ab, ab.smith_gens())
+    assert cdc_checks(inst, cdc, nm) == (False, ("D escapes ker(Nm)", 0))
+    assert failed_records(norm_suite(inst, nm, cdc, calc_cl)) == {
+        "norm.c_ker_nm_is_d_plus_c": {"ker_nm": 1, "d_plus_c": 2,
+                                      "nm_surjective": True},
+        "norm.e_break_up_kernel": "D not inside ker(Nm)"}
+
+
+def test_cdc_checks_name_a_norm_kernel_outside_ker_n():
+    """A norm model whose kernel holds an element of nonzero norm fails
+    cdc.inclusions with ("ker(Nm) escapes ker(N)", j).  Valid input
+    cannot reach it: N on Cl is the transfer GS -> Cl restricted to Cl,
+    and the transfer kills each section image iota_p(a) (whose order-m
+    power is iota_p(a^m) = 1, m the order of a), so it factors through Q
+    and N = transfer . Nm.  On C3/0 the norm is nonzero on Cl = Z/2, and
+    the substituted Nm is the zero map, whose kernel is all of Cl."""
+    inst = synth_instance("C3", 0)
+    ab = inst.cl.underlying
+    nm = norm_model(inst)
+    _, cdc = cdc_of(TateComplex(inst.group, (-2, 1)), inst)
+    zero = NormModel(nm.q, AbMap.zero(ab, nm.q))
+    assert cdc_checks(inst, cdc, zero) == \
+        (False, ("ker(Nm) escapes ker(N)", 0))
+
+
+def test_norm_suite_names_frobenius_classes_that_miss_h_minus1():
+    """Frobenius classes that miss Ĥ^-1(Cl) fail (a) alone, with the two
+    orders.  Valid input cannot reach it: the Frobenius classes generate
+    Cl (an instance axiom), so F maps onto ker(N), which maps onto
+    Ĥ^-1(Cl).  On i2_twist, Ĥ^-1(Cl) = Z/2 and the substituted Frobenius
+    map is zero."""
+    it = i2_twist()
+    calc_cl, cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
+    it.frobenius_map = AbMap.zero(it.frobenius_map.dom, it.cl.underlying)
+    assert failed_records(norm_suite(it, norm_model(it), cdc, calc_cl)) == \
+        {"norm.a_surjects": {"image": 1, "h1": 2}}
+
+
+def test_norm_suite_names_a_c_that_misses_ker_nm():
+    """A C that is too small fails (c) alone, with ker(Nm) larger than
+    D + C.  Valid input cannot reach it: ker(Nm) = D + C is the
+    corollary, and `subgroups_cdc` spans C on every section discrepancy.
+    On i2_twist, ker(Nm) = C = Z/2 and D = 0; C is set to 0, and no other
+    record reads it."""
+    it = i2_twist()
+    calc_cl, cdc = cdc_of(TateComplex(it.group, (-2, 1)), it)
+    _, cdc.c_s = subgroup_span(it.cl.underlying, [])
+    assert failed_records(norm_suite(it, norm_model(it), cdc, calc_cl)) == \
+        {"norm.c_ker_nm_is_d_plus_c": {"ker_nm": 2, "d_plus_c": 1,
+                                       "nm_surjective": True}}
+
+
+def test_norm_suite_names_a_difference_subgroup_below_the_class_kernel():
+    """A D smaller than the kernel of the class map ker(Nm) -> Ĥ^-1(Cl)
+    fails the kernel branch of (e) alone.  Valid input cannot reach it:
+    D is I_G Cl, which Nm kills, and the class map ker(N) -> Ĥ^-1(Cl) has
+    kernel I_G Cl, so the kernel on ker(Nm) <= ker(N) is D.  On D4/0,
+    ker(Nm) = C = Z/3 and Ĥ^-1(Cl) = 0; D = Z/3 is set to 0, and (c)
+    still holds, as D + C = C."""
+    inst = synth_instance("D4", 0)
+    nm = norm_model(inst)
+    calc_cl, cdc = cdc_of(TateComplex(inst.group, (-2, 1)), inst)
+    _, cdc.d = subgroup_span(inst.cl.underlying, [])
+    assert cdc_checks(inst, cdc, nm) == (True, None)
+    assert failed_records(norm_suite(inst, nm, cdc, calc_cl)) == \
+        {"norm.e_break_up_kernel": {"kernel": 3, "d": 1}}
 
 
 def test_snake_class_form_fails_without_the_boundaries():

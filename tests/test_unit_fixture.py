@@ -54,7 +54,7 @@ def test_fixture_unit_module_cohomology():
     assert calc.group(1).is_trivial()
     calc_cl = TateCohomology(cx, inst.cl)
     cdc = subgroups_cdc(inst, calc_cl)
-    assert calc_cl.group(-1).order() == cdc.cbar.order() == 2
+    assert calc_cl.group(-1).order() == cdc.cbar.dom.order() == 2
 
 
 def test_schema_errors():
