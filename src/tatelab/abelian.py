@@ -329,7 +329,7 @@ class AbMap:
         self.cod = cod
         self.mat = mat
         self._img_lat = None
-        if check:
+        if check and dom.rel.cols:
             lat = cod.rel_lattice()
             for col in dom.rel._columns:
                 if lat._walk(mat._apply_sparse(col)) is None:
@@ -378,10 +378,15 @@ class AbMap:
     # -- image membership and solving --------------------------------------
 
     def image_lattice(self):
-        """Lattice in Z^{cod.n} spanned by the generator images, inserted
-        first, and then the codomain relations, with witnesses: membership
-        is lying in the image subgroup, and witness indices below dom.n
-        are coordinates of a preimage."""
+        """Lattice in Z^{cod.n} spanned by the generator images and the
+        codomain relations: membership is lying in the image subgroup,
+        and `generator_coords` below dom.n are those of a preimage.  With
+        no relations and a private coordinate owned by every image, it is
+        their `PrivateBasis`: the images are independent, so the preimage
+        is unique.  Otherwise the images, then the relations, go into a
+        Lattice with witnesses."""
+        if self._img_lat is None and not any(self.cod.rel._columns):
+            self._img_lat = PrivateBasis.of(self.mat._columns, self.cod.n)
         if self._img_lat is None:
             lat = Lattice(self.cod.n, witnesses=True)
             for col in self.mat.sparse_columns():

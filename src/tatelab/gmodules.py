@@ -12,7 +12,8 @@ H^-1, is computed in `tatelab.cohomology` only.
 from __future__ import annotations
 
 from .abelian import AbMap, FgAb
-from .lattice import IntMatrix, Lattice
+from .groups import Subgroup, cosets_and_reps
+from .lattice import IntMatrix
 
 
 class NotEquivariant(Exception):
@@ -226,7 +227,6 @@ def regular_module(group):
 
 def perm_module(group, sub):
     """Permutation module on left cosets G/H; basis = coset reps."""
-    from .groups import cosets_and_reps
     reps, rho = cosets_and_reps(group, sub)
     pos = {r: i for i, r in enumerate(reps)}
     k = len(reps)
@@ -243,9 +243,9 @@ def perm_module(group, sub):
 
 
 class LocalIdeal:
-    """The left ideal Z[G] * (augmentation ideal of H) with an explicit
-    lattice basis, its inclusion into the regular module, and witnesses
-    decomposing each basis vector over the spanning set g(h-1)."""
+    """The left ideal Z[G] * (augmentation ideal of H) with its basis,
+    its inclusion into the regular module, and witnesses decomposing
+    each basis vector over the spanning set g(h-1)."""
 
     __slots__ = ("module", "incl", "spanning", "witnesses")
 
@@ -257,50 +257,61 @@ class LocalIdeal:
 
 
 def local_aug_ideal(group, sub, regular):
-    """The left ideal Z[G](h - 1), h in `sub`, inside `regular`.
+    """The left ideal Z[G](h - 1), h in `sub`, inside `regular`, on the
+    basis t(h - 1) = th - t, t over the left-coset representatives of
+    H = `sub` and h over H - {1}: Z[G] (x)_Z[H] I_H is the sum of the
+    t.I_H (Brown, Cohomology of Groups, III.5).  Basis vector (t, h) owns
+    the coordinate th, and its witness is the spanning vector t(h - 1).
 
-    The module is built unchecked.  The lattice is spanned by every
-    g(h - 1), so it is a left ideal: each g.b lies in it, and its
-    coordinates over the lattice basis are unique.  The action matrices
-    A_g therefore satisfy incl.A_g = rho(g).incl exactly, with incl
-    injective, so A_1 = I and A_g A_h = A_gh hold exactly, and the free
-    module has no relations to respect."""
-    spanning = [(g, h) for g in range(group.order) for h in sub.elems
-                if h != group.identity]
-    lat = Lattice(group.order, witnesses=True)
-    for (g, h) in spanning:
-        v = [0] * group.order
-        v[group.mul(g, h)] += 1
-        v[g] -= 1
-        lat.add(v)
-    basis = lat.basis()
-    k = len(basis)
-    incl_mat = IntMatrix._trusted_columns(basis, group.order)
-    acts = [IntMatrix._trusted_columns([lat.coords(regular.act(g, b))
-                                        for b in basis], k)
-            for g in range(group.order)]
-    mod = GModule(group, FgAb(k), acts, check=False)
-    incl = GMap(mod, regular, incl_mat)
-    witnesses = [lat.basis_witness(i) for i in range(k)]
+    The action of g, built on first read (see `LazyActions`), is closed
+    form: with gt = t'h0, t' a representative, g.t(h - 1) =
+    t'(h0 h - 1) - t'(h0 - 1), and a term whose H-part is 1 is zero.  The
+    module is built unchecked and the injective inclusion checked, which
+    proves the matrices at the generators; the formula is the same at
+    every g.  The free module has no relations to respect."""
+    reps, rep_of = cosets_and_reps(group, sub)
+    one, inv, mul = group.identity, group.inv, group.mul
+    hs = [h for h in sub.elems if h != one]
+    basis = [(t, h) for t in reps for h in hs]
+    coord = {b: i for i, b in enumerate(basis)}
+
+    def act(g):
+        cols = []
+        for t, h in basis:
+            gt = mul(g, t)
+            t2 = rep_of[gt]
+            h0 = mul(inv[t2], gt)
+            cols.append({coord[t2, x]: c for x, c in ((mul(h0, h), 1),
+                                                      (h0, -1)) if x != one})
+        return IntMatrix._from_sparse_columns(cols, len(basis))
+
+    mod = GModule(group, FgAb(len(basis)), LazyActions(group.order, act),
+                  check=False)
+    incl = GMap(mod, regular, IntMatrix._from_sparse_columns(
+        [{mul(t, h): 1, t: -1} for t, h in basis], group.order))
+    spanning = [(g, h) for g in range(group.order) for h in hs]
+    witnesses = [{t * len(hs) + hs.index(h): 1} for t, h in basis]
     return LocalIdeal(mod, incl, spanning, witnesses)
 
 
 def aug_ideal(group):
-    """(I_G, inclusion into Z[G]): the augmentation ideal as the kernel of
-    Z[G] -> Z, sum a_g g -> sum a_g."""
-    aug = GMap(regular_module(group), trivial_module(group),
-               IntMatrix([[1] * group.order]), check=False)
-    return aug.kernel()
+    """(I_G, inclusion into Z[G]): the local ideal of H = G, on the basis
+    h - 1 for h != 1."""
+    ideal = local_aug_ideal(group, Subgroup(group, range(group.order)),
+                            regular_module(group))
+    return ideal.module, ideal.incl
 
 
 def direct_sum(mods):
     """(sum module, injections, projections) of a list of GModules over
-    the same group."""
+    the same group.  The block-diagonal action of g is built when it is
+    first read (see `LazyActions`)."""
     group = mods[0].group
     ab = FgAb.direct_sum([m.underlying for m in mods])
-    acts = [IntMatrix.block_diagonal([m.action[g] for m in mods])
-            for g in range(group.order)]
-    smod = GModule(group, ab, acts, check=False)
+    smod = GModule(group, ab, LazyActions(
+        group.order,
+        lambda g: IntMatrix.block_diagonal([m.action[g] for m in mods])),
+        check=False)
     injs, projs, off = [], [], 0
     for m in mods:
         n = m.underlying.n

@@ -488,6 +488,11 @@ class PrivateBasis(_RowBasis):
             return None
         return cls(dim, rows, {i: j for j, i in enumerate(private)})
 
+    def generator_coords(self, vec):
+        """`Lattice.generator_coords` with the rows as the generators:
+        {row index: coefficient} writing vec over them, or None."""
+        return self._walk(self._to_sparse(vec))
+
     def _walk(self, v):
         """{row index: coefficient} writing the sparse dict v (ints the
         package built; it is consumed) over the rows, or None: None when a

@@ -19,7 +19,7 @@ from .cft import PlaceIsP0, c_p
 from .cohomology import (CohClass, Cocycle1, ExtensionData,
                          extension_to_cocycle, induced_map, zig_zag)
 from .gmodules import (GMap, GModule, HomModule, aug_ideal, direct_sum,
-                       local_aug_ideal)
+                       local_aug_ideal, trivial_module)
 from .groups import abelianization, subgroup_as_group
 from .lattice import IntMatrix, _axpy, _kernel_columns, _span_basis
 
@@ -85,34 +85,22 @@ def build_wrb(inst, xy):
         off += reg.underlying.n
     w, _, _ = direct_sum(w_parts)
 
-    # W -> aug ideal: inclusion on ideal parts, zero on split aux parts
-    cols = []
-    for part, (kind, pid, ideal, _) in zip(w_parts, w_blocks):
-        if kind == "place":
-            cols.extend(ideal.incl.ab.mat.sparse_columns())
-        else:
-            cols.extend({} for _ in range(part.underlying.n))
-    w_to_aug = GMap(w, aug_mod, aug_incl.ab.lift(
-        IntMatrix._from_sparse_columns(cols, grp.order),
-        lambda j: ValueError("ideal does not sit inside the "
-                             "augmentation ideal")))
-
-    r, r_incl = w_to_aug.kernel()
-
-    # big = sum of one regular copy per place of S', map to Z[G]
-    big_parts = [reg] * (len(inst.places) + len(inst.aux_places))
-    big, _, _ = direct_sum(big_parts)
-    b_blocks = [("place", pl.id) for pl in inst.places] + \
-               [("aux", q.id) for q in inst.aux_places]
-    n = grp.order
-    on_places = IntMatrix([[int(kind == "place") for kind, _ in b_blocks]])
-    sum_map = GMap(big, reg, on_places.kron(IntMatrix.identity(n)))
-    b, b_incl = sum_map.kernel()
+    # B inside big, the sum of one regular copy per place of S'
+    b_blocks = [(kind, pid) for kind, pid, _, _ in w_blocks]
+    b, b_incl, sum_mat = _sum_kernel(reg, b_blocks)
+    big, n = b_incl.cod, grp.order
 
     # W -> big: each ideal into its ring copy, each aux copy identically
     w_to_big = GMap(w, big, IntMatrix.block_diagonal(
         [data.incl.ab.mat if kind == "place" else IntMatrix.identity(n)
          for kind, _, data, _ in w_blocks]))
+
+    # W -> aug ideal: the ideal parts summed, the split aux parts to zero
+    w_to_aug = GMap(w, aug_mod, aug_incl.ab.lift(
+        sum_mat.mul(w_to_big.ab.mat),
+        lambda j: ValueError("ideal does not sit inside the "
+                             "augmentation ideal")))
+    r, r_incl = w_to_aug.kernel()
 
     # R -> B through the inclusions
     r_to_b = GMap(r, b, b_incl.ab.lift(
@@ -136,6 +124,33 @@ def build_wrb(inst, xy):
 
     return WRBData(w=w, r=r, b=b, x=xy.x, w_blocks=w_blocks, r_incl=r_incl,
                    r_to_b=r_to_b, b_to_x=b_to_x, xy=xy)
+
+
+def _sum_kernel(reg, b_blocks):
+    """B, the kernel of the sum of the place blocks big = reg^blocks ->
+    Z[G], on the basis e_{p,g} - e_{p1,g} (p a place but the first, p1)
+    and e_{q,g} (q auxiliary): one Z[G] per basis block, as G permutes
+    the g.  Each column owns its coordinate (p, g) or (q, g), so they are
+    independent, and they span the kernel: x - sum_{p != p1} x_p (e_p -
+    e_p1) - sum_q x_q e_q is (sum of the x_p) e_p1, 0 on the kernel.
+    With no place block, B is all of big.  Returns (B, inclusion, the
+    sum's matrix); the inclusion is checked, and sum . inclusion = 0 by
+    one product."""
+    grp, n = reg.group, reg.underlying.n
+    big, _, _ = direct_sum([reg] * len(b_blocks))
+    first = next((k for k, (kind, _) in enumerate(b_blocks)
+                  if kind == "place"), None)
+    cols = [{k * n + g: 1} | ({first * n + g: -1} if kind == "place" else {})
+            for k, (kind, _) in enumerate(b_blocks) if k != first
+            for g in range(n)]
+    b = direct_sum([reg] * (len(cols) // n))[0] if cols else \
+        trivial_module(grp, FgAb(0))
+    incl = GMap(b, big, IntMatrix._from_sparse_columns(cols, big.underlying.n))
+    total = IntMatrix([[int(kind == "place") for kind, _ in b_blocks]]).kron(
+        IntMatrix.identity(n))
+    if not total.mul(incl.ab.mat).is_zero():
+        raise ValueError("B does not lie in the kernel of the sum map")
+    return b, incl, total
 
 
 def wrb_exact(wrb, rbx):
@@ -803,12 +818,10 @@ def delta1_generic_agrees(inst, wrb, d1, calc_cl, calc_k, delta_unit,
 
 def norm_suite(inst, nm, cdc, calc_cl):
     """The five norm-kernel assertions, reading H^-1(Cl) through
-    `calc_cl`; returns a list of records."""
+    `calc_cl`; returns one record per assertion, with the id "norm." and
+    the name of its function.  An assertion that raises fails with the
+    exception as its witness, and the others keep their own records."""
     ab = inst.cl.underlying
-    records = []
-
-    def record(name, ok, witness=None):
-        records.append({"id": name, "ok": bool(ok), "witness": witness})
 
     # F = ker(Z^aux -> Cl -> N Cl), and its maps to Cl and H^-1(Cl)
     to_cl = inst.frobenius_map
@@ -818,40 +831,46 @@ def norm_suite(inst, nm, cdc, calc_cl):
     h1 = hom.group
     f_to_h1 = hom.class_map(f_to_cl)
 
-    # (a) F surjects onto H^-1(Cl)
-    span, _, _ = f_to_h1.image()
-    record("norm.a_surjects", span.order() == h1.order(),
-           {"image": span.order(), "h1": h1.order()})
+    def a_surjects():  # F surjects onto H^-1(Cl)
+        span, _, _ = f_to_h1.image()
+        return span.order() == h1.order(), {"image": span.order(),
+                                            "h1": h1.order()}
 
-    # (b) ker(induced Nm on H^-1) = Cbar
-    cols = []
-    for j in range(h1.n):
-        rep = hom.rep_of(h1.canon(h1.gen(j)))
-        cols.append(nm.nm.apply(rep))
-    nmbar = AbMap(h1, nm.q, IntMatrix._trusted_columns(cols, nm.q.n))
-    _, ker_bar = nmbar.kernel()
-    record("norm.b_ker_nmbar_is_cbar", _same_subgroup(ker_bar, cdc.cbar),
-           {"ker": ker_bar.dom.order(), "cbar": cdc.cbar.dom.order()})
+    def b_ker_nmbar_is_cbar():  # ker(induced Nm on H^-1) = Cbar
+        cols = [nm.nm.apply(hom.rep_of(h1.canon(h1.gen(j))))
+                for j in range(h1.n)]
+        nmbar = AbMap(h1, nm.q, IntMatrix._trusted_columns(cols, nm.q.n))
+        _, ker_bar = nmbar.kernel()
+        return _same_subgroup(ker_bar, cdc.cbar), {
+            "ker": ker_bar.dom.order(), "cbar": cdc.cbar.dom.order()}
 
-    # (c) ker(Nm) = D + C and Nm surjective
-    dc = cdc.d.mat.hstack(cdc.c_s.mat)
-    _, dplusc, _ = AbMap(FgAb(dc.cols), ab, dc, check=False).image()
-    surj = nm.nm.is_surjective()
-    record("norm.c_ker_nm_is_d_plus_c",
-           _same_subgroup(nm.ker, dplusc) and surj,
-           {"ker_nm": nm.ker.dom.order(), "d_plus_c": dplusc.dom.order(),
-            "nm_surjective": surj})
+    def c_ker_nm_is_d_plus_c():  # ker(Nm) = D + C and Nm surjective
+        dc = cdc.d.mat.hstack(cdc.c_s.mat)
+        _, dplusc, _ = AbMap(FgAb(dc.cols), ab, dc, check=False).image()
+        surj = nm.nm.is_surjective()
+        return _same_subgroup(nm.ker, dplusc) and surj, {
+            "ker_nm": nm.ker.dom.order(), "d_plus_c": dplusc.dom.order(),
+            "nm_surjective": surj}
 
-    # (d) same kernels: F -> H^-1 -> H^-1/Cbar and F -> Q
-    _, h1_proj = cdc.cbar.cokernel()
-    _, k1 = h1_proj.compose(f_to_h1).kernel()
-    _, k2 = nm.nm.compose(f_to_cl).kernel()
-    record("norm.d_same_kernels", _same_subgroup(k1, k2),
-           {"k1": k1.dom.order(), "k2": k2.dom.order()})
+    def d_same_kernels():  # of F -> H^-1 -> H^-1/Cbar and F -> Q
+        _, h1_proj = cdc.cbar.cokernel()
+        _, k1 = h1_proj.compose(f_to_h1).kernel()
+        _, k2 = nm.nm.compose(f_to_cl).kernel()
+        return _same_subgroup(k1, k2), {"k1": k1.dom.order(),
+                                        "k2": k2.dom.order()}
 
-    # (e) 0 -> D -> ker(Nm) -> Cbar -> 0
-    ok_e, wit_e = _short_exact_dkc(cdc, hom, nm.ker)
-    record("norm.e_break_up_kernel", ok_e, wit_e)
+    def e_break_up_kernel():  # 0 -> D -> ker(Nm) -> Cbar -> 0
+        return _short_exact_dkc(cdc, hom, nm.ker)
+
+    records = []
+    for decide in (a_surjects, b_ker_nmbar_is_cbar, c_ker_nm_is_d_plus_c,
+                   d_same_kernels, e_break_up_kernel):
+        try:
+            ok, witness = decide()
+        except Exception as exc:
+            ok, witness = False, f"{type(exc).__name__}: {exc}"
+        records.append({"id": "norm." + decide.__name__, "ok": bool(ok),
+                        "witness": witness})
     return records
 
 

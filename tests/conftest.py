@@ -1,6 +1,7 @@
 import functools
 import hashlib
 from importlib.resources import files
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,11 +10,12 @@ from tatelab.abelian import AbMap, FgAb, Homology
 from tatelab.analysis import run_analysis
 from tatelab.cft import synth_instance
 from tatelab.cohomology import CohClass, TateCohomology, TateComplex
-from tatelab.gmodules import NotEquivariant
+from tatelab.gmodules import (GMap, GModule, NotEquivariant, direct_sum,
+                              regular_module, trivial_module)
 from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
                             direct_product, group_from_table)
 from tatelab.instance_io import instance_digest, load_instance
-from tatelab.lattice import IntMatrix, _kernel_columns, _snf_data
+from tatelab.lattice import IntMatrix, Lattice, _kernel_columns, _snf_data
 from tatelab.tate_sequence import r_element
 
 
@@ -109,6 +111,81 @@ def kernel_lift_loop(f):
 def kernel_by_lift():
     """The all-elements reference for GMap.kernel (see kernel_lift_loop)."""
     return kernel_lift_loop
+
+
+def hermite_local_aug_ideal(group, sub, regular):
+    """(module, inclusion, witnesses) of the left ideal Z[G](h - 1), h in
+    `sub`, found by generic integer algebra: every g(h - 1) inserted into
+    a Hermite lattice with witnesses, whose basis rows are the inclusion's
+    columns and whose coordinates give the action.  The reference that
+    the closed-form basis of `gmodules.local_aug_ideal` must span the same
+    lattice as."""
+    spanning = [(g, h) for g in range(group.order) for h in sub.elems
+                if h != group.identity]
+    lat = Lattice(group.order, witnesses=True)
+    for (g, h) in spanning:
+        v = [0] * group.order
+        v[group.mul(g, h)] += 1
+        v[g] -= 1
+        lat.add(v)
+    basis = lat.basis()
+    k = len(basis)
+    acts = [IntMatrix._trusted_columns([lat.coords(regular.act(g, b))
+                                        for b in basis], k)
+            for g in range(group.order)]
+    mod = GModule(group, FgAb(k), acts, check=False)
+    incl = GMap(mod, regular, IntMatrix._trusted_columns(basis, group.order))
+    return mod, incl, [lat.basis_witness(i) for i in range(k)]
+
+
+def augmentation_kernel(group):
+    """(I_G, inclusion) as the kernel of Z[G] -> Z, sum a_g g -> sum a_g,
+    by `GMap.kernel`.  The reference for `gmodules.aug_ideal`."""
+    aug = GMap(regular_module(group), trivial_module(group),
+               IntMatrix([[1] * group.order]), check=False)
+    return aug.kernel()
+
+
+def sum_map_kernel(inst):
+    """(B, inclusion into big) for the kernel of the sum map big =
+    Z[G]^S' -> Z[G] of `build_wrb` (place blocks summed, auxiliary blocks
+    sent to 0), by `GMap.kernel`, with the block list it is read on.  The
+    reference for the closed-form basis of B."""
+    reg = regular_module(inst.group)
+    blocks = [("place", pl.id) for pl in inst.places] + \
+        [("aux", q.id) for q in inst.aux_places]
+    big, _, _ = direct_sum([reg] * len(blocks))
+    on_places = IntMatrix([[int(kind == "place") for kind, _ in blocks]])
+    sum_map = GMap(big, reg, on_places.kron(
+        IntMatrix.identity(inst.group.order)))
+    b, b_incl = sum_map.kernel()
+    return b, b_incl, blocks
+
+
+@pytest.fixture
+def ideal_references():
+    """The generic-algebra references for the closed-form bases of the
+    support sequence (see hermite_local_aug_ideal, augmentation_kernel
+    and sum_map_kernel)."""
+    return SimpleNamespace(local=hermite_local_aug_ideal,
+                           aug=augmentation_kernel, b=sum_map_kernel)
+
+
+def hermite_image_lattice(f):
+    """The image lattice of the AbMap f on the Hermite witness path:
+    generator images inserted first, then the codomain relations, into
+    a Lattice with witnesses.  The reference for the private-coordinate
+    path of `AbMap.image_lattice`."""
+    lat = Lattice(f.cod.n, witnesses=True)
+    for col in f.mat.sparse_columns() + f.cod.rel.sparse_columns():
+        lat._add(col)
+    return lat
+
+
+@pytest.fixture(scope="session")
+def hermite_image():
+    """The Hermite witness image lattice (see hermite_image_lattice)."""
+    return hermite_image_lattice
 
 
 def abelianization_by_elements(group):

@@ -552,3 +552,77 @@ def test_homology_reduces_many_cycle_relations():
     assert h.group.rel == ref.rel and h.group.rel.cols == 2
     assert h.group.invariant_factors() == (2,)
     assert h.class_of(h.rep_of((1,))) == (1,)
+
+
+@st.composite
+def maps_with_private_columns(draw):
+    """A map Z^k -> Z^n, free codomain, each of whose k columns owns a
+    private coordinate: column j is nonzero at coordinate owner[j], where
+    every other column is zero; the coordinates no column owns carry
+    arbitrary entries."""
+    n = draw(st.integers(1, 6))
+    owner = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    shared = [i for i in range(n) if i not in owner]
+    nonzero = st.integers(-4, 4).filter(bool)
+    cols = []
+    for p in owner:
+        col = {p: draw(nonzero)}
+        for i in shared:
+            col[i] = draw(st.integers(-3, 3))
+        cols.append([col.get(i, 0) for i in range(n)])
+    return AbMap(FgAb(len(cols)), FgAb(n), IntMatrix.from_columns(cols, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_with_private_columns(), st.data())
+def test_private_image_lattice_agrees_with_the_hermite_path(
+        hermite_image, f, data):
+    """Into a free codomain, columns that own private coordinates solve
+    on their PrivateBasis; solve, lift and contains give exactly what the
+    Hermite witness path gives, on image vectors, on image vectors moved
+    at one coordinate and on arbitrary vectors."""
+    lat, ref = f.image_lattice(), hermite_image(f)
+    assert isinstance(lat, PrivateBasis)
+    n, m = f.cod.n, f.dom.n
+
+    def ref_solve(y):
+        w = ref.generator_coords(y)
+        return None if w is None else tuple(w.get(j, 0) for j in range(m))
+
+    def vec(k, bound=9):
+        return data.draw(st.lists(st.integers(-bound, bound), min_size=k,
+                                  max_size=k).map(tuple))
+
+    ys = []
+    for _ in range(3):
+        y = list(f.apply(vec(m, 4)))
+        ys.append(tuple(y))
+        y[data.draw(st.integers(0, n - 1))] += data.draw(
+            st.integers(-3, 3).filter(bool))
+        ys.append(tuple(y))
+        ys.append(vec(n))
+    for y in ys:
+        assert f.solve(y) == ref_solve(y), y
+        assert lat.contains(y) == ref.contains(y) == (ref_solve(y) is not None)
+    sols = [ref_solve(y) for y in ys]
+    mat = IntMatrix.from_columns(ys, n)
+    if None in sols:
+        with pytest.raises(_Escaped) as err:
+            f.lift(mat, _Escaped)
+        assert err.value.j == sols.index(None)
+    else:
+        assert f.lift(mat, _Escaped) == IntMatrix.from_columns(sols, m)
+
+
+def test_image_lattice_falls_back_to_the_hermite_path():
+    """One column without a private coordinate, or codomain relations,
+    send the image lattice down the Hermite witness path."""
+    shared = AbMap(FgAb(2), FgAb(2), IntMatrix([[1, 0], [1, 1]]))
+    assert isinstance(shared.image_lattice(), Lattice)
+    assert shared.solve((1, 3)) == (1, 2)
+    private = AbMap(FgAb(2), FgAb(3), IntMatrix([[1, 0], [0, 2], [3, -1]]))
+    assert isinstance(private.image_lattice(), PrivateBasis)
+    assert private.solve((1, 2, 2)) == (1, 1)
+    assert private.solve((1, 1, 3)) is None
+    torsion = AbMap(FgAb(1), diag_group(4), IntMatrix([[2]]))
+    assert isinstance(torsion.image_lattice(), Lattice)

@@ -10,7 +10,8 @@ from tatelab.gmodules import (GMap, GModule, HomModule, NotEquivariant,
                               hom_and_tensor,
                               local_aug_ideal, perm_module, regular_module,
                               trivial_module)
-from tatelab.groups import Subgroup, named_group, symmetric3
+from tatelab.groups import (Subgroup, cyclic, direct_product, named_group,
+                            symmetric3)
 from tatelab.lattice import IntMatrix
 from tatelab.tate_sequence import (build_delta1, build_script_h, build_snake,
                                    build_wrb)
@@ -53,6 +54,59 @@ def test_standard_modules_ranks_s3():
     # local ideal sits inside the augmentation ideal
     for j in range(li.module.underlying.n):
         assert sum(li.incl.ab.mat.column(j)) == 0
+
+
+IDEAL_GROUPS = [(name, lambda name=name: named_group(name))
+                for name in CATALOG] + \
+    [(f"C2xC{m}", lambda m=m: direct_product(cyclic(2), cyclic(m)))
+     for m in (4, 6)]
+
+
+def same_span(f, g):
+    """Whether the AbMaps f and g into one free group have the same
+    image: each image holds the other's generator images."""
+    return all(g.image_lattice().contains(c) for c in f.mat._columns) and \
+        all(f.image_lattice().contains(c) for c in g.mat._columns)
+
+
+def closed_form_agrees(mod, incl, ref_incl, index):
+    """The closed-form ideal (mod, incl) against the generic reference
+    inclusion: the same span in Z[G], rank |G| - index, full validation,
+    and incl.A_g = rho(g).incl at every g, not only the generators."""
+    group, reg = mod.group, incl.cod
+    assert same_span(incl.ab, ref_incl.ab)
+    assert mod.underlying.free_rank() == mod.underlying.n == \
+        ref_incl.dom.underlying.n == group.order - index
+    mod.validate(full=True)
+    for g in range(group.order):
+        assert incl.ab.mat.mul(mod.action[g]) == \
+            reg.action[g].mul(incl.ab.mat), g
+
+
+@pytest.mark.parametrize("make", [m for _, m in IDEAL_GROUPS],
+                         ids=[name for name, _ in IDEAL_GROUPS])
+def test_local_ideals_match_the_hermite_reference(make, ideal_references):
+    """Over every subgroup H, the closed-form basis t(h - 1) of
+    Z[G].I_H spans the lattice the Hermite reference finds, and each
+    witness writes its basis vector over the spanning vectors g(h - 1).
+    H = G gives the augmentation ideal, against the kernel of Z[G] -> Z."""
+    group = make()
+    reg = regular_module(group)
+    for sub in group.all_subgroups():
+        ideal = local_aug_ideal(group, sub, reg)
+        _, ref_incl, _ = ideal_references.local(group, sub, reg)
+        closed_form_agrees(ideal.module, ideal.incl, ref_incl,
+                           group.order // len(sub))
+        for j, w in enumerate(ideal.witnesses):
+            v = [0] * group.order
+            for si, c in w.items():
+                g, h = ideal.spanning[si]
+                v[group.mul(g, h)] += c
+                v[g] -= c
+            assert tuple(v) == ideal.incl.ab.mat.column(j)
+    mod, incl = aug_ideal(group)
+    _, ref_incl = ideal_references.aug(group)
+    closed_form_agrees(mod, incl, ref_incl, 1)
 
 
 def test_module_validation():
@@ -380,8 +434,8 @@ def test_precompose_matches_the_generator_loop(name, precompose_by_loop):
 
 def kernel_modules(make, monkeypatch):
     """Every (map, kernel module, kernel inclusion) that GMap.kernel builds
-    for the instance: the augmentation ideal, R and B of build_wrb and
-    ker s of build_delta1, its only callers."""
+    for the instance: R of build_wrb and ker s of build_delta1, its only
+    callers (the augmentation ideal and B have closed-form bases)."""
     built = []
     real = GMap.kernel
 
@@ -408,8 +462,8 @@ def test_kernel_actions_match_the_lift_loop(make, kernel_by_lift,
     as products; each agrees with the lift of rho(g) modulo the kernel's
     relations, and the module passes full validation."""
     built = kernel_modules(make, monkeypatch)
-    # the augmentation ideal, R, B (build_wrb) and ker s (build_delta1)
-    assert len(built) == 4
+    # R (build_wrb) and ker s (build_delta1)
+    assert len(built) == 2
     for f, kmod, kincl in built:
         incl, ref = kernel_by_lift(f)
         assert kincl.ab.mat == incl.mat
@@ -460,5 +514,7 @@ def test_kernel_lifts_once_per_generator(name, monkeypatch):
         return real(self, cols, error)
 
     monkeypatch.setattr(AbMap, "lift", counted)
-    aug_ideal(group)
+    aug = GMap(regular_module(group), trivial_module(group),
+               IntMatrix([[1] * group.order]), check=False)
+    aug.kernel()
     assert calls["lift"] == len(group.generating_set())

@@ -2,21 +2,26 @@
 compares it fail, with its named witness.
 
 Valid input cannot reach these failures, since each connecting map is
-built by `connecting_hom` from the analysis graph and each short exact
-sequence by the checked `ExtensionData`.  So each test patches one builder
-in `analysis.ARTIFACTS`, to add a nonzero class to a connecting map or to
-break the exactness of a sequence, and runs the checks that read it
-through `run_analysis`.
+built by `connecting_hom` from the analysis graph, each short exact
+sequence by the checked `ExtensionData`, and the snake and the embedding
+of the class module by their builders from the instance.  So each test
+patches one builder in `analysis.ARTIFACTS`, to add a nonzero class to a
+connecting map, to break the exactness of a sequence, or to move the
+snake or the embedding, and runs the checks that read it through
+`run_analysis`.
 """
 
 from types import SimpleNamespace
 
+import pytest
+
 from tatelab.analysis import ARTIFACTS, DEFAULT_CHECKS, run_analysis
-from tatelab.cft import c_p, i2_plain, i2_twist, xy_modules
+from tatelab.cft import c_p, i2_plain, i2_twist, synth_instance, xy_modules
 from tatelab.cohomology import CohClass
 from tatelab.gmodules import GMap
 from tatelab.lattice import IntMatrix
-from tatelab.tate_sequence import generator_chain
+from tatelab.tate_sequence import (ImageEscapesCl, aux_unit_in_r,
+                                   build_snake, build_wrb, generator_chain)
 
 
 def unit(k, j):
@@ -113,3 +118,88 @@ def test_wrb_exact_fails_with_the_sequence_builders_witness(monkeypatch):
     witness = "ValueError: right map is not surjective"
     assert failed == {"wrb.exact": witness, "conn.functorial": witness}
     assert len(records) - len(failed) == 12
+
+
+def failed_checks(records):
+    assert [r["id"] for r in records] == sorted(DEFAULT_CHECKS)
+    return {r["id"]: r["witness"] for r in records if not r["ok"]}
+
+
+def test_snake_aux_units_names_a_moved_auxiliary_unit(monkeypatch):
+    """The snake sends an auxiliary unit to its Frobenius class by
+    construction: its auxiliary columns are the classes kappa(Frob_q) - 1
+    of the quotient, pulled back through the injective embedding.  So the
+    `snake` builder is patched to add t: R -> Cl, the map through the
+    first auxiliary copy Z[G] -> Cl, 1 -> d, with d = (s - 1)c for the
+    first generator s and Smith generator c.  On D4/0, Cl = (Z/3)^2 and
+    d != 0, so snake.aux_units fails naming q0, whose unit now goes to
+    Frob_q0 + d.  Nothing else sees t: the distinguished elements have no
+    auxiliary part, t factors through Z[G], whose H^-1 is 0, and d lies
+    in I_G Cl, so its class in H^-1(Cl) is 0 and the unit sequence's
+    formula still agrees."""
+    inst = synth_instance("D4", 0)
+    cl, ab = inst.cl, inst.cl.underlying
+    q = inst.aux_places[0]
+    s = inst.group.generating_set()[0]
+    c = ab.smith_gens()[0]
+    d = ab.sub(cl.act(s, c), c)
+    assert not ab.is_zero(d)
+    build, reads = ARTIFACTS["snake"]
+    seen = {}
+
+    def moved_builder(inst, wrb, sh):
+        snake = build(inst, wrb, sh)
+        n = inst.group.order
+        off = next(o for kind, pid, _, o in wrb.w_blocks
+                   if (kind, pid) == ("aux", q.id))
+        to_cl = IntMatrix._trusted_columns([cl.act(g, d) for g in range(n)],
+                                           ab.n)
+        proj = IntMatrix._from_sparse_columns(
+            [{j - off: 1} if off <= j < off + n else {}
+             for j in range(wrb.w.underlying.n)], n)
+        t = GMap(wrb.r, cl, to_cl.mul(proj).mul(wrb.r_incl.ab.mat))
+        seen["wrb"] = wrb
+        seen["snake"] = GMap(wrb.r, cl, snake.ab.add(t.ab))
+        return seen["snake"]
+
+    assert failed_checks(run_analysis(inst)) == {}
+    monkeypatch.setitem(ARTIFACTS, "snake", (moved_builder, reads))
+    assert failed_checks(run_analysis(inst)) == {"snake.aux_units": q.id}
+    # the witness replays: the unit of q0 goes to Frob_q0 + d
+    got = seen["snake"].apply(aux_unit_in_r(inst, seen["wrb"], q.id))
+    assert ab.eq(got, ab.add(q.frobenius, d))
+
+
+def test_scripth_embedding_names_a_kernel(monkeypatch):
+    """The class module embeds into the quotient I_GS / L of the extension
+    group: kappa is injective and L meets no kappa(c) - 1 but 0.  So the
+    `script_h` builder is patched to double the embedding.  On S3/0,
+    Cl = Z/6, and 2e kills 3Cl = Z/2: scripth.embedding fails.  The snake
+    pulls back through the embedding, and 2e misses the odd classes, so
+    every check that reads the snake fails with the snake builder's
+    ImageEscapesCl; scripth.lifts, which reads the quotient's action and
+    not the embedding, passes, as do the checks that read neither."""
+    inst = synth_instance("S3", 0)
+    assert inst.cl.underlying.invariant_factors() == (6,)
+    build, reads = ARTIFACTS["script_h"]
+    seen = {}
+
+    def doubled(inst):
+        sh = seen["sh"] = build(inst)
+        sh.e = GMap(inst.cl, sh.module, IntMatrix([[2]]).kron(sh.e.ab.mat))
+        return sh
+
+    monkeypatch.setitem(ARTIFACTS, "script_h", (doubled, reads))
+    escape = ("ImageEscapesCl: snake image escapes the class module at R "
+              "generator 0")
+    reading_snake = ("snake.aux_units", "snake.closed_form", "nabla.class",
+                     "delta2.agree", "conn.functorial", "delta1.factors")
+    assert failed_checks(run_analysis(inst)) == {
+        "scripth.embedding": "embedding has a kernel",
+        **{cid: escape for cid in reading_snake}}
+    # the witnesses replay: 2e has kernel 3Cl, and the snake escapes it
+    sh = seen["sh"]
+    kernel, _ = sh.e.ab.kernel()
+    assert kernel.order() == 2
+    with pytest.raises(ImageEscapesCl, match="generator 0"):
+        build_snake(inst, build_wrb(inst, xy_modules(inst)), sh)

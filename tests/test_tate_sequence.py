@@ -8,13 +8,13 @@ from tatelab.cft import (AuxPlace, Instance, NormModel, PlaceData,
                          PlaceIsP0, c_p, i2_plain, i2_twist, norm_model,
                          quadratic_sqrt34, synth_instance, xy_modules)
 from tatelab import gmodules, tate_sequence
-from tatelab.analysis import (CHECK_READS, AnalysisContext, closure,
-                              run_analysis)
+from tatelab.analysis import (ARTIFACTS, CHECK_READS, AnalysisContext,
+                              closure, run_analysis)
 from tatelab.cohomology import (CohClass, Cocycle1, ExtensionData,
                                 TateCohomology, TateComplex, connecting_hom,
                                 extension_to_cocycle)
 from tatelab.gmodules import (GModule, HomModule, local_aug_ideal,
-                              trivial_module)
+                              regular_module, trivial_module)
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
 from tatelab.instance_io import load_instance
 from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _axpy,
@@ -54,6 +54,16 @@ def trivial_group_instance(cl_order):
                     {"p0": {0: gs.identity}})
 
 
+def lone_place_instance():
+    """C2 with the one place p0, decomposition group C2, a trivial class
+    module and no auxiliary place: B = 0 and R = 0."""
+    c2 = named_group("C2")
+    cl = trivial_module(c2, FgAb(1, IntMatrix([[1]])))
+    gs, kappa, pi, _ = extension_from_cocycle(cl, c2, lambda a, b: (0,))
+    return Instance(c2, [PlaceData("p0", Subgroup(c2, [0, 1]), is_p0=True)],
+                    [], cl, gs, pi, kappa, {"p0": {0: gs.identity, 1: 1}})
+
+
 def cdc_of(cx, inst):
     """The calculator of Cl over `cx` and the subgroups read through it."""
     calc_cl = TateCohomology(cx, inst.cl)
@@ -82,6 +92,16 @@ def test_wrb_ranks_and_exactness():
     assert xy1.x.underlying.n == 0
     assert wrb1.r.underlying.free_rank() == 1
     assert wrb1.b.underlying.free_rank() == 1
+
+
+def test_lone_place_has_zero_r_and_b():
+    """With p0 the only place and no auxiliary place, B has no basis
+    block: B = R = X = 0, W = I_G, and every check passes."""
+    inst = lone_place_instance()
+    wrb = build_wrb(inst, xy_modules(inst))
+    assert [m.underlying.n for m in (wrb.w, wrb.r, wrb.b, wrb.x)] == \
+        [1, 0, 0, 0]
+    assert all(r["ok"] for r in run_analysis(inst))
 
 
 def test_script_h():
@@ -940,6 +960,41 @@ def test_cdc_checks_name_a_norm_kernel_outside_ker_n():
         (False, ("ker(Nm) escapes ker(N)", 0))
 
 
+def test_norm_suite_keeps_the_records_of_a_raising_assertion(monkeypatch):
+    """An assertion of norm.suite that raises fails alone, with the
+    exception as its witness; the other four keep their records.  On C3/0
+    a zero Nm makes ker(Nm) all of Cl, which leaves ker(N), so the class
+    map of ker(Nm) in (e) raises; (c) fails on its orders, and (a), (b)
+    and (d) still pass.  Unpatched, the check's witness is the record
+    count."""
+    inst = synth_instance("C3", 0)
+    (rec,) = run_analysis(inst, checks=["norm.suite"])
+    assert (rec["ok"], rec["witness"]) == (True, {"records": 5})
+    nm = norm_model(inst)
+    zero = NormModel(nm.q, AbMap.zero(inst.cl.underlying, nm.q))
+    calc_cl, cdc = cdc_of(TateComplex(inst.group, (-2, 1)), inst)
+    recs = norm_suite(inst, zero, cdc, calc_cl)
+    assert [r["id"] for r in recs] == [
+        "norm.a_surjects", "norm.b_ker_nmbar_is_cbar",
+        "norm.c_ker_nm_is_d_plus_c", "norm.d_same_kernels",
+        "norm.e_break_up_kernel"]
+    failed = failed_records(recs)
+    assert failed == {
+        "norm.c_ker_nm_is_d_plus_c": {"ker_nm": 2, "d_plus_c": 1,
+                                      "nm_surjective": False},
+        "norm.e_break_up_kernel": "ValueError: element is not a cycle"}
+    # the witness replays: ker(Nm) holds an element of nonzero norm
+    ab = inst.cl.underlying
+    nu = inst.cl.norm_map()
+    assert any(not ab.is_zero(nu.apply(zero.ker.mat.column(j)))
+               for j in range(zero.ker.dom.n))
+    monkeypatch.setitem(ARTIFACTS, "norm_model",
+                        (lambda inst: zero, ("inst",)))
+    (rec,) = run_analysis(inst, checks=["norm.suite"])
+    assert not rec["ok"]
+    assert {r["id"]: r["witness"] for r in rec["witness"]} == failed
+
+
 def test_norm_suite_names_frobenius_classes_that_miss_h_minus1():
     """Frobenius classes that miss Ĥ^-1(Cl) fail (a) alone, with the two
     orders.  Valid input cannot reach it: the Frobenius classes generate
@@ -1100,6 +1155,52 @@ def test_script_h_rejects_a_section_that_is_not_a_lift():
     for cid in reading:
         assert not records[cid]["ok"], cid
         assert "ValueError" in records[cid]["witness"], cid
+
+
+def test_b_closed_form_spans_the_sum_kernel(corpus, ideal_references):
+    """On every campaign and stress instance, and on two with p0 as the
+    only place (the trivial group with an auxiliary place, and C2 with
+    none, where B = 0), the closed-form basis of B spans the kernel of
+    the sum map that `GMap.kernel` finds, with the same rank, and B passes
+    full validation."""
+    insts = list(corpus) + [("1/p0", trivial_group_instance(2)),
+                            ("C2/p0", lone_place_instance())]
+    for name, inst in insts:
+        ref_b, ref_incl, blocks = ideal_references.b(inst)
+        b, b_incl, _ = tate_sequence._sum_kernel(
+            regular_module(inst.group), blocks)
+        assert b_incl.cod.underlying.n == ref_incl.cod.underlying.n, name
+        assert b.underlying.n == ref_b.underlying.n, name
+        for f, g in ((b_incl.ab, ref_incl.ab), (ref_incl.ab, b_incl.ab)):
+            lat = g.image_lattice()
+            assert all(lat.contains(c) for c in f.mat._columns), name
+        b.validate(full=True)
+
+
+def test_build_wrb_builds_no_lattice_and_one_kernel(corpus, monkeypatch):
+    """The local ideals, I_G and B have closed-form bases, and every
+    inclusion build_wrb solves through owns private coordinates: one
+    build_wrb builds no Lattice and takes one equivariant kernel, R's."""
+    counts = {"lattice": 0, "kernel": 0}
+    real_init, real_kernel = Lattice.__init__, gmodules.GMap.kernel
+
+    def init(self, *args, **kwargs):
+        counts["lattice"] += 1
+        real_init(self, *args, **kwargs)
+
+    def kernel(self):
+        counts["kernel"] += 1
+        return real_kernel(self)
+
+    insts = [(name, inst, xy_modules(inst)) for name, inst in corpus]
+    monkeypatch.setattr(Lattice, "__init__", init)
+    monkeypatch.setattr(gmodules.GMap, "kernel", kernel)
+    Lattice(1)
+    assert counts["lattice"] == 1  # the spy sees a construction
+    for name, inst, xy in insts:
+        counts.update(lattice=0, kernel=0)
+        build_wrb(inst, xy)
+        assert counts == {"lattice": 0, "kernel": 1}, name
 
 
 def test_unchecked_builders_make_no_validate_calls(corpus, monkeypatch):
