@@ -669,12 +669,6 @@ class Lattice(_RowBasis):
                 out[k] = out.get(k, 0) + q * x
         return out
 
-    def basis_witness(self, idx):
-        """Witness coefficients of basis row idx over inserted generators."""
-        if self.witnesses is None:
-            raise ValueError("lattice built without witness tracking")
-        return dict(self.witnesses[idx])
-
 
 def _span_basis(cols, dim):
     """Basis rows, as sparse dicts, of the lattice in Z^dim spanned by the

@@ -68,7 +68,16 @@ class WRBData:
 
 
 def build_wrb(inst, xy):
-    """W, R, B and the maps tying them to the augmentation ideal and X."""
+    """W, R, B and the maps tying them to the augmentation ideal and X.
+
+    The inclusions of I_G, the local ideals and B are checked GMaps, and
+    the maps derived from them are built unchecked: W -> big is block
+    diagonal in checked inclusions and identities; big -> Y sends e_g in a
+    place block to rho(g), the representative of gG_p, and rho(h.rho(g))
+    = rho(hg); W -> I_G, R -> B and B -> X are lifts h of an equivariant
+    f (the sum map after W -> big, W -> big after the inclusion of R,
+    big -> Y after that of B) through a checked injective GMap i, and
+    i.h.rho(g) = f.rho(g) = rho(g).f = i.rho(g).h, so i cancels."""
     grp = inst.group
     aug_mod, aug_incl = aug_ideal(grp)
     reg = aug_incl.cod
@@ -93,34 +102,29 @@ def build_wrb(inst, xy):
     # W -> big: each ideal into its ring copy, each aux copy identically
     w_to_big = GMap(w, big, IntMatrix.block_diagonal(
         [data.incl.ab.mat if kind == "place" else IntMatrix.identity(n)
-         for kind, _, data, _ in w_blocks]))
+         for kind, _, data, _ in w_blocks]), check=False)
 
     # W -> aug ideal: the ideal parts summed, the split aux parts to zero
     w_to_aug = GMap(w, aug_mod, aug_incl.ab.lift(
         sum_mat.mul(w_to_big.ab.mat),
         lambda j: ValueError("ideal does not sit inside the "
-                             "augmentation ideal")))
+                             "augmentation ideal")), check=False)
     r, r_incl = w_to_aug.kernel()
 
     # R -> B through the inclusions
     r_to_b = GMap(r, b, b_incl.ab.lift(
         w_to_big.ab.mat.mul(r_incl.ab.mat),
-        lambda j: ValueError("R does not land in B")))
+        lambda j: ValueError("R does not land in B")), check=False)
 
-    # B -> X through big -> Y
-    ycols = []
-    for k, (kind, pid) in enumerate(b_blocks):
-        for i in range(n):
-            col = [0] * xy.y.underlying.n
-            if kind == "place":
-                _, rho = inst.cosets[pid]
-                col[xy.y_index[(pid, rho[i])]] = 1
-            ycols.append(col)
-    big_to_y = GMap(big, xy.y, IntMatrix._trusted_columns(ycols,
-                                                          xy.y.underlying.n))
+    # B -> X through big -> Y: e_g in a place block to its coset rep
+    ycols = [{xy.y_index[(pid, inst.cosets[pid][1][i])]: 1}
+             if kind == "place" else {} for kind, pid in b_blocks
+             for i in range(n)]
+    big_to_y = GMap(big, xy.y, IntMatrix._from_sparse_columns(
+        ycols, xy.y.underlying.n), check=False)
     b_to_x = GMap(b, xy.x, xy.x_incl.ab.lift(
         big_to_y.ab.mat.mul(b_incl.ab.mat),
-        lambda j: ValueError("B does not map into X")))
+        lambda j: ValueError("B does not map into X")), check=False)
 
     return WRBData(w=w, r=r, b=b, x=xy.x, w_blocks=w_blocks, r_incl=r_incl,
                    r_to_b=r_to_b, b_to_x=b_to_x, xy=xy)
@@ -167,32 +171,23 @@ def wrb_exact(wrb, rbx):
 # -- the quotient module carrying the snake map ------------------------------
 
 class ScriptH:
-    """I_GS / L with L = K.I_GS and K = ker(Z[GS] -> Z[G]), on the basis
-    {x - 1 : x != 1} of I_GS; `module` and `e` are filled in by
-    build_script_h."""
+    """I_GS / K.I_GS on the presentation of `build_script_h`: generator j
+    is the class of u_j - 1, u_j = elements[j] (N - 1, then T - 1, then
+    the rest of GS - 1); phi[x] holds the coordinates of x - 1 and head[x]
+    the m of x = m.t.  `module` and `e` are filled in by build_script_h."""
 
-    __slots__ = ("module", "e", "gs_basis", "gs_index", "inst")
+    __slots__ = ("module", "e", "phi", "head", "elements", "inst")
 
-    def __init__(self, inst):
-        gs = inst.gs
-        self.gs_basis = [x for x in range(gs.order) if x != gs.identity]
-        self.gs_index = {x: i for i, x in enumerate(self.gs_basis)}
-        self.inst = inst
+    def __init__(self, inst, phi, head, elements):
+        self.inst, self.phi, self.head = inst, phi, head
+        self.elements = elements
         self.module = self.e = None
 
     def left_mul(self, y, x):
-        """Coordinates of y(x - 1) = (yx - 1) - (y - 1) as a sparse
-        {index: coeff} dict; the identity of GS has no basis vector, so
-        its terms are dropped (and y(1 - 1) is {})."""
-        gs = self.inst.gs
-        if x == gs.identity:
-            return {}
-        out = {}
-        yx = gs.mul(y, x)
-        if yx != gs.identity:
-            out[self.gs_index[yx]] = 1
-        if y != gs.identity:
-            out[self.gs_index[y]] = -1
+        """Coordinates of the class of y(x - 1) = (yx - 1) - (y - 1), as a
+        fresh sparse {index: coeff} dict (y(1 - 1) is {})."""
+        out = dict(self.phi[self.inst.gs.mul(y, x)])
+        _axpy(out, 1, self.phi[y])
         return out
 
 
@@ -200,21 +195,30 @@ def build_script_h(inst):
     """The augmentation-ideal quotient of the extension group that the
     prime-by-prime map lands in, with the embedding of the class module.
 
-    L is spanned by (n - 1)t(s - 1) over n != 1 in ker(GS -> G), t in a
-    transversal and s in a generating set of GS: the (n - 1)t are a
-    Z-basis of the two-sided ideal K, and I_GS = sum_s Z[GS](s - 1), so
-    K.I_GS = sum_s K(s - 1).  The transversal is the first preimage of
-    each g under the projection, so L does not depend on the sections.
+    L = K.I_GS with K = ker(Z[GS] -> Z[G]).  N = ker(pi: GS -> G), T is
+    the transversal with T(1) = 1 and T(g) the least preimage of g, and
+    x = m.t with t = T(pi(x)), m = x.t^-1 in N.  K is the Z-span of the
+    (n - 1)t, and (n - 1)t(z - 1) = (n - 1)(tz - 1) - (n - 1)(t - 1), so
+    L is spanned by the (n - 1)(z - 1), n in N, z in GS.  For z = m.t,
+    (n - 1)(z - 1) = w_{nm,t} - w_{m,t} + (n - 1)(m - 1) with w_{m,t} =
+    (m - 1)(t - 1) = (mt - 1) - (m - 1) - (t - 1) in L, so L =
+    span{w_{m,t} : m, t != 1} + span{(a - 1)(b - 1) : a, b in N}.  Each
+    w_{m,t} owns the coordinate mt, outside N and T; eliminating them
+    gives I_GS / L = (Z^{N-1} + Z^{T-1}) / Q through phi(x - 1) = e_m +
+    e_t (e_1 = 0), with Q = I_N^2 spanned by the e_{ab} - e_a - e_b and
+    reduced in dimension |N| - 1: rank (|N| - 1) + (|G| - 1), ker phi =
+    span{w_{m,t}} inside L, and phi(L) = Q.
 
     G acts by left multiplication by the lift s(g) of the section over
-    p0, and the module is built unchecked.  pi is a checked GroupHom, so
-    K is a two-sided ideal and every y in GS keeps L = K.I_GS: y.L is
-    inside L, and each column y(x - 1) is exact in I_GS.  The builder
-    checks pi(s(g)) = g for every g itself, and raises ValueError naming
-    the first g that fails.  Two lifts of one element differ by some n in
-    ker pi, and (n - 1)x lies in L for every x in I_GS; s(1) and
-    s(g)s(h) lift 1 and gh, so the identity acts as the identity and the
-    action is multiplicative modulo L."""
+    p0: generator u goes to phi(s(g)(u - 1)), unchecked.  pi is a checked
+    GroupHom, so K is a two-sided ideal and y.L lies in L for every y in
+    GS: v -> phi(yv) kills L and acts on I_GS / L.  The builder checks
+    pi(s(g)) = g for every g itself, and raises ValueError naming the
+    first g that fails.  Two lifts of one element differ by some n in N,
+    and (n - 1)x lies in L for x in I_GS; s(1) and s(g)s(h) lift 1 and
+    gh, so the identity acts as the identity and the action is
+    multiplicative modulo Q.  The embedding c -> phi(kappa(c) - 1) stays
+    a checked GMap."""
     gs, grp = inst.gs, inst.group
     p0_sec = inst.iota[inst.p0.id]
     for g in range(grp.order):
@@ -222,91 +226,83 @@ def build_script_h(inst):
             raise ValueError(f"the section over {inst.p0.id} does not lift "
                              f"{g} ({grp.labels[g]}): it maps to "
                              f"{inst.pi(p0_sec[g])}")
-    sh = ScriptH(inst)
-    nb = len(sh.gs_basis)
-    transversal = {}
+    kernel = [n for n in inst.pi.kernel_elements() if n != gs.identity]
+    trans = {grp.identity: gs.identity}
     for x in range(gs.order):
-        transversal.setdefault(inst.pi(x), x)
-    s_gens = gs.generating_set()
-    gens = []
-    for n in inst.pi.kernel_elements():
-        if n == gs.identity:
-            continue
-        for t in transversal.values():
-            nt = gs.mul(n, t)
-            for s in s_gens:
-                v = sh.left_mul(nt, s)
-                _axpy(v, 1, sh.left_mul(t, s))
-                gens.append(v)
-    hgrp = FgAb(nb, IntMatrix._from_sparse_columns(_span_basis(gens, nb), nb))
+        trans.setdefault(inst.pi(x), x)
+    gens = kernel + [trans[g] for g in range(grp.order) if g != grp.identity]
+    index = {u: j for j, u in enumerate(gens)}
+    tails = [trans[inst.pi(x)] for x in range(gs.order)]
+    head = [gs.mul(x, gs.inv[t]) for x, t in enumerate(tails)]
+    phi = [{index[u]: 1 for u in mt if u in index} for mt in zip(head, tails)]
+    sh = ScriptH(inst, phi, head, gens + [x for x in range(gs.order)
+                                          if x != gs.identity
+                                          and x not in index])
+    rank = len(gens)
+    q_gens = []
+    for a in kernel:
+        for b in kernel:
+            v = dict(phi[gs.mul(a, b)])
+            _axpy(v, 1, phi[a])
+            _axpy(v, 1, phi[b])
+            q_gens.append(v)
+    hgrp = FgAb(rank, IntMatrix._from_sparse_columns(
+        _span_basis(q_gens, len(kernel)), rank))
     acts = [IntMatrix._from_sparse_columns(
-        [sh.left_mul(p0_sec[g], x) for x in sh.gs_basis], nb)
+        [sh.left_mul(p0_sec[g], u) for u in gens], rank)
         for g in range(grp.order)]
     sh.module = GModule(grp, hgrp, acts, check=False)
-    # embedding of the class module: c -> class(kappa(c) - 1)
     ab = inst.cl.underlying
     sh.e = GMap(inst.cl, sh.module, IntMatrix._from_sparse_columns(
-        [sh.left_mul(gs.identity, inst.kappa[ab.canon(ab.gen(j))])
-         for j in range(ab.n)], nb))
+        [dict(phi[inst.kappa[ab.canon(ab.gen(j))]]) for j in range(ab.n)],
+        rank))
     return sh
 
 
 def script_h_action_lift_independent(inst, sh):
     """The action must not depend on which lift of g multiplies: for every
-    g, every class c and every x in GS other than 1, the action column of
-    x minus the class of kappa(c)s(g)(x - 1) must be a relation, where s
-    is the section over p0.
+    g, every class c and every x in GS other than 1, A_g.phi(x - 1) -
+    phi(kappa(c)s(g)(x - 1)) must lie in Q, where A_g is the action of g
+    and s the section over p0.
 
-    Decided on a class table instead of |G|.|Cl|.(|GS| - 1) membership
-    tests.  cls[z] is the canonical class of z - 1 (cls[1] = 0); canon is
-    linear modulo the canonical moduli and vanishes exactly on relations,
-    so y(x - 1) = (yx - 1) - (y - 1) has class cls[yx] - cls[y] and a
-    sparse column v has class sum_j v_j.cls[gs_basis[j]].  With c0 the
-    first class of Cl, n_c = kappa(c) and F_c(z) = cls[n_c z] - cls[n_c0 z]
-    the check splits in two:
+    Decided without a membership test per triple.  canon is linear modulo
+    the canonical moduli and vanishes exactly on Q; with cls[z] =
+    canon(phi(z - 1)), y(x - 1) has class cls[yx] - cls[y].  With c0 the
+    first class, n_c = kappa(c) and F_c(z) = cls[n_c z] - cls[n_c0 z]:
 
-    (a) for every g and x, the column of x has class cls[yx] - cls[y]
-        with y = n_c0 s(g): the old condition at c = c0;
+    (a) for every g and generator u, the column of u is the class of
+        y(u - 1), y = n_c0 s(g).  D(v) = A_g.phi(v) - phi(yv) is Z-linear
+        on I_GS and kills L (phi(L) = Q; y.L lies in L, K being a two-sided
+        ideal), and L and the u - 1 span I_GS, as x - 1 = (m - 1) + (t - 1)
+        + w_{m,t}: so D vanishes at every x - 1 iff it does at the u - 1.
     (b) for every c, F_c is constant on GS, tested as F_c(s(0)x) =
-        F_c(s(0)) for every x.
+        F_c(s(0)) for every x.  When n_c and n_c0 lie in N the e_t cancel,
+        F_c(mt) = F_c(m), and F_c is read off a table of |N| classes.
 
-    Given (a) at g, the old condition at (g, c, x) reads F_c(s(g)x) =
+    Given (a) at g, the condition at (g, c, x) reads F_c(s(g)x) =
     F_c(s(g)); as x runs over GS - {1}, s(g)x runs over GS - {s(g)}, so
-    it holds for all x iff F_c is constant, whatever g is.  Hence (a) and
-    (b) together are the old check, with no use of kappa being a
-    homomorphism.  (a) at g = 0 runs first, then (b), then (a) at the
-    other g, so the witness (g, c, x) is the old loop's first failing
-    triple: (g, c0, x) from (a), (0, c, x) from (b).
-
-    (a) first compares the column with the sparse vector y(x - 1), and
-    reads classes only where the two differ: equal vectors have equal
-    classes, so neither the verdict nor the witness changes.  As built,
-    the column of x is s(g)(x - 1) and y = s(g) when kappa(c0) = 1, so on
-    valid input (a) does no class arithmetic.
-    """
+    it holds for all x iff F_c is constant: (a) and (b) are the condition,
+    with no use of kappa being a homomorphism.  (a) at g = 0 runs first,
+    then (b), then (a) at the other g, and x runs over `sh.elements`,
+    generators first; a D nonzero somewhere is nonzero at a generator, so
+    the witness (g, c, x) is the first failing triple in that order.  (a)
+    reads a class only where the column differs from y(u - 1) as a
+    vector, so on valid input it does no class arithmetic."""
     gs = inst.gs
     ab = sh.module.underlying
     mods = ab.canonical_moduli()
     p0_sec = inst.iota[inst.p0.id]
-
-    def reduced(v):
-        return tuple(x % m if m else x for x, m in zip(v, mods))
-
-    cls = [(0,) * len(mods)] * gs.order
-    for j, z in enumerate(sh.gs_basis):
-        e = [0] * ab.n
-        e[j] = 1
-        cls[z] = ab.canon(e)
+    kernel = set(inst.pi.kernel_elements())
+    cls = {}
 
     def minus(a, b):
-        return reduced([x - y for x, y in zip(a, b)])
+        return tuple((x - y) % m if m else x - y
+                     for x, y, m in zip(a, b, mods))
 
-    def col_class(col):
-        acc = [0] * len(mods)
-        for j, v in col.items():
-            for k, x in enumerate(cls[sh.gs_basis[j]]):
-                acc[k] += v * x
-        return reduced(acc)
+    def class_at(z):
+        if z not in cls:
+            cls[z] = ab.canon([sh.phi[z].get(j, 0) for j in range(ab.n)])
+        return cls[z]
 
     cl_ab = inst.cl.underlying
     classes = [cl_ab.canon(c) for c in cl_ab.elements()]
@@ -314,22 +310,33 @@ def script_h_action_lift_independent(inst, sh):
 
     def action_fails(g):  # (a) at g
         y = gs.mul(n0, p0_sec[g])
-        cols = sh.module.action[g].sparse_columns()
-        for col, x in zip(cols, sh.gs_basis):
-            if col != sh.left_mul(y, x) and \
-                    col_class(col) != minus(cls[gs.mul(y, x)], cls[y]):
-                return g, classes[0], x
+        for col, u in zip(sh.module.action[g].sparse_columns(), sh.elements):
+            want = sh.left_mul(y, u)
+            if col != want:
+                _axpy(col, 1, want)
+                if not ab.is_zero([col.get(j, 0) for j in range(ab.n)]):
+                    return g, classes[0], u
         return None
+
+    def f_c(n, z):  # F_c(z) for n = kappa(c)
+        return minus(class_at(gs.mul(n, z)), class_at(gs.mul(n0, z)))
 
     def kappa_fails():  # (b)
         z0 = p0_sec[0]
+        zs = [gs.mul(z0, x) for x in sh.elements]
         for cc in classes[1:]:
             n = inst.kappa[cc]
-            base = minus(cls[gs.mul(n, z0)], cls[gs.mul(n0, z0)])
-            for x in sh.gs_basis:
-                z = gs.mul(z0, x)
-                if minus(cls[gs.mul(n, z)], cls[gs.mul(n0, z)]) != base:
-                    return 0, cc, x
+            if n in kernel and n0 in kernel:  # F_c(mt) = F_c(m)
+                table = {m: f_c(n, m) for m in kernel}
+                base = table[sh.head[z0]]
+                vals = (table[sh.head[z]] for z in zs)
+            else:
+                base = f_c(n, z0)
+                vals = (f_c(n, z) for z in zs)
+            x = next((x for x, v in zip(sh.elements, vals) if v != base),
+                     None)
+            if x is not None:
+                return 0, cc, x
         return None
 
     wit = (action_fails(0) or kappa_fails()
@@ -376,8 +383,8 @@ def build_snake(inst, wrb, sh):
             frob = inst.kappa[inst.cl.underlying.canon(data.frobenius)]
             cols.extend(sh.left_mul(p0_sec[g], frob)
                         for g in range(grp.order))
-    w_to_h = GMap(wrb.w, sh.module,
-                  IntMatrix._from_sparse_columns(cols, len(sh.gs_basis)))
+    w_to_h = GMap(wrb.w, sh.module, IntMatrix._from_sparse_columns(
+        cols, sh.module.underlying.n))
 
     return GMap(wrb.r, inst.cl, sh.e.ab.lift(
         w_to_h.ab.mat.mul(wrb.r_incl.ab.mat),

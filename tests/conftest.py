@@ -135,7 +135,7 @@ def hermite_local_aug_ideal(group, sub, regular):
             for g in range(group.order)]
     mod = GModule(group, FgAb(k), acts, check=False)
     incl = GMap(mod, regular, IntMatrix._trusted_columns(basis, group.order))
-    return mod, incl, [lat.basis_witness(i) for i in range(k)]
+    return mod, incl, [dict(lat.witnesses[i]) for i in range(k)]
 
 
 def augmentation_kernel(group):

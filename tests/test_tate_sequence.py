@@ -107,7 +107,11 @@ def test_lone_place_has_zero_r_and_b():
 def test_script_h():
     it = i2_twist()
     sh = build_script_h(it)
-    assert sh.module.underlying.n == 3  # |GS| - 1 generators
+    # (|N| - 1) + (|G| - 1) generators, and I_GS / K.I_GS is Z^{|G|-1} + Cl
+    n_ker = len(it.pi.kernel_elements())
+    assert sh.module.underlying.n == (n_ker - 1) + (it.group.order - 1) == 2
+    assert _invariants(sh.module.underlying) == \
+        (it.group.order - 1, it.cl.underlying.invariant_factors())
     assert sh.e.ab.is_injective()
     ok, wit = script_h_action_lift_independent(it, sh)
     assert ok, wit
@@ -144,25 +148,27 @@ def test_script_h_lift_dependence_is_caught():
     ok, wit = script_h_action_lift_independent(it, sh)
     assert not ok
     cl_ab = it.cl.underlying
-    assert wit == (g, cl_ab.canon(next(cl_ab.elements())), sh.gs_basis[0])
+    assert wit == (g, cl_ab.canon(next(cl_ab.elements())), sh.elements[0])
 
 
 def reference_lift_check(inst, sh):
     """The lift check as one relation-lattice membership test per triple
-    (g, c, x): the action column of x minus alt(x - 1), alt = kappa(c)s(g)
-    with s the section over p0, must be a relation.  Returns (ok, the
-    first failing triple)."""
+    (g, c, x), over every x in GS - {1} in the order of `sh.elements`:
+    A_g.phi(x - 1) - phi(alt(x - 1)), alt = kappa(c)s(g) with s the
+    section over p0, must lie in Q.  Returns (ok, the first failing
+    triple)."""
     gs = inst.gs
     cl_ab = inst.cl.underlying
-    lat = sh.module.underlying.rel_lattice()
+    ab = sh.module.underlying
+    lat = ab.rel_lattice()
     p0_sec = inst.iota[inst.p0.id]
     for g in range(inst.group.order):
-        base_cols = sh.module.action[g].sparse_columns()
         for c in cl_ab.elements():
             cc = cl_ab.canon(c)
             alt = gs.mul(inst.kappa[cc], p0_sec[g])
-            for i, x in enumerate(sh.gs_basis):
-                diff = dict(base_cols[i])
+            for x in sh.elements:
+                vec = [sh.phi[x].get(j, 0) for j in range(ab.n)]
+                diff = dict(enumerate(sh.module.act(g, vec)))
                 _axpy(diff, 1, sh.left_mul(alt, x))
                 if not lat.contains(diff):
                     return False, (g, cc, x)
@@ -204,7 +210,7 @@ def test_lift_check_agrees_with_all_triples(name):
     g = shift_action(inst, sh)
     got = script_h_action_lift_independent(inst, sh)
     assert got == reference_lift_check(inst, sh)
-    assert got == (False, (g, classes[0], sh.gs_basis[0]))
+    assert got == (False, (g, classes[0], sh.elements[0]))
 
 
 def test_lift_check_cost():
@@ -228,15 +234,15 @@ def test_lift_check_cost():
     n_cl = inst.cl.underlying.order()
     assert calls["walk"] == 0
     assert 0 < calls["canon"] <= inst.gs.order + n_cl
-    assert inst.group.order * n_cl * len(sh.gs_basis) > inst.gs.order + n_cl
+    assert inst.group.order * n_cl * len(sh.elements) > inst.gs.order + n_cl
 
 
 @pytest.mark.parametrize("name", LIFT_CASES)
 def test_lift_check_reads_a_column_moved_by_l_as_its_class(name):
-    """The action half compares each column with y(x - 1) as a vector
-    first.  A column moved by a nonzero element of L = K.I_GS, here under
-    the last g, differs as a vector but not as a class: the check must
-    still pass, as the all-triples loop does."""
+    """The action half compares each column with y(u - 1) as a vector
+    first.  A column moved by a nonzero element of Q, the image of
+    L = K.I_GS, here under the last g, differs as a vector but not as a
+    class: the check must still pass, as the all-triples loop does."""
     inst = lift_case(name)
     sh = build_script_h(inst)
     mod = sh.module
@@ -250,7 +256,7 @@ def test_lift_check_reads_a_column_moved_by_l_as_its_class(name):
     sh.module = GModule(mod.group, ab, action, check=False)
     y = inst.iota[inst.p0.id][g]
     assert sh.module.action[g].sparse_columns()[0] != \
-        sh.left_mul(y, sh.gs_basis[0])
+        sh.left_mul(y, sh.elements[0])
     assert script_h_action_lift_independent(inst, sh) == \
         reference_lift_check(inst, sh) == (True, None)
 
@@ -297,6 +303,71 @@ def reference_script_h(inst):
     return rel, acts, e
 
 
+def reference_mismatch(inst, sh, reference):
+    """The first way the module of `build_script_h` fails to present the
+    quotient of `reference_script_h` through phi, or None.  Phi is the
+    matrix whose column at x - 1 is sh.phi[x].  Checked: phi maps every
+    reference relation into Q; each Q generator is phi of a vector of the
+    reference lattice L, namely of itself written over the u - 1;
+    phi(u_j - 1) = e_j, and every w_{m,t} = (mt - 1) - (m - 1) - (t - 1)
+    lies in L and phi kills it, so ker phi, spanned by the w, lies in L;
+    phi.A_ref(g) = A(g).phi modulo Q for every g; and phi.e_ref = e."""
+    rel, acts, e = reference
+    gs = inst.gs
+    ab = sh.module.underlying
+    basis = [x for x in range(gs.order) if x != gs.identity]
+    index = {x: i for i, x in enumerate(basis)}
+    phi = IntMatrix._from_sparse_columns([dict(sh.phi[x]) for x in basis],
+                                         ab.n)
+    q_lat = ab.rel_lattice()
+    if not all(q_lat.contains(phi.apply(v)) for v in rel):
+        return "a reference relation maps outside Q"
+    ref = Lattice(len(basis))
+    for v in rel:
+        ref.add(v)
+    for q in ab.rel.sparse_columns():
+        v = [0] * len(basis)
+        for j, c in q.items():
+            v[index[sh.elements[j]]] += c
+        if phi.apply(v) != tuple(q.get(j, 0) for j in range(ab.n)) \
+                or not ref.contains(v):
+            return "a Q generator is not phi of a reference relation"
+    if any(sh.phi[u] != {j: 1} for j, u in enumerate(sh.elements[:ab.n])):
+        return "phi(u_j - 1) is not e_j"
+    for x in basis:
+        m = sh.head[x]
+        w = [0] * len(basis)
+        w[index[x]] += 1
+        for u in (m, gs.mul(gs.inv[m], x)):
+            if u != gs.identity:
+                w[index[u]] -= 1
+        if any(phi.apply(w)) or not ref.contains(w):
+            return f"w at {x} is not a relation killed by phi"
+    for g, a in enumerate(acts):
+        if ab.first_difference(phi.mul(a),
+                               sh.module.action[g].mul(phi)) is not None:
+            return f"phi does not carry the action at {g}"
+    if phi.mul(e) != sh.e.ab.mat:
+        return "phi does not carry the embedding"
+    return None
+
+
+def assert_matches_reference(inst):
+    """`reference_mismatch` finds nothing on the built module, and finds
+    the dropped Q generator when one is dropped."""
+    sh = build_script_h(inst)
+    reference = reference_script_h(inst)
+    assert reference_mismatch(inst, sh, reference) is None
+    mod = sh.module
+    q_cols = mod.underlying.rel.sparse_columns()
+    if q_cols:
+        smaller = FgAb(mod.underlying.n, IntMatrix._from_sparse_columns(
+            q_cols[1:], mod.underlying.n))
+        sh.module = GModule(mod.group, smaller, mod.action, check=False)
+        assert reference_mismatch(inst, sh, reference) == \
+            "a reference relation maps outside Q"
+
+
 @pytest.mark.parametrize("name", [f"{g}/{s}" for g in CATALOG
                                   for s in (0, 1)] + ["i2_twist", "1"])
 def test_script_h_matches_the_kernel_times_augmentation_span(name):
@@ -307,16 +378,14 @@ def test_script_h_matches_the_kernel_times_augmentation_span(name):
     else:
         group, seed = name.split("/")
         inst = synth_instance(group, int(seed))
-    sh = build_script_h(inst)
-    rel, acts, e = reference_script_h(inst)
-    ab = sh.module.underlying
-    ref = Lattice(ab.n)
-    for v in rel:
-        ref.add(v)
-    assert all(ref.contains(col) for col in ab.rel.sparse_columns())
-    assert all(ab.rel_lattice().contains(v) for v in rel)
-    assert list(sh.module.action) == acts
-    assert sh.e.ab.mat == e
+    assert_matches_reference(inst)
+
+
+def test_script_h_matches_the_reference_on_the_corpus(corpus):
+    """The reference comparison of the test above on every campaign and
+    stress instance."""
+    for name, inst in corpus:
+        assert_matches_reference(inst)
 
 
 def test_snake_values_on_worked_instances():
@@ -1201,6 +1270,87 @@ def test_build_wrb_builds_no_lattice_and_one_kernel(corpus, monkeypatch):
         counts.update(lattice=0, kernel=0)
         build_wrb(inst, xy)
         assert counts == {"lattice": 0, "kernel": 1}, name
+
+
+def spy_on_build_wrb(monkeypatch):
+    """Patch GMap construction and the builders of I_G and B, so that
+    build_wrb records every GMap it makes with whether it was checked.
+    Returns (made, names): made lists (map, checked) in build order, and
+    names(wrb), after the build, maps a module to "W", "R", "B", "X",
+    "Y", "Z[G]", "I_G", "big", the place id of a local ideal, or "?"."""
+    made, built = [], {}
+    real_init = gmodules.GMap.__init__
+    real_aug, real_sum = tate_sequence.aug_ideal, tate_sequence._sum_kernel
+
+    def init(self, dom, cod, ab_or_mat, check=True):
+        real_init(self, dom, cod, ab_or_mat, check)
+        made.append((self, check))
+
+    def aug(group):
+        mod, incl = real_aug(group)
+        built.update({"I_G": mod, "Z[G]": incl.cod})
+        return mod, incl
+
+    def sum_kernel(reg, blocks):
+        out = real_sum(reg, blocks)
+        built["big"] = out[1].cod
+        return out
+
+    monkeypatch.setattr(gmodules.GMap, "__init__", init)
+    monkeypatch.setattr(tate_sequence, "aug_ideal", aug)
+    monkeypatch.setattr(tate_sequence, "_sum_kernel", sum_kernel)
+
+    def names(wrb):
+        known = {id(m): k for k, m in built.items()}
+        known.update({id(m): k for k, m in (("W", wrb.w), ("R", wrb.r),
+                                            ("B", wrb.b), ("X", wrb.x),
+                                            ("Y", wrb.xy.y))})
+        known.update({id(data.module): pid for kind, pid, data, _
+                      in wrb.w_blocks if kind == "place"})
+        return lambda mod: known.get(id(mod), "?")
+    return made, names
+
+
+def test_build_wrb_checks_only_the_closed_form_inclusions(corpus,
+                                                         monkeypatch):
+    """build_wrb checks the equivariance of the inclusions of I_G, of each
+    local ideal and of B, and of no other map: W -> big, W -> I_G,
+    R -> B, big -> Y and B -> X are built unchecked."""
+    insts = [(name, inst, xy_modules(inst)) for name, inst in corpus]
+    made, names = spy_on_build_wrb(monkeypatch)
+    for name, inst, xy in insts:
+        made.clear()
+        wrb = build_wrb(inst, xy)
+        role = names(wrb)
+        checked = [(role(f.dom), role(f.cod)) for f, check in made if check]
+        assert checked == [("I_G", "Z[G]")] + \
+            [(pl.id, "Z[G]") for pl in inst.places] + [("B", "big")], name
+        unchecked = {(role(f.dom), role(f.cod)) for f, check in made
+                     if not check}
+        assert {("W", "big"), ("W", "I_G"), ("R", "B"), ("big", "Y"),
+                ("B", "X")} <= unchecked, name
+
+
+def test_build_wrb_unchecked_maps_are_equivariant_at_every_g(corpus,
+                                                            monkeypatch):
+    """Every GMap that build_wrb builds unchecked satisfies
+    f.rho(g) = rho(g).f at every g, not only at the generators, on every
+    campaign and stress instance."""
+    insts = [(name, inst, xy_modules(inst)) for name, inst in corpus]
+    made, names = spy_on_build_wrb(monkeypatch)
+    for name, inst, xy in insts:
+        made.clear()
+        wrb = build_wrb(inst, xy)
+        role = names(wrb)
+        unchecked = [f for f, check in made if not check]
+        assert len(unchecked) >= 5, name
+        for f in unchecked:
+            mat = f.ab.mat
+            for g in range(inst.group.order):
+                assert f.cod.underlying.first_difference(
+                    mat.mul(f.dom.action[g]),
+                    f.cod.action[g].mul(mat)) is None, \
+                    (name, role(f.dom), role(f.cod), g)
 
 
 def test_unchecked_builders_make_no_validate_calls(corpus, monkeypatch):
