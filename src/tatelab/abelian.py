@@ -61,8 +61,8 @@ class FgAb:
     An empty relation matrix presents the free group Z^n.
     """
 
-    __slots__ = ("n", "rel", "_mods", "_u", "_uinv", "_rel_lat",
-                 "_canon_idx", "_inv_factors")
+    __slots__ = ("n", "rel", "_mods", "_u", "_uinv", "_canon_idx",
+                 "_inv_factors")
 
     def __init__(self, n, rel=None):
         n = int(n)
@@ -78,7 +78,6 @@ class FgAb:
                 _span_basis(rel.sparse_columns(), n), n)
         self.n = n
         self.rel = rel
-        self._rel_lat = None
         self._inv_factors = None
         cols = rel._columns
         if all(len(col) <= 1 for col in cols):
@@ -132,7 +131,6 @@ class FgAb:
         grp = object.__new__(cls)
         grp.n = n
         grp.rel = rel
-        grp._rel_lat = None
         grp._inv_factors = None
         grp._mods = tuple(m for p in parts for m in p._mods)
         if all(p._u is None for p in parts):
@@ -193,9 +191,21 @@ class FgAb:
             if ca != cb:
                 diff = dict(ca)
                 _axpy(diff, 1, cb)
-                if self.rel_lattice()._walk(diff) is None:
+                if not self._is_relation(diff):
                     return j
         return None
+
+    def _is_relation(self, vec):
+        """Whether the sparse vector vec lies in the relation lattice, the
+        column span of rel.  U.rel.V = D with U and V unimodular (Cohen,
+        GTM 138, 2.4), so vec is in the span of rel iff U.vec is in the
+        span of D: iff coordinate i of U.vec is a multiple of mods[i], and
+        0 where mods[i] is 0.  These are the coordinates canon reduces, so
+        this is is_zero on a sparse vector."""
+        y = vec if self._u is None else self._u._apply_sparse(vec)
+        mods = self._mods
+        return all(x % mods[i] == 0 if mods[i] else not x
+                   for i, x in y.items())
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
@@ -294,18 +304,6 @@ class FgAb:
             return [self.gen(i) for i in self._canon_idx]
         return [self._uinv.column(i) for i in self._canon_idx]
 
-    def rel_lattice(self):
-        if self._rel_lat is None:
-            lat = Lattice(self.n)
-            for col in self.rel.sparse_columns():
-                lat._add(col)
-            self._rel_lat = lat
-        return self._rel_lat
-
-    def reduce_rep(self, x):
-        """Small deterministic coset representative of x."""
-        return self.rel_lattice().reduce(x)
-
     def __repr__(self):
         parts = ["Z"] * self.free_rank()
         parts += [f"Z/{d}" for d in self.invariant_factors()]
@@ -329,11 +327,9 @@ class AbMap:
         self.cod = cod
         self.mat = mat
         self._img_lat = None
-        if check and dom.rel.cols:
-            lat = cod.rel_lattice()
-            for col in dom.rel._columns:
-                if lat._walk(mat._apply_sparse(col)) is None:
-                    raise ValueError("matrix does not respect domain relations")
+        if check and not all(cod._is_relation(mat._apply_sparse(col))
+                             for col in dom.rel._columns):
+            raise ValueError("matrix does not respect domain relations")
 
     @classmethod
     def identity(cls, grp):
@@ -566,5 +562,4 @@ class Homology:
 
     def rep_of(self, cls_canon):
         """A deterministic representative cycle of a class."""
-        c = self.group.from_canon(cls_canon)
-        return self.middle.reduce_rep(self._lat.combine(c))
+        return self._lat.combine(self.group.from_canon(cls_canon))

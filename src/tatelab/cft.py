@@ -13,6 +13,7 @@ and the norm corollaries) consumes only this data.
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 from functools import cached_property
@@ -281,40 +282,15 @@ def xy_modules(inst):
         mods.append(mod)
         labels.append([(pl.id, r) for r in reps])
     y, _, _ = direct_sum(mods)
-    y_index = {}
-    off = 0
-    for lab in labels:
-        for k, key in enumerate(lab):
-            y_index[key] = off + k
-        off += len(lab)
-    p0 = inst.p0
-    x_basis = []
-    for pl in inst.places:
-        if pl.is_p0:
-            continue
-        reps, rho = inst.cosets[pl.id]
-        for tau in reps:
-            x_basis.append((pl.id, tau))
+    y_index = {key: i for i, key in enumerate(itertools.chain(*labels))}
+    others = [i for i, pl in enumerate(inst.places) if not pl.is_p0]
+    x_basis = [key for i in others for key in labels[i]]
     x_index = {key: i for i, key in enumerate(x_basis)}
-    k = len(x_basis)
-    acts = []
-    for g in range(grp.order):
-        cols = []
-        for (pid, tau) in x_basis:
-            _, rho = inst.cosets[pid]
-            col = [0] * k
-            col[x_index[(pid, rho[grp.mul(g, tau)])]] = 1
-            cols.append(col)
-        acts.append(IntMatrix._trusted_columns(cols, k))
-    x = GModule(grp, FgAb(k), acts)
-    p0_coord = y_index[(p0.id, grp.identity)]
-    cols = []
-    for (pid, tau) in x_basis:
-        col = [0] * y.underlying.n
-        col[y_index[(pid, tau)]] = 1
-        col[p0_coord] -= 1
-        cols.append(col)
-    x_incl = GMap(x, y, IntMatrix._trusted_columns(cols, y.underlying.n))
+    x = direct_sum([mods[i] for i in others])[0] if others else \
+        trivial_module(grp, FgAb(0))
+    p0_coord = y_index[(inst.p0.id, grp.identity)]
+    x_incl = GMap(x, y, IntMatrix._from_sparse_columns(
+        [{y_index[key]: 1, p0_coord: -1} for key in x_basis], y.underlying.n))
     return XYData(y, x, x_incl, y_index, x_index, x_basis)
 
 
@@ -328,20 +304,19 @@ def _cocycle_space(group, sub, cl):
     ab = cl.underlying
     n = ab.n
     tables = FgAb.direct_sum([ab] * len(elems))
-    conds = []
-    for a in elems:
-        for b in elems:
-            # z(a) + a z(b) - z(ab) = 0
-            row_block = [[0] * tables.n for _ in range(n)]
-            for r in range(n):
-                row_block[r][pos[a] * n + r] += 1
-                row_block[r][pos[sub.group.mul(a, b)] * n + r] -= 1
-            for q, col in enumerate(cl.action[a]._columns):
-                for r, x in col.items():
-                    row_block[r][pos[b] * n + q] += x
-            conds.extend(row_block)
+    cols = [{} for _ in range(tables.n)]
+    for blk, (a, b) in enumerate(itertools.product(elems, repeat=2)):
+        # z(a) + a z(b) - z(ab) = 0 on the rows blk.n + r
+        prod_off = pos[sub.group.mul(a, b)] * n
+        for q, act in enumerate(cl.action[a]._columns):
+            for c, part in ((pos[a] * n + q, {q: 1}), (prod_off + q, {q: -1}),
+                            (pos[b] * n + q, act)):
+                for r, x in part.items():
+                    cols[c][blk * n + r] = cols[c].get(blk * n + r, 0) + x
     big = FgAb.direct_sum([ab] * (len(elems) * len(elems)))
-    cond_map = AbMap(tables, big, IntMatrix(conds, cols=tables.n), check=False)
+    cond_map = AbMap(tables, big, IntMatrix._from_sparse_columns(
+        [{i: c[i] for i in sorted(c) if c[i]} for c in cols], big.n),
+        check=False)
     zgrp, incl = cond_map.kernel()
     return zgrp, incl, elems, pos
 

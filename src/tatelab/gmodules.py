@@ -243,17 +243,16 @@ def perm_module(group, sub):
 
 
 class LocalIdeal:
-    """The left ideal Z[G] * (augmentation ideal of H) with its basis,
-    its inclusion into the regular module, and witnesses decomposing
-    each basis vector over the spanning set g(h-1)."""
+    """The left ideal Z[G] * (augmentation ideal of H), its inclusion
+    into the regular module, and its basis: the pairs (t, h) standing for
+    t(h - 1), in the order of the module's coordinates."""
 
-    __slots__ = ("module", "incl", "spanning", "witnesses")
+    __slots__ = ("module", "incl", "basis")
 
-    def __init__(self, module, incl, spanning, witnesses):
+    def __init__(self, module, incl, basis):
         self.module = module
         self.incl = incl
-        self.spanning = spanning
-        self.witnesses = witnesses
+        self.basis = basis
 
 
 def local_aug_ideal(group, sub, regular):
@@ -261,7 +260,7 @@ def local_aug_ideal(group, sub, regular):
     basis t(h - 1) = th - t, t over the left-coset representatives of
     H = `sub` and h over H - {1}: Z[G] (x)_Z[H] I_H is the sum of the
     t.I_H (Brown, Cohomology of Groups, III.5).  Basis vector (t, h) owns
-    the coordinate th, and its witness is the spanning vector t(h - 1).
+    the coordinate th.
 
     The action of g, built on first read (see `LazyActions`), is closed
     form: with gt = t'h0, t' a representative, g.t(h - 1) =
@@ -289,9 +288,7 @@ def local_aug_ideal(group, sub, regular):
                   check=False)
     incl = GMap(mod, regular, IntMatrix._from_sparse_columns(
         [{mul(t, h): 1, t: -1} for t, h in basis], group.order))
-    spanning = [(g, h) for g in range(group.order) for h in hs]
-    witnesses = [{t * len(hs) + hs.index(h): 1} for t, h in basis]
-    return LocalIdeal(mod, incl, spanning, witnesses)
+    return LocalIdeal(mod, incl, basis)
 
 
 def aug_ideal(group):
@@ -373,8 +370,8 @@ class HomModule:
     def to_matrix(self, h):
         """Hom element -> matrix of the underlying map C -> A."""
         na = self.a.underlying.n
-        e = IntMatrix([[h[i * na + l] for i in range(self.k)]
-                       for l in range(na)], cols=self.k)
+        e = IntMatrix._trusted_columns(
+            [h[i * na:(i + 1) * na] for i in range(self.k)], na)
         return e.mul(self.tb)
 
     def from_matrix(self, f):

@@ -21,7 +21,7 @@ from .cohomology import (CohClass, Cocycle1, ExtensionData,
 from .gmodules import (GMap, GModule, HomModule, aug_ideal, direct_sum,
                        local_aug_ideal, trivial_module)
 from .groups import abelianization, subgroup_as_group
-from .lattice import IntMatrix, _axpy, _kernel_columns, _span_basis
+from .lattice import IntMatrix, _axpy, _span_basis
 
 
 class ImageEscapesCl(Exception):
@@ -350,35 +350,26 @@ def script_h_action_lift_independent(inst, sh):
 def build_snake(inst, wrb, sh):
     """The snake map s: R -> Cl, a GMap: prime-by-prime into the
     quotient module, then pulled back through the embedding of the class
-    module."""
+    module.
+
+    W -> Script H sends the basis vector t(h - 1) of a local ideal to
+    s(t)(iota_p(h) - 1), s the section over p0, and e_g of an auxiliary
+    copy to s(g)(kappa(Frobenius) - 1).  Its equivariance check proves
+    the prime-by-prime map, prescribed as s(g)(iota_p(h) - 1) on the
+    spanning vectors g(h - 1), well defined.  The actions of W (closed
+    forms) and of Script H (see `build_script_h`) are multiplicative, so
+    equivariance at the generating set gives it at every g.  1 is the
+    first coset representative and s(1) lies in N, acting trivially, so
+    h - 1 goes to iota_p(h) - 1 and g(h - 1) to A_g(iota_p(h) - 1) =
+    s(g)(iota_p(h) - 1), the prescribed value: the relations among the
+    spanning vectors die.  No property of iota_p is used."""
     grp = inst.group
-    rel_lat = sh.module.underlying.rel_lattice()
     p0_sec = inst.iota[inst.p0.id]
-
-    def combination(coeffs, images):
-        acc = {}
-        for si, ccf in coeffs.items():
-            _axpy(acc, -ccf, images[si])
-        return acc
-
     cols = []
     for (kind, pid, data, _) in wrb.w_blocks:
         if kind == "place":
-            ideal = data
             sec = inst.iota[pid]
-            # g . [iota_p(h) - 1] for the spanning vectors g(h - 1)
-            images = [sh.left_mul(p0_sec[g], sec[h])
-                      for (g, h) in ideal.spanning]
-            # well-definedness: relations among the spanning vectors die
-            rows = [{} for _ in range(grp.order)]
-            for si, (g, h) in enumerate(ideal.spanning):
-                rows[grp.mul(g, h)][si] = 1
-                rows[g][si] = -1
-            for k in _kernel_columns(rows, len(images)):
-                if not rel_lat.contains(combination(k, images)):
-                    raise ValueError(f"prime-by-prime map ill-defined "
-                                     f"at place {pid}")
-            cols.extend(combination(w, images) for w in ideal.witnesses)
+            cols.extend(sh.left_mul(p0_sec[t], sec[h]) for t, h in data.basis)
         else:
             frob = inst.kappa[inst.cl.underlying.canon(data.frobenius)]
             cols.extend(sh.left_mul(p0_sec[g], frob)
@@ -565,7 +556,12 @@ def nabla_class_checks(inst, wrb, snake, nabla):
     keeps a split sequence exact.  Every module here is read at the
     generators only, so `HomModule` builds |S| action matrices of Hom(B,
     Cl) and Hom(R, Cl), and Hom(X, Cl) keeps the coboundary map both
-    tests solve through."""
+    tests solve through.
+
+    The two Hom-sequence maps are built unchecked: precomposition with M
+    is M^T (x) I (see `HomModule.precompose`), which sends each relation
+    e_i (x) r to relations, and precomposition with an equivariant M
+    commutes with the conjugation action, g.(f M) = g f M g^-1 = (g.f) M."""
     hom = nabla.hom_x_cl
     minus_g = nabla.g_cocycle.neg()
     f = extension_to_cocycle(hom, nabla.ext)
@@ -583,10 +579,12 @@ def nabla_class_checks(inst, wrb, snake, nabla):
     # Hom-sequence route: image of -[s] is the class of g
     hom_b = HomModule(wrb.b, inst.cl)
     hom_r = HomModule(wrb.r, inst.cl)
-    left = GMap(hom.module, hom_b.module,
-                hom_b.precompose(hom, wrb.b_to_x.ab.mat))
-    right = GMap(hom_b.module, hom_r.module,
-                 hom_r.precompose(hom_b, wrb.r_to_b.ab.mat))
+    left = GMap(hom.module, hom_b.module, AbMap(
+        hom.module.underlying, hom_b.module.underlying,
+        hom_b.precompose(hom, wrb.b_to_x.ab.mat), check=False), check=False)
+    right = GMap(hom_b.module, hom_r.module, AbMap(
+        hom_b.module.underlying, hom_r.module.underlying,
+        hom_r.precompose(hom_b, wrb.r_to_b.ab.mat), check=False), check=False)
     lift = right.ab.solve(hom_r.from_matrix(snake.ab.neg().mat))
     if lift is None:
         raise ValueError("-s does not lift to Hom(B, Cl)")

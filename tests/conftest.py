@@ -15,7 +15,8 @@ from tatelab.gmodules import (GMap, GModule, NotEquivariant, direct_sum,
 from tatelab.groups import (GROUP_CATALOG, GroupHom, NotACocycle, cyclic,
                             direct_product, group_from_table)
 from tatelab.instance_io import instance_digest, load_instance
-from tatelab.lattice import IntMatrix, Lattice, _kernel_columns, _snf_data
+from tatelab.lattice import (IntMatrix, Lattice, _axpy, _kernel_columns,
+                             _snf_data)
 from tatelab.tate_sequence import r_element
 
 
@@ -186,6 +187,91 @@ def hermite_image_lattice(f):
 def hermite_image():
     """The Hermite witness image lattice (see hermite_image_lattice)."""
     return hermite_image_lattice
+
+
+def hermite_relation_lattice(grp):
+    """The Hermite lattice of the relation columns of the FgAb grp: a
+    membership test that does not read the Smith data.  The reference
+    for `FgAb._is_relation` and `FgAb.first_difference`."""
+    lat = Lattice(grp.n)
+    for col in grp.rel.sparse_columns():
+        lat._add(col)
+    return lat
+
+
+@pytest.fixture(scope="session")
+def hermite_relations():
+    """The Hermite relation lattice (see hermite_relation_lattice)."""
+    return hermite_relation_lattice
+
+
+def spanning_set_failure(inst, wrb, sh):
+    """The first place at which the prime-by-prime map into Script H is
+    ill-defined, or None.  The map is prescribed on the spanning vectors
+    g(h - 1) of the place's local ideal, h in H - {1}, as s(g)(iota_p(h)
+    - 1) with s the section over p0; it is well defined iff every integer
+    relation among the spanning vectors in Z[G] (a kernel column of
+    their matrix) sends the prescribed values into Q, tested on the
+    Hermite relation lattice.  The reference for the equivariance
+    argument of `tate_sequence.build_snake`."""
+    grp = inst.group
+    lat = hermite_relation_lattice(sh.module.underlying)
+    p0_sec = inst.iota[inst.p0.id]
+    for kind, pid, _, _ in wrb.w_blocks:
+        if kind != "place":
+            continue
+        sec = inst.iota[pid]
+        spanning = [(g, h) for g in range(grp.order)
+                    for h in inst.place(pid).subgroup.elems
+                    if h != grp.identity]
+        images = [sh.left_mul(p0_sec[g], sec[h]) for g, h in spanning]
+        rows = [{} for _ in range(grp.order)]
+        for si, (g, h) in enumerate(spanning):
+            rows[grp.mul(g, h)][si] = 1
+            rows[g][si] = -1
+        for k in _kernel_columns(rows, len(images)):
+            acc = {}
+            for si, c in k.items():
+                _axpy(acc, -c, images[si])
+            if not lat.contains(acc):
+                return pid
+    return None
+
+
+@pytest.fixture
+def snake_spanning_reference():
+    """The spanning-set well-definedness test of the prime-by-prime map
+    (see spanning_set_failure)."""
+    return spanning_set_failure
+
+
+def x_by_cosets(inst):
+    """(actions, inclusion matrix, basis) of the module X of
+    `cft.xy_modules`, written coset by coset: the basis is the pairs (p,
+    tau) over the places p other than p0 and the coset representatives
+    tau of D_p, g sends (p, tau) to (p, rho_p(g tau)), and (p, tau) is
+    included in Y as tau p - p0.  The reference for X as the direct sum
+    of the permutation modules."""
+    grp = inst.group
+    y_basis = [(pl.id, tau) for pl in inst.places
+               for tau in inst.cosets[pl.id][0]]
+    y_index = {key: i for i, key in enumerate(y_basis)}
+    basis = [(pid, tau) for pid, tau in y_basis
+             if not inst.place(pid).is_p0]
+    index = {key: i for i, key in enumerate(basis)}
+    acts = [IntMatrix._from_sparse_columns(
+        [{index[pid, inst.cosets[pid][1][grp.mul(g, tau)]]: 1}
+         for pid, tau in basis], len(basis)) for g in range(grp.order)]
+    p0 = y_index[inst.p0.id, grp.identity]
+    incl = IntMatrix._from_sparse_columns(
+        [{y_index[key]: 1, p0: -1} for key in basis], len(y_basis))
+    return acts, incl, basis
+
+
+@pytest.fixture
+def x_reference():
+    """X coset by coset (see x_by_cosets)."""
+    return x_by_cosets
 
 
 def abelianization_by_elements(group):
@@ -631,15 +717,13 @@ def replayed_inputs():
         ker_in.append(([dict(r) for r in rows], ncols))
         return _kernel_columns(rows, ncols)
 
-    saved = (abelian._snf_data, abelian._kernel_columns,
-             tate_sequence._kernel_columns)
+    saved = (abelian._snf_data, abelian._kernel_columns)
     abelian._snf_data = snf
-    abelian._kernel_columns = tate_sequence._kernel_columns = ker
+    abelian._kernel_columns = ker
     try:
         for name, inst in corpus_instances():
             if name in REPLAYED:
                 run_analysis(inst, seed=int(name.partition("/")[2] or 0))
     finally:
-        (abelian._snf_data, abelian._kernel_columns,
-         tate_sequence._kernel_columns) = saved
+        abelian._snf_data, abelian._kernel_columns = saved
     return snf_in, ker_in

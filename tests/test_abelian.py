@@ -280,6 +280,62 @@ def test_direct_sum_matches_block_diagonal_presentation(parts, data):
         assert got.eq(got.from_canon(got.canon(x)), x)
 
 
+@st.composite
+def presented_groups(draw):
+    """A diagonal, free or non-diagonal presentation (the kinds of
+    `parts_strategy`), a direct sum of several, or one on 33 to 40
+    combinations of a drawn base, more than max(n, 32) relation columns,
+    which the constructor lattice-reduces (see `abelian._reduces`)."""
+    if draw(st.booleans()):
+        parts = draw(parts_strategy)
+        return parts[0] if len(parts) == 1 else FgAb.direct_sum(parts)
+    n = draw(st.integers(1, 4))
+    ent = st.integers(-6, 6)
+    base = draw(st.lists(st.lists(ent, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                    max_size=n), min_size=33, max_size=40))
+    cols = [[sum(c * col[i] for c, col in zip(cs, base)) for i in range(n)]
+            for cs in coeffs]
+    grp = FgAb(n, IntMatrix.from_columns(cols, n))
+    assert abelian._reduces(len(cols), n) and grp.rel.cols <= n
+    return grp
+
+
+@settings(max_examples=150, deadline=None)
+@given(presented_groups(), st.data())
+def test_smith_relation_test_agrees_with_the_hermite_lattice(
+        hermite_relations, grp, data):
+    """`FgAb._is_relation` and `first_difference` decide membership in
+    the relation lattice from the Smith data; a Hermite lattice of the
+    relations agrees on relation vectors, relation vectors moved at one
+    coordinate and arbitrary vectors, and column by column on matrices
+    that differ by them."""
+    lat, n = hermite_relations(grp), grp.n
+
+    def vec(k, bound):
+        return data.draw(st.lists(st.integers(-bound, bound), min_size=k,
+                                  max_size=k).map(tuple))
+
+    vs = []
+    for _ in range(3):
+        v = list(grp.rel.apply(vec(grp.rel.cols, 3)))
+        vs.append(tuple(v))
+        if n:
+            v[data.draw(st.integers(0, n - 1))] += data.draw(
+                st.integers(-3, 3).filter(bool))
+            vs.append(tuple(v))
+        vs.append(vec(n, 9))
+    for v in vs:
+        assert grp._is_relation({i: x for i, x in enumerate(v) if x}) == \
+            lat.contains(v), v
+    a = [vec(n, 5) for _ in vs]
+    b = [tuple(x - y for x, y in zip(col, v)) for col, v in zip(a, vs)]
+    want = next((j for j, v in enumerate(vs) if not lat.contains(v)), None)
+    assert grp.first_difference(IntMatrix.from_columns(a, n),
+                                IntMatrix.from_columns(b, n)) == want
+
+
 def test_direct_sum_reduces_each_part_without_the_whole_smith_form(
         monkeypatch):
     """Eight copies of a rank-4 part with 6 relations and a diagonal part

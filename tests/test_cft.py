@@ -3,9 +3,10 @@ import json
 import pytest
 
 from tatelab.abelian import FgAb
-from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0, c_p,
-                         i2_plain, i2_twist, norm_model, quadratic_sqrt34,
-                         synth_instance, validate_instance, xy_modules)
+from tatelab.cft import (AuxPlace, Instance, PlaceData, PlaceIsP0,
+                         _cocycle_space, c_p, i2_plain, i2_twist, norm_model,
+                         quadratic_sqrt34, synth_instance, validate_instance,
+                         xy_modules)
 from tatelab.gmodules import GMap, trivial_module
 from tatelab.groups import Subgroup, extension_from_cocycle, named_group
 from tatelab.instance_io import (InstanceSchemaError, instance_digest,
@@ -93,6 +94,38 @@ def test_xy_modules():
     # free-orbit place contributes a regular summand
     inf_cols = [xy.y_index[("inf", r)] for r in q.cosets["inf"][0]]
     assert len(inf_cols) == 2
+
+
+def test_x_is_the_sum_of_the_permutation_modules(corpus, x_reference):
+    """X has the actions at every g, the inclusion into Y and the basis
+    of the coset-by-coset reference: on the catalog groups at seeds 0-3,
+    the stress instances and the three shipped instances, and on C2 with
+    p0 as its only place, where X is the zero module."""
+    c2 = named_group("C2")
+    cl = trivial_module(c2, FgAb(1, IntMatrix([[1]])))
+    gs, kappa, pi, _ = extension_from_cocycle(cl, c2, lambda a, b: (0,))
+    lone = Instance(c2, [PlaceData("p0", Subgroup(c2, [0, 1]), is_p0=True)],
+                    [], cl, gs, pi, kappa, {"p0": {0: gs.identity, 1: 1}})
+    cases = [inst for _, inst in corpus] + [lone] + \
+        [synth_instance(g, s) for g in ("C2", "C3", "C4", "V4", "S3", "D4",
+                                        "Q8") for s in (2, 3)]
+    assert len(cases) == 35
+    for inst in cases:
+        xy = xy_modules(inst)
+        acts, incl, basis = x_reference(inst)
+        assert xy.x_basis == basis
+        assert list(xy.x.action) == acts
+        assert xy.x_incl.ab.mat == incl
+    assert xy_modules(lone).x.underlying.n == 0
+
+
+def test_cocycle_space_of_the_zero_module():
+    """A class module on no generators has the zero table group and no
+    cocycle coordinates; the condition matrix is built on no columns."""
+    grp = named_group("S3")
+    z, incl, elems, _ = _cocycle_space(
+        grp, Subgroup(grp, range(grp.order)), trivial_module(grp, FgAb(0)))
+    assert z.n == 0 and incl.mat.shape == (0, 0) and len(elems) == 6
 
 
 def test_section_discrepancy_group_identity():

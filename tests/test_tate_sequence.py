@@ -151,16 +151,16 @@ def test_script_h_lift_dependence_is_caught():
     assert wit == (g, cl_ab.canon(next(cl_ab.elements())), sh.elements[0])
 
 
-def reference_lift_check(inst, sh):
+def reference_lift_check(inst, sh, relations):
     """The lift check as one relation-lattice membership test per triple
     (g, c, x), over every x in GS - {1} in the order of `sh.elements`:
     A_g.phi(x - 1) - phi(alt(x - 1)), alt = kappa(c)s(g) with s the
     section over p0, must lie in Q.  Returns (ok, the first failing
-    triple)."""
+    triple).  `relations` builds the Hermite relation lattice of Q."""
     gs = inst.gs
     cl_ab = inst.cl.underlying
     ab = sh.module.underlying
-    lat = ab.rel_lattice()
+    lat = relations(ab)
     p0_sec = inst.iota[inst.p0.id]
     for g in range(inst.group.order):
         for c in cl_ab.elements():
@@ -187,7 +187,7 @@ LIFT_CASES = [f"{g}/{s}" for g in CATALOG for s in (0, 1)] + list(SHIPPED)
 
 
 @pytest.mark.parametrize("name", LIFT_CASES)
-def test_lift_check_agrees_with_all_triples(name):
+def test_lift_check_agrees_with_all_triples(name, hermite_relations):
     """The class-table check against the all-triples loop, on the verdict
     and the witness: as built, with a shifted action column (caught by
     the action half), and with kappa of one nonzero class moved off the
@@ -195,7 +195,7 @@ def test_lift_check_agrees_with_all_triples(name):
     inst = lift_case(name)
     sh = build_script_h(inst)
     assert script_h_action_lift_independent(inst, sh) == \
-        reference_lift_check(inst, sh) == (True, None)
+        reference_lift_check(inst, sh, hermite_relations) == (True, None)
     cl_ab = inst.cl.underlying
     classes = [cl_ab.canon(c) for c in cl_ab.elements()]
     if len(classes) > 1:
@@ -204,12 +204,12 @@ def test_lift_check_agrees_with_all_triples(name):
         kappa = inst.kappa
         inst.kappa = {**kappa, classes[1]: not_lift}
         got = script_h_action_lift_independent(inst, sh)
-        assert got == reference_lift_check(inst, sh)
+        assert got == reference_lift_check(inst, sh, hermite_relations)
         assert not got[0] and got[1][:2] == (0, classes[1])
         inst.kappa = kappa
     g = shift_action(inst, sh)
     got = script_h_action_lift_independent(inst, sh)
-    assert got == reference_lift_check(inst, sh)
+    assert got == reference_lift_check(inst, sh, hermite_relations)
     assert got == (False, (g, classes[0], sh.elements[0]))
 
 
@@ -238,7 +238,8 @@ def test_lift_check_cost():
 
 
 @pytest.mark.parametrize("name", LIFT_CASES)
-def test_lift_check_reads_a_column_moved_by_l_as_its_class(name):
+def test_lift_check_reads_a_column_moved_by_l_as_its_class(
+        name, hermite_relations):
     """The action half compares each column with y(u - 1) as a vector
     first.  A column moved by a nonzero element of Q, the image of
     L = K.I_GS, here under the last g, differs as a vector but not as a
@@ -258,7 +259,7 @@ def test_lift_check_reads_a_column_moved_by_l_as_its_class(name):
     assert sh.module.action[g].sparse_columns()[0] != \
         sh.left_mul(y, sh.elements[0])
     assert script_h_action_lift_independent(inst, sh) == \
-        reference_lift_check(inst, sh) == (True, None)
+        reference_lift_check(inst, sh, hermite_relations) == (True, None)
 
 
 def reference_script_h(inst):
@@ -303,7 +304,7 @@ def reference_script_h(inst):
     return rel, acts, e
 
 
-def reference_mismatch(inst, sh, reference):
+def reference_mismatch(inst, sh, reference, relations):
     """The first way the module of `build_script_h` fails to present the
     quotient of `reference_script_h` through phi, or None.  Phi is the
     matrix whose column at x - 1 is sh.phi[x].  Checked: phi maps every
@@ -311,7 +312,8 @@ def reference_mismatch(inst, sh, reference):
     reference lattice L, namely of itself written over the u - 1;
     phi(u_j - 1) = e_j, and every w_{m,t} = (mt - 1) - (m - 1) - (t - 1)
     lies in L and phi kills it, so ker phi, spanned by the w, lies in L;
-    phi.A_ref(g) = A(g).phi modulo Q for every g; and phi.e_ref = e."""
+    phi.A_ref(g) = A(g).phi modulo Q for every g; and phi.e_ref = e.
+    `relations` builds the Hermite relation lattice of Q."""
     rel, acts, e = reference
     gs = inst.gs
     ab = sh.module.underlying
@@ -319,7 +321,7 @@ def reference_mismatch(inst, sh, reference):
     index = {x: i for i, x in enumerate(basis)}
     phi = IntMatrix._from_sparse_columns([dict(sh.phi[x]) for x in basis],
                                          ab.n)
-    q_lat = ab.rel_lattice()
+    q_lat = relations(ab)
     if not all(q_lat.contains(phi.apply(v)) for v in rel):
         return "a reference relation maps outside Q"
     ref = Lattice(len(basis))
@@ -352,25 +354,26 @@ def reference_mismatch(inst, sh, reference):
     return None
 
 
-def assert_matches_reference(inst):
+def assert_matches_reference(inst, relations):
     """`reference_mismatch` finds nothing on the built module, and finds
     the dropped Q generator when one is dropped."""
     sh = build_script_h(inst)
     reference = reference_script_h(inst)
-    assert reference_mismatch(inst, sh, reference) is None
+    assert reference_mismatch(inst, sh, reference, relations) is None
     mod = sh.module
     q_cols = mod.underlying.rel.sparse_columns()
     if q_cols:
         smaller = FgAb(mod.underlying.n, IntMatrix._from_sparse_columns(
             q_cols[1:], mod.underlying.n))
         sh.module = GModule(mod.group, smaller, mod.action, check=False)
-        assert reference_mismatch(inst, sh, reference) == \
+        assert reference_mismatch(inst, sh, reference, relations) == \
             "a reference relation maps outside Q"
 
 
 @pytest.mark.parametrize("name", [f"{g}/{s}" for g in CATALOG
                                   for s in (0, 1)] + ["i2_twist", "1"])
-def test_script_h_matches_the_kernel_times_augmentation_span(name):
+def test_script_h_matches_the_kernel_times_augmentation_span(
+        name, hermite_relations):
     if name == "i2_twist":
         inst = i2_twist()
     elif name == "1":
@@ -378,14 +381,15 @@ def test_script_h_matches_the_kernel_times_augmentation_span(name):
     else:
         group, seed = name.split("/")
         inst = synth_instance(group, int(seed))
-    assert_matches_reference(inst)
+    assert_matches_reference(inst, hermite_relations)
 
 
-def test_script_h_matches_the_reference_on_the_corpus(corpus):
+def test_script_h_matches_the_reference_on_the_corpus(corpus,
+                                                      hermite_relations):
     """The reference comparison of the test above on every campaign and
     stress instance."""
     for name, inst in corpus:
-        assert_matches_reference(inst)
+        assert_matches_reference(inst, hermite_relations)
 
 
 def test_snake_values_on_worked_instances():
@@ -414,6 +418,34 @@ def test_snake_values_on_worked_instances():
     assert ok, wit
     # plain instance: all distinguished values vanish
     assert ip.cl.underlying.is_zero(snake_closed_form(ip, "p1", 1, 0))
+
+
+def test_snake_spanning_set_reference_holds_on_the_corpus(
+        corpus, snake_spanning_reference):
+    """`build_snake` proves the prime-by-prime map well defined by its
+    equivariance check alone; the spanning-set test agrees on every
+    campaign and stress instance."""
+    for name, inst in corpus:
+        wrb = build_wrb(inst, xy_modules(inst))
+        sh = build_script_h(inst)
+        build_snake(inst, wrb, sh)
+        assert snake_spanning_reference(inst, wrb, sh) is None, name
+
+
+def test_moved_local_section_fails_both_proofs(snake_spanning_reference):
+    """D4/0 with iota_p(h), for one h at a place p other than p0, moved
+    by a nontrivial n in N: the spanning-set reference names p, and
+    `build_snake` raises NotEquivariant."""
+    inst = synth_instance("D4", 0)
+    pl = next(p for p in inst.other_places() if len(p.subgroup.elems) > 1)
+    h = next(h for h in pl.subgroup.elems if h != inst.group.identity)
+    n = next(n for n in inst.pi.kernel_elements() if n != inst.gs.identity)
+    inst.iota[pl.id][h] = inst.gs.mul(n, inst.iota[pl.id][h])
+    wrb = build_wrb(inst, xy_modules(inst))
+    sh = build_script_h(inst)
+    assert snake_spanning_reference(inst, wrb, sh) == pl.id
+    with pytest.raises(gmodules.NotEquivariant):
+        build_snake(inst, wrb, sh)
 
 
 def test_r_element_edges():
@@ -549,8 +581,10 @@ def test_nabla_class_builds_no_cohomology_group(monkeypatch):
 def test_nabla_class_builds_hom_actions_at_the_generators_only(
         monkeypatch):
     """HomModule builds the action of g when it is first read.  nabla.class
-    reads the actions of Hom(B, Cl) and Hom(R, Cl) at generating_set()
-    only, so those are the only ones built, each once."""
+    reads the actions of Hom(B, Cl) at generating_set() only, for its
+    coboundary map, so those are the only ones built, each once; it
+    builds the maps of the Hom sequence unchecked, so it reads no action
+    of Hom(R, Cl)."""
     inst = synth_instance("D4", 0)
     cx, xy, wrb, sh, snake = lab(inst)
     nabla = build_nabla(inst, wrb, snake)
@@ -578,8 +612,9 @@ def test_nabla_class_builds_hom_actions_at_the_generators_only(
     gens = inst.group.generating_set()
     assert len(gens) < inst.group.order
     assert [h.c for h in homs] == [wrb.b, wrb.r]
-    for h in homs:
-        assert sorted(h.module.action.reads) == sorted(gens)
+    hom_b, hom_r = homs
+    assert sorted(hom_b.module.action.reads) == sorted(gens)
+    assert hom_r.module.action.reads == []
 
 
 def test_nabla_class_builds_one_coboundary_lattice_per_module(monkeypatch):
@@ -761,7 +796,9 @@ def test_nabla_class_names_a_perturbed_connecting_image(make, extends,
                                   lambda: synth_instance("D4", 0)])
 def test_hom_sequence_maps_match_the_generator_loop(make, precompose_by_loop):
     """The maps Hom(X, Cl) -> Hom(B, Cl) -> Hom(R, Cl) of the nabla check,
-    by precompose and by the per-generator loop."""
+    by precompose and by the per-generator loop, and both commute with
+    the Hom actions at every g, as `nabla_class_checks` builds them
+    unchecked on."""
     inst = make()
     cx, xy, wrb, sh, snake = lab(inst)
     hom_x = HomModule(wrb.x, inst.cl)
@@ -769,8 +806,12 @@ def test_hom_sequence_maps_match_the_generator_loop(make, precompose_by_loop):
     hom_r = HomModule(wrb.r, inst.cl)
     for hom, dom_hom, phi in ((hom_b, hom_x, wrb.b_to_x.ab.mat),
                               (hom_r, hom_b, wrb.r_to_b.ab.mat)):
-        assert hom.precompose(dom_hom, phi) == \
-            precompose_by_loop(hom, dom_hom, phi)
+        mat = hom.precompose(dom_hom, phi)
+        assert mat == precompose_by_loop(hom, dom_hom, phi)
+        assert all(hom.module.underlying.first_difference(
+            mat.mul(dom_hom.module.action[g]),
+            hom.module.action[g].mul(mat)) is None
+            for g in range(inst.group.order))
 
 
 def calcs(cx, *modules):
