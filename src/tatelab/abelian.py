@@ -520,13 +520,18 @@ class Homology:
     One kernel basis L of d_out (`AbMap.kernel_lattice_basis`: read off
     private coordinates, or a Hermite-reduced lattice) carries everything.
     The middle relations and the d_in columns are written over L's basis
-    rows by its walk, and H is presented on those coordinates by one FgAb.
-    A d_in column y walks through L iff it lies in ker d_out, i.e. iff
-    d_out(y) = 0 in C, so the walk also decides that d_out . d_in = 0,
-    column by column.
+    rows by its walk, and H is presented on those coordinates by one
+    private FgAb, which only `class_of` and `rep_of` read.  A d_in column
+    y walks through L iff it lies in ker d_out, i.e. iff d_out(y) = 0 in
+    C, so the walk also decides that d_out . d_in = 0, column by column.
+
+    `group` is the diagonal group on the private presentation's canonical
+    moduli (Cohen, GTM 138, 2.4): one generator per canonical coordinate,
+    so an element is a class's canonical coordinates, and no Smith form
+    of its own.
     """
 
-    __slots__ = ("group", "middle", "_lat")
+    __slots__ = ("group", "middle", "_lat", "_pres")
 
     def __init__(self, d_in, d_out):
         if d_in.cod is not d_out.dom and d_in.cod.n != d_out.dom.n:
@@ -542,24 +547,27 @@ class Homology:
             if c is None:
                 raise NonComplex(f"d_out . d_in is nonzero on generator {j}")
             cols.append(c)
-        self.group = FgAb(k, IntMatrix._from_sparse_columns(_reduced(cols, k),
+        self._pres = FgAb(k, IntMatrix._from_sparse_columns(_reduced(cols, k),
                                                             k))
+        mods = self._pres.canonical_moduli()
+        self.group = FgAb(len(mods), IntMatrix._from_sparse_columns(
+            [{i: d} for i, d in enumerate(mods) if d > 1], len(mods)))
 
     def class_of(self, z):
-        """Class of a cycle z (an element of the middle group)."""
+        """Class of a cycle z (an element of the middle group), as its
+        canonical coordinates: an element of `group`."""
         c = self._lat.coords(z)
         if c is None:
             raise ValueError("element is not a cycle")
-        return self.group.canon(c)
+        return self._pres.canon(c)
 
     def class_map(self, f):
         """The checked map f.dom -> H, x -> [f(x)], for f into the middle
         group with every generator image a cycle."""
-        h = self.group
-        cols = [h.from_canon(self.class_of(f.mat.column(j)))
-                for j in range(f.dom.n)]
-        return AbMap(f.dom, h, IntMatrix._trusted_columns(cols, h.n))
+        cols = [self.class_of(f.mat.column(j)) for j in range(f.dom.n)]
+        return AbMap(f.dom, self.group,
+                     IntMatrix._trusted_columns(cols, self.group.n))
 
     def rep_of(self, cls_canon):
         """A deterministic representative cycle of a class."""
-        return self._lat.combine(self.group.from_canon(cls_canon))
+        return self._lat.combine(self._pres.from_canon(cls_canon))

@@ -594,10 +594,7 @@ def shapiro_hminus2(complex_, sub):
         b_idx = complex_._basis_index(-2, (elems[s],))
         rep[b_idx * na + trivial_coset] = 1
         cols.append(h.class_of(tuple(rep)))
-    # columns are canonical coordinates in the homology group
-    mat = IntMatrix._trusted_columns([h.group.from_canon(c) for c in cols],
-                                     h.group.n)
-    iso = AbMap(hab, h.group, mat)
+    iso = AbMap(hab, h.group, IntMatrix._trusted_columns(cols, h.group.n))
     return iso, hab, calc, induced
 
 
@@ -657,15 +654,11 @@ def cup_with_h1(complex_, xi, z):
                             TateCohomology(complex_, ext_ca.b))
     h_ca = calc_ca.homology(-1)
     h_t3 = calc_t3.homology(-1 + 1)
-    cols = []
-    for j in range(h_ca.group.n):
-        rep = h_ca.rep_of(h_ca.group.canon(h_ca.group.gen(j)))
-        cols.append(h_t3.group.from_canon(delta2(
-            CohClass(calc_ca, -1, rep)).canon))
+    cols = [delta2(CohClass(calc_ca, -1, h_ca.rep_of(e))).canon
+            for e in h_ca.group.gens()]
     dmat = AbMap(h_ca.group, h_t3.group,
                  IntMatrix._trusted_columns(cols, h_t3.group.n), check=False)
-    target = h_t3.group.from_canon(CohClass(calc_t3, 0, v).canon)
-    sol = dmat.solve(target)
+    sol = dmat.solve(CohClass(calc_t3, 0, v).canon)
     if sol is None:
         raise ValueError("cup value escaped the image of the dimension "
                          "shift; conventions are inconsistent")

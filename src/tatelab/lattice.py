@@ -615,30 +615,12 @@ class Lattice(_RowBasis):
             if self.witnesses is not None:
                 _axpy(self.witnesses[j], q, self.witnesses[idx])
 
-    def reduce(self, vec):
-        """Residue of vec after subtracting lattice rows (pivot-wise)."""
-        v = self._to_sparse(vec)
-        out = {}
-        while v:
-            piv = min(v)
-            idx = bisect_left(self.pivots, piv)
-            if idx < len(self.pivots) and self.pivots[idx] == piv:
-                row = self.rows[idx]
-                q = v[piv] // row[piv]
-                if q:
-                    _axpy(v, q, row)
-                if piv in v:
-                    out[piv] = v.pop(piv)
-            else:
-                out[piv] = v.pop(piv)
-        return tuple(out.get(i, 0) for i in range(self.dim))
-
     def _walk(self, v):
         """{basis row index: coefficient} writing the sparse dict v (ints
         the package built; it is consumed) over the basis rows, or None.
         The vector is cleared pivot by pivot, and the walk stops at the
         first coordinate without a pivot row or whose value the pivot does
-        not divide; so it is None iff `any(self.reduce(v))`."""
+        not divide; so it is None iff v is not in the lattice."""
         out = {}
         while v:
             piv = min(v)

@@ -675,8 +675,8 @@ def homology_generators_iso(inst, xy, calc_x):
             if pl.is_p0:
                 ccols.append(h.group.zero())
             else:
-                z = generator_chain(complex_, inst, xy, calc_x, pl.id, s)
-                ccols.append(h.group.from_canon(z.canon))
+                ccols.append(generator_chain(complex_, inst, xy, calc_x,
+                                             pl.id, s).canon)
     chain_map = AbMap(sumab, h.group,
                       IntMatrix._trusted_columns(ccols, h.group.n))
     iso = chain_map.compose(kincl)
@@ -711,14 +711,12 @@ def connecting_functorial(snake, calc_x, calc_r, calc_cl, delta_rbx,
     s_* after `delta_rbx` equals `delta_nabla` at degree -2.
 
     Both sides are homomorphisms out of H^-2(X), so they agree everywhere
-    iff they agree on generators: they are compared on the unit canonical
-    coordinates, one evaluation per coordinate, and the witness is
-    the first unit vector at which they differ."""
+    iff they agree on generators: they are compared on the generators of
+    H^-2(X), one per canonical coordinate, and the witness is the first
+    generator at which they differ."""
     push = induced_map(calc_r, calc_cl, snake, -1)
     h = calc_x.homology(-2)
-    k = len(h.group.canonical_moduli())
-    for j in range(k):
-        e = tuple(int(i == j) for i in range(k))
+    for e in h.group.gens():
         z = CohClass(calc_x, -2, h.rep_of(e))
         if push(delta_rbx(z)) != delta_nabla(z):
             return False, e
@@ -842,8 +840,7 @@ def norm_suite(inst, nm, cdc, calc_cl):
                                             "h1": h1.order()}
 
     def b_ker_nmbar_is_cbar():  # ker(induced Nm on H^-1) = Cbar
-        cols = [nm.nm.apply(hom.rep_of(h1.canon(h1.gen(j))))
-                for j in range(h1.n)]
+        cols = [nm.nm.apply(hom.rep_of(e)) for e in h1.gens()]
         nmbar = AbMap(h1, nm.q, IntMatrix._trusted_columns(cols, nm.q.n))
         _, ker_bar = nmbar.kernel()
         return _same_subgroup(ker_bar, cdc.cbar), {

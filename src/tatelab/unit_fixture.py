@@ -52,8 +52,7 @@ def fixture_unit_check(inst, fixture, calc_cl, cdc):
         if not ab.is_zero(nu.apply(total)):
             raise InconsistentFixture(k, "coefficients do not define a "
                                       "norm-killed class")
-        cocycles.append((k, w, hom.group.from_canon(hom.class_of(total)),
-                         cls["a_in_units_times_K"]))
+        cocycles.append((k, w, hom.class_of(total), cls["a_in_units_times_K"]))
     record("fixture.cocycle_identity", True, {"classes": len(classes)})
 
     # coboundary <-> unit flag <-> class in the discrepancy subgroup

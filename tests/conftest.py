@@ -1,5 +1,6 @@
 import functools
 import hashlib
+from bisect import bisect_left
 from importlib.resources import files
 from types import SimpleNamespace
 
@@ -353,9 +354,9 @@ def functorial_over_all_elements(snake, calc_x, calc_r, calc_cl, delta_rbx,
     push = tate_sequence.induced_map(calc_r, calc_cl, snake, -1)
     h = calc_x.homology(-2)
     for e in h.group.elements():
-        z = CohClass(calc_x, -2, h.rep_of(h.group.canon(e)))
+        z = CohClass(calc_x, -2, h.rep_of(e))
         if push(delta_rbx(z)) != delta_nabla(z):
-            return False, h.group.canon(e)
+            return False, e
     return True, None
 
 
@@ -681,6 +682,34 @@ def kernel_columns_loop(row_iter, ncols):
                 touch[coord].discard(k0)
             del basis[k0]
     return [basis[cid] for cid in sorted(basis)]
+
+
+def lattice_residue(lat, vec):
+    """Residue of vec after subtracting the basis rows of the Lattice lat
+    pivot-wise: the oracle for `Lattice._walk` and `Lattice.contains`,
+    zero iff vec lies in the lattice."""
+    v = {i: int(x) for i, x in enumerate(vec) if x}
+    out = {}
+    while v:
+        piv = min(v)
+        idx = bisect_left(lat.pivots, piv)
+        if idx < len(lat.pivots) and lat.pivots[idx] == piv:
+            row = lat.rows[idx]
+            q = v[piv] // row[piv]
+            if q:
+                _axpy(v, q, row)
+            if piv in v:
+                out[piv] = v.pop(piv)
+        else:
+            out[piv] = v.pop(piv)
+    return tuple(out.get(i, 0) for i in range(lat.dim))
+
+
+@pytest.fixture(scope="session")
+def residue():
+    """The pivot-wise residue of a vector modulo a Lattice (see
+    lattice_residue)."""
+    return lattice_residue
 
 
 @pytest.fixture(scope="session")

@@ -533,18 +533,24 @@ def test_homology_agrees_with_kernel_then_quotient(pair, rng):
     kgrp, incl = d_out.kernel()
     imgs = [incl.solve(col) for col in d_in.mat.transpose().entries]
     ref, _ = ab_quotient(kgrp, imgs)
-    # the same relation columns, so the same Smith form and canonical
-    # coordinates as the two-step construction
-    assert h.group.rel == ref.rel
-    assert h.group.invariant_factors() == ref.invariant_factors()
-    assert h.group.free_rank() == ref.free_rank()
+    # the private presentation has the same relation columns, so the same
+    # Smith form and canonical coordinates as the two-step construction
+    g = h._pres
+    assert g.rel == ref.rel
+    assert g.invariant_factors() == ref.invariant_factors()
+    assert g.free_rank() == ref.free_rank()
+    # the public group is the diagonal group on those canonical moduli,
+    # and a class map's matrix holds the classes of f's columns
+    assert h.group.is_diagonal()
+    assert h.group.canonical_moduli() == g.canonical_moduli()
+    assert h.class_map(incl).mat == IntMatrix.from_columns(
+        [h.class_of(incl.mat.column(j)) for j in range(kgrp.n)], h.group.n)
     # ker(d_out) as H presents it (H with no incoming map) is
     # d_out.kernel(), and H's coordinates are the kernel's: each kernel
     # generator is its own class
-    cycles = Homology(AbMap.zero(FgAb(0), mid), d_out).group
+    cycles = Homology(AbMap.zero(FgAb(0), mid), d_out)._pres
     assert cycles.rel == kgrp.rel
     assert _invariants(cycles) == _invariants(kgrp)
-    g = h.group
     for i in range(kgrp.n):
         assert h.class_of(incl.apply(kgrp.gen(i))) == g.canon(kgrp.gen(i))
 
@@ -600,12 +606,12 @@ def test_homology_reduces_many_cycle_relations():
         [tuple(6 if i == 0 else 0 for i in range(n))], n))
     h = Homology(d_in, d_out)
     kgrp, incl = d_out.kernel()
-    cycles = Homology(AbMap.zero(FgAb(0), mid), d_out).group
+    cycles = Homology(AbMap.zero(FgAb(0), mid), d_out)._pres
     assert cycles.rel == kgrp.rel and kgrp.rel.cols == 1
     # kernel relations reduced first, then the image column appended: two
-    # columns, as the two-step construction presents H
+    # columns, as the two-step construction presents H privately
     ref, _ = ab_quotient(kgrp, [incl.solve(d_in.apply((1,)))])
-    assert h.group.rel == ref.rel and h.group.rel.cols == 2
+    assert h._pres.rel == ref.rel and h._pres.rel.cols == 2
     assert h.group.invariant_factors() == (2,)
     assert h.class_of(h.rep_of((1,))) == (1,)
 

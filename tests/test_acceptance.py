@@ -106,13 +106,13 @@ def _nonzero_class(calc, deg):
     h = calc.homology(deg)
     for e in h.group.elements():
         if not h.group.is_zero(e):
-            return CohClass(calc, deg, h.rep_of(h.group.canon(e)))
+            return CohClass(calc, deg, h.rep_of(e))
     return None
 
 
 def _all_classes(calc, deg, limit=None):
     h = calc.homology(deg)
-    out = [CohClass(calc, deg, h.rep_of(h.group.canon(e)))
+    out = [CohClass(calc, deg, h.rep_of(e))
            for e in h.group.elements()]
     return out[:limit] if limit else out
 
@@ -120,7 +120,7 @@ def _all_classes(calc, deg, limit=None):
 def _random_cocycle(calc_hom, hom, rng):
     h1 = calc_hom.homology(1)
     elems = list(h1.group.elements())
-    rep = h1.rep_of(h1.group.canon(elems[rng.randrange(len(elems))]))
+    rep = h1.rep_of(elems[rng.randrange(len(elems))])
     m = [rng.randint(-2, 2) for _ in range(hom.module.underlying.n)]
     cob = calc_hom.differential(0).apply(m)
     return Cocycle1.from_cochain(hom.module,

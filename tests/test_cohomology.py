@@ -36,13 +36,13 @@ def nonzero_class(calc, deg):
     h = calc.homology(deg)
     for e in h.group.elements():
         if not h.group.is_zero(e):
-            return CohClass(calc, deg, h.rep_of(h.group.canon(e)))
+            return CohClass(calc, deg, h.rep_of(e))
     return None
 
 
 def all_classes(calc, deg):
     h = calc.homology(deg)
-    return [CohClass(calc, deg, h.rep_of(h.group.canon(e)))
+    return [CohClass(calc, deg, h.rep_of(e))
             for e in h.group.elements()]
 
 
@@ -140,7 +140,7 @@ def test_direct_formula_agreement_random_modules(direct_formula):
             # class-level agreement at -1 (class_of returns canon coords)
             h, d1 = calc.homology(-1), direct1.group
             for e in list(d1.elements())[:6]:
-                rep = direct1.rep_of(d1.canon(e))
+                rep = direct1.rep_of(e)
                 assert (not any(h.class_of(rep))) == d1.is_zero(e)
             # class-level agreement at 0: c -> direct class of (rep of c)
             # is an additive bijection from the resolution's H^0 onto
@@ -261,7 +261,7 @@ def random_cocycle(calc_hom, hom, rng):
     h1 = calc_hom.homology(1)
     elems = [e for e in h1.group.elements()]
     e = elems[rng.randrange(len(elems))]
-    rep = h1.rep_of(h1.group.canon(e))
+    rep = h1.rep_of(e)
     # shift by a random coboundary
     m = [rng.randint(-2, 2) for _ in range(hom.module.underlying.n)]
     cob = calc_hom.differential(0).apply(m)
@@ -458,7 +458,7 @@ def test_ext1_aug_order_match_and_iso():
             for e in h1.group.elements():
                 f = Cocycle1.from_cochain(
                     data["hom_aug"].module,
-                    h1.rep_of(h1.group.canon(e)), check=False)
+                    h1.rep_of(e), check=False)
                 cls, _ = ext1_class_to_h2(cx, amod, f, data)
                 key = h1.group.canon(e)
                 assert (cls.is_zero()) == (not any(key))
@@ -478,7 +478,7 @@ def test_h2_c2_value():
     hit = set()
     for e in h1.group.elements():
         f = Cocycle1.from_cochain(data["hom_aug"].module,
-                                  h1.rep_of(h1.group.canon(e)), check=False)
+                                  h1.rep_of(e), check=False)
         cls, _ = ext1_class_to_h2(cx, amod, f, data)
         hit.add(cls.canon)
     assert len(hit) == 2  # surjective onto H^2(C2, Z) = Z/2

@@ -165,7 +165,7 @@ def test_lattice_membership_reduction_and_witnesses():
     st.lists(st.lists(small_entries, min_size=n, max_size=n), max_size=6),
     st.lists(st.integers(-3, 3), min_size=6, max_size=6),
     st.lists(small_entries, min_size=n, max_size=n))))
-def test_witnesses_and_coords_over_random_generators(case):
+def test_witnesses_and_coords_over_random_generators(residue, case):
     n, gens, coeffs, other = case
     lat = Lattice(n, witnesses=True)
     for g in gens:
@@ -184,8 +184,9 @@ def test_witnesses_and_coords_over_random_generators(case):
     assert len(c) == len(basis)
     assert tuple(sum(q * row[j] for q, row in zip(c, basis))
                  for j in range(n)) == v
-    # off the lattice both answers are None, exactly when reduce is not 0
-    off = any(lat.reduce(other))
+    # off the lattice both answers are None, exactly when the residue is
+    # not 0
+    off = any(residue(lat, other))
     assert (lat.coords(other) is None) == off
     assert (lat.generator_coords(other) is None) == off
 
@@ -195,7 +196,7 @@ def test_witnesses_and_coords_over_random_generators(case):
                 min_size=1, max_size=6),
        st.tuples(small_entries, small_entries, small_entries),
        st.lists(st.integers(-2, 2), min_size=6, max_size=6))
-def test_lattice_reduce_is_coset_canonical(gens, v, coeffs):
+def test_lattice_reduce_is_coset_canonical(residue, gens, v, coeffs):
     lat = Lattice(3)
     for g in gens:
         lat.add(g)
@@ -203,8 +204,8 @@ def test_lattice_reduce_is_coset_canonical(gens, v, coeffs):
     for g, c in zip(gens, coeffs):
         for j in range(3):
             shift[j] += c * g[j]
-    assert lat.reduce(v) == lat.reduce(tuple(a + b for a, b in
-                                             zip(v, shift)))
+    assert residue(lat, v) == residue(lat, tuple(a + b for a, b in
+                                                 zip(v, shift)))
 
 
 def test_intmatrix_validation():
@@ -416,7 +417,7 @@ def test_kernel_basis_spans_the_smith_kernel(case):
     st.integers(1, 4),
     st.lists(small_entries, min_size=n, max_size=n),
     st.lists(st.integers(-3, 3), min_size=4, max_size=4))))
-def test_contains_agrees_with_reduce(case):
+def test_contains_agrees_with_reduce(residue, case):
     gens, scale, noise, coeffs = case
     n = len(noise)
     # scaled generators make pivot values other than 1 common
@@ -433,7 +434,7 @@ def test_contains_agrees_with_reduce(case):
         if row[piv] > 1:
             assert not lat.contains(off)
     for vec in vectors:
-        expected = not any(lat.reduce(vec))
+        expected = not any(residue(lat, vec))
         assert lat.contains(tuple(vec)) == expected
         assert lat.contains({j: x for j, x in enumerate(vec)
                              if x}) == expected

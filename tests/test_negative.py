@@ -8,31 +8,33 @@ of the class module by their builders from the instance.  So each test
 patches one builder in `analysis.ARTIFACTS`, to add a nonzero class to a
 connecting map, to break the exactness of a sequence, or to move the
 snake or the embedding, and runs the checks that read it through
-`run_analysis`.
+`run_analysis`.  x.generator_iso shares every artifact it reads with
+other checks, so its tests patch instead the one function that only it
+calls, the abelianization of the decomposition groups.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from tatelab.analysis import ARTIFACTS, DEFAULT_CHECKS, run_analysis
+from tatelab import tate_sequence
+from tatelab.abelian import FgAb
+from tatelab.analysis import (ARTIFACTS, DEFAULT_CHECKS, AnalysisContext,
+                              run_analysis)
 from tatelab.cft import c_p, i2_plain, i2_twist, synth_instance, xy_modules
 from tatelab.cohomology import CohClass
 from tatelab.gmodules import GMap
+from tatelab.groups import subgroup_as_group
 from tatelab.lattice import IntMatrix
 from tatelab.tate_sequence import (ImageEscapesCl, aux_unit_in_r,
                                    build_snake, build_wrb, generator_chain)
 
 
-def unit(k, j):
-    return tuple(int(i == j) for i in range(k))
-
-
 def nonzero_class(calc, degree):
-    """The class of the first unit canonical coordinate of H^degree."""
+    """The class of the first generator of H^degree, the first unit
+    canonical coordinate."""
     h = calc.homology(degree)
-    cls = CohClass(calc, degree,
-                   h.rep_of(unit(len(h.group.canonical_moduli()), 0)))
+    cls = CohClass(calc, degree, h.rep_of(h.group.gen(0)))
     assert not cls.is_zero()
     return cls
 
@@ -203,3 +205,70 @@ def test_scripth_embedding_names_a_kernel(monkeypatch):
     assert kernel.order() == 2
     with pytest.raises(ImageEscapesCl, match="generator 0"):
         build_snake(inst, build_wrb(inst, xy_modules(inst)), sh)
+
+
+def test_x_generator_iso_names_doubled_decomposition_relations(monkeypatch):
+    """x.generator_iso compares ker(sum of G_p^ab -> G^ab) with H^-2(X),
+    and is the only check that reads the decomposition abelianizations:
+    `tate_sequence.abelianization` has no other caller.  Valid input
+    presents them correctly, so that function is patched to double the
+    relations of every G_p^ab, the abelianization of G itself kept.  On
+    i2_twist, G = G_p0 = G_p1 = C2 and H^-2(X) = Z/2; the kernel of
+    Z/4 + Z/4 -> Z/2 has order 16 / 2 = 8, so the orders differ, and no
+    other check moves."""
+    inst = i2_twist()
+    real = tate_sequence.abelianization
+
+    def doubled(group):
+        ab, proj = real(group)
+        if group is inst.group:
+            return ab, proj
+        rel = IntMatrix._from_sparse_columns(
+            [{i: 2 * x for i, x in col.items()} for col in ab.rel._columns],
+            ab.n)
+        return FgAb(ab.n, rel), proj
+
+    ctx = AnalysisContext(inst)
+    assert ctx.get("calc_x").group(-2).order() == 2
+    assert failed_checks(run_analysis(inst)) == {}
+    monkeypatch.setattr(tate_sequence, "abelianization", doubled)
+    assert [doubled(subgroup_as_group(pl.subgroup)[0])[0].order()
+            for pl in inst.places] == [4, 4]
+    assert failed_checks(run_analysis(inst)) == {
+        "x.generator_iso": "orders differ: 8 vs 2"}
+
+
+def test_x_generator_iso_names_negated_decomposition_words(monkeypatch):
+    """The same function is patched to negate the words w(tau) of every
+    G_p^ab, again keeping G's: g -> -w(g) is still a homomorphism, so the
+    kernel and the isomorphism are unchanged, but x_p(tau) now goes to
+    minus the class of its chain.  On C3/1, H^-2(X) = Z/3 and p1 has the
+    trivial decomposition group, so the first tau of p2 that is not the
+    identity fails with (p2, tau, -want, want), and no other check
+    moves."""
+    inst = synth_instance("C3", 1)
+    real = tate_sequence.abelianization
+
+    def negated(group):
+        ab, proj = real(group)
+        if group is inst.group:
+            return ab, proj
+        return ab, [tuple(-x for x in w) for w in proj]
+
+    assert failed_checks(run_analysis(inst)) == {}
+    monkeypatch.setattr(tate_sequence, "abelianization", negated)
+    failed = failed_checks(run_analysis(inst))
+    assert set(failed) == {"x.generator_iso"}
+    place, tau, got, want = failed["x.generator_iso"]
+    pl = inst.places[2]
+    assert place == pl.id and len(pl.subgroup.elems) == 3
+    assert tau == next(t for t in pl.subgroup.elems
+                       if t != inst.group.identity)
+    # the witness replays: want is the class of the chain of tau, and got
+    # is its negative, another class of H^-2(X) = Z/3
+    calc_x = AnalysisContext(inst).get("calc_x")
+    h = calc_x.group(-2)
+    assert h.invariant_factors() == (3,)
+    assert want == generator_chain(calc_x.complex, inst, xy_modules(inst),
+                                   calc_x, pl.id, tau).canon
+    assert got == h.canon(h.neg(want)) != want
