@@ -21,10 +21,11 @@ from .groups import (FiniteGroup, GroupHom, NotACocycle, NotAGroup,
                      group_from_table, named_group, quaternion8,
                      subgroup_as_group, symmetric3)
 from .lattice import IntMatrix, Lattice
-from .tate_sequence import (ImageEscapesCl, NotNormKilled, build_delta1,
-                            build_nabla, build_script_h, build_snake,
-                            build_wrb, delta1, norm_suite, r_element,
-                            snake_closed_form, subgroups_cdc)
+from .tate_sequence import (EmbeddingHasKernel, ImageEscapesCl,
+                            NotNormKilled, build_delta1, build_nabla,
+                            build_script_h, build_snake, build_wrb, delta1,
+                            norm_suite, r_element, snake_closed_form,
+                            subgroups_cdc)
 from .unit_fixture import InconsistentFixture, fixture_unit_check
 
 __version__ = "0.1.0"

@@ -20,34 +20,6 @@ class NonComplex(Exception):
     """Raised when homology is requested of maps that do not compose to 0."""
 
 
-def _chain_from_multiset(ds):
-    """Recombine torsion moduli into an invariant-factor chain d1 | d2 | ..."""
-    primes = {}
-    for d in ds:
-        n, p = d, 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                primes.setdefault(p, []).append(e)
-            p += 1
-        if n > 1:
-            primes.setdefault(n, []).append(1)
-    for p in primes:
-        primes[p].sort()
-    chain = []
-    while any(primes.values()):
-        d = 1
-        for p, es in primes.items():
-            if es:
-                d *= p ** es.pop()
-        chain.append(d)
-    chain.reverse()
-    return tuple(chain)
-
-
 def _reduces(ncols, n):
     """Whether FgAb keeps a lattice basis of ncols relation columns in
     Z^n instead of the columns themselves: when there are more than
@@ -228,12 +200,14 @@ class FgAb:
         """Torsion invariant factors d1 | d2 | ... (entries > 1 only)."""
         if self._inv_factors is None:
             ds = [self._mods[i] for i in self._canon_idx if self._mods[i] > 1]
-            if all(b % a == 0 for a, b in zip(ds, ds[1:])):
-                # a Smith form already is a divisibility chain
-                self._inv_factors = tuple(ds)
-            else:
-                # diagonal presentations and direct sums need not be
-                self._inv_factors = _chain_from_multiset(ds)
+            if not all(b % a == 0 for a, b in zip(ds, ds[1:])):
+                # diagonal presentations and direct sums need not be a
+                # divisibility chain; the Smith form of diag(ds) is one
+                d = _snf_data(IntMatrix._from_sparse_columns(
+                    [{i: x} for i, x in enumerate(ds)], len(ds)))[1]
+                ds = [x for i in range(len(ds))
+                      if (x := d._columns[i][i]) > 1]
+            self._inv_factors = tuple(ds)
         return self._inv_factors
 
     def free_rank(self):
@@ -531,24 +505,23 @@ class Homology:
     of its own.
     """
 
-    __slots__ = ("group", "middle", "_lat", "_pres")
+    __slots__ = ("group", "_lat", "_pres")
 
     def __init__(self, d_in, d_out):
         if d_in.cod is not d_out.dom and d_in.cod.n != d_out.dom.n:
             raise ValueError("maps are not composable")
-        self.middle = d_out.dom
         lat = self._lat = d_out.kernel_lattice_basis()
         k = len(lat)
-        # relation sets are lattice-reduced where FgAb(k, .) would reduce
-        # them, so the cycle relations are those d_out.kernel() presents
-        cols = _reduced(_relation_coords(lat, self.middle), k)
+        # the cycle relations are lattice-reduced where FgAb(k, .) would
+        # reduce them, so they are those d_out.kernel() presents; FgAb
+        # itself reduces the whole column set below the same way
+        cols = _reduced(_relation_coords(lat, d_out.dom), k)
         for j, col in enumerate(d_in.mat.sparse_columns()):
             c = lat._walk(col)
             if c is None:
                 raise NonComplex(f"d_out . d_in is nonzero on generator {j}")
             cols.append(c)
-        self._pres = FgAb(k, IntMatrix._from_sparse_columns(_reduced(cols, k),
-                                                            k))
+        self._pres = FgAb(k, IntMatrix._from_sparse_columns(cols, k))
         mods = self._pres.canonical_moduli()
         self.group = FgAb(len(mods), IntMatrix._from_sparse_columns(
             [{i: d} for i, d in enumerate(mods) if d > 1], len(mods)))

@@ -139,8 +139,7 @@ def _check_instance_valid(inst):
 
 
 def _check_scripth_embedding(sh):
-    ok = sh.e.ab.is_injective()
-    return ok, None if ok else "embedding has a kernel"
+    return sh.embeds, None if sh.embeds else "embedding has a kernel"
 
 
 def _check_delta1(inst, seed, wrb, d1, calc_cl, calc_k, delta_unit):

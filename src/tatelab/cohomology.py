@@ -325,6 +325,17 @@ class TateCohomology:
     def group(self, i):
         return self.homology(i).group
 
+    def bar_chain(self, g, m):
+        """The degree -2 class of the chain [g] (x) m, m in the module's
+        coordinates.  [1] is a degenerate cell, zero in the normalized
+        complex, so g = 1 gives the zero class."""
+        na = self.module.underlying.n
+        rep = [0] * (self.complex.rank(-2) * na)
+        b_idx = self.complex._basis_index(-2, (g,))
+        if b_idx is not None:
+            rep[b_idx * na:(b_idx + 1) * na] = m
+        return CohClass(self, -2, rep)
+
 
 def induced_map(calc_dom, calc_cod, f, i):
     """Map on degree-i cohomology induced by an equivariant map f."""
@@ -586,14 +597,9 @@ def shapiro_hminus2(complex_, sub):
     h = calc.homology(-2)
     hgrp, elems = subgroup_as_group(sub)
     hab, _ = abelianization(hgrp)
-    na = induced.underlying.n
-    trivial_coset = pos[group.identity]
-    cols = []
-    for s in hgrp.generating_set():
-        rep = [0] * (complex_.rank(-2) * na)
-        b_idx = complex_._basis_index(-2, (elems[s],))
-        rep[b_idx * na + trivial_coset] = 1
-        cols.append(h.class_of(tuple(rep)))
+    trivial_coset = induced.underlying.gen(pos[group.identity])
+    cols = [calc.bar_chain(elems[s], trivial_coset).canon
+            for s in hgrp.generating_set()]
     iso = AbMap(hab, h.group, IntMatrix._trusted_columns(cols, h.group.n))
     return iso, hab, calc, induced
 

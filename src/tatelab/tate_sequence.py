@@ -28,6 +28,10 @@ class ImageEscapesCl(Exception):
     pass
 
 
+class EmbeddingHasKernel(Exception):
+    pass
+
+
 class NotNormKilled(Exception):
     pass
 
@@ -174,14 +178,15 @@ class ScriptH:
     """I_GS / K.I_GS on the presentation of `build_script_h`: generator j
     is the class of u_j - 1, u_j = elements[j] (N - 1, then T - 1, then
     the rest of GS - 1); phi[x] holds the coordinates of x - 1 and head[x]
-    the m of x = m.t.  `module` and `e` are filled in by build_script_h."""
+    the m of x = m.t.  `module`, `e` and `embeds`, whether e is
+    injective, are filled in by build_script_h."""
 
-    __slots__ = ("module", "e", "phi", "head", "elements", "inst")
+    __slots__ = ("module", "e", "embeds", "phi", "head", "elements", "inst")
 
     def __init__(self, inst, phi, head, elements):
         self.inst, self.phi, self.head = inst, phi, head
         self.elements = elements
-        self.module = self.e = None
+        self.module = self.e = self.embeds = None
 
     def left_mul(self, y, x):
         """Coordinates of the class of y(x - 1) = (yx - 1) - (y - 1), as a
@@ -218,7 +223,7 @@ def build_script_h(inst):
     and (n - 1)x lies in L for x in I_GS; s(1) and s(g)s(h) lift 1 and
     gh, so the identity acts as the identity and the action is
     multiplicative modulo Q.  The embedding c -> phi(kappa(c) - 1) stays
-    a checked GMap."""
+    a checked GMap, and whether it is injective is decided here once."""
     gs, grp = inst.gs, inst.group
     p0_sec = inst.iota[inst.p0.id]
     for g in range(grp.order):
@@ -256,6 +261,7 @@ def build_script_h(inst):
     sh.e = GMap(inst.cl, sh.module, IntMatrix._from_sparse_columns(
         [dict(phi[inst.kappa[ab.canon(ab.gen(j))]]) for j in range(ab.n)],
         rank))
+    sh.embeds = sh.e.ab.is_injective()
     return sh
 
 
@@ -362,7 +368,16 @@ def build_snake(inst, wrb, sh):
     first coset representative and s(1) lies in N, acting trivially, so
     h - 1 goes to iota_p(h) - 1 and g(h - 1) to A_g(iota_p(h) - 1) =
     s(g)(iota_p(h) - 1), the prescribed value: the relations among the
-    spanning vectors die.  No property of iota_p is used."""
+    spanning vectors die.  No property of iota_p is used.
+
+    s solves e.s = F, F the map W -> Script H after the inclusion of R,
+    column by column modulo the relations of Script H, and raises
+    ImageEscapesCl at the first column outside the image of e.  It is
+    built unchecked on the injectivity of e, which `build_script_h`
+    decided (EmbeddingHasKernel otherwise): F and e are checked GMaps,
+    so e(s(r)) = F(r) = 0 for a relation r of R and e(s(gx)) = F(gx) =
+    g.F(x) = e(g.s(x)) for g in G, and e injective gives s(r) = 0 and
+    s(gx) = g.s(x)."""
     grp = inst.group
     p0_sec = inst.iota[inst.p0.id]
     cols = []
@@ -377,10 +392,15 @@ def build_snake(inst, wrb, sh):
     w_to_h = GMap(wrb.w, sh.module, IntMatrix._from_sparse_columns(
         cols, sh.module.underlying.n))
 
-    return GMap(wrb.r, inst.cl, sh.e.ab.lift(
+    lift = sh.e.ab.lift(
         w_to_h.ab.mat.mul(wrb.r_incl.ab.mat),
         lambda j: ImageEscapesCl(f"snake image escapes the class module "
-                                 f"at R generator {j}")))
+                                 f"at R generator {j}"))
+    if not sh.embeds:
+        raise EmbeddingHasKernel("the class module does not embed into "
+                                 "the quotient module")
+    return GMap(wrb.r, inst.cl, AbMap(wrb.r.underlying, inst.cl.underlying,
+                                      lift, check=False), check=False)
 
 
 def aux_unit_in_r(inst, wrb, q_id, coeff=None):
@@ -603,16 +623,11 @@ def nabla_class_checks(inst, wrb, snake, nabla):
 
 # -- the two descriptions of H^-2(X) -> H^-1(Cl) -------------------------------
 
-def generator_chain(complex_, inst, xy, calc_x, place_id, tau):
-    """The degree -2 class of [tau] (x) (p - p0).  [1] is a degenerate
-    cell, zero in the normalized complex, so tau = 1 gives the zero
-    chain."""
-    nx = xy.x.underlying.n
-    rep = [0] * (complex_.rank(-2) * nx)
-    b_idx = complex_._basis_index(-2, (tau,))
-    if b_idx is not None:
-        rep[b_idx * nx + xy.x_index[(place_id, inst.group.identity)]] = 1
-    return CohClass(calc_x, -2, rep)
+def generator_chain(inst, xy, calc_x, place_id, tau):
+    """The degree -2 class of [tau] (x) (p - p0), zero for tau = 1 (see
+    `TateCohomology.bar_chain`)."""
+    return calc_x.bar_chain(tau, xy.x.underlying.gen(
+        xy.x_index[(place_id, inst.group.identity)]))
 
 
 def delta_minus2_agrees(inst, xy, calc_x, calc_cl, delta_nabla):
@@ -621,8 +636,8 @@ def delta_minus2_agrees(inst, xy, calc_x, calc_cl, delta_nabla):
     of the section discrepancy c_p(tau), on every generator."""
     for pl in inst.other_places():
         for tau in pl.subgroup.elems:
-            lhs = delta_nabla(generator_chain(calc_x.complex, inst, xy,
-                                              calc_x, pl.id, tau))
+            lhs = delta_nabla(generator_chain(inst, xy, calc_x, pl.id,
+                                              tau))
             rhs = CohClass(calc_cl, -1, c_p(inst, pl.id, tau))
             if lhs != rhs:
                 return False, (pl.id, tau, lhs.canon, rhs.canon)
@@ -649,7 +664,6 @@ def homology_generators_iso(inst, xy, calc_x):
     that it kills the relations.  The images of x_p(tau) are then
     compared with `generator_chain` for every tau."""
     grp = inst.group
-    complex_ = calc_x.complex
     h = calc_x.homology(-2)
     gab, gproj = abelianization(grp)
     parts, proj_maps, elems_per = [], [], []
@@ -675,8 +689,8 @@ def homology_generators_iso(inst, xy, calc_x):
             if pl.is_p0:
                 ccols.append(h.group.zero())
             else:
-                ccols.append(generator_chain(complex_, inst, xy, calc_x,
-                                             pl.id, s).canon)
+                ccols.append(generator_chain(inst, xy, calc_x, pl.id,
+                                             s).canon)
     chain_map = AbMap(sumab, h.group,
                       IntMatrix._trusted_columns(ccols, h.group.n))
     iso = chain_map.compose(kincl)
@@ -697,8 +711,7 @@ def homology_generators_iso(inst, xy, calc_x):
             if pre is None:
                 return False, f"x_p({tau}) not in the kernel"
             got = h.group.canon(iso.apply(pre))
-            want = generator_chain(complex_, inst, xy, calc_x, pl.id,
-                                   tau).canon
+            want = generator_chain(inst, xy, calc_x, pl.id, tau).canon
             if got != want:
                 return False, (pl.id, tau, got, want)
     return True, None

@@ -521,6 +521,44 @@ def snake_cocycle_reference():
     return snake_cocycle_by_elements
 
 
+def chain_from_multiset(ds):
+    """Recombine torsion moduli into an invariant-factor chain d1 | d2 |
+    ... by prime factorisation: the prime-power parts of the moduli,
+    largest first, are multiplied prime by prime into the last factor,
+    then the next, and so on."""
+    primes = {}
+    for d in ds:
+        n, p = d, 2
+        while p * p <= n:
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                primes.setdefault(p, []).append(e)
+            p += 1
+        if n > 1:
+            primes.setdefault(n, []).append(1)
+    for p in primes:
+        primes[p].sort()
+    chain = []
+    while any(primes.values()):
+        d = 1
+        for p, es in primes.items():
+            if es:
+                d *= p ** es.pop()
+        chain.append(d)
+    chain.reverse()
+    return tuple(chain)
+
+
+@pytest.fixture(scope="session")
+def multiset_chain():
+    """The prime-factorisation reference for FgAb.invariant_factors (see
+    chain_from_multiset)."""
+    return chain_from_multiset
+
+
 def _dense_smallest_pivot(d, t, rows, cols):
     """Position of the nonzero entry of least absolute value in d[t:, t:],
     scanned row by row; the first +-1 ends the scan."""

@@ -280,6 +280,35 @@ def test_direct_sum_matches_block_diagonal_presentation(parts, data):
         assert got.eq(got.from_canon(got.canon(x)), x)
 
 
+@settings(max_examples=150, deadline=None)
+@given(diagonals=st.lists(st.lists(st.integers(0, 40), max_size=4),
+                          max_size=4),
+       others=parts_strategy)
+def test_invariant_factors_match_prime_factorisation(multiset_chain,
+                                                     diagonals, others):
+    """The invariant factors of a diagonal presentation, and of a direct
+    sum, whose moduli need not form a divisibility chain, against the
+    prime-factorisation reference on the multiset of torsion moduli: the
+    diagonal entries above 1, and each other part's own factors."""
+    parts = [diag_group(*ds) for ds in diagonals] + others
+    torsion = [d for ds in diagonals for d in ds if d > 1]
+    torsion += [d for p in others for d in p.invariant_factors()]
+    for ds, part in zip(diagonals, parts):
+        assert part.invariant_factors() == multiset_chain(
+            [d for d in ds if d > 1])
+        assert part.free_rank() == ds.count(0)
+    total = FgAb.direct_sum(parts)
+    assert total.invariant_factors() == multiset_chain(torsion)
+    assert total.free_rank() == sum(p.free_rank() for p in parts)
+
+
+def test_invariant_factors_of_non_chains(multiset_chain):
+    assert diag_group(4, 6).invariant_factors() == (2, 12)
+    assert diag_group(9, 2, 0, 1, 6).invariant_factors() == (6, 18)
+    assert FgAb.direct_sum([diag_group(8), diag_group(2, 12)]) \
+        .invariant_factors() == (2, 4, 24) == multiset_chain([8, 2, 12])
+
+
 @st.composite
 def presented_groups(draw):
     """A diagonal, free or non-diagonal presentation (the kinds of

@@ -240,7 +240,7 @@ def test_criterion_4_headline_connecting_map(campaign):
                            TateCohomology(cx, nabla.ext.b))
     assert calc_x.group(-2).invariant_factors() == (2,)
     assert calc_cl.group(-1).invariant_factors() == (2,)
-    z = generator_chain(cx, it, xy, calc_x, "p1", 1)
+    z = generator_chain(it, xy, calc_x, "p1", 1)
     assert not delta(z).is_zero()
     within = campaign["elapsed"] < 600
     _report(4, within,

@@ -177,9 +177,9 @@ def test_each_sequence_is_proved_exact_once(make, monkeypatch):
 
 @pytest.mark.parametrize("name", ["sqrt34", "D4/0"])
 def test_checks_construct_no_calculator(name, monkeypatch):
-    """Every calculator a check reads comes from the graph: while a check
-    function runs, the only TateCohomology built is that of the unit
-    module in fixture.units, which no artifact carries."""
+    """Every calculator a check reads comes from the graph: no
+    TateCohomology is built while a check function runs, fixture.units
+    included, which decides H^1 of the units by coboundary tests."""
     if name == "sqrt34":
         inst = load_instance(str(files("tatelab") / "data" / "sqrt34.json"))
         fixture = load_fixture(str(files("tatelab") / "data" /
@@ -205,7 +205,7 @@ def test_checks_construct_no_calculator(name, monkeypatch):
         monkeypatch.setitem(CHECKS, cid, (anchor, spied))
     records = run_analysis(inst, fixture=fixture)
     assert all(r["ok"] for r in records), records
-    assert built == ([("fixture.units", fixture[0])] if fixture else [])
+    assert built == []
 
 
 def test_calculators_dropped_after_last_reader(monkeypatch):

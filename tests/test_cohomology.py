@@ -257,6 +257,30 @@ def test_shapiro_s3_c3():
     assert iso.cod.invariant_factors() == (3,)
 
 
+def test_bar_chain_is_one_block_of_the_bar_basis():
+    """[g] (x) m is the chain with m in the block of the 1-tuple (g) and 0
+    elsewhere; [1] is degenerate, so g = 1 gives the zero class.  Over
+    C4 on Z, H^-2 = H_1 = Z/4 is generated by [g] (x) 1, g a generator,
+    and [g^k] (x) 1 is k times it."""
+    c4 = named_group("C4")
+    cx = TateComplex(c4, (-2, 1))
+    calc = TateCohomology(cx, trivial_module(c4))
+    assert calc.group(-2).invariant_factors() == (4,)
+    g = c4.generating_set()[0]
+    powers = [c4.identity]
+    for _ in range(3):
+        powers.append(c4.mul(g, powers[-1]))
+    gen = calc.bar_chain(g, (1,))
+    for k, x in enumerate(powers):
+        z = calc.bar_chain(x, (1,))
+        want = [0] * cx.rank(-2)
+        if x != c4.identity:
+            want[cx.basis(-2).index((x,))] = 1
+        assert z.rep == tuple(want)
+        assert z == CohClass(calc, -2, [k * a for a in gen.rep])
+    assert calc.bar_chain(c4.identity, (5,)).is_zero()
+
+
 def random_cocycle(calc_hom, hom, rng):
     h1 = calc_hom.homology(1)
     elems = [e for e in h1.group.elements()]
@@ -408,9 +432,7 @@ def test_cup_examples():
     z3t = trivial_module(c3)
     z3m = z_mod(c3, 3)
     calc3 = TateCohomology(cx3, z3t)
-    rep = [0] * cx3.rank(-2)
-    rep[cx3._basis_index(-2, (1,))] = 1
-    zc = CohClass(calc3, -2, rep)
+    zc = calc3.bar_chain(1, (1,))
     cup3, ca3 = cup_with_h1(cx3, Cocycle1(z3m, [(0,), (1,), (2,)]), zc)
     h = TateCohomology(cx3, ca3.module).homology(-1)
     assert cup3.canon == h.class_of(ca3.pure((1,), (1,)))

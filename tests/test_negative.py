@@ -52,8 +52,7 @@ def test_delta2_agree_names_a_moved_generator_chain(monkeypatch):
 
     def moved_builder(nabla, calc_x, calc_cl, calc_nabla):
         delta = build(nabla, calc_x, calc_cl, calc_nabla)
-        target = generator_chain(calc_x.complex, inst, xy, calc_x, pl.id,
-                                 tau).rep
+        target = generator_chain(inst, xy, calc_x, pl.id, tau).rep
         seen["calc_cl"] = calc_cl
         extra = seen["extra"] = nonzero_class(calc_cl, -1)
         return lambda z: (delta(z).add(extra) if z.rep == target
@@ -189,6 +188,7 @@ def test_scripth_embedding_names_a_kernel(monkeypatch):
     def doubled(inst):
         sh = seen["sh"] = build(inst)
         sh.e = GMap(inst.cl, sh.module, IntMatrix([[2]]).kron(sh.e.ab.mat))
+        sh.embeds = sh.e.ab.is_injective()
         return sh
 
     monkeypatch.setitem(ARTIFACTS, "script_h", (doubled, reads))
@@ -269,6 +269,6 @@ def test_x_generator_iso_names_negated_decomposition_words(monkeypatch):
     calc_x = AnalysisContext(inst).get("calc_x")
     h = calc_x.group(-2)
     assert h.invariant_factors() == (3,)
-    assert want == generator_chain(calc_x.complex, inst, xy_modules(inst),
-                                   calc_x, pl.id, tau).canon
+    assert want == generator_chain(inst, xy_modules(inst), calc_x, pl.id,
+                                   tau).canon
     assert got == h.canon(h.neg(want)) != want

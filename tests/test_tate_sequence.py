@@ -19,7 +19,8 @@ from tatelab.groups import Subgroup, extension_from_cocycle, named_group
 from tatelab.instance_io import load_instance
 from tatelab.lattice import (IntMatrix, Lattice, PrivateBasis, _axpy,
                              _kernel_columns)
-from tatelab.tate_sequence import (NotNormKilled, aux_unit_in_r,
+from tatelab.tate_sequence import (EmbeddingHasKernel, NotNormKilled,
+                                   aux_unit_in_r,
                                    build_delta1, build_nabla,
                                    build_script_h, build_snake, build_wrb,
                                    cdc_checks, connecting_functorial,
@@ -432,6 +433,54 @@ def test_snake_spanning_set_reference_holds_on_the_corpus(
         assert snake_spanning_reference(inst, wrb, sh) is None, name
 
 
+def test_unchecked_snake_is_equivariant_on_the_corpus(corpus):
+    """`build_snake` builds R -> Cl unchecked on the injectivity of the
+    embedding that `build_script_h` records; on every campaign and stress
+    instance the embedding is injective and the map respects R's
+    relations and commutes with the action at every g, not only at the
+    generators."""
+    for name, inst in corpus:
+        wrb = build_wrb(inst, xy_modules(inst))
+        sh = build_script_h(inst)
+        assert sh.embeds is sh.e.ab.is_injective() is True, name
+        snake = build_snake(inst, wrb, sh)
+        mat, ab = snake.ab.mat, inst.cl.underlying
+        AbMap(wrb.r.underlying, ab, mat)
+        for g in range(inst.group.order):
+            assert ab.first_difference(mat.mul(wrb.r.action[g]),
+                                       inst.cl.action[g].mul(mat)) is None, \
+                (name, g)
+
+
+def test_script_h_records_an_embedding_with_a_kernel():
+    """On S3/0, Cl = Z/6.  With kappa(c) moved to kappa(2c) at each
+    generator c, the embedding is doubled and kills 3Cl = Z/2:
+    `build_script_h` records that, and scripth.embedding reports it."""
+    inst = synth_instance("S3", 0)
+    ab = inst.cl.underlying
+    assert ab.invariant_factors() == (6,)
+    assert build_script_h(inst).embeds is True
+    for c in ab.gens():
+        inst.kappa[ab.canon(c)] = inst.kappa[ab.canon(ab.add(c, c))]
+    sh = build_script_h(inst)
+    assert sh.embeds is False
+    assert sh.e.ab.kernel()[0].order() == 2
+    (rec,) = run_analysis(inst, checks=["scripth.embedding"])
+    assert (rec["ok"], rec["witness"]) == (False, "embedding has a kernel")
+
+
+def test_snake_refuses_an_embedding_with_a_kernel():
+    """The snake map is the pullback through the embedding, unique only
+    when the embedding is injective: a recorded kernel raises
+    EmbeddingHasKernel."""
+    inst = i2_twist()
+    wrb = build_wrb(inst, xy_modules(inst))
+    sh = build_script_h(inst)
+    sh.embeds = False
+    with pytest.raises(EmbeddingHasKernel, match="does not embed"):
+        build_snake(inst, wrb, sh)
+
+
 def test_moved_local_section_fails_both_proofs(snake_spanning_reference):
     """D4/0 with iota_p(h), for one h at a place p other than p0, moved
     by a nontrivial n in N: the spanning-set reference names p, and
@@ -836,18 +885,18 @@ def test_connecting_map_headline():
     assert ok, wit
     assert calc_x.group(-2).invariant_factors() == (2,)
     assert calc_cl.group(-1).invariant_factors() == (2,)
-    z = generator_chain(calc_x.complex, it, xy, calc_x, "p1", 1)
+    z = generator_chain(it, xy, calc_x, "p1", 1)
     assert not z.is_zero() and not delta(z).is_zero()
     # identity generators die
-    z1 = generator_chain(calc_x.complex, it, xy, calc_x, "p1", 0)
+    z1 = generator_chain(it, xy, calc_x, "p1", 0)
     assert delta(z1).is_zero()
     # plain: both maps vanish
     ip = i2_plain()
     xyp, calc_xp, calc_clp, deltap = headline_case(ip)
     for pl in ip.other_places():
         for tau in pl.subgroup.elems:
-            assert deltap(generator_chain(calc_xp.complex, ip, xyp,
-                                          calc_xp, pl.id, tau)).is_zero()
+            assert deltap(generator_chain(ip, xyp, calc_xp, pl.id,
+                                          tau)).is_zero()
     ok, wit = delta_minus2_agrees(ip, xyp, calc_xp, calc_clp, deltap)
     assert ok, wit
 
