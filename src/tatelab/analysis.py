@@ -5,11 +5,13 @@ ARTIFACTS maps each artifact to its builder and the artifacts the builder
 reads; CHECK_READS lists, next to each registered check, the artifacts the
 check function receives.  The inputs (the instance, the unit fixture and
 the sampling seed) are artifacts that exist from the start.  Every
-analysis resolves the one degree window WINDOW, -2..1, the degrees its
-checks read: one complex, one calculator per module over it, each short
-exact sequence as one checked `ExtensionData` (`rbx`, `nabla.ext` and
-`delta1`), proved exact once, and each connecting map the checks compare,
-built once from those calculators.  An artifact is built on first
+analysis resolves the one degree window WINDOW, -2..0, exactly the
+degrees its checks and connecting maps read: H^-2(X) at -2; H^-1 of X,
+R and Cl at -1; H^0(ker s), the target of the unit map, at 0.  Over it
+there is one complex, one calculator per module, each short exact
+sequence as one checked `ExtensionData` (`rbx`, `nabla.ext` and
+`delta1`), proved exact once, and each connecting map the checks
+compare, built once from those calculators.  An artifact is built on first
 request, once: a builder that raised is not run again, and everything
 that reads it fails with the same exception.  The runner drops an
 artifact after the last selected check whose reads reach it.
@@ -35,7 +37,7 @@ from .tate_sequence import (build_delta1, build_nabla, build_script_h,
                             subgroups_cdc, wrb_exact)
 from .unit_fixture import fixture_unit_check
 
-WINDOW = (-2, 1)
+WINDOW = (-2, 0)
 
 INPUTS = ("inst", "fixture", "seed")
 

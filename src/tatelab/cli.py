@@ -17,7 +17,7 @@ from .cft import UnsatisfiableParams, synth_instance
 from .groups import GROUP_CATALOG
 from .instance_io import (FixtureSchemaError, InstanceSchemaError,
                           instance_digest, load_fixture, load_instance)
-from .reporting import Report, write_report
+from .reporting import Report
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -169,11 +169,11 @@ def _selftest_star(job):
 
 
 def _emit(report, args, timings=False):
-    fmt = getattr(args, "format", "json")
-    if getattr(args, "out", None):
-        write_report(report, args.out, fmt=fmt, timings=timings)
-    text = report.to_json(timings=timings) if fmt == "json" \
+    text = report.to_json(timings=timings) if args.format == "json" \
         else report.to_text(timings=timings)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     sys.stdout.write(text)
 
 

@@ -25,9 +25,6 @@ class Report:
     def verdict(self):
         return "pass" if all(r["ok"] for r in self.records) else "fail"
 
-    def failed(self):
-        return [r for r in self.records if not r["ok"]]
-
     def to_dict(self, timings=False):
         records = []
         for r in self.records:
@@ -69,9 +66,3 @@ class Report:
                 lines.append(f"       witness: {r['witness']!r}")
         return "\n".join(lines) + "\n"
 
-
-def write_report(report, path, fmt="json", timings=False):
-    text = report.to_json(timings=timings) if fmt == "json" \
-        else report.to_text(timings=timings)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

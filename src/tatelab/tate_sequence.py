@@ -661,8 +661,10 @@ def homology_generators_iso(inst, xy, calc_x):
     Each abelianization is presented on the generators of its subgroup
     (see `abelianization`), so both maps out of the sum are defined on
     those generators; the chain map is a checked AbMap, which proves
-    that it kills the relations.  The images of x_p(tau) are then
-    compared with `generator_chain` for every tau."""
+    that it kills the relations.  The kernel is a subgroup of the finite
+    sum, so once its order is that of H^-2(X), injective is bijective.
+    The images of x_p(tau) are then compared with `generator_chain` for
+    every tau."""
     grp = inst.group
     h = calc_x.homology(-2)
     gab, gproj = abelianization(grp)
@@ -696,7 +698,7 @@ def homology_generators_iso(inst, xy, calc_x):
     iso = chain_map.compose(kincl)
     if kgrp.order() != h.group.order():
         return False, f"orders differ: {kgrp.order()} vs {h.group.order()}"
-    if not iso.is_injective() or not iso.is_surjective():
+    if not iso.is_injective():
         return False, "generator map is not bijective"
     # x_p(tau) images are the stated generators
     k0 = inst.places.index(inst.p0)

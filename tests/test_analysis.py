@@ -30,6 +30,12 @@ def record_requests(monkeypatch):
     return seen
 
 
+def sqrt34_with_fixture():
+    inst = load_instance(str(files("tatelab") / "data" / "sqrt34.json"))
+    return inst, load_fixture(str(files("tatelab") / "data" /
+                                  "sqrt34_units.json"), inst.group)
+
+
 @pytest.mark.parametrize("cid", sorted(CHECKS))
 def test_checks_request_only_what_they_declare(cid, monkeypatch):
     seen = record_requests(monkeypatch)
@@ -98,9 +104,7 @@ def test_one_calculator_per_shared_module(monkeypatch):
 
     monkeypatch.setattr(TateCohomology, "__init__", init)
     monkeypatch.setattr(TateComplex, "__init__", init_complex)
-    inst = load_instance(str(files("tatelab") / "data" / "sqrt34.json"))
-    fixture = load_fixture(str(files("tatelab") / "data" /
-                               "sqrt34_units.json"), inst.group)
+    inst, fixture = sqrt34_with_fixture()
     records = run_analysis(inst, fixture=fixture)
     assert all(r["ok"] for r in records), records
     art = {name: value for _, name, value in seen}
@@ -108,10 +112,31 @@ def test_one_calculator_per_shared_module(monkeypatch):
               "B": art["wrb"].b, "nabla": art["nabla"].ext.b,
               "ker(s)": art["delta1"].a}
     assert complexes == [art["complex"]]
-    assert art["complex"].window == analysis.WINDOW == (-2, 1)
+    assert art["complex"].window == analysis.WINDOW == (-2, 0)
     for label, module in shared.items():
         assert [c for c, m in built if m is module] == [art["complex"]], \
             label
+
+
+@pytest.mark.parametrize("make", [lambda: (i2_twist(), None),
+                                  lambda: (synth_instance("S3", 0), None),
+                                  sqrt34_with_fixture],
+                         ids=["i2_twist", "S3/0", "sqrt34+fixture"])
+def test_the_window_is_tight(make, monkeypatch):
+    """The analysis reads Tate cohomology at every degree of WINDOW and
+    at no other: a wider window would resolve degrees nothing reads."""
+    degrees = set()
+    orig = TateCohomology.homology
+
+    def homology(calc, i):
+        degrees.add(i)
+        return orig(calc, i)
+
+    monkeypatch.setattr(TateCohomology, "homology", homology)
+    inst, fixture = make()
+    records = run_analysis(inst, fixture=fixture)
+    assert all(r["ok"] for r in records), records
+    assert degrees == set(range(analysis.WINDOW[0], analysis.WINDOW[1] + 1))
 
 
 @pytest.mark.parametrize("make", [i2_twist, lambda: synth_instance("S3", 0)],
@@ -181,9 +206,7 @@ def test_checks_construct_no_calculator(name, monkeypatch):
     TateCohomology is built while a check function runs, fixture.units
     included, which decides H^1 of the units by coboundary tests."""
     if name == "sqrt34":
-        inst = load_instance(str(files("tatelab") / "data" / "sqrt34.json"))
-        fixture = load_fixture(str(files("tatelab") / "data" /
-                                   "sqrt34_units.json"), inst.group)
+        inst, fixture = sqrt34_with_fixture()
     else:
         inst, fixture = synth_instance("D4", 0), None
     running, built = [None], []

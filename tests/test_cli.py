@@ -74,7 +74,7 @@ def test_analyze_errors(capsys):
 
 
 def test_analyze_has_no_window_option(capsys):
-    # the analysis window is fixed at -2..1; the option is a usage error
+    # the window is fixed, analysis.WINDOW; the option is a usage error
     with pytest.raises(SystemExit) as exc:
         main(["analyze", data("i2_twist.json"), "--window=-2..1"])
     assert exc.value.code == 2
@@ -150,8 +150,8 @@ def test_selftest_report_bytes_are_pinned(seeds, tmp_path, monkeypatch,
 
 # sha256 of `analyze sqrt34.json --fixture sqrt34_units.json`; the fixture
 # check decides coboundaries through AbMap.solve
-SQRT34_FIXTURE_SHA256 = ("e219e50c13704010499cb1e1e4ca9e20"
-                         "bfd3c0391f312cbb2d917d866ee988d8")
+SQRT34_FIXTURE_SHA256 = ("eae9e73dca7457efcd53d2cbbfd690d5"
+                         "e107c20da8fd7c5f16ea4d665cbd89c9")
 
 
 def test_fixture_report_bytes_are_pinned(tmp_path, capsys):
@@ -166,10 +166,10 @@ def test_fixture_report_bytes_are_pinned(tmp_path, capsys):
 # sha256 of `analyze` on the two worked instances; W/R/B, the snake map
 # and nabla all feed these reports
 WORKED_INSTANCE_SHA256 = {
-    "i2_twist.json": ("262da1fd83fdba49458ca3b50d12cc9f"
-                      "9a5364efef08a55433dad1c90f2de79a"),
-    "i2_plain.json": ("a7446ac52a510d2c48826f593ce35e53"
-                      "603abf337cf6976ddc684d97c905200c"),
+    "i2_twist.json": ("70ae9bf2a7abef593988a33a1c3c8579"
+                      "d6888959b8951b1bfd01ba404c697a41"),
+    "i2_plain.json": ("79203e7c1fea655e41ad8303192f9a1d"
+                      "7fb34d4d434be09c3f968949ca48835c"),
 }
 
 

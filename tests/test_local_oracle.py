@@ -28,7 +28,9 @@ from tatelab.tate_sequence import build_wrb
 
 GROUPS = ("C2", "C3", "C4", "V4", "S3", "D4", "Q8")
 WINDOW = (-3, 2)
-PIPELINE_WINDOW = (-2, 1)  # the degrees the analysis reads
+# the analysis window -2..0 and degree 1, so that the oracle still
+# covers H^1 of the lattices the analysis builds
+LATTICE_WINDOW = (-2, 1)
 
 
 def prime_powers(n):
@@ -179,13 +181,13 @@ def test_local_oracle_matches_the_pipeline_lattices(name):
     factors the local elimination reads off."""
     inst = synth_instance(name, 0)
     wrb = build_wrb(inst, xy_modules(inst))
-    cx = TateComplex(inst.group, PIPELINE_WINDOW)
+    cx = TateComplex(inst.group, LATTICE_WINDOW)
     nonzero = 0
     for kind in ("w", "r", "b", "x"):
         mod = getattr(wrb, kind)
         assert mod.underlying.rel.cols == 0
         calc = TateCohomology(cx, mod)
-        for i in range(PIPELINE_WINDOW[0], PIPELINE_WINDOW[1] + 1):
+        for i in range(LATTICE_WINDOW[0], LATTICE_WINDOW[1] + 1):
             h = calc.group(i)
             want = local_invariant_factors(incoming_columns(cx, mod, i),
                                            inst.group.order)

@@ -10,7 +10,8 @@ connecting map, to break the exactness of a sequence, or to move the
 snake or the embedding, and runs the checks that read it through
 `run_analysis`.  x.generator_iso shares every artifact it reads with
 other checks, so its tests patch instead the one function that only it
-calls, the abelianization of the decomposition groups.
+calls, the abelianization of the decomposition groups, or patch a shared
+function only while that check runs.
 """
 
 from types import SimpleNamespace
@@ -19,8 +20,8 @@ import pytest
 
 from tatelab import tate_sequence
 from tatelab.abelian import FgAb
-from tatelab.analysis import (ARTIFACTS, DEFAULT_CHECKS, AnalysisContext,
-                              run_analysis)
+from tatelab.analysis import (ARTIFACTS, CHECKS, DEFAULT_CHECKS,
+                              AnalysisContext, run_analysis)
 from tatelab.cft import c_p, i2_plain, i2_twist, synth_instance, xy_modules
 from tatelab.cohomology import CohClass
 from tatelab.gmodules import GMap
@@ -272,3 +273,30 @@ def test_x_generator_iso_names_negated_decomposition_words(monkeypatch):
     assert want == generator_chain(inst, xy_modules(inst), calc_x, pl.id,
                                    tau).canon
     assert got == h.canon(h.neg(want)) != want
+
+
+def test_x_generator_iso_names_a_map_that_is_not_bijective(monkeypatch):
+    """Once the orders agree, x.generator_iso decides bijectivity by
+    injectivity alone.  While that check runs, and only then,
+    `generator_chain` sends every tau to the chain of the identity, the
+    zero class.  On i2_twist the kernel of Z/2 + Z/2 -> Z/2 and H^-2(X)
+    both have order 2, so the chain map is zero and not injective.  The
+    later comparison of x_p(tau) with its chain would not see this, its
+    `want` being zero too; no other check moves."""
+    inst = i2_twist()
+    anchor, check = CHECKS["x.generator_iso"]
+    real = tate_sequence.generator_chain
+
+    def zero_chain(inst, xy, calc_x, place_id, tau):
+        return real(inst, xy, calc_x, place_id, inst.group.identity)
+
+    def zero_chain_check(*args):
+        with monkeypatch.context() as m:
+            m.setattr(tate_sequence, "generator_chain", zero_chain)
+            return check(*args)
+
+    assert AnalysisContext(inst).get("calc_x").group(-2).order() == 2
+    monkeypatch.setitem(CHECKS, "x.generator_iso",
+                        (anchor, zero_chain_check))
+    assert failed_checks(run_analysis(inst)) == {
+        "x.generator_iso": "generator map is not bijective"}
